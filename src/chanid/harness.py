@@ -96,6 +96,10 @@ class ExperimentConfig:
             raise ValueError("d1, d2 and trials must be positive")
         if not 1 <= self.kraus_rank <= self.d1 * self.d2:
             raise ValueError(f"kraus_rank must be in [1, {self.d1 * self.d2}]")
+        if self.d2 * self.kraus_rank < self.d1:
+            raise ValueError(f"need d2 * kraus_rank >= d1 = {self.d1} for a channel")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.ref_spec.kind == "spectrum" and len(self.ref_spec.spectrum) != self.d1:
             raise ValueError(f"spectrum has {len(self.ref_spec.spectrum)} entries, expected {self.d1}")
         if self.ref_spec.kind == "random_min_eig" and self.ref_spec.min_eig > 1.0 / self.d1:
@@ -170,7 +174,7 @@ def config_from_json(obj: dict) -> ExperimentConfig:
             trials=int(obj["trials"]),
             seed=int(obj.get("seed", 0)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed experiment config: {exc}") from exc
 
 

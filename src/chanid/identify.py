@@ -1,15 +1,15 @@
 """Channel identification from entangled-probe outputs.
 
-An invertible reference state rho on the input space defines a probe
-vector Omega = sum_i sqrt(p_i) phi_i ⊗ phi_i.  Sending one subsystem of
-|Omega><Omega| through an unknown channel T produces the bipartite state
-w = (T ⊗ id)(|Omega><Omega|) on H_out ⊗ H_in, from which T can be
-recovered exactly: sandwiching w with (1 ⊗ rho^{-1}) gives a positive
-operator F on H_out ⊗ H_in, and conjugating (sigma ⊗ F) by a fixed
-isometry V built from the spectral data of rho re-evaluates T(sigma).
-The same sandwich applied to an arbitrary bipartite state yields a CP
-map that coincides with a channel exactly when the state satisfies a
-trace-preservation consistency condition.
+An invertible reference state rho = sum_i p_i |phi_i><phi_i| defines the
+probe Omega = sum_i sqrt(p_i) phi_i ⊗ phi_i = vec X with the
+complex-symmetric X = sum_i sqrt(p_i) phi_i phi_iᵀ.  Sending one half of
+|Omega><Omega| through a channel T gives w = (T ⊗ id)(|Omega><Omega|) =
+(1 ⊗ X) C (1 ⊗ X)† on H_out ⊗ H_in, with C the Choi matrix of T, so
+recovery is the single congruence C = (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)†.  The
+paper's equivalent dilation form conjugates sigma ⊗ F, with
+F = (1 ⊗ rho^{-1}) w (1 ⊗ rho^{-1}), by a fixed isometry V (``apply_rn``).
+Applied to any bipartite state the inversion yields a CP map, a channel
+exactly when the state satisfies a trace-preservation consistency condition.
 """
 
 from __future__ import annotations
@@ -18,19 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (
-    ChoiMatrix,
-    KrausChannel,
-    NotCompletelyPositiveError,
-    from_choi,
-    tensor_with_identity,
-)
+from .channel import ChoiMatrix, KrausChannel, NotCompletelyPositiveError, choi, from_choi
 from .linalg import (
+    TRACE_TOL,
     DensityOperator,
     Spectrum,
     clip_to_density,
     hermitian_part,
     operator_norm,
+    partial_trace,
     tensor_product,
     trace_norm,
 )
@@ -48,9 +44,10 @@ class ReferenceState:
     """Invertible reference state with cached spectral data.
 
     ``spectrum`` holds eigenvalues ascending with phase-fixed eigenvector
-    columns; ``out_basis`` optionally fixes the orthonormal output basis
+    columns; ``x`` (Omega = vec x) and ``x_inv`` are the probe matrix and
+    its inverse.  ``out_basis`` optionally fixes the orthonormal output basis
     used by the isometry (None means the computational basis of whatever
-    output dimension is requested).
+    output dimension is requested); V†(sigma ⊗ F)V does not depend on it.
     """
 
     dim: int
@@ -60,6 +57,8 @@ class ReferenceState:
     out_basis: np.ndarray | None = None
     rho_inv: np.ndarray = field(init=False, repr=False)
     rho_inv_sqrt: np.ndarray = field(init=False, repr=False)
+    x: np.ndarray = field(init=False, repr=False)
+    x_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.min_eig <= 0:
@@ -68,6 +67,8 @@ class ReferenceState:
         vecs = self.spectrum.eigenvectors
         object.__setattr__(self, "rho_inv", (vecs / p) @ vecs.conj().T)
         object.__setattr__(self, "rho_inv_sqrt", (vecs / np.sqrt(p)) @ vecs.conj().T)
+        object.__setattr__(self, "x", (vecs * np.sqrt(p)) @ vecs.T)
+        object.__setattr__(self, "x_inv", ((vecs / np.sqrt(p)) @ vecs.T).conj())
 
     def output_basis(self, d2: int) -> np.ndarray:
         if self.out_basis is None:
@@ -146,20 +147,22 @@ def make_reference(
 
 def omega(ref: ReferenceState) -> OmegaState:
     """Unit probe vector sum_i sqrt(p_i) phi_i ⊗ phi_i on H_in ⊗ H_in."""
-    p = ref.spectrum.eigenvalues
-    vecs = ref.spectrum.eigenvectors
-    vector = np.zeros(ref.dim * ref.dim, dtype=complex)
-    for i in range(ref.dim):
-        vector += np.sqrt(p[i]) * tensor_product(vecs[:, i], vecs[:, i])
+    vector = ref.x.reshape(-1)
     return OmegaState(vector=vector, projector=DensityOperator(np.outer(vector, vector.conj())))
 
 
+def _congruence(m: np.ndarray, x: np.ndarray, d2: int) -> np.ndarray:
+    """(1 ⊗ x) m (1 ⊗ x)† for m on H_out ⊗ H_in, acting blockwise on H_in."""
+    d1 = x.shape[0]
+    blocks = m.reshape(d2, d1, d2, d1).transpose(0, 2, 1, 3)
+    return (x @ blocks @ x.conj().T).transpose(0, 2, 1, 3).reshape(d2 * d1, d2 * d1)
+
+
 def forward_map(t: KrausChannel, ref: ReferenceState) -> DensityOperator:
-    """Probe output w = (T ⊗ id)(|Omega><Omega|) on H_out ⊗ H_in."""
+    """Probe output w = (T ⊗ id)(|Omega><Omega|) = (1 ⊗ X) C (1 ⊗ X)† on H_out ⊗ H_in."""
     if t.dim_in != ref.dim:
         raise ValueError(f"channel input dim {t.dim_in} != reference dim {ref.dim}")
-    probe = omega(ref).projector.mat
-    w = tensor_with_identity(t, ref.dim).apply_matrix(probe)
+    w = _congruence(choi(t).mat, ref.x, t.dim_out)
     return DensityOperator(hermitian_part(w))
 
 
@@ -184,16 +187,10 @@ def v_isometry(ref: ReferenceState, d2: int) -> np.ndarray:
     return v
 
 
-def _sandwich_second(w: np.ndarray, d2: int, op: np.ndarray) -> np.ndarray:
-    lift = tensor_product(np.eye(d2), op)
-    return lift @ w @ lift
-
-
 def rn_operator(t: KrausChannel, ref: ReferenceState) -> RNOperator:
     """Positive operator F = (1 ⊗ rho^{-1}) w (1 ⊗ rho^{-1}) that represents
     the channel relative to the reference dilation."""
-    w = forward_map(t, ref).mat
-    f = _sandwich_second(w, t.dim_out, ref.rho_inv)
+    f = _congruence(forward_map(t, ref).mat, ref.rho_inv, t.dim_out)
     return RNOperator(mat=hermitian_part(f))
 
 
@@ -215,8 +212,13 @@ def apply_rn(v: np.ndarray, f: RNOperator, sigma: DensityOperator) -> np.ndarray
     return _apply_rn_matrix(v, f.mat, sigma.mat)
 
 
+def _marginal_defect(c: np.ndarray, d1: int, d2: int) -> float:
+    """||tr_out C - 1||_1 for a Choi matrix C on H_out ⊗ H_in."""
+    return trace_norm(partial_trace(c, (d2, d1), "first") - np.eye(d1))
+
+
 def consistency_residual(w: DensityOperator | np.ndarray, ref: ReferenceState, d2: int) -> float:
-    """Trace-norm defect of tr_out[(1 ⊗ rho^{-1/2}) w (1 ⊗ rho^{-1/2})] from 1.
+    """Trace-norm defect ||tr_out C - 1||_1 of C = (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)†.
 
     Zero exactly when the recovered map is trace-preserving, which holds
     automatically for noiseless probe outputs.
@@ -225,9 +227,7 @@ def consistency_residual(w: DensityOperator | np.ndarray, ref: ReferenceState, d
     d1 = ref.dim
     if w_mat.shape != (d2 * d1, d2 * d1):
         raise ValueError(f"state shape {w_mat.shape} is not ({d2 * d1}, {d2 * d1})")
-    scaled = _sandwich_second(w_mat, d2, ref.rho_inv_sqrt)
-    marginal = np.einsum("abad->bd", scaled.reshape(d2, d1, d2, d1))
-    return trace_norm(marginal - np.eye(d1))
+    return _marginal_defect(_congruence(w_mat, ref.x_inv, d2), d1, d2)
 
 
 def reconstruct(
@@ -237,41 +237,34 @@ def reconstruct(
     rank_cutoff: float = 1e-10,
     psd_tol: float = 1e-8,
 ) -> ReconstructionResult:
-    """Invert the probe map: recover the CP map whose probe output is w.
+    """Invert the probe map: the CP map with Choi matrix (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)†.
 
     For w produced by a noiseless probe this returns the true channel; for
     perturbed w it returns the (generally non-trace-preserving) CP map that
-    the inversion formula defines, with residual diagnostics.  Eigenvalues
-    of w in [-psd_tol, 0) are clipped (and the removed weight reported);
-    anything more negative raises :class:`NotCompletelyPositiveError`.
+    the inversion formula defines, with residual diagnostics.  w must have
+    unit trace within ``linalg.TRACE_TOL``.  Eigenvalues of w in
+    [-psd_tol, 0) are clipped (the removed weight is reported and the trace
+    restored); anything more negative raises :class:`NotCompletelyPositiveError`.
     """
     w_mat = w.mat if isinstance(w, DensityOperator) else np.asarray(w, dtype=complex)
     d1 = ref.dim
     n = d2 * d1
     if w_mat.shape != (n, n):
         raise ValueError(f"state shape {w_mat.shape} is not ({n}, {n})")
+    tr = complex(np.trace(w_mat))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"state trace {tr} is not 1 within {TRACE_TOL}")
     min_eig = float(np.linalg.eigvalsh(hermitian_part(w_mat))[0])
     if min_eig < -psd_tol:
         raise NotCompletelyPositiveError(
             f"input state has eigenvalue {min_eig:.3e} < -{psd_tol:.1e}"
         )
     w_mat, clipped = clip_to_density(w_mat)
-    f_mat = hermitian_part(_sandwich_second(w_mat, d2, ref.rho_inv))
-    v = v_isometry(ref, d2)
-
-    c = np.zeros((n, n), dtype=complex)
-    for i in range(d1):
-        for j in range(d1):
-            unit = np.zeros((d1, d1), dtype=complex)
-            unit[i, j] = 1.0
-            block = _apply_rn_matrix(v, f_mat, unit)
-            c += tensor_product(block, unit)
-    cp_map = from_choi(
-        ChoiMatrix(dim_in=d1, dim_out=d2, mat=hermitian_part(c)), rank_cutoff=rank_cutoff
-    )
+    c = hermitian_part(_congruence(w_mat, ref.x_inv, d2))
+    cp_map = from_choi(ChoiMatrix(dim_in=d1, dim_out=d2, mat=c), rank_cutoff=rank_cutoff)
     return ReconstructionResult(
         cp_map=cp_map,
         tp_residual=cp_map.tp_defect,
-        consistency_residual=consistency_residual(w_mat, ref, d2),
+        consistency_residual=_marginal_defect(c, d1, d2),
         clip_magnitude=clipped,
     )

@@ -222,6 +222,8 @@ def random_unitary(d: int, seed: int) -> np.ndarray:
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)

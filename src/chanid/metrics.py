@@ -228,6 +228,10 @@ def cb_distance_interval(
     computational basis vector, and any ``extra_starts``.
     """
     _check_same_dims(t1, t2)
+    if starts < 0 or max_iters < 0:
+        raise ValueError(f"starts and max_iters must be >= 0, got {starts} and {max_iters}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     d1 = t1.dim_in
     plus = _lifted_kraus(t1, d1)
     minus = _lifted_kraus(t2, d1)

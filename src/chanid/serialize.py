@@ -12,7 +12,7 @@ import numpy as np
 from .channel import ChoiMatrix, KrausChannel
 from .identify import ReconstructionResult, ReferenceState, make_reference
 from .linalg import DensityOperator
-from .metrics import BoundReport, NormInterval
+from .metrics import NormInterval
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -27,7 +27,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dims must be positive, got {rows}x{cols}")
@@ -59,7 +59,7 @@ def channel_from_json(obj: dict) -> KrausChannel:
     try:
         d1, d2 = int(obj["dim_in"]), int(obj["dim_out"])
         kraus = tuple(matrix_from_json(a) for a in obj["kraus"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed channel object: {exc}") from exc
     return KrausChannel(dim_in=d1, dim_out=d2, kraus=kraus)
 
@@ -81,7 +81,7 @@ def choi_from_json(obj: dict) -> ChoiMatrix:
             mat=matrix_from_json(obj["mat"]),
             normalized=bool(obj["normalized"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed Choi object: {exc}") from exc
 
 
@@ -119,16 +119,6 @@ def reconstruction_to_json(result: ReconstructionResult) -> dict:
         "tp_residual": result.tp_residual,
         "consistency_residual": result.consistency_residual,
         "clip_magnitude": result.clip_magnitude,
-    }
-
-
-def bound_report_to_json(report: BoundReport) -> dict:
-    return {
-        "fidelity": report.fidelity,
-        "bound": report.bound,
-        "trace_dist_w": report.trace_dist_w,
-        "rho_inv_norm": report.rho_inv_norm,
-        "dim": report.dim,
     }
 
 

@@ -101,6 +101,11 @@ class TestFidelityAndCbdist:
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 <= payload["lower"] <= payload["upper"] <= 2.0 + 1e-9
 
+    def test_negative_starts_is_validation_error(self, tmp_path, capsys):
+        t = write_json(tmp_path / "a.json", channel_to_json(random_channel(2, 2, 2, seed=3)))
+        assert cli_main(["cbdist", "--t1", t, "--t2", t, "--starts", "-3"]) == 1
+        assert "starts" in capsys.readouterr().err
+
     def test_dimension_mismatch_is_validation_error(self, tmp_path, capsys):
         t1 = write_json(tmp_path / "a.json", channel_to_json(random_channel(2, 2, 2, seed=5)))
         t2 = write_json(tmp_path / "b.json", channel_to_json(random_channel(3, 3, 2, seed=6)))
@@ -155,6 +160,31 @@ class TestBatchCommands:
         cfg = write_json(tmp_path / "cfg.json", {"d1": 2})
         assert cli_main(["roundtrip", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestHugeNumbers:
+    # JSON reads 1e400 as float infinity, which int() cannot convert
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            (
+                '{"dim_in": 1e400, "dim_out": 2, "kraus": []}',
+                ["fidelity", "--t1", "IN", "--t2", "IN"],
+            ),
+            (
+                '{"d1": 1e400, "d2": 2, "kraus_rank": 2, "trials": 1}',
+                ["roundtrip", "--config", "IN", "--out", "OUT"],
+            ),
+        ],
+        ids=["channel", "config"],
+    )
+    def test_huge_dimension_is_one_line_validation_error(self, tmp_path, capsys, text, argv):
+        (tmp_path / "in.json").write_text(text)
+        paths = {"IN": str(tmp_path / "in.json"), "OUT": str(tmp_path / "out.csv")}
+        assert cli_main([paths.get(a, a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chanid: error:")
+        assert err.count("\n") == 1
 
 
 class TestArgumentHandling:

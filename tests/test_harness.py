@@ -200,6 +200,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             config_from_json({"d1": 2, "d2": 2})
 
+    def test_infeasible_rank_rejected_up_front(self):
+        with pytest.raises(ValueError, match="d2 \\* kraus_rank >= d1"):
+            small_config(d1=3, d2=1, kraus_rank=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            small_config(seed=-1)
+
     def test_ref_spec_length_checked(self):
         with pytest.raises(ValueError):
             small_config(ref_spec=RefSpec(kind="spectrum", spectrum=(0.2, 0.3, 0.5)))

@@ -299,6 +299,27 @@ class TestReconstruct:
         rec = reconstruct(noisy, ref, 2)
         assert np.linalg.eigvalsh(choi(rec.cp_map).mat)[0] >= -1e-8
 
+    def test_raw_array_with_wrong_trace_rejected(self):
+        ref = make_reference(maximally_mixed(2))
+        w = forward_map(random_channel(2, 2, 2, seed=24), ref)
+        with pytest.raises(ValueError, match="trace"):
+            reconstruct(1.01 * w.mat, ref, 2)
+
+    @pytest.mark.parametrize("d", [3, 6])
+    @pytest.mark.parametrize("min_eig", [1e-6, 1e-8])
+    def test_noiseless_round_trip_at_conditioning_edge(self, d, min_eig):
+        # double-precision error amplified by ||rho^-1|| = 1/min_eig, and
+        # every min_eig above the admissibility cutoff must round-trip
+        t = random_channel(d, d, d, seed=25 + d)
+        u = random_unitary(d, seed=35 + d)
+        p = np.array([min_eig] + [(1.0 - min_eig) / (d - 1)] * (d - 1))
+        rho = (u * p) @ u.conj().T
+        ref = make_reference(DensityOperator((rho + rho.conj().T) / 2))
+        rec = reconstruct(forward_map(t, ref), ref, d)
+        assert np.max(np.abs(choi(rec.cp_map).mat - choi(t).mat)) <= 1e-12 / min_eig
+        if min_eig >= 1e-6:  # below, the absolute rank_cutoff admits noise eigenvalues
+            assert len(rec.cp_map.kraus) == d
+
 
 class TestConsistencyResidual:
     def test_noiseless_forward_maps(self):

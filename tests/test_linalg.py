@@ -214,6 +214,10 @@ class TestRandomUnitary:
         with pytest.raises(ValueError):
             random_unitary(0, seed=1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            random_unitary(2, seed=-1)
+
 
 class TestDensityOperator:
     def test_rejects_non_hermitian(self):

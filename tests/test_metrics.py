@@ -165,6 +165,15 @@ class TestCbDistanceInterval:
             assert dist <= interval.upper + 1e-9
             assert interval.lower >= dist - 1e-9  # the probe is a feasible point
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"starts": -3}, "starts"), ({"max_iters": -1}, "max_iters"), ({"seed": -1}, "seed")],
+    )
+    def test_negative_arguments_rejected(self, kwargs, message):
+        t = random_channel(2, 2, 2, seed=11)
+        with pytest.raises(ValueError, match=message):
+            cb_distance_interval(t, t, **kwargs)
+
     def test_lower_reproducible_at_witness(self):
         t1 = random_channel(3, 2, 2, seed=9)
         t2 = random_channel(3, 2, 4, seed=10)
