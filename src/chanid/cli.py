@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 validation error (bad arguments, malformed
 JSON), 2 numerical failure (inadmissible reference, non-CP input,
-self-check violation).
+self-check violation, CB interval whose lower end exceeds its upper end).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from . import harness, metrics, serialize
 from .channel import NotCompletelyPositiveError, random_channel
 from .identify import NotAdmissibleError, reconstruct
 from .linalg import SingularOperatorError
+from .metrics import CertificateError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,6 +174,7 @@ def cli_main(argv: list[str]) -> int:
         NotCompletelyPositiveError,
         SingularOperatorError,
         harness.SelfCheckError,
+        CertificateError,
     ) as exc:
         print(f"chanid: numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -48,6 +48,7 @@ class ReferenceState:
     its inverse.  ``out_basis`` optionally fixes the orthonormal output basis
     used by the isometry (None means the computational basis of whatever
     output dimension is requested); V†(sigma ⊗ F)V does not depend on it.
+    ``cutoff`` is the admissibility cutoff the state was accepted under.
     """
 
     dim: int
@@ -55,6 +56,7 @@ class ReferenceState:
     spectrum: Spectrum
     min_eig: float
     out_basis: np.ndarray | None = None
+    cutoff: float = ADMISSIBILITY_CUTOFF
     rho_inv: np.ndarray = field(init=False, repr=False)
     rho_inv_sqrt: np.ndarray = field(init=False, repr=False)
     x: np.ndarray = field(init=False, repr=False)
@@ -141,7 +143,7 @@ def make_reference(
             raise ValueError("output basis must be unitary")
         out_basis = b
     return ReferenceState(
-        dim=rho.dim, rho=rho, spectrum=spec, min_eig=min_eig, out_basis=out_basis
+        dim=rho.dim, rho=rho, spectrum=spec, min_eig=min_eig, out_basis=out_basis, cutoff=cutoff
     )
 
 

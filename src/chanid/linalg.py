@@ -64,9 +64,9 @@ def operator_norm(m: np.ndarray) -> float:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m†) / 2."""
+    """(m + m†) / 2, for one matrix or for each matrix of a stack."""
     m = np.asarray(m)
-    return (m + m.conj().T) / 2
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 @dataclass(frozen=True)
@@ -83,14 +83,12 @@ class Spectrum:
 
 
 def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
-    out = np.array(vectors, dtype=complex, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if abs(pivot) > 0:
-            out[:, j] = col * (abs(pivot) / pivot)
-    return out
+    vectors = np.asarray(vectors, dtype=complex)
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    # Per-pivot scalar division and a column-by-scalar product keep the bits
+    # of the column loop: numpy's array division rounds |p|/p differently.
+    phases = np.array([abs(p) / p if abs(p) > 0 else 1.0 for p in pivots], dtype=complex)
+    return (vectors.T * phases[:, None]).T
 
 
 def spectral_decomposition(m: np.ndarray) -> Spectrum:

@@ -6,7 +6,10 @@ value of the stabilized trace-norm objective over pure probe states
 (a witness state is kept so the value can be re-checked), the upper end
 is an analytic bound from the Jordan decomposition of the Choi-matrix
 difference.  No claim of convergence to the exact norm is made; every
-inequality consumed downstream only needs a valid interval.
+inequality consumed downstream only needs a valid interval.  Both ends use
+only the Choi difference J: the stabilized output at a probe vec Ψ is
+(1 ⊗ Ψᵀ) J (1 ⊗ Ψᵀ)†, its adjoint map back-lifts the sign matrix, and all
+ascent starts run together as one batch of stacked eigendecompositions.
 """
 
 from __future__ import annotations
@@ -24,9 +27,12 @@ from .linalg import (
     operator_norm,
     partial_trace,
     spectral_decomposition,
-    tensor_product,
     trace_norm,
 )
+
+
+class CertificateError(ArithmeticError):
+    """A lower bound exceeds its certified upper bound beyond rounding."""
 
 
 @dataclass(frozen=True)
@@ -119,28 +125,21 @@ def worst_case_bound(
     )
 
 
-def _lifted_kraus(t: KrausChannel, d_anc: int) -> tuple[np.ndarray, ...]:
-    eye = np.eye(d_anc)
-    return tuple(tensor_product(a, eye) for a in t.kraus)
+def _realign(m: np.ndarray, dims: tuple[int, int, int, int]) -> np.ndarray:
+    """m[..., (a, b), (c, e)] -> out[..., (a, c), (b, e)] for dims (a, b, c, e)."""
+    a, b, c, e = dims
+    lead = m.shape[:-2]
+    return m.reshape(*lead, a, b, c, e).swapaxes(-3, -2).reshape(*lead, a * c, b * e)
 
 
-def _stabilized_output(
-    plus: tuple[np.ndarray, ...], minus: tuple[np.ndarray, ...], psi: np.ndarray
-) -> np.ndarray:
-    n = plus[0].shape[0] if plus else minus[0].shape[0]
-    m = np.zeros((n, n), dtype=complex)
-    for op in plus:
-        v = op @ psi
-        m += np.outer(v, v.conj())
-    for op in minus:
-        v = op @ psi
-        m -= np.outer(v, v.conj())
-    return m
+def _stabilized_outputs(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """(1 ⊗ Ψᵀ) J (1 ⊗ Ψᵀ)† for every row psi = vec Ψ of psis; r is J realigned."""
+    proj = psis[:, :, None] * psis[:, None, :].conj()
+    return hermitian_part(_realign(r @ _realign(proj, (d_in,) * 4), (d_out, d_out, d_in, d_in)))
 
 
-def _objective(plus, minus, psi: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh(hermitian_part(_stabilized_output(plus, minus, psi)))
-    return float(np.sum(np.abs(vals)))
+def _objective_values(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    return np.sum(np.abs(np.linalg.eigvalsh(_stabilized_outputs(r, psis, d_in, d_out))), axis=-1)
 
 
 def cb_objective(t1: KrausChannel, t2: KrausChannel | None, psi: np.ndarray) -> float:
@@ -151,59 +150,61 @@ def cb_objective(t1: KrausChannel, t2: KrausChannel | None, psi: np.ndarray) -> 
     """
     if t2 is not None:
         _check_same_dims(t1, t2)
-    d_anc = t1.dim_in
+    d_in, d_out = t1.dim_in, t1.dim_out
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != t1.dim_in * d_anc:
-        raise ValueError(f"probe vector has length {psi.size}, expected {t1.dim_in * d_anc}")
-    plus = _lifted_kraus(t1, d_anc)
-    minus = _lifted_kraus(t2, d_anc) if t2 is not None else ()
-    return _objective(plus, minus, psi)
+    if psi.size != d_in * d_in:
+        raise ValueError(f"probe vector has length {psi.size}, expected {d_in * d_in}")
+    j = choi(t1).mat if t2 is None else choi(t1).mat - choi(t2).mat
+    r = _realign(j, (d_out, d_in, d_out, d_in))
+    return float(_objective_values(r, psi[None], d_in, d_out)[0])
 
 
-def _sign_matrix(m: np.ndarray) -> np.ndarray:
-    spec = spectral_decomposition(m)
-    return (spec.eigenvectors * np.sign(spec.eigenvalues)) @ spec.eigenvectors.conj().T
+def _ascend(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int, max_iters: int, tol: float):
+    """Alternating ascent from every row of psis at once; no value decreases.
 
-
-def _ascend(plus, minus, psi: np.ndarray, max_iters: int, tol: float):
-    """Alternating ascent: the objective value never decreases.
-
-    Alternates between the optimal Hermitian sign contraction for the
-    current probe and the top eigenvector of the back-lifted sign matrix.
+    Each start alternates between the optimal Hermitian sign contraction
+    for its current probe and the top eigenvector of the back-lifted sign
+    matrix.  It accepts a candidate only if the value rises, and leaves the
+    batch after the first iteration that improves it by less than ``tol``.
     """
-    best_val = _objective(plus, minus, psi)
-    best_psi = psi
+    best_psi = psis.copy()
+    best_val = _objective_values(r, best_psi, d_in, d_out)
+    active = np.arange(len(psis))
     for _ in range(max_iters):
-        s = _sign_matrix(_stabilized_output(plus, minus, best_psi))
-        h = np.zeros((psi.size, psi.size), dtype=complex)
-        for op in plus:
-            h += op.conj().T @ s @ op
-        for op in minus:
-            h -= op.conj().T @ s @ op
-        _, vecs = np.linalg.eigh(hermitian_part(h))
-        candidate = vecs[:, -1]
-        value = _objective(plus, minus, candidate)
-        improvement = value - best_val
-        if value > best_val:
-            best_val, best_psi = value, candidate
-        if improvement < tol:
+        if active.size == 0:
             break
+        vals, vecs = np.linalg.eigh(_stabilized_outputs(r, best_psi[active], d_in, d_out))
+        signs = (vecs * np.sign(vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        # back-lift: the adjoint of the stabilized-output map, J ⊗ id's dual
+        dual = _realign(r.conj().T @ _realign(signs, (d_out, d_in, d_out, d_in)), (d_in,) * 4)
+        candidates = np.linalg.eigh(hermitian_part(dual))[1][:, :, -1]
+        values = _objective_values(r, candidates, d_in, d_out)
+        improvement = values - best_val[active]
+        rises = improvement > 0
+        best_val[active[rises]] = values[rises]
+        best_psi[active[rises]] = candidates[rises]
+        active = active[improvement >= tol]
     return best_val, best_psi
 
 
-def _choi_difference_upper(t1: KrausChannel, t2: KrausChannel) -> float:
-    """Diamond-norm upper bound ||tr_out |C(T1) - C(T2)| ||_op.
+def _choi_difference_upper(j: np.ndarray, t1: KrausChannel, t2: KrausChannel) -> float:
+    """Diamond-norm upper bound ||tr_out |J| ||_op for J = C(T1) - C(T2).
 
     For pairs of trace-preserving channels the triangle inequality bound 2
     (each channel has CB-norm exactly 1) is also applied.
     """
-    c = choi(t1).mat - choi(t2).mat
-    spec = spectral_decomposition(c)
+    spec = spectral_decomposition(j)
     abs_c = (spec.eigenvectors * np.abs(spec.eigenvalues)) @ spec.eigenvectors.conj().T
     upper = operator_norm(partial_trace(abs_c, (t1.dim_out, t1.dim_in), "first"))
     if t1.trace_preserving and t2.trace_preserving:
         upper = min(upper, 2.0)
     return float(upper)
+
+
+def _certified(lower: float, upper: float, witness: np.ndarray) -> NormInterval:
+    if lower > upper * (1.0 + 1e-12) + 1e-15:  # beyond rounding
+        raise CertificateError(f"lower bound {lower!r} exceeds the certified upper bound {upper!r}")
+    return NormInterval(lower=lower, upper=max(upper, lower), argmax_state=witness)
 
 
 def _maximally_entangled(d: int) -> np.ndarray:
@@ -223,37 +224,30 @@ def cb_distance_interval(
 
     The maximization runs over unit vectors of H_in ⊗ H_in (stabilization
     by the input dimension suffices for Hermiticity-preserving differences
-    of maps, and pure inputs attain the supremum).  Starts are ``starts``
-    seeded random vectors plus the maximally entangled vector, every
-    computational basis vector, and any ``extra_starts``.
+    of maps, and pure inputs attain the supremum).  Starts are the
+    maximally entangled vector, every computational basis vector, any
+    ``extra_starts`` and ``starts`` seeded random vectors, in that order;
+    all ascend together and the first with the highest value wins.  A lower
+    end above the upper end beyond rounding raises :class:`CertificateError`.
     """
     _check_same_dims(t1, t2)
     if starts < 0 or max_iters < 0:
         raise ValueError(f"starts and max_iters must be >= 0, got {starts} and {max_iters}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    d1 = t1.dim_in
-    plus = _lifted_kraus(t1, d1)
-    minus = _lifted_kraus(t2, d1)
+    d1, d2 = t1.dim_in, t1.dim_out
+    rngs = (np.random.default_rng(seed + k) for k in range(starts))
+    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in extra_starts]
+    vecs += [g.standard_normal(d1 * d1) + 1j * g.standard_normal(d1 * d1) for g in rngs]
+    start_vecs = [_maximally_entangled(d1), *np.eye(d1 * d1, dtype=complex)]
+    start_vecs += [v / np.linalg.norm(v) for v in vecs]
 
-    start_vecs = [_maximally_entangled(d1)]
-    start_vecs.extend(np.eye(d1 * d1, dtype=complex)[:, k] for k in range(d1 * d1))
-    for extra in extra_starts:
-        v = np.asarray(extra, dtype=complex).reshape(-1)
-        start_vecs.append(v / np.linalg.norm(v))
-    for k in range(starts):
-        rng = np.random.default_rng(seed + k)
-        v = rng.standard_normal(d1 * d1) + 1j * rng.standard_normal(d1 * d1)
-        start_vecs.append(v / np.linalg.norm(v))
-
-    best_val, best_psi = -1.0, start_vecs[0]
-    for psi in start_vecs:
-        value, arg = _ascend(plus, minus, psi, max_iters, tol)
-        if value > best_val:
-            best_val, best_psi = value, arg
-
-    upper = _choi_difference_upper(t1, t2)
-    return NormInterval(lower=best_val, upper=max(upper, best_val), argmax_state=best_psi)
+    j = choi(t1).mat - choi(t2).mat
+    r = _realign(j, (d2, d1, d2, d1))
+    values, psis = _ascend(r, np.array(start_vecs), d1, d2, max_iters, tol)
+    best_psi = psis[np.argmax(values)]
+    lower = float(_objective_values(r, best_psi[None], d1, d2)[0])
+    return _certified(lower, _choi_difference_upper(j, t1, t2), best_psi)
 
 
 def cb_norm_of_channel(t: KrausChannel) -> NormInterval:
@@ -261,11 +255,12 @@ def cb_norm_of_channel(t: KrausChannel) -> NormInterval:
 
     Evaluating the objective at the maximally entangled probe certifies
     lower = 1 (channel outputs are states, trace norm one); the upper end
-    is ||T_dual(1)||_op, which equals the CB-norm for CP maps.
+    is ||tr_out C||_op = ||T_dual(1)||_op, which equals the CB-norm for CP
+    maps.
     """
     if not t.trace_preserving:
         raise ValueError(f"channel is not trace-preserving (defect {t.tp_defect:.3e})")
     omega_vec = _maximally_entangled(t.dim_in)
     lower = cb_objective(t, None, omega_vec)
-    upper = operator_norm(t.dual_apply(np.eye(t.dim_out)))
-    return NormInterval(lower=lower, upper=max(upper, lower), argmax_state=omega_vec)
+    upper = operator_norm(partial_trace(choi(t).mat, (t.dim_out, t.dim_in), "first"))
+    return _certified(lower, upper, omega_vec)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChoiMatrix, KrausChannel
-from .identify import ReconstructionResult, ReferenceState, make_reference
+from .identify import ADMISSIBILITY_CUTOFF, ReconstructionResult, ReferenceState, make_reference
 from .linalg import DensityOperator
 from .metrics import NormInterval
 
@@ -93,10 +93,10 @@ def density_from_json(obj: dict) -> DensityOperator:
     return DensityOperator(matrix_from_json(obj))
 
 
-def reference_to_json(ref: ReferenceState, cutoff: float = 1e-10) -> dict:
+def reference_to_json(ref: ReferenceState) -> dict:
     return {
         "rho": matrix_to_json(ref.rho.mat),
-        "cutoff": cutoff,
+        "cutoff": ref.cutoff,
         "out_basis": None if ref.out_basis is None else matrix_to_json(ref.out_basis),
     }
 
@@ -104,7 +104,7 @@ def reference_to_json(ref: ReferenceState, cutoff: float = 1e-10) -> dict:
 def reference_from_json(obj: dict) -> ReferenceState:
     try:
         rho = DensityOperator(matrix_from_json(obj["rho"]))
-        cutoff = float(obj.get("cutoff", 1e-10))
+        cutoff = float(obj.get("cutoff", ADMISSIBILITY_CUTOFF))
         basis = obj.get("out_basis")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed reference object: {exc}") from exc

@@ -153,3 +153,60 @@ def unitary_pair_cb_distance_oracle(u: np.ndarray, v: np.ndarray) -> float:
             for b in range(len(z))
         )
     return 2.0 * np.sqrt(max(0.0, 1.0 - nu**2))
+
+
+def _kraus_stabilized_output(t1, t2, psi: np.ndarray) -> np.ndarray:
+    # ((T1 - T2) ⊗ id)(|psi><psi|) from each Kraus operator lifted to A ⊗ 1
+    eye = np.eye(t1.dim_in)
+    m = np.zeros((t1.dim_out * t1.dim_in,) * 2, dtype=complex)
+    for sign, t in ((1.0, t1), (-1.0, t2)):
+        for a in () if t is None else t.kraus:
+            v = np.kron(a, eye) @ psi
+            m += sign * np.outer(v, v.conj())
+    return m
+
+
+def cb_objective_kraus_oracle(t1, t2, psi: np.ndarray) -> float:
+    """||((T1 - T2) ⊗ id)(|psi><psi|)||_1 in Kraus form (t2 may be None)."""
+    m = _kraus_stabilized_output(t1, t2, np.asarray(psi, dtype=complex).reshape(-1))
+    return float(np.sum(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2))))
+
+
+def cb_lower_sequential_oracle(t1, t2, starts=32, max_iters=500, tol=1e-10, seed=0, extra_starts=()):
+    """Lower end of the CB interval from the alternating ascent in Kraus form,
+    run start by start: same start set and order, per-start accept/stop
+    rule and first-best tie-break as ``metrics.cb_distance_interval``.
+
+    Returns (best value, witness, index of the winning start).
+    """
+    d = t1.dim_in
+    eye = np.eye(d)
+    lifted = [(1.0, np.kron(a, eye)) for a in t1.kraus] + [(-1.0, np.kron(a, eye)) for a in t2.kraus]
+    start_vecs = [np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)]
+    start_vecs.extend(np.eye(d * d, dtype=complex)[:, k] for k in range(d * d))
+    for extra in extra_starts:
+        v = np.asarray(extra, dtype=complex).reshape(-1)
+        start_vecs.append(v / np.linalg.norm(v))
+    for k in range(starts):
+        rng = np.random.default_rng(seed + k)
+        v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+        start_vecs.append(v / np.linalg.norm(v))
+
+    best = (-1.0, start_vecs[0], -1)
+    for index, psi in enumerate(start_vecs):
+        value = cb_objective_kraus_oracle(t1, t2, psi)
+        for _ in range(max_iters):
+            m = _kraus_stabilized_output(t1, t2, psi)
+            vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+            s = (vecs * np.sign(vals)) @ vecs.conj().T
+            h = sum(sign * op.conj().T @ s @ op for sign, op in lifted)
+            candidate = np.linalg.eigh((h + h.conj().T) / 2)[1][:, -1]
+            cand_value = cb_objective_kraus_oracle(t1, t2, candidate)
+            improvement = cand_value - value
+            if cand_value > value:
+                value, psi = cand_value, candidate
+            if improvement < tol:
+                break
+        if value > best[0]:
+            best = (value, psi, index)
+    return best

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from chanid import metrics
 from chanid.channel import choi, random_channel
 from chanid.cli import cli_main
 from chanid.identify import forward_map, make_reference
@@ -100,6 +101,24 @@ class TestFidelityAndCbdist:
         assert cli_main(["cbdist", "--t1", t1, "--t2", t2, "--starts", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 <= payload["lower"] <= payload["upper"] <= 2.0 + 1e-9
+
+    def test_cbdist_bytes_repeat(self, tmp_path):
+        t1 = write_json(tmp_path / "a.json", channel_to_json(random_channel(3, 3, 3, seed=7)))
+        t2 = write_json(tmp_path / "b.json", channel_to_json(random_channel(3, 3, 2, seed=8)))
+        outs = [tmp_path / "i1.json", tmp_path / "i2.json"]
+        for out in outs:
+            assert cli_main(["cbdist", "--t1", t1, "--t2", t2, "--starts", "6", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_failed_certificate_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(metrics, "_choi_difference_upper", lambda *args: 1e-3)
+        t1 = write_json(tmp_path / "a.json", channel_to_json(random_channel(2, 2, 2, seed=3)))
+        t2 = write_json(tmp_path / "b.json", channel_to_json(random_channel(2, 2, 2, seed=4)))
+        assert cli_main(["cbdist", "--t1", t1, "--t2", t2, "--starts", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("chanid: numerical failure:")
 
     def test_negative_starts_is_validation_error(self, tmp_path, capsys):
         t = write_json(tmp_path / "a.json", channel_to_json(random_channel(2, 2, 2, seed=3)))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from chanid.linalg import (
     DensityOperator,
+    _fix_column_phases,
     SingularOperatorError,
     maximally_mixed,
     operator_norm,
@@ -258,3 +259,36 @@ class TestDensityOperator:
             col = a.eigenvectors[:, j]
             pivot = col[int(np.argmax(np.abs(col)))]
             assert abs(pivot.imag) <= 1e-12 and pivot.real > 0
+
+
+def _fix_column_phases_loop(vectors):
+    """Column-by-column phase fix: the definition _fix_column_phases vectorizes."""
+    out = np.array(vectors, dtype=complex, copy=True)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        k = int(np.argmax(np.abs(col)))
+        pivot = col[k]
+        if abs(pivot) > 0:
+            out[:, j] = col * (abs(pivot) / pivot)
+    return out
+
+
+class TestFixColumnPhases:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 16, 36])
+    def test_bit_identical_to_column_loop(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            m = rand_complex(rng, n, n)
+            vecs = np.linalg.eigh(m + m.conj().T)[1]
+            # small complex integers times a real scale: many tied pivots
+            ties = (rng.integers(-2, 3, (n, n)) + 1j * rng.integers(-2, 3, (n, n))) * rng.standard_normal()
+            for v in (vecs, ties, rng.standard_normal((n, n))):
+                assert np.array_equal(_fix_column_phases(v), _fix_column_phases_loop(v))
+
+    def test_zero_column_and_tied_pivots(self):
+        v = np.array([[0.0, 1j, 2.0, -3.0], [0.0, -1.0, -2j, 3j], [0.0, 0.5, 1.0, 1.0]])
+        got = _fix_column_phases(v)
+        assert np.array_equal(got, _fix_column_phases_loop(v))
+        assert np.array_equal(got[:, 0], np.zeros(3))
+        # ties go to the first largest entry, which becomes real positive
+        assert np.array_equal(got[0, 1:], np.array([1.0, 2.0, 3.0]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chanid.channel import (
+    compose,
     depolarizing_channel,
     identity_channel,
     random_channel,
@@ -15,7 +16,10 @@ from chanid.linalg import (
     random_unitary,
     trace_norm,
 )
+from chanid import metrics
+from chanid.channel import KrausChannel
 from chanid.metrics import (
+    CertificateError,
     cb_distance_interval,
     cb_norm_of_channel,
     cb_objective,
@@ -25,7 +29,13 @@ from chanid.metrics import (
     worst_case_bound,
 )
 
-from conftest import rand_density_mat, unitary_pair_cb_distance_oracle
+from conftest import (
+    cb_lower_sequential_oracle,
+    cb_objective_kraus_oracle,
+    rand_density_mat,
+    rand_state_vec,
+    unitary_pair_cb_distance_oracle,
+)
 
 
 class TestChannelFidelity:
@@ -180,6 +190,88 @@ class TestCbDistanceInterval:
         interval = cb_distance_interval(t1, t2, starts=6)
         revalue = cb_objective(t1, t2, interval.argmax_state)
         assert revalue == interval.lower  # identical evaluation path
+
+
+class TestCbChoiForm:
+    """The Choi-form objective and the batched ascent against Kraus-form oracles."""
+
+    DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+    @pytest.mark.parametrize("d_in, d_out", DIMS)
+    def test_objective_matches_kraus_oracle(self, d_in, d_out):
+        rng = np.random.default_rng(10 * d_in + d_out)
+        t1 = random_channel(d_in, d_out, 2 * d_in, seed=d_in + 7 * d_out)
+        t2 = random_channel(d_in, d_out, d_in, seed=d_in + 7 * d_out + 1)
+        scaled = KrausChannel(d_in, d_out, tuple(0.7 * a for a in t2.kraus))
+        assert not scaled.trace_preserving
+        for other in (t2, None, scaled):
+            for _ in range(5):
+                psi = rand_state_vec(rng, d_in * d_in)
+                expected = cb_objective_kraus_oracle(t1, other, psi)
+                assert cb_objective(t1, other, psi) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("d_in, d_out", DIMS)
+    def test_lower_matches_sequential_oracle(self, d_in, d_out):
+        t1 = random_channel(d_in, d_out, d_in, seed=40 + d_in + 7 * d_out)
+        for t2 in (
+            random_channel(d_in, d_out, d_in, seed=41 + d_in + 7 * d_out),
+            compose(depolarizing_channel(0.05, d_out), t1),
+        ):
+            interval = cb_distance_interval(t1, t2, starts=4, seed=3)
+            expected, _, _ = cb_lower_sequential_oracle(t1, t2, starts=4, seed=3)
+            assert interval.lower == pytest.approx(expected, rel=1e-9)
+
+    def test_no_random_starts(self):
+        t1, t2 = random_channel(2, 2, 2, seed=50), random_channel(2, 2, 2, seed=51)
+        interval = cb_distance_interval(t1, t2, starts=0)
+        expected, _, _ = cb_lower_sequential_oracle(t1, t2, starts=0)
+        assert interval.lower == pytest.approx(expected, rel=1e-9)
+
+    def test_no_iterations_is_best_start_value(self):
+        t1, t2 = random_channel(3, 2, 2, seed=52), random_channel(3, 2, 3, seed=53)
+        interval = cb_distance_interval(t1, t2, starts=5, max_iters=0, seed=2)
+        expected, witness, _ = cb_lower_sequential_oracle(t1, t2, starts=5, max_iters=0, seed=2)
+        assert interval.lower == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_array_equal(interval.argmax_state, witness)
+
+    def test_one_dimensional_input_is_trace_distance_of_outputs(self):
+        # maps from C: the CB distance is the trace distance of the two prepared states
+        rng = np.random.default_rng(54)
+        rho1, rho2 = rand_density_mat(rng, 3), rand_density_mat(rng, 3)
+        t1, t2 = (
+            KrausChannel(1, 3, tuple(np.linalg.cholesky(r + 1e-15 * np.eye(3))[:, [k]] for k in range(3)))
+            for r in (rho1, rho2)
+        )
+        interval = cb_distance_interval(t1, t2, starts=2)
+        expected = trace_norm(rho1 - rho2)
+        assert interval.lower == pytest.approx(expected, rel=1e-9)
+        assert interval.upper == pytest.approx(expected, rel=1e-9)
+        assert interval.argmax_state.shape == (1,)
+
+    def test_extra_start_keeps_its_place_in_the_order(self):
+        t1, t2 = random_channel(2, 3, 2, seed=55), random_channel(2, 3, 2, seed=56)
+        probe = rand_state_vec(np.random.default_rng(57), 4) * 3.0  # normalized inside
+        interval = cb_distance_interval(t1, t2, starts=3, extra_starts=(probe,))
+        expected, _, _ = cb_lower_sequential_oracle(t1, t2, starts=3, extra_starts=(probe,))
+        assert interval.lower == pytest.approx(expected, rel=1e-9)
+        assert interval.lower >= cb_objective(t1, t2, probe / 3.0) - 1e-12
+
+
+class TestCertificate:
+    def _pair(self):
+        return random_channel(2, 2, 2, seed=60), random_channel(2, 2, 2, seed=61)
+
+    def test_lower_above_upper_raises(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_choi_difference_upper", lambda *args: 1e-3)
+        with pytest.raises(CertificateError, match="exceeds"):
+            cb_distance_interval(*self._pair(), starts=2)
+
+    def test_rounding_slack_is_tolerated(self, monkeypatch):
+        t1, t2 = self._pair()
+        lower = cb_distance_interval(t1, t2, starts=2).lower
+        monkeypatch.setattr(metrics, "_choi_difference_upper", lambda *args: lower * (1 - 1e-13))
+        interval = cb_distance_interval(t1, t2, starts=2)
+        assert interval.lower == lower and interval.upper == lower
 
 
 class TestCbNormOfChannel:

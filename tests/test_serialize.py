@@ -82,3 +82,13 @@ def test_reference_round_trip():
     np.testing.assert_allclose(back.rho.mat, ref.rho.mat, atol=0)
     np.testing.assert_allclose(back.out_basis, basis, atol=0)
     assert back.min_eig == pytest.approx(ref.min_eig, abs=1e-15)
+
+
+def test_reference_cutoff_round_trip():
+    rho = DensityOperator(np.diag([0.6, 0.3, 0.1]).astype(complex))
+    ref = make_reference(rho, cutoff=0.05)
+    obj = reference_to_json(ref)
+    assert obj["cutoff"] == 0.05
+    back = reference_from_json(obj)
+    assert back.cutoff == 0.05
+    assert reference_to_json(back) == obj
