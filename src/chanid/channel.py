@@ -1,8 +1,8 @@
 """Completely positive maps: Kraus, Choi and Stinespring forms.
 
 Choi matrices live on (output ⊗ input) with the output factor varying
-slowly, matching the package-wide index convention.  Stinespring pairs
-use the dilation shape V: H_out -> H_in ⊗ E, so that
+slowly, matching the package-wide index convention.  Stinespring
+dilations have the shape V: H_out -> H_in ⊗ E, so that
 T(rho) = V† (rho ⊗ 1_E) V.
 """
 
@@ -109,14 +109,6 @@ class ChoiMatrix:
         object.__setattr__(self, "mat", m)
 
 
-@dataclass(frozen=True)
-class StinespringPair:
-    """Dilation (V, E) with V: H_out -> H_in ⊗ E and T(rho) = V†(rho ⊗ 1_E)V."""
-
-    v: np.ndarray
-    dim_env: int
-
-
 def _kraus_vec(a: np.ndarray) -> np.ndarray:
     # row-major flatten maps A[mu, i] to index mu * dim_in + i, the
     # (output, input) composite index of the Choi space
@@ -195,11 +187,12 @@ def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
     )
 
 
-def stinespring(t: KrausChannel) -> StinespringPair:
+def stinespring(t: KrausChannel) -> np.ndarray:
     """Stinespring dilation V = sum_k A_k† ⊗ |e_k> from the canonical Kraus set.
 
-    The Kraus set is first canonicalized through the Choi eigendecomposition
-    so the environment dimension equals the Choi rank.
+    V maps H_out -> H_in ⊗ E with T(rho) = V†(rho ⊗ 1_E)V.  The Kraus set is
+    first canonicalized through the Choi eigendecomposition so the
+    environment dimension, ``V.shape[0] // t.dim_in``, equals the Choi rank.
     """
     canonical = from_choi(choi(t))
     k = len(canonical.kraus)
@@ -208,7 +201,7 @@ def stinespring(t: KrausChannel) -> StinespringPair:
         e = np.zeros((k, 1))
         e[j, 0] = 1.0
         v += tensor_product(a.conj().T, e)
-    return StinespringPair(v=v, dim_env=k)
+    return v
 
 
 def is_completely_dominated(s: KrausChannel, t: KrausChannel, lam: float) -> bool:

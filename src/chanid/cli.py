@@ -103,7 +103,10 @@ def _cmd_sweep(args) -> int:
     if args.grid:
         grid = [float(x) for x in args.grid.split(",")]
     elif "min_eig_grid" in raw:
-        grid = [float(x) for x in raw["min_eig_grid"]]
+        try:
+            grid = [float(x) for x in raw["min_eig_grid"]]
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"min_eig_grid must be a list of numbers: {exc}") from exc
     else:
         raise ValueError("sweep needs --grid or a min_eig_grid entry in the config")
     records = harness.run_spectrum_sweep(cfg, grid)

@@ -7,9 +7,13 @@ complex-symmetric X = sum_i sqrt(p_i) phi_i phi_iᵀ.  Sending one half of
 (1 ⊗ X) C (1 ⊗ X)† on H_out ⊗ H_in, with C the Choi matrix of T, so
 recovery is the single congruence C = (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)†.  The
 paper's equivalent dilation form conjugates sigma ⊗ F, with
-F = (1 ⊗ rho^{-1}) w (1 ⊗ rho^{-1}), by a fixed isometry V (``apply_rn``).
+F = (1 ⊗ rho^{-1}) w (1 ⊗ rho^{-1}), by the fixed isometry
+V[(a,mu,b),nu] = X[a,b] delta_{mu nu} (``v_isometry``, ``apply_rn``).
 Applied to any bipartite state the inversion yields a CP map, a channel
-exactly when the state satisfies a trace-preservation consistency condition.
+exactly when the state satisfies a trace-preservation consistency
+condition.  Its accuracy is governed by ||rho^-1|| = 1/min_eig, so the only
+thresholds of ``reconstruct``, C's rank cutoff and PSD tolerance, are
+worked out from ||rho^-1||·||w||_op; nothing is left to tune.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .linalg import (
     TRACE_TOL,
     DensityOperator,
     Spectrum,
-    clip_to_density,
+    clip_eigenpairs,
     hermitian_part,
     operator_norm,
     partial_trace,
@@ -33,6 +37,14 @@ from .linalg import (
 
 ADMISSIBILITY_CUTOFF = 1e-10
 RN_PSD_TOL = 1e-9
+W_PSD_TOL = 1e-8  # w has unit trace, so this absolute tolerance is relative to ||w||_1
+# Rank cutoff and PSD tolerance of C in units of ||w||_op·||rho^-1||, the
+# scale of C's rounding error.  In noiseless round trips (d1, d2 <= 6, min
+# eig 1e-2..1e-8) C's rounding eigenvalues stayed below 5.1e-16 of that
+# scale and its true ones above 4.4e-13, so 1e-14 sits ~20x above the noise.
+# A true eigenvalue below it (possible near the admissibility cutoff) moves
+# C by under 1e-14·||w||/min_eig, inside the round-trip error 1e-12/min_eig.
+CHOI_REL_TOL = 1e-14
 
 
 class NotAdmissibleError(ValueError):
@@ -45,17 +57,14 @@ class ReferenceState:
 
     ``spectrum`` holds eigenvalues ascending with phase-fixed eigenvector
     columns; ``x`` (Omega = vec x) and ``x_inv`` are the probe matrix and
-    its inverse.  ``out_basis`` optionally fixes the orthonormal output basis
-    used by the isometry (None means the computational basis of whatever
-    output dimension is requested); V†(sigma ⊗ F)V does not depend on it.
-    ``cutoff`` is the admissibility cutoff the state was accepted under.
+    its inverse.  ``cutoff`` is the admissibility cutoff the state was
+    accepted under.
     """
 
     dim: int
     rho: DensityOperator
     spectrum: Spectrum
     min_eig: float
-    out_basis: np.ndarray | None = None
     cutoff: float = ADMISSIBILITY_CUTOFF
     rho_inv: np.ndarray = field(init=False, repr=False)
     rho_inv_sqrt: np.ndarray = field(init=False, repr=False)
@@ -71,22 +80,6 @@ class ReferenceState:
         object.__setattr__(self, "rho_inv_sqrt", (vecs / np.sqrt(p)) @ vecs.conj().T)
         object.__setattr__(self, "x", (vecs * np.sqrt(p)) @ vecs.T)
         object.__setattr__(self, "x_inv", ((vecs / np.sqrt(p)) @ vecs.T).conj())
-
-    def output_basis(self, d2: int) -> np.ndarray:
-        if self.out_basis is None:
-            return np.eye(d2, dtype=complex)
-        b = np.asarray(self.out_basis, dtype=complex)
-        if b.shape != (d2, d2):
-            raise ValueError(f"output basis is {b.shape}, expected ({d2}, {d2})")
-        return b
-
-
-@dataclass(frozen=True)
-class OmegaState:
-    """Probe vector sum_i sqrt(p_i) phi_i ⊗ phi_i and its projector."""
-
-    vector: np.ndarray
-    projector: DensityOperator
 
 
 @dataclass(frozen=True)
@@ -123,34 +116,26 @@ class ReconstructionResult:
     clip_magnitude: float = 0.0
 
 
-def make_reference(
-    rho: DensityOperator,
-    cutoff: float = ADMISSIBILITY_CUTOFF,
-    out_basis: np.ndarray | None = None,
-) -> ReferenceState:
-    """Build a reference state, rejecting spectra with min eigenvalue <= cutoff."""
+def make_reference(rho: DensityOperator, cutoff: float = ADMISSIBILITY_CUTOFF) -> ReferenceState:
+    """Build a reference state, rejecting spectra with min eigenvalue <= cutoff.
+
+    The cutoff must be finite and non-negative: it bounds ||rho^-1||, which
+    scales every reconstruction tolerance.
+    """
+    if not (np.isfinite(cutoff) and cutoff >= 0):
+        raise ValueError(f"cutoff must be finite and non-negative, got {cutoff}")
     spec = rho.spectrum()
     min_eig = float(spec.eigenvalues[0])
     if min_eig <= cutoff:
         raise NotAdmissibleError(
             f"min eigenvalue {min_eig:.3e} <= cutoff {cutoff:.3e}: state not invertible"
         )
-    if out_basis is not None:
-        b = np.asarray(out_basis, dtype=complex)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError("output basis must be a square unitary matrix")
-        if operator_norm(b.conj().T @ b - np.eye(b.shape[0])) > 1e-10:
-            raise ValueError("output basis must be unitary")
-        out_basis = b
-    return ReferenceState(
-        dim=rho.dim, rho=rho, spectrum=spec, min_eig=min_eig, out_basis=out_basis, cutoff=cutoff
-    )
+    return ReferenceState(dim=rho.dim, rho=rho, spectrum=spec, min_eig=min_eig, cutoff=cutoff)
 
 
-def omega(ref: ReferenceState) -> OmegaState:
+def omega(ref: ReferenceState) -> np.ndarray:
     """Unit probe vector sum_i sqrt(p_i) phi_i ⊗ phi_i on H_in ⊗ H_in."""
-    vector = ref.x.reshape(-1)
-    return OmegaState(vector=vector, projector=DensityOperator(np.outer(vector, vector.conj())))
+    return ref.x.reshape(-1)
 
 
 def _congruence(m: np.ndarray, x: np.ndarray, d2: int) -> np.ndarray:
@@ -171,22 +156,15 @@ def forward_map(t: KrausChannel, ref: ReferenceState) -> DensityOperator:
 def v_isometry(ref: ReferenceState, d2: int) -> np.ndarray:
     """Isometry V: H_out -> H_in ⊗ (H_out ⊗ H_in) encoding the reference.
 
-    V psi = sum_{i,mu} sqrt(p_i) <f_mu|psi> phi_i ⊗ f_mu ⊗ phi_i, returned
-    as a (d1*d2*d1) x d2 matrix with V†V = 1.
+    V psi = sum_{i,mu} sqrt(p_i) <f_mu|psi> phi_i ⊗ f_mu ⊗ phi_i for any
+    orthonormal basis f of H_out; summing over mu leaves V[(a,mu,b),nu] =
+    x[a,b] delta_{mu nu}, so V is returned as that (d1*d2*d1) x d2 matrix,
+    with V†V = tr(x x†) = 1.
     """
     if d2 < 1:
         raise ValueError("output dimension must be >= 1")
-    p = ref.spectrum.eigenvalues
-    phi = ref.spectrum.eigenvectors
-    f = ref.output_basis(d2)
     d1 = ref.dim
-    v = np.zeros((d1 * d2 * d1, d2), dtype=complex)
-    for i in range(d1):
-        col = np.sqrt(p[i]) * phi[:, i]
-        for mu in range(d2):
-            basis_vec = tensor_product(col, tensor_product(f[:, mu], phi[:, i]))
-            v += np.outer(basis_vec, f[:, mu].conj())
-    return v
+    return np.einsum("ab,mn->ambn", ref.x, np.eye(d2)).reshape(d1 * d2 * d1, d2)
 
 
 def rn_operator(t: KrausChannel, ref: ReferenceState) -> RNOperator:
@@ -233,11 +211,7 @@ def consistency_residual(w: DensityOperator | np.ndarray, ref: ReferenceState, d
 
 
 def reconstruct(
-    w: DensityOperator | np.ndarray,
-    ref: ReferenceState,
-    d2: int,
-    rank_cutoff: float = 1e-10,
-    psd_tol: float = 1e-8,
+    w: DensityOperator | np.ndarray, ref: ReferenceState, d2: int
 ) -> ReconstructionResult:
     """Invert the probe map: the CP map with Choi matrix (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)†.
 
@@ -245,8 +219,9 @@ def reconstruct(
     perturbed w it returns the (generally non-trace-preserving) CP map that
     the inversion formula defines, with residual diagnostics.  w must have
     unit trace within ``linalg.TRACE_TOL``.  Eigenvalues of w in
-    [-psd_tol, 0) are clipped (the removed weight is reported and the trace
+    [-W_PSD_TOL, 0) are clipped (the removed weight is reported and the trace
     restored); anything more negative raises :class:`NotCompletelyPositiveError`.
+    C's rank cutoff and PSD tolerance are both CHOI_REL_TOL·||w||_op·||rho^-1||.
     """
     w_mat = w.mat if isinstance(w, DensityOperator) else np.asarray(w, dtype=complex)
     d1 = ref.dim
@@ -256,14 +231,16 @@ def reconstruct(
     tr = complex(np.trace(w_mat))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"state trace {tr} is not 1 within {TRACE_TOL}")
-    min_eig = float(np.linalg.eigvalsh(hermitian_part(w_mat))[0])
-    if min_eig < -psd_tol:
+    h = hermitian_part(w_mat)
+    vals, vecs = np.linalg.eigh(h)
+    if vals[0] < -W_PSD_TOL:
         raise NotCompletelyPositiveError(
-            f"input state has eigenvalue {min_eig:.3e} < -{psd_tol:.1e}"
+            f"input state has eigenvalue {vals[0]:.3e} < -{W_PSD_TOL:.1e}"
         )
-    w_mat, clipped = clip_to_density(w_mat)
+    w_mat, clipped = clip_eigenpairs(h, vals, vecs)
     c = hermitian_part(_congruence(w_mat, ref.x_inv, d2))
-    cp_map = from_choi(ChoiMatrix(dim_in=d1, dim_out=d2, mat=c), rank_cutoff=rank_cutoff)
+    tol = CHOI_REL_TOL * float(vals[-1]) / ref.min_eig
+    cp_map = from_choi(ChoiMatrix(dim_in=d1, dim_out=d2, mat=c), rank_cutoff=tol, psd_tol=tol)
     return ReconstructionResult(
         cp_map=cp_map,
         tp_residual=cp_map.tp_defect,

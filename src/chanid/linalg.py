@@ -105,8 +105,7 @@ def psd_power(m: np.ndarray, exponent: float, cutoff: float | None = None) -> np
     test); otherwise :class:`SingularOperatorError` is raised.  For
     nonnegative exponents, small negative eigenvalues are clipped to 0.
     """
-    spec = spectral_decomposition(m)
-    vals = spec.eigenvalues
+    vals, vecs = np.linalg.eigh(hermitian_part(m))
     if exponent < 0:
         if cutoff is None:
             cutoff = 1e-12 * max(float(vals[-1]), 0.0)
@@ -117,7 +116,6 @@ def psd_power(m: np.ndarray, exponent: float, cutoff: float | None = None) -> np
         powered = vals**exponent
     else:
         powered = np.clip(vals, 0.0, None) ** exponent
-    vecs = spec.eigenvectors
     return (vecs * powered) @ vecs.conj().T
 
 
@@ -148,9 +146,8 @@ class DensityOperator:
         if vals[0] < -PSD_ADMISSION_TOL:
             raise ValueError(f"not PSD: min eigenvalue {vals[0]:.3e}")
         if vals[0] < 0.0:
-            spec = spectral_decomposition(m)
-            clipped = np.clip(spec.eigenvalues, 0.0, None)
-            m = (spec.eigenvectors * clipped) @ spec.eigenvectors.conj().T
+            vals, vecs = np.linalg.eigh(hermitian_part(m))
+            m = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
         object.__setattr__(self, "mat", m)
 
     @property
@@ -179,16 +176,20 @@ def clip_to_density(m: np.ndarray) -> tuple[np.ndarray, float]:
 
     Returns the projected matrix and the total negative weight removed.
     """
-    spec = spectral_decomposition(m)
-    negative = float(-np.sum(np.clip(spec.eigenvalues, None, 0.0)))
+    h = hermitian_part(m)
+    return clip_eigenpairs(h, *np.linalg.eigh(h))
+
+
+def clip_eigenpairs(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`clip_to_density` of a Hermitian h from its eigenpairs (vals, vecs)."""
+    negative = float(-np.sum(np.clip(vals, None, 0.0)))
     if negative == 0.0:
-        return hermitian_part(m), 0.0
-    vals = np.clip(spec.eigenvalues, 0.0, None)
+        return h, 0.0
+    vals = np.clip(vals, 0.0, None)
     total = float(np.sum(vals))
     if total <= 0.0:
         raise ValueError("matrix has no positive spectral weight")
-    out = (spec.eigenvectors * (vals / total)) @ spec.eigenvectors.conj().T
-    return hermitian_part(out), negative
+    return hermitian_part((vecs * (vals / total)) @ vecs.conj().T), negative
 
 
 def fidelity_psd(a: np.ndarray, b: np.ndarray) -> float:

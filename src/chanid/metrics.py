@@ -26,7 +26,6 @@ from .linalg import (
     hermitian_part,
     operator_norm,
     partial_trace,
-    spectral_decomposition,
     trace_norm,
 )
 
@@ -193,8 +192,8 @@ def _choi_difference_upper(j: np.ndarray, t1: KrausChannel, t2: KrausChannel) ->
     For pairs of trace-preserving channels the triangle inequality bound 2
     (each channel has CB-norm exactly 1) is also applied.
     """
-    spec = spectral_decomposition(j)
-    abs_c = (spec.eigenvectors * np.abs(spec.eigenvalues)) @ spec.eigenvectors.conj().T
+    vals, vecs = np.linalg.eigh(hermitian_part(j))
+    abs_c = (vecs * np.abs(vals)) @ vecs.conj().T
     upper = operator_norm(partial_trace(abs_c, (t1.dim_out, t1.dim_in), "first"))
     if t1.trace_preserving and t2.trace_preserving:
         upper = min(upper, 2.0)

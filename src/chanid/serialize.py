@@ -31,9 +31,12 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dims must be positive, got {rows}x{cols}")
-    if len(data) != rows * cols:
-        raise ValueError(f"matrix data has {len(data)} entries, expected {rows * cols}")
-    flat = np.array([complex(re, im) for re, im in data])
+    try:
+        flat = np.array([complex(re, im) for re, im in data])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"matrix data must be a list of [re, im] number pairs: {exc}") from exc
+    if flat.size != rows * cols:
+        raise ValueError(f"matrix data has {flat.size} entries, expected {rows * cols}")
     if not np.all(np.isfinite(flat)):
         raise ValueError("matrix entries must be finite")
     return flat.reshape(rows, cols)
@@ -97,7 +100,6 @@ def reference_to_json(ref: ReferenceState) -> dict:
     return {
         "rho": matrix_to_json(ref.rho.mat),
         "cutoff": ref.cutoff,
-        "out_basis": None if ref.out_basis is None else matrix_to_json(ref.out_basis),
     }
 
 
@@ -105,12 +107,9 @@ def reference_from_json(obj: dict) -> ReferenceState:
     try:
         rho = DensityOperator(matrix_from_json(obj["rho"]))
         cutoff = float(obj.get("cutoff", ADMISSIBILITY_CUTOFF))
-        basis = obj.get("out_basis")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed reference object: {exc}") from exc
-    return make_reference(
-        rho, cutoff=cutoff, out_basis=None if basis is None else matrix_from_json(basis)
-    )
+    return make_reference(rho, cutoff=cutoff)
 
 
 def reconstruction_to_json(result: ReconstructionResult) -> dict:

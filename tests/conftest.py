@@ -123,6 +123,21 @@ def choi_from_w_oracle(w: np.ndarray, eigvals, eigvecs, d2: int) -> np.ndarray:
     return c
 
 
+def v_isometry_oracle(eigvals, eigvecs, d2: int, basis=None) -> np.ndarray:
+    """V = sum_{i,mu} sqrt(p_i) (phi_i ⊗ f_mu ⊗ phi_i) f_mu† by the double loop
+    over reference eigenvectors phi_i and output basis vectors f_mu (the
+    columns of ``basis``, computational by default)."""
+    d1 = len(eigvals)
+    f = np.eye(d2, dtype=complex) if basis is None else np.asarray(basis)
+    v = np.zeros((d1 * d2 * d1, d2), dtype=complex)
+    for i in range(d1):
+        col = np.sqrt(eigvals[i]) * eigvecs[:, i]
+        for mu in range(d2):
+            basis_vec = np.kron(col, np.kron(f[:, mu], eigvecs[:, i]))
+            v += np.outer(basis_vec, f[:, mu].conj())
+    return v
+
+
 def _point_segment_distance(p: complex, q: complex) -> float:
     # distance from the origin to the segment [p, q] in the complex plane
     d = q - p

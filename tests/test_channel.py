@@ -195,31 +195,30 @@ class TestTensorWithIdentity:
 
 class TestStinespring:
     def test_identity_has_trivial_environment(self):
-        pair = stinespring(identity_channel(2))
-        assert pair.dim_env == 1
-        assert pair.v.shape == (2, 2)
+        v = stinespring(identity_channel(2))
+        assert v.shape == (2, 2)  # environment dimension 2 // 2 = 1
 
     def test_unitary_dilation(self):
         u = random_unitary(3, seed=14)
-        pair = stinespring(unitary_channel(u))
-        assert pair.dim_env == 1
+        v = stinespring(unitary_channel(u))
+        assert v.shape[0] // 3 == 1
         rng = np.random.default_rng(11)
         rho = rand_density_mat(rng, 3)
-        out = pair.v.conj().T @ np.kron(rho, np.eye(1)) @ pair.v
+        out = v.conj().T @ np.kron(rho, np.eye(1)) @ v
         np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-12)
 
     def test_dilation_reproduces_channel(self):
         rng = np.random.default_rng(12)
         t = random_channel(3, 2, 4, seed=15)
-        pair = stinespring(t)
+        v = stinespring(t)
         for _ in range(20):
             rho = rand_density_mat(rng, 3)
-            out = pair.v.conj().T @ np.kron(rho, np.eye(pair.dim_env)) @ pair.v
+            out = v.conj().T @ np.kron(rho, np.eye(v.shape[0] // 3)) @ v
             assert operator_norm(out - t.apply_matrix(rho)) <= 1e-9
 
     def test_environment_dimension_is_choi_rank(self):
         t = random_channel(2, 2, 3, seed=16)
-        assert stinespring(t).dim_env == 3
+        assert stinespring(t).shape == (2 * 3, 2)
 
 
 class TestCompleteDomination:

@@ -206,6 +206,43 @@ class TestHugeNumbers:
         assert err.count("\n") == 1
 
 
+class TestMalformedInput:
+    CONFIG = {"d1": 2, "d2": 2, "kraus_rank": 2, "trials": 1, "seed": 3}
+
+    @staticmethod
+    def assert_one_line_error(code, capsys):
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chanid: error:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("grid", [5, [[0.1]], [None]], ids=["number", "nested", "null"])
+    def test_sweep_grid_not_a_list_of_numbers(self, tmp_path, capsys, grid):
+        cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "min_eig_grid": grid})
+        code = cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")])
+        self.assert_one_line_error(code, capsys)
+
+    @pytest.mark.parametrize("bad", ["w", "ref"])
+    def test_non_number_matrix_entry(self, tmp_path, capsys, noiseless_setup, bad):
+        _, w_path, ref_path = noiseless_setup
+        paths = {"w": w_path, "ref": ref_path}
+        with open(paths[bad]) as fh:
+            obj = json.load(fh)
+        (obj if bad == "w" else obj["rho"])["data"][1] = [1, "a"]
+        paths[bad] = write_json(tmp_path / "bad.json", obj)
+        code = cli_main(["reconstruct", "--w", paths["w"], "--ref", paths["ref"]])
+        self.assert_one_line_error(code, capsys)
+
+    @pytest.mark.parametrize("cutoff", [float("nan"), -1.0], ids=["nan", "negative"])
+    def test_reference_cutoff_rejected(self, tmp_path, capsys, cutoff):
+        # either cutoff would admit this reference, min eig 1e-300
+        rho = np.diag([1.0 - 1e-300, 1e-300])
+        ref_path = write_json(tmp_path / "ref.json", {"rho": matrix_to_json(rho), "cutoff": cutoff})
+        w_path = write_json(tmp_path / "w.json", density_to_json(DensityOperator(np.eye(4) / 4)))
+        code = cli_main(["reconstruct", "--w", w_path, "--ref", ref_path])
+        self.assert_one_line_error(code, capsys)
+
+
 class TestArgumentHandling:
     def test_unknown_command(self, capsys):
         assert cli_main(["frobnicate"]) == 1

@@ -36,7 +36,7 @@ from chanid.linalg import (
     trace_norm,
 )
 
-from conftest import choi_from_w_oracle, rand_density_mat
+from conftest import choi_from_w_oracle, rand_density_mat, v_isometry_oracle
 
 
 def rand_reference(rng, d, min_eig=0.05):
@@ -64,6 +64,13 @@ class TestMakeReference:
         with pytest.raises(NotAdmissibleError):
             make_reference(rho, cutoff=0.01)
 
+    @pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), -1.0, -1e-300])
+    def test_cutoff_must_be_finite_and_non_negative(self, cutoff):
+        # NaN admits every state and a negative cutoff admits min eig 1e-300
+        rho = DensityOperator(np.diag([1.0 - 1e-300, 1e-300]))
+        with pytest.raises(ValueError, match="cutoff"):
+            make_reference(rho, cutoff=cutoff)
+
     def test_eigenvalues_sum_to_one(self):
         rng = np.random.default_rng(0)
         ref = rand_reference(rng, 4)
@@ -72,24 +79,24 @@ class TestMakeReference:
 
 class TestOmega:
     def test_maximally_mixed_gives_maximally_entangled(self):
-        state = omega(make_reference(maximally_mixed(2)))
+        vector = omega(make_reference(maximally_mixed(2)))
         expected = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-        np.testing.assert_allclose(state.vector, expected, atol=1e-14)
+        np.testing.assert_allclose(vector, expected, atol=1e-14)
 
     def test_schmidt_form_for_diagonal_reference(self):
-        state = omega(make_reference(DensityOperator(np.diag([0.3, 0.7]))))
+        vector = omega(make_reference(DensityOperator(np.diag([0.3, 0.7]))))
         expected = np.zeros(4)
         expected[0] = np.sqrt(0.3)
         expected[3] = np.sqrt(0.7)
-        np.testing.assert_allclose(state.vector, expected, atol=1e-14)
+        np.testing.assert_allclose(vector, expected, atol=1e-14)
 
     def test_unit_norm_and_marginals(self):
         rng = np.random.default_rng(1)
         ref = rand_reference(rng, 3)
-        state = omega(ref)
-        assert abs(np.linalg.norm(state.vector) - 1.0) <= 1e-12
+        vector = omega(ref)
+        assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12
         # both marginals reproduce the reference state itself
-        proj = state.projector.mat
+        proj = np.outer(vector, vector.conj())
         for which in ("first", "second"):
             marg = partial_trace(proj, (3, 3), which)
             assert operator_norm(marg - ref.rho.mat) <= 1e-12
@@ -104,7 +111,8 @@ class TestForwardMap:
         rng = np.random.default_rng(2)
         ref = rand_reference(rng, 3)
         w = forward_map(identity_channel(3), ref)
-        np.testing.assert_allclose(w.mat, omega(ref).projector.mat, atol=1e-12)
+        vector = omega(ref)
+        np.testing.assert_allclose(w.mat, np.outer(vector, vector.conj()), atol=1e-12)
 
     def test_fully_depolarizing_on_maximally_mixed(self):
         ref = make_reference(maximally_mixed(2))
@@ -153,20 +161,16 @@ class TestVIsometry:
         ref = make_reference(DensityOperator(np.array([[1.0]])))
         np.testing.assert_allclose(v_isometry(ref, 3), np.eye(3), atol=1e-14)
 
-    def test_custom_output_basis_still_isometry(self):
+    @pytest.mark.parametrize("d1, d2", [(1, 3), (2, 2), (3, 2), (2, 4)])
+    def test_matches_double_loop_oracle(self, d1, d2):
         rng = np.random.default_rng(5)
-        basis = random_unitary(3, seed=42)
-        ref = make_reference(DensityOperator(rand_density_mat(rng, 2, 0.1)), out_basis=basis)
-        v = v_isometry(ref, 3)
-        assert operator_norm(v.conj().T @ v - np.eye(3)) <= 1e-10
-
-    def test_output_basis_size_checked(self):
-        rng = np.random.default_rng(6)
-        ref = make_reference(
-            DensityOperator(rand_density_mat(rng, 2, 0.1)), out_basis=np.eye(3)
-        )
-        with pytest.raises(ValueError):
-            v_isometry(ref, 2)
+        ref = rand_reference(rng, d1)
+        p, phi = ref.spectrum.eigenvalues, ref.spectrum.eigenvectors
+        v = v_isometry(ref, d2)
+        assert np.max(np.abs(v - v_isometry_oracle(p, phi, d2))) <= 1e-15
+        # the output basis of the paper's construction drops out of V
+        rotated = v_isometry_oracle(p, phi, d2, basis=random_unitary(d2, seed=42))
+        assert np.max(np.abs(v - rotated)) <= 1e-15
 
 
 class TestRNOperator:
@@ -305,11 +309,12 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="trace"):
             reconstruct(1.01 * w.mat, ref, 2)
 
-    @pytest.mark.parametrize("d", [3, 6])
-    @pytest.mark.parametrize("min_eig", [1e-6, 1e-8])
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    @pytest.mark.parametrize("min_eig", [1e-6, 1e-8, 1e-9, 3e-10, 1.5e-10])
     def test_noiseless_round_trip_at_conditioning_edge(self, d, min_eig):
         # double-precision error amplified by ||rho^-1|| = 1/min_eig, and
-        # every min_eig above the admissibility cutoff must round-trip
+        # every min_eig above the admissibility cutoff must round-trip with
+        # the true Kraus rank
         t = random_channel(d, d, d, seed=25 + d)
         u = random_unitary(d, seed=35 + d)
         p = np.array([min_eig] + [(1.0 - min_eig) / (d - 1)] * (d - 1))
@@ -317,8 +322,7 @@ class TestReconstruct:
         ref = make_reference(DensityOperator((rho + rho.conj().T) / 2))
         rec = reconstruct(forward_map(t, ref), ref, d)
         assert np.max(np.abs(choi(rec.cp_map).mat - choi(t).mat)) <= 1e-12 / min_eig
-        if min_eig >= 1e-6:  # below, the absolute rank_cutoff admits noise eigenvalues
-            assert len(rec.cp_map.kraus) == d
+        assert len(rec.cp_map.kraus) == d
 
 
 class TestConsistencyResidual:

@@ -168,7 +168,7 @@ class TestCbDistanceInterval:
         for _ in range(5):
             ref = make_reference(DensityOperator(rand_density_mat(rng, 2, 0.05)))
             dist = trace_norm(forward_map(t1, ref).mat - forward_map(t2, ref).mat)
-            probe = omega(ref).vector
+            probe = omega(ref)
             interval = cb_distance_interval(
                 t1, t2, starts=4, extra_starts=(probe,)
             )

@@ -3,7 +3,7 @@ import pytest
 
 from chanid.channel import choi, random_channel
 from chanid.identify import make_reference
-from chanid.linalg import DensityOperator, random_unitary
+from chanid.linalg import DensityOperator
 from chanid.serialize import (
     channel_from_json,
     channel_to_json,
@@ -76,11 +76,9 @@ def test_density_round_trip():
 
 def test_reference_round_trip():
     rng = np.random.default_rng(3)
-    basis = random_unitary(3, seed=9)
-    ref = make_reference(DensityOperator(rand_density_mat(rng, 2, 0.1)), out_basis=basis)
+    ref = make_reference(DensityOperator(rand_density_mat(rng, 2, 0.1)))
     back = reference_from_json(reference_to_json(ref))
     np.testing.assert_allclose(back.rho.mat, ref.rho.mat, atol=0)
-    np.testing.assert_allclose(back.out_basis, basis, atol=0)
     assert back.min_eig == pytest.approx(ref.min_eig, abs=1e-15)
 
 
@@ -92,3 +90,20 @@ def test_reference_cutoff_round_trip():
     back = reference_from_json(obj)
     assert back.cutoff == 0.05
     assert reference_to_json(back) == obj
+
+
+def test_reference_with_null_out_basis_loads():
+    # files written before the output-basis option was removed carry the key
+    rho = np.diag([0.6, 0.4]).astype(complex)
+    back = reference_from_json({"rho": matrix_to_json(rho), "cutoff": 1e-10, "out_basis": None})
+    np.testing.assert_array_equal(back.rho.mat, rho)
+    assert back.cutoff == 1e-10
+
+
+@pytest.mark.parametrize(
+    "data", [[[1, "a"]], [[1, None]], [[1, [2]]], 5, [1], [[1, 10**400]]],
+    ids=["string", "null", "list", "not-a-list", "not-a-pair", "huge-int"],
+)
+def test_non_number_matrix_data_is_value_error(data):
+    with pytest.raises(ValueError, match="matrix data"):
+        matrix_from_json({"rows": 1, "cols": 1, "data": data})
