@@ -8,6 +8,7 @@ self-check violation, CB interval whose lower end exceeds its upper end).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -115,6 +116,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="chanid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -143,10 +145,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("cbdist", help="CB-norm distance interval between two channels")
     p.add_argument("--t1", required=True)
     p.add_argument("--t2", required=True)
-    p.add_argument("--starts", type=int, default=32)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--starts", type=int, default=metrics.CB_STARTS)
+    p.add_argument("--max-iters", type=int, default=metrics.CB_MAX_ITERS)
+    p.add_argument("--tol", type=float, default=metrics.CB_TOL)
+    p.add_argument("--seed", type=int, default=metrics.CB_SEED)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_cbdist)
 

@@ -18,6 +18,7 @@ worked out from ||rho^-1||·||w||_op; nothing is left to tune.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,10 @@ class ReferenceState:
     def __post_init__(self):
         if self.min_eig <= 0:
             raise NotAdmissibleError(f"min eigenvalue {self.min_eig:.3e} is not positive")
+        if math.isinf(1.0 / self.min_eig):
+            raise NotAdmissibleError(
+                f"min eigenvalue {self.min_eig:.3e}: ||rho^-1|| overflows a double"
+            )
         p = self.spectrum.eigenvalues
         vecs = self.spectrum.eigenvectors
         object.__setattr__(self, "rho_inv", (vecs / p) @ vecs.conj().T)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from chanid.metrics import CB_MAX_ITERS, CB_SEED, CB_STARTS, CB_TOL
+
 
 def rand_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
@@ -187,10 +189,12 @@ def cb_objective_kraus_oracle(t1, t2, psi: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2))))
 
 
-def cb_lower_sequential_oracle(t1, t2, starts=32, max_iters=500, tol=1e-10, seed=0, extra_starts=()):
+def cb_lower_sequential_oracle(
+    t1, t2, starts=CB_STARTS, max_iters=CB_MAX_ITERS, tol=CB_TOL, seed=CB_SEED, extra_starts=()
+):
     """Lower end of the CB interval from the alternating ascent in Kraus form,
     run start by start: same start set and order, per-start accept/stop
-    rule and first-best tie-break as ``metrics.cb_distance_interval``.
+    rule, first-best tie-break and defaults as ``metrics.cb_distance_interval``.
 
     Returns (best value, witness, index of the winning start).
     """

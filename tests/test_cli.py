@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,21 @@ class TestMalformedInput:
         w_path = write_json(tmp_path / "w.json", density_to_json(DensityOperator(np.eye(4) / 4)))
         code = cli_main(["reconstruct", "--w", w_path, "--ref", ref_path])
         self.assert_one_line_error(code, capsys)
+
+
+class TestSubnormalReference:
+    def test_overflowing_inverse_is_one_line_numerical_failure(self, tmp_path, capsys):
+        # cutoff 0 admits min eig 5e-324, whose inverse is not a finite double
+        rho = np.diag([1.0, 5e-324])
+        ref_path = write_json(tmp_path / "ref.json", {"rho": matrix_to_json(rho), "cutoff": 0.0})
+        w_path = write_json(tmp_path / "w.json", density_to_json(DensityOperator(np.eye(4) / 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["reconstruct", "--w", w_path, "--ref", ref_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chanid: numerical failure:")
+        assert err.count("\n") == 1
 
 
 class TestArgumentHandling:

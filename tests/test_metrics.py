@@ -221,6 +221,13 @@ class TestCbChoiForm:
             expected, _, _ = cb_lower_sequential_oracle(t1, t2, starts=4, seed=3)
             assert interval.lower == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_lower_matches_sequential_oracle_at_defaults(self, d):
+        t1 = random_channel(d, d, d, seed=45 + d)
+        t2 = random_channel(d, d, d, seed=46 + d)
+        expected, _, _ = cb_lower_sequential_oracle(t1, t2)
+        assert cb_distance_interval(t1, t2).lower == pytest.approx(expected, rel=1e-9)
+
     def test_no_random_starts(self):
         t1, t2 = random_channel(2, 2, 2, seed=50), random_channel(2, 2, 2, seed=51)
         interval = cb_distance_interval(t1, t2, starts=0)
@@ -255,6 +262,40 @@ class TestCbChoiForm:
         expected, _, _ = cb_lower_sequential_oracle(t1, t2, starts=3, extra_starts=(probe,))
         assert interval.lower == pytest.approx(expected, rel=1e-9)
         assert interval.lower >= cb_objective(t1, t2, probe / 3.0) - 1e-12
+
+
+def _bench_like_pair(d, kind, seed):
+    t1 = random_channel(d, d, d, seed=seed)
+    if kind == "far":
+        return t1, random_channel(d, d, d, seed=seed + 1)
+    return t1, compose(depolarizing_channel(0.05, d), t1)
+
+
+class TestCbDefaults:
+    """The default start set (maximally entangled, d_in² basis, few random
+    vectors) and step cap against many more starts and a longer ascent."""
+
+    # random_channel(3, 3, 3, seed) for these seeds: a far pair whose best
+    # starts crawl towards a rank-deficient optimum
+    CRAWLING_SEEDS = (1419133335871632259, 4469351829404084125)
+    # its lower end from 32 random starts and max_iters=20000
+    CRAWLING_LONG_RUN = 1.843916982360582
+
+    def test_crawling_pair_reaches_long_run_value(self):
+        t1, t2 = (random_channel(3, 3, 3, seed=s) for s in self.CRAWLING_SEEDS)
+        interval = cb_distance_interval(t1, t2)
+        assert interval.lower >= self.CRAWLING_LONG_RUN * (1 - 1e-8)
+        assert interval.lower <= interval.upper
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", ["far", "near"])
+    @pytest.mark.parametrize("seed", [70, 72])
+    def test_lower_not_below_many_starts(self, d, kind, seed):
+        t1, t2 = _bench_like_pair(d, kind, seed)
+        many = cb_distance_interval(t1, t2, starts=32, max_iters=500)
+        default = cb_distance_interval(t1, t2)
+        assert default.lower >= many.lower * (1 - 1e-9)
+        assert default.upper == many.upper
 
 
 class TestCertificate:
