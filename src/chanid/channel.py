@@ -1,9 +1,12 @@
 """Completely positive maps: Kraus, Choi and Stinespring forms.
 
 Choi matrices live on (output ⊗ input) with the output factor varying
-slowly, matching the package-wide index convention.  Stinespring
-dilations have the shape V: H_out -> H_in ⊗ E, so that
-T(rho) = V† (rho ⊗ 1_E) V.
+slowly, matching the package-wide index convention, and carry the factor
+d_in: C = (T ⊗ id)(d_in · |Omega><Omega|), so tr C = d_in for a channel.  Each
+``KrausChannel`` builds its Choi matrix once, at construction, and every
+consumer (``choi``, the probe map, the metrics, the trace-preservation
+flag) reads that one matrix.  Stinespring dilations have the shape
+V: H_out -> H_in ⊗ E, so that T(rho) = V† (rho ⊗ 1_E) V.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from .linalg import (
     DensityOperator,
     hermitian_part,
     operator_norm,
+    partial_trace,
     random_unitary,
     spectral_decomposition,
     tensor_product,
@@ -34,8 +38,9 @@ class NotCompletelyPositiveError(ValueError):
 class KrausChannel:
     """CP map given by an ordered list of Kraus operators A_k: H_in -> H_out.
 
-    The map is ``sum_k A_k rho A_k†``.  ``trace_preserving`` is computed at
-    construction from ``||sum_k A_k† A_k - 1||_op <= 1e-9``; CP maps that are
+    The map is ``sum_k A_k rho A_k†``.  Its Choi matrix is built once at
+    construction (read it with :func:`choi`).  ``trace_preserving`` is
+    computed from it as ``||tr_out C - 1||_op <= 1e-9``; CP maps that are
     not channels (e.g. dominated maps, reconstructions from noisy data)
     simply carry the flag as False.
     """
@@ -45,6 +50,7 @@ class KrausChannel:
     kraus: tuple[np.ndarray, ...]
     trace_preserving: bool = field(init=False)
     tp_defect: float = field(init=False)
+    _choi: ChoiMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim_in < 1 or self.dim_out < 1:
@@ -60,7 +66,18 @@ class KrausChannel:
             if not np.all(np.isfinite(a)):
                 raise ValueError("Kraus entries must be finite")
         object.__setattr__(self, "kraus", ops)
-        defect = operator_norm(self.dual_apply(np.eye(self.dim_out)) - np.eye(self.dim_in))
+        # C = sum_k vec(A_k) vec(A_k)†, accumulated in Kraus order; the
+        # row-major flatten maps A[mu, i] to the Choi index mu * dim_in + i
+        n = self.dim_out * self.dim_in
+        c = np.zeros((n, n), dtype=complex)
+        for a in ops:
+            v = a.reshape(-1)
+            c += np.outer(v, v.conj())
+        c = hermitian_part(c)
+        object.__setattr__(self, "_choi", ChoiMatrix(dim_in=self.dim_in, dim_out=self.dim_out, mat=c))
+        # tr_out C is the transpose of sum_k A_k† A_k
+        marginal = partial_trace(c, (self.dim_out, self.dim_in), "first")
+        defect = operator_norm(marginal - np.eye(self.dim_in))
         object.__setattr__(self, "tp_defect", defect)
         object.__setattr__(self, "trace_preserving", defect <= TP_FLAG_TOL)
 
@@ -96,7 +113,6 @@ class ChoiMatrix:
     dim_in: int
     dim_out: int
     mat: np.ndarray = field(repr=False)
-    normalized: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
@@ -109,22 +125,9 @@ class ChoiMatrix:
         object.__setattr__(self, "mat", m)
 
 
-def _kraus_vec(a: np.ndarray) -> np.ndarray:
-    # row-major flatten maps A[mu, i] to index mu * dim_in + i, the
-    # (output, input) composite index of the Choi space
-    return np.asarray(a).reshape(-1)
-
-
-def choi(t: KrausChannel, normalized: bool = False) -> ChoiMatrix:
-    """Choi matrix of a CP map: (T ⊗ id)(d_in · |Omega><Omega|), optionally / d_in."""
-    n = t.dim_out * t.dim_in
-    c = np.zeros((n, n), dtype=complex)
-    for a in t.kraus:
-        v = _kraus_vec(a)
-        c += np.outer(v, v.conj())
-    if normalized:
-        c = c / t.dim_in
-    return ChoiMatrix(dim_in=t.dim_in, dim_out=t.dim_out, mat=hermitian_part(c), normalized=normalized)
+def choi(t: KrausChannel) -> ChoiMatrix:
+    """Choi matrix (T ⊗ id)(d_in · |Omega><Omega|) of a CP map, built at its construction."""
+    return t._choi
 
 
 def from_choi(
@@ -138,8 +141,7 @@ def from_choi(
     :class:`NotCompletelyPositiveError`.  Eigenvector phases are fixed so
     the result is deterministic.
     """
-    mat = c.mat * c.dim_in if c.normalized else c.mat
-    spec = spectral_decomposition(mat)
+    spec = spectral_decomposition(c.mat)
     if float(spec.eigenvalues[0]) < -psd_tol:
         raise NotCompletelyPositiveError(
             f"Choi matrix has eigenvalue {spec.eigenvalues[0]:.3e} < -{psd_tol:.1e}"

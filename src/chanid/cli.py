@@ -15,7 +15,6 @@ import sys
 from . import harness, metrics, serialize
 from .channel import NotCompletelyPositiveError, random_channel
 from .identify import NotAdmissibleError, reconstruct
-from .linalg import SingularOperatorError
 from .metrics import CertificateError
 
 
@@ -177,7 +176,6 @@ def cli_main(argv: list[str]) -> int:
     except (
         NotAdmissibleError,
         NotCompletelyPositiveError,
-        SingularOperatorError,
         harness.SelfCheckError,
         CertificateError,
     ) as exc:

@@ -195,7 +195,10 @@ def apply_noise(w: DensityOperator, model: NoiseSpec, seed: int) -> DensityOpera
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = hermitian_part(h)
     h -= np.trace(h).real / d * np.eye(d)
-    disturbed = w.mat + model.eps * h / operator_norm(h)
+    norm = operator_norm(h)
+    if norm == 0.0:  # d = 1: the only traceless Hermitian matrix is 0
+        return w
+    disturbed = w.mat + model.eps * h / norm
     clipped, _ = clip_to_density(disturbed)
     return DensityOperator(clipped)
 

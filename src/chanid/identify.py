@@ -67,8 +67,6 @@ class ReferenceState:
     spectrum: Spectrum
     min_eig: float
     cutoff: float = ADMISSIBILITY_CUTOFF
-    rho_inv: np.ndarray = field(init=False, repr=False)
-    rho_inv_sqrt: np.ndarray = field(init=False, repr=False)
     x: np.ndarray = field(init=False, repr=False)
     x_inv: np.ndarray = field(init=False, repr=False)
 
@@ -81,8 +79,6 @@ class ReferenceState:
             )
         p = self.spectrum.eigenvalues
         vecs = self.spectrum.eigenvectors
-        object.__setattr__(self, "rho_inv", (vecs / p) @ vecs.conj().T)
-        object.__setattr__(self, "rho_inv_sqrt", (vecs / np.sqrt(p)) @ vecs.conj().T)
         object.__setattr__(self, "x", (vecs * np.sqrt(p)) @ vecs.T)
         object.__setattr__(self, "x_inv", ((vecs / np.sqrt(p)) @ vecs.T).conj())
 
@@ -175,7 +171,8 @@ def v_isometry(ref: ReferenceState, d2: int) -> np.ndarray:
 def rn_operator(t: KrausChannel, ref: ReferenceState) -> RNOperator:
     """Positive operator F = (1 ⊗ rho^{-1}) w (1 ⊗ rho^{-1}) that represents
     the channel relative to the reference dilation."""
-    f = _congruence(forward_map(t, ref).mat, ref.rho_inv, t.dim_out)
+    rho_inv = ref.x_inv.conj().T @ ref.x_inv
+    f = _congruence(forward_map(t, ref).mat, rho_inv, t.dim_out)
     return RNOperator(mat=hermitian_part(f))
 
 

@@ -19,10 +19,6 @@ PSD_ADMISSION_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 
-class SingularOperatorError(ValueError):
-    """Raised when a negative matrix power hits an eigenvalue below cutoff."""
-
-
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the first factor varying slowly."""
     return np.kron(np.asarray(a), np.asarray(b))
@@ -97,26 +93,16 @@ def spectral_decomposition(m: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=_fix_column_phases(vecs))
 
 
-def psd_power(m: np.ndarray, exponent: float, cutoff: float | None = None) -> np.ndarray:
-    """Real power of a Hermitian PSD matrix via spectral calculus.
+def psd_power(m: np.ndarray, exponent: float) -> np.ndarray:
+    """Nonnegative real power of a Hermitian PSD matrix via spectral calculus.
 
-    For negative exponents every eigenvalue must exceed ``cutoff``
-    (default ``1e-12 * max eigenvalue``, a scale-invariant invertibility
-    test); otherwise :class:`SingularOperatorError` is raised.  For
-    nonnegative exponents, small negative eigenvalues are clipped to 0.
+    Small negative eigenvalues are clipped to 0 first.  A negative exponent
+    raises ``ValueError``.
     """
-    vals, vecs = np.linalg.eigh(hermitian_part(m))
     if exponent < 0:
-        if cutoff is None:
-            cutoff = 1e-12 * max(float(vals[-1]), 0.0)
-        if float(vals[0]) < cutoff or float(vals[0]) <= 0.0:
-            raise SingularOperatorError(
-                f"eigenvalue {vals[0]:.3e} below cutoff {cutoff:.3e} for exponent {exponent}"
-            )
-        powered = vals**exponent
-    else:
-        powered = np.clip(vals, 0.0, None) ** exponent
-    return (vecs * powered) @ vecs.conj().T
+        raise ValueError(f"exponent must be non-negative, got {exponent}")
+    vals, vecs = np.linalg.eigh(hermitian_part(m))
+    return (vecs * np.clip(vals, 0.0, None) ** exponent) @ vecs.conj().T
 
 
 @dataclass(frozen=True)
@@ -142,11 +128,11 @@ class DensityOperator:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr} is not 1 within {TRACE_TOL}")
-        vals = np.linalg.eigvalsh(hermitian_part(m))
+        # one decomposition serves both the PSD check and the clip
+        vals, vecs = np.linalg.eigh(hermitian_part(m))
         if vals[0] < -PSD_ADMISSION_TOL:
             raise ValueError(f"not PSD: min eigenvalue {vals[0]:.3e}")
         if vals[0] < 0.0:
-            vals, vecs = np.linalg.eigh(hermitian_part(m))
             m = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
         object.__setattr__(self, "mat", m)
 

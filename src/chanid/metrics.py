@@ -83,13 +83,13 @@ def _check_same_dims(t1: KrausChannel, t2: KrausChannel):
 
 
 def channel_fidelity(t1: KrausChannel, t2: KrausChannel) -> float:
-    """Mixed-state fidelity between the Choi states of two maps, in [0, 1].
+    """Mixed-state fidelity between the Choi states C / d_in of two maps, in [0, 1].
 
     Equals 1 exactly when the maps coincide.
     """
     _check_same_dims(t1, t2)
-    sigma1 = choi(t1, normalized=True).mat
-    sigma2 = choi(t2, normalized=True).mat
+    sigma1 = choi(t1).mat / t1.dim_in
+    sigma2 = choi(t2).mat / t2.dim_in
     return float(np.clip(fidelity_psd(sigma1, sigma2), 0.0, 1.0))
 
 
@@ -100,7 +100,7 @@ def fvdg_gap(t1: KrausChannel, t2: KrausChannel) -> tuple[float, float]:
     """
     _check_same_dims(t1, t2)
     lhs = 2.0 - 2.0 * np.sqrt(channel_fidelity(t1, t2))
-    rhs = trace_norm(choi(t1, normalized=True).mat - choi(t2, normalized=True).mat)
+    rhs = trace_norm(choi(t1).mat - choi(t2).mat) / t1.dim_in
     return float(lhs), float(rhs)
 
 

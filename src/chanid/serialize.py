@@ -71,21 +71,19 @@ def choi_to_json(c: ChoiMatrix) -> dict:
     return {
         "dim_in": c.dim_in,
         "dim_out": c.dim_out,
-        "normalized": c.normalized,
         "mat": matrix_to_json(c.mat),
     }
 
 
 def choi_from_json(obj: dict) -> ChoiMatrix:
+    """Decode a Choi matrix; a legacy ``"normalized": true`` matrix is C / d_in and is rescaled."""
     try:
-        return ChoiMatrix(
-            dim_in=int(obj["dim_in"]),
-            dim_out=int(obj["dim_out"]),
-            mat=matrix_from_json(obj["mat"]),
-            normalized=bool(obj["normalized"]),
-        )
+        d1, d2 = int(obj["dim_in"]), int(obj["dim_out"])
+        mat = matrix_from_json(obj["mat"])
+        legacy_scaled = bool(obj.get("normalized", False))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed Choi object: {exc}") from exc
+    return ChoiMatrix(dim_in=d1, dim_out=d2, mat=mat * d1 if legacy_scaled else mat)
 
 
 def density_to_json(rho: DensityOperator) -> dict:

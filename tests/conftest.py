@@ -80,6 +80,26 @@ def choi_elementwise_oracle(t) -> np.ndarray:
     return c
 
 
+def choi_accumulation_oracle(t) -> np.ndarray:
+    """Choi matrix rebuilt from the Kraus operators on every call, in Kraus order.
+
+    The same outer-product accumulation as a channel's construction, so the
+    cached Choi matrix must equal it bit for bit.
+    """
+    n = t.dim_out * t.dim_in
+    c = np.zeros((n, n), dtype=complex)
+    for a in t.kraus:
+        v = np.asarray(a).reshape(-1)
+        c += np.outer(v, v.conj())
+    return (c + c.conj().T) / 2
+
+
+def rho_inv_sqrt(ref) -> np.ndarray:
+    """rho^{-1/2} of a reference state, from its cached spectrum."""
+    p, vecs = ref.spectrum.eigenvalues, ref.spectrum.eigenvectors
+    return (vecs / np.sqrt(p)) @ vecs.conj().T
+
+
 def apply_via_choi_oracle(t, rho: np.ndarray) -> np.ndarray:
     """Evaluate T(rho) as tr_in[(1 ⊗ rho^T) C] from the elementwise Choi."""
     d1, d2 = t.dim_in, t.dim_out

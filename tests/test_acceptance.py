@@ -48,7 +48,7 @@ from chanid.metrics import (
     worst_case_bound,
 )
 
-from conftest import channel_blocks_from_w_oracle, rand_density_mat
+from conftest import channel_blocks_from_w_oracle, rand_density_mat, rho_inv_sqrt
 
 _SUITE_START = time.time()
 
@@ -233,7 +233,7 @@ def test_criterion_07_rescaling_identity():
         t = random_channel(d1, d2, rank, seed=70_000 + k)
         ref = _reference(rng, d1, min_eig=0.02)
         w = forward_map(t, ref).mat
-        lift = np.kron(np.eye(d2), ref.rho_inv_sqrt)
+        lift = np.kron(np.eye(d2), rho_inv_sqrt(ref))
         rewritten = lift @ w @ lift / d1
         phi = ref.spectrum.eigenvectors
         om = sum(np.kron(phi[:, i], phi[:, i]) for i in range(d1)) / np.sqrt(d1)

@@ -3,6 +3,7 @@ import pytest
 
 from chanid.channel import (
     ChoiMatrix,
+    KrausChannel,
     NotCompletelyPositiveError,
     amplitude_damping_channel,
     choi,
@@ -28,6 +29,7 @@ from chanid.linalg import (
 
 from conftest import (
     apply_via_choi_oracle,
+    choi_accumulation_oracle,
     choi_elementwise_oracle,
     rand_complex,
     rand_density_mat,
@@ -124,11 +126,32 @@ class TestChoi:
             marg = partial_trace(choi(t).mat, (2, 3), "first")
             assert operator_norm(marg - np.eye(3)) <= 1e-9
 
-    def test_normalized_flag(self):
-        t = random_channel(2, 2, 2, seed=9)
-        np.testing.assert_allclose(
-            choi(t, normalized=True).mat * 2, choi(t).mat, atol=1e-14
+    def test_cached_matrix_equals_per_call_build(self):
+        rng = np.random.default_rng(61)
+        for d1 in range(1, 7):
+            for d2 in range(1, 7):
+                ranks = sorted({r for r in (1, 2, d1, d1 * d2) if d2 * r >= d1 and r <= d1 * d2})
+                for rank in ranks:
+                    t = random_channel(d1, d2, rank, seed=100 * d1 + 10 * d2 + rank)
+                    np.testing.assert_array_equal(choi(t).mat, choi_accumulation_oracle(t))
+                ops = tuple(0.7 * rand_complex(rng, d2, d1) for _ in range(2))
+                for t in (zero_map(d1, d2), KrausChannel(dim_in=d1, dim_out=d2, kraus=ops)):
+                    np.testing.assert_array_equal(choi(t).mat, choi_accumulation_oracle(t))
+
+    def test_read_without_rebuilding(self):
+        t = random_channel(3, 2, 2, seed=9)
+        assert choi(t) is choi(t)
+
+    def test_tp_defect_matches_dual_form(self):
+        rng = np.random.default_rng(62)
+        scaled = KrausChannel(
+            dim_in=3, dim_out=2, kraus=tuple(1.3 * a for a in random_channel(3, 2, 3, seed=5).kraus)
         )
+        loose = KrausChannel(dim_in=2, dim_out=4, kraus=(rand_complex(rng, 4, 2),))
+        for t in (*rand_channels(5, d1=3, d2=2, rank=3, base_seed=63), scaled, loose, zero_map(2, 3)):
+            dual = operator_norm(t.dual_apply(np.eye(t.dim_out)) - np.eye(t.dim_in))
+            assert abs(t.tp_defect - dual) <= 1e-14 * max(1.0, dual)
+        assert not scaled.trace_preserving
 
 
 class TestFromChoi:
@@ -313,7 +336,7 @@ class TestNamedChannels:
 
     def test_depolarizing_choi_spectrum(self):
         lam = 0.3
-        vals = np.linalg.eigvalsh(choi(depolarizing_channel(lam, 2), normalized=True).mat)
+        vals = np.linalg.eigvalsh(choi(depolarizing_channel(lam, 2)).mat / 2)
         expected = np.sort([1 - 3 * lam / 4, lam / 4, lam / 4, lam / 4])
         np.testing.assert_allclose(vals, expected, atol=1e-12)
 

@@ -7,6 +7,7 @@ import pytest
 from chanid import metrics
 from chanid.channel import choi, random_channel
 from chanid.cli import cli_main
+from chanid.harness import CSV_COLUMNS
 from chanid.identify import forward_map, make_reference
 from chanid.linalg import DensityOperator, maximally_mixed, trace_norm
 from chanid.serialize import (
@@ -152,6 +153,20 @@ class TestBatchCommands:
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[0]
         assert header.startswith("trial_index,min_eig_rho,noise_eps,trace_dist_w")
+
+    def test_roundtrip_jitter_at_dimension_one(self, tmp_path):
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {"d1": 1, "d2": 1, "kraus_rank": 1, "noise": {"hermitian_jitter": 0.01}, "trials": 2, "seed": 1},
+        )
+        out = tmp_path / "runs.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["roundtrip", "--config", cfg, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        col = CSV_COLUMNS.index("trace_dist_w")
+        assert all(float(row.split(",")[col]) == 0.0 for row in rows)
 
     def test_sweep_with_grid_flag(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "trials": 1})

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,14 @@ class TestApplyNoise:
         assert np.linalg.eigvalsh(a.mat)[0] >= -1e-12
         assert np.trace(a.mat).real == pytest.approx(1.0, abs=1e-10)
         assert trace_norm(a.mat - w.mat) > 0
+
+    def test_jitter_on_one_dimensional_state_is_identity(self):
+        # the only traceless Hermitian matrix on a 1-dimensional space is 0
+        w = forward_map(random_channel(1, 1, 1, seed=3), make_reference(maximally_mixed(1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = apply_noise(w, NoiseSpec(kind="hermitian_jitter", eps=0.01), seed=7)
+        assert np.array_equal(out.mat, w.mat)
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):

@@ -36,7 +36,7 @@ from chanid.linalg import (
     trace_norm,
 )
 
-from conftest import choi_from_w_oracle, rand_density_mat, v_isometry_oracle
+from conftest import choi_from_w_oracle, rand_density_mat, rho_inv_sqrt, v_isometry_oracle
 
 
 def rand_reference(rng, d, min_eig=0.05):
@@ -383,7 +383,7 @@ class TestIdentificationInvariants:
             t = random_channel(2, 3, 2, seed=1000 + k)
             ref = rand_reference(rng, 2, min_eig=0.05)
             w = forward_map(t, ref).mat
-            lift = tensor_product(np.eye(3), ref.rho_inv_sqrt)
+            lift = tensor_product(np.eye(3), rho_inv_sqrt(ref))
             rewritten = lift @ w @ lift / 2
             phi = ref.spectrum.eigenvectors
             om = sum(tensor_product(phi[:, i], phi[:, i]) for i in range(2)) / np.sqrt(2)

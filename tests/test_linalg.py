@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from chanid.linalg import (
     DensityOperator,
     _fix_column_phases,
-    SingularOperatorError,
     maximally_mixed,
     operator_norm,
     partial_trace,
@@ -129,18 +128,10 @@ class TestNorms:
 
 
 class TestPsdPower:
-    def test_identity_inverse(self):
-        np.testing.assert_allclose(psd_power(np.eye(3), -1.0), np.eye(3), atol=1e-14)
-
     def test_diag_square_root(self):
         np.testing.assert_allclose(
             psd_power(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]), atol=1e-14
         )
-
-    def test_inverse_verified_by_multiplication(self):
-        rng = np.random.default_rng(21)
-        m = rand_density_mat(rng, 4, min_eig=0.05)
-        np.testing.assert_allclose(m @ psd_power(m, -1.0), np.eye(4), atol=1e-10)
 
     def test_square_root_squares_back(self):
         rng = np.random.default_rng(23)
@@ -149,13 +140,10 @@ class TestPsdPower:
         assert operator_norm(root @ root - m) <= 1e-9 * operator_norm(m)
 
     def test_singular_matrix_rejected_for_negative_power(self):
-        with pytest.raises(SingularOperatorError):
+        with pytest.raises(ValueError):
             psd_power(np.diag([1.0, 0.0]), -1.0)
-
-    def test_explicit_cutoff(self):
-        with pytest.raises(SingularOperatorError):
-            psd_power(np.diag([1.0, 1e-6]), -0.5, cutoff=1e-3)
-        psd_power(np.diag([1.0, 1e-6]), -0.5, cutoff=1e-9)  # passes below the floor
+        with pytest.raises(ValueError):  # negative exponents are not supported at all
+            psd_power(np.eye(2), -1.0)
 
 
 class TestStateFidelity:

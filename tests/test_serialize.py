@@ -62,10 +62,26 @@ def test_channel_rejects_bad_payload():
 
 
 def test_choi_round_trip():
-    c = choi(random_channel(2, 2, 2, seed=6), normalized=True)
-    back = choi_from_json(choi_to_json(c))
-    assert back.normalized
-    np.testing.assert_array_equal(back.mat, c.mat)
+    c = choi(random_channel(2, 2, 2, seed=6))
+    obj = choi_to_json(c)
+    assert set(obj) == {"dim_in", "dim_out", "mat"}
+    np.testing.assert_array_equal(choi_from_json(obj).mat, c.mat)
+
+
+def test_choi_without_scale_key_loads_as_is():
+    c = choi(random_channel(3, 2, 2, seed=7))
+    obj = {"dim_in": 3, "dim_out": 2, "mat": matrix_to_json(c.mat)}
+    np.testing.assert_array_equal(choi_from_json(obj).mat, c.mat)
+    np.testing.assert_array_equal(choi_from_json({**obj, "normalized": False}).mat, c.mat)
+
+
+def test_legacy_normalized_choi_is_rescaled():
+    # older files could store C / d_in under "normalized": true
+    c = choi(random_channel(3, 2, 2, seed=8))
+    legacy = {"dim_in": 3, "dim_out": 2, "normalized": True, "mat": matrix_to_json(c.mat / 3)}
+    back = choi_from_json(legacy)
+    np.testing.assert_allclose(back.mat, c.mat, rtol=0, atol=1e-15)
+    assert np.trace(back.mat).real == pytest.approx(3.0, abs=1e-14)
 
 
 def test_density_round_trip():
