@@ -17,10 +17,11 @@ import numpy as np
 
 from .linalg import (
     DensityOperator,
+    _hermiticity_defects,
+    _random_unitaries,
     hermitian_part,
     operator_norm,
     partial_trace,
-    random_unitary,
     spectral_decomposition,
     tensor_product,
 )
@@ -66,20 +67,24 @@ class KrausChannel:
             if not np.all(np.isfinite(a)):
                 raise ValueError("Kraus entries must be finite")
         object.__setattr__(self, "kraus", ops)
-        # C = sum_k vec(A_k) vec(A_k)†, accumulated in Kraus order; the
-        # row-major flatten maps A[mu, i] to the Choi index mu * dim_in + i
-        n = self.dim_out * self.dim_in
-        c = np.zeros((n, n), dtype=complex)
-        for a in ops:
-            v = a.reshape(-1)
-            c += np.outer(v, v.conj())
-        c = hermitian_part(c)
+        # the row-major flatten maps A[mu, i] to the Choi index mu * dim_in + i
+        c = _choi_of_rows(np.array([a.reshape(-1) for a in ops]))
+        self._set_choi(c, float(_marginal_singular_values(c, self.dim_in, self.dim_out)[0]))
+
+    def _set_choi(self, c: np.ndarray, tp_defect: float) -> None:
         object.__setattr__(self, "_choi", ChoiMatrix(dim_in=self.dim_in, dim_out=self.dim_out, mat=c))
-        # tr_out C is the transpose of sum_k A_k† A_k
-        marginal = partial_trace(c, (self.dim_out, self.dim_in), "first")
-        defect = operator_norm(marginal - np.eye(self.dim_in))
-        object.__setattr__(self, "tp_defect", defect)
-        object.__setattr__(self, "trace_preserving", defect <= TP_FLAG_TOL)
+        object.__setattr__(self, "tp_defect", tp_defect)
+        object.__setattr__(self, "trace_preserving", tp_defect <= TP_FLAG_TOL)
+
+    @classmethod
+    def _built(cls, dim_in: int, dim_out: int, kraus: tuple, c: np.ndarray, tp_defect: float) -> KrausChannel:
+        """A map whose Kraus operators, Choi matrix and TP defect were built
+        together by :func:`_minimal_kraus`: nothing to check or build again."""
+        t = object.__new__(cls)
+        for name, value in (("dim_in", dim_in), ("dim_out", dim_out), ("kraus", kraus)):
+            object.__setattr__(t, name, value)
+        t._set_choi(c, tp_defect)
+        return t
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
         """sum_k A_k X A_k† for any dim_in x dim_in matrix X."""
@@ -119,7 +124,7 @@ class ChoiMatrix:
         n = self.dim_out * self.dim_in
         if m.shape != (n, n):
             raise ValueError(f"Choi matrix must be {n}x{n}, got {m.shape}")
-        defect = operator_norm(m - m.conj().T)
+        defect = _hermiticity_defects(m[None])[0]
         if defect > CHOI_HERM_TOL:
             raise ValueError(f"Choi matrix not Hermitian: defect {defect:.3e}")
         object.__setattr__(self, "mat", m)
@@ -128,6 +133,56 @@ class ChoiMatrix:
 def choi(t: KrausChannel) -> ChoiMatrix:
     """Choi matrix (T ⊗ id)(d_in · |Omega><Omega|) of a CP map, built at its construction."""
     return t._choi
+
+
+def _choi_of_rows(rows: np.ndarray) -> np.ndarray:
+    """C = sum_k v_k v_k† over rows[k] = vec(A_k), for one map or a stack of maps.
+
+    The outer products are accumulated in Kraus order and C is returned as
+    its Hermitian part; a zero row adds nothing.
+    """
+    n = rows.shape[-1]
+    c = np.zeros(rows.shape[1:] + (n,), dtype=complex)
+    for v, v_conj in zip(rows, rows.conj()):
+        c += v[..., :, None] * v_conj[..., None, :]
+    return hermitian_part(c)
+
+
+def _marginal_singular_values(c: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """Singular values, descending, of tr_out C - 1 for a Choi matrix C on
+    H_out ⊗ H_in or a stack of them; the first is the TP defect
+    (tr_out C is the transpose of sum_k A_k† A_k)."""
+    return np.linalg.svd(partial_trace(c, (d2, d1), "first") - np.eye(d1), compute_uv=False)
+
+
+def _minimal_kraus(c: np.ndarray, d1: int, d2: int, rank_cutoff, psd_tol) -> tuple[np.ndarray, ...]:
+    """:func:`from_choi` for a stack of Choi matrices, without building channels.
+
+    Returns ``(vectors, keep, c_rec, tp_defect)``.  Column k of ``vectors``
+    is sqrt(lam_k) v_k for the k-th eigenpair in ascending order,
+    phase-fixed, where ``keep`` (lam_k > rank_cutoff) and zero elsewhere, so
+    the kept columns are a suffix.  ``c_rec`` and ``tp_defect`` are the Choi
+    matrices and TP defects of the kept Kraus sets, built as a
+    ``KrausChannel`` builds them.  ``rank_cutoff`` and ``psd_tol`` are
+    scalars or one per matrix; an eigenvalue below -psd_tol raises
+    :class:`NotCompletelyPositiveError`.
+    """
+    spec = spectral_decomposition(c)
+    lam = spec.eigenvalues
+    not_cp = lam[:, 0] < -np.asarray(psd_tol)
+    if not_cp.any():
+        i = np.argmax(not_cp)
+        tol = np.broadcast_to(psd_tol, not_cp.shape)[i]
+        raise NotCompletelyPositiveError(
+            f"Choi matrix has eigenvalue {lam[i, 0]:.3e} < -{tol:.1e}"
+        )
+    keep = lam > np.reshape(rank_cutoff, (-1, 1))
+    vectors = spec.eigenvectors * np.sqrt(np.where(keep, lam, 0.0))[:, None, :]
+    kept = keep.any(axis=0)
+    first = int(np.argmax(kept)) if kept.any() else len(kept)
+    # the columns before the first one any matrix keeps are zero: they add nothing
+    c_rec = _choi_of_rows(np.moveaxis(vectors, -1, 0)[first:])
+    return vectors, keep, c_rec, _marginal_singular_values(c_rec, d1, d2)[:, 0]
 
 
 def from_choi(
@@ -141,18 +196,14 @@ def from_choi(
     :class:`NotCompletelyPositiveError`.  Eigenvector phases are fixed so
     the result is deterministic.
     """
-    spec = spectral_decomposition(c.mat)
-    if float(spec.eigenvalues[0]) < -psd_tol:
-        raise NotCompletelyPositiveError(
-            f"Choi matrix has eigenvalue {spec.eigenvalues[0]:.3e} < -{psd_tol:.1e}"
-        )
-    ops = []
-    for lam, vec in zip(spec.eigenvalues, spec.eigenvectors.T):
-        if lam > rank_cutoff:
-            ops.append(np.sqrt(lam) * vec.reshape(c.dim_out, c.dim_in))
-    if not ops:
-        ops.append(np.zeros((c.dim_out, c.dim_in), dtype=complex))
-    return KrausChannel(dim_in=c.dim_in, dim_out=c.dim_out, kraus=tuple(ops))
+    found = _minimal_kraus(c.mat[None], c.dim_in, c.dim_out, rank_cutoff, psd_tol)
+    return _channel_of(*(a[0] for a in found), c.dim_in, c.dim_out)
+
+
+def _channel_of(vectors, keep, c_rec, tp_defect, d1: int, d2: int) -> KrausChannel:
+    """The ``KrausChannel`` of one matrix of a :func:`_minimal_kraus` result."""
+    ops = tuple(v.reshape(d2, d1) for v in vectors.T[keep]) or (np.zeros((d2, d1), dtype=complex),)
+    return KrausChannel._built(d1, d2, ops, c_rec, float(tp_defect))
 
 
 def tensor_with_identity(t: KrausChannel, d_anc: int) -> KrausChannel:
@@ -230,12 +281,20 @@ def random_channel(d1: int, d2: int, kraus_rank: int, seed: int) -> KrausChannel
         raise ValueError(
             f"no isometry H_in -> H_out ⊗ E exists for d1={d1}, d2={d2}, rank={kraus_rank}"
         )
-    w = random_unitary(d2 * kraus_rank, seed)[:, :d1]
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    kraus = _random_kraus(d1, d2, kraus_rank, [seed])
+    return KrausChannel(dim_in=d1, dim_out=d2, kraus=tuple(kraus[:, 0]))
+
+
+def _random_kraus(d1: int, d2: int, kraus_rank: int, seeds) -> np.ndarray:
+    """Kraus operators of :func:`random_channel` for each seed, with one stacked QR.
+
+    Entry ``[j, s]`` is the operator A_j of seed s.
+    """
+    w = _random_unitaries(d2 * kraus_rank, seeds)[:, :, :d1]
     # row (mu, j) of W is the mu-th output row of A_j
-    blocks = w.reshape(d2, kraus_rank, d1)
-    return KrausChannel(
-        dim_in=d1, dim_out=d2, kraus=tuple(blocks[:, j, :] for j in range(kraus_rank))
-    )
+    return np.moveaxis(w.reshape(-1, d2, kraus_rank, d1), 2, 0)
 
 
 def identity_channel(d: int) -> KrausChannel:

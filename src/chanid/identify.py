@@ -23,17 +23,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChoiMatrix, KrausChannel, NotCompletelyPositiveError, choi, from_choi
+from .channel import (
+    KrausChannel,
+    NotCompletelyPositiveError,
+    _channel_of,
+    _marginal_singular_values,
+    _minimal_kraus,
+    choi,
+)
 from .linalg import (
     TRACE_TOL,
     DensityOperator,
     Spectrum,
-    clip_eigenpairs,
+    _check_densities,
+    _States,
+    _clip_eigenpairs,
+    _fix_column_phases,
+    _hermiticity_defects,
     hermitian_part,
-    operator_norm,
-    partial_trace,
     tensor_product,
-    trace_norm,
 )
 
 ADMISSIBILITY_CUTOFF = 1e-10
@@ -77,10 +85,16 @@ class ReferenceState:
             raise NotAdmissibleError(
                 f"min eigenvalue {self.min_eig:.3e}: ||rho^-1|| overflows a double"
             )
-        p = self.spectrum.eigenvalues
-        vecs = self.spectrum.eigenvectors
-        object.__setattr__(self, "x", (vecs * np.sqrt(p)) @ vecs.T)
-        object.__setattr__(self, "x_inv", ((vecs / np.sqrt(p)) @ vecs.T).conj())
+        x, x_inv = _probe_matrices(self.spectrum.eigenvalues, self.spectrum.eigenvectors)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "x_inv", x_inv)
+
+
+def _probe_matrices(p: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X = sum_i sqrt(p_i) phi_i phi_iᵀ and X⁻¹ from eigenpairs, for one reference or a stack."""
+    root = np.sqrt(p)[..., None, :]
+    vecs_t = vecs.swapaxes(-1, -2)
+    return (vecs * root) @ vecs_t, ((vecs / root) @ vecs_t).conj()
 
 
 @dataclass(frozen=True)
@@ -94,7 +108,7 @@ class RNOperator:
         m = np.asarray(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator must be square")
-        if operator_norm(m - m.conj().T) > 1e-9:
+        if _hermiticity_defects(m[None])[0] > 1e-9:
             raise ValueError("operator must be Hermitian")
         if float(np.linalg.eigvalsh(hermitian_part(m))[0]) < -RN_PSD_TOL:
             raise ValueError("operator must be positive semidefinite")
@@ -126,12 +140,25 @@ def make_reference(rho: DensityOperator, cutoff: float = ADMISSIBILITY_CUTOFF) -
     if not (np.isfinite(cutoff) and cutoff >= 0):
         raise ValueError(f"cutoff must be finite and non-negative, got {cutoff}")
     spec = rho.spectrum()
-    min_eig = float(spec.eigenvalues[0])
-    if min_eig <= cutoff:
-        raise NotAdmissibleError(
-            f"min eigenvalue {min_eig:.3e} <= cutoff {cutoff:.3e}: state not invertible"
-        )
+    min_eig = float(_admit(spec.eigenvalues[None], cutoff)[0])
     return ReferenceState(dim=rho.dim, rho=rho, spectrum=spec, min_eig=min_eig, cutoff=cutoff)
+
+
+def _admit(p: np.ndarray, cutoff: float) -> np.ndarray:
+    """Smallest eigenvalues of a stack of ascending spectra p, each above cutoff."""
+    min_eig = p[:, 0]
+    if (min_eig <= cutoff).any():
+        raise NotAdmissibleError(
+            f"min eigenvalue {min_eig.min():.3e} <= cutoff {cutoff:.3e}: state not invertible"
+        )
+    return min_eig
+
+
+def _reference_arrays(rho: _States) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(min_eig, x, x_inv)`` of each reference state of a checked stack,
+    admitted at the default cutoff as :func:`make_reference` admits one."""
+    p, vecs = rho.eigenpairs()
+    return (_admit(p, ADMISSIBILITY_CUTOFF), *_probe_matrices(p, _fix_column_phases(vecs)))
 
 
 def omega(ref: ReferenceState) -> np.ndarray:
@@ -140,18 +167,28 @@ def omega(ref: ReferenceState) -> np.ndarray:
 
 
 def _congruence(m: np.ndarray, x: np.ndarray, d2: int) -> np.ndarray:
-    """(1 ⊗ x) m (1 ⊗ x)† for m on H_out ⊗ H_in, acting blockwise on H_in."""
-    d1 = x.shape[0]
-    blocks = m.reshape(d2, d1, d2, d1).transpose(0, 2, 1, 3)
-    return (x @ blocks @ x.conj().T).transpose(0, 2, 1, 3).reshape(d2 * d1, d2 * d1)
+    """(1 ⊗ x) m (1 ⊗ x)† for m on H_out ⊗ H_in, acting blockwise on H_in.
+
+    Stacks of m and of x broadcast against each other.
+    """
+    d1 = x.shape[-1]
+    lead = m.shape[:-2]
+    blocks = m.reshape(*lead, d2, d1, d2, d1).swapaxes(-3, -2)
+    x = x[..., None, None, :, :]
+    out = x @ blocks @ x.conj().swapaxes(-1, -2)
+    return out.swapaxes(-3, -2).reshape(*out.shape[:-4], d2 * d1, d2 * d1)
 
 
 def forward_map(t: KrausChannel, ref: ReferenceState) -> DensityOperator:
     """Probe output w = (T ⊗ id)(|Omega><Omega|) = (1 ⊗ X) C (1 ⊗ X)† on H_out ⊗ H_in."""
     if t.dim_in != ref.dim:
         raise ValueError(f"channel input dim {t.dim_in} != reference dim {ref.dim}")
-    w = _congruence(choi(t).mat, ref.x, t.dim_out)
-    return DensityOperator(hermitian_part(w))
+    return DensityOperator._checked(_probe_outputs(choi(t).mat[None], ref.x[None], t.dim_out).mat[0])
+
+
+def _probe_outputs(c: np.ndarray, x: np.ndarray, d2: int) -> _States:
+    """:func:`forward_map` for stacks of Choi matrices and probe matrices, checked as states."""
+    return _check_densities(hermitian_part(_congruence(c, x, d2)))
 
 
 def v_isometry(ref: ReferenceState, d2: int) -> np.ndarray:
@@ -194,11 +231,6 @@ def apply_rn(v: np.ndarray, f: RNOperator, sigma: DensityOperator) -> np.ndarray
     return _apply_rn_matrix(v, f.mat, sigma.mat)
 
 
-def _marginal_defect(c: np.ndarray, d1: int, d2: int) -> float:
-    """||tr_out C - 1||_1 for a Choi matrix C on H_out ⊗ H_in."""
-    return trace_norm(partial_trace(c, (d2, d1), "first") - np.eye(d1))
-
-
 def consistency_residual(w: DensityOperator | np.ndarray, ref: ReferenceState, d2: int) -> float:
     """Trace-norm defect ||tr_out C - 1||_1 of C = (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)†.
 
@@ -209,7 +241,7 @@ def consistency_residual(w: DensityOperator | np.ndarray, ref: ReferenceState, d
     d1 = ref.dim
     if w_mat.shape != (d2 * d1, d2 * d1):
         raise ValueError(f"state shape {w_mat.shape} is not ({d2 * d1}, {d2 * d1})")
-    return _marginal_defect(_congruence(w_mat, ref.x_inv, d2), d1, d2)
+    return float(np.sum(_marginal_singular_values(_congruence(w_mat, ref.x_inv, d2), d1, d2)))
 
 
 def reconstruct(
@@ -230,22 +262,37 @@ def reconstruct(
     n = d2 * d1
     if w_mat.shape != (n, n):
         raise ValueError(f"state shape {w_mat.shape} is not ({n}, {n})")
-    tr = complex(np.trace(w_mat))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"state trace {tr} is not 1 within {TRACE_TOL}")
-    h = hermitian_part(w_mat)
-    vals, vecs = np.linalg.eigh(h)
-    if vals[0] < -W_PSD_TOL:
-        raise NotCompletelyPositiveError(
-            f"input state has eigenvalue {vals[0]:.3e} < -{W_PSD_TOL:.1e}"
-        )
-    w_mat, clipped = clip_eigenpairs(h, vals, vecs)
-    c = hermitian_part(_congruence(w_mat, ref.x_inv, d2))
-    tol = CHOI_REL_TOL * float(vals[-1]) / ref.min_eig
-    cp_map = from_choi(ChoiMatrix(dim_in=d1, dim_out=d2, mat=c), rank_cutoff=tol, psd_tol=tol)
+    found = _reconstruct_stack(_States(w_mat[None]), ref.x_inv[None], np.array([ref.min_eig]), d2)
+    kraus, keep, c_rec, tp, consistency, clipped = (a[0] for a in found)
     return ReconstructionResult(
-        cp_map=cp_map,
-        tp_residual=cp_map.tp_defect,
-        consistency_residual=_marginal_defect(c, d1, d2),
-        clip_magnitude=clipped,
+        cp_map=_channel_of(kraus, keep, c_rec, tp, d1, d2),
+        tp_residual=float(tp),
+        consistency_residual=float(consistency),
+        clip_magnitude=float(clipped),
     )
+
+
+def _reconstruct_stack(w: _States, x_inv: np.ndarray, min_eig: np.ndarray, d2: int) -> tuple:
+    """:func:`reconstruct` for a stack of states w and of references (x_inv, min_eig).
+
+    Returns ``(kraus, keep, c_rec, tp_residual, consistency_residual,
+    clip_magnitude)``, the first four as ``channel._minimal_kraus`` gives
+    them; builds no ``KrausChannel``.  The eigenpairs that come with w are
+    reused where they are known.
+    """
+    d1 = x_inv.shape[-1]
+    traces = np.trace(w.mat, axis1=-2, axis2=-1)
+    off = np.abs(traces - 1.0)
+    if off.max() > TRACE_TOL:
+        raise ValueError(f"state trace {complex(traces[np.argmax(off)])} is not 1 within {TRACE_TOL}")
+    h = hermitian_part(w.mat)
+    vals, vecs = w.eigenpairs()
+    if vals[:, 0].min() < -W_PSD_TOL:
+        raise NotCompletelyPositiveError(
+            f"input state has eigenvalue {vals[:, 0].min():.3e} < -{W_PSD_TOL:.1e}"
+        )
+    w_clip, clipped = _clip_eigenpairs(h, vals, vecs)
+    c = hermitian_part(_congruence(w_clip, x_inv, d2))
+    tol = CHOI_REL_TOL * vals[:, -1] / min_eig
+    consistency = np.sum(_marginal_singular_values(c, d1, d2), axis=-1)
+    return (*_minimal_kraus(c, d1, d2, tol, tol), consistency, clipped)

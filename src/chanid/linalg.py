@@ -11,6 +11,7 @@ mutually consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,7 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], which: str) -> np.ndarray:
-    """Trace out one factor of a bipartite operator.
+    """Trace out one factor of a bipartite operator, or of each operator of a stack.
 
     ``m`` must be square of size ``dims[0] * dims[1]``; ``which`` selects
     the factor to trace over (``"first"`` or ``"second"``).
@@ -33,13 +34,13 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], which: str) -> np.ndarra
     d_a, d_b = dims
     m = np.asarray(m)
     n = d_a * d_b
-    if m.shape != (n, n):
+    if m.ndim < 2 or m.shape[-2:] != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix for dims {dims}, got {m.shape}")
-    t = m.reshape(d_a, d_b, d_a, d_b)
+    t = m.reshape(*m.shape[:-2], d_a, d_b, d_a, d_b)
     if which == "first":
-        return np.einsum("abad->bd", t)
+        return np.einsum("...abad->...bd", t)
     if which == "second":
-        return np.einsum("abcb->ac", t)
+        return np.einsum("...abcb->...ac", t)
     raise ValueError(f"which must be 'first' or 'second', got {which!r}")
 
 
@@ -79,22 +80,27 @@ class Spectrum:
 
 
 def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
+    """Make each column's first largest-magnitude entry real positive, in one
+    matrix or in each matrix of a stack."""
     vectors = np.asarray(vectors, dtype=complex)
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-    # Per-pivot scalar division and a column-by-scalar product keep the bits
-    # of the column loop: numpy's array division rounds |p|/p differently.
-    phases = np.array([abs(p) / p if abs(p) > 0 else 1.0 for p in pivots], dtype=complex)
-    return (vectors.T * phases[:, None]).T
+    flat = vectors.reshape(-1, *vectors.shape[-2:])
+    rows = np.argmax(np.abs(flat), axis=1)
+    pivots = flat[np.arange(len(flat))[:, None], rows, np.arange(flat.shape[2])]
+    # Per-pivot division of numpy complex128 scalars keeps the bits of the
+    # column loop: numpy's array division rounds |p|/p differently.
+    phases = np.array([abs(p) / p if abs(p) > 0 else 1.0 for p in pivots.reshape(-1)], dtype=complex)
+    return vectors * phases.reshape(*vectors.shape[:-2], 1, vectors.shape[-1])
 
 
 def spectral_decomposition(m: np.ndarray) -> Spectrum:
-    """Eigendecomposition of (m + m†)/2 with deterministic phases."""
+    """Eigendecomposition of (m + m†)/2 with deterministic phases (stacks too)."""
     vals, vecs = np.linalg.eigh(hermitian_part(m))
     return Spectrum(eigenvalues=vals, eigenvectors=_fix_column_phases(vecs))
 
 
 def psd_power(m: np.ndarray, exponent: float) -> np.ndarray:
-    """Nonnegative real power of a Hermitian PSD matrix via spectral calculus.
+    """Nonnegative real power of a Hermitian PSD matrix, or of each matrix of
+    a stack, via spectral calculus.
 
     Small negative eigenvalues are clipped to 0 first.  A negative exponent
     raises ``ValueError``.
@@ -102,7 +108,76 @@ def psd_power(m: np.ndarray, exponent: float) -> np.ndarray:
     if exponent < 0:
         raise ValueError(f"exponent must be non-negative, got {exponent}")
     vals, vecs = np.linalg.eigh(hermitian_part(m))
-    return (vecs * np.clip(vals, 0.0, None) ** exponent) @ vecs.conj().T
+    return (vecs * np.clip(vals, 0.0, None)[..., None, :] ** exponent) @ _adjoint(vecs)
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _hermiticity_defects(m: np.ndarray) -> np.ndarray:
+    """||m - m†||_op of each matrix of a stack.
+
+    A matrix that equals its adjoint exactly, as every ``hermitian_part``
+    output does, has defect 0 by definition and costs no SVD.
+    """
+    diff = m - _adjoint(m)
+    defects = np.zeros(len(m))
+    inexact = diff.any(axis=(-2, -1))
+    if inexact.any():
+        defects[inexact] = np.linalg.svd(diff[inexact], compute_uv=False)[:, 0]
+    return defects
+
+
+class _States(NamedTuple):
+    """A stack of state matrices and, where known, the (unphased) eigenpairs
+    ``vals``, ``vecs`` of their Hermitian parts.
+
+    The eigenpairs are None when the stack was not decomposed, and wrong on
+    the matrices flagged ``stale``: the density checks rebuilt those from
+    clipped eigenvalues after decomposing them.
+    """
+
+    mat: np.ndarray
+    vals: np.ndarray | None = None
+    vecs: np.ndarray | None = None
+    stale: np.ndarray | None = None
+
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs of ``hermitian_part(mat)``, decomposing only where they are not known."""
+        if self.vals is None:
+            return np.linalg.eigh(hermitian_part(self.mat))
+        if not self.stale.any():
+            return self.vals, self.vecs
+        vals, vecs = self.vals.copy(), self.vecs.copy()
+        vals[self.stale], vecs[self.stale] = np.linalg.eigh(hermitian_part(self.mat[self.stale]))
+        return vals, vecs
+
+
+def _check_densities(m: np.ndarray) -> _States:
+    """The checks of :class:`DensityOperator` on a stack of square matrices, in
+    its order: finite entries, Hermiticity, unit trace, then the PSD check
+    and the clip from one ``eigh``, whose eigenpairs come back with the
+    states."""
+    m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValueError("density operator entries must be finite")
+    defect = _hermiticity_defects(m).max()
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"not Hermitian: defect {defect:.3e}")
+    off = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    if off.max() > TRACE_TOL:
+        raise ValueError(f"trace {complex(np.trace(m[np.argmax(off)]))} is not 1 within {TRACE_TOL}")
+    vals, vecs = np.linalg.eigh(hermitian_part(m))
+    lowest = vals.min(axis=-1, initial=0.0)  # vals[:, 0] where it is negative
+    if lowest.min() < -PSD_ADMISSION_TOL:
+        raise ValueError(f"not PSD: min eigenvalue {lowest.min():.3e}")
+    clipped = lowest < 0.0
+    if clipped.any():
+        v = vecs[clipped]
+        m = m.copy()
+        m[clipped] = (v * np.clip(vals[clipped], 0.0, None)[:, None, :]) @ _adjoint(v)
+    return _States(m, vals, vecs, clipped)
 
 
 @dataclass(frozen=True)
@@ -120,21 +195,14 @@ class DensityOperator:
         m = np.asarray(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density operator entries must be finite")
-        herm_defect = operator_norm(m - m.conj().T)
-        if herm_defect > HERMITICITY_TOL:
-            raise ValueError(f"not Hermitian: defect {herm_defect:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} is not 1 within {TRACE_TOL}")
-        # one decomposition serves both the PSD check and the clip
-        vals, vecs = np.linalg.eigh(hermitian_part(m))
-        if vals[0] < -PSD_ADMISSION_TOL:
-            raise ValueError(f"not PSD: min eigenvalue {vals[0]:.3e}")
-        if vals[0] < 0.0:
-            m = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "mat", _check_densities(m[None]).mat[0])
+
+    @classmethod
+    def _checked(cls, mat: np.ndarray) -> DensityOperator:
+        """Wrap one matrix of a :class:`_States` stack without checking it again."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "mat", mat)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -157,25 +225,26 @@ def maximally_mixed(d: int) -> DensityOperator:
     return DensityOperator(np.eye(d, dtype=complex) / d)
 
 
-def clip_to_density(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Project onto the density cone: zero negative eigenvalues, renormalize.
+def _clip_eigenpairs(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project each Hermitian matrix h of a stack onto the density cone from
+    its eigenpairs (vals, vecs): zero the negative eigenvalues, renormalize.
 
-    Returns the projected matrix and the total negative weight removed.
+    Returns the projections and the negative weight removed from each;
+    matrices with no negative eigenvalue come back as they are.
     """
-    h = hermitian_part(m)
-    return clip_eigenpairs(h, *np.linalg.eigh(h))
-
-
-def clip_eigenpairs(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, float]:
-    """:func:`clip_to_density` of a Hermitian h from its eigenpairs (vals, vecs)."""
-    negative = float(-np.sum(np.clip(vals, None, 0.0)))
-    if negative == 0.0:
-        return h, 0.0
-    vals = np.clip(vals, 0.0, None)
-    total = float(np.sum(vals))
-    if total <= 0.0:
+    moved = vals[:, 0] < 0.0  # eigenvalues ascend
+    negative = np.zeros(len(h))
+    if not moved.any():
+        return h, negative
+    negative[moved] = -np.sum(np.clip(vals[moved], None, 0.0), axis=-1)
+    kept = np.clip(vals[moved], 0.0, None)
+    total = np.sum(kept, axis=-1)
+    if (total <= 0.0).any():
         raise ValueError("matrix has no positive spectral weight")
-    return hermitian_part((vecs * (vals / total)) @ vecs.conj().T), negative
+    v = vecs[moved]
+    h = h.copy()
+    h[moved] = hermitian_part((v * (kept / total[:, None])[:, None, :]) @ _adjoint(v))
+    return h, negative
 
 
 def fidelity_psd(a: np.ndarray, b: np.ndarray) -> float:
@@ -185,11 +254,19 @@ def fidelity_psd(a: np.ndarray, b: np.ndarray) -> float:
     zeroed: the square root would otherwise amplify eigensolver noise on
     rank-deficient inputs far above the accuracy of everything else.
     """
+    return float(_fidelities_psd(np.asarray(a)[None], np.asarray(b)[None])[0])
+
+
+def _fidelities_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`fidelity_psd` of each pair of matrices of two stacks."""
     root = psd_power(a, 0.5)
-    inner_vals = np.linalg.eigvalsh(hermitian_part(root @ np.asarray(b) @ root))
-    floor = 1e-13 * max(float(inner_vals[-1]), 0.0)
-    inner_vals = np.where(inner_vals < floor, 0.0, inner_vals)
-    return float(np.sum(np.sqrt(np.clip(inner_vals, 0.0, None))) ** 2)
+    inner_vals = np.linalg.eigvalsh(hermitian_part(root @ b @ root))
+    floor = 1e-13 * np.maximum(inner_vals[:, -1], 0.0)
+    inner_vals = np.where(inner_vals < floor[:, None], 0.0, inner_vals)
+    sums = np.sum(np.sqrt(np.clip(inner_vals, 0.0, None)), axis=-1)
+    # squared by the scalar power a single sum gets: libm pow(s, 2) and
+    # numpy's array square s * s round differently
+    return np.array([s**2 for s in sums.tolist()])
 
 
 def state_fidelity(r1: DensityOperator, r2: DensityOperator) -> float:
@@ -209,8 +286,13 @@ def random_unitary(d: int, seed: int) -> np.ndarray:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return _random_unitaries(d, [seed])[0]
+
+
+def _random_unitaries(d: int, seeds) -> np.ndarray:
+    """:func:`random_unitary` for each seed, with one stacked QR."""
+    gens = [np.random.default_rng(seed) for seed in seeds]
+    z = np.array([g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)) for g in gens])
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]

@@ -30,7 +30,7 @@ from .channel import KrausChannel, choi
 from .identify import ReferenceState, reconstruct
 from .linalg import (
     DensityOperator,
-    fidelity_psd,
+    _fidelities_psd,
     hermitian_part,
     operator_norm,
     partial_trace,
@@ -88,9 +88,12 @@ def channel_fidelity(t1: KrausChannel, t2: KrausChannel) -> float:
     Equals 1 exactly when the maps coincide.
     """
     _check_same_dims(t1, t2)
-    sigma1 = choi(t1).mat / t1.dim_in
-    sigma2 = choi(t2).mat / t2.dim_in
-    return float(np.clip(fidelity_psd(sigma1, sigma2), 0.0, 1.0))
+    return float(_channel_fidelities(choi(t1).mat[None], choi(t2).mat[None], t1.dim_in)[0])
+
+
+def _channel_fidelities(c1: np.ndarray, c2: np.ndarray, d_in: int) -> np.ndarray:
+    """:func:`channel_fidelity` of each pair of Choi matrices of two stacks."""
+    return np.clip(_fidelities_psd(c1 / d_in, c2 / d_in), 0.0, 1.0)
 
 
 def fvdg_gap(t1: KrausChannel, t2: KrausChannel) -> tuple[float, float]:

@@ -249,3 +249,74 @@ def cb_lower_sequential_oracle(
         if value > best[0]:
             best = (value, psi, index)
     return best
+
+
+def _oracle_trial_seeds(master_seed: int, trial_index: int) -> tuple[int, int, int]:
+    from chanid.harness import TRIAL_SEED_STRIDE
+
+    rng = np.random.default_rng(master_seed * TRIAL_SEED_STRIDE + trial_index)
+    a, b, c = rng.integers(0, 2**62, size=3)
+    return int(a), int(b), int(c)
+
+
+def _oracle_reference(spec, d1: int, seed: int):
+    from chanid import DensityOperator, make_reference, random_unitary
+
+    if spec.kind == "maximally_mixed":
+        return make_reference(DensityOperator(np.eye(d1) / d1))
+    if spec.kind == "spectrum":
+        return make_reference(DensityOperator(np.diag(np.array(spec.spectrum, dtype=complex))))
+    rng = np.random.default_rng(seed)
+    floor = spec.min_eig
+    p = floor + (1.0 - d1 * floor) * rng.dirichlet(np.ones(d1))
+    u = random_unitary(d1, int(rng.integers(0, 2**62)))
+    return make_reference(DensityOperator((u * p) @ u.conj().T))
+
+
+def _oracle_trial(cfg, trial_index: int, t, ref, noise_seed: int):
+    from chanid import apply_noise, channel_fidelity, fidelity_lower_bound, forward_map, reconstruct
+    from chanid import trace_norm
+    from chanid.harness import TrialRecord
+
+    w = forward_map(t, ref)
+    w_noisy = apply_noise(w, cfg.noise, noise_seed)
+    rec = reconstruct(w_noisy, ref, cfg.d2)
+    tdist = trace_norm(w_noisy.mat - w.mat)
+    return TrialRecord(
+        trial_index=trial_index,
+        min_eig_rho=ref.min_eig,
+        noise_eps=cfg.noise.eps if cfg.noise.kind != "none" else 0.0,
+        trace_dist_w=tdist,
+        consistency_residual=rec.consistency_residual,
+        tp_residual=rec.tp_residual,
+        fidelity=channel_fidelity(rec.cp_map, t),
+        bound_value=fidelity_lower_bound(tdist, 1.0 / ref.min_eig, cfg.d1),
+    )
+
+
+def roundtrip_loop_oracle(cfg):
+    """``run_roundtrip`` as a loop over trials, each evaluated alone through the
+    public single-trial functions (same per-trial seeds, same composition)."""
+    from chanid import random_channel
+
+    records = []
+    for i in range(cfg.trials):
+        chan_seed, ref_seed, noise_seed = _oracle_trial_seeds(cfg.seed, i)
+        t = random_channel(cfg.d1, cfg.d2, cfg.kraus_rank, chan_seed)
+        ref = _oracle_reference(cfg.ref_spec, cfg.d1, ref_seed)
+        records.append(_oracle_trial(cfg, i, t, ref, noise_seed))
+    return records
+
+
+def sweep_loop_oracle(cfg, min_eig_grid):
+    """``run_spectrum_sweep`` as a loop over the grid through the public functions."""
+    from chanid import RefSpec, random_channel
+
+    chan_seed, _, noise_seed = _oracle_trial_seeds(cfg.seed, 0)
+    t = random_channel(cfg.d1, cfg.d2, cfg.kraus_rank, chan_seed)
+    records = []
+    for i, m in enumerate(min_eig_grid):
+        spectrum = (1.0,) if cfg.d1 == 1 else (m,) + ((1.0 - m) / (cfg.d1 - 1),) * (cfg.d1 - 1)
+        ref = _oracle_reference(RefSpec(kind="spectrum", spectrum=spectrum), cfg.d1, 0)
+        records.append(_oracle_trial(cfg, i, t, ref, noise_seed))
+    return records

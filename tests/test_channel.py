@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,22 @@ class TestChoi:
                 ops = tuple(0.7 * rand_complex(rng, d2, d1) for _ in range(2))
                 for t in (zero_map(d1, d2), KrausChannel(dim_in=d1, dim_out=d2, kraus=ops)):
                     np.testing.assert_array_equal(choi(t).mat, choi_accumulation_oracle(t))
+
+    def test_construction_runs_one_svd(self, monkeypatch):
+        # the Choi matrix is hermitian_part output, Hermitian by definition:
+        # only tp_defect (a d_in x d_in marginal) needs an SVD
+        ops = random_channel(3, 2, 2, seed=4).kraus
+        svd, shapes = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda m, **k: shapes.append(np.shape(m)) or svd(m, **k))
+        KrausChannel(dim_in=3, dim_out=2, kraus=ops)
+        assert len(shapes) == 1 and shapes[0][-2:] == (3, 3)
+
+    def test_near_hermitian_matrix_rejected_with_its_defect(self):
+        c = choi(random_channel(2, 2, 2, seed=3)).mat
+        skew = np.zeros((4, 4))
+        skew[0, 1], skew[1, 0] = 1e-9, -1e-9  # anti-Hermitian: m - m† = 2 skew
+        with pytest.raises(ValueError, match=re.escape(f"Choi matrix not Hermitian: defect {2e-9:.3e}")):
+            ChoiMatrix(dim_in=2, dim_out=2, mat=c + skew)
 
     def test_read_without_rebuilding(self):
         t = random_channel(3, 2, 2, seed=9)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from chanid.harness import (
 from chanid.identify import forward_map, make_reference
 from chanid.linalg import DensityOperator, maximally_mixed, trace_norm
 
-from conftest import rand_density_mat
+from conftest import rand_density_mat, roundtrip_loop_oracle, sweep_loop_oracle
 
 
 def small_config(**overrides):
@@ -160,6 +161,68 @@ class TestRunSpectrumSweep:
         cfg = small_config(noise=NoiseSpec(kind="hermitian_jitter", eps=0.02), trials=1)
         records = run_spectrum_sweep(cfg, [0.5, 0.4])
         assert records[0].noise_eps == records[1].noise_eps == 0.02
+
+
+NOISES = (NoiseSpec("none"), NoiseSpec("depolarize", 0.02), NoiseSpec("hermitian_jitter", 0.05))
+DIMS = (1, 2, 3, 6)
+
+
+def _refs(d1):
+    spectrum = tuple(np.arange(1, d1 + 1) / (d1 * (d1 + 1) / 2))
+    return (
+        RefSpec(kind="maximally_mixed"),
+        RefSpec(kind="spectrum", spectrum=spectrum),
+        RefSpec(kind="random_min_eig", min_eig=0.05 / d1),
+    )
+
+
+def _rank(d1, d2):
+    return min(d1 * d2, max(2, -(-d1 // d2)))
+
+
+class TestStackedTrialsMatchTheLoop:
+    """Stacked chunks give the bytes of evaluating each trial alone."""
+
+    @pytest.mark.parametrize("d1", DIMS)
+    @pytest.mark.parametrize("d2", DIMS)
+    def test_roundtrip_csv_bytes(self, d1, d2):
+        for noise in NOISES:
+            for ref_spec in _refs(d1):
+                cfg = ExperimentConfig(d1, d2, _rank(d1, d2), ref_spec, noise, trials=4, seed=d1 + 7 * d2)
+                assert records_to_csv(run_roundtrip(cfg)) == records_to_csv(roundtrip_loop_oracle(cfg))
+
+    @pytest.mark.parametrize("d1", DIMS)
+    @pytest.mark.parametrize("d2", DIMS)
+    def test_sweep_csv_bytes(self, d1, d2):
+        grid = [float(x) for x in np.geomspace(1.0 / d1, 1e-7, 5)]
+        for noise in NOISES:
+            cfg = ExperimentConfig(d1, d2, _rank(d1, d2), _refs(d1)[0], noise, trials=1, seed=3 * d1 + d2)
+            expected = records_to_csv(sweep_loop_oracle(cfg, grid))
+            assert records_to_csv(run_spectrum_sweep(cfg, grid)) == expected
+
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_trials_spanning_several_chunks(self, noise):
+        # 3 trials per chunk at d1 = d2 = 6, 256 at d1 = d2 = 2
+        for d, trials in ((6, 10), (2, 300)):
+            cfg = ExperimentConfig(d, d, d, _refs(d)[2], noise, trials=trials, seed=17)
+            assert records_to_csv(run_roundtrip(cfg)) == records_to_csv(roundtrip_loop_oracle(cfg))
+        cfg = ExperimentConfig(6, 6, 6, _refs(6)[0], noise, trials=1, seed=19)
+        grid = [float(x) for x in np.geomspace(1.0 / 6, 1e-8, 8)]
+        assert records_to_csv(run_spectrum_sweep(cfg, grid)) == records_to_csv(sweep_loop_oracle(cfg, grid))
+
+    def test_memory_does_not_grow_with_trials(self):
+        def peak(trials):
+            ref_spec, noise = RefSpec("random_min_eig", min_eig=0.01), NoiseSpec("depolarize", 0.02)
+            cfg = ExperimentConfig(6, 6, 6, ref_spec, noise, trials, seed=1)
+            tracemalloc.start()
+            try:
+                run_roundtrip(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3)  # warm-up: first-call allocations of numpy and LAPACK
+        assert peak(200) <= 1.25 * peak(20)
 
 
 class TestCsvOutput:

@@ -201,6 +201,15 @@ class TestRNOperator:
         assert np.trace(lift @ f.mat @ lift).real == pytest.approx(1.0, abs=1e-9)
 
 
+    def test_near_hermitian_operator_rejected(self):
+        f = rn_operator(random_channel(2, 2, 2, seed=9), make_reference(maximally_mixed(2))).mat
+        skew = np.zeros((4, 4))
+        skew[0, 1], skew[1, 0] = 1e-9, -1e-9  # defect 2e-9 > 1e-9
+        RNOperator(f)
+        with pytest.raises(ValueError, match="operator must be Hermitian"):
+            RNOperator(f + skew)
+
+
 class TestApplyRN:
     def test_reproduces_channel_action(self):
         rng = np.random.default_rng(9)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 from chanid.linalg import (
     DensityOperator,
+    _fidelities_psd,
     _fix_column_phases,
+    hermitian_part,
     maximally_mixed,
     operator_norm,
     partial_trace,
@@ -183,6 +187,13 @@ class TestStateFidelity:
         with pytest.raises(ValueError):
             state_fidelity(maximally_mixed(2), maximally_mixed(3))
 
+    def test_stacked_fidelities_match_one_pair_at_a_time(self):
+        # enough pairs that libm pow(s, 2) and s * s differ on some of them
+        rng = np.random.default_rng(19)
+        a = np.array([rand_density_mat(rng, 3) for _ in range(4000)])
+        b = np.array([rand_density_mat(rng, 3) for _ in range(4000)])
+        assert np.array_equal(_fidelities_psd(a, b), [fidelity_psd_oracle(x, y) for x, y in zip(a, b)])
+
 
 class TestRandomUnitary:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -212,6 +223,18 @@ class TestDensityOperator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             DensityOperator(np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+    def test_exactly_hermitian_input_needs_no_svd(self, monkeypatch):
+        m = hermitian_part(rand_density_mat(np.random.default_rng(5), 4))
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        DensityOperator(m)
+        assert calls == []
+        skew = np.zeros((4, 4))
+        skew[0, 1], skew[1, 0] = 1e-9, -1e-9  # anti-Hermitian: m - m† = 2 skew
+        with pytest.raises(ValueError, match=re.escape(f"not Hermitian: defect {2e-9:.3e}")):
+            DensityOperator(m + skew)
+        assert calls == [1]
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
@@ -249,6 +272,17 @@ class TestDensityOperator:
             assert abs(pivot.imag) <= 1e-12 and pivot.real > 0
 
 
+def fidelity_psd_oracle(a, b):
+    """fidelity_psd of one pair, as the single-matrix formula reads."""
+    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
+    root = (vecs * np.clip(vals, 0.0, None) ** 0.5) @ vecs.conj().T
+    inner = root @ b @ root
+    inner_vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    floor = 1e-13 * max(float(inner_vals[-1]), 0.0)
+    inner_vals = np.where(inner_vals < floor, 0.0, inner_vals)
+    return float(np.sum(np.sqrt(np.clip(inner_vals, 0.0, None))) ** 2)
+
+
 def _fix_column_phases_loop(vectors):
     """Column-by-column phase fix: the definition _fix_column_phases vectorizes."""
     out = np.array(vectors, dtype=complex, copy=True)
@@ -272,6 +306,14 @@ class TestFixColumnPhases:
             ties = (rng.integers(-2, 3, (n, n)) + 1j * rng.integers(-2, 3, (n, n))) * rng.standard_normal()
             for v in (vecs, ties, rng.standard_normal((n, n))):
                 assert np.array_equal(_fix_column_phases(v), _fix_column_phases_loop(v))
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(38)
+        m = rand_complex(rng, 30, 6).reshape(5, 6, 6)
+        stack = np.linalg.eigh(m + m.conj().swapaxes(-1, -2))[1]
+        fixed = _fix_column_phases(stack)
+        for v, got in zip(stack, fixed):
+            assert np.array_equal(got, _fix_column_phases_loop(v))
 
     def test_zero_column_and_tied_pivots(self):
         v = np.array([[0.0, 1j, 2.0, -3.0], [0.0, -1.0, -2j, 3j], [0.0, 0.5, 1.0, 1.0]])
