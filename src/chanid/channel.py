@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import (
     DensityOperator,
-    _hermiticity_defects,
+    _hermiticity_defect,
     _random_unitaries,
     hermitian_part,
     operator_norm,
@@ -124,7 +124,7 @@ class ChoiMatrix:
         n = self.dim_out * self.dim_in
         if m.shape != (n, n):
             raise ValueError(f"Choi matrix must be {n}x{n}, got {m.shape}")
-        defect = _hermiticity_defects(m[None])[0]
+        defect = _hermiticity_defect(m)
         if defect > CHOI_HERM_TOL:
             raise ValueError(f"Choi matrix not Hermitian: defect {defect:.3e}")
         object.__setattr__(self, "mat", m)

@@ -14,25 +14,28 @@ chunk through the same private cores that ``random_channel``,
 run for one trial.  Stacked LAPACK calls and elementwise arithmetic give
 the bits of single calls, so the CSV bytes equal those of evaluating the
 trials one at a time with the public functions.
+
+Values are checked where they enter: :class:`RefSpec`, :class:`NoiseSpec`,
+:class:`ExperimentConfig` and the sweep grid.  The states the stages build
+from them (references, probe outputs, disturbed outputs) are Hermitian and
+of unit trace by construction and PSD up to rounding, and are not checked
+again as density operators: the probe checks only its outputs' traces,
+and the reconstruction, as for any input, checks the trace and the PSD
+tolerance of w from its one eigendecomposition and clips what rounding
+left below 0.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import _choi_of_rows, _random_kraus
 from .identify import _probe_outputs, _reconstruct_stack, _reference_arrays
-from .linalg import (
-    DensityOperator,
-    _check_densities,
-    _clip_eigenpairs,
-    _random_unitaries,
-    _States,
-    hermitian_part,
-)
+from .linalg import TRACE_TOL, DensityOperator, _clip_eigenpairs, _random_unitaries, hermitian_part
 from .metrics import _channel_fidelities, fidelity_lower_bound
 
 TRIAL_SEED_STRIDE = 1_000_003
@@ -82,14 +85,14 @@ class RefSpec:
             if not self.spectrum:
                 raise ValueError("spectrum ref_spec requires eigenvalues")
             vals = tuple(float(x) for x in self.spectrum)
-            if any(x <= 0 for x in vals):
-                raise ValueError("spectrum entries must be positive")
-            if abs(sum(vals) - 1.0) > 1e-9:
-                raise ValueError(f"spectrum sums to {sum(vals)}, expected 1")
+            if not all(math.isfinite(x) and x > 0 for x in vals):
+                raise ValueError("spectrum entries must be finite and positive")
+            if abs(sum(vals) - 1.0) > TRACE_TOL:
+                raise ValueError(f"spectrum sums to {sum(vals)}, expected 1 within {TRACE_TOL}")
             object.__setattr__(self, "spectrum", vals)
         elif self.kind == "random_min_eig":
-            if self.min_eig is None or self.min_eig <= 0:
-                raise ValueError("random_min_eig ref_spec requires a positive floor")
+            if self.min_eig is None or not (math.isfinite(self.min_eig) and self.min_eig > 0):
+                raise ValueError("random_min_eig ref_spec requires a finite positive floor")
         elif self.kind != "maximally_mixed":
             raise ValueError(f"unknown ref_spec kind {self.kind!r}")
 
@@ -200,24 +203,24 @@ def apply_noise(w: DensityOperator, model: NoiseSpec, seed: int) -> DensityOpera
     """
     if model.kind == "none" or model.eps == 0.0:
         return w
-    return DensityOperator._checked(_noisy(_States(w.mat[None]), model, [seed]).mat[0])
+    return DensityOperator._checked(_noisy(w.mat[None], model, [seed])[0])
 
 
-def _noisy(w: _States, model: NoiseSpec, seeds) -> _States:
-    """:func:`apply_noise` for a checked stack of states, one noise seed each."""
+def _noisy(w: np.ndarray, model: NoiseSpec, seeds) -> np.ndarray:
+    """:func:`apply_noise` for a stack of states, one noise seed each."""
     if model.kind == "none" or model.eps == 0.0:
         return w
-    d = w.mat.shape[-1]
+    d = w.shape[-1]
     if model.kind == "depolarize":
-        return _check_densities((1.0 - model.eps) * w.mat + model.eps * np.eye(d) / d)
+        return (1.0 - model.eps) * w + model.eps * np.eye(d) / d
     if d == 1:  # the only traceless Hermitian matrix is 0
         return w
     gens = [np.random.default_rng(seed) for seed in seeds]
     h = hermitian_part(np.array([g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)) for g in gens]))
     h -= (np.trace(h, axis1=-2, axis2=-1).real / d)[:, None, None] * np.eye(d)
     norm = np.linalg.svd(h, compute_uv=False)[:, :1, None]
-    disturbed = hermitian_part(w.mat + model.eps * h / norm)
-    return _check_densities(_clip_eigenpairs(disturbed, *np.linalg.eigh(disturbed))[0])
+    disturbed = hermitian_part(w + model.eps * h / norm)
+    return _clip_eigenpairs(disturbed, *np.linalg.eigh(disturbed))[0]
 
 
 def _trial_seeds(master_seed: int, trial_index: int) -> tuple[int, int, int]:
@@ -244,7 +247,7 @@ def _random_references(floor: float, d1: int, seeds):
     draws = [(g.dirichlet(np.ones(d1)), int(g.integers(0, 2**62))) for g in gens]
     p = floor + (1.0 - d1 * floor) * np.array([dirichlet for dirichlet, _ in draws])
     u = _random_unitaries(d1, [useed for _, useed in draws])
-    return _reference_arrays(_check_densities((u * p[:, None, :]) @ u.conj().swapaxes(-1, -2)))
+    return _reference_arrays((u * p[:, None, :]) @ u.conj().swapaxes(-1, -2))
 
 
 def _diagonal_references(spectra: np.ndarray):
@@ -252,7 +255,7 @@ def _diagonal_references(spectra: np.ndarray):
     n, d1 = spectra.shape
     rho = np.zeros((n, d1, d1), dtype=complex)
     rho[:, np.arange(d1), np.arange(d1)] = spectra
-    return _reference_arrays(_check_densities(rho))
+    return _reference_arrays(rho)
 
 
 def _trial_records(cfg: ExperimentConfig, indices: range, c, refs, noise_seeds) -> list[TrialRecord]:
@@ -265,7 +268,7 @@ def _trial_records(cfg: ExperimentConfig, indices: range, c, refs, noise_seeds) 
     w = _probe_outputs(c, x, cfg.d2)
     noisy = _noisy(w, cfg.noise, noise_seeds)
     _, _, c_rec, tp_residual, consistency, _ = _reconstruct_stack(noisy, x_inv, min_eig, cfg.d2)
-    trace_dist = np.sum(np.linalg.svd(noisy.mat - w.mat, compute_uv=False), axis=-1)
+    trace_dist = np.sum(np.linalg.svd(noisy - w, compute_uv=False), axis=-1)
     fidelity = _channel_fidelities(c_rec, c, cfg.d1)
     eps = cfg.noise.eps if cfg.noise.kind != "none" else 0.0
     columns = zip(
@@ -340,7 +343,7 @@ def records_to_csv(records: list[TrialRecord]) -> str:
     buf = io.StringIO()
     buf.write(",".join(CSV_COLUMNS) + "\n")
     for r in records:
-        if r.fidelity < r.bound_value - 1e-9:
+        if not r.fidelity >= r.bound_value - 1e-9:
             raise SelfCheckError(
                 f"trial {r.trial_index}: fidelity {r.fidelity} below bound {r.bound_value}"
             )

@@ -11,7 +11,6 @@ mutually consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -115,78 +114,37 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _hermiticity_defects(m: np.ndarray) -> np.ndarray:
-    """||m - m†||_op of each matrix of a stack.
+def _hermiticity_defect(m: np.ndarray) -> float:
+    """||m - m†||_op of a square matrix.
 
     A matrix that equals its adjoint exactly, as every ``hermitian_part``
     output does, has defect 0 by definition and costs no SVD.
     """
     diff = m - _adjoint(m)
-    defects = np.zeros(len(m))
-    inexact = diff.any(axis=(-2, -1))
-    if inexact.any():
-        defects[inexact] = np.linalg.svd(diff[inexact], compute_uv=False)[:, 0]
-    return defects
+    if not diff.any():
+        return 0.0
+    return float(np.linalg.svd(diff, compute_uv=False)[0])
 
 
-class _States(NamedTuple):
-    """A stack of state matrices and, where known, the (unphased) eigenpairs
-    ``vals``, ``vecs`` of their Hermitian parts.
-
-    The eigenpairs are None when the stack was not decomposed, and wrong on
-    the matrices flagged ``stale``: the density checks rebuilt those from
-    clipped eigenvalues after decomposing them.
-    """
-
-    mat: np.ndarray
-    vals: np.ndarray | None = None
-    vecs: np.ndarray | None = None
-    stale: np.ndarray | None = None
-
-    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs of ``hermitian_part(mat)``, decomposing only where they are not known."""
-        if self.vals is None:
-            return np.linalg.eigh(hermitian_part(self.mat))
-        if not self.stale.any():
-            return self.vals, self.vecs
-        vals, vecs = self.vals.copy(), self.vecs.copy()
-        vals[self.stale], vecs[self.stale] = np.linalg.eigh(hermitian_part(self.mat[self.stale]))
-        return vals, vecs
-
-
-def _check_densities(m: np.ndarray) -> _States:
-    """The checks of :class:`DensityOperator` on a stack of square matrices, in
-    its order: finite entries, Hermiticity, unit trace, then the PSD check
-    and the clip from one ``eigh``, whose eigenpairs come back with the
-    states."""
-    m = np.asarray(m, dtype=complex)
-    if not np.isfinite(m).all():
-        raise ValueError("density operator entries must be finite")
-    defect = _hermiticity_defects(m).max()
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"not Hermitian: defect {defect:.3e}")
-    off = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
-    if off.max() > TRACE_TOL:
-        raise ValueError(f"trace {complex(np.trace(m[np.argmax(off)]))} is not 1 within {TRACE_TOL}")
-    vals, vecs = np.linalg.eigh(hermitian_part(m))
-    lowest = vals.min(axis=-1, initial=0.0)  # vals[:, 0] where it is negative
-    if lowest.min() < -PSD_ADMISSION_TOL:
-        raise ValueError(f"not PSD: min eigenvalue {lowest.min():.3e}")
-    clipped = lowest < 0.0
-    if clipped.any():
-        v = vecs[clipped]
-        m = m.copy()
-        m[clipped] = (v * np.clip(vals[clipped], 0.0, None)[:, None, :]) @ _adjoint(v)
-    return _States(m, vals, vecs, clipped)
+def _check_unit_traces(m: np.ndarray, what: str = "trace") -> None:
+    """Raise ``ValueError`` unless the trace of m, or of each matrix of a
+    stack m, is 1 within ``TRACE_TOL``; a NaN trace fails too."""
+    traces = np.atleast_1d(np.trace(m, axis1=-2, axis2=-1))
+    off = np.abs(traces - 1.0)
+    if not off.max() <= TRACE_TOL:
+        raise ValueError(f"{what} {complex(traces[np.argmax(off)])} is not 1 within {TRACE_TOL}")
 
 
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, PSD, unit-trace matrix.
 
-    Construction validates the three invariants.  Eigenvalues in
+    Construction validates the invariants, in this order: finite entries,
+    Hermiticity, unit trace, then the PSD check.  Eigenvalues in
     ``[-1e-10, 0)`` are treated as numerical noise and clipped to zero
-    (rebuilding the matrix); anything more negative is rejected.
+    (rebuilding the matrix); anything more negative is rejected.  This is
+    where states from JSON and user code are checked; the states the
+    package builds itself are wrapped by :meth:`_checked` instead.
     """
 
     mat: np.ndarray = field(repr=False)
@@ -195,11 +153,28 @@ class DensityOperator:
         m = np.asarray(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
-        object.__setattr__(self, "mat", _check_densities(m[None]).mat[0])
+        if not np.isfinite(m).all():
+            raise ValueError("density operator entries must be finite")
+        defect = _hermiticity_defect(m)
+        if defect > HERMITICITY_TOL:
+            raise ValueError(f"not Hermitian: defect {defect:.3e}")
+        _check_unit_traces(m)
+        vals, vecs = np.linalg.eigh(hermitian_part(m))
+        if vals[0] < -PSD_ADMISSION_TOL:
+            raise ValueError(f"not PSD: min eigenvalue {vals[0]:.3e}")
+        if vals[0] < 0.0:  # eigenvalues ascend
+            m = (vecs * np.clip(vals, 0.0, None)) @ _adjoint(vecs)
+        object.__setattr__(self, "mat", m)
 
     @classmethod
     def _checked(cls, mat: np.ndarray) -> DensityOperator:
-        """Wrap one matrix of a :class:`_States` stack without checking it again."""
+        """Wrap a state the package built itself (a probe output, a disturbed
+        one) without checking it.
+
+        Such states are Hermitian and of unit trace by construction and PSD
+        up to rounding: an eigenvalue may sit a rounding error below 0,
+        which ``reconstruct`` clips.
+        """
         rho = object.__new__(cls)
         object.__setattr__(rho, "mat", mat)
         return rho

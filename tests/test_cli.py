@@ -249,6 +249,16 @@ class TestMalformedInput:
         code = cli_main(["reconstruct", "--w", paths["w"], "--ref", paths["ref"]])
         self.assert_one_line_error(code, capsys)
 
+    @pytest.mark.parametrize(
+        "ref_spec",
+        [{"random_min_eig": float("nan")}, {"spectrum": [float("nan")] * 2}, {"spectrum": [0.5, 0.5 + 5e-10]}],
+        ids=["nan-floor", "nan-spectrum", "sum-off-by-5e-10"],
+    )
+    def test_reference_spec_rejected(self, tmp_path, capsys, ref_spec):
+        cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "ref_spec": ref_spec})
+        code = cli_main(["roundtrip", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+        self.assert_one_line_error(code, capsys)
+
     @pytest.mark.parametrize("cutoff", [float("nan"), -1.0], ids=["nan", "negative"])
     def test_reference_cutoff_rejected(self, tmp_path, capsys, cutoff):
         # either cutoff would admit this reference, min eig 1e-300

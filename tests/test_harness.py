@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import chanid.harness as harness
 from chanid.channel import random_channel
 from chanid.harness import (
     CSV_COLUMNS,
@@ -225,6 +226,32 @@ class TestStackedTrialsMatchTheLoop:
         assert peak(200) <= 1.25 * peak(20)
 
 
+class TestLapackCallsPerTrial:
+    """The probe and the noise build states without decomposing them: each
+    noisy probe output is decomposed once, by the reconstruction."""
+
+    def test_one_eigh_of_w_and_one_state_sized_svd(self, monkeypatch):
+        d, trials = 3, 5
+        cfg = ExperimentConfig(
+            d, d, d, RefSpec("random_min_eig", min_eig=0.05 / d), NoiseSpec("depolarize", 0.02), trials, seed=5
+        )
+        states, decomposed, svd_shapes = [], [], []
+        for name in ("_probe_outputs", "_noisy"):
+            stage = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *a, stage=stage: states.append(stage(*a)) or states[-1])
+        eigh, svd = np.linalg.eigh, np.linalg.svd
+        monkeypatch.setattr(np.linalg, "eigh", lambda m, *a, **k: decomposed.append(np.copy(m)) or eigh(m, *a, **k))
+        monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: svd_shapes.append(np.shape(m)) or svd(m, *a, **k))
+        run_roundtrip(cfg)
+        probe, noisy = states  # one chunk holds every trial
+        n = d * d
+        square = [m for stack in decomposed if stack.shape[-2:] == (n, n) for m in stack.reshape(-1, n, n)]
+        for w, w_noisy in zip(probe, noisy):
+            assert sum(np.array_equal(m, w_noisy) for m in square) == 1
+            assert not any(np.array_equal(m, w) for m in square)
+        assert sum(int(np.prod(s[:-2])) for s in svd_shapes if s[-2:] == (n, n)) == trials
+
+
 class TestCsvOutput:
     def test_header_and_formatting(self, tmp_path):
         records = run_roundtrip(small_config(trials=2))
@@ -251,6 +278,11 @@ class TestCsvOutput:
         )
         with pytest.raises(SelfCheckError):
             records_to_csv([bad])
+
+    @pytest.mark.parametrize("fidelity, bound", [(float("nan"), 0.9), (0.95, float("nan"))], ids=["fidelity", "bound"])
+    def test_nan_aborts(self, fidelity, bound):
+        with pytest.raises(SelfCheckError):
+            records_to_csv([TrialRecord(0, 0.5, 0.0, 0.0, 0.0, 0.0, fidelity, bound)])
 
 
 class TestConfig:
@@ -280,6 +312,16 @@ class TestConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             small_config(seed=-1)
+
+    @pytest.mark.parametrize(
+        "ref_spec",
+        [{"random_min_eig": float("nan")}, {"spectrum": [float("nan")] * 2}, {"spectrum": [0.5, 0.5 + 5e-10]}],
+        ids=["nan-floor", "nan-spectrum", "sum-off-by-5e-10"],
+    )
+    def test_ref_spec_rejected_at_entry(self, ref_spec):
+        # the stages build the references from these values without checking them again
+        with pytest.raises(ValueError):
+            config_from_json({"d1": 2, "d2": 2, "kraus_rank": 2, "trials": 1, "ref_spec": ref_spec})
 
     def test_ref_spec_length_checked(self):
         with pytest.raises(ValueError):

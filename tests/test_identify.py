@@ -10,6 +10,7 @@ from chanid.channel import (
     random_channel,
     tensor_with_identity,
     unitary_channel,
+    zero_map,
 )
 from chanid.identify import (
     NotAdmissibleError,
@@ -139,6 +140,11 @@ class TestForwardMap:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             forward_map(identity_channel(3), make_reference(maximally_mixed(2)))
+
+    def test_map_that_is_not_trace_preserving_rejected(self):
+        # the probe output's unit trace is the one check the probe keeps
+        with pytest.raises(ValueError, match="trace"):
+            forward_map(zero_map(2, 2), make_reference(maximally_mixed(2)))
 
 
 class TestVIsometry:
