@@ -2,11 +2,14 @@
 
 Choi matrices live on (output ⊗ input) with the output factor varying
 slowly, matching the package-wide index convention, and carry the factor
-d_in: C = (T ⊗ id)(d_in · |Omega><Omega|), so tr C = d_in for a channel.  Each
-``KrausChannel`` builds its Choi matrix once, at construction, and every
-consumer (``choi``, the probe map, the metrics, the trace-preservation
-flag) reads that one matrix.  Stinespring dilations have the shape
-V: H_out -> H_in ⊗ E, so that T(rho) = V† (rho ⊗ 1_E) V.
+d_in: C = (T ⊗ id)(d_in · |Omega><Omega|), so tr C = d_in for a channel.  Every
+consumer (``choi``, the probe map, the metrics, the TP flag) reads the one
+Choi matrix a ``KrausChannel`` holds: accumulated from its Kraus operators
+at construction, or, for a map built by :func:`from_choi` or
+``reconstruct``, the kept part V diag(lam·keep) V† of the input's
+eigendecomposition, whose eigenvectors become Kraus operators only there.
+Stinespring dilations have the shape V: H_out -> H_in ⊗ E, so that
+T(rho) = V† (rho ⊗ 1_E) V.
 """
 
 from __future__ import annotations
@@ -17,18 +20,21 @@ import numpy as np
 
 from .linalg import (
     DensityOperator,
+    _adjoint,
+    _fix_column_phases,
     _hermiticity_defect,
     _random_unitaries,
     hermitian_part,
     operator_norm,
     partial_trace,
-    spectral_decomposition,
     tensor_product,
 )
 
 TP_FLAG_TOL = 1e-9
 CHOI_HERM_TOL = 1e-10
 DOMINATION_PSD_TOL = 1e-9
+FROM_CHOI_RANK_CUTOFF = 1e-10
+FROM_CHOI_PSD_TOL = 1e-8
 
 
 class NotCompletelyPositiveError(ValueError):
@@ -78,8 +84,8 @@ class KrausChannel:
 
     @classmethod
     def _built(cls, dim_in: int, dim_out: int, kraus: tuple, c: np.ndarray, tp_defect: float) -> KrausChannel:
-        """A map whose Kraus operators, Choi matrix and TP defect were built
-        together by :func:`_minimal_kraus`: nothing to check or build again."""
+        """A map whose Kraus operators, Choi matrix and TP defect come from one
+        :func:`_truncated_choi` result: nothing to check or build again."""
         t = object.__new__(cls)
         for name, value in (("dim_in", dim_in), ("dim_out", dim_out), ("kraus", kraus)):
             object.__setattr__(t, name, value)
@@ -136,11 +142,8 @@ def choi(t: KrausChannel) -> ChoiMatrix:
 
 
 def _choi_of_rows(rows: np.ndarray) -> np.ndarray:
-    """C = sum_k v_k v_k† over rows[k] = vec(A_k), for one map or a stack of maps.
-
-    The outer products are accumulated in Kraus order and C is returned as
-    its Hermitian part; a zero row adds nothing.
-    """
+    """C = sum_k v_k v_k† over rows[k] = vec(A_k), for one map or a stack of
+    maps, accumulated in Kraus order and returned as its Hermitian part."""
     n = rows.shape[-1]
     c = np.zeros(rows.shape[1:] + (n,), dtype=complex)
     for v, v_conj in zip(rows, rows.conj()):
@@ -155,55 +158,49 @@ def _marginal_singular_values(c: np.ndarray, d1: int, d2: int) -> np.ndarray:
     return np.linalg.svd(partial_trace(c, (d2, d1), "first") - np.eye(d1), compute_uv=False)
 
 
-def _minimal_kraus(c: np.ndarray, d1: int, d2: int, rank_cutoff, psd_tol) -> tuple[np.ndarray, ...]:
-    """:func:`from_choi` for a stack of Choi matrices, without building channels.
+def _truncated_choi(c: np.ndarray, d1: int, d2: int, rank_cutoff, psd_tol) -> tuple:
+    """Choi-form core of :func:`from_choi` and ``reconstruct`` for a stack of
+    Choi matrices: one ``eigh`` each, no Kraus operators.
 
-    Returns ``(vectors, keep, c_rec, tp_defect)``.  Column k of ``vectors``
-    is sqrt(lam_k) v_k for the k-th eigenpair in ascending order,
-    phase-fixed, where ``keep`` (lam_k > rank_cutoff) and zero elsewhere, so
-    the kept columns are a suffix.  ``c_rec`` and ``tp_defect`` are the Choi
-    matrices and TP defects of the kept Kraus sets, built as a
-    ``KrausChannel`` builds them.  ``rank_cutoff`` and ``psd_tol`` are
-    scalars or one per matrix; an eigenvalue below -psd_tol raises
+    Returns ``(c_rec, tp_defect, (lam, vecs, keep))``: the eigenpairs as
+    ``eigh`` gives them, keep = lam > ``rank_cutoff``, c_rec the Hermitian
+    part of V diag(lam·keep) V† and tp_defect its TP defect.  The thresholds
+    are scalars or one per matrix; an eigenvalue below -``psd_tol`` raises
     :class:`NotCompletelyPositiveError`.
     """
-    spec = spectral_decomposition(c)
-    lam = spec.eigenvalues
+    lam, vecs = np.linalg.eigh(hermitian_part(c))
     not_cp = lam[:, 0] < -np.asarray(psd_tol)
     if not_cp.any():
         i = np.argmax(not_cp)
         tol = np.broadcast_to(psd_tol, not_cp.shape)[i]
-        raise NotCompletelyPositiveError(
-            f"Choi matrix has eigenvalue {lam[i, 0]:.3e} < -{tol:.1e}"
-        )
+        raise NotCompletelyPositiveError(f"Choi matrix has eigenvalue {lam[i, 0]:.3e} < -{tol:.1e}")
     keep = lam > np.reshape(rank_cutoff, (-1, 1))
-    vectors = spec.eigenvectors * np.sqrt(np.where(keep, lam, 0.0))[:, None, :]
-    kept = keep.any(axis=0)
-    first = int(np.argmax(kept)) if kept.any() else len(kept)
-    # the columns before the first one any matrix keeps are zero: they add nothing
-    c_rec = _choi_of_rows(np.moveaxis(vectors, -1, 0)[first:])
-    return vectors, keep, c_rec, _marginal_singular_values(c_rec, d1, d2)[:, 0]
+    c_rec = hermitian_part((vecs * np.where(keep, lam, 0.0)[:, None, :]) @ _adjoint(vecs))
+    return c_rec, _marginal_singular_values(c_rec, d1, d2)[:, 0], (lam, vecs, keep)
 
 
-def from_choi(
-    c: ChoiMatrix, rank_cutoff: float = 1e-10, psd_tol: float = 1e-8
-) -> KrausChannel:
+def from_choi(c: ChoiMatrix) -> KrausChannel:
     """Extract a minimal Kraus set from a PSD Choi matrix.
 
-    Eigenpairs with eigenvalue > ``rank_cutoff`` become Kraus operators
-    ``sqrt(lam) * unvec(v)``; eigenvalues below ``-psd_tol`` mean the matrix
-    is not a CP-map Choi matrix and raise
-    :class:`NotCompletelyPositiveError`.  Eigenvector phases are fixed so
-    the result is deterministic.
+    Eigenpairs with eigenvalue > ``FROM_CHOI_RANK_CUTOFF`` become Kraus
+    operators ``sqrt(lam) * unvec(v)``; an eigenvalue below
+    ``-FROM_CHOI_PSD_TOL`` means the matrix is not a CP-map Choi matrix and
+    raises :class:`NotCompletelyPositiveError`.  Eigenvector phases are
+    fixed so the result is deterministic.  The map's Choi matrix is
+    V diag(lam·keep) V†, which its Kraus accumulation equals to rounding.
     """
-    found = _minimal_kraus(c.mat[None], c.dim_in, c.dim_out, rank_cutoff, psd_tol)
-    return _channel_of(*(a[0] for a in found), c.dim_in, c.dim_out)
+    found = _truncated_choi(c.mat[None], c.dim_in, c.dim_out, FROM_CHOI_RANK_CUTOFF, FROM_CHOI_PSD_TOL)
+    return _channel_of(*found, c.dim_in, c.dim_out)
 
 
-def _channel_of(vectors, keep, c_rec, tp_defect, d1: int, d2: int) -> KrausChannel:
-    """The ``KrausChannel`` of one matrix of a :func:`_minimal_kraus` result."""
-    ops = tuple(v.reshape(d2, d1) for v in vectors.T[keep]) or (np.zeros((d2, d1), dtype=complex),)
-    return KrausChannel._built(d1, d2, ops, c_rec, float(tp_defect))
+def _channel_of(c_rec, tp_defect, eig, d1: int, d2: int) -> KrausChannel:
+    """The ``KrausChannel`` of a one-matrix :func:`_truncated_choi` result: the
+    only place Kraus operators are cut, each kept eigenvector phase-fixed,
+    then scaled by sqrt(lam) and unvectorized."""
+    lam, vecs, keep = (a[0] for a in eig)
+    vectors = _fix_column_phases(vecs[:, keep]) * np.sqrt(lam[keep])
+    ops = tuple(v.reshape(d2, d1) for v in vectors.T) or (np.zeros((d2, d1), dtype=complex),)
+    return KrausChannel._built(d1, d2, ops, c_rec[0], float(tp_defect[0]))
 
 
 def tensor_with_identity(t: KrausChannel, d_anc: int) -> KrausChannel:

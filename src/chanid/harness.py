@@ -37,6 +37,7 @@ from .channel import _choi_of_rows, _random_kraus
 from .identify import _probe_outputs, _reconstruct_stack, _reference_arrays
 from .linalg import TRACE_TOL, DensityOperator, _clip_eigenpairs, _random_unitaries, hermitian_part
 from .metrics import _channel_fidelities, fidelity_lower_bound
+from .serialize import _json_int
 
 TRIAL_SEED_STRIDE = 1_000_003
 # Complex entries per stacked matrix stage: a chunk holds
@@ -182,13 +183,13 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
 def config_from_json(obj: dict) -> ExperimentConfig:
     try:
         return ExperimentConfig(
-            d1=int(obj["d1"]),
-            d2=int(obj["d2"]),
-            kraus_rank=int(obj["kraus_rank"]),
+            d1=_json_int(obj["d1"], "d1"),
+            d2=_json_int(obj["d2"], "d2"),
+            kraus_rank=_json_int(obj["kraus_rank"], "kraus_rank"),
             ref_spec=ref_spec_from_json(obj.get("ref_spec", "maximally_mixed")),
             noise=noise_from_json(obj.get("noise", "none")),
-            trials=int(obj["trials"]),
-            seed=int(obj.get("seed", 0)),
+            trials=_json_int(obj["trials"], "trials"),
+            seed=_json_int(obj.get("seed", 0), "seed"),
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed experiment config: {exc}") from exc
@@ -267,7 +268,7 @@ def _trial_records(cfg: ExperimentConfig, indices: range, c, refs, noise_seeds) 
     min_eig, x, x_inv = refs
     w = _probe_outputs(c, x, cfg.d2)
     noisy = _noisy(w, cfg.noise, noise_seeds)
-    _, _, c_rec, tp_residual, consistency, _ = _reconstruct_stack(noisy, x_inv, min_eig, cfg.d2)
+    c_rec, tp_residual, _, consistency, _ = _reconstruct_stack(noisy, x_inv, min_eig, cfg.d2)
     trace_dist = np.sum(np.linalg.svd(noisy - w, compute_uv=False), axis=-1)
     fidelity = _channel_fidelities(c_rec, c, cfg.d1)
     eps = cfg.noise.eps if cfg.noise.kind != "none" else 0.0

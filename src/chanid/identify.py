@@ -28,7 +28,7 @@ from .channel import (
     NotCompletelyPositiveError,
     _channel_of,
     _marginal_singular_values,
-    _minimal_kraus,
+    _truncated_choi,
     choi,
 )
 from .linalg import (
@@ -117,7 +117,8 @@ class RNOperator:
 class ReconstructionResult:
     """CP map recovered from a bipartite state, with diagnostics.
 
-    ``tp_residual`` is ||sum A† A - 1||_op of the recovered Kraus set;
+    ``tp_residual`` is ||tr_out C - 1||_op of the recovered map's Choi
+    matrix C (= ||sum A† A - 1||_op of its Kraus set, up to rounding);
     ``consistency_residual`` measures how far the input state is from the
     image of a trace-preserving map; ``clip_magnitude`` is the total
     negative eigenvalue weight removed from the input before inversion.
@@ -268,22 +269,23 @@ def reconstruct(
     if w_mat.shape != (n, n):
         raise ValueError(f"state shape {w_mat.shape} is not ({n}, {n})")
     found = _reconstruct_stack(w_mat[None], ref.x_inv[None], np.array([ref.min_eig]), d2)
-    kraus, keep, c_rec, tp, consistency, clipped = (a[0] for a in found)
+    c_rec, tp, eig, consistency, clipped = found
     return ReconstructionResult(
-        cp_map=_channel_of(kraus, keep, c_rec, tp, d1, d2),
-        tp_residual=float(tp),
-        consistency_residual=float(consistency),
-        clip_magnitude=float(clipped),
+        cp_map=_channel_of(c_rec, tp, eig, d1, d2),
+        tp_residual=float(tp[0]),
+        consistency_residual=float(consistency[0]),
+        clip_magnitude=float(clipped[0]),
     )
 
 
 def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, min_eig: np.ndarray, d2: int) -> tuple:
     """:func:`reconstruct` for a stack of states w and of references (x_inv, min_eig).
 
-    Returns ``(kraus, keep, c_rec, tp_residual, consistency_residual,
-    clip_magnitude)``, the first four as ``channel._minimal_kraus`` gives
-    them; builds no ``KrausChannel``.  Its one ``eigh`` of each w serves
-    the PSD check, the clip and ||w||_op.
+    Returns ``(c_rec, tp_residual, (lam, vecs, keep), consistency_residual,
+    clip_magnitude)``, the first three as ``channel._truncated_choi`` gives
+    them: the recovered maps stay in Choi form and no Kraus operator or
+    ``KrausChannel`` is built.  Its one ``eigh`` of each w serves the PSD
+    check, the clip and ||w||_op.
     """
     d1 = x_inv.shape[-1]
     _check_unit_traces(w, "state trace")
@@ -297,4 +299,4 @@ def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, min_eig: np.ndarray, d2
     c = hermitian_part(_congruence(w_clip, x_inv, d2))
     tol = CHOI_REL_TOL * vals[:, -1] / min_eig
     consistency = np.sum(_marginal_singular_values(c, d1, d2), axis=-1)
-    return (*_minimal_kraus(c, d1, d2, tol, tol), consistency, clipped)
+    return (*_truncated_choi(c, d1, d2, tol, tol), consistency, clipped)

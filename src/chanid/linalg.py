@@ -82,13 +82,12 @@ def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     """Make each column's first largest-magnitude entry real positive, in one
     matrix or in each matrix of a stack."""
     vectors = np.asarray(vectors, dtype=complex)
-    flat = vectors.reshape(-1, *vectors.shape[-2:])
-    rows = np.argmax(np.abs(flat), axis=1)
-    pivots = flat[np.arange(len(flat))[:, None], rows, np.arange(flat.shape[2])]
+    rows = np.argmax(np.abs(vectors), axis=-2)
+    pivots = np.take_along_axis(vectors, rows[..., None, :], axis=-2)
     # Per-pivot division of numpy complex128 scalars keeps the bits of the
     # column loop: numpy's array division rounds |p|/p differently.
     phases = np.array([abs(p) / p if abs(p) > 0 else 1.0 for p in pivots.reshape(-1)], dtype=complex)
-    return vectors * phases.reshape(*vectors.shape[:-2], 1, vectors.shape[-1])
+    return vectors * phases.reshape(pivots.shape)
 
 
 def spectral_decomposition(m: np.ndarray) -> Spectrum:
@@ -141,8 +140,9 @@ class DensityOperator:
 
     Construction validates the invariants, in this order: finite entries,
     Hermiticity, unit trace, then the PSD check.  Eigenvalues in
-    ``[-1e-10, 0)`` are treated as numerical noise and clipped to zero
-    (rebuilding the matrix); anything more negative is rejected.  This is
+    ``[-1e-10, 0)`` are treated as numerical noise and clipped by the one
+    clip rule for states, :func:`_clip_eigenpairs` (zeroed, then the matrix
+    rebuilt at unit trace); anything more negative is rejected.  This is
     where states from JSON and user code are checked; the states the
     package builds itself are wrapped by :meth:`_checked` instead.
     """
@@ -162,9 +162,7 @@ class DensityOperator:
         vals, vecs = np.linalg.eigh(hermitian_part(m))
         if vals[0] < -PSD_ADMISSION_TOL:
             raise ValueError(f"not PSD: min eigenvalue {vals[0]:.3e}")
-        if vals[0] < 0.0:  # eigenvalues ascend
-            m = (vecs * np.clip(vals, 0.0, None)) @ _adjoint(vecs)
-        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "mat", _clip_eigenpairs(m[None], vals[None], vecs[None])[0][0])
 
     @classmethod
     def _checked(cls, mat: np.ndarray) -> DensityOperator:

@@ -260,6 +260,8 @@ def cb_distance_interval(
     _check_same_dims(t1, t2)
     if starts < 0 or max_iters < 0:
         raise ValueError(f"starts and max_iters must be >= 0, got {starts} and {max_iters}")
+    if not tol >= 0:  # NaN too: it would stop every start after one step
+        raise ValueError(f"tol must be >= 0, got {tol}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     d1, d2 = t1.dim_in, t1.dim_out

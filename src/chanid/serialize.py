@@ -2,7 +2,8 @@
 
 Complex matrices are encoded as ``{"rows": R, "cols": C, "data": [[re, im],
 ...]}`` with the data row-major; every other object composes this format.
-Decoding validates shapes and raises ``ValueError`` on malformed input.
+Decoding validates shapes and raises ``ValueError`` on malformed input;
+integer fields must be JSON integers.
 """
 
 from __future__ import annotations
@@ -13,6 +14,18 @@ from .channel import ChoiMatrix, KrausChannel
 from .identify import ADMISSIBILITY_CUTOFF, ReconstructionResult, ReferenceState, make_reference
 from .linalg import DensityOperator
 from .metrics import NormInterval
+
+
+def _json_int(value, name: str) -> int:
+    """An integer field of a JSON object, as it was read.
+
+    Anything else (a float such as 2.7, a string such as "3", a bool) raises
+    ``ValueError`` naming the field, rather than being truncated or coerced
+    by ``int()``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -26,8 +39,9 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, OverflowError) as exc:
+        rows, cols = (_json_int(obj[key], key) for key in ("rows", "cols"))
+        data = obj["data"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dims must be positive, got {rows}x{cols}")
@@ -60,9 +74,9 @@ def channel_to_json(t: KrausChannel) -> dict:
 
 def channel_from_json(obj: dict) -> KrausChannel:
     try:
-        d1, d2 = int(obj["dim_in"]), int(obj["dim_out"])
+        d1, d2 = _json_int(obj["dim_in"], "dim_in"), _json_int(obj["dim_out"], "dim_out")
         kraus = tuple(matrix_from_json(a) for a in obj["kraus"])
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed channel object: {exc}") from exc
     return KrausChannel(dim_in=d1, dim_out=d2, kraus=kraus)
 
@@ -78,10 +92,10 @@ def choi_to_json(c: ChoiMatrix) -> dict:
 def choi_from_json(obj: dict) -> ChoiMatrix:
     """Decode a Choi matrix; a legacy ``"normalized": true`` matrix is C / d_in and is rescaled."""
     try:
-        d1, d2 = int(obj["dim_in"]), int(obj["dim_out"])
+        d1, d2 = _json_int(obj["dim_in"], "dim_in"), _json_int(obj["dim_out"], "dim_out")
         mat = matrix_from_json(obj["mat"])
         legacy_scaled = bool(obj.get("normalized", False))
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed Choi object: {exc}") from exc
     return ChoiMatrix(dim_in=d1, dim_out=d2, mat=mat * d1 if legacy_scaled else mat)
 

@@ -26,6 +26,15 @@ def rand_density_mat(rng: np.random.Generator, d: int, min_eig: float = 0.0) -> 
     return (q * p) @ q.conj().T
 
 
+def noise_clipped_state() -> np.ndarray:
+    """A 4x4 unit-trace state with spectrum (-0.9e-10, -0.9e-10, 0.5, 0.5 + 1.8e-10):
+    both negative eigenvalues sit inside the PSD admission tolerance."""
+    from chanid.linalg import random_unitary
+
+    u = random_unitary(4, 5)
+    return (u * np.array([-0.9e-10, -0.9e-10, 0.5, 0.5 + 1.8e-10])) @ u.conj().T
+
+
 def rand_state_vec(rng: np.random.Generator, d: int) -> np.ndarray:
     v = rand_complex(rng, d, 1).reshape(-1)
     return v / np.linalg.norm(v)

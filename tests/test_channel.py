@@ -201,6 +201,11 @@ class TestFromChoi:
         gram = vecs @ vecs.conj().T
         assert np.linalg.matrix_rank(gram, tol=1e-10) == len(back.kraus)
 
+    def test_zero_map_keeps_one_zero_operator(self):
+        back = from_choi(choi(zero_map(2, 3)))
+        assert len(back.kraus) == 1 and not back.kraus[0].any()
+        assert back.kraus[0].shape == (3, 2) and not choi(back).mat.any()
+
     def test_rejects_non_psd(self):
         bad = ChoiMatrix(dim_in=2, dim_out=2, mat=np.diag([1.0, 1.0, 1.0, -1.0]))
         with pytest.raises(NotCompletelyPositiveError):

@@ -18,6 +18,8 @@ from chanid.serialize import (
     reference_to_json,
 )
 
+from conftest import noise_clipped_state
+
 
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
@@ -73,6 +75,12 @@ class TestReconstruct:
         assert payload["tp_residual"] <= 1e-8
         assert "channel" in payload
 
+    def test_state_clipped_at_admission_is_accepted(self, tmp_path, capsys):
+        w_path = write_json(tmp_path / "w.json", matrix_to_json(noise_clipped_state()))
+        ref_path = write_json(tmp_path / "ref.json", reference_to_json(make_reference(maximally_mixed(2))))
+        assert cli_main(["reconstruct", "--w", w_path, "--ref", ref_path]) == 0
+        assert "channel" in json.loads(capsys.readouterr().out)
+
     def test_singular_reference_is_numerical_failure(self, tmp_path, capsys):
         ref_obj = {"rho": matrix_to_json(np.diag([1.0, 0.0])), "cutoff": 1e-10, "out_basis": None}
         ref_path = write_json(tmp_path / "bad_ref.json", ref_obj)
@@ -126,6 +134,15 @@ class TestFidelityAndCbdist:
         t = write_json(tmp_path / "a.json", channel_to_json(random_channel(2, 2, 2, seed=3)))
         assert cli_main(["cbdist", "--t1", t, "--t2", t, "--starts", "-3"]) == 1
         assert "starts" in capsys.readouterr().err
+
+    def test_nan_tol_is_validation_error(self, tmp_path, capsys):
+        # a NaN tol stopped every start after one step, with exit 0
+        t1 = write_json(tmp_path / "a.json", channel_to_json(random_channel(2, 2, 2, seed=1)))
+        t2 = write_json(tmp_path / "b.json", channel_to_json(random_channel(2, 2, 2, seed=2)))
+        assert cli_main(["cbdist", "--t1", t1, "--t2", t2, "--tol", "nan"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chanid: error:") and "tol" in err
+        assert err.count("\n") == 1
 
     def test_dimension_mismatch_is_validation_error(self, tmp_path, capsys):
         t1 = write_json(tmp_path / "a.json", channel_to_json(random_channel(2, 2, 2, seed=5)))
@@ -219,6 +236,49 @@ class TestHugeNumbers:
         assert cli_main([paths.get(a, a) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("chanid: error:")
+        assert err.count("\n") == 1
+
+
+class TestNonIntegerFields:
+    """Integer fields of JSON input are checked, not truncated or coerced by int()."""
+
+    CONFIG = {"d1": 2, "d2": 2, "kraus_rank": 2, "trials": 3, "seed": 1}
+    QUBIT_IDENTITY = {"dim_in": 2, "dim_out": 2, "kraus": [matrix_to_json(np.eye(2))]}
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"d1": 2.7, "trials": "3", "seed": 1.9},
+            {"d1": 2.7},
+            {"kraus_rank": 2.0},
+            {"trials": "3"},
+            {"seed": 1.9},
+            {"seed": True},
+        ],
+        ids=["all", "float-d1", "integral-float-rank", "string-trials", "float-seed", "bool-seed"],
+    )
+    def test_config(self, tmp_path, capsys, changes):
+        cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, **changes})
+        assert cli_main(["roundtrip", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chanid: error:") and "must be a JSON integer" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            {**QUBIT_IDENTITY, "dim_in": 2.9},
+            {**QUBIT_IDENTITY, "dim_out": "2"},
+            {**QUBIT_IDENTITY, "kraus": [{**matrix_to_json(np.eye(2)), "rows": 2.5}]},
+        ],
+        ids=["float-dim-in", "string-dim-out", "float-rows"],
+    )
+    def test_channel(self, tmp_path, capsys, channel):
+        good = write_json(tmp_path / "good.json", self.QUBIT_IDENTITY)
+        bad = write_json(tmp_path / "bad.json", channel)
+        assert cli_main(["cbdist", "--t1", bad, "--t2", good]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chanid: error:") and "must be a JSON integer" in err
         assert err.count("\n") == 1
 
 

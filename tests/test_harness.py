@@ -4,7 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+import chanid.channel as channel
 import chanid.harness as harness
+import chanid.identify as identify
+import chanid.linalg as linalg
 from chanid.channel import random_channel
 from chanid.harness import (
     CSV_COLUMNS,
@@ -250,6 +253,42 @@ class TestLapackCallsPerTrial:
             assert sum(np.array_equal(m, w_noisy) for m in square) == 1
             assert not any(np.array_equal(m, w) for m in square)
         assert sum(int(np.prod(s[:-2])) for s in svd_shapes if s[-2:] == (n, n)) == trials
+
+
+class TestReconstructionStaysInChoiForm:
+    """The stages keep recovered maps as Choi matrices: no phase fix and no
+    Kraus-vector accumulation runs on a (d1·d2)-sized stack; only the true
+    channels' Choi matrices are accumulated from Kraus rows."""
+
+    @pytest.mark.parametrize("run", ["roundtrip", "sweep"])
+    def test_no_kraus_form_on_choi_sized_stacks(self, monkeypatch, run):
+        d, trials = 3, 60  # 50 trials per chunk at d = 3: two chunks
+        cfg = ExperimentConfig(
+            d, d, d, RefSpec("random_min_eig", min_eig=0.05 / d), NoiseSpec("depolarize", 0.02), trials, seed=5
+        )
+        phase_fixed, accumulated = [], []
+        fix, rows_to_choi = linalg._fix_column_phases, channel._choi_of_rows
+
+        def fix_spy(vectors):
+            phase_fixed.append(np.shape(vectors))
+            return fix(vectors)
+
+        def rows_spy(rows):
+            accumulated.append(np.shape(rows))
+            return rows_to_choi(rows)
+
+        for module in (linalg, channel, identify):
+            monkeypatch.setattr(module, "_fix_column_phases", fix_spy)
+        for module in (channel, harness):
+            monkeypatch.setattr(module, "_choi_of_rows", rows_spy)
+        if run == "roundtrip":
+            run_roundtrip(cfg)
+            expected = [(d, 50, d * d), (d, 10, d * d)]  # (rank, trials, d1·d2) of each chunk
+        else:
+            run_spectrum_sweep(cfg, [float(x) for x in np.geomspace(1.0 / d, 1e-6, trials)])
+            expected = [(d, 1, d * d)]  # the one true channel
+        assert phase_fixed and all(shape[-2:] == (d, d) for shape in phase_fixed)
+        assert accumulated == expected
 
 
 class TestCsvOutput:

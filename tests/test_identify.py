@@ -3,6 +3,7 @@ import pytest
 
 from chanid.channel import (
     ChoiMatrix,
+    KrausChannel,
     choi,
     depolarizing_channel,
     from_choi,
@@ -12,6 +13,7 @@ from chanid.channel import (
     unitary_channel,
     zero_map,
 )
+from chanid.harness import NoiseSpec, apply_noise
 from chanid.identify import (
     NotAdmissibleError,
     ReferenceState,
@@ -37,7 +39,13 @@ from chanid.linalg import (
     trace_norm,
 )
 
-from conftest import choi_from_w_oracle, rand_density_mat, rho_inv_sqrt, v_isometry_oracle
+from conftest import (
+    choi_accumulation_oracle,
+    choi_from_w_oracle,
+    rand_density_mat,
+    rho_inv_sqrt,
+    v_isometry_oracle,
+)
 
 
 def rand_reference(rng, d, min_eig=0.05):
@@ -338,6 +346,28 @@ class TestReconstruct:
         rec = reconstruct(forward_map(t, ref), ref, d)
         assert np.max(np.abs(choi(rec.cp_map).mat - choi(t).mat)) <= 1e-12 / min_eig
         assert len(rec.cp_map.kraus) == d
+
+
+class TestBuiltMapsCacheTheirChoi:
+    """``from_choi`` and ``reconstruct`` cache V diag(lam·keep) V† as the map's
+    Choi matrix instead of rebuilding it from the Kraus operators they cut;
+    the two agree to rounding, and so do the TP defects."""
+
+    def test_cached_choi_and_tp_defect_match_the_kraus_set(self):
+        rng = np.random.default_rng(71)
+        for d1 in range(1, 7):
+            for d2 in range(1, 7):
+                ref = make_reference(DensityOperator(rand_density_mat(rng, d1, 0.05 / d1)))
+                for rank in sorted({r for r in (1, d1, d1 * d1) if d2 * r >= d1 and r <= d1 * d2}):
+                    t = random_channel(d1, d2, rank, seed=1000 * d1 + 10 * d2 + rank)
+                    w = forward_map(t, ref).mat
+                    jittered = apply_noise(DensityOperator(w), NoiseSpec("hermitian_jitter", 0.05), seed=rank)
+                    maps = [from_choi(choi(t))] + [reconstruct(x, ref, d2).cp_map for x in (w, jittered)]
+                    for m in maps:
+                        c = choi(m).mat
+                        assert operator_norm(c - choi_accumulation_oracle(m)) <= 1e-13 * operator_norm(c)
+                        rebuilt = KrausChannel(m.dim_in, m.dim_out, m.kraus)
+                        assert abs(m.tp_defect - rebuilt.tp_defect) <= 1e-14
 
 
 class TestConsistencyResidual:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chanid.identify import make_reference, reconstruct
 from chanid.linalg import (
+    TRACE_TOL,
     DensityOperator,
     _fidelities_psd,
     _fix_column_phases,
@@ -24,6 +26,7 @@ from chanid.linalg import (
 
 from conftest import (
     kron_oracle,
+    noise_clipped_state,
     partial_trace_oracle,
     rand_complex,
     rand_density_mat,
@@ -248,6 +251,14 @@ class TestDensityOperator:
         rho = DensityOperator(np.diag([1.0 + 5e-11, -5e-11]))
         vals = np.linalg.eigvalsh(rho.mat)
         assert vals[0] >= 0.0
+
+    def test_clip_keeps_unit_trace(self):
+        # zeroing two eigenvalues of -0.9e-10 without renormalizing left a
+        # trace of 1 + 1.8e-10, which reconstruct then rejected
+        state = noise_clipped_state()
+        assert abs(np.trace(DensityOperator(state).mat) - 1.0) <= TRACE_TOL
+        rec = reconstruct(DensityOperator(state), make_reference(maximally_mixed(2)), 2)
+        assert rec.clip_magnitude == 0.0  # nothing left to clip
 
     def test_spectrum_reconstructs(self):
         rng = np.random.default_rng(31)

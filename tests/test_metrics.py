@@ -177,7 +177,13 @@ class TestCbDistanceInterval:
 
     @pytest.mark.parametrize(
         "kwargs, message",
-        [({"starts": -3}, "starts"), ({"max_iters": -1}, "max_iters"), ({"seed": -1}, "seed")],
+        [
+            ({"starts": -3}, "starts"),
+            ({"max_iters": -1}, "max_iters"),
+            ({"seed": -1}, "seed"),
+            ({"tol": float("nan")}, "tol"),
+            ({"tol": -1.0}, "tol"),
+        ],
     )
     def test_negative_arguments_rejected(self, kwargs, message):
         t = random_channel(2, 2, 2, seed=11)
