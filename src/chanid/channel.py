@@ -289,7 +289,7 @@ def _random_kraus(d1: int, d2: int, kraus_rank: int, seeds) -> np.ndarray:
 
     Entry ``[j, s]`` is the operator A_j of seed s.
     """
-    w = _random_unitaries(d2 * kraus_rank, seeds)[:, :, :d1]
+    w = _random_unitaries(d2 * kraus_rank, seeds, cols=d1)
     # row (mu, j) of W is the mu-th output row of A_j
     return np.moveaxis(w.reshape(-1, d2, kraus_rank, d1), 2, 0)
 

@@ -104,8 +104,8 @@ def _cmd_sweep(args) -> int:
         grid = [float(x) for x in args.grid.split(",")]
     elif "min_eig_grid" in raw:
         try:
-            grid = [float(x) for x in raw["min_eig_grid"]]
-        except (TypeError, OverflowError) as exc:
+            grid = [serialize._json_float(x, "min_eig_grid entry") for x in raw["min_eig_grid"]]
+        except TypeError as exc:
             raise ValueError(f"min_eig_grid must be a list of numbers: {exc}") from exc
     else:
         raise ValueError("sweep needs --grid or a min_eig_grid entry in the config")

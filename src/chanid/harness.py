@@ -13,7 +13,11 @@ chunk through the same private cores that ``random_channel``,
 ``forward_map``, ``apply_noise``, ``reconstruct`` and ``channel_fidelity``
 run for one trial.  Stacked LAPACK calls and elementwise arithmetic give
 the bits of single calls, so the CSV bytes equal those of evaluating the
-trials one at a time with the public functions.
+trials one at a time with the public functions.  Each stage scores from
+what the chunk already holds: the fidelity is
+F = (sum sqrt(eig(K† C_rec K)))² / d1² from the true channels' Kraus rows
+K (their Choi matrices are C = K K†), and the reconstruction takes its PSD
+check and ||w||_op from one ``eigvalsh`` of each w.
 
 Values are checked where they enter: :class:`RefSpec`, :class:`NoiseSpec`,
 :class:`ExperimentConfig` and the sweep grid.  The states the stages build
@@ -21,8 +25,7 @@ from them (references, probe outputs, disturbed outputs) are Hermitian and
 of unit trace by construction and PSD up to rounding, and are not checked
 again as density operators: the probe checks only its outputs' traces,
 and the reconstruction, as for any input, checks the trace and the PSD
-tolerance of w from its one eigendecomposition and clips what rounding
-left below 0.
+tolerance of w from its eigenvalues and clips what rounding left below 0.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .channel import _choi_of_rows, _random_kraus
 from .identify import _probe_outputs, _reconstruct_stack, _reference_arrays
 from .linalg import TRACE_TOL, DensityOperator, _clip_eigenpairs, _random_unitaries, hermitian_part
 from .metrics import _channel_fidelities, fidelity_lower_bound
-from .serialize import _json_int
+from .serialize import _json_float, _json_int
 
 TRIAL_SEED_STRIDE = 1_000_003
 # Complex entries per stacked matrix stage: a chunk holds
@@ -147,9 +150,10 @@ def ref_spec_from_json(obj) -> RefSpec:
     if obj == "maximally_mixed":
         return RefSpec(kind="maximally_mixed")
     if isinstance(obj, dict) and "spectrum" in obj:
-        return RefSpec(kind="spectrum", spectrum=tuple(obj["spectrum"]))
+        spectrum = tuple(_json_float(x, "spectrum entry") for x in obj["spectrum"])
+        return RefSpec(kind="spectrum", spectrum=spectrum)
     if isinstance(obj, dict) and "random_min_eig" in obj:
-        return RefSpec(kind="random_min_eig", min_eig=float(obj["random_min_eig"]))
+        return RefSpec(kind="random_min_eig", min_eig=_json_float(obj["random_min_eig"], "random_min_eig"))
     raise ValueError(f"malformed ref_spec {obj!r}")
 
 
@@ -164,7 +168,7 @@ def noise_from_json(obj) -> NoiseSpec:
         return NoiseSpec(kind="none")
     if isinstance(obj, dict) and len(obj) == 1:
         kind, eps = next(iter(obj.items()))
-        return NoiseSpec(kind=kind, eps=float(eps))
+        return NoiseSpec(kind=kind, eps=_json_float(eps, "noise strength"))
     raise ValueError(f"malformed noise spec {obj!r}")
 
 
@@ -191,7 +195,7 @@ def config_from_json(obj: dict) -> ExperimentConfig:
             trials=_json_int(obj["trials"], "trials"),
             seed=_json_int(obj.get("seed", 0), "seed"),
         )
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed experiment config: {exc}") from exc
 
 
@@ -235,10 +239,13 @@ def _chunks(cfg: ExperimentConfig, total: int) -> list[range]:
     return [range(start, min(start + size, total)) for start in range(0, total, size)]
 
 
-def _random_chois(cfg: ExperimentConfig, seeds) -> np.ndarray:
-    """Choi matrices of ``random_channel(d1, d2, kraus_rank, seed)`` for each seed."""
+def _random_chois(cfg: ExperimentConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Choi matrices C of ``random_channel(d1, d2, kraus_rank, seed)`` for each
+    seed, and beside them their Kraus rows vec(A_k), entry ``[s, k]``, of which
+    C is the sum of outer products."""
     kraus = _random_kraus(cfg.d1, cfg.d2, cfg.kraus_rank, seeds)
-    return _choi_of_rows(kraus.reshape(cfg.kraus_rank, len(seeds), cfg.d2 * cfg.d1))
+    rows = kraus.reshape(cfg.kraus_rank, len(seeds), cfg.d2 * cfg.d1)
+    return _choi_of_rows(rows), rows.swapaxes(0, 1)
 
 
 def _random_references(floor: float, d1: int, seeds):
@@ -259,18 +266,22 @@ def _diagonal_references(spectra: np.ndarray):
     return _reference_arrays(rho)
 
 
-def _trial_records(cfg: ExperimentConfig, indices: range, c, refs, noise_seeds) -> list[TrialRecord]:
+def _trial_records(cfg: ExperimentConfig, indices: range, chans, refs, noise_seeds) -> list[TrialRecord]:
     """Probe, perturb, reconstruct and score a chunk of trials, one stacked stage at a time.
 
-    ``c`` holds the true Choi matrices and ``refs`` the references'
-    ``(min_eig, x, x_inv)``; either may be a stack of one shared by every trial.
+    ``chans`` holds the true channels' Choi matrices and Kraus rows, as
+    :func:`_random_chois` gives them, and ``refs`` the references'
+    ``(min_eig, x, x_inv)``; either may be a stack of one shared by every
+    trial.  The fidelity is scored from the Kraus rows, so it decomposes
+    only rank-sized matrices.
     """
+    c, rows = chans
     min_eig, x, x_inv = refs
     w = _probe_outputs(c, x, cfg.d2)
     noisy = _noisy(w, cfg.noise, noise_seeds)
     c_rec, tp_residual, _, consistency, _ = _reconstruct_stack(noisy, x_inv, min_eig, cfg.d2)
     trace_dist = np.sum(np.linalg.svd(noisy - w, compute_uv=False), axis=-1)
-    fidelity = _channel_fidelities(c_rec, c, cfg.d1)
+    fidelity = _channel_fidelities(c_rec, rows, cfg.d1)
     eps = cfg.noise.eps if cfg.noise.kind != "none" else 0.0
     columns = zip(
         indices,
@@ -313,13 +324,13 @@ def run_spectrum_sweep(cfg: ExperimentConfig, min_eig_grid: list[float]) -> list
         if not 0.0 < m <= 1.0 / cfg.d1:
             raise ValueError(f"grid value {m} outside (0, 1/{cfg.d1}]")
     chan_seed, _, noise_seed = _trial_seeds(cfg.seed, 0)
-    c = _random_chois(cfg, [chan_seed])
+    chans = _random_chois(cfg, [chan_seed])
     m = np.array(min_eig_grid, dtype=float)[:, None]
     spectra = np.ones_like(m) if cfg.d1 == 1 else np.hstack([m] + [(1.0 - m) / (cfg.d1 - 1)] * (cfg.d1 - 1))
     records = []
     for chunk in _chunks(cfg, len(spectra)):
         refs = _diagonal_references(spectra[chunk.start : chunk.stop])
-        records += _trial_records(cfg, chunk, c, refs, [noise_seed] * len(chunk))
+        records += _trial_records(cfg, chunk, chans, refs, [noise_seed] * len(chunk))
     ordered = sorted(records, key=lambda r: -r.min_eig_rho)
     for prev, nxt in zip(ordered, ordered[1:]):
         if nxt.bound_value > prev.bound_value + 1e-9:

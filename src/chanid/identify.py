@@ -284,19 +284,23 @@ def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, min_eig: np.ndarray, d2
     Returns ``(c_rec, tp_residual, (lam, vecs, keep), consistency_residual,
     clip_magnitude)``, the first three as ``channel._truncated_choi`` gives
     them: the recovered maps stay in Choi form and no Kraus operator or
-    ``KrausChannel`` is built.  Its one ``eigh`` of each w serves the PSD
-    check, the clip and ||w||_op.
+    ``KrausChannel`` is built.  One ``eigvalsh`` of each w gives the PSD
+    check and ||w||_op; only the states with an eigenvalue below 0 are
+    decomposed with ``eigh`` and clipped.
     """
     d1 = x_inv.shape[-1]
     _check_unit_traces(w, "state trace")
     h = hermitian_part(w)
-    vals, vecs = np.linalg.eigh(h)
+    vals = np.linalg.eigvalsh(h)
     if vals[:, 0].min() < -W_PSD_TOL:
         raise NotCompletelyPositiveError(
             f"input state has eigenvalue {vals[:, 0].min():.3e} < -{W_PSD_TOL:.1e}"
         )
-    w_clip, clipped = _clip_eigenpairs(h, vals, vecs)
-    c = hermitian_part(_congruence(w_clip, x_inv, d2))
+    clipped = np.zeros(len(h))
+    negative = vals[:, 0] < 0.0
+    if negative.any():
+        h[negative], clipped[negative] = _clip_eigenpairs(h[negative], *np.linalg.eigh(h[negative]))
+    c = hermitian_part(_congruence(h, x_inv, d2))
     tol = CHOI_REL_TOL * vals[:, -1] / min_eig
     consistency = np.sum(_marginal_singular_values(c, d1, d2), axis=-1)
     return (*_truncated_choi(c, d1, d2, tol, tol), consistency, clipped)

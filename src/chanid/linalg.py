@@ -223,9 +223,8 @@ def _clip_eigenpairs(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> tuple
 def fidelity_psd(a: np.ndarray, b: np.ndarray) -> float:
     """(tr sqrt(a^{1/2} b a^{1/2}))^2 for PSD matrices, without clamping.
 
-    Eigenvalues of the inner sandwich below 1e-13 of its largest one are
-    zeroed: the square root would otherwise amplify eigensolver noise on
-    rank-deficient inputs far above the accuracy of everything else.
+    Small eigenvalues of the inner sandwich are zeroed as
+    :func:`_root_sums_squared` says.
     """
     return float(_fidelities_psd(np.asarray(a)[None], np.asarray(b)[None])[0])
 
@@ -233,7 +232,17 @@ def fidelity_psd(a: np.ndarray, b: np.ndarray) -> float:
 def _fidelities_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """:func:`fidelity_psd` of each pair of matrices of two stacks."""
     root = psd_power(a, 0.5)
-    inner_vals = np.linalg.eigvalsh(hermitian_part(root @ b @ root))
+    return _root_sums_squared(np.linalg.eigvalsh(hermitian_part(root @ b @ root)))
+
+
+def _root_sums_squared(inner_vals: np.ndarray) -> np.ndarray:
+    """(sum_i sqrt(lam_i))^2 for each row of eigenvalues lam of a PSD
+    fidelity sandwich, such as a^{1/2} b a^{1/2}.
+
+    Eigenvalues below 1e-13 of the row's largest one are zeroed: the square
+    root would otherwise amplify eigensolver noise on rank-deficient inputs
+    far above the accuracy of everything else.
+    """
     floor = 1e-13 * np.maximum(inner_vals[:, -1], 0.0)
     inner_vals = np.where(inner_vals < floor[:, None], 0.0, inner_vals)
     sums = np.sum(np.sqrt(np.clip(inner_vals, 0.0, None)), axis=-1)
@@ -262,10 +271,17 @@ def random_unitary(d: int, seed: int) -> np.ndarray:
     return _random_unitaries(d, [seed])[0]
 
 
-def _random_unitaries(d: int, seeds) -> np.ndarray:
-    """:func:`random_unitary` for each seed, with one stacked QR."""
+def _random_unitaries(d: int, seeds, cols: int | None = None) -> np.ndarray:
+    """:func:`random_unitary` for each seed, with one stacked QR.
+
+    With ``cols`` only the first ``cols`` columns are returned: the same
+    Gaussian matrix is drawn, so the random stream does not change, and
+    only its first ``cols`` columns are factored.  Householder QR of a
+    matrix's leading columns gives the leading columns of its Q and R, so
+    these are the unitary's first columns, an isometry.
+    """
     gens = [np.random.default_rng(seed) for seed in seeds]
     z = np.array([g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)) for g in gens])
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(z if cols is None else z[..., :cols])
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]

@@ -3,7 +3,7 @@
 Complex matrices are encoded as ``{"rows": R, "cols": C, "data": [[re, im],
 ...]}`` with the data row-major; every other object composes this format.
 Decoding validates shapes and raises ``ValueError`` on malformed input;
-integer fields must be JSON integers.
+integer fields must be JSON integers and real-number fields JSON numbers.
 """
 
 from __future__ import annotations
@@ -26,6 +26,21 @@ def _json_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be a JSON integer, got {value!r}")
     return value
+
+
+def _json_float(value, name: str) -> float:
+    """A real-number field of a JSON object, as a float.
+
+    JSON integers and floats are accepted.  Anything else (a string such as
+    "0.02", a bool, a list) raises ``ValueError`` naming the field, rather
+    than being coerced by ``float()``; so does an integer beyond a double.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} overflows a double") from exc
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -118,8 +133,8 @@ def reference_to_json(ref: ReferenceState) -> dict:
 def reference_from_json(obj: dict) -> ReferenceState:
     try:
         rho = DensityOperator(matrix_from_json(obj["rho"]))
-        cutoff = float(obj.get("cutoff", ADMISSIBILITY_CUTOFF))
-    except (KeyError, TypeError, OverflowError) as exc:
+        cutoff = _json_float(obj.get("cutoff", ADMISSIBILITY_CUTOFF), "cutoff")
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed reference object: {exc}") from exc
     return make_reference(rho, cutoff=cutoff)
 

@@ -103,6 +103,17 @@ def choi_accumulation_oracle(t) -> np.ndarray:
     return (c + c.conj().T) / 2
 
 
+def channel_fidelity_sqrt_oracle(t1, t2) -> float:
+    """Channel fidelity as the fidelity of the Choi states C1 / d_in and C2 / d_in,
+    through the square root of the first: ``fidelity_psd(C1/d, C2/d)`` clamped
+    to [0, 1], with neither map's Kraus operators used."""
+    from chanid.channel import choi
+    from chanid.linalg import fidelity_psd
+
+    d = t1.dim_in
+    return float(np.clip(fidelity_psd(choi(t1).mat / d, choi(t2).mat / d), 0.0, 1.0))
+
+
 def rho_inv_sqrt(ref) -> np.ndarray:
     """rho^{-1/2} of a reference state, from its cached spectrum."""
     p, vecs = ref.spectrum.eigenvalues, ref.spectrum.eigenvectors

@@ -282,6 +282,60 @@ class TestNonIntegerFields:
         assert err.count("\n") == 1
 
 
+class TestNonNumberFloatFields:
+    """Real-number fields of JSON input are checked, not coerced by float()."""
+
+    CONFIG = {"d1": 2, "d2": 2, "kraus_rank": 2, "trials": 3, "seed": 1}
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"noise": {"depolarize": True}},
+            {"noise": {"depolarize": "0.02"}},
+            {"ref_spec": {"random_min_eig": "0.1"}},
+            {"ref_spec": {"random_min_eig": False}},
+            {"ref_spec": {"spectrum": ["0.5", 0.5]}},
+            {"ref_spec": {"spectrum": [True, 0]}},
+            {"noise": {"depolarize": 10**400}},
+        ],
+        ids=["bool-noise", "string-noise", "string-floor", "bool-floor", "string-spectrum", "bool-spectrum",
+             "overflowing-noise"],
+    )
+    def test_config(self, tmp_path, capsys, changes):
+        cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, **changes})
+        assert cli_main(["roundtrip", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chanid: error:") and ("must be a JSON number" in err or "overflows" in err)
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("grid", [["0.1", "0.01"], [0.1, True]], ids=["strings", "bool"])
+    def test_sweep_grid(self, tmp_path, capsys, grid):
+        cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "min_eig_grid": grid})
+        assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chanid: error:") and "min_eig_grid entry must be a JSON number" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("cutoff", ["1e-10", True], ids=["string", "bool"])
+    def test_reference_cutoff(self, tmp_path, capsys, cutoff):
+        ref = {"rho": matrix_to_json(np.eye(2) / 2), "cutoff": cutoff}
+        ref_path = write_json(tmp_path / "ref.json", ref)
+        w_path = write_json(tmp_path / "w.json", density_to_json(DensityOperator(np.eye(4) / 4)))
+        assert cli_main(["reconstruct", "--w", w_path, "--ref", ref_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chanid: error:") and "cutoff must be a JSON number" in err
+        assert err.count("\n") == 1
+
+    def test_integers_are_numbers(self, tmp_path, capsys, noiseless_setup):
+        cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "noise": {"depolarize": 1}})
+        assert cli_main(["roundtrip", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        _, w_path, _ = noiseless_setup
+        ref_path = write_json(tmp_path / "ref0.json", {"rho": matrix_to_json(np.eye(2) / 2), "cutoff": 0})
+        assert cli_main(["reconstruct", "--w", w_path, "--ref", ref_path]) == 0
+        capsys.readouterr()
+
+
 class TestMalformedInput:
     CONFIG = {"d1": 2, "d2": 2, "kraus_rank": 2, "trials": 1, "seed": 3}
 

@@ -231,28 +231,49 @@ class TestStackedTrialsMatchTheLoop:
 
 class TestLapackCallsPerTrial:
     """The probe and the noise build states without decomposing them: each
-    noisy probe output is decomposed once, by the reconstruction."""
+    noisy probe output gets one eigvalsh, by the reconstruction, and an eigh
+    only when it has an eigenvalue below 0 to clip.  The fidelity stage
+    decomposes only rank-sized matrices."""
 
-    def test_one_eigh_of_w_and_one_state_sized_svd(self, monkeypatch):
+    # depolarized outputs never clip; noiseless rank-3 outputs at d1 = d2 = 3
+    # have six rounding-level eigenvalues, some below 0 in every trial
+    @pytest.mark.parametrize(
+        "noise, clips", [(NoiseSpec("depolarize", 0.02), False), (NoiseSpec("none"), True)], ids=["depolarize", "none"]
+    )
+    def test_one_eigvalsh_of_w_and_one_state_sized_svd(self, monkeypatch, noise, clips):
         d, trials = 3, 5
-        cfg = ExperimentConfig(
-            d, d, d, RefSpec("random_min_eig", min_eig=0.05 / d), NoiseSpec("depolarize", 0.02), trials, seed=5
-        )
-        states, decomposed, svd_shapes = [], [], []
+        cfg = ExperimentConfig(d, d, d, RefSpec("random_min_eig", min_eig=0.05 / d), noise, trials, seed=5)
+        states, calls = [], []
         for name in ("_probe_outputs", "_noisy"):
             stage = getattr(harness, name)
             monkeypatch.setattr(harness, name, lambda *a, stage=stage: states.append(stage(*a)) or states[-1])
-        eigh, svd = np.linalg.eigh, np.linalg.svd
-        monkeypatch.setattr(np.linalg, "eigh", lambda m, *a, **k: decomposed.append(np.copy(m)) or eigh(m, *a, **k))
-        monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: svd_shapes.append(np.shape(m)) or svd(m, *a, **k))
+        scoring = []
+        score = harness._channel_fidelities
+        monkeypatch.setattr(harness, "_channel_fidelities", lambda *a: scoring.append(len(calls)) or score(*a))
+        for routine in ("eigh", "eigvalsh", "svd"):
+            real = getattr(np.linalg, routine)
+            spy = lambda m, *a, real=real, routine=routine, **k: calls.append((routine, np.copy(m))) or real(m, *a, **k)
+            monkeypatch.setattr(np.linalg, routine, spy)
         run_roundtrip(cfg)
+        monkeypatch.undo()
         probe, noisy = states  # one chunk holds every trial
         n = d * d
-        square = [m for stack in decomposed if stack.shape[-2:] == (n, n) for m in stack.reshape(-1, n, n)]
+
+        def square(routine):
+            stacks = [m for r, m in calls if r == routine and m.shape[-2:] == (n, n)]
+            return [m for stack in stacks for m in stack.reshape(-1, n, n)]
+
         for w, w_noisy in zip(probe, noisy):
-            assert sum(np.array_equal(m, w_noisy) for m in square) == 1
-            assert not any(np.array_equal(m, w) for m in square)
-        assert sum(int(np.prod(s[:-2])) for s in svd_shapes if s[-2:] == (n, n)) == trials
+            assert sum(np.array_equal(m, w_noisy) for m in square("eigvalsh")) == 1
+            negative = np.linalg.eigvalsh(w_noisy)[0] < 0.0
+            assert negative == clips
+            assert sum(np.array_equal(m, w_noisy) for m in square("eigh")) == int(negative)
+            if noise.kind != "none":
+                assert not any(np.array_equal(m, w) for m in square("eigh") + square("eigvalsh"))
+        assert len(square("svd")) == trials
+        (start,) = scoring
+        fidelity_stage = calls[start:]
+        assert fidelity_stage and all(m.shape[-2:] == (cfg.kraus_rank,) * 2 for _, m in fidelity_stage)
 
 
 class TestReconstructionStaysInChoiForm:

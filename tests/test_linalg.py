@@ -11,6 +11,7 @@ from chanid.linalg import (
     DensityOperator,
     _fidelities_psd,
     _fix_column_phases,
+    _random_unitaries,
     hermitian_part,
     maximally_mixed,
     operator_norm,
@@ -220,6 +221,16 @@ class TestRandomUnitary:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             random_unitary(2, seed=-1)
+
+    @pytest.mark.parametrize("d, cols", [(1, 1), (4, 1), (4, 3), (6, 2), (9, 3), (36, 6)])
+    def test_leading_columns_match_the_full_unitary(self, d, cols):
+        seeds = [3, 11, 2**61 + 5]
+        full = _random_unitaries(d, seeds)
+        part = _random_unitaries(d, seeds, cols)
+        assert part.shape == (len(seeds), d, cols)
+        assert np.max(np.abs(part - full[:, :, :cols])) <= 1e-14
+        gram = part.conj().swapaxes(-1, -2) @ part
+        assert np.max(np.abs(gram - np.eye(cols))) <= 1e-14
 
 
 class TestDensityOperator:

@@ -8,6 +8,7 @@ from chanid.channel import (
     random_channel,
     tensor_channels,
     unitary_channel,
+    zero_map,
 )
 from chanid.identify import forward_map, make_reference, omega
 from chanid.linalg import (
@@ -31,6 +32,7 @@ from chanid.metrics import (
 
 from conftest import (
     cb_lower_sequential_oracle,
+    channel_fidelity_sqrt_oracle,
     cb_objective_kraus_oracle,
     rand_density_mat,
     rand_state_vec,
@@ -67,6 +69,52 @@ class TestChannelFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             channel_fidelity(identity_channel(2), identity_channel(3))
+
+
+def _fidelity_cases(d1, d2):
+    """Maps on the same dimensions: every Kraus rank, the zero map, and non-TP maps."""
+    rng = np.random.default_rng(10 * d1 + d2)
+    maps = [random_channel(d1, d2, r, seed=r) for r in range(1, d1 * d2 + 1) if d2 * r >= d1]
+    maps.append(zero_map(d1, d2))
+    for r in (1, d1 * d2):  # rescaled random Kraus sets: CP, not trace-preserving
+        ops = tuple(0.7 * (rng.standard_normal((d2, d1)) + 1j * rng.standard_normal((d2, d1))) for _ in range(r))
+        maps.append(KrausChannel(dim_in=d1, dim_out=d2, kraus=ops))
+    return maps
+
+
+class TestChannelFidelityFromKrausRows:
+    """The fidelity read from the second map's Kraus rows agrees with the
+    square-root formula on the Choi states."""
+
+    @pytest.mark.parametrize("d1", [1, 2, 3])
+    @pytest.mark.parametrize("d2", [1, 2, 3])
+    def test_matches_square_root_oracle(self, d1, d2):
+        maps = _fidelity_cases(d1, d2)
+        assert any(not t.trace_preserving for t in maps)
+        for t1 in maps:
+            for t2 in maps:
+                # both orders are covered: every pair is visited both ways
+                assert abs(channel_fidelity(t1, t2) - channel_fidelity_sqrt_oracle(t1, t2)) <= 1e-12
+
+    def test_more_kraus_operators_than_choi_size(self, monkeypatch):
+        # 1 + d² Kraus operators for a d²-sized Choi matrix, 25 after composing
+        t2 = compose(depolarizing_channel(0.3, 2), depolarizing_channel(0.1, 2))
+        t1 = random_channel(2, 2, 3, seed=8)
+        assert len(t2.kraus) > 4
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(m.shape[-1]) or eigvalsh(m))
+        got = channel_fidelity(t1, t2)
+        monkeypatch.undo()
+        assert sizes == [4]
+        assert abs(got - channel_fidelity_sqrt_oracle(t1, t2)) <= 1e-12
+
+    def test_stacked_fidelities_match_one_pair_at_a_time(self):
+        ts = [random_channel(2, 2, 2, seed=k) for k in range(600)]
+        c1 = np.array([metrics.choi(t).mat for t in ts[:300]])
+        rows = np.array([[a.reshape(-1) for a in t.kraus] for t in ts[300:]])
+        stacked = metrics._channel_fidelities(c1, rows, 2)
+        assert stacked.tolist() == [channel_fidelity(a, b) for a, b in zip(ts[:300], ts[300:])]
 
 
 class TestFvdgGap:
