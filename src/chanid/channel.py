@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    CHANNEL_SITE,
     DensityOperator,
     _adjoint,
     _fix_column_phases,
@@ -278,8 +279,6 @@ def random_channel(d1: int, d2: int, kraus_rank: int, seed: int) -> KrausChannel
         raise ValueError(
             f"no isometry H_in -> H_out ⊗ E exists for d1={d1}, d2={d2}, rank={kraus_rank}"
         )
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     kraus = _random_kraus(d1, d2, kraus_rank, [seed])
     return KrausChannel(dim_in=d1, dim_out=d2, kraus=tuple(kraus[:, 0]))
 
@@ -289,7 +288,7 @@ def _random_kraus(d1: int, d2: int, kraus_rank: int, seeds) -> np.ndarray:
 
     Entry ``[j, s]`` is the operator A_j of seed s.
     """
-    w = _random_unitaries(d2 * kraus_rank, seeds, cols=d1)
+    w = _random_unitaries(d2 * kraus_rank, seeds, cols=d1, site=CHANNEL_SITE)
     # row (mu, j) of W is the mu-th output row of A_j
     return np.moveaxis(w.reshape(-1, d2, kraus_rank, d1), 2, 0)
 

@@ -71,11 +71,8 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_fidelity(args) -> int:
     t1 = serialize.channel_from_json(_load_json(args.t1))
     t2 = serialize.channel_from_json(_load_json(args.t2))
-    lhs, rhs = metrics.fvdg_gap(t1, t2)
-    _emit(
-        {"fidelity": metrics.channel_fidelity(t1, t2), "fvdg_lhs": lhs, "fvdg_rhs": rhs},
-        args.out,
-    )
+    fidelity, lhs, rhs = metrics._fidelity_and_fvdg_gap(t1, t2)
+    _emit({"fidelity": fidelity, "fvdg_lhs": lhs, "fvdg_rhs": rhs}, args.out)
     return 0
 
 

@@ -1,9 +1,10 @@
 """Batch experiment drivers: noise-robustness round-trips and spectrum sweeps.
 
-Every run is deterministic in (config, seed): per-trial seeds are derived
-as ``master_seed * 1_000_003 + trial_index`` and all randomness flows from
-them.  Emitted rows are self-checked against the analytic fidelity bound;
-a violation is treated as a numerical failure, never silently written.
+Every run is deterministic in (config, seed) by the package's one draw
+rule, ``linalg._generators``: trial i of a run with seed s draws at every
+site with seed s + i·2^64, and a sweep with seed s.  Emitted rows are
+self-checked against the analytic fidelity bound; a violation is treated
+as a numerical failure, never silently written.
 
 Trials run as stacked arrays, in chunks of at most ``CHUNK_ENTRIES``
 complex entries per stacked matrix stage (256 trials at d1 = d2 = 2, 3 at
@@ -38,11 +39,11 @@ import numpy as np
 
 from .channel import _choi_of_rows, _random_kraus
 from .identify import _probe_outputs, _reconstruct_stack, _reference_arrays
-from .linalg import TRACE_TOL, DensityOperator, _clip_eigenpairs, _random_unitaries, hermitian_part
+from .linalg import NOISE_SITE, SPECTRUM_SITE, TRACE_TOL, DensityOperator, _clip_eigenpairs, _generators
+from .linalg import _random_unitaries, hermitian_part
 from .metrics import _channel_fidelities, fidelity_lower_bound
 from .serialize import _json_float, _json_int
 
-TRIAL_SEED_STRIDE = 1_000_003
 # Complex entries per stacked matrix stage: a chunk holds
 # CHUNK_ENTRIES // (d1 * d2)**2 trials (at least one).
 CHUNK_ENTRIES = 4096
@@ -118,8 +119,8 @@ class ExperimentConfig:
             raise ValueError(f"kraus_rank must be in [1, {self.d1 * self.d2}]")
         if self.d2 * self.kraus_rank < self.d1:
             raise ValueError(f"need d2 * kraus_rank >= d1 = {self.d1} for a channel")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not 0 <= self.seed < 2**64:  # trial i draws with seed + i·2^64
+            raise ValueError(f"seed must be non-negative and below 2**64, got {self.seed}")
         if self.ref_spec.kind == "spectrum" and len(self.ref_spec.spectrum) != self.d1:
             raise ValueError(f"spectrum has {len(self.ref_spec.spectrum)} entries, expected {self.d1}")
         if self.ref_spec.kind == "random_min_eig" and self.ref_spec.min_eig > 1.0 / self.d1:
@@ -206,8 +207,6 @@ def apply_noise(w: DensityOperator, model: NoiseSpec, seed: int) -> DensityOpera
     a seeded random traceless Hermitian direction of unit operator norm,
     then clips back to the PSD cone and renormalizes.
     """
-    if model.kind == "none" or model.eps == 0.0:
-        return w
     return DensityOperator._checked(_noisy(w.mat[None], model, [seed])[0])
 
 
@@ -220,18 +219,12 @@ def _noisy(w: np.ndarray, model: NoiseSpec, seeds) -> np.ndarray:
         return (1.0 - model.eps) * w + model.eps * np.eye(d) / d
     if d == 1:  # the only traceless Hermitian matrix is 0
         return w
-    gens = [np.random.default_rng(seed) for seed in seeds]
+    gens = _generators(seeds, NOISE_SITE)
     h = hermitian_part(np.array([g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)) for g in gens]))
     h -= (np.trace(h, axis1=-2, axis2=-1).real / d)[:, None, None] * np.eye(d)
     norm = np.linalg.svd(h, compute_uv=False)[:, :1, None]
     disturbed = hermitian_part(w + model.eps * h / norm)
     return _clip_eigenpairs(disturbed, *np.linalg.eigh(disturbed))[0]
-
-
-def _trial_seeds(master_seed: int, trial_index: int) -> tuple[int, int, int]:
-    rng = np.random.default_rng(master_seed * TRIAL_SEED_STRIDE + trial_index)
-    a, b, c = rng.integers(0, 2**62, size=3)
-    return int(a), int(b), int(c)
 
 
 def _chunks(cfg: ExperimentConfig, total: int) -> list[range]:
@@ -250,11 +243,10 @@ def _random_chois(cfg: ExperimentConfig, seeds) -> tuple[np.ndarray, np.ndarray]
 
 def _random_references(floor: float, d1: int, seeds):
     """``(min_eig, x, x_inv)`` of a reference with spectrum floor + (1 - d1 floor) · Dirichlet
-    and a Haar eigenbasis, for each seed."""
-    gens = [np.random.default_rng(seed) for seed in seeds]
-    draws = [(g.dirichlet(np.ones(d1)), int(g.integers(0, 2**62))) for g in gens]
-    p = floor + (1.0 - d1 * floor) * np.array([dirichlet for dirichlet, _ in draws])
-    u = _random_unitaries(d1, [useed for _, useed in draws])
+    and the Haar eigenbasis ``random_unitary(d1, seed)``, for each seed."""
+    dirichlet = np.array([g.dirichlet(np.ones(d1)) for g in _generators(seeds, SPECTRUM_SITE)])
+    p = floor + (1.0 - d1 * floor) * dirichlet
+    u = _random_unitaries(d1, seeds)
     return _reference_arrays((u * p[:, None, :]) @ u.conj().swapaxes(-1, -2))
 
 
@@ -304,9 +296,9 @@ def run_roundtrip(cfg: ExperimentConfig) -> list[TrialRecord]:
     fixed = None if spectrum is None else _diagonal_references(np.array([spectrum]))
     records = []
     for chunk in _chunks(cfg, cfg.trials):
-        chan_seeds, ref_seeds, noise_seeds = zip(*(_trial_seeds(cfg.seed, i) for i in chunk))
-        refs = _random_references(spec.min_eig, cfg.d1, ref_seeds) if fixed is None else fixed
-        records += _trial_records(cfg, chunk, _random_chois(cfg, chan_seeds), refs, noise_seeds)
+        seeds = [cfg.seed + (i << 64) for i in chunk]
+        refs = _random_references(spec.min_eig, cfg.d1, seeds) if fixed is None else fixed
+        records += _trial_records(cfg, chunk, _random_chois(cfg, seeds), refs, seeds)
     return records
 
 
@@ -323,14 +315,13 @@ def run_spectrum_sweep(cfg: ExperimentConfig, min_eig_grid: list[float]) -> list
     for m in min_eig_grid:
         if not 0.0 < m <= 1.0 / cfg.d1:
             raise ValueError(f"grid value {m} outside (0, 1/{cfg.d1}]")
-    chan_seed, _, noise_seed = _trial_seeds(cfg.seed, 0)
-    chans = _random_chois(cfg, [chan_seed])
+    chans = _random_chois(cfg, [cfg.seed])
     m = np.array(min_eig_grid, dtype=float)[:, None]
     spectra = np.ones_like(m) if cfg.d1 == 1 else np.hstack([m] + [(1.0 - m) / (cfg.d1 - 1)] * (cfg.d1 - 1))
     records = []
     for chunk in _chunks(cfg, len(spectra)):
         refs = _diagonal_references(spectra[chunk.start : chunk.stop])
-        records += _trial_records(cfg, chunk, chans, refs, [noise_seed] * len(chunk))
+        records += _trial_records(cfg, chunk, chans, refs, [cfg.seed] * len(chunk))
     ordered = sorted(records, key=lambda r: -r.min_eig_rho)
     for prev, nxt in zip(ordered, ordered[1:]):
         if nxt.bound_value > prev.bound_value + 1e-9:

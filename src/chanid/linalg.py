@@ -10,6 +10,7 @@ mutually consistent.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,13 +227,8 @@ def fidelity_psd(a: np.ndarray, b: np.ndarray) -> float:
     Small eigenvalues of the inner sandwich are zeroed as
     :func:`_root_sums_squared` says.
     """
-    return float(_fidelities_psd(np.asarray(a)[None], np.asarray(b)[None])[0])
-
-
-def _fidelities_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`fidelity_psd` of each pair of matrices of two stacks."""
-    root = psd_power(a, 0.5)
-    return _root_sums_squared(np.linalg.eigvalsh(hermitian_part(root @ b @ root)))
+    root = psd_power(np.asarray(a), 0.5)
+    return float(_root_sums_squared(np.linalg.eigvalsh(hermitian_part(root @ b @ root))[None])[0])
 
 
 def _root_sums_squared(inner_vals: np.ndarray) -> np.ndarray:
@@ -258,6 +254,23 @@ def state_fidelity(r1: DensityOperator, r2: DensityOperator) -> float:
     return float(np.clip(fidelity_psd(r1.mat, r2.mat), 0.0, 1.0))
 
 
+UNITARY_SITE, CHANNEL_SITE, SPECTRUM_SITE, NOISE_SITE, CB_STARTS_SITE = range(5)
+
+
+def _generators(seeds, site: int):
+    """The package's one draw rule: for each seed, an integer in [0, 2**128),
+    yield one reused ``Generator`` whose whole state is reset to counter
+    (0, 0, 0, site) of Philox(key=seed); use each position before the next."""
+    gen = np.random.Generator(np.random.Philox(0))
+    for seed in map(operator.index, seeds):  # numpy integers too, not floats
+        if not 0 <= seed < 2**128:
+            raise ValueError(f"seed must be non-negative and below 2**128, got {seed}")
+        state = {"counter": (0, 0, 0, site), "key": (seed % 2**64, seed >> 64)}
+        gen.bit_generator.state = {"bit_generator": "Philox", "state": state, "buffer": (0, 0, 0, 0),
+                                   "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        yield gen
+
+
 def random_unitary(d: int, seed: int) -> np.ndarray:
     """Haar-distributed d x d unitary, deterministic per seed.
 
@@ -266,22 +279,18 @@ def random_unitary(d: int, seed: int) -> np.ndarray:
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     return _random_unitaries(d, [seed])[0]
 
 
-def _random_unitaries(d: int, seeds, cols: int | None = None) -> np.ndarray:
-    """:func:`random_unitary` for each seed, with one stacked QR.
+def _random_unitaries(d: int, seeds, cols: int | None = None, site: int = UNITARY_SITE) -> np.ndarray:
+    """:func:`random_unitary` for each seed, drawn at ``site``, with one stacked QR.
 
-    With ``cols`` only the first ``cols`` columns are returned: the same
-    Gaussian matrix is drawn, so the random stream does not change, and
-    only its first ``cols`` columns are factored.  Householder QR of a
+    With ``cols`` only the first ``cols`` columns are drawn, column by column,
+    so they are the leading columns of the full draw.  Householder QR of a
     matrix's leading columns gives the leading columns of its Q and R, so
     these are the unitary's first columns, an isometry.
     """
-    gens = [np.random.default_rng(seed) for seed in seeds]
-    z = np.array([g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)) for g in gens])
-    q, r = np.linalg.qr(z if cols is None else z[..., :cols])
+    z = np.array([g.standard_normal((cols or d, 2, d)) for g in _generators(seeds, site)])
+    q, r = np.linalg.qr((z[:, :, 0] + 1j * z[:, :, 1]).swapaxes(-1, -2))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]

@@ -34,6 +34,7 @@ import numpy as np
 
 from .channel import KrausChannel, choi
 from .identify import ReferenceState, reconstruct
+from .linalg import CB_STARTS_SITE, _generators
 from .linalg import (
     DensityOperator,
     _root_sums_squared,
@@ -46,7 +47,7 @@ from .linalg import (
 
 # Defaults of cb_distance_interval (and of the ``cbdist`` command): random
 # starts on top of the fixed ones, the step cap per start, the improvement
-# below which a start stops, and the seed of the first random start.
+# below which a start stops, and the seed the random starts are drawn from.
 CB_STARTS = 2
 CB_MAX_ITERS = 1000
 CB_TOL = 1e-10
@@ -123,10 +124,13 @@ def fvdg_gap(t1: KrausChannel, t2: KrausChannel) -> tuple[float, float]:
 
     The first entry never exceeds the second (Fuchs / van de Graaf).
     """
-    _check_same_dims(t1, t2)
-    lhs = 2.0 - 2.0 * np.sqrt(channel_fidelity(t1, t2))
-    rhs = trace_norm(choi(t1).mat - choi(t2).mat) / t1.dim_in
-    return float(lhs), float(rhs)
+    return _fidelity_and_fvdg_gap(t1, t2)[1:]
+
+
+def _fidelity_and_fvdg_gap(t1: KrausChannel, t2: KrausChannel) -> tuple[float, float, float]:
+    """:func:`channel_fidelity` and :func:`fvdg_gap` from one fidelity evaluation."""
+    fid = channel_fidelity(t1, t2)  # checks the dimensions
+    return fid, float(2.0 - 2.0 * np.sqrt(fid)), trace_norm(choi(t1).mat - choi(t2).mat) / t1.dim_in
 
 
 def fidelity_lower_bound(trace_dist_w: float, rho_inv_norm: float, d1: int) -> float:
@@ -272,7 +276,8 @@ def cb_distance_interval(
     by the input dimension suffices for Hermiticity-preserving differences
     of maps, and pure inputs attain the supremum).  Starts are the
     maximally entangled vector, every computational basis vector, any
-    ``extra_starts`` and ``starts`` seeded random vectors, in that order;
+    ``extra_starts`` and ``starts`` random vectors drawn one after another
+    at the CB-starts site of ``seed``, in that order;
     all ascend together and the first with the highest value wins.  The
     objective is concave in σ = (Ψᵀ)†Ψᵀ, so few random starts are needed:
     full-rank starts climb to the same maximum, and the rank-1 basis starts
@@ -284,12 +289,10 @@ def cb_distance_interval(
         raise ValueError(f"starts and max_iters must be >= 0, got {starts} and {max_iters}")
     if not tol >= 0:  # NaN too: it would stop every start after one step
         raise ValueError(f"tol must be >= 0, got {tol}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     d1, d2 = t1.dim_in, t1.dim_out
-    rngs = (np.random.default_rng(seed + k) for k in range(starts))
+    [g] = _generators([seed], CB_STARTS_SITE)
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in extra_starts]
-    vecs += [g.standard_normal(d1 * d1) + 1j * g.standard_normal(d1 * d1) for g in rngs]
+    vecs += [g.standard_normal(d1 * d1) + 1j * g.standard_normal(d1 * d1) for _ in range(starts)]
     start_vecs = [_maximally_entangled(d1), *np.eye(d1 * d1, dtype=complex)]
     start_vecs += [v / np.linalg.norm(v) for v in vecs]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from chanid.linalg import CB_STARTS_SITE, SPECTRUM_SITE
 from chanid.metrics import CB_MAX_ITERS, CB_SEED, CB_STARTS, CB_TOL
 
 
@@ -28,11 +29,22 @@ def rand_density_mat(rng: np.random.Generator, d: int, min_eig: float = 0.0) -> 
 
 def noise_clipped_state() -> np.ndarray:
     """A 4x4 unit-trace state with spectrum (-0.9e-10, -0.9e-10, 0.5, 0.5 + 1.8e-10):
-    both negative eigenvalues sit inside the PSD admission tolerance."""
-    from chanid.linalg import random_unitary
+    both negative eigenvalues sit inside the PSD admission tolerance.
 
-    u = random_unitary(4, 5)
+    Its eigenbasis is a fixed Haar unitary, the QR of ``default_rng(5)``
+    Gaussians with the R-diagonal phase, so the state does not move when
+    the package's draws do.
+    """
+    rng = np.random.default_rng(5)
+    q, r = np.linalg.qr(rand_complex(rng, 4, 4))
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     return (u * np.array([-0.9e-10, -0.9e-10, 0.5, 0.5 + 1.8e-10])) @ u.conj().T
+
+
+def draw_rule_generator(seed: int, site: int) -> np.random.Generator:
+    """The package's draw rule, Philox(key=seed) at counter (0, 0, 0, site),
+    built by numpy's own constructor rather than by resetting a state."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, site]))
 
 
 def rand_state_vec(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -246,8 +258,8 @@ def cb_lower_sequential_oracle(
     for extra in extra_starts:
         v = np.asarray(extra, dtype=complex).reshape(-1)
         start_vecs.append(v / np.linalg.norm(v))
-    for k in range(starts):
-        rng = np.random.default_rng(seed + k)
+    rng = draw_rule_generator(seed, CB_STARTS_SITE)
+    for _ in range(starts):
         v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
         start_vecs.append(v / np.linalg.norm(v))
 
@@ -271,14 +283,6 @@ def cb_lower_sequential_oracle(
     return best
 
 
-def _oracle_trial_seeds(master_seed: int, trial_index: int) -> tuple[int, int, int]:
-    from chanid.harness import TRIAL_SEED_STRIDE
-
-    rng = np.random.default_rng(master_seed * TRIAL_SEED_STRIDE + trial_index)
-    a, b, c = rng.integers(0, 2**62, size=3)
-    return int(a), int(b), int(c)
-
-
 def _oracle_reference(spec, d1: int, seed: int):
     from chanid import DensityOperator, make_reference, random_unitary
 
@@ -286,10 +290,9 @@ def _oracle_reference(spec, d1: int, seed: int):
         return make_reference(DensityOperator(np.eye(d1) / d1))
     if spec.kind == "spectrum":
         return make_reference(DensityOperator(np.diag(np.array(spec.spectrum, dtype=complex))))
-    rng = np.random.default_rng(seed)
     floor = spec.min_eig
-    p = floor + (1.0 - d1 * floor) * rng.dirichlet(np.ones(d1))
-    u = random_unitary(d1, int(rng.integers(0, 2**62)))
+    p = floor + (1.0 - d1 * floor) * draw_rule_generator(seed, SPECTRUM_SITE).dirichlet(np.ones(d1))
+    u = random_unitary(d1, seed)
     return make_reference(DensityOperator((u * p) @ u.conj().T))
 
 
@@ -316,15 +319,16 @@ def _oracle_trial(cfg, trial_index: int, t, ref, noise_seed: int):
 
 def roundtrip_loop_oracle(cfg):
     """``run_roundtrip`` as a loop over trials, each evaluated alone through the
-    public single-trial functions (same per-trial seeds, same composition)."""
+    public single-trial functions: trial i draws everything with seed
+    ``cfg.seed + (i << 64)``."""
     from chanid import random_channel
 
     records = []
     for i in range(cfg.trials):
-        chan_seed, ref_seed, noise_seed = _oracle_trial_seeds(cfg.seed, i)
-        t = random_channel(cfg.d1, cfg.d2, cfg.kraus_rank, chan_seed)
-        ref = _oracle_reference(cfg.ref_spec, cfg.d1, ref_seed)
-        records.append(_oracle_trial(cfg, i, t, ref, noise_seed))
+        seed = cfg.seed + (i << 64)
+        t = random_channel(cfg.d1, cfg.d2, cfg.kraus_rank, seed)
+        ref = _oracle_reference(cfg.ref_spec, cfg.d1, seed)
+        records.append(_oracle_trial(cfg, i, t, ref, seed))
     return records
 
 
@@ -332,11 +336,10 @@ def sweep_loop_oracle(cfg, min_eig_grid):
     """``run_spectrum_sweep`` as a loop over the grid through the public functions."""
     from chanid import RefSpec, random_channel
 
-    chan_seed, _, noise_seed = _oracle_trial_seeds(cfg.seed, 0)
-    t = random_channel(cfg.d1, cfg.d2, cfg.kraus_rank, chan_seed)
+    t = random_channel(cfg.d1, cfg.d2, cfg.kraus_rank, cfg.seed)
     records = []
     for i, m in enumerate(min_eig_grid):
         spectrum = (1.0,) if cfg.d1 == 1 else (m,) + ((1.0 - m) / (cfg.d1 - 1),) * (cfg.d1 - 1)
         ref = _oracle_reference(RefSpec(kind="spectrum", spectrum=spectrum), cfg.d1, 0)
-        records.append(_oracle_trial(cfg, i, t, ref, noise_seed))
+        records.append(_oracle_trial(cfg, i, t, ref, cfg.seed))
     return records

@@ -144,6 +144,16 @@ class TestFidelityAndCbdist:
         assert err.startswith("chanid: error:") and "tol" in err
         assert err.count("\n") == 1
 
+    def test_fidelity_is_evaluated_once(self, tmp_path, capsys, monkeypatch):
+        calls, fidelities = [], metrics._channel_fidelities
+        monkeypatch.setattr(metrics, "_channel_fidelities", lambda *a: calls.append(1) or fidelities(*a))
+        c1, c2 = random_channel(3, 3, 3, seed=1), random_channel(3, 3, 2, seed=2)
+        t1 = write_json(tmp_path / "a.json", channel_to_json(c1))
+        t2 = write_json(tmp_path / "b.json", channel_to_json(c2))
+        assert cli_main(["fidelity", "--t1", t1, "--t2", t2]) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["fidelity"] == metrics.channel_fidelity(c1, c2)
+
     def test_dimension_mismatch_is_validation_error(self, tmp_path, capsys):
         t1 = write_json(tmp_path / "a.json", channel_to_json(random_channel(2, 2, 2, seed=5)))
         t2 = write_json(tmp_path / "b.json", channel_to_json(random_channel(3, 3, 2, seed=6)))
@@ -237,6 +247,31 @@ class TestHugeNumbers:
         err = capsys.readouterr().err
         assert err.startswith("chanid: error:")
         assert err.count("\n") == 1
+
+
+class TestSeedRange:
+    """A seed beyond the draw rule's range is a one-line validation error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["randchannel", "--d1", "2", "--d2", "2", "--rank", "2", "--seed", str(2**128)],
+            ["cbdist", "--t1", "T", "--t2", "T", "--seed", str(2**128)],
+            ["roundtrip", "--config", "CFG", "--out", "OUT"],
+        ],
+        ids=["randchannel-2^128", "cbdist-2^128", "config-2^64"],
+    )
+    def test_exit_1_with_one_line(self, tmp_path, capsys, argv):
+        paths = {
+            "T": write_json(tmp_path / "t.json", channel_to_json(random_channel(2, 2, 2, seed=3))),
+            "CFG": write_json(tmp_path / "cfg.json", {"d1": 2, "d2": 2, "kraus_rank": 2, "trials": 1, "seed": 2**64}),
+            "OUT": str(tmp_path / "out.csv"),
+        }
+        assert cli_main([paths.get(a, a) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("chanid: error: seed must be non-negative")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 class TestNonIntegerFields:

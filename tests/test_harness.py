@@ -373,6 +373,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             small_config(seed=-1)
 
+    def test_seed_range_leaves_room_for_the_trial_index(self):
+        # trial i draws with seed + i·2^64, inside the 128-bit Philox key
+        cfg = small_config(seed=2**64 - 1, trials=2)
+        assert records_to_csv(run_roundtrip(cfg)) == records_to_csv(roundtrip_loop_oracle(cfg))
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            small_config(seed=2**64)
+
     @pytest.mark.parametrize(
         "ref_spec",
         [{"random_min_eig": float("nan")}, {"spectrum": [float("nan")] * 2}, {"spectrum": [0.5, 0.5 + 5e-10]}],

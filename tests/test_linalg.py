@@ -5,13 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chanid.channel import random_channel
 from chanid.identify import make_reference, reconstruct
 from chanid.linalg import (
+    CB_STARTS_SITE,
+    CHANNEL_SITE,
+    NOISE_SITE,
+    SPECTRUM_SITE,
     TRACE_TOL,
+    UNITARY_SITE,
     DensityOperator,
-    _fidelities_psd,
     _fix_column_phases,
+    _generators,
     _random_unitaries,
+    fidelity_psd,
     hermitian_part,
     maximally_mixed,
     operator_norm,
@@ -26,6 +33,7 @@ from chanid.linalg import (
 )
 
 from conftest import (
+    draw_rule_generator,
     kron_oracle,
     noise_clipped_state,
     partial_trace_oracle,
@@ -191,12 +199,11 @@ class TestStateFidelity:
         with pytest.raises(ValueError):
             state_fidelity(maximally_mixed(2), maximally_mixed(3))
 
-    def test_stacked_fidelities_match_one_pair_at_a_time(self):
+    def test_fidelity_psd_matches_the_single_matrix_formula(self):
         # enough pairs that libm pow(s, 2) and s * s differ on some of them
         rng = np.random.default_rng(19)
-        a = np.array([rand_density_mat(rng, 3) for _ in range(4000)])
-        b = np.array([rand_density_mat(rng, 3) for _ in range(4000)])
-        assert np.array_equal(_fidelities_psd(a, b), [fidelity_psd_oracle(x, y) for x, y in zip(a, b)])
+        pairs = [(rand_density_mat(rng, 3), rand_density_mat(rng, 3)) for _ in range(4000)]
+        assert [fidelity_psd(a, b) for a, b in pairs] == [fidelity_psd_oracle(a, b) for a, b in pairs]
 
 
 class TestRandomUnitary:
@@ -231,6 +238,49 @@ class TestRandomUnitary:
         assert np.max(np.abs(part - full[:, :, :cols])) <= 1e-14
         gram = part.conj().swapaxes(-1, -2) @ part
         assert np.max(np.abs(gram - np.eye(cols))) <= 1e-14
+
+
+class TestDrawRule:
+    """Every draw starts at counter (0, 0, 0, site) of Philox(key=seed)."""
+
+    SITES = (UNITARY_SITE, CHANNEL_SITE, SPECTRUM_SITE, NOISE_SITE, CB_STARTS_SITE)
+    SEED = 7 + (3 << 64)
+
+    @staticmethod
+    def _draws(g):
+        return g.random(3), g.integers(0, 2**31, size=3, dtype=np.uint32), g.standard_normal(3)
+
+    def test_each_site_is_numpys_positioned_philox(self):
+        for site in self.SITES:
+            [g] = _generators([self.SEED], site)
+            expected = self._draws(draw_rule_generator(self.SEED, site))
+            assert all(map(np.array_equal, self._draws(g), expected))
+
+    def test_sites_of_one_seed_draw_differently(self):
+        draws = [next(_generators([self.SEED], site)).standard_normal(4).tobytes() for site in self.SITES]
+        assert len(set(draws)) == len(self.SITES)
+
+    def test_repositioning_leaves_no_stale_state(self):
+        first, second = 11, self.SEED
+        gens = _generators([first, second], NOISE_SITE)
+        g = next(gens)
+        g.random(), g.integers(0, 2**31, dtype=np.uint32)  # leaves a part-used block and a cached half word
+        after = self._draws(next(gens))
+        alone = self._draws(next(_generators([second], NOISE_SITE)))
+        assert all(map(np.array_equal, after, alone))
+
+    def test_random_unitary_is_haar_on_average(self):
+        # |U_00|^2 of a Haar unitary on C^3 is Beta(1, 2): mean 1/3, variance 1/18
+        n = 2000
+        mean = np.mean([abs(random_unitary(3, seed)[0, 0]) ** 2 for seed in range(n)])
+        assert abs(mean - 1.0 / 3.0) <= 5.0 * np.sqrt(1.0 / 18.0 / n)
+
+    def test_seeds_span_the_philox_key_range(self):
+        assert random_channel(2, 2, 2, 2**128 - 1).trace_preserving
+        assert np.array_equal(random_unitary(3, np.uint64(2**64 - 1)), random_unitary(3, 2**64 - 1))
+        for seed in (-1, 2**128):
+            with pytest.raises(ValueError, match="seed must be non-negative"):
+                random_channel(2, 2, 2, seed)
 
 
 class TestDensityOperator:

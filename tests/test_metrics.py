@@ -12,6 +12,7 @@ from chanid.channel import (
 )
 from chanid.identify import forward_map, make_reference, omega
 from chanid.linalg import (
+    CB_STARTS_SITE,
     DensityOperator,
     maximally_mixed,
     random_unitary,
@@ -34,6 +35,7 @@ from conftest import (
     cb_lower_sequential_oracle,
     channel_fidelity_sqrt_oracle,
     cb_objective_kraus_oracle,
+    draw_rule_generator,
     rand_density_mat,
     rand_state_vec,
     unitary_pair_cb_distance_oracle,
@@ -231,12 +233,27 @@ class TestCbDistanceInterval:
             ({"seed": -1}, "seed"),
             ({"tol": float("nan")}, "tol"),
             ({"tol": -1.0}, "tol"),
+            ({"starts": 0, "seed": -1}, "seed"),
         ],
     )
     def test_negative_arguments_rejected(self, kwargs, message):
         t = random_channel(2, 2, 2, seed=11)
         with pytest.raises(ValueError, match=message):
             cb_distance_interval(t, t, **kwargs)
+
+    def test_random_starts_of_neighbouring_seeds_differ(self, monkeypatch):
+        # with a generator per start at seed + k, start 1 of seed 5 was start 0 of seed 6
+        seen, ascend = [], metrics._ascend
+        monkeypatch.setattr(metrics, "_ascend", lambda r, psis, *args: seen.append(psis) or ascend(r, psis, *args))
+        t1, t2 = random_channel(2, 2, 2, seed=7), random_channel(2, 2, 2, seed=8)
+        cb_distance_interval(t1, t2, starts=2, max_iters=0, seed=5)
+        cb_distance_interval(t1, t2, starts=1, max_iters=0, seed=6)
+        (five, six), fixed = seen, 1 + 2 * 2
+        assert not np.allclose(five[fixed + 1], six[fixed])
+        rng = draw_rule_generator(5, CB_STARTS_SITE)
+        for k in range(2):
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            assert np.array_equal(five[fixed + k], v / np.linalg.norm(v))
 
     def test_lower_reproducible_at_witness(self):
         t1 = random_channel(3, 2, 2, seed=9)
