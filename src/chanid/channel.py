@@ -24,6 +24,7 @@ from .linalg import (
     _adjoint,
     _fix_column_phases,
     _hermiticity_defect,
+    _hermitian_norms,
     _random_unitaries,
     hermitian_part,
     operator_norm,
@@ -76,7 +77,7 @@ class KrausChannel:
         object.__setattr__(self, "kraus", ops)
         # the row-major flatten maps A[mu, i] to the Choi index mu * dim_in + i
         c = _choi_of_rows(np.array([a.reshape(-1) for a in ops]))
-        self._set_choi(c, float(_marginal_singular_values(c, self.dim_in, self.dim_out)[0]))
+        self._set_choi(c, float(_marginal_defects(c, self.dim_in, self.dim_out)[0]))
 
     def _set_choi(self, c: np.ndarray, tp_defect: float) -> None:
         object.__setattr__(self, "_choi", ChoiMatrix(dim_in=self.dim_in, dim_out=self.dim_out, mat=c))
@@ -152,11 +153,11 @@ def _choi_of_rows(rows: np.ndarray) -> np.ndarray:
     return hermitian_part(c)
 
 
-def _marginal_singular_values(c: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """Singular values, descending, of tr_out C - 1 for a Choi matrix C on
-    H_out ⊗ H_in or a stack of them; the first is the TP defect
-    (tr_out C is the transpose of sum_k A_k† A_k)."""
-    return np.linalg.svd(partial_trace(c, (d2, d1), "first") - np.eye(d1), compute_uv=False)
+def _marginal_defects(c: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
+    """(||tr_out C - 1||_op, ||tr_out C - 1||_1) for a Choi matrix C on
+    H_out ⊗ H_in or each of a stack: the TP defect and the consistency
+    residual (tr_out C is the transpose of sum_k A_k† A_k)."""
+    return _hermitian_norms(partial_trace(c, (d2, d1), "first") - np.eye(d1))
 
 
 def _truncated_choi(c: np.ndarray, d1: int, d2: int, rank_cutoff, psd_tol) -> tuple:
@@ -177,7 +178,7 @@ def _truncated_choi(c: np.ndarray, d1: int, d2: int, rank_cutoff, psd_tol) -> tu
         raise NotCompletelyPositiveError(f"Choi matrix has eigenvalue {lam[i, 0]:.3e} < -{tol:.1e}")
     keep = lam > np.reshape(rank_cutoff, (-1, 1))
     c_rec = hermitian_part((vecs * np.where(keep, lam, 0.0)[:, None, :]) @ _adjoint(vecs))
-    return c_rec, _marginal_singular_values(c_rec, d1, d2)[:, 0], (lam, vecs, keep)
+    return c_rec, _marginal_defects(c_rec, d1, d2)[0], (lam, vecs, keep)
 
 
 def from_choi(c: ChoiMatrix) -> KrausChannel:
@@ -245,14 +246,9 @@ def stinespring(t: KrausChannel) -> np.ndarray:
     first canonicalized through the Choi eigendecomposition so the
     environment dimension, ``V.shape[0] // t.dim_in``, equals the Choi rank.
     """
-    canonical = from_choi(choi(t))
-    k = len(canonical.kraus)
-    v = np.zeros((t.dim_in * k, t.dim_out), dtype=complex)
-    for j, a in enumerate(canonical.kraus):
-        e = np.zeros((k, 1))
-        e[j, 0] = 1.0
-        v += tensor_product(a.conj().T, e)
-    return v
+    kraus = from_choi(choi(t)).kraus
+    # V[(i, k), mu] = conj(A_k[mu, i])
+    return np.stack([a.conj().T for a in kraus], axis=1).reshape(t.dim_in * len(kraus), t.dim_out)
 
 
 def is_completely_dominated(s: KrausChannel, t: KrausChannel, lam: float) -> bool:
@@ -313,12 +309,8 @@ def depolarizing_channel(lam: float, d: int) -> KrausChannel:
     ops = []
     if lam < 1.0:
         ops.append(np.sqrt(1.0 - lam) * np.eye(d, dtype=complex))
-    if lam > 0.0:
-        for i in range(d):
-            for j in range(d):
-                a = np.zeros((d, d), dtype=complex)
-                a[i, j] = np.sqrt(lam / d)
-                ops.append(a)
+    if lam > 0.0:  # sqrt(lam / d) |i><j| for i, j in row-major order
+        ops += list(np.sqrt(lam / d) * np.eye(d * d, dtype=complex).reshape(d * d, d, d))
     return KrausChannel(dim_in=d, dim_out=d, kraus=tuple(ops))
 
 

@@ -12,13 +12,14 @@ d1 = d2 = 6), so memory stays bounded whatever the trial count.  Each
 stage (channel draw, probe, noise, reconstruction, fidelity) runs once per
 chunk through the same private cores that ``random_channel``,
 ``forward_map``, ``apply_noise``, ``reconstruct`` and ``channel_fidelity``
-run for one trial.  Stacked LAPACK calls and elementwise arithmetic give
-the bits of single calls, so the CSV bytes equal those of evaluating the
-trials one at a time with the public functions.  Each stage scores from
+run for one trial.  Stacked LAPACK calls and elementwise array arithmetic
+give the bits of single calls, so the CSV bytes equal those of evaluating
+the trials one at a time with the public functions.  Each stage scores from
 what the chunk already holds: the fidelity is
 F = (sum sqrt(eig(K† C_rec K)))² / d1² from the true channels' Kraus rows
-K (their Choi matrices are C = K K†), and the reconstruction takes its PSD
-check and ||w||_op from one ``eigvalsh`` of each w.
+K (their Choi matrices are C = K K†), one ``eigvalsh`` of each w gives its
+PSD check and ||w||_op, and each norm of a Hermitian matrix is read from
+its eigenvalues (``trace_dist_w``, the residuals).
 
 Values are checked where they enter: :class:`RefSpec`, :class:`NoiseSpec`,
 :class:`ExperimentConfig` and the sweep grid.  The states the stages build
@@ -40,7 +41,7 @@ import numpy as np
 from .channel import _choi_of_rows, _random_kraus
 from .identify import _probe_outputs, _reconstruct_stack, _reference_arrays
 from .linalg import NOISE_SITE, SPECTRUM_SITE, TRACE_TOL, DensityOperator, _clip_eigenpairs, _generators
-from .linalg import _random_unitaries, hermitian_part
+from .linalg import _hermitian_norms, _random_unitaries, _seed, hermitian_part
 from .metrics import _channel_fidelities, fidelity_lower_bound
 from .serialize import _json_float, _json_int
 
@@ -201,13 +202,13 @@ def config_from_json(obj: dict) -> ExperimentConfig:
 
 
 def apply_noise(w: DensityOperator, model: NoiseSpec, seed: int) -> DensityOperator:
-    """Disturb a probe output.
+    """Disturb a probe output; every model checks ``seed`` as the draw rule does.
 
     depolarize mixes toward the maximally mixed state; hermitian_jitter adds
     a seeded random traceless Hermitian direction of unit operator norm,
     then clips back to the PSD cone and renormalizes.
     """
-    return DensityOperator._checked(_noisy(w.mat[None], model, [seed])[0])
+    return DensityOperator._checked(_noisy(w.mat[None], model, [_seed(seed)])[0])
 
 
 def _noisy(w: np.ndarray, model: NoiseSpec, seeds) -> np.ndarray:
@@ -222,8 +223,7 @@ def _noisy(w: np.ndarray, model: NoiseSpec, seeds) -> np.ndarray:
     gens = _generators(seeds, NOISE_SITE)
     h = hermitian_part(np.array([g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)) for g in gens]))
     h -= (np.trace(h, axis1=-2, axis2=-1).real / d)[:, None, None] * np.eye(d)
-    norm = np.linalg.svd(h, compute_uv=False)[:, :1, None]
-    disturbed = hermitian_part(w + model.eps * h / norm)
+    disturbed = hermitian_part(w + model.eps * h / _hermitian_norms(h)[0][:, None, None])
     return _clip_eigenpairs(disturbed, *np.linalg.eigh(disturbed))[0]
 
 
@@ -272,7 +272,7 @@ def _trial_records(cfg: ExperimentConfig, indices: range, chans, refs, noise_see
     w = _probe_outputs(c, x, cfg.d2)
     noisy = _noisy(w, cfg.noise, noise_seeds)
     c_rec, tp_residual, _, consistency, _ = _reconstruct_stack(noisy, x_inv, min_eig, cfg.d2)
-    trace_dist = np.sum(np.linalg.svd(noisy - w, compute_uv=False), axis=-1)
+    trace_dist = _hermitian_norms(noisy - w)[1]
     fidelity = _channel_fidelities(c_rec, rows, cfg.d1)
     eps = cfg.noise.eps if cfg.noise.kind != "none" else 0.0
     columns = zip(

@@ -27,7 +27,7 @@ from .channel import (
     KrausChannel,
     NotCompletelyPositiveError,
     _channel_of,
-    _marginal_singular_values,
+    _marginal_defects,
     _truncated_choi,
     choi,
 )
@@ -241,13 +241,10 @@ def consistency_residual(w: DensityOperator | np.ndarray, ref: ReferenceState, d
     """Trace-norm defect ||tr_out C - 1||_1 of C = (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)†.
 
     Zero exactly when the recovered map is trace-preserving, which holds
-    automatically for noiseless probe outputs.
+    automatically for noiseless probe outputs.  It is the residual
+    :func:`reconstruct` reports for w, which is checked and clipped there.
     """
-    w_mat = w.mat if isinstance(w, DensityOperator) else np.asarray(w)
-    d1 = ref.dim
-    if w_mat.shape != (d2 * d1, d2 * d1):
-        raise ValueError(f"state shape {w_mat.shape} is not ({d2 * d1}, {d2 * d1})")
-    return float(np.sum(_marginal_singular_values(_congruence(w_mat, ref.x_inv, d2), d1, d2)))
+    return reconstruct(w, ref, d2).consistency_residual
 
 
 def reconstruct(
@@ -302,5 +299,5 @@ def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, min_eig: np.ndarray, d2
         h[negative], clipped[negative] = _clip_eigenpairs(h[negative], *np.linalg.eigh(h[negative]))
     c = hermitian_part(_congruence(h, x_inv, d2))
     tol = CHOI_REL_TOL * vals[:, -1] / min_eig
-    consistency = np.sum(_marginal_singular_values(c, d1, d2), axis=-1)
+    consistency = _marginal_defects(c, d1, d2)[1]
     return (*_truncated_choi(c, d1, d2, tol, tol), consistency, clipped)

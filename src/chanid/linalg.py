@@ -85,10 +85,8 @@ def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=complex)
     rows = np.argmax(np.abs(vectors), axis=-2)
     pivots = np.take_along_axis(vectors, rows[..., None, :], axis=-2)
-    # Per-pivot division of numpy complex128 scalars keeps the bits of the
-    # column loop: numpy's array division rounds |p|/p differently.
-    phases = np.array([abs(p) / p if abs(p) > 0 else 1.0 for p in pivots.reshape(-1)], dtype=complex)
-    return vectors * phases.reshape(pivots.shape)
+    size = np.abs(pivots)
+    return vectors * np.divide(size, pivots, out=np.ones_like(pivots), where=size > 0)
 
 
 def spectral_decomposition(m: np.ndarray) -> Spectrum:
@@ -124,6 +122,13 @@ def _hermiticity_defect(m: np.ndarray) -> float:
     if not diff.any():
         return 0.0
     return float(np.linalg.svd(diff, compute_uv=False)[0])
+
+
+def _hermitian_norms(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(||h||_op, ||h||_1) of a Hermitian matrix, or of each matrix of a stack,
+    from one ``eigvalsh``: the largest and the sum of the |eigenvalues|."""
+    size = np.abs(np.linalg.eigvalsh(h))
+    return size.max(axis=-1), size.sum(axis=-1)
 
 
 def _check_unit_traces(m: np.ndarray, what: str = "trace") -> None:
@@ -242,9 +247,7 @@ def _root_sums_squared(inner_vals: np.ndarray) -> np.ndarray:
     floor = 1e-13 * np.maximum(inner_vals[:, -1], 0.0)
     inner_vals = np.where(inner_vals < floor[:, None], 0.0, inner_vals)
     sums = np.sum(np.sqrt(np.clip(inner_vals, 0.0, None)), axis=-1)
-    # squared by the scalar power a single sum gets: libm pow(s, 2) and
-    # numpy's array square s * s round differently
-    return np.array([s**2 for s in sums.tolist()])
+    return sums * sums
 
 
 def state_fidelity(r1: DensityOperator, r2: DensityOperator) -> float:
@@ -257,14 +260,20 @@ def state_fidelity(r1: DensityOperator, r2: DensityOperator) -> float:
 UNITARY_SITE, CHANNEL_SITE, SPECTRUM_SITE, NOISE_SITE, CB_STARTS_SITE = range(5)
 
 
+def _seed(seed) -> int:
+    """A seed of the draw rule: an integer (numpy integers too, not floats) in [0, 2**128)."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be non-negative and below 2**128, got {seed}")
+    return seed
+
+
 def _generators(seeds, site: int):
-    """The package's one draw rule: for each seed, an integer in [0, 2**128),
-    yield one reused ``Generator`` whose whole state is reset to counter
-    (0, 0, 0, site) of Philox(key=seed); use each position before the next."""
+    """The package's one draw rule: for each :func:`_seed`, yield one reused
+    ``Generator`` whose whole state is reset to counter (0, 0, 0, site) of
+    Philox(key=seed); use each position before the next."""
     gen = np.random.Generator(np.random.Philox(0))
-    for seed in map(operator.index, seeds):  # numpy integers too, not floats
-        if not 0 <= seed < 2**128:
-            raise ValueError(f"seed must be non-negative and below 2**128, got {seed}")
+    for seed in map(_seed, seeds):
         state = {"counter": (0, 0, 0, site), "key": (seed % 2**64, seed >> 64)}
         gen.bit_generator.state = {"bit_generator": "Philox", "state": state, "buffer": (0, 0, 0, 0),
                                    "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}

@@ -37,11 +37,11 @@ from .identify import ReferenceState, reconstruct
 from .linalg import CB_STARTS_SITE, _generators
 from .linalg import (
     DensityOperator,
+    _hermitian_norms,
     _root_sums_squared,
     hermitian_part,
     operator_norm,
     partial_trace,
-    trace_norm,
 )
 
 
@@ -130,7 +130,8 @@ def fvdg_gap(t1: KrausChannel, t2: KrausChannel) -> tuple[float, float]:
 def _fidelity_and_fvdg_gap(t1: KrausChannel, t2: KrausChannel) -> tuple[float, float, float]:
     """:func:`channel_fidelity` and :func:`fvdg_gap` from one fidelity evaluation."""
     fid = channel_fidelity(t1, t2)  # checks the dimensions
-    return fid, float(2.0 - 2.0 * np.sqrt(fid)), trace_norm(choi(t1).mat - choi(t2).mat) / t1.dim_in
+    tdist = _hermitian_norms(choi(t1).mat - choi(t2).mat)[1] / t1.dim_in
+    return fid, float(2.0 - 2.0 * np.sqrt(fid)), float(tdist)
 
 
 def fidelity_lower_bound(trace_dist_w: float, rho_inv_norm: float, d1: int) -> float:
@@ -159,7 +160,7 @@ def worst_case_bound(
     rec1 = reconstruct(w1, ref, d2)
     rec2 = reconstruct(w2, ref, d2)
     fid = channel_fidelity(rec1.cp_map, rec2.cp_map)
-    tdist = trace_norm(w1.mat - w2.mat)
+    tdist = float(_hermitian_norms(hermitian_part(w1.mat - w2.mat))[1])
     rho_inv_norm = 1.0 / ref.min_eig
     return BoundReport(
         fidelity=fid,

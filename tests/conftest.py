@@ -298,13 +298,13 @@ def _oracle_reference(spec, d1: int, seed: int):
 
 def _oracle_trial(cfg, trial_index: int, t, ref, noise_seed: int):
     from chanid import apply_noise, channel_fidelity, fidelity_lower_bound, forward_map, reconstruct
-    from chanid import trace_norm
     from chanid.harness import TrialRecord
 
     w = forward_map(t, ref)
     w_noisy = apply_noise(w, cfg.noise, noise_seed)
     rec = reconstruct(w_noisy, ref, cfg.d2)
-    tdist = trace_norm(w_noisy.mat - w.mat)
+    # the trace norm of a Hermitian difference, as the sum of its |eigenvalues|
+    tdist = float(np.sum(np.abs(np.linalg.eigvalsh(w_noisy.mat - w.mat))))
     return TrialRecord(
         trial_index=trial_index,
         min_eig_rho=ref.min_eig,

@@ -35,6 +35,7 @@ from conftest import (
     choi_elementwise_oracle,
     rand_complex,
     rand_density_mat,
+    singular_values_oracle,
 )
 
 
@@ -140,12 +141,12 @@ class TestChoi:
                 for t in (zero_map(d1, d2), KrausChannel(dim_in=d1, dim_out=d2, kraus=ops)):
                     np.testing.assert_array_equal(choi(t).mat, choi_accumulation_oracle(t))
 
-    def test_construction_runs_one_svd(self, monkeypatch):
+    def test_construction_runs_one_eigvalsh(self, monkeypatch):
         # the Choi matrix is hermitian_part output, Hermitian by definition:
-        # only tp_defect (a d_in x d_in marginal) needs an SVD
+        # only tp_defect (a d_in x d_in marginal) needs an eigvalsh
         ops = random_channel(3, 2, 2, seed=4).kraus
-        svd, shapes = np.linalg.svd, []
-        monkeypatch.setattr(np.linalg, "svd", lambda m, **k: shapes.append(np.shape(m)) or svd(m, **k))
+        eigvalsh, shapes = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m, **k: shapes.append(np.shape(m)) or eigvalsh(m, **k))
         KrausChannel(dim_in=3, dim_out=2, kraus=ops)
         assert len(shapes) == 1 and shapes[0][-2:] == (3, 3)
 
@@ -170,6 +171,16 @@ class TestChoi:
             dual = operator_norm(t.dual_apply(np.eye(t.dim_out)) - np.eye(t.dim_in))
             assert abs(t.tp_defect - dual) <= 1e-14 * max(1.0, dual)
         assert not scaled.trace_preserving
+
+    def test_tp_defect_when_the_largest_deviation_is_negative(self):
+        # sum A† A - 1 has eigenvalues (-0.5, 0.2), then (-0.5, 0.2, 0.3) in a
+        # rotated basis: the defect is the largest |eigenvalue|, not the last
+        a3 = np.diag(np.sqrt([0.5, 1.2, 1.3])) @ random_unitary(3, 7).conj().T
+        for a in (np.diag(np.sqrt([0.5, 1.2])), a3):
+            t = KrausChannel(dim_in=len(a), dim_out=len(a), kraus=(a,))
+            deviation = partial_trace(choi(t).mat, (t.dim_out, t.dim_in), "first") - np.eye(t.dim_in)
+            assert t.tp_defect == pytest.approx(singular_values_oracle(deviation)[0], abs=1e-14)
+            assert t.tp_defect == pytest.approx(0.5, abs=1e-14)
 
 
 class TestFromChoi:

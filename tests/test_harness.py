@@ -83,6 +83,13 @@ class TestApplyNoise:
             out = apply_noise(w, NoiseSpec(kind="hermitian_jitter", eps=0.01), seed=7)
         assert np.array_equal(out.mat, w.mat)
 
+    @pytest.mark.parametrize("kind", ["none", "depolarize", "hermitian_jitter"])
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_every_model_checks_its_seed(self, kind, seed):
+        w = forward_map(random_channel(2, 2, 2, seed=3), make_reference(maximally_mixed(2)))
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            apply_noise(w, NoiseSpec(kind=kind, eps=0.0 if kind == "none" else 0.02), seed=seed)
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec(kind="gaussian", eps=0.1)
@@ -232,15 +239,16 @@ class TestStackedTrialsMatchTheLoop:
 class TestLapackCallsPerTrial:
     """The probe and the noise build states without decomposing them: each
     noisy probe output gets one eigvalsh, by the reconstruction, and an eigh
-    only when it has an eigenvalue below 0 to clip.  The fidelity stage
-    decomposes only rank-sized matrices."""
+    only when it has an eigenvalue below 0 to clip; its trace distance to the
+    noiseless output is one more eigvalsh, and no state-sized matrix gets an
+    SVD.  The fidelity stage decomposes only rank-sized matrices."""
 
     # depolarized outputs never clip; noiseless rank-3 outputs at d1 = d2 = 3
     # have six rounding-level eigenvalues, some below 0 in every trial
     @pytest.mark.parametrize(
         "noise, clips", [(NoiseSpec("depolarize", 0.02), False), (NoiseSpec("none"), True)], ids=["depolarize", "none"]
     )
-    def test_one_eigvalsh_of_w_and_one_state_sized_svd(self, monkeypatch, noise, clips):
+    def test_eigvalsh_of_w_and_of_its_disturbance(self, monkeypatch, noise, clips):
         d, trials = 3, 5
         cfg = ExperimentConfig(d, d, d, RefSpec("random_min_eig", min_eig=0.05 / d), noise, trials, seed=5)
         states, calls = [], []
@@ -268,9 +276,10 @@ class TestLapackCallsPerTrial:
             negative = np.linalg.eigvalsh(w_noisy)[0] < 0.0
             assert negative == clips
             assert sum(np.array_equal(m, w_noisy) for m in square("eigh")) == int(negative)
+            assert any(np.array_equal(m, w_noisy - w) for m in square("eigvalsh"))
             if noise.kind != "none":
                 assert not any(np.array_equal(m, w) for m in square("eigh") + square("eigvalsh"))
-        assert len(square("svd")) == trials
+        assert len(square("eigvalsh")) == 2 * trials and not square("svd")
         (start,) = scoring
         fidelity_stage = calls[start:]
         assert fidelity_stage and all(m.shape[-2:] == (cfg.kraus_rank,) * 2 for _, m in fidelity_stage)

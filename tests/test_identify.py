@@ -44,6 +44,7 @@ from conftest import (
     choi_from_w_oracle,
     rand_density_mat,
     rho_inv_sqrt,
+    singular_values_oracle,
     v_isometry_oracle,
 )
 
@@ -393,6 +394,40 @@ class TestConsistencyResidual:
         assert residuals[0] <= 1e-9
         for a, b in zip(residuals, residuals[1:]):
             assert b > a
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_equals_the_residual_reconstruct_reports(self, d):
+        rng = np.random.default_rng(40 + d)
+        noises = (NoiseSpec("depolarize", 0.02), NoiseSpec("hermitian_jitter", 0.05))
+        for k in range(12):
+            ref = rand_reference(rng, d, min_eig=0.05 / d)
+            t = random_channel(d, d, (1, d, d * d)[k % 3], seed=100 * d + k)
+            w = apply_noise(forward_map(t, ref), noises[k % 2], seed=k)
+            assert consistency_residual(w, ref, d) == reconstruct(w, ref, d).consistency_residual
+
+
+class TestMixedSignMarginal:
+    """Maps whose tr_out C - 1 has its largest |eigenvalue| negative, next to
+    positive ones: the TP defect is that |eigenvalue|, the consistency
+    residual the sum of all of them."""
+
+    # the probe output has unit trace: tr(rho sum A† A) = 1 with A = diag(sqrt m) u
+    @pytest.mark.parametrize(
+        "p, m, u",
+        [((0.3, 0.7), (0.5, 0.85 / 0.7), np.eye(2)), ((1 / 3,) * 3, (0.5, 1.2, 1.3), random_unitary(3, 8))],
+        ids=["d2", "d3"],
+    )
+    def test_residuals_match_the_singular_values(self, p, m, u):
+        d = len(p)
+        ref = make_reference(DensityOperator(np.diag(np.array(p, dtype=complex))))
+        t = KrausChannel(dim_in=d, dim_out=d, kraus=(np.diag(np.sqrt(m)) @ u,))
+        w = forward_map(t, ref)
+        rec = reconstruct(w, ref, d)
+        deviation = partial_trace(choi(rec.cp_map).mat, (d, d), "first") - np.eye(d)
+        assert rec.tp_residual == pytest.approx(singular_values_oracle(deviation)[0], abs=1e-13)
+        assert rec.tp_residual == pytest.approx(0.5, abs=1e-12)
+        deviation = partial_trace(choi(t).mat, (d, d), "first") - np.eye(d)
+        assert consistency_residual(w, ref, d) == pytest.approx(np.sum(singular_values_oracle(deviation)), abs=1e-12)
 
 
 class TestIdentificationInvariants:

