@@ -2,12 +2,13 @@
 
 Choi matrices live on (output ⊗ input) with the output factor varying
 slowly, matching the package-wide index convention, and carry the factor
-d_in: C = (T ⊗ id)(d_in · |Omega><Omega|), so tr C = d_in for a channel.  Every
-consumer (``choi``, the probe map, the metrics, the TP flag) reads the one
-Choi matrix a ``KrausChannel`` holds: accumulated from its Kraus operators
-at construction, or, for a map built by :func:`from_choi` or
-``reconstruct``, the kept part V diag(lam·keep) V† of the input's
-eigendecomposition, whose eigenvectors become Kraus operators only there.
+d_in: C = (T ⊗ id)(d_in · |Omega><Omega|), so tr C = d_in for a channel.  A
+``KrausChannel`` holds one Choi matrix C, which ``choi``, the probe map and
+the TP flag read, and one factor F of it, C = F F†, which every channel
+fidelity reads: the Kraus vectors vec(A_k), accumulated into C at
+construction, or, for a map built by :func:`from_choi` or ``reconstruct``,
+V diag(sqrt(lam·keep)) of the input's eigendecomposition, whose kept part
+is C and whose eigenvectors become Kraus operators only there.
 Stinespring dilations have the shape V: H_out -> H_in ⊗ E, so that
 T(rho) = V† (rho ⊗ 1_E) V.
 """
@@ -51,7 +52,7 @@ class KrausChannel:
     construction (read it with :func:`choi`).  ``trace_preserving`` is
     computed from it as ``||tr_out C - 1||_op <= 1e-9``; CP maps that are
     not channels (e.g. dominated maps, reconstructions from noisy data)
-    simply carry the flag as False.
+    simply carry the flag as False.  ``_factor`` is a factor F, C = F F†.
     """
 
     dim_in: int
@@ -60,6 +61,7 @@ class KrausChannel:
     trace_preserving: bool = field(init=False)
     tp_defect: float = field(init=False)
     _choi: ChoiMatrix = field(init=False, repr=False, compare=False)
+    _factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim_in < 1 or self.dim_out < 1:
@@ -76,22 +78,24 @@ class KrausChannel:
                 raise ValueError("Kraus entries must be finite")
         object.__setattr__(self, "kraus", ops)
         # the row-major flatten maps A[mu, i] to the Choi index mu * dim_in + i
-        c = _choi_of_rows(np.array([a.reshape(-1) for a in ops]))
-        self._set_choi(c, float(_marginal_defects(c, self.dim_in, self.dim_out)[0]))
+        rows = np.array([a.reshape(-1) for a in ops])
+        c = _choi_of_rows(rows)
+        self._set_choi(c, rows.T, float(_marginal_defects(c, self.dim_in, self.dim_out)[0]))
 
-    def _set_choi(self, c: np.ndarray, tp_defect: float) -> None:
+    def _set_choi(self, c: np.ndarray, factor: np.ndarray, tp_defect: float) -> None:
         object.__setattr__(self, "_choi", ChoiMatrix(dim_in=self.dim_in, dim_out=self.dim_out, mat=c))
+        object.__setattr__(self, "_factor", factor)
         object.__setattr__(self, "tp_defect", tp_defect)
         object.__setattr__(self, "trace_preserving", tp_defect <= TP_FLAG_TOL)
 
     @classmethod
-    def _built(cls, dim_in: int, dim_out: int, kraus: tuple, c: np.ndarray, tp_defect: float) -> KrausChannel:
-        """A map whose Kraus operators, Choi matrix and TP defect come from one
-        :func:`_truncated_choi` result: nothing to check or build again."""
+    def _built(cls, dim_in: int, dim_out: int, kraus: tuple, c, factor, tp_defect: float) -> KrausChannel:
+        """A map whose Kraus operators, Choi matrix, factor and TP defect come
+        from one :func:`_truncated_choi` result: nothing to check or build again."""
         t = object.__new__(cls)
         for name, value in (("dim_in", dim_in), ("dim_out", dim_out), ("kraus", kraus)):
             object.__setattr__(t, name, value)
-        t._set_choi(c, tp_defect)
+        t._set_choi(c, factor, tp_defect)
         return t
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
@@ -164,10 +168,11 @@ def _truncated_choi(c: np.ndarray, d1: int, d2: int, rank_cutoff, psd_tol) -> tu
     """Choi-form core of :func:`from_choi` and ``reconstruct`` for a stack of
     Choi matrices: one ``eigh`` each, no Kraus operators.
 
-    Returns ``(c_rec, tp_defect, (lam, vecs, keep))``: the eigenpairs as
-    ``eigh`` gives them, keep = lam > ``rank_cutoff``, c_rec the Hermitian
-    part of V diag(lam·keep) V† and tp_defect its TP defect.  The thresholds
-    are scalars or one per matrix; an eigenvalue below -``psd_tol`` raises
+    Returns ``(c_rec, factor, tp_defect, (lam, vecs, keep))``: the eigenpairs
+    as ``eigh`` gives them, keep = lam > ``rank_cutoff``, c_rec the Hermitian
+    part of V diag(lam·keep) V†, factor = V diag(sqrt(lam·keep)) and
+    tp_defect c_rec's TP defect.  The thresholds are scalars or one per
+    matrix; an eigenvalue below -``psd_tol`` raises
     :class:`NotCompletelyPositiveError`.
     """
     lam, vecs = np.linalg.eigh(hermitian_part(c))
@@ -177,8 +182,9 @@ def _truncated_choi(c: np.ndarray, d1: int, d2: int, rank_cutoff, psd_tol) -> tu
         tol = np.broadcast_to(psd_tol, not_cp.shape)[i]
         raise NotCompletelyPositiveError(f"Choi matrix has eigenvalue {lam[i, 0]:.3e} < -{tol:.1e}")
     keep = lam > np.reshape(rank_cutoff, (-1, 1))
-    c_rec = hermitian_part((vecs * np.where(keep, lam, 0.0)[:, None, :]) @ _adjoint(vecs))
-    return c_rec, _marginal_defects(c_rec, d1, d2)[0], (lam, vecs, keep)
+    kept = np.where(keep, lam, 0.0)[:, None, :]
+    c_rec = hermitian_part((vecs * kept) @ _adjoint(vecs))
+    return c_rec, vecs * np.sqrt(kept), _marginal_defects(c_rec, d1, d2)[0], (lam, vecs, keep)
 
 
 def from_choi(c: ChoiMatrix) -> KrausChannel:
@@ -195,14 +201,15 @@ def from_choi(c: ChoiMatrix) -> KrausChannel:
     return _channel_of(*found, c.dim_in, c.dim_out)
 
 
-def _channel_of(c_rec, tp_defect, eig, d1: int, d2: int) -> KrausChannel:
+def _channel_of(c_rec, factor, tp_defect, eig, d1: int, d2: int) -> KrausChannel:
     """The ``KrausChannel`` of a one-matrix :func:`_truncated_choi` result: the
     only place Kraus operators are cut, each kept eigenvector phase-fixed,
-    then scaled by sqrt(lam) and unvectorized."""
+    then scaled by sqrt(lam) and unvectorized.  The map keeps the unfixed
+    ``factor``, so its fidelities read the bits a stacked run reads."""
     lam, vecs, keep = (a[0] for a in eig)
     vectors = _fix_column_phases(vecs[:, keep]) * np.sqrt(lam[keep])
     ops = tuple(v.reshape(d2, d1) for v in vectors.T) or (np.zeros((d2, d1), dtype=complex),)
-    return KrausChannel._built(d1, d2, ops, c_rec[0], float(tp_defect[0]))
+    return KrausChannel._built(d1, d2, ops, c_rec[0], factor[0], float(tp_defect[0]))
 
 
 def tensor_with_identity(t: KrausChannel, d_anc: int) -> KrausChannel:
@@ -269,6 +276,8 @@ def random_channel(d1: int, d2: int, kraus_rank: int, seed: int) -> KrausChannel
     H_out ⊗ C^rank.  Requires d2 * kraus_rank >= d1 or no trace-preserving
     channel of that rank exists.
     """
+    if d1 < 1 or d2 < 1:
+        raise ValueError("dimensions must be positive")
     if not 1 <= kraus_rank <= d1 * d2:
         raise ValueError(f"kraus_rank must be in [1, {d1 * d2}], got {kraus_rank}")
     if d2 * kraus_rank < d1:

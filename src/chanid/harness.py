@@ -15,11 +15,11 @@ chunk through the same private cores that ``random_channel``,
 run for one trial.  Stacked LAPACK calls and elementwise array arithmetic
 give the bits of single calls, so the CSV bytes equal those of evaluating
 the trials one at a time with the public functions.  Each stage scores from
-what the chunk already holds: the fidelity is
-F = (sum sqrt(eig(K† C_rec K)))² / d1² from the true channels' Kraus rows
-K (their Choi matrices are C = K K†), one ``eigvalsh`` of each w gives its
-PSD check and ||w||_op, and each norm of a Hermitian matrix is read from
-its eigenvalues (``trace_dist_w``, the residuals).
+what the chunk already holds: the fidelity is (||F_rec† K||_1 / d1)² from
+the factor F_rec = V diag(sqrt(lam·keep)) the reconstruction returns and the
+true channels' Kraus vectors K, the factors ``channel_fidelity`` reads; one
+``eigvalsh`` of each w gives its PSD check and ||w||_op, and each norm of a
+Hermitian matrix is read from its eigenvalues (``trace_dist_w``, the residuals).
 
 Values are checked where they enter: :class:`RefSpec`, :class:`NoiseSpec`,
 :class:`ExperimentConfig` and the sweep grid.  The states the stages build
@@ -234,11 +234,11 @@ def _chunks(cfg: ExperimentConfig, total: int) -> list[range]:
 
 def _random_chois(cfg: ExperimentConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Choi matrices C of ``random_channel(d1, d2, kraus_rank, seed)`` for each
-    seed, and beside them their Kraus rows vec(A_k), entry ``[s, k]``, of which
-    C is the sum of outer products."""
+    seed, and beside them the factors K = [vec(A_1) ... vec(A_r)] with
+    C = K K†, the map's ``_factor``."""
     kraus = _random_kraus(cfg.d1, cfg.d2, cfg.kraus_rank, seeds)
     rows = kraus.reshape(cfg.kraus_rank, len(seeds), cfg.d2 * cfg.d1)
-    return _choi_of_rows(rows), rows.swapaxes(0, 1)
+    return _choi_of_rows(rows), rows.transpose(1, 2, 0)
 
 
 def _random_references(floor: float, d1: int, seeds):
@@ -261,19 +261,19 @@ def _diagonal_references(spectra: np.ndarray):
 def _trial_records(cfg: ExperimentConfig, indices: range, chans, refs, noise_seeds) -> list[TrialRecord]:
     """Probe, perturb, reconstruct and score a chunk of trials, one stacked stage at a time.
 
-    ``chans`` holds the true channels' Choi matrices and Kraus rows, as
+    ``chans`` holds the true channels' Choi matrices and factors, as
     :func:`_random_chois` gives them, and ``refs`` the references'
     ``(min_eig, x, x_inv)``; either may be a stack of one shared by every
-    trial.  The fidelity is scored from the Kraus rows, so it decomposes
-    only rank-sized matrices.
+    trial.  The fidelity is scored from the true and the recovered factors,
+    with one SVD of a (d1·d2) × rank matrix per trial.
     """
-    c, rows = chans
+    c, factor = chans
     min_eig, x, x_inv = refs
     w = _probe_outputs(c, x, cfg.d2)
     noisy = _noisy(w, cfg.noise, noise_seeds)
-    c_rec, tp_residual, _, consistency, _ = _reconstruct_stack(noisy, x_inv, min_eig, cfg.d2)
+    _, factor_rec, tp_residual, _, consistency, _ = _reconstruct_stack(noisy, x_inv, min_eig, cfg.d2)
     trace_dist = _hermitian_norms(noisy - w)[1]
-    fidelity = _channel_fidelities(c_rec, rows, cfg.d1)
+    fidelity = _channel_fidelities(factor_rec, factor, cfg.d1)
     eps = cfg.noise.eps if cfg.noise.kind != "none" else 0.0
     columns = zip(
         indices,

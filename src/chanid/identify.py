@@ -266,9 +266,9 @@ def reconstruct(
     if w_mat.shape != (n, n):
         raise ValueError(f"state shape {w_mat.shape} is not ({n}, {n})")
     found = _reconstruct_stack(w_mat[None], ref.x_inv[None], np.array([ref.min_eig]), d2)
-    c_rec, tp, eig, consistency, clipped = found
+    c_rec, factor, tp, eig, consistency, clipped = found
     return ReconstructionResult(
-        cp_map=_channel_of(c_rec, tp, eig, d1, d2),
+        cp_map=_channel_of(c_rec, factor, tp, eig, d1, d2),
         tp_residual=float(tp[0]),
         consistency_residual=float(consistency[0]),
         clip_magnitude=float(clipped[0]),
@@ -278,12 +278,13 @@ def reconstruct(
 def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, min_eig: np.ndarray, d2: int) -> tuple:
     """:func:`reconstruct` for a stack of states w and of references (x_inv, min_eig).
 
-    Returns ``(c_rec, tp_residual, (lam, vecs, keep), consistency_residual,
-    clip_magnitude)``, the first three as ``channel._truncated_choi`` gives
-    them: the recovered maps stay in Choi form and no Kraus operator or
-    ``KrausChannel`` is built.  One ``eigvalsh`` of each w gives the PSD
-    check and ||w||_op; only the states with an eigenvalue below 0 are
-    decomposed with ``eigh`` and clipped.
+    Returns ``(c_rec, factor, tp_residual, (lam, vecs, keep),
+    consistency_residual, clip_magnitude)``, the first four as
+    ``channel._truncated_choi`` gives them: the recovered maps stay in Choi
+    form with their factors, and no Kraus operator or ``KrausChannel`` is
+    built.  One ``eigvalsh`` of each w gives the PSD check and ||w||_op;
+    only the states with an eigenvalue below 0 are decomposed with ``eigh``
+    and clipped.
     """
     d1 = x_inv.shape[-1]
     _check_unit_traces(w, "state trace")

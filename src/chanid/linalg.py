@@ -229,25 +229,15 @@ def _clip_eigenpairs(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> tuple
 def fidelity_psd(a: np.ndarray, b: np.ndarray) -> float:
     """(tr sqrt(a^{1/2} b a^{1/2}))^2 for PSD matrices, without clamping.
 
-    Small eigenvalues of the inner sandwich are zeroed as
-    :func:`_root_sums_squared` says.
+    Eigenvalues of the inner sandwich below 1e-13 of its largest one are
+    zeroed: the square root would otherwise amplify eigensolver noise on
+    rank-deficient inputs far above the accuracy of everything else.
     """
     root = psd_power(np.asarray(a), 0.5)
-    return float(_root_sums_squared(np.linalg.eigvalsh(hermitian_part(root @ b @ root))[None])[0])
-
-
-def _root_sums_squared(inner_vals: np.ndarray) -> np.ndarray:
-    """(sum_i sqrt(lam_i))^2 for each row of eigenvalues lam of a PSD
-    fidelity sandwich, such as a^{1/2} b a^{1/2}.
-
-    Eigenvalues below 1e-13 of the row's largest one are zeroed: the square
-    root would otherwise amplify eigensolver noise on rank-deficient inputs
-    far above the accuracy of everything else.
-    """
-    floor = 1e-13 * np.maximum(inner_vals[:, -1], 0.0)
-    inner_vals = np.where(inner_vals < floor[:, None], 0.0, inner_vals)
-    sums = np.sum(np.sqrt(np.clip(inner_vals, 0.0, None)), axis=-1)
-    return sums * sums
+    vals = np.linalg.eigvalsh(hermitian_part(root @ b @ root))
+    vals = np.where(vals < 1e-13 * np.maximum(vals[-1], 0.0), 0.0, vals)
+    total = np.sum(np.sqrt(np.clip(vals, 0.0, None)))
+    return float(total * total)
 
 
 def state_fidelity(r1: DensityOperator, r2: DensityOperator) -> float:

@@ -1,10 +1,10 @@
 """Distances and fidelities between channels.
 
 The channel fidelity is the fidelity of the Choi states C1/d_in and
-C2/d_in.  With C2 = K K†, K the matrix whose columns are the second map's
-Kraus vectors vec(A_k), sqrt(C1) C2 sqrt(C1) and K† C1 K share their
-nonzero eigenvalues, so F = (sum sqrt(eig(K† C1 K)))² / d_in²: one r×r
-eigendecomposition, r the second map's Kraus count, and no square root.
+C2/d_in.  Each map holds a factor F, C = F F†, and for any such factors
+F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1² = ||F1† F2||_1² / d_in² (Jozsa,
+"Fidelity for mixed quantum states", 1994): the singular values of one
+r1×r2 matrix, so no product of Choi matrices squares their conditioning.
 
 The completely-bounded (diamond) distance between two channels is
 estimated as a certified interval: the lower end is the best evaluated
@@ -37,8 +37,8 @@ from .identify import ReferenceState, reconstruct
 from .linalg import CB_STARTS_SITE, _generators
 from .linalg import (
     DensityOperator,
+    _adjoint,
     _hermitian_norms,
-    _root_sums_squared,
     hermitian_part,
     operator_norm,
     partial_trace,
@@ -92,31 +92,30 @@ def _check_same_dims(t1: KrausChannel, t2: KrausChannel):
 def channel_fidelity(t1: KrausChannel, t2: KrausChannel) -> float:
     """Mixed-state fidelity between the Choi states C / d_in of two maps, in [0, 1].
 
-    Equals 1 exactly when the maps coincide.  It is computed from t2's
-    Kraus rows K (C2 = K K†) as (sum sqrt(eig(K† C1 K)))² / d_in², which
-    decomposes one r×r matrix, r the number of t2's Kraus operators.  A
-    Kraus set longer than C2's size (compositions and tensor products
-    multiply Kraus counts) is replaced by C2's eigenvectors scaled by
-    sqrt(eigenvalue), so r never exceeds d_in·d_out.
+    Equals 1 exactly when the maps coincide.  It is (||F1† F2||_1 / d_in)²
+    from the factors F (C = F F†) the maps hold: their Kraus vectors, or
+    V diag(sqrt(lam)) for a map from ``from_choi`` or ``reconstruct``.  A
+    Kraus set longer than C's size (compositions and tensor products
+    multiply Kraus counts) is replaced by C's eigenvectors scaled by
+    sqrt(eigenvalue), so no factor has more than d_in·d_out columns.
     """
     _check_same_dims(t1, t2)
-    rows = np.array([a.reshape(-1) for a in t2.kraus])
-    if len(rows) > rows.shape[1]:
-        lam, vecs = np.linalg.eigh(choi(t2).mat)
-        rows = (vecs * np.sqrt(np.clip(lam, 0.0, None))).T
-    return float(_channel_fidelities(choi(t1).mat[None], rows[None], t1.dim_in)[0])
+    return float(_channel_fidelities(_narrow_factor(t1)[None], _narrow_factor(t2)[None], t1.dim_in)[0])
 
 
-def _channel_fidelities(c1: np.ndarray, rows2: np.ndarray, d_in: int) -> np.ndarray:
-    """:func:`channel_fidelity` of each Choi matrix of the stack c1 against the
-    map whose Kraus rows vec(A_k) are rows2[..., k, :], a stack of the same
-    length or of one.
+def _narrow_factor(t: KrausChannel) -> np.ndarray:
+    f = t._factor
+    if f.shape[1] > f.shape[0]:
+        lam, vecs = np.linalg.eigh(choi(t).mat)
+        f = vecs * np.sqrt(np.clip(lam, 0.0, None))
+    return f
 
-    Since C2 = K K† with K = rows2ᵀ, sqrt(C1) C2 sqrt(C1) and K† C1 K share
-    their nonzero eigenvalues, so no square root of C1 is taken.
-    """
-    inner = hermitian_part(rows2.conj() @ c1 @ rows2.swapaxes(-1, -2))
-    return np.clip(_root_sums_squared(np.linalg.eigvalsh(inner) / d_in**2), 0.0, 1.0)
+
+def _channel_fidelities(f1: np.ndarray, f2: np.ndarray, d_in: int) -> np.ndarray:
+    """:func:`channel_fidelity` from stacks of Choi factors f1 and f2, either a
+    stack of one: (sum svd(F1† F2) / d_in)², clipped to [0, 1]."""
+    s = np.linalg.svd(_adjoint(f1) @ f2, compute_uv=False).sum(axis=-1) / d_in
+    return np.clip(s * s, 0.0, 1.0)
 
 
 def fvdg_gap(t1: KrausChannel, t2: KrausChannel) -> tuple[float, float]:

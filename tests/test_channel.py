@@ -350,6 +350,12 @@ class TestRandomChannel:
         with pytest.raises(ValueError):
             random_channel(3, 2, 1, seed=0)
 
+    @pytest.mark.parametrize("d1, d2", [(0, 3), (3, 0), (-1, -1), (-2, 4)])
+    def test_dimensions_checked_before_the_rank(self, d1, d2):
+        # the rank range [1, d1·d2] and numpy's shape checks said nothing of the dimensions
+        with pytest.raises(ValueError, match="^dimensions must be positive$"):
+            random_channel(d1, d2, 1, seed=0)
+
 
 class TestNamedChannels:
     def test_depolarizing_zero_is_identity_on_basis(self):

@@ -56,6 +56,13 @@ class TestRandChannel:
         assert cli_main(["randchannel", "--d1", "2", "--d2", "2", "--rank", "9"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d1, d2", [("0", "3"), ("-1", "-1")])
+    def test_non_positive_dimension_is_one_line_validation_error(self, capsys, d1, d2):
+        assert cli_main(["randchannel", "--d1", d1, "--d2", d2, "--rank", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chanid: error:") and "dimensions must be positive" in err
+        assert err.count("\n") == 1
+
 
 class TestReconstruct:
     def test_noiseless_round_trip_with_sidecar(self, tmp_path, noiseless_setup):

@@ -148,6 +148,20 @@ class TestRunRoundtrip:
             run_roundtrip(cfg)
 
 
+class TestFidelityPrecision:
+    """Noiseless full-rank round trips recover F = 1 to a few ulps relative to
+    the reference's conditioning: the fidelity read from the Choi factors
+    does not square the spread of C's eigenvalues, as the K† C K sandwich did
+    (the d = 5 maximally mixed case is the config where that lost 1.18e-13)."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("ref", ["maximally_mixed", "random_min_eig"])
+    def test_noiseless_full_rank_fidelity(self, d, ref):
+        spec = RefSpec(ref) if ref == "maximally_mixed" else RefSpec(ref, min_eig=0.05 / d)
+        records = run_roundtrip(ExperimentConfig(d, d, d * d, spec, NoiseSpec("none"), 20, seed=5025))
+        assert max(abs(1.0 - r.fidelity) * r.min_eig_rho for r in records) <= 2e-15
+
+
 class TestRunSpectrumSweep:
     def test_grid_ordering_and_monotonicity(self):
         cfg = small_config(noise=NoiseSpec(kind="depolarize", eps=0.05), trials=1, seed=3)
@@ -241,7 +255,8 @@ class TestLapackCallsPerTrial:
     noisy probe output gets one eigvalsh, by the reconstruction, and an eigh
     only when it has an eigenvalue below 0 to clip; its trace distance to the
     noiseless output is one more eigvalsh, and no state-sized matrix gets an
-    SVD.  The fidelity stage decomposes only rank-sized matrices."""
+    SVD.  The fidelity stage makes one SVD of a (d1·d2) × rank matrix per
+    trial and no eigendecomposition."""
 
     # depolarized outputs never clip; noiseless rank-3 outputs at d1 = d2 = 3
     # have six rounding-level eigenvalues, some below 0 in every trial
@@ -281,8 +296,8 @@ class TestLapackCallsPerTrial:
                 assert not any(np.array_equal(m, w) for m in square("eigh") + square("eigvalsh"))
         assert len(square("eigvalsh")) == 2 * trials and not square("svd")
         (start,) = scoring
-        fidelity_stage = calls[start:]
-        assert fidelity_stage and all(m.shape[-2:] == (cfg.kraus_rank,) * 2 for _, m in fidelity_stage)
+        ((routine, cross),) = calls[start:]
+        assert routine == "svd" and cross.shape == (trials, n, cfg.kraus_rank)
 
 
 class TestReconstructionStaysInChoiForm:

@@ -85,8 +85,9 @@ def _fidelity_cases(d1, d2):
 
 
 class TestChannelFidelityFromKrausRows:
-    """The fidelity read from the second map's Kraus rows agrees with the
-    square-root formula on the Choi states."""
+    """The fidelity (||F1† F2||_1 / d_in)² read from the maps' Choi factors
+    (their Kraus rows, or C's eigen-factor for a Kraus set wider than C)
+    agrees with the square-root formula on the Choi states."""
 
     @pytest.mark.parametrize("d1", [1, 2, 3])
     @pytest.mark.parametrize("d2", [1, 2, 3])
@@ -103,19 +104,24 @@ class TestChannelFidelityFromKrausRows:
         t2 = compose(depolarizing_channel(0.3, 2), depolarizing_channel(0.1, 2))
         t1 = random_channel(2, 2, 3, seed=8)
         assert len(t2.kraus) > 4
-        sizes = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(m.shape[-1]) or eigvalsh(m))
+        calls = []
+        for routine in ("eigh", "eigvalsh", "svd"):
+            real = getattr(np.linalg, routine)
+            spy = lambda m, *a, real=real, routine=routine, **k: calls.append((routine, m.shape)) or real(m, *a, **k)
+            monkeypatch.setattr(np.linalg, routine, spy)
         got = channel_fidelity(t1, t2)
         monkeypatch.undo()
-        assert sizes == [4]
+        # the wide map's factor is its Choi eigen-factor, so the SVD is of a 3x4 cross factor
+        assert [call for call in calls if call[0] != "svd"] == [("eigh", (4, 4))]
+        (svd_shape,) = [shape for routine, shape in calls if routine == "svd"]
+        assert max(svd_shape[-2:]) <= 4
         assert abs(got - channel_fidelity_sqrt_oracle(t1, t2)) <= 1e-12
 
     def test_stacked_fidelities_match_one_pair_at_a_time(self):
         ts = [random_channel(2, 2, 2, seed=k) for k in range(600)]
-        c1 = np.array([metrics.choi(t).mat for t in ts[:300]])
-        rows = np.array([[a.reshape(-1) for a in t.kraus] for t in ts[300:]])
-        stacked = metrics._channel_fidelities(c1, rows, 2)
+        f1 = np.array([t._factor for t in ts[:300]])
+        f2 = np.array([t._factor for t in ts[300:]])
+        stacked = metrics._channel_fidelities(f1, f2, 2)
         assert stacked.tolist() == [channel_fidelity(a, b) for a, b in zip(ts[:300], ts[300:])]
 
 
