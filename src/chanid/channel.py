@@ -48,11 +48,13 @@ class NotCompletelyPositiveError(ValueError):
 class KrausChannel:
     """CP map given by an ordered list of Kraus operators A_k: H_in -> H_out.
 
-    The map is ``sum_k A_k rho A_k†``.  Its Choi matrix is built once at
+    The map is ``sum_k A_k rho A_k†``, ``kraus`` read-only views of one
+    (r, dim_out, dim_in) array.  Its Choi matrix is built once at
     construction (read it with :func:`choi`).  ``trace_preserving`` is
     computed from it as ``||tr_out C - 1||_op <= 1e-9``; CP maps that are
     not channels (e.g. dominated maps, reconstructions from noisy data)
-    simply carry the flag as False.  ``_factor`` is a factor F, C = F F†.
+    simply carry the flag as False.  ``_factor`` is a factor F, C = F F†,
+    whose columns vec(A_k) are that array for a map built from Kraus operators.
     """
 
     dim_in: int
@@ -66,36 +68,36 @@ class KrausChannel:
     def __post_init__(self):
         if self.dim_in < 1 or self.dim_out < 1:
             raise ValueError("dimensions must be positive")
-        ops = tuple(np.asarray(a, dtype=complex) for a in self.kraus)
+        ops = [np.asarray(a, dtype=complex) for a in self.kraus]
         if not ops:
             raise ValueError("at least one Kraus operator is required")
         for a in ops:
             if a.shape != (self.dim_out, self.dim_in):
-                raise ValueError(
-                    f"Kraus operator shape {a.shape} != ({self.dim_out}, {self.dim_in})"
-                )
-            if not np.all(np.isfinite(a)):
-                raise ValueError("Kraus entries must be finite")
-        object.__setattr__(self, "kraus", ops)
+                raise ValueError(f"Kraus operator shape {a.shape} != ({self.dim_out}, {self.dim_in})")
+        ops = np.array(ops)
+        if not np.isfinite(ops).all():
+            raise ValueError("Kraus entries must be finite")
         # the row-major flatten maps A[mu, i] to the Choi index mu * dim_in + i
-        rows = np.array([a.reshape(-1) for a in ops])
+        rows = ops.reshape(len(ops), -1)
         c = _choi_of_rows(rows)
-        self._set_choi(c, rows.T, float(_marginal_defects(c, self.dim_in, self.dim_out)[0]))
+        self._set_forms(ops, c, rows.T, float(_marginal_defects(c, self.dim_in, self.dim_out)[0]))
 
-    def _set_choi(self, c: np.ndarray, factor: np.ndarray, tp_defect: float) -> None:
+    def _set_forms(self, ops: np.ndarray, c: np.ndarray, factor: np.ndarray, tp_defect: float) -> None:
+        ops.flags.writeable = False  # the views ops[k] are the map's only copy of its operators
+        object.__setattr__(self, "kraus", tuple(ops))
         object.__setattr__(self, "_choi", ChoiMatrix(dim_in=self.dim_in, dim_out=self.dim_out, mat=c))
         object.__setattr__(self, "_factor", factor)
         object.__setattr__(self, "tp_defect", tp_defect)
         object.__setattr__(self, "trace_preserving", tp_defect <= TP_FLAG_TOL)
 
     @classmethod
-    def _built(cls, dim_in: int, dim_out: int, kraus: tuple, c, factor, tp_defect: float) -> KrausChannel:
-        """A map whose Kraus operators, Choi matrix, factor and TP defect come
-        from one :func:`_truncated_choi` result: nothing to check or build again."""
+    def _built(cls, dim_in: int, dim_out: int, ops: np.ndarray, c, factor, tp_defect: float) -> KrausChannel:
+        """A map whose Kraus operators ops[k], Choi matrix, factor and TP defect
+        come from one :func:`_truncated_choi` result: nothing to check or build again."""
         t = object.__new__(cls)
-        for name, value in (("dim_in", dim_in), ("dim_out", dim_out), ("kraus", kraus)):
-            object.__setattr__(t, name, value)
-        t._set_choi(c, factor, tp_defect)
+        object.__setattr__(t, "dim_in", dim_in)
+        object.__setattr__(t, "dim_out", dim_out)
+        t._set_forms(ops, c, factor, tp_defect)
         return t
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
@@ -103,10 +105,8 @@ class KrausChannel:
         x = np.asarray(x)
         if x.shape != (self.dim_in, self.dim_in):
             raise ValueError(f"expected {self.dim_in}x{self.dim_in} input, got {x.shape}")
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for a in self.kraus:
-            out += a @ x @ a.conj().T
-        return out
+        ops = self._factor.T.reshape(-1, self.dim_out, self.dim_in)  # the factor's columns, zeros too
+        return (ops @ x @ _adjoint(ops)).sum(axis=0)
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
         """Schroedinger-picture action on a state; valid when trace-preserving."""
@@ -117,10 +117,8 @@ class KrausChannel:
         x = np.asarray(x)
         if x.shape != (self.dim_out, self.dim_out):
             raise ValueError(f"expected {self.dim_out}x{self.dim_out} input, got {x.shape}")
-        out = np.zeros((self.dim_in, self.dim_in), dtype=complex)
-        for a in self.kraus:
-            out += a.conj().T @ x @ a
-        return out
+        ops = self._factor.T.reshape(-1, self.dim_out, self.dim_in)
+        return (_adjoint(ops) @ x @ ops).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -204,11 +202,12 @@ def from_choi(c: ChoiMatrix) -> KrausChannel:
 def _channel_of(c_rec, factor, tp_defect, eig, d1: int, d2: int) -> KrausChannel:
     """The ``KrausChannel`` of a one-matrix :func:`_truncated_choi` result: the
     only place Kraus operators are cut, each kept eigenvector phase-fixed,
-    then scaled by sqrt(lam) and unvectorized.  The map keeps the unfixed
-    ``factor``, so its fidelities read the bits a stacked run reads."""
+    then scaled by sqrt(lam) and unvectorized, all into one array.  The map
+    keeps the unfixed ``factor``, so its fidelities read the bits a stacked
+    run reads."""
     lam, vecs, keep = (a[0] for a in eig)
     vectors = _fix_column_phases(vecs[:, keep]) * np.sqrt(lam[keep])
-    ops = tuple(v.reshape(d2, d1) for v in vectors.T) or (np.zeros((d2, d1), dtype=complex),)
+    ops = vectors.T.reshape(-1, d2, d1) if keep.any() else np.zeros((1, d2, d1), dtype=complex)
     return KrausChannel._built(d1, d2, ops, c_rec[0], factor[0], float(tp_defect[0]))
 
 
@@ -216,12 +215,8 @@ def tensor_with_identity(t: KrausChannel, d_anc: int) -> KrausChannel:
     """T ⊗ id on an ancilla of dimension d_anc (Kraus set {A_k ⊗ 1})."""
     if d_anc < 1:
         raise ValueError("ancilla dimension must be >= 1")
-    eye = np.eye(d_anc)
-    return KrausChannel(
-        dim_in=t.dim_in * d_anc,
-        dim_out=t.dim_out * d_anc,
-        kraus=tuple(tensor_product(a, eye) for a in t.kraus),
-    )
+    kraus = tuple(tensor_product(a, np.eye(d_anc)) for a in t.kraus)
+    return KrausChannel(dim_in=t.dim_in * d_anc, dim_out=t.dim_out * d_anc, kraus=kraus)
 
 
 def tensor_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
@@ -236,9 +231,7 @@ def tensor_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
 def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
     """Composition (after ∘ before) with the product Kraus set."""
     if before.dim_out != after.dim_in:
-        raise ValueError(
-            f"cannot compose: inner dims {before.dim_out} vs {after.dim_in} differ"
-        )
+        raise ValueError(f"cannot compose: inner dims {before.dim_out} vs {after.dim_in} differ")
     return KrausChannel(
         dim_in=before.dim_in,
         dim_out=after.dim_out,
@@ -253,9 +246,9 @@ def stinespring(t: KrausChannel) -> np.ndarray:
     first canonicalized through the Choi eigendecomposition so the
     environment dimension, ``V.shape[0] // t.dim_in``, equals the Choi rank.
     """
-    kraus = from_choi(choi(t)).kraus
+    ops = np.conj(from_choi(choi(t)).kraus)
     # V[(i, k), mu] = conj(A_k[mu, i])
-    return np.stack([a.conj().T for a in kraus], axis=1).reshape(t.dim_in * len(kraus), t.dim_out)
+    return ops.transpose(2, 0, 1).reshape(t.dim_in * len(ops), t.dim_out)
 
 
 def is_completely_dominated(s: KrausChannel, t: KrausChannel, lam: float) -> bool:
@@ -281,9 +274,7 @@ def random_channel(d1: int, d2: int, kraus_rank: int, seed: int) -> KrausChannel
     if not 1 <= kraus_rank <= d1 * d2:
         raise ValueError(f"kraus_rank must be in [1, {d1 * d2}], got {kraus_rank}")
     if d2 * kraus_rank < d1:
-        raise ValueError(
-            f"no isometry H_in -> H_out ⊗ E exists for d1={d1}, d2={d2}, rank={kraus_rank}"
-        )
+        raise ValueError(f"no isometry H_in -> H_out ⊗ E exists for d1={d1}, d2={d2}, rank={kraus_rank}")
     kraus = _random_kraus(d1, d2, kraus_rank, [seed])
     return KrausChannel(dim_in=d1, dim_out=d2, kraus=tuple(kraus[:, 0]))
 

@@ -18,14 +18,6 @@ from .identify import NotAdmissibleError, reconstruct
 from .metrics import CertificateError
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad arguments; remap to 1 (validation)
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _load_json(path: str):
     try:
         with open(path) as fh:
@@ -113,8 +105,8 @@ def _cmd_sweep(args) -> int:
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="chanid", description=__doc__)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="chanid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("randchannel", help="emit a random trace-preserving channel as JSON")
@@ -166,7 +158,7 @@ def cli_main(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse exits with 2 on bad arguments: a validation error here
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)

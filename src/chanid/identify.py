@@ -34,6 +34,7 @@ from .channel import (
 from .linalg import (
     DensityOperator,
     Spectrum,
+    _check_finite_hermitian,
     _check_unit_traces,
     _clip_eigenpairs,
     _fix_column_phases,
@@ -247,17 +248,18 @@ def consistency_residual(w: DensityOperator | np.ndarray, ref: ReferenceState, d
     return reconstruct(w, ref, d2).consistency_residual
 
 
-def reconstruct(
-    w: DensityOperator | np.ndarray, ref: ReferenceState, d2: int
-) -> ReconstructionResult:
+def reconstruct(w: DensityOperator | np.ndarray, ref: ReferenceState, d2: int) -> ReconstructionResult:
     """Invert the probe map: the CP map with Choi matrix (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)†.
 
     For w produced by a noiseless probe this returns the true channel; for
     perturbed w it returns the (generally non-trace-preserving) CP map that
     the inversion formula defines, with residual diagnostics.  w must have
-    unit trace within ``linalg.TRACE_TOL``.  Eigenvalues of w in
-    [-W_PSD_TOL, 0) are clipped (the removed weight is reported and the trace
-    restored); anything more negative raises :class:`NotCompletelyPositiveError`.
+    unit trace within ``linalg.TRACE_TOL``; a plain array w is checked here, as
+    a ``DensityOperator`` is at construction, for finite entries and a
+    Hermiticity defect within ``linalg.HERMITICITY_TOL``.  Eigenvalues of w
+    in [-W_PSD_TOL, 0) are clipped (the removed weight is reported and the
+    trace restored); anything more negative raises
+    :class:`NotCompletelyPositiveError`.
     C's rank cutoff and PSD tolerance are both CHOI_REL_TOL·||w||_op·||rho^-1||.
     """
     w_mat = w.mat if isinstance(w, DensityOperator) else np.asarray(w, dtype=complex)
@@ -265,6 +267,8 @@ def reconstruct(
     n = d2 * d1
     if w_mat.shape != (n, n):
         raise ValueError(f"state shape {w_mat.shape} is not ({n}, {n})")
+    if not isinstance(w, DensityOperator):
+        _check_finite_hermitian(w_mat, "state")
     found = _reconstruct_stack(w_mat[None], ref.x_inv[None], np.array([ref.min_eig]), d2)
     c_rec, factor, tp, eig, consistency, clipped = found
     return ReconstructionResult(

@@ -108,6 +108,15 @@ def psd_power(m: np.ndarray, exponent: float) -> np.ndarray:
     return (vecs * np.clip(vals, 0.0, None)[..., None, :] ** exponent) @ _adjoint(vecs)
 
 
+def _check_finite_hermitian(m: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless m's entries are finite and ||m - m†||_op <= ``HERMITICITY_TOL``."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} entries must be finite")
+    defect = _hermiticity_defect(m)
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"{what} not Hermitian: defect {defect:.3e}")
+
+
 def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
@@ -159,11 +168,7 @@ class DensityOperator:
         m = np.asarray(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("density operator entries must be finite")
-        defect = _hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"not Hermitian: defect {defect:.3e}")
+        _check_finite_hermitian(m, "density operator")
         _check_unit_traces(m)
         vals, vecs = np.linalg.eigh(hermitian_part(m))
         if vals[0] < -PSD_ADMISSION_TOL:

@@ -3,7 +3,8 @@
 Complex matrices are encoded as ``{"rows": R, "cols": C, "data": [[re, im],
 ...]}`` with the data row-major; every other object composes this format.
 Decoding validates shapes and raises ``ValueError`` on malformed input;
-integer fields must be JSON integers and real-number fields JSON numbers.
+integer fields must be JSON integers, real-number fields and matrix
+entries JSON numbers, and flags JSON bools.
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         flat = np.array([complex(re, im) for re, im in data])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"matrix data must be a list of [re, im] number pairs: {exc}") from exc
+    parts = flat.view(float)  # complex() reads a bool as 1 or 0: only such parts can be one
+    if any(type(data[i // 2][i % 2]) is bool for i in np.flatnonzero((parts == 0) | (parts == 1)).tolist()):
+        raise ValueError("matrix data entries must be JSON numbers, got a bool")
     if flat.size != rows * cols:
         raise ValueError(f"matrix data has {flat.size} entries, expected {rows * cols}")
     if not np.all(np.isfinite(flat)):
@@ -109,9 +113,11 @@ def choi_from_json(obj: dict) -> ChoiMatrix:
     try:
         d1, d2 = _json_int(obj["dim_in"], "dim_in"), _json_int(obj["dim_out"], "dim_out")
         mat = matrix_from_json(obj["mat"])
-        legacy_scaled = bool(obj.get("normalized", False))
+        legacy_scaled = obj.get("normalized", False)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed Choi object: {exc}") from exc
+    if not isinstance(legacy_scaled, bool):
+        raise ValueError(f"normalized must be a JSON bool, got {legacy_scaled!r}")
     return ChoiMatrix(dim_in=d1, dim_out=d2, mat=mat * d1 if legacy_scaled else mat)
 
 

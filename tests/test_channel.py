@@ -20,14 +20,18 @@ from chanid.channel import (
     unitary_channel,
     zero_map,
 )
+from chanid.identify import forward_map, make_reference, reconstruct
 from chanid.linalg import (
     DensityOperator,
+    maximally_mixed,
     operator_norm,
     partial_trace,
     random_unitary,
     tensor_product,
     trace_norm,
 )
+
+from chanid.serialize import channel_from_json, channel_to_json
 
 from conftest import (
     apply_via_choi_oracle,
@@ -405,3 +409,73 @@ class TestComposition:
     def test_inner_dimension_checked(self):
         with pytest.raises(ValueError):
             compose(identity_channel(3), identity_channel(2))
+
+
+def _wide_composite():
+    # 2 x 5 Kraus operators for a Choi matrix with 4 rows
+    return compose(depolarizing_channel(0.05, 2), random_channel(2, 2, 2, seed=6))
+
+
+def _rank_one_reconstruction():
+    t = random_channel(3, 3, 1, seed=30)
+    ref = make_reference(maximally_mixed(3))
+    return reconstruct(forward_map(t, ref), ref, 3).cp_map
+
+
+class TestOneKrausArray:
+    """A map holds its Kraus operators once, as read-only views of one array."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: random_channel(2, 3, 3, seed=31),
+            lambda: channel_from_json(channel_to_json(random_channel(3, 2, 2, seed=32))),
+            _wide_composite,
+        ],
+        ids=["random_channel", "channel_from_json", "compose"],
+    )
+    def test_kraus_built_maps_share_the_factor(self, build):
+        t = build()
+        for k, a in enumerate(t.kraus):
+            assert not a.flags.writeable
+            assert np.shares_memory(a, t._factor)
+            np.testing.assert_array_equal(t._factor[:, k], a.reshape(-1))
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: from_choi(choi(random_channel(2, 3, 4, seed=33))), _rank_one_reconstruction],
+        ids=["from_choi", "reconstruct"],
+    )
+    def test_choi_built_maps_hold_one_array(self, build):
+        t = build()
+        base = t.kraus[0].base
+        assert base is not None
+        for a in t.kraus:
+            assert not a.flags.writeable
+            assert a.base is base
+
+    def test_operators_cannot_be_written(self):
+        t = random_channel(2, 2, 2, seed=34)
+        with pytest.raises(ValueError, match="read-only"):
+            t.kraus[0][0, 0] = 1.0
+
+    def test_construction_copies_the_callers_operators(self):
+        ops = [np.eye(2, dtype=complex)]
+        t = KrausChannel(dim_in=2, dim_out=2, kraus=ops)
+        ops[0][0, 0] = 5.0
+        np.testing.assert_array_equal(t.kraus[0], np.eye(2))
+
+    @pytest.mark.parametrize("build", [_rank_one_reconstruction, _wide_composite], ids=["rank-one", "wide"])
+    def test_apply_and_dual_equal_the_per_operator_sums(self, build):
+        t = build()
+        if build is _rank_one_reconstruction:
+            assert len(t.kraus) == 1 and np.count_nonzero(~t._factor.any(axis=0)) == 8
+        else:
+            assert t._factor.shape[1] > t._factor.shape[0]
+        rng = np.random.default_rng(35)
+        x = rand_complex(rng, t.dim_in, t.dim_in)
+        y = rand_complex(rng, t.dim_out, t.dim_out)
+        want = sum(a @ x @ a.conj().T for a in t.kraus)
+        want_dual = sum(a.conj().T @ y @ a for a in t.kraus)
+        assert np.linalg.norm(t.apply_matrix(x) - want) <= 1e-14 * np.linalg.norm(want)
+        assert np.linalg.norm(t.dual_apply(y) - want_dual) <= 1e-14 * np.linalg.norm(want_dual)

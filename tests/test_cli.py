@@ -425,6 +425,29 @@ class TestMalformedInput:
         self.assert_one_line_error(code, capsys)
 
 
+class TestBoolMatrixEntries:
+    """A JSON bool is not a matrix entry, though complex() would read it as 1 or 0."""
+
+    def test_fidelity_of_a_bool_channel(self, tmp_path, capsys):
+        obj = {"dim_in": 1, "dim_out": 1, "kraus": [{"rows": 1, "cols": 1, "data": [[True, False]]}]}
+        path = write_json(tmp_path / "t.json", obj)
+        assert cli_main(["fidelity", "--t1", path, "--t2", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chanid: error:") and "must be JSON numbers" in err
+        assert err.count("\n") == 1
+
+    def test_reconstruct_of_a_bool_state_entry(self, tmp_path, capsys, noiseless_setup):
+        _, w_path, ref_path = noiseless_setup
+        with open(w_path) as fh:
+            obj = json.load(fh)
+        obj["data"][1] = [0.0, False]
+        bad = write_json(tmp_path / "bad.json", obj)
+        assert cli_main(["reconstruct", "--w", bad, "--ref", ref_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chanid: error:") and "must be JSON numbers" in err
+        assert err.count("\n") == 1
+
+
 class TestSubnormalReference:
     def test_overflowing_inverse_is_one_line_numerical_failure(self, tmp_path, capsys):
         # cutoff 0 admits min eig 5e-324, whose inverse is not a finite double
@@ -448,6 +471,22 @@ class TestArgumentHandling:
     def test_missing_required_flag(self, capsys):
         assert cli_main(["randchannel", "--d1", "2"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["randchannel", "--d1", "2"], "the following arguments are required"),
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+            (["cbdist", "--t1", "a", "--t2", "b", "--starts", "x"], "argument --starts: invalid int value: 'x'"),
+            (["fidelity", "--t1", "a", "--t2", "b", "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+        ids=["missing-flag", "unknown-command", "bad-int", "unknown-flag"],
+    )
+    def test_bad_arguments_print_usage_and_one_error_line(self, capsys, argv, message):
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: chanid")
+        assert err.endswith("\n") and message in err.splitlines()[-1] and ": error: " in err.splitlines()[-1]
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0

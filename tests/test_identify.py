@@ -498,3 +498,31 @@ class TestIdentificationInvariants:
         rec_b = reconstruct(forward_map(t, ref_b), ref_b, 2)
         assert trace_norm(choi(rec_a.cp_map).mat - choi(t).mat) <= 1e-8
         assert trace_norm(choi(rec_b.cp_map).mat - choi(t).mat) <= 1e-8
+
+
+class TestPlainArrayInput:
+    """A plain array w is checked where it enters, as a DensityOperator is."""
+
+    @staticmethod
+    def probe_output():
+        ref = make_reference(DensityOperator(np.diag([0.2, 0.8])))
+        return forward_map(random_channel(2, 2, 4, seed=36), ref).mat.copy(), ref
+
+    def test_non_hermitian_entry_is_rejected(self):
+        w, ref = self.probe_output()
+        w[0, 1] += 0.05j
+        with pytest.raises(ValueError, match="state not Hermitian: defect"):
+            reconstruct(w, ref, 2)
+        with pytest.raises(ValueError, match="state not Hermitian"):
+            consistency_residual(w, ref, 2)
+
+    def test_nan_entry_is_rejected_before_any_decomposition(self):
+        w, ref = self.probe_output()
+        w[0, 1] = np.nan
+        with pytest.raises(ValueError, match="state entries must be finite") as info:
+            reconstruct(w, ref, 2)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
+    def test_the_exact_probe_output_is_accepted(self):
+        w, ref = self.probe_output()
+        assert reconstruct(w, ref, 2).tp_residual <= 1e-12

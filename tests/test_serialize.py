@@ -117,9 +117,17 @@ def test_reference_with_null_out_basis_loads():
 
 
 @pytest.mark.parametrize(
-    "data", [[[1, "a"]], [[1, None]], [[1, [2]]], 5, [1], [[1, 10**400]]],
-    ids=["string", "null", "list", "not-a-list", "not-a-pair", "huge-int"],
+    "data", [[[1, "a"]], [[1, None]], [[1, [2]]], 5, [1], [[1, 10**400]], [[True, False]], [[0.5, True]]],
+    ids=["string", "null", "list", "not-a-list", "not-a-pair", "huge-int", "bool-pair", "bool-imaginary-part"],
 )
 def test_non_number_matrix_data_is_value_error(data):
     with pytest.raises(ValueError, match="matrix data"):
         matrix_from_json({"rows": 1, "cols": 1, "data": data})
+
+
+@pytest.mark.parametrize("flag", ["false", 0, 1, None], ids=["string", "zero", "one", "null"])
+def test_choi_normalized_flag_must_be_a_json_bool(flag):
+    c = choi(random_channel(2, 2, 2, seed=9))
+    obj = {"dim_in": 2, "dim_out": 2, "normalized": flag, "mat": matrix_to_json(c.mat)}
+    with pytest.raises(ValueError, match="normalized must be a JSON bool"):
+        choi_from_json(obj)
