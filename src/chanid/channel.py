@@ -23,12 +23,11 @@ from .linalg import (
     CHANNEL_SITE,
     DensityOperator,
     _adjoint,
+    _check_finite_hermitian,
     _fix_column_phases,
-    _hermiticity_defect,
     _hermitian_norms,
     _random_unitaries,
     hermitian_part,
-    operator_norm,
     partial_trace,
     tensor_product,
 )
@@ -134,9 +133,7 @@ class ChoiMatrix:
         n = self.dim_out * self.dim_in
         if m.shape != (n, n):
             raise ValueError(f"Choi matrix must be {n}x{n}, got {m.shape}")
-        defect = _hermiticity_defect(m)
-        if defect > CHOI_HERM_TOL:
-            raise ValueError(f"Choi matrix not Hermitian: defect {defect:.3e}")
+        _check_finite_hermitian(m, "Choi matrix", CHOI_HERM_TOL)
         object.__setattr__(self, "mat", m)
 
 
@@ -255,8 +252,8 @@ def is_completely_dominated(s: KrausChannel, t: KrausChannel, lam: float) -> boo
     """Whether lam * T - S is completely positive (Choi PSD to -1e-9)."""
     if (s.dim_in, s.dim_out) != (t.dim_in, t.dim_out):
         raise ValueError("dimension pairs must match")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     diff = lam * choi(t).mat - choi(s).mat
     return bool(np.linalg.eigvalsh(hermitian_part(diff))[0] >= -DOMINATION_PSD_TOL)
 
@@ -294,12 +291,14 @@ def identity_channel(d: int) -> KrausChannel:
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
+    """The channel rho -> u rho u†; its TP defect ||u†u - 1||_op must be at most 1e-10."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("unitary must be square")
-    if operator_norm(u.conj().T @ u - np.eye(u.shape[0])) > 1e-10:
+    t = KrausChannel(dim_in=u.shape[0], dim_out=u.shape[0], kraus=(u,))  # checks u is finite
+    if t.tp_defect > 1e-10:
         raise ValueError("matrix is not unitary")
-    return KrausChannel(dim_in=u.shape[0], dim_out=u.shape[0], kraus=(u,))
+    return t
 
 
 def depolarizing_channel(lam: float, d: int) -> KrausChannel:

@@ -256,9 +256,10 @@ def reconstruct(w: DensityOperator | np.ndarray, ref: ReferenceState, d2: int) -
     the inversion formula defines, with residual diagnostics.  w must have
     unit trace within ``linalg.TRACE_TOL``; a plain array w is checked here, as
     a ``DensityOperator`` is at construction, for finite entries and a
-    Hermiticity defect within ``linalg.HERMITICITY_TOL``.  Eigenvalues of w
-    in [-W_PSD_TOL, 0) are clipped (the removed weight is reported and the
-    trace restored); anything more negative raises
+    Hermiticity defect within ``linalg.HERMITICITY_TOL``.  This is the one
+    clip of w, array or ``DensityOperator``: eigenvalues in [-W_PSD_TOL, 0)
+    are zeroed, the trace restored and their whole weight reported as
+    ``clip_magnitude``; anything more negative raises
     :class:`NotCompletelyPositiveError`.
     C's rank cutoff and PSD tolerance are both CHOI_REL_TOL·||w||_op·||rho^-1||.
     """

@@ -108,12 +108,12 @@ def psd_power(m: np.ndarray, exponent: float) -> np.ndarray:
     return (vecs * np.clip(vals, 0.0, None)[..., None, :] ** exponent) @ _adjoint(vecs)
 
 
-def _check_finite_hermitian(m: np.ndarray, what: str) -> None:
-    """Raise ``ValueError`` unless m's entries are finite and ||m - m†||_op <= ``HERMITICITY_TOL``."""
+def _check_finite_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL) -> None:
+    """Raise ``ValueError`` unless m's entries are finite and ||m - m†||_op <= tol."""
     if not np.isfinite(m).all():
         raise ValueError(f"{what} entries must be finite")
     defect = _hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
+    if defect > tol:
         raise ValueError(f"{what} not Hermitian: defect {defect:.3e}")
 
 
@@ -151,14 +151,13 @@ def _check_unit_traces(m: np.ndarray, what: str = "trace") -> None:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, PSD, unit-trace matrix.
+    """Hermitian, PSD, unit-trace matrix, kept as given (as a complex array).
 
-    Construction validates the invariants, in this order: finite entries,
-    Hermiticity, unit trace, then the PSD check.  Eigenvalues in
-    ``[-1e-10, 0)`` are treated as numerical noise and clipped by the one
-    clip rule for states, :func:`_clip_eigenpairs` (zeroed, then the matrix
-    rebuilt at unit trace); anything more negative is rejected.  This is
-    where states from JSON and user code are checked; the states the
+    Construction checks, in this order: finite entries, Hermiticity, unit
+    trace, then a smallest eigenvalue of at least ``-PSD_ADMISSION_TOL``,
+    from one ``eigvalsh``.  Eigenvalues in that tolerance below 0 stay in
+    the matrix; ``reconstruct`` clips them and reports their weight.  This
+    is where states from JSON and user code are checked; the states the
     package builds itself are wrapped by :meth:`_checked` instead.
     """
 
@@ -170,20 +169,16 @@ class DensityOperator:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
         _check_finite_hermitian(m, "density operator")
         _check_unit_traces(m)
-        vals, vecs = np.linalg.eigh(hermitian_part(m))
-        if vals[0] < -PSD_ADMISSION_TOL:
-            raise ValueError(f"not PSD: min eigenvalue {vals[0]:.3e}")
-        object.__setattr__(self, "mat", _clip_eigenpairs(m[None], vals[None], vecs[None])[0][0])
+        min_eig = np.linalg.eigvalsh(hermitian_part(m))[0]
+        if min_eig < -PSD_ADMISSION_TOL:
+            raise ValueError(f"not PSD: min eigenvalue {min_eig:.3e}")
+        object.__setattr__(self, "mat", m)
 
     @classmethod
     def _checked(cls, mat: np.ndarray) -> DensityOperator:
         """Wrap a state the package built itself (a probe output, a disturbed
-        one) without checking it.
-
-        Such states are Hermitian and of unit trace by construction and PSD
-        up to rounding: an eigenvalue may sit a rounding error below 0,
-        which ``reconstruct`` clips.
-        """
+        one) without checking it: it is Hermitian and of unit trace by
+        construction, and PSD up to a rounding error that ``reconstruct`` clips."""
         rho = object.__new__(cls)
         object.__setattr__(rho, "mat", mat)
         return rho
@@ -200,8 +195,8 @@ def pure_state(vector: np.ndarray) -> DensityOperator:
     """|v><v| / <v|v> as a density operator."""
     v = np.asarray(vector, dtype=complex).reshape(-1)
     norm_sq = float(np.vdot(v, v).real)
-    if norm_sq <= 0:
-        raise ValueError("cannot normalize a zero vector")
+    if not 0 < norm_sq < np.inf:
+        raise ValueError(f"cannot normalize a vector of squared norm {norm_sq}")
     return DensityOperator(np.outer(v, v.conj()) / norm_sq)
 
 
@@ -214,7 +209,9 @@ def _clip_eigenpairs(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> tuple
     its eigenpairs (vals, vecs): zero the negative eigenvalues, renormalize.
 
     Returns the projections and the negative weight removed from each;
-    matrices with no negative eigenvalue come back as they are.
+    matrices with no negative eigenvalue come back as they are.  The one
+    clip of a probe output is ``reconstruct``'s; the jitter noise model
+    clips its disturbed states too, as part of their definition.
     """
     moved = vals[:, 0] < 0.0  # eigenvalues ascend
     negative = np.zeros(len(h))

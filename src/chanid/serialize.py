@@ -80,7 +80,10 @@ def vector_to_json(v: np.ndarray) -> list:
 
 
 def vector_from_json(obj: list) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in obj])
+    """Decode a list of [re, im] pairs, checked as :func:`matrix_from_json` checks a matrix's data."""
+    if not isinstance(obj, list):
+        raise ValueError(f"vector must be a JSON list of [re, im] pairs, got {type(obj).__name__}")
+    return matrix_from_json({"rows": len(obj), "cols": 1, "data": obj}).reshape(-1)
 
 
 def channel_to_json(t: KrausChannel) -> dict:

@@ -161,6 +161,13 @@ class TestChoi:
         with pytest.raises(ValueError, match=re.escape(f"Choi matrix not Hermitian: defect {2e-9:.3e}")):
             ChoiMatrix(dim_in=2, dim_out=2, mat=c + skew)
 
+    def test_nan_entry_is_rejected_before_any_decomposition(self):
+        c = choi(random_channel(2, 2, 2, seed=3)).mat.copy()
+        c[0, 1] = np.nan
+        with pytest.raises(ValueError, match="Choi matrix entries must be finite") as info:
+            ChoiMatrix(dim_in=2, dim_out=2, mat=c)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
     def test_read_without_rebuilding(self):
         t = random_channel(3, 2, 2, seed=9)
         assert choi(t) is choi(t)
@@ -319,6 +326,13 @@ class TestCompleteDomination:
         with pytest.raises(ValueError):
             is_completely_dominated(identity_channel(2), identity_channel(3), 1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_lambda_must_be_finite_and_nonnegative(self, lam):
+        t = random_channel(2, 2, 2, seed=17)
+        with pytest.raises(ValueError, match="lambda must be finite and nonnegative") as info:
+            is_completely_dominated(t, t, lam)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
 
 class TestRandomChannel:
     def test_rank_one_square_is_unitary(self):
@@ -391,6 +405,19 @@ class TestNamedChannels:
             amplitude_damping_channel(-0.1)
         with pytest.raises(ValueError):
             unitary_channel(np.ones((2, 2)))
+
+    def test_unitary_with_nan_entry_is_rejected_before_any_decomposition(self):
+        u = random_unitary(2, 5)
+        u[1, 0] = np.nan
+        with pytest.raises(ValueError, match="entries must be finite") as info:
+            unitary_channel(u)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
+    def test_unitary_channel_checks_unitarity_by_its_tp_defect(self):
+        u = random_unitary(3, 6)
+        assert unitary_channel(u).tp_defect <= 1e-10
+        with pytest.raises(ValueError, match="not unitary"):
+            unitary_channel(u * (1 + 1e-9))
 
 
 class TestComposition:

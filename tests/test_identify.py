@@ -42,6 +42,7 @@ from chanid.linalg import (
 from conftest import (
     choi_accumulation_oracle,
     choi_from_w_oracle,
+    noise_clipped_state,
     rand_density_mat,
     rho_inv_sqrt,
     singular_values_oracle,
@@ -498,6 +499,36 @@ class TestIdentificationInvariants:
         rec_b = reconstruct(forward_map(t, ref_b), ref_b, 2)
         assert trace_norm(choi(rec_a.cp_map).mat - choi(t).mat) <= 1e-8
         assert trace_norm(choi(rec_b.cp_map).mat - choi(t).mat) <= 1e-8
+
+
+class TestOneClip:
+    """reconstruct is the one clip of a probe output: a DensityOperator keeps
+    its matrix as given, so wrapping w first changes no bit of the result."""
+
+    @staticmethod
+    def assert_same_result(w, ref, d2):
+        a, b = reconstruct(DensityOperator(w), ref, d2), reconstruct(w, ref, d2)
+        assert np.array(a.cp_map.kraus).tobytes() == np.array(b.cp_map.kraus).tobytes()
+        assert (a.tp_residual, a.consistency_residual, a.clip_magnitude) == (
+            b.tp_residual, b.consistency_residual, b.clip_magnitude
+        )
+        return b
+
+    def test_noise_clipped_state(self):
+        w = noise_clipped_state()
+        vals = np.linalg.eigvalsh(w)
+        rec = self.assert_same_result(w, make_reference(maximally_mixed(2)), 2)
+        assert rec.clip_magnitude == pytest.approx(-vals[vals < 0].sum(), rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_noiseless_rank_one_probe_outputs(self, d):
+        ref = rand_reference(np.random.default_rng(40 + d), d, min_eig=0.05 / d)
+        t = random_channel(d, d, 1, seed=d)
+        w = forward_map(t, ref).mat
+        assert np.linalg.eigvalsh(w)[0] < 0.0  # rounding puts some eigenvalues below 0: the clip runs
+        rec = self.assert_same_result(w, ref, d)
+        assert 0.0 < rec.clip_magnitude <= 1e-14
+        assert len(rec.cp_map.kraus) == 1
 
 
 class TestPlainArrayInput:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanid.channel import random_channel
-from chanid.identify import make_reference, reconstruct
+from chanid import linalg
+from chanid.channel import choi, random_channel
+from chanid.identify import forward_map, make_reference, reconstruct
 from chanid.linalg import (
     CB_STARTS_SITE,
     CHANNEL_SITE,
@@ -168,6 +169,15 @@ class TestStateFidelity:
         rho = DensityOperator(rand_density_mat(rng, 3))
         assert state_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
+    def test_pure_state_is_the_normalized_projector(self):
+        v = np.array([1.0, 2.0j, -0.5])
+        np.testing.assert_array_equal(pure_state(v).mat, np.outer(v, v.conj()) / np.vdot(v, v).real)
+
+    @pytest.mark.parametrize("v", [[np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0]], ids=["nan", "inf", "zero"])
+    def test_pure_state_rejects_non_finite_or_zero_vector(self, v):
+        with pytest.raises(ValueError, match="cannot normalize a vector of squared norm"):
+            pure_state(np.array(v))
+
     def test_orthogonal_pure_states(self):
         z0 = pure_state(np.array([1.0, 0.0]))
         z1 = pure_state(np.array([0.0, 1.0]))
@@ -308,17 +318,44 @@ class TestDensityOperator:
             DensityOperator(np.diag([1.5, -0.5]))
 
     def test_clips_numerical_noise(self):
-        rho = DensityOperator(np.diag([1.0 + 5e-11, -5e-11]))
-        vals = np.linalg.eigvalsh(rho.mat)
-        assert vals[0] >= 0.0
+        # the state keeps its noise; reconstruct clips it and reports its weight
+        state = np.diag([1.0 + 5e-11, -5e-11])
+        rho = DensityOperator(state)
+        assert np.array_equal(rho.mat, state)
+        rec = reconstruct(rho, make_reference(DensityOperator(np.eye(1))), 2)
+        assert rec.clip_magnitude == pytest.approx(-np.linalg.eigvalsh(state)[0], rel=0, abs=1e-15)
+        assert rec.clip_magnitude == pytest.approx(5e-11, rel=1e-5)
+        assert len(rec.cp_map.kraus) == 1  # the clipped direction is gone
+        assert abs(np.trace(choi(rec.cp_map).mat) - 1.0) <= TRACE_TOL
 
     def test_clip_keeps_unit_trace(self):
-        # zeroing two eigenvalues of -0.9e-10 without renormalizing left a
-        # trace of 1 + 1.8e-10, which reconstruct then rejected
+        # zeroing the two eigenvalues of -0.9e-10 without renormalizing would
+        # leave a trace of 1 + 1.8e-10, beyond TRACE_TOL
         state = noise_clipped_state()
+        vals = np.linalg.eigvalsh(state)
         assert abs(np.trace(DensityOperator(state).mat) - 1.0) <= TRACE_TOL
         rec = reconstruct(DensityOperator(state), make_reference(maximally_mixed(2)), 2)
-        assert rec.clip_magnitude == 0.0  # nothing left to clip
+        assert rec.clip_magnitude == pytest.approx(-vals[vals < 0].sum(), rel=0, abs=1e-15)
+        assert rec.clip_magnitude == pytest.approx(1.8e-10, rel=1e-5)
+        assert abs(np.trace(choi(rec.cp_map).mat) / 2 - 1.0) <= TRACE_TOL
+
+    def test_keeps_its_matrix_as_given(self):
+        rng = np.random.default_rng(11)
+        noiseless = forward_map(random_channel(3, 3, 1, seed=2), make_reference(maximally_mixed(3))).mat
+        for m in (rand_density_mat(rng, 4), noise_clipped_state(), noiseless, np.diag([0.25, 0.75])):
+            kept = DensityOperator(m).mat
+            assert kept.dtype == complex and kept.tobytes() == np.asarray(m, dtype=complex).tobytes()
+
+    def test_one_eigvalsh_and_no_eigh_or_clip(self, monkeypatch):
+        m = hermitian_part(noise_clipped_state())  # exactly Hermitian: no SVD for the defect
+        calls = []
+        for routine in ("eigh", "eigvalsh", "svd"):
+            real = getattr(np.linalg, routine)
+            spy = lambda *a, real=real, routine=routine, **k: calls.append(routine) or real(*a, **k)
+            monkeypatch.setattr(np.linalg, routine, spy)
+        monkeypatch.setattr(linalg, "_clip_eigenpairs", lambda *a: pytest.fail("DensityOperator clipped"))
+        DensityOperator(m)
+        assert calls == ["eigvalsh"]
 
     def test_spectrum_reconstructs(self):
         rng = np.random.default_rng(31)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chanid.channel import choi, random_channel
-from chanid.identify import make_reference
+from chanid.identify import forward_map, make_reference
 from chanid.linalg import DensityOperator
 from chanid.serialize import (
     channel_from_json,
@@ -19,7 +19,7 @@ from chanid.serialize import (
     vector_to_json,
 )
 
-from conftest import rand_complex, rand_density_mat
+from conftest import noise_clipped_state, rand_complex, rand_density_mat
 
 
 def test_matrix_round_trip():
@@ -45,6 +45,18 @@ def test_vector_round_trip():
     rng = np.random.default_rng(1)
     v = rand_complex(rng, 4, 1).reshape(-1)
     np.testing.assert_array_equal(vector_from_json(vector_to_json(v)), v)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [[[True, False]], [[0.5, True]], [[1, "a"]], [[1, None]], [[1]], [[1, 2, 3]], [[float("nan"), 0.0]],
+     [[0.0, float("inf")]], [[1, 10**400]], [], 5, "ab"],
+    ids=["bool-pair", "bool-imaginary-part", "string", "null", "short-pair", "long-pair", "nan", "inf",
+         "huge-int", "empty", "not-a-list", "string-vector"],
+)
+def test_vector_from_json_checks_as_matrix_data(obj):
+    with pytest.raises(ValueError):
+        vector_from_json(obj)
 
 
 def test_channel_round_trip():
@@ -87,7 +99,15 @@ def test_legacy_normalized_choi_is_rescaled():
 def test_density_round_trip():
     rng = np.random.default_rng(2)
     rho = DensityOperator(rand_density_mat(rng, 3))
-    np.testing.assert_allclose(density_from_json(density_to_json(rho)).mat, rho.mat, atol=0)
+    np.testing.assert_array_equal(density_from_json(density_to_json(rho)).mat, rho.mat)
+
+
+def test_density_round_trip_keeps_rounding_level_negative_eigenvalues():
+    noiseless = forward_map(random_channel(3, 3, 1, seed=2), make_reference(DensityOperator(np.eye(3) / 3))).mat
+    for m in (noise_clipped_state(), noiseless):
+        assert np.linalg.eigvalsh(m)[0] < 0.0
+        rho = DensityOperator(m)
+        assert density_from_json(density_to_json(rho)).mat.tobytes() == rho.mat.tobytes()
 
 
 def test_reference_round_trip():
