@@ -3,12 +3,13 @@
 Choi matrices live on (output ⊗ input) with the output factor varying
 slowly, matching the package-wide index convention, and carry the factor
 d_in: C = (T ⊗ id)(d_in · |Omega><Omega|), so tr C = d_in for a channel.  A
-``KrausChannel`` holds one Choi matrix C, which ``choi``, the probe map and
-the TP flag read, and one factor F of it, C = F F†, which every channel
-fidelity reads: the Kraus vectors vec(A_k), accumulated into C at
-construction, or, for a map built by :func:`from_choi` or ``reconstruct``,
-V diag(sqrt(lam·keep)) of the input's eigendecomposition, whose kept part
-is C and whose eigenvectors become Kraus operators only there.
+``KrausChannel`` holds one Choi matrix C, which ``choi`` and the probe map
+read, and one factor F of it, C = F F†, which every channel fidelity and
+the TP flag read: the Kraus vectors vec(A_k), accumulated
+into C at construction, or, for a map built by :func:`from_choi` or
+``reconstruct``, the factor its input's one eigendecomposition gives, with
+zero columns where an eigenvalue is cut.  Those maps get their Kraus
+operators from a thin SVD of that factor, and only there.
 Stinespring dilations have the shape V: H_out -> H_in ⊗ E, so that
 T(rho) = V† (rho ⊗ 1_E) V.
 """
@@ -28,7 +29,6 @@ from .linalg import (
     _hermitian_norms,
     _random_unitaries,
     hermitian_part,
-    partial_trace,
     tensor_product,
 )
 
@@ -49,11 +49,12 @@ class KrausChannel:
 
     The map is ``sum_k A_k rho A_k†``, ``kraus`` read-only views of one
     (r, dim_out, dim_in) array.  Its Choi matrix is built once at
-    construction (read it with :func:`choi`).  ``trace_preserving`` is
-    computed from it as ``||tr_out C - 1||_op <= 1e-9``; CP maps that are
-    not channels (e.g. dominated maps, reconstructions from noisy data)
-    simply carry the flag as False.  ``_factor`` is a factor F, C = F F†,
-    whose columns vec(A_k) are that array for a map built from Kraus operators.
+    construction (read it with :func:`choi`).  ``_factor`` is a factor F,
+    C = F F†, whose columns vec(A_k) are that array for a map built from
+    Kraus operators.  ``trace_preserving`` is computed from F as
+    ``||tr_out C - 1||_op <= 1e-9``; CP maps that are not channels (e.g.
+    dominated maps, reconstructions from noisy data) simply carry the flag
+    as False.
     """
 
     dim_in: int
@@ -78,13 +79,15 @@ class KrausChannel:
             raise ValueError("Kraus entries must be finite")
         # the row-major flatten maps A[mu, i] to the Choi index mu * dim_in + i
         rows = ops.reshape(len(ops), -1)
-        c = _choi_of_rows(rows)
-        self._set_forms(ops, c, rows.T, float(_marginal_defects(c, self.dim_in, self.dim_out)[0]))
+        # finite entries can still overflow in products; ChoiMatrix refuses the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = ChoiMatrix(dim_in=self.dim_in, dim_out=self.dim_out, mat=_choi_of_rows(rows))
+        self._set_forms(ops, c, rows.T, float(_marginal_defects(rows.T, self.dim_in, self.dim_out)[0]))
 
-    def _set_forms(self, ops: np.ndarray, c: np.ndarray, factor: np.ndarray, tp_defect: float) -> None:
+    def _set_forms(self, ops: np.ndarray, c: ChoiMatrix, factor: np.ndarray, tp_defect: float) -> None:
         ops.flags.writeable = False  # the views ops[k] are the map's only copy of its operators
         object.__setattr__(self, "kraus", tuple(ops))
-        object.__setattr__(self, "_choi", ChoiMatrix(dim_in=self.dim_in, dim_out=self.dim_out, mat=c))
+        object.__setattr__(self, "_choi", c)
         object.__setattr__(self, "_factor", factor)
         object.__setattr__(self, "tp_defect", tp_defect)
         object.__setattr__(self, "trace_preserving", tp_defect <= TP_FLAG_TOL)
@@ -92,11 +95,11 @@ class KrausChannel:
     @classmethod
     def _built(cls, dim_in: int, dim_out: int, ops: np.ndarray, c, factor, tp_defect: float) -> KrausChannel:
         """A map whose Kraus operators ops[k], Choi matrix, factor and TP defect
-        come from one :func:`_truncated_choi` result: nothing to check or build again."""
+        come from one factor in :func:`_channel_of`: nothing to check or build again."""
         t = object.__new__(cls)
         object.__setattr__(t, "dim_in", dim_in)
         object.__setattr__(t, "dim_out", dim_out)
-        t._set_forms(ops, c, factor, tp_defect)
+        t._set_forms(ops, ChoiMatrix(dim_in=dim_in, dim_out=dim_out, mat=c), factor, tp_defect)
         return t
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
@@ -152,60 +155,49 @@ def _choi_of_rows(rows: np.ndarray) -> np.ndarray:
     return hermitian_part(c)
 
 
-def _marginal_defects(c: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
-    """(||tr_out C - 1||_op, ||tr_out C - 1||_1) for a Choi matrix C on
-    H_out ⊗ H_in or each of a stack: the TP defect and the consistency
-    residual (tr_out C is the transpose of sum_k A_k† A_k)."""
-    return _hermitian_norms(partial_trace(c, (d2, d1), "first") - np.eye(d1))
-
-
-def _truncated_choi(c: np.ndarray, d1: int, d2: int, rank_cutoff, psd_tol) -> tuple:
-    """Choi-form core of :func:`from_choi` and ``reconstruct`` for a stack of
-    Choi matrices: one ``eigh`` each, no Kraus operators.
-
-    Returns ``(c_rec, factor, tp_defect, (lam, vecs, keep))``: the eigenpairs
-    as ``eigh`` gives them, keep = lam > ``rank_cutoff``, c_rec the Hermitian
-    part of V diag(lam·keep) V†, factor = V diag(sqrt(lam·keep)) and
-    tp_defect c_rec's TP defect.  The thresholds are scalars or one per
-    matrix; an eigenvalue below -``psd_tol`` raises
-    :class:`NotCompletelyPositiveError`.
-    """
-    lam, vecs = np.linalg.eigh(hermitian_part(c))
-    not_cp = lam[:, 0] < -np.asarray(psd_tol)
-    if not_cp.any():
-        i = np.argmax(not_cp)
-        tol = np.broadcast_to(psd_tol, not_cp.shape)[i]
-        raise NotCompletelyPositiveError(f"Choi matrix has eigenvalue {lam[i, 0]:.3e} < -{tol:.1e}")
-    keep = lam > np.reshape(rank_cutoff, (-1, 1))
-    kept = np.where(keep, lam, 0.0)[:, None, :]
-    c_rec = hermitian_part((vecs * kept) @ _adjoint(vecs))
-    return c_rec, vecs * np.sqrt(kept), _marginal_defects(c_rec, d1, d2)[0], (lam, vecs, keep)
+def _marginal_defects(f: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
+    """(||tr_out C - 1||_op, ||tr_out C - 1||_1) for C = F F† on H_out ⊗ H_in,
+    from its factor F or each of a stack: the TP defect and the consistency
+    residual.  tr_out C = sum_mu F_mu F_mu† over the d1-row blocks F_mu of F,
+    one d1 × d1 product (it is the transpose of sum_k A_k† A_k)."""
+    rows = np.moveaxis(f.reshape(*f.shape[:-2], d2, d1, -1), -3, -2).reshape(*f.shape[:-2], d1, -1)
+    return _hermitian_norms(hermitian_part(rows @ _adjoint(rows)) - np.eye(d1))
 
 
 def from_choi(c: ChoiMatrix) -> KrausChannel:
     """Extract a minimal Kraus set from a PSD Choi matrix.
 
-    Eigenpairs with eigenvalue > ``FROM_CHOI_RANK_CUTOFF`` become Kraus
-    operators ``sqrt(lam) * unvec(v)``; an eigenvalue below
-    ``-FROM_CHOI_PSD_TOL`` means the matrix is not a CP-map Choi matrix and
-    raises :class:`NotCompletelyPositiveError`.  Eigenvector phases are
-    fixed so the result is deterministic.  The map's Choi matrix is
-    V diag(lam·keep) V†, which its Kraus accumulation equals to rounding.
+    One ``eigh`` of C gives the factor V diag(sqrt(lam·keep)), keep =
+    lam > ``FROM_CHOI_RANK_CUTOFF``, from which :func:`_channel_of` cuts the
+    Kraus operators; an eigenvalue below ``-FROM_CHOI_PSD_TOL`` means the
+    matrix is not a CP-map Choi matrix and raises
+    :class:`NotCompletelyPositiveError`.
     """
-    found = _truncated_choi(c.mat[None], c.dim_in, c.dim_out, FROM_CHOI_RANK_CUTOFF, FROM_CHOI_PSD_TOL)
-    return _channel_of(*found, c.dim_in, c.dim_out)
+    lam, vecs = np.linalg.eigh(hermitian_part(c.mat))
+    if lam[0] < -FROM_CHOI_PSD_TOL:
+        raise NotCompletelyPositiveError(f"Choi matrix has eigenvalue {lam[0]:.3e} < -{FROM_CHOI_PSD_TOL:.1e}")
+    factor = vecs * np.sqrt(np.where(lam > FROM_CHOI_RANK_CUTOFF, lam, 0.0))
+    return _channel_of(factor, float(_marginal_defects(factor, c.dim_in, c.dim_out)[0]), c.dim_in, c.dim_out)
 
 
-def _channel_of(c_rec, factor, tp_defect, eig, d1: int, d2: int) -> KrausChannel:
-    """The ``KrausChannel`` of a one-matrix :func:`_truncated_choi` result: the
-    only place Kraus operators are cut, each kept eigenvector phase-fixed,
-    then scaled by sqrt(lam) and unvectorized, all into one array.  The map
-    keeps the unfixed ``factor``, so its fidelities read the bits a stacked
-    run reads."""
-    lam, vecs, keep = (a[0] for a in eig)
-    vectors = _fix_column_phases(vecs[:, keep]) * np.sqrt(lam[keep])
-    ops = vectors.T.reshape(-1, d2, d1) if keep.any() else np.zeros((1, d2, d1), dtype=complex)
-    return KrausChannel._built(d1, d2, ops, c_rec[0], factor[0], float(tp_defect[0]))
+def _channel_of(factor: np.ndarray, tp_defect: float, d1: int, d2: int) -> KrausChannel:
+    """The ``KrausChannel`` with Choi matrix C = F F† of one (d1·d2)-row factor F
+    and TP defect ``tp_defect``: the only place Kraus operators are cut.
+
+    A thin SVD of F's nonzero columns gives them: the left singular vectors,
+    which are C's eigenvectors, phase-fixed, scaled by the singular values,
+    put in ascending order as ``eigh`` orders C's eigenpairs and unvectorized,
+    all into one array.  The map keeps F itself as its factor, so its
+    fidelities read the bits a stacked run reads, and caches the Hermitian
+    part of F F† as its Choi matrix.
+    """
+    kept = factor[:, factor.any(axis=0)]
+    if kept.size:
+        u, s, _ = np.linalg.svd(kept, full_matrices=False)
+        ops = (_fix_column_phases(u[:, ::-1]) * s[::-1]).T.reshape(-1, d2, d1)
+    else:
+        ops = np.zeros((1, d2, d1), dtype=complex)
+    return KrausChannel._built(d1, d2, ops, hermitian_part(factor @ _adjoint(factor)), factor, tp_defect)
 
 
 def tensor_with_identity(t: KrausChannel, d_anc: int) -> KrausChannel:

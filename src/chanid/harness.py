@@ -15,10 +15,11 @@ chunk through the same private cores that ``random_channel``,
 run for one trial.  Stacked LAPACK calls and elementwise array arithmetic
 give the bits of single calls, so the CSV bytes equal those of evaluating
 the trials one at a time with the public functions.  Each stage scores from
-what the chunk already holds: the fidelity is (||F_rec† K||_1 / d1)² from
-the factor F_rec = V diag(sqrt(lam·keep)) the reconstruction returns and the
-true channels' Kraus vectors K, the factors ``channel_fidelity`` reads; one
-``eigvalsh`` of each w gives its PSD check and ||w||_op, and each norm of a
+what the chunk already holds: one ``eigh`` of each w, w = U diag(lam) U†,
+is the trial's one decomposition and gives the factor
+F_rec = (1 ⊗ X⁻¹) U diag(sqrt(lam·keep)) the reconstruction returns; the
+fidelity is (||F_rec† K||_1 / d1)² from it and the true channels' Kraus
+vectors K, the factors ``channel_fidelity`` reads; and each norm of a
 Hermitian matrix is read from its eigenvalues (``trace_dist_w``, the residuals).
 
 Values are checked where they enter: :class:`RefSpec`, :class:`NoiseSpec`,
@@ -40,7 +41,7 @@ import numpy as np
 
 from .channel import _choi_of_rows, _random_kraus
 from .identify import _probe_outputs, _reconstruct_stack, _reference_arrays
-from .linalg import NOISE_SITE, SPECTRUM_SITE, TRACE_TOL, DensityOperator, _clip_eigenpairs, _generators
+from .linalg import NOISE_SITE, SPECTRUM_SITE, TRACE_TOL, DensityOperator, _adjoint, _clip_spectra, _generators
 from .linalg import _hermitian_norms, _random_unitaries, _seed, hermitian_part
 from .metrics import _channel_fidelities, fidelity_lower_bound
 from .serialize import _json_float, _json_int
@@ -224,7 +225,10 @@ def _noisy(w: np.ndarray, model: NoiseSpec, seeds) -> np.ndarray:
     h = hermitian_part(np.array([g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)) for g in gens]))
     h -= (np.trace(h, axis1=-2, axis2=-1).real / d)[:, None, None] * np.eye(d)
     disturbed = hermitian_part(w + model.eps * h / _hermitian_norms(h)[0][:, None, None])
-    return _clip_eigenpairs(disturbed, *np.linalg.eigh(disturbed))[0]
+    vals, vecs = np.linalg.eigh(disturbed)
+    moved, lam = vals[:, 0] < 0.0, _clip_spectra(vals)[0]  # states with no eigenvalue below 0 stay as they are
+    disturbed[moved] = hermitian_part((vecs[moved] * lam[moved][:, None, :]) @ _adjoint(vecs[moved]))
+    return disturbed
 
 
 def _chunks(cfg: ExperimentConfig, total: int) -> list[range]:
@@ -271,7 +275,7 @@ def _trial_records(cfg: ExperimentConfig, indices: range, chans, refs, noise_see
     min_eig, x, x_inv = refs
     w = _probe_outputs(c, x, cfg.d2)
     noisy = _noisy(w, cfg.noise, noise_seeds)
-    _, factor_rec, tp_residual, _, consistency, _ = _reconstruct_stack(noisy, x_inv, min_eig, cfg.d2)
+    factor_rec, tp_residual, consistency, _ = _reconstruct_stack(noisy, x_inv, cfg.d2)
     trace_dist = _hermitian_norms(noisy - w)[1]
     fidelity = _channel_fidelities(factor_rec, factor, cfg.d1)
     eps = cfg.noise.eps if cfg.noise.kind != "none" else 0.0

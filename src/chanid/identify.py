@@ -11,9 +11,12 @@ F = (1 ⊗ rho^{-1}) w (1 ⊗ rho^{-1}), by the fixed isometry
 V[(a,mu,b),nu] = X[a,b] delta_{mu nu} (``v_isometry``, ``apply_rn``).
 Applied to any bipartite state the inversion yields a CP map, a channel
 exactly when the state satisfies a trace-preservation consistency
-condition.  Its accuracy is governed by ||rho^-1|| = 1/min_eig, so the only
-thresholds of ``reconstruct``, C's rank cutoff and PSD tolerance, are
-worked out from ||rho^-1||·||w||_op; nothing is left to tune.
+condition.  By Sylvester's law of inertia the congruence keeps w's rank
+and the signs of its eigenvalues, so ``reconstruct`` decomposes w alone:
+its PSD check, its clip and its rank cutoff read w's eigenvalues, and the
+kept eigenvectors, scaled and pushed through 1 ⊗ X⁻¹, are a factor of C.
+The cutoff is relative to ||w||_op and the PSD tolerance to ||w||_1 = 1;
+accuracy is governed by ||rho^-1|| = 1/min_eig, and nothing is left to tune.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .channel import (
     NotCompletelyPositiveError,
     _channel_of,
     _marginal_defects,
-    _truncated_choi,
     choi,
 )
 from .linalg import (
@@ -36,7 +38,7 @@ from .linalg import (
     Spectrum,
     _check_finite_hermitian,
     _check_unit_traces,
-    _clip_eigenpairs,
+    _clip_spectra,
     _fix_column_phases,
     _hermiticity_defect,
     hermitian_part,
@@ -46,12 +48,11 @@ from .linalg import (
 ADMISSIBILITY_CUTOFF = 1e-10
 RN_PSD_TOL = 1e-9
 W_PSD_TOL = 1e-8  # w has unit trace, so this absolute tolerance is relative to ||w||_1
-# Rank cutoff and PSD tolerance of C in units of ||w||_op·||rho^-1||, the
-# scale of C's rounding error.  In noiseless round trips (d1, d2 <= 6, min
-# eig 1e-2..1e-8) C's rounding eigenvalues stayed below 5.1e-16 of that
-# scale and its true ones above 4.4e-13, so 1e-14 sits ~20x above the noise.
-# A true eigenvalue below it (possible near the admissibility cutoff) moves
-# C by under 1e-14·||w||/min_eig, inside the round-trip error 1e-12/min_eig.
+# Rank cutoff on w's eigenvalues in units of ||w||_op, the scale of w's
+# rounding error; C = (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)† has the same rank.  A true
+# eigenvalue below it (possible near the admissibility cutoff) moves w by
+# under 1e-14·||w||_op, so C by under 1e-14·||w||_op/min_eig, inside the
+# round-trip error 1e-12/min_eig.
 CHOI_REL_TOL = 1e-14
 
 
@@ -214,10 +215,14 @@ def v_isometry(ref: ReferenceState, d2: int) -> np.ndarray:
 
 def rn_operator(t: KrausChannel, ref: ReferenceState) -> RNOperator:
     """Positive operator F = (1 ⊗ rho^{-1}) w (1 ⊗ rho^{-1}) that represents
-    the channel relative to the reference dilation."""
-    rho_inv = ref.x_inv.conj().T @ ref.x_inv
-    f = _congruence(forward_map(t, ref).mat, rho_inv, t.dim_out)
-    return RNOperator(mat=hermitian_part(f))
+    the channel relative to the reference dilation.
+
+    With w = (1 ⊗ X) C (1 ⊗ X)† and rho = X X†, rho^{-1} X = X⁻†, so F is
+    the single congruence (1 ⊗ X⁻†) C (1 ⊗ X⁻†)† of the Choi matrix.
+    """
+    if t.dim_in != ref.dim:
+        raise ValueError(f"channel input dim {t.dim_in} != reference dim {ref.dim}")
+    return RNOperator(mat=hermitian_part(_congruence(choi(t).mat, ref.x_inv.conj().T, t.dim_out)))
 
 
 def _apply_rn_matrix(v: np.ndarray, f_mat: np.ndarray, sigma_mat: np.ndarray) -> np.ndarray:
@@ -256,12 +261,13 @@ def reconstruct(w: DensityOperator | np.ndarray, ref: ReferenceState, d2: int) -
     the inversion formula defines, with residual diagnostics.  w must have
     unit trace within ``linalg.TRACE_TOL``; a plain array w is checked here, as
     a ``DensityOperator`` is at construction, for finite entries and a
-    Hermiticity defect within ``linalg.HERMITICITY_TOL``.  This is the one
-    clip of w, array or ``DensityOperator``: eigenvalues in [-W_PSD_TOL, 0)
-    are zeroed, the trace restored and their whole weight reported as
-    ``clip_magnitude``; anything more negative raises
-    :class:`NotCompletelyPositiveError`.
-    C's rank cutoff and PSD tolerance are both CHOI_REL_TOL·||w||_op·||rho^-1||.
+    Hermiticity defect within ``linalg.HERMITICITY_TOL``.  One ``eigh`` of w
+    does the rest.  This is the one clip of w, array or ``DensityOperator``:
+    eigenvalues in [-W_PSD_TOL, 0) are zeroed, the trace restored and their
+    whole weight reported as ``clip_magnitude``; anything more negative raises
+    :class:`NotCompletelyPositiveError`.  Eigenvalues up to
+    CHOI_REL_TOL·||w||_op are dropped, and the map's Kraus operators are cut
+    from the factor of C the kept ones give.
     """
     w_mat = w.mat if isinstance(w, DensityOperator) else np.asarray(w, dtype=complex)
     d1 = ref.dim
@@ -270,40 +276,35 @@ def reconstruct(w: DensityOperator | np.ndarray, ref: ReferenceState, d2: int) -
         raise ValueError(f"state shape {w_mat.shape} is not ({n}, {n})")
     if not isinstance(w, DensityOperator):
         _check_finite_hermitian(w_mat, "state")
-    found = _reconstruct_stack(w_mat[None], ref.x_inv[None], np.array([ref.min_eig]), d2)
-    c_rec, factor, tp, eig, consistency, clipped = found
+    factor, tp, consistency, clipped = _reconstruct_stack(w_mat[None], ref.x_inv[None], d2)
     return ReconstructionResult(
-        cp_map=_channel_of(c_rec, factor, tp, eig, d1, d2),
+        cp_map=_channel_of(factor[0], float(tp[0]), d1, d2),
         tp_residual=float(tp[0]),
         consistency_residual=float(consistency[0]),
         clip_magnitude=float(clipped[0]),
     )
 
 
-def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, min_eig: np.ndarray, d2: int) -> tuple:
-    """:func:`reconstruct` for a stack of states w and of references (x_inv, min_eig).
+def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, d2: int) -> tuple:
+    """:func:`reconstruct` for a stack of states w and of inverse probe matrices x_inv.
 
-    Returns ``(c_rec, factor, tp_residual, (lam, vecs, keep),
-    consistency_residual, clip_magnitude)``, the first four as
-    ``channel._truncated_choi`` gives them: the recovered maps stay in Choi
-    form with their factors, and no Kraus operator or ``KrausChannel`` is
-    built.  One ``eigvalsh`` of each w gives the PSD check and ||w||_op;
-    only the states with an eigenvalue below 0 are decomposed with ``eigh``
-    and clipped.
+    Returns ``(factor, tp_residual, consistency_residual, clip_magnitude)``.
+    One ``eigh`` of each w, w = U diag(lam) U†, gives the PSD check, the
+    clip and the rank cutoff; the recovered map stays the factor
+    F = (1 ⊗ X⁻¹) U diag(sqrt(lam·keep)) of its Choi matrix C = F F†, with
+    zero columns where lam is cut, and no C-sized matrix is formed.  The
+    residuals are read from d1 × d1 marginals: tr_out C from F, and
+    X⁻¹ tr_out(w) X⁻† of the clipped w from the same factor before the cut.
     """
     d1 = x_inv.shape[-1]
     _check_unit_traces(w, "state trace")
-    h = hermitian_part(w)
-    vals = np.linalg.eigvalsh(h)
-    if vals[:, 0].min() < -W_PSD_TOL:
+    lam, u = np.linalg.eigh(hermitian_part(w))
+    if lam[:, 0].min() < -W_PSD_TOL:
         raise NotCompletelyPositiveError(
-            f"input state has eigenvalue {vals[:, 0].min():.3e} < -{W_PSD_TOL:.1e}"
+            f"input state has eigenvalue {lam[:, 0].min():.3e} < -{W_PSD_TOL:.1e}"
         )
-    clipped = np.zeros(len(h))
-    negative = vals[:, 0] < 0.0
-    if negative.any():
-        h[negative], clipped[negative] = _clip_eigenpairs(h[negative], *np.linalg.eigh(h[negative]))
-    c = hermitian_part(_congruence(h, x_inv, d2))
-    tol = CHOI_REL_TOL * vals[:, -1] / min_eig
-    consistency = _marginal_defects(c, d1, d2)[1]
-    return (*_truncated_choi(c, d1, d2, tol, tol), consistency, clipped)
+    lam, clipped = _clip_spectra(lam)
+    blocks = (u * np.sqrt(lam)[:, None, :]).reshape(len(w), d2, d1, -1)
+    full = (x_inv[:, None] @ blocks).reshape(u.shape)
+    factor = np.where((lam > CHOI_REL_TOL * lam[:, -1:])[:, None, :], full, 0.0)
+    return factor, _marginal_defects(factor, d1, d2)[0], _marginal_defects(full, d1, d2)[1], clipped

@@ -204,28 +204,27 @@ def maximally_mixed(d: int) -> DensityOperator:
     return DensityOperator(np.eye(d, dtype=complex) / d)
 
 
-def _clip_eigenpairs(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project each Hermitian matrix h of a stack onto the density cone from
-    its eigenpairs (vals, vecs): zero the negative eigenvalues, renormalize.
+def _clip_spectra(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project each ascending spectrum of a stack onto the probability simplex
+    the way a state is clipped: zero the negative eigenvalues, renormalize.
 
-    Returns the projections and the negative weight removed from each;
-    matrices with no negative eigenvalue come back as they are.  The one
-    clip of a probe output is ``reconstruct``'s; the jitter noise model
-    clips its disturbed states too, as part of their definition.
+    Returns the clipped spectra and the negative weight removed from each;
+    spectra with no negative eigenvalue come back as they are.  The one clip
+    of a probe output is ``reconstruct``'s; the jitter noise model clips its
+    disturbed states too, as part of their definition, and rebuilds them.
     """
     moved = vals[:, 0] < 0.0  # eigenvalues ascend
-    negative = np.zeros(len(h))
+    negative = np.zeros(len(vals))
     if not moved.any():
-        return h, negative
+        return vals, negative
     negative[moved] = -np.sum(np.clip(vals[moved], None, 0.0), axis=-1)
     kept = np.clip(vals[moved], 0.0, None)
     total = np.sum(kept, axis=-1)
     if (total <= 0.0).any():
         raise ValueError("matrix has no positive spectral weight")
-    v = vecs[moved]
-    h = h.copy()
-    h[moved] = hermitian_part((v * (kept / total[:, None])[:, None, :]) @ _adjoint(v))
-    return h, negative
+    vals = vals.copy()
+    vals[moved] = kept / total[:, None]
+    return vals, negative
 
 
 def fidelity_psd(a: np.ndarray, b: np.ndarray) -> float:

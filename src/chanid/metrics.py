@@ -94,7 +94,7 @@ def channel_fidelity(t1: KrausChannel, t2: KrausChannel) -> float:
 
     Equals 1 exactly when the maps coincide.  It is (||F1† F2||_1 / d_in)²
     from the factors F (C = F F†) the maps hold: their Kraus vectors, or
-    V diag(sqrt(lam)) for a map from ``from_choi`` or ``reconstruct``.  A
+    the factor a map from ``from_choi`` or ``reconstruct`` was built from.  A
     Kraus set longer than C's size (compositions and tensor products
     multiply Kraus counts) is replaced by C's eigenvectors scaled by
     sqrt(eigenvalue), so no factor has more than d_in·d_out columns.
@@ -310,11 +310,11 @@ def cb_norm_of_channel(t: KrausChannel) -> NormInterval:
     Evaluating the objective at the maximally entangled probe certifies
     lower = 1 (channel outputs are states, trace norm one); the upper end
     is ||tr_out C||_op = ||T_dual(1)||_op, which equals the CB-norm for CP
-    maps.
+    maps, read from the eigenvalues of the Hermitian tr_out C.
     """
     if not t.trace_preserving:
         raise ValueError(f"channel is not trace-preserving (defect {t.tp_defect:.3e})")
     omega_vec = _maximally_entangled(t.dim_in)
     lower = cb_objective(t, None, omega_vec)
-    upper = operator_norm(partial_trace(choi(t).mat, (t.dim_out, t.dim_in), "first"))
+    upper = float(_hermitian_norms(partial_trace(choi(t).mat, (t.dim_out, t.dim_in), "first"))[0])
     return _certified(lower, upper, omega_vec)

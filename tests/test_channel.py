@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,28 @@ class TestFromChoi:
             from_choi(bad)
 
 
+class TestOneKrausCut:
+    """from_choi and reconstruct cut Kraus operators in one place: one thin SVD
+    of their factor's nonzero columns, so the zero columns of a rank-deficient
+    factor add no operator."""
+
+    @staticmethod
+    def reconstructed(t):
+        ref = make_reference(maximally_mixed(t.dim_in))
+        return reconstruct(forward_map(t, ref), ref, t.dim_out).cp_map
+
+    @pytest.mark.parametrize("cut_from", ["from_choi", "reconstruct"])
+    def test_one_svd_of_the_kept_columns(self, monkeypatch, cut_from):
+        t = random_channel(3, 3, 3, seed=37)
+        build = (lambda t: from_choi(choi(t))) if cut_from == "from_choi" else self.reconstructed
+        shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: shapes.append(np.shape(m)) or svd(m, *a, **k))
+        cut = build(t)
+        assert shapes == [(9, 3)] and len(cut.kraus) == 3 and cut._factor.shape == (9, 9)
+        c = choi(cut).mat
+        assert operator_norm(c - choi_accumulation_oracle(cut)) <= 1e-13 * operator_norm(c)
+
+
 class TestTensorWithIdentity:
     def test_identity_stays_identity(self):
         t = tensor_with_identity(identity_channel(2), 3)
@@ -412,6 +435,18 @@ class TestNamedChannels:
         with pytest.raises(ValueError, match="entries must be finite") as info:
             unitary_channel(u)
         assert not isinstance(info.value, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: KrausChannel(1, 1, (np.array([[1e200]]),)), lambda: unitary_channel(1e200 * np.eye(2))],
+        ids=["kraus", "unitary"],
+    )
+    def test_overflowing_products_are_refused_without_a_warning(self, build):
+        # the entries are finite, their products are not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Choi matrix entries must be finite"):
+                build()
 
     def test_unitary_channel_checks_unitarity_by_its_tp_defect(self):
         u = random_unitary(3, 6)

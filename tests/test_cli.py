@@ -448,6 +448,19 @@ class TestBoolMatrixEntries:
         assert err.count("\n") == 1
 
 
+class TestOverflowingKrausEntries:
+    def test_fidelity_is_one_line_validation_error(self, tmp_path, capsys):
+        # 1e200 is a finite entry whose square is not; a process prints each warning on stderr
+        obj = {"dim_in": 1, "dim_out": 1, "kraus": [{"rows": 1, "cols": 1, "data": [[1e200, 0]]}]}
+        path = write_json(tmp_path / "x.json", obj)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["fidelity", "--t1", path, "--t2", path]) == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err == "chanid: error: Choi matrix entries must be finite\n"
+
+
 class TestSubnormalReference:
     def test_overflowing_inverse_is_one_line_numerical_failure(self, tmp_path, capsys):
         # cutoff 0 admits min eig 5e-324, whose inverse is not a finite double

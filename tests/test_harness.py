@@ -252,18 +252,19 @@ class TestStackedTrialsMatchTheLoop:
 
 class TestLapackCallsPerTrial:
     """The probe and the noise build states without decomposing them: each
-    noisy probe output gets one eigvalsh, by the reconstruction, and an eigh
-    only when it has an eigenvalue below 0 to clip; its trace distance to the
-    noiseless output is one more eigvalsh, and no state-sized matrix gets an
-    SVD.  The fidelity stage makes one SVD of a (d1·d2) × rank matrix per
-    trial and no eigendecomposition."""
+    noisy probe output gets one eigh, by the reconstruction, whether or not
+    it has an eigenvalue below 0 to clip, and no eigvalsh; its trace
+    distance to the noiseless output is one eigvalsh.  No other state-sized
+    matrix, in particular no congruence output C, is decomposed, and none
+    gets an SVD.  The fidelity stage makes one SVD of a (d1·d2) × rank
+    matrix per trial and no eigendecomposition."""
 
     # depolarized outputs never clip; noiseless rank-3 outputs at d1 = d2 = 3
     # have six rounding-level eigenvalues, some below 0 in every trial
     @pytest.mark.parametrize(
         "noise, clips", [(NoiseSpec("depolarize", 0.02), False), (NoiseSpec("none"), True)], ids=["depolarize", "none"]
     )
-    def test_eigvalsh_of_w_and_of_its_disturbance(self, monkeypatch, noise, clips):
+    def test_eigh_of_w_and_eigvalsh_of_disturbance(self, monkeypatch, noise, clips):
         d, trials = 3, 5
         cfg = ExperimentConfig(d, d, d, RefSpec("random_min_eig", min_eig=0.05 / d), noise, trials, seed=5)
         states, calls = [], []
@@ -287,23 +288,23 @@ class TestLapackCallsPerTrial:
             return [m for stack in stacks for m in stack.reshape(-1, n, n)]
 
         for w, w_noisy in zip(probe, noisy):
-            assert sum(np.array_equal(m, w_noisy) for m in square("eigvalsh")) == 1
-            negative = np.linalg.eigvalsh(w_noisy)[0] < 0.0
-            assert negative == clips
-            assert sum(np.array_equal(m, w_noisy) for m in square("eigh")) == int(negative)
+            assert sum(np.array_equal(m, w_noisy) for m in square("eigh")) == 1
+            assert not any(np.array_equal(m, w_noisy) for m in square("eigvalsh"))
+            assert (np.linalg.eigvalsh(w_noisy)[0] < 0.0) == clips
             assert any(np.array_equal(m, w_noisy - w) for m in square("eigvalsh"))
             if noise.kind != "none":
                 assert not any(np.array_equal(m, w) for m in square("eigh") + square("eigvalsh"))
-        assert len(square("eigvalsh")) == 2 * trials and not square("svd")
+        assert len(square("eigh")) == len(square("eigvalsh")) == trials and not square("svd")
         (start,) = scoring
         ((routine, cross),) = calls[start:]
         assert routine == "svd" and cross.shape == (trials, n, cfg.kraus_rank)
 
 
 class TestReconstructionStaysInChoiForm:
-    """The stages keep recovered maps as Choi matrices: no phase fix and no
-    Kraus-vector accumulation runs on a (d1·d2)-sized stack; only the true
-    channels' Choi matrices are accumulated from Kraus rows."""
+    """The stages keep recovered maps as factors of their Choi matrices: no
+    phase fix and no Kraus-vector accumulation runs on a (d1·d2)-sized
+    stack; only the true channels' Choi matrices are accumulated from Kraus
+    rows."""
 
     @pytest.mark.parametrize("run", ["roundtrip", "sweep"])
     def test_no_kraus_form_on_choi_sized_stacks(self, monkeypatch, run):

@@ -38,6 +38,7 @@ from chanid.linalg import (
     tensor_product,
     trace_norm,
 )
+from chanid.metrics import channel_fidelity
 
 from conftest import (
     choi_accumulation_oracle,
@@ -349,9 +350,27 @@ class TestReconstruct:
         assert np.max(np.abs(choi(rec.cp_map).mat - choi(t).mat)) <= 1e-12 / min_eig
         assert len(rec.cp_map.kraus) == d
 
+    @pytest.mark.parametrize("d, rank", [(2, 1), (2, 4), (3, 9), (4, 4), (6, 6), (6, 36)])
+    @pytest.mark.parametrize("floor", ["1e-3/d", "1e-8", "2e-10"])
+    def test_rank_cutoff_on_w_keeps_the_true_rank(self, d, rank, floor):
+        # the cutoff reads w's eigenvalues against ||w||_op: down to min eig
+        # 2e-10 no true Choi eigenvalue falls under it, and the fidelity keeps
+        # its few-ulp certificate relative to ||rho^-1||
+        m = 1e-3 / d if floor == "1e-3/d" else float(floor)
+        rng = np.random.default_rng(100 * d + rank)
+        for k in range(12):
+            t = random_channel(d, d, rank, seed=1000 * d + 10 * rank + k)
+            u = random_unitary(d, seed=k)
+            p = np.concatenate([[m], (1.0 - m) * rng.dirichlet(np.ones(d - 1))])
+            rho = (u * p) @ u.conj().T
+            ref = make_reference(DensityOperator((rho + rho.conj().T) / 2))
+            rec = reconstruct(forward_map(t, ref), ref, d)
+            assert len(rec.cp_map.kraus) == rank
+            assert abs(1.0 - channel_fidelity(rec.cp_map, t)) * ref.min_eig <= 2e-15
+
 
 class TestBuiltMapsCacheTheirChoi:
-    """``from_choi`` and ``reconstruct`` cache V diag(lam·keep) V† as the map's
+    """``from_choi`` and ``reconstruct`` cache F F† of their factor F as the map's
     Choi matrix instead of rebuilding it from the Kraus operators they cut;
     the two agree to rounding, and so do the TP defects."""
 

@@ -353,7 +353,7 @@ class TestDensityOperator:
             real = getattr(np.linalg, routine)
             spy = lambda *a, real=real, routine=routine, **k: calls.append(routine) or real(*a, **k)
             monkeypatch.setattr(np.linalg, routine, spy)
-        monkeypatch.setattr(linalg, "_clip_eigenpairs", lambda *a: pytest.fail("DensityOperator clipped"))
+        monkeypatch.setattr(linalg, "_clip_spectra", lambda *a: pytest.fail("DensityOperator clipped"))
         DensityOperator(m)
         assert calls == ["eigvalsh"]
 
