@@ -7,7 +7,6 @@ from .linalg import (
     maximally_mixed,
     operator_norm,
     partial_trace,
-    psd_power,
     pure_state,
     random_unitary,
     spectral_decomposition,

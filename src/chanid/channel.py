@@ -155,13 +155,17 @@ def _choi_of_rows(rows: np.ndarray) -> np.ndarray:
     return hermitian_part(c)
 
 
-def _marginal_defects(f: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
-    """(||tr_out C - 1||_op, ||tr_out C - 1||_1) for C = F F† on H_out ⊗ H_in,
-    from its factor F or each of a stack: the TP defect and the consistency
-    residual.  tr_out C = sum_mu F_mu F_mu† over the d1-row blocks F_mu of F,
-    one d1 × d1 product (it is the transpose of sum_k A_k† A_k)."""
+def _marginal(f: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """tr_out(F F†) on H_in of a factor F on H_out ⊗ H_in, or of each of a
+    stack: sum_mu F_mu F_mu† over the d1-row blocks F_mu of F, one d1 × d1
+    product (for Kraus vectors it is the transpose of sum_k A_k† A_k)."""
     rows = np.moveaxis(f.reshape(*f.shape[:-2], d2, d1, -1), -3, -2).reshape(*f.shape[:-2], d1, -1)
-    return _hermitian_norms(hermitian_part(rows @ _adjoint(rows)) - np.eye(d1))
+    return hermitian_part(rows @ _adjoint(rows))
+
+
+def _marginal_defects(f: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
+    """(||tr_out C - 1||_op, ||tr_out C - 1||_1), C = F F†: the TP defect and the consistency residual."""
+    return _hermitian_norms(_marginal(f, d1, d2) - np.eye(d1))
 
 
 def from_choi(c: ChoiMatrix) -> KrausChannel:

@@ -42,7 +42,6 @@ from .linalg import (
     _fix_column_phases,
     _hermiticity_defect,
     hermitian_part,
-    tensor_product,
 )
 
 ADMISSIBILITY_CUTOFF = 1e-10
@@ -108,6 +107,8 @@ class RNOperator:
         m = np.asarray(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator must be square")
+        if not np.isfinite(m).all():
+            raise ValueError("operator entries must be finite")
         if _hermiticity_defect(m) > 1e-9:
             raise ValueError("operator must be Hermitian")
         if float(np.linalg.eigvalsh(hermitian_part(m))[0]) < -RN_PSD_TOL:
@@ -226,7 +227,10 @@ def rn_operator(t: KrausChannel, ref: ReferenceState) -> RNOperator:
 
 
 def _apply_rn_matrix(v: np.ndarray, f_mat: np.ndarray, sigma_mat: np.ndarray) -> np.ndarray:
-    return v.conj().T @ tensor_product(sigma_mat, f_mat) @ v
+    """V† (sigma ⊗ F) V, sigma acting on V's first factor and F on each of its d1 blocks."""
+    d1, d2 = sigma_mat.shape[0], v.shape[1]
+    lifted = (sigma_mat @ v.reshape(d1, -1)).reshape(d1, d2 * d1, d2)
+    return v.conj().T @ (f_mat @ lifted).reshape(-1, d2)
 
 
 def apply_rn(v: np.ndarray, f: RNOperator, sigma: DensityOperator) -> np.ndarray:

@@ -95,19 +95,6 @@ def spectral_decomposition(m: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=_fix_column_phases(vecs))
 
 
-def psd_power(m: np.ndarray, exponent: float) -> np.ndarray:
-    """Nonnegative real power of a Hermitian PSD matrix, or of each matrix of
-    a stack, via spectral calculus.
-
-    Small negative eigenvalues are clipped to 0 first.  A negative exponent
-    raises ``ValueError``.
-    """
-    if exponent < 0:
-        raise ValueError(f"exponent must be non-negative, got {exponent}")
-    vals, vecs = np.linalg.eigh(hermitian_part(m))
-    return (vecs * np.clip(vals, 0.0, None)[..., None, :] ** exponent) @ _adjoint(vecs)
-
-
 def _check_finite_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL) -> None:
     """Raise ``ValueError`` unless m's entries are finite and ||m - m†||_op <= tol."""
     if not np.isfinite(m).all():
@@ -138,6 +125,20 @@ def _hermitian_norms(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     from one ``eigvalsh``: the largest and the sum of the |eigenvalues|."""
     size = np.abs(np.linalg.eigvalsh(h))
     return size.max(axis=-1), size.sum(axis=-1)
+
+
+def _eigen_factors(m: np.ndarray) -> np.ndarray:
+    """V·sqrt(max(lam, 0)) from one ``eigh`` of (m + m†)/2, or of each matrix
+    of a stack: a factor F of m's positive part, m₊ = F F†."""
+    lam, vecs = np.linalg.eigh(hermitian_part(m))
+    return vecs * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]
+
+
+def _channel_fidelities(f1: np.ndarray, f2: np.ndarray, d_in: int) -> np.ndarray:
+    """Channel fidelities from stacks of Choi factors f1 and f2, either a
+    stack of one: (sum svd(F1† F2) / d_in)², clipped to [0, 1]."""
+    s = np.linalg.svd(_adjoint(f1) @ f2, compute_uv=False).sum(axis=-1) / d_in
+    return np.clip(s * s, 0.0, 1.0)
 
 
 def _check_unit_traces(m: np.ndarray, what: str = "trace") -> None:
@@ -227,25 +228,16 @@ def _clip_spectra(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, negative
 
 
-def fidelity_psd(a: np.ndarray, b: np.ndarray) -> float:
-    """(tr sqrt(a^{1/2} b a^{1/2}))^2 for PSD matrices, without clamping.
-
-    Eigenvalues of the inner sandwich below 1e-13 of its largest one are
-    zeroed: the square root would otherwise amplify eigensolver noise on
-    rank-deficient inputs far above the accuracy of everything else.
-    """
-    root = psd_power(np.asarray(a), 0.5)
-    vals = np.linalg.eigvalsh(hermitian_part(root @ b @ root))
-    vals = np.where(vals < 1e-13 * np.maximum(vals[-1], 0.0), 0.0, vals)
-    total = np.sum(np.sqrt(np.clip(vals, 0.0, None)))
-    return float(total * total)
-
-
 def state_fidelity(r1: DensityOperator, r2: DensityOperator) -> float:
-    """Mixed-state fidelity (tr sqrt(r1^{1/2} r2 r1^{1/2}))^2, clamped to [0, 1]."""
+    """Mixed-state fidelity (tr sqrt(r1^{1/2} r2 r1^{1/2}))^2, in [0, 1].
+
+    It is the channel fidelity of the maps C -> H that prepare r1 and r2
+    (d_in = 1): ||F1† F2||_1² over each state's eigen-factor, r = F F†.
+    """
     if r1.dim != r2.dim:
         raise ValueError(f"dimension mismatch: {r1.dim} vs {r2.dim}")
-    return float(np.clip(fidelity_psd(r1.mat, r2.mat), 0.0, 1.0))
+    f = _eigen_factors(np.array([r1.mat, r2.mat]))
+    return float(_channel_fidelities(f[:1], f[1:], 1)[0])
 
 
 UNITARY_SITE, CHANNEL_SITE, SPECTRUM_SITE, NOISE_SITE, CB_STARTS_SITE = range(5)

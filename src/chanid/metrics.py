@@ -10,12 +10,12 @@ The completely-bounded (diamond) distance between two channels is
 estimated as a certified interval: the lower end is the best evaluated
 value of the stabilized trace-norm objective over pure probe states
 (a witness state is kept so the value can be re-checked), the upper end
-is an analytic bound from the Jordan decomposition of the Choi-matrix
-difference.  No claim of convergence to the exact norm is made; every
-inequality consumed downstream only needs a valid interval.  Both ends use
-only the Choi difference J: the stabilized output at a probe vec Ψ is
-(1 ⊗ Ψᵀ) J (1 ⊗ Ψᵀ)†, its adjoint map back-lifts the sign matrix, and all
-ascent starts run together as one batch of stacked eigendecompositions.
+||tr_out |J| ||_op is read from the d_in × d_in marginal of the factor
+V·sqrt|lam| of |J| from J's one ``eigh``.  No claim of convergence to the
+exact norm is made; every inequality consumed downstream only needs a
+valid interval.  Both ends use only the Choi difference J: the stabilized
+output at a probe vec Ψ is (1 ⊗ Ψᵀ) J (1 ⊗ Ψᵀ)†, its adjoint map back-lifts
+the sign matrix, and all ascent starts run together as one batch.
 
 The objective is concave in σ = (Ψᵀ)†Ψᵀ: it equals max tr(JW) over
 -1 ⊗ σ <= W <= 1 ⊗ σ (Watrous, "Simpler semidefinite programs for
@@ -32,17 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausChannel, choi
+from .channel import KrausChannel, _marginal, choi
 from .identify import ReferenceState, reconstruct
-from .linalg import CB_STARTS_SITE, _generators
-from .linalg import (
-    DensityOperator,
-    _adjoint,
-    _hermitian_norms,
-    hermitian_part,
-    operator_norm,
-    partial_trace,
-)
+from .linalg import CB_STARTS_SITE, DensityOperator, _channel_fidelities, _eigen_factors, _generators
+from .linalg import _hermitian_norms, hermitian_part
 
 
 # Defaults of cb_distance_interval (and of the ``cbdist`` command): random
@@ -105,17 +98,7 @@ def channel_fidelity(t1: KrausChannel, t2: KrausChannel) -> float:
 
 def _narrow_factor(t: KrausChannel) -> np.ndarray:
     f = t._factor
-    if f.shape[1] > f.shape[0]:
-        lam, vecs = np.linalg.eigh(choi(t).mat)
-        f = vecs * np.sqrt(np.clip(lam, 0.0, None))
-    return f
-
-
-def _channel_fidelities(f1: np.ndarray, f2: np.ndarray, d_in: int) -> np.ndarray:
-    """:func:`channel_fidelity` from stacks of Choi factors f1 and f2, either a
-    stack of one: (sum svd(F1† F2) / d_in)², clipped to [0, 1]."""
-    s = np.linalg.svd(_adjoint(f1) @ f2, compute_uv=False).sum(axis=-1) / d_in
-    return np.clip(s * s, 0.0, 1.0)
+    return _eigen_factors(choi(t).mat) if f.shape[1] > f.shape[0] else f
 
 
 def fvdg_gap(t1: KrausChannel, t2: KrausChannel) -> tuple[float, float]:
@@ -187,8 +170,20 @@ def _objective_values(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int) ->
     return np.sum(np.abs(np.linalg.eigvalsh(_stabilized_outputs(r, psis, d_in, d_out))), axis=-1)
 
 
+def _probe(psi, d_in: int, what: str) -> tuple[np.ndarray, float]:
+    """psi as a flat complex vector of length d_in², finite and nonzero, and its norm."""
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if psi.size != d_in * d_in:
+        raise ValueError(f"{what} has length {psi.size}, expected {d_in * d_in}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(psi))
+    if not 0.0 < norm < np.inf:  # NaN too
+        raise ValueError(f"{what} must be finite and nonzero, with a finite norm")
+    return psi, norm
+
+
 def cb_objective(t1: KrausChannel, t2: KrausChannel | None, psi: np.ndarray) -> float:
-    """||((T1 - T2) ⊗ id)(|psi><psi|)||_1 for a unit probe vector psi.
+    """||((T1 - T2) ⊗ id)(|psi><psi|)||_1 for a finite psi with | ||psi|| - 1 | <= 1e-9.
 
     This is the exact function the interval optimizer maximizes, exposed so
     reported lower bounds can be re-checked at their witness states.
@@ -196,9 +191,9 @@ def cb_objective(t1: KrausChannel, t2: KrausChannel | None, psi: np.ndarray) -> 
     if t2 is not None:
         _check_same_dims(t1, t2)
     d_in, d_out = t1.dim_in, t1.dim_out
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != d_in * d_in:
-        raise ValueError(f"probe vector has length {psi.size}, expected {d_in * d_in}")
+    psi, norm = _probe(psi, d_in, "probe vector")
+    if not abs(norm - 1.0) <= 1e-9:
+        raise ValueError(f"probe vector has norm {norm!r}, expected 1 within 1e-9")
     j = choi(t1).mat if t2 is None else choi(t1).mat - choi(t2).mat
     r = _realign(j, (d_out, d_in, d_out, d_in))
     return float(_objective_values(r, psi[None], d_in, d_out)[0])
@@ -240,12 +235,12 @@ def _ascend(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int, max_iters: i
 def _choi_difference_upper(j: np.ndarray, t1: KrausChannel, t2: KrausChannel) -> float:
     """Diamond-norm upper bound ||tr_out |J| ||_op for J = C(T1) - C(T2).
 
+    It is read from the d_in × d_in marginal of |J|'s factor V·sqrt|lam|, J = V diag(lam) V†.
     For pairs of trace-preserving channels the triangle inequality bound 2
     (each channel has CB-norm exactly 1) is also applied.
     """
-    vals, vecs = np.linalg.eigh(hermitian_part(j))
-    abs_c = (vecs * np.abs(vals)) @ vecs.conj().T
-    upper = operator_norm(partial_trace(abs_c, (t1.dim_out, t1.dim_in), "first"))
+    vals, vecs = np.linalg.eigh(j)
+    upper = _hermitian_norms(_marginal(vecs * np.sqrt(np.abs(vals)), t1.dim_in, t1.dim_out))[0]
     if t1.trace_preserving and t2.trace_preserving:
         upper = min(upper, 2.0)
     return float(upper)
@@ -274,11 +269,11 @@ def cb_distance_interval(
 
     The maximization runs over unit vectors of H_in ⊗ H_in (stabilization
     by the input dimension suffices for Hermiticity-preserving differences
-    of maps, and pure inputs attain the supremum).  Starts are the
-    maximally entangled vector, every computational basis vector, any
-    ``extra_starts`` and ``starts`` random vectors drawn one after another
-    at the CB-starts site of ``seed``, in that order;
-    all ascend together and the first with the highest value wins.  The
+    of maps, and pure inputs attain the supremum).  Starts are the maximally
+    entangled vector, every computational basis vector, any ``extra_starts``
+    (finite, nonzero, of length d_in², normalized here) and ``starts`` random
+    vectors drawn one after another at the CB-starts site of ``seed``, in that
+    order; all ascend together and the first with the highest value wins.  The
     objective is concave in σ = (Ψᵀ)†Ψᵀ, so few random starts are needed:
     full-rank starts climb to the same maximum, and the rank-1 basis starts
     reach rank-deficient optima faster.  A lower end above the upper end
@@ -291,10 +286,10 @@ def cb_distance_interval(
         raise ValueError(f"tol must be >= 0, got {tol}")
     d1, d2 = t1.dim_in, t1.dim_out
     [g] = _generators([seed], CB_STARTS_SITE)
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in extra_starts]
-    vecs += [g.standard_normal(d1 * d1) + 1j * g.standard_normal(d1 * d1) for _ in range(starts)]
+    extra = [_probe(v, d1, "extra start") for v in extra_starts]
+    drawn = [g.standard_normal(d1 * d1) + 1j * g.standard_normal(d1 * d1) for _ in range(starts)]
     start_vecs = [_maximally_entangled(d1), *np.eye(d1 * d1, dtype=complex)]
-    start_vecs += [v / np.linalg.norm(v) for v in vecs]
+    start_vecs += [v / norm for v, norm in extra] + [v / np.linalg.norm(v) for v in drawn]
 
     j = choi(t1).mat - choi(t2).mat
     r = _realign(j, (d2, d1, d2, d1))
@@ -310,11 +305,11 @@ def cb_norm_of_channel(t: KrausChannel) -> NormInterval:
     Evaluating the objective at the maximally entangled probe certifies
     lower = 1 (channel outputs are states, trace norm one); the upper end
     is ||tr_out C||_op = ||T_dual(1)||_op, which equals the CB-norm for CP
-    maps, read from the eigenvalues of the Hermitian tr_out C.
+    maps, read from the eigenvalues of the marginal of the map's factor.
     """
     if not t.trace_preserving:
         raise ValueError(f"channel is not trace-preserving (defect {t.tp_defect:.3e})")
     omega_vec = _maximally_entangled(t.dim_in)
     lower = cb_objective(t, None, omega_vec)
-    upper = float(_hermitian_norms(partial_trace(choi(t).mat, (t.dim_out, t.dim_in), "first"))[0])
+    upper = float(_hermitian_norms(_marginal(t._factor, t.dim_in, t.dim_out))[0])
     return _certified(lower, upper, omega_vec)

@@ -226,6 +226,19 @@ class TestRNOperator:
         with pytest.raises(ValueError, match="operator must be Hermitian"):
             RNOperator(f + skew)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entry_is_rejected_before_any_decomposition(self, bad, monkeypatch):
+        f = rn_operator(random_channel(2, 2, 2, seed=9), make_reference(maximally_mixed(2))).mat.copy()
+        f[0, 1] = bad
+        calls = []
+        for routine in ("eigh", "eigvalsh", "svd"):
+            real = getattr(np.linalg, routine)
+            monkeypatch.setattr(np.linalg, routine, lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+        with pytest.raises(ValueError, match="operator entries must be finite") as info:
+            RNOperator(f)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+        assert calls == []
+
 
 class TestApplyRN:
     def test_reproduces_channel_action(self):
@@ -240,6 +253,23 @@ class TestApplyRN:
             np.testing.assert_allclose(
                 apply_rn(v, f, sigma), t.apply_matrix(sigma.mat), atol=1e-9
             )
+
+    def test_matches_the_kronecker_form_without_building_it(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        cases = []
+        for d1, d2 in [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]:
+            ref = rand_reference(rng, d1)
+            v = v_isometry(ref, d2)
+            f = RNOperator(rand_density_mat(rng, d1 * d2) * 2.0)
+            sigma = DensityOperator(rand_density_mat(rng, d1))
+            cases.append((v, f, sigma, v.conj().T @ np.kron(sigma.mat, f.mat) @ v))
+        krons = []
+        real_kron = np.kron
+        monkeypatch.setattr(np, "kron", lambda *a: krons.append(1) or real_kron(*a))
+        for v, f, sigma, expected in cases:
+            got = apply_rn(v, f, sigma)
+            assert operator_norm(got - expected) <= 1e-15 * max(1.0, operator_norm(expected))
+        assert krons == []
 
     def test_zero_operator_gives_zero_map(self):
         rng = np.random.default_rng(10)

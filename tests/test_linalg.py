@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanid import linalg
-from chanid.channel import choi, random_channel
+from chanid.channel import KrausChannel, choi, random_channel
 from chanid.identify import forward_map, make_reference, reconstruct
+from chanid.metrics import channel_fidelity
 from chanid.linalg import (
     CB_STARTS_SITE,
     CHANNEL_SITE,
@@ -19,12 +20,10 @@ from chanid.linalg import (
     _fix_column_phases,
     _generators,
     _random_unitaries,
-    fidelity_psd,
     hermitian_part,
     maximally_mixed,
     operator_norm,
     partial_trace,
-    psd_power,
     pure_state,
     random_unitary,
     spectral_decomposition,
@@ -35,6 +34,7 @@ from chanid.linalg import (
 
 from conftest import (
     draw_rule_generator,
+    fidelity_sandwich_oracle,
     kron_oracle,
     noise_clipped_state,
     partial_trace_oracle,
@@ -144,25 +144,6 @@ class TestNorms:
         assert trace_norm(a @ b) <= operator_norm(a) * trace_norm(b) + 1e-10
 
 
-class TestPsdPower:
-    def test_diag_square_root(self):
-        np.testing.assert_allclose(
-            psd_power(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]), atol=1e-14
-        )
-
-    def test_square_root_squares_back(self):
-        rng = np.random.default_rng(23)
-        m = rand_density_mat(rng, 4)
-        root = psd_power(m, 0.5)
-        assert operator_norm(root @ root - m) <= 1e-9 * operator_norm(m)
-
-    def test_singular_matrix_rejected_for_negative_power(self):
-        with pytest.raises(ValueError):
-            psd_power(np.diag([1.0, 0.0]), -1.0)
-        with pytest.raises(ValueError):  # negative exponents are not supported at all
-            psd_power(np.eye(2), -1.0)
-
-
 class TestStateFidelity:
     def test_self_fidelity(self):
         rng = np.random.default_rng(3)
@@ -209,10 +190,38 @@ class TestStateFidelity:
         with pytest.raises(ValueError):
             state_fidelity(maximally_mixed(2), maximally_mixed(3))
 
-    def test_fidelity_psd_matches_the_single_matrix_formula(self):
-        rng = np.random.default_rng(19)
-        pairs = [(rand_density_mat(rng, 3), rand_density_mat(rng, 3)) for _ in range(4000)]
-        assert [fidelity_psd(a, b) for a, b in pairs] == [fidelity_psd_oracle(a, b) for a, b in pairs]
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_is_the_channel_fidelity_of_the_preparation_maps(self, d):
+        # the map C -> H whose Kraus operators are the columns of r's eigen-factor prepares r
+        def prepare(r):
+            lam, vecs = np.linalg.eigh((r.mat + r.mat.conj().T) / 2)
+            factor = vecs * np.sqrt(np.clip(lam, 0.0, None))
+            return KrausChannel(dim_in=1, dim_out=d, kraus=tuple(factor.T[:, :, None]))
+
+        rng = np.random.default_rng(80 + d)
+        for _ in range(20):
+            r1, r2 = (DensityOperator(rand_density_mat(rng, d)) for _ in range(2))
+            assert state_fidelity(r1, r2) == channel_fidelity(prepare(r1), prepare(r2))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_the_sandwich_oracle_on_full_rank_pairs(self, d):
+        rng = np.random.default_rng(90 + d)
+        for _ in range(50):
+            a, b = rand_density_mat(rng, d, 0.01 / d), rand_density_mat(rng, d, 0.01 / d)
+            oracle = float(np.clip(fidelity_sandwich_oracle(a, b), 0.0, 1.0))
+            assert abs(state_fidelity(DensityOperator(a), DensityOperator(b)) - oracle) <= 1e-12
+
+    def test_matches_the_sandwich_oracle_on_a_rank_deficient_pair(self):
+        # no eigenvalue floor: rounding on the rank-2 state's null space is
+        # magnified by the square root, so the two forms agree to 1e-7 here
+        rng = np.random.default_rng(99)
+        q = np.linalg.qr(rand_complex(rng, 5, 5))[0]
+        a = (q[:, :2] * [0.3, 0.7]) @ q[:, :2].conj().T
+        b = rand_density_mat(rng, 5)
+        for r1, r2 in ((a, b), (b, a)):
+            oracle = fidelity_sandwich_oracle(r1, r2)
+            assert 0.0 < oracle < 1.0
+            assert abs(state_fidelity(DensityOperator(r1), DensityOperator(r2)) - oracle) <= 1e-7
 
 
 class TestRandomUnitary:
@@ -378,18 +387,6 @@ class TestDensityOperator:
             col = a.eigenvectors[:, j]
             pivot = col[int(np.argmax(np.abs(col)))]
             assert abs(pivot.imag) <= 1e-12 and pivot.real > 0
-
-
-def fidelity_psd_oracle(a, b):
-    """fidelity_psd of one pair, as the single-matrix formula reads."""
-    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    root = (vecs * np.clip(vals, 0.0, None) ** 0.5) @ vecs.conj().T
-    inner = root @ b @ root
-    inner_vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    floor = 1e-13 * max(float(inner_vals[-1]), 0.0)
-    inner_vals = np.where(inner_vals < floor, 0.0, inner_vals)
-    s = np.sum(np.sqrt(np.clip(inner_vals, 0.0, None)))
-    return float(s * s)
 
 
 def _fix_column_phases_loop(vectors):

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from chanid.channel import (
+    choi,
     compose,
     depolarizing_channel,
     identity_channel,
@@ -36,8 +39,10 @@ from conftest import (
     channel_fidelity_sqrt_oracle,
     cb_objective_kraus_oracle,
     draw_rule_generator,
+    partial_trace_oracle,
     rand_density_mat,
     rand_state_vec,
+    singular_values_oracle,
     unitary_pair_cb_distance_oracle,
 )
 
@@ -373,6 +378,116 @@ class TestCbDefaults:
         default = cb_distance_interval(t1, t2)
         assert default.lower >= many.lower * (1 - 1e-9)
         assert default.upper == many.upper
+
+
+def _spy_on_decompositions(monkeypatch) -> list:
+    calls = []
+    for routine in ("eigh", "eigvalsh", "svd"):
+        real = getattr(np.linalg, routine)
+        spy = lambda m, *a, real=real, routine=routine, **k: calls.append((routine, m.shape)) or real(m, *a, **k)
+        monkeypatch.setattr(np.linalg, routine, spy)
+    return calls
+
+
+class TestUpperEndsFromMarginals:
+    """Both upper ends are ||tr_out Z||_op read from the d_in × d_in marginal of
+    a factor of Z: V·sqrt|lam| from J's one eigh for a pair, the map's own
+    factor for one channel; checked against the explicit partial trace and
+    the singular values of the rebuilt Z."""
+
+    @staticmethod
+    def _pairs():
+        pairs = [_bench_like_pair(d, kind, seed) for d in (2, 3) for kind in ("far", "near") for seed in (80, 81)]
+        for d1, d2 in [(2, 3), (3, 2)]:
+            t1 = random_channel(d1, d2, d1, seed=82 + d1)
+            t2 = random_channel(d1, d2, d1 + 1, seed=84 + d1)
+            scaled = KrausChannel(d1, d2, tuple(0.7 * a for a in t2.kraus))  # not TP: no cap at 2
+            pairs += [(t1, t2), (t1, scaled), (scaled, t1)]
+        return pairs
+
+    def test_difference_upper_matches_partial_trace_of_abs_j(self):
+        for t1, t2 in self._pairs():
+            j = choi(t1).mat - choi(t2).mat
+            vals, vecs = np.linalg.eigh(j)
+            abs_j = (vecs * np.abs(vals)) @ vecs.conj().T
+            expected = singular_values_oracle(partial_trace_oracle(abs_j, t1.dim_out, t1.dim_in, "first"))[0]
+            if t1.trace_preserving and t2.trace_preserving:
+                expected = min(expected, 2.0)
+            assert abs(metrics._choi_difference_upper(j, t1, t2) - expected) <= 1e-14 * expected
+
+    def test_channel_upper_matches_partial_trace_of_choi(self):
+        t = random_channel(3, 3, 3, seed=86)
+        wide = compose(depolarizing_channel(0.05, 3), t)
+        assert wide._factor.shape == (9, 30)  # 30 Kraus columns, 9 rows
+        channels = [t, wide, random_channel(2, 3, 2, seed=87), random_channel(3, 2, 3, seed=88),
+                    tensor_channels(random_channel(2, 2, 2, seed=11), random_channel(3, 2, 3, seed=12))]
+        for t in channels:
+            expected = singular_values_oracle(partial_trace_oracle(choi(t).mat, t.dim_out, t.dim_in, "first"))[0]
+            assert abs(cb_norm_of_channel(t).upper - expected) <= 1e-14 * expected
+
+    def test_one_eigh_of_j_one_small_eigvalsh_and_no_svd(self, monkeypatch):
+        t1 = random_channel(3, 2, 3, seed=89)
+        t2 = KrausChannel(3, 2, tuple(0.9 * a for a in random_channel(3, 2, 2, seed=90).kraus))
+        j = choi(t1).mat - choi(t2).mat
+        calls = _spy_on_decompositions(monkeypatch)
+        metrics._choi_difference_upper(j, t1, t2)
+        assert calls == [("eigh", (6, 6)), ("eigvalsh", (3, 3))]
+        calls.clear()
+        cb_norm_of_channel(t1)  # the lower end is one objective value at the maximally entangled probe
+        assert calls == [("eigvalsh", (1, 6, 6)), ("eigvalsh", (3, 3))]
+
+
+class TestProbeVectorsAreCheckedWhereTheyEnter:
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            (np.zeros(4), "extra start must be finite and nonzero"),
+            (np.array([np.nan, 1.0, 0.0, 0.0]), "extra start must be finite and nonzero"),
+            (np.array([np.inf, 1.0, 0.0, 0.0]), "extra start must be finite and nonzero"),
+            (np.full(4, 1e200), "extra start must be finite and nonzero, with a finite norm"),
+            (np.ones(3), "extra start has length 3, expected 4"),
+        ],
+        ids=["zero", "nan", "inf", "norm-overflow", "length"],
+    )
+    def test_bad_extra_start_is_refused_before_any_decomposition(self, start, message, monkeypatch):
+        t1, t2 = random_channel(2, 2, 2, seed=91), random_channel(2, 2, 2, seed=92)
+        calls = _spy_on_decompositions(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            cb_distance_interval(t1, t2, extra_starts=(start,))
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+        assert "\n" not in str(info.value)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            (2.0, "expected 1 within 1e-9"),
+            (1.0 + 2e-9, "expected 1 within 1e-9"),
+            (np.nan, "probe vector must be finite and nonzero"),
+            (np.inf, "probe vector must be finite and nonzero"),
+        ],
+        ids=["norm-2", "just-outside", "nan", "inf"],
+    )
+    def test_cb_objective_refuses_a_probe_that_is_not_a_finite_unit_vector(self, scale, message, monkeypatch):
+        t1, t2 = random_channel(2, 2, 2, seed=93), random_channel(2, 2, 2, seed=94)
+        unit = rand_state_vec(np.random.default_rng(95), 4)
+        psi = unit * scale if np.isfinite(scale) else np.concatenate([[scale], unit[1:]])
+        calls = _spy_on_decompositions(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            cb_objective(t1, t2, psi)
+        assert "\n" not in str(info.value)
+        assert calls == []
+
+    def test_cb_objective_refuses_a_probe_of_the_wrong_length(self):
+        t = random_channel(2, 2, 2, seed=93)
+        with pytest.raises(ValueError, match="probe vector has length 3, expected 4"):
+            cb_objective(t, None, np.ones(3) / np.sqrt(3))
+
+    def test_cb_objective_accepts_a_unit_norm_within_rounding(self):
+        t1, t2 = random_channel(2, 2, 2, seed=93), random_channel(2, 2, 2, seed=94)
+        psi = rand_state_vec(np.random.default_rng(95), 4)
+        near = psi * (1.0 + 5e-10)
+        assert cb_objective(t1, t2, near) == pytest.approx(cb_objective(t1, t2, psi), rel=2e-9)
 
 
 class TestCertificate:
