@@ -3,13 +3,14 @@
 Choi matrices live on (output ⊗ input) with the output factor varying
 slowly, matching the package-wide index convention, and carry the factor
 d_in: C = (T ⊗ id)(d_in · |Omega><Omega|), so tr C = d_in for a channel.  A
-``KrausChannel`` holds one Choi matrix C, which ``choi`` and the probe map
-read, and one factor F of it, C = F F†, which every channel fidelity and
-the TP flag read: the Kraus vectors vec(A_k), accumulated
-into C at construction, or, for a map built by :func:`from_choi` or
-``reconstruct``, the factor its input's one eigendecomposition gives, with
-zero columns where an eigenvalue is cut.  Those maps get their Kraus
-operators from a thin SVD of that factor, and only there.
+``KrausChannel`` holds one factor F of its Choi matrix, which the probe
+map, the RN operator, every channel fidelity and the TP flag read: the
+Kraus vectors vec(A_k) for a map built from Kraus operators, or, for a map
+built by :func:`from_choi` or ``reconstruct``, the factor its input's one
+eigendecomposition gives, with zero columns where an eigenvalue is cut.
+Those maps get their Kraus operators from a thin SVD of that factor, and
+only there.  The Choi matrix C = F F†, the Gram product ``linalg._gram``
+of F, is formed once at construction and returned by :func:`choi`.
 Stinespring dilations have the shape V: H_out -> H_in ⊗ E, so that
 T(rho) = V† (rho ⊗ 1_E) V.
 """
@@ -26,6 +27,7 @@ from .linalg import (
     _adjoint,
     _check_finite_hermitian,
     _fix_column_phases,
+    _gram,
     _hermitian_norms,
     _random_unitaries,
     hermitian_part,
@@ -48,10 +50,10 @@ class KrausChannel:
     """CP map given by an ordered list of Kraus operators A_k: H_in -> H_out.
 
     The map is ``sum_k A_k rho A_k†``, ``kraus`` read-only views of one
-    (r, dim_out, dim_in) array.  Its Choi matrix is built once at
-    construction (read it with :func:`choi`).  ``_factor`` is a factor F,
-    C = F F†, whose columns vec(A_k) are that array for a map built from
-    Kraus operators.  ``trace_preserving`` is computed from F as
+    (r, dim_out, dim_in) array.  ``_factor`` is a factor F of its Choi
+    matrix, whose columns vec(A_k) are that array for a map built from
+    Kraus operators; C = F F† is built once at construction (read it with
+    :func:`choi`).  ``trace_preserving`` is computed from F as
     ``||tr_out C - 1||_op <= 1e-9``; CP maps that are not channels (e.g.
     dominated maps, reconstructions from noisy data) simply carry the flag
     as False.
@@ -78,11 +80,11 @@ class KrausChannel:
         if not np.isfinite(ops).all():
             raise ValueError("Kraus entries must be finite")
         # the row-major flatten maps A[mu, i] to the Choi index mu * dim_in + i
-        rows = ops.reshape(len(ops), -1)
+        factor = ops.reshape(len(ops), -1).T
         # finite entries can still overflow in products; ChoiMatrix refuses the result
         with np.errstate(over="ignore", invalid="ignore"):
-            c = ChoiMatrix(dim_in=self.dim_in, dim_out=self.dim_out, mat=_choi_of_rows(rows))
-        self._set_forms(ops, c, rows.T, float(_marginal_defects(rows.T, self.dim_in, self.dim_out)[0]))
+            c = ChoiMatrix(dim_in=self.dim_in, dim_out=self.dim_out, mat=_gram(factor))
+        self._set_forms(ops, c, factor, float(_marginal_defects(factor, self.dim_in, self.dim_out)[0]))
 
     def _set_forms(self, ops: np.ndarray, c: ChoiMatrix, factor: np.ndarray, tp_defect: float) -> None:
         ops.flags.writeable = False  # the views ops[k] are the map's only copy of its operators
@@ -145,22 +147,12 @@ def choi(t: KrausChannel) -> ChoiMatrix:
     return t._choi
 
 
-def _choi_of_rows(rows: np.ndarray) -> np.ndarray:
-    """C = sum_k v_k v_k† over rows[k] = vec(A_k), for one map or a stack of
-    maps, accumulated in Kraus order and returned as its Hermitian part."""
-    n = rows.shape[-1]
-    c = np.zeros(rows.shape[1:] + (n,), dtype=complex)
-    for v, v_conj in zip(rows, rows.conj()):
-        c += v[..., :, None] * v_conj[..., None, :]
-    return hermitian_part(c)
-
-
 def _marginal(f: np.ndarray, d1: int, d2: int) -> np.ndarray:
     """tr_out(F F†) on H_in of a factor F on H_out ⊗ H_in, or of each of a
     stack: sum_mu F_mu F_mu† over the d1-row blocks F_mu of F, one d1 × d1
-    product (for Kraus vectors it is the transpose of sum_k A_k† A_k)."""
+    Gram product (for Kraus vectors it is the transpose of sum_k A_k† A_k)."""
     rows = np.moveaxis(f.reshape(*f.shape[:-2], d2, d1, -1), -3, -2).reshape(*f.shape[:-2], d1, -1)
-    return hermitian_part(rows @ _adjoint(rows))
+    return _gram(rows)
 
 
 def _marginal_defects(f: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,8 +184,8 @@ def _channel_of(factor: np.ndarray, tp_defect: float, d1: int, d2: int) -> Kraus
     which are C's eigenvectors, phase-fixed, scaled by the singular values,
     put in ascending order as ``eigh`` orders C's eigenpairs and unvectorized,
     all into one array.  The map keeps F itself as its factor, so its
-    fidelities read the bits a stacked run reads, and caches the Hermitian
-    part of F F† as its Choi matrix.
+    fidelities read the bits a stacked run reads, and caches the Gram
+    product F F† as its Choi matrix.
     """
     kept = factor[:, factor.any(axis=0)]
     if kept.size:
@@ -201,7 +193,7 @@ def _channel_of(factor: np.ndarray, tp_defect: float, d1: int, d2: int) -> Kraus
         ops = (_fix_column_phases(u[:, ::-1]) * s[::-1]).T.reshape(-1, d2, d1)
     else:
         ops = np.zeros((1, d2, d1), dtype=complex)
-    return KrausChannel._built(d1, d2, ops, hermitian_part(factor @ _adjoint(factor)), factor, tp_defect)
+    return KrausChannel._built(d1, d2, ops, _gram(factor), factor, tp_defect)
 
 
 def tensor_with_identity(t: KrausChannel, d_anc: int) -> KrausChannel:

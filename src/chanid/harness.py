@@ -12,15 +12,15 @@ d1 = d2 = 6), so memory stays bounded whatever the trial count.  Each
 stage (channel draw, probe, noise, reconstruction, fidelity) runs once per
 chunk through the same private cores that ``random_channel``,
 ``forward_map``, ``apply_noise``, ``reconstruct`` and ``channel_fidelity``
-run for one trial.  Stacked LAPACK calls and elementwise array arithmetic
-give the bits of single calls, so the CSV bytes equal those of evaluating
-the trials one at a time with the public functions.  Each stage scores from
-what the chunk already holds: one ``eigh`` of each w, w = U diag(lam) U†,
-is the trial's one decomposition and gives the factor
+run for one trial.  Stacked LAPACK calls, stacked matrix products and
+elementwise array arithmetic give the bits of single calls, so the CSV
+bytes equal those of evaluating the trials one at a time with the public
+functions.  No Choi matrix is formed: the probe output is the Gram product
+w = G G† of G = (1 ⊗ X) K, K the drawn Kraus vectors; one ``eigh`` of each
+w, w = U diag(lam) U†, is the trial's one decomposition and gives the factor
 F_rec = (1 ⊗ X⁻¹) U diag(sqrt(lam·keep)) the reconstruction returns; the
-fidelity is (||F_rec† K||_1 / d1)² from it and the true channels' Kraus
-vectors K, the factors ``channel_fidelity`` reads; and each norm of a
-Hermitian matrix is read from its eigenvalues (``trace_dist_w``, the residuals).
+fidelity is (||F_rec† K||_1 / d1)²; and each norm of a Hermitian matrix is
+read from its eigenvalues (``trace_dist_w``, the residuals).
 
 Values are checked where they enter: :class:`RefSpec`, :class:`NoiseSpec`,
 :class:`ExperimentConfig` and the sweep grid.  The states the stages build
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _choi_of_rows, _random_kraus
+from .channel import _random_kraus
 from .identify import _probe_outputs, _reconstruct_stack, _reference_arrays
 from .linalg import NOISE_SITE, SPECTRUM_SITE, TRACE_TOL, DensityOperator, _adjoint, _clip_spectra, _generators
 from .linalg import _hermitian_norms, _random_unitaries, _seed, hermitian_part
@@ -236,13 +236,11 @@ def _chunks(cfg: ExperimentConfig, total: int) -> list[range]:
     return [range(start, min(start + size, total)) for start in range(0, total, size)]
 
 
-def _random_chois(cfg: ExperimentConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Choi matrices C of ``random_channel(d1, d2, kraus_rank, seed)`` for each
-    seed, and beside them the factors K = [vec(A_1) ... vec(A_r)] with
-    C = K K†, the map's ``_factor``."""
+def _random_factors(cfg: ExperimentConfig, seeds) -> np.ndarray:
+    """The Choi factors K = [vec(A_1) ... vec(A_r)] of
+    ``random_channel(d1, d2, kraus_rank, seed)`` for each seed, the maps' ``_factor``."""
     kraus = _random_kraus(cfg.d1, cfg.d2, cfg.kraus_rank, seeds)
-    rows = kraus.reshape(cfg.kraus_rank, len(seeds), cfg.d2 * cfg.d1)
-    return _choi_of_rows(rows), rows.transpose(1, 2, 0)
+    return kraus.reshape(cfg.kraus_rank, len(seeds), cfg.d2 * cfg.d1).transpose(1, 2, 0)
 
 
 def _random_references(floor: float, d1: int, seeds):
@@ -262,18 +260,17 @@ def _diagonal_references(spectra: np.ndarray):
     return _reference_arrays(rho)
 
 
-def _trial_records(cfg: ExperimentConfig, indices: range, chans, refs, noise_seeds) -> list[TrialRecord]:
+def _trial_records(cfg: ExperimentConfig, indices: range, factor, refs, noise_seeds) -> list[TrialRecord]:
     """Probe, perturb, reconstruct and score a chunk of trials, one stacked stage at a time.
 
-    ``chans`` holds the true channels' Choi matrices and factors, as
-    :func:`_random_chois` gives them, and ``refs`` the references'
-    ``(min_eig, x, x_inv)``; either may be a stack of one shared by every
-    trial.  The fidelity is scored from the true and the recovered factors,
-    with one SVD of a (d1·d2) × rank matrix per trial.
+    ``factor`` holds the true channels' Choi factors, as :func:`_random_factors`
+    gives them, and ``refs`` the references' ``(min_eig, x, x_inv)``; either
+    may be a stack of one shared by every trial.  The fidelity is scored from
+    the true and the recovered factors, with one SVD of a (d1·d2) × rank
+    matrix per trial.
     """
-    c, factor = chans
     min_eig, x, x_inv = refs
-    w = _probe_outputs(c, x, cfg.d2)
+    w = _probe_outputs(factor, x, cfg.d2)
     noisy = _noisy(w, cfg.noise, noise_seeds)
     factor_rec, tp_residual, consistency, _ = _reconstruct_stack(noisy, x_inv, cfg.d2)
     trace_dist = _hermitian_norms(noisy - w)[1]
@@ -302,7 +299,7 @@ def run_roundtrip(cfg: ExperimentConfig) -> list[TrialRecord]:
     for chunk in _chunks(cfg, cfg.trials):
         seeds = [cfg.seed + (i << 64) for i in chunk]
         refs = _random_references(spec.min_eig, cfg.d1, seeds) if fixed is None else fixed
-        records += _trial_records(cfg, chunk, _random_chois(cfg, seeds), refs, seeds)
+        records += _trial_records(cfg, chunk, _random_factors(cfg, seeds), refs, seeds)
     return records
 
 
@@ -319,13 +316,13 @@ def run_spectrum_sweep(cfg: ExperimentConfig, min_eig_grid: list[float]) -> list
     for m in min_eig_grid:
         if not 0.0 < m <= 1.0 / cfg.d1:
             raise ValueError(f"grid value {m} outside (0, 1/{cfg.d1}]")
-    chans = _random_chois(cfg, [cfg.seed])
+    factor = _random_factors(cfg, [cfg.seed])
     m = np.array(min_eig_grid, dtype=float)[:, None]
     spectra = np.ones_like(m) if cfg.d1 == 1 else np.hstack([m] + [(1.0 - m) / (cfg.d1 - 1)] * (cfg.d1 - 1))
     records = []
     for chunk in _chunks(cfg, len(spectra)):
         refs = _diagonal_references(spectra[chunk.start : chunk.stop])
-        records += _trial_records(cfg, chunk, chans, refs, [cfg.seed] * len(chunk))
+        records += _trial_records(cfg, chunk, factor, refs, [cfg.seed] * len(chunk))
     ordered = sorted(records, key=lambda r: -r.min_eig_rho)
     for prev, nxt in zip(ordered, ordered[1:]):
         if nxt.bound_value > prev.bound_value + 1e-9:

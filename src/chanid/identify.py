@@ -5,7 +5,9 @@ probe Omega = sum_i sqrt(p_i) phi_i ⊗ phi_i = vec X with the
 complex-symmetric X = sum_i sqrt(p_i) phi_i phi_iᵀ.  Sending one half of
 |Omega><Omega| through a channel T gives w = (T ⊗ id)(|Omega><Omega|) =
 (1 ⊗ X) C (1 ⊗ X)† on H_out ⊗ H_in, with C the Choi matrix of T, so
-recovery is the single congruence C = (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)†.  The
+recovery is the single congruence C = (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)†.  Both act
+on factors: with C = K K†, w is the Gram product G G† of G = (1 ⊗ X) K, and
+the inversion lifts a factor of w by 1 ⊗ X⁻¹.  The
 paper's equivalent dilation form conjugates sigma ⊗ F, with
 F = (1 ⊗ rho^{-1}) w (1 ⊗ rho^{-1}), by the fixed isometry
 V[(a,mu,b),nu] = X[a,b] delta_{mu nu} (``v_isometry``, ``apply_rn``).
@@ -31,7 +33,6 @@ from .channel import (
     NotCompletelyPositiveError,
     _channel_of,
     _marginal_defects,
-    choi,
 )
 from .linalg import (
     DensityOperator,
@@ -40,6 +41,7 @@ from .linalg import (
     _check_unit_traces,
     _clip_spectra,
     _fix_column_phases,
+    _gram,
     _hermiticity_defect,
     hermitian_part,
 )
@@ -168,34 +170,32 @@ def omega(ref: ReferenceState) -> np.ndarray:
     return ref.x.reshape(-1)
 
 
-def _congruence(m: np.ndarray, x: np.ndarray, d2: int) -> np.ndarray:
-    """(1 ⊗ x) m (1 ⊗ x)† for m on H_out ⊗ H_in, acting blockwise on H_in.
+def _lift(x: np.ndarray, f: np.ndarray, d2: int) -> np.ndarray:
+    """(1 ⊗ x) f for a factor f on H_out ⊗ H_in: x acts on each d1-row block.
 
-    Stacks of m and of x broadcast against each other.
+    Stacks of x and of f broadcast against each other.
     """
     d1 = x.shape[-1]
-    lead = m.shape[:-2]
-    blocks = m.reshape(*lead, d2, d1, d2, d1).swapaxes(-3, -2)
-    x = x[..., None, None, :, :]
-    out = x @ blocks @ x.conj().swapaxes(-1, -2)
-    return out.swapaxes(-3, -2).reshape(*out.shape[:-4], d2 * d1, d2 * d1)
+    out = x[..., None, :, :] @ f.reshape(*f.shape[:-2], d2, d1, f.shape[-1])
+    return out.reshape(*out.shape[:-3], d2 * d1, -1)
 
 
 def forward_map(t: KrausChannel, ref: ReferenceState) -> DensityOperator:
     """Probe output w = (T ⊗ id)(|Omega><Omega|) = (1 ⊗ X) C (1 ⊗ X)† on H_out ⊗ H_in."""
     if t.dim_in != ref.dim:
         raise ValueError(f"channel input dim {t.dim_in} != reference dim {ref.dim}")
-    return DensityOperator._checked(_probe_outputs(choi(t).mat[None], ref.x[None], t.dim_out)[0])
+    return DensityOperator._checked(_probe_outputs(t._factor, ref.x, t.dim_out))
 
 
-def _probe_outputs(c: np.ndarray, x: np.ndarray, d2: int) -> np.ndarray:
-    """:func:`forward_map` for stacks of Choi matrices and probe matrices.
+def _probe_outputs(factor: np.ndarray, x: np.ndarray, d2: int) -> np.ndarray:
+    """:func:`forward_map` from a Choi factor K, C = K K†, and a probe matrix,
+    or from stacks of them: w = G G† with G = (1 ⊗ X) K.
 
     Only the unit trace is checked, which fails for a map that is not
     trace-preserving; the outputs are Hermitian by construction and PSD up
     to rounding.
     """
-    w = hermitian_part(_congruence(c, x, d2))
+    w = _gram(_lift(x, factor, d2))
     _check_unit_traces(w, "probe output trace")
     return w
 
@@ -219,11 +219,11 @@ def rn_operator(t: KrausChannel, ref: ReferenceState) -> RNOperator:
     the channel relative to the reference dilation.
 
     With w = (1 ⊗ X) C (1 ⊗ X)† and rho = X X†, rho^{-1} X = X⁻†, so F is
-    the single congruence (1 ⊗ X⁻†) C (1 ⊗ X⁻†)† of the Choi matrix.
+    (1 ⊗ X⁻†) C (1 ⊗ X⁻†)†: the Gram product of the lifted factor (1 ⊗ X⁻†) K.
     """
     if t.dim_in != ref.dim:
         raise ValueError(f"channel input dim {t.dim_in} != reference dim {ref.dim}")
-    return RNOperator(mat=hermitian_part(_congruence(choi(t).mat, ref.x_inv.conj().T, t.dim_out)))
+    return RNOperator(mat=_gram(_lift(ref.x_inv.conj().T, t._factor, t.dim_out)))
 
 
 def _apply_rn_matrix(v: np.ndarray, f_mat: np.ndarray, sigma_mat: np.ndarray) -> np.ndarray:
@@ -308,7 +308,6 @@ def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, d2: int) -> tuple:
             f"input state has eigenvalue {lam[:, 0].min():.3e} < -{W_PSD_TOL:.1e}"
         )
     lam, clipped = _clip_spectra(lam)
-    blocks = (u * np.sqrt(lam)[:, None, :]).reshape(len(w), d2, d1, -1)
-    full = (x_inv[:, None] @ blocks).reshape(u.shape)
+    full = _lift(x_inv, u * np.sqrt(lam)[:, None, :], d2)
     factor = np.where((lam > CHOI_REL_TOL * lam[:, -1:])[:, None, :], full, 0.0)
     return factor, _marginal_defects(factor, d1, d2)[0], _marginal_defects(full, d1, d2)[1], clipped

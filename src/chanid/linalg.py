@@ -108,16 +108,25 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _gram(f: np.ndarray) -> np.ndarray:
+    """The Hermitian part of F F†, for one factor F or for each of a stack:
+    the one formula of every PSD operator the package forms from a factor."""
+    return hermitian_part(f @ _adjoint(f))
+
+
 def _hermiticity_defect(m: np.ndarray) -> float:
-    """||m - m†||_op of a square matrix.
+    """||m - m†||_op of a square matrix: the largest |eigenvalue| of the
+    Hermitian i(m - m†), from one ``eigvalsh``.
 
     A matrix that equals its adjoint exactly, as every ``hermitian_part``
-    output does, has defect 0 by definition and costs no SVD.
+    output does, has defect 0 by definition and costs no decomposition; one
+    whose m - m† overflows has defect inf.
     """
-    diff = m - _adjoint(m)
+    with np.errstate(over="ignore"):
+        diff = m - _adjoint(m)
     if not diff.any():
         return 0.0
-    return float(np.linalg.svd(diff, compute_uv=False)[0])
+    return float(_hermitian_norms(1j * diff)[0]) if np.isfinite(diff).all() else np.inf
 
 
 def _hermitian_norms(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -101,17 +101,15 @@ def choi_elementwise_oracle(t) -> np.ndarray:
     return c
 
 
-def choi_accumulation_oracle(t) -> np.ndarray:
-    """Choi matrix rebuilt from the Kraus operators on every call, in Kraus order.
+def choi_gram_oracle(t) -> np.ndarray:
+    """Choi matrix rebuilt from the Kraus operators on every call: the
+    Hermitian part of K K† with K = [vec A_1 ... vec A_r] in Kraus order.
 
-    The same outer-product accumulation as a channel's construction, so the
-    cached Choi matrix must equal it bit for bit.
+    The same Gram product as a channel's construction, so the cached Choi
+    matrix must equal it bit for bit.
     """
-    n = t.dim_out * t.dim_in
-    c = np.zeros((n, n), dtype=complex)
-    for a in t.kraus:
-        v = np.asarray(a).reshape(-1)
-        c += np.outer(v, v.conj())
+    k = np.array([np.asarray(a).reshape(-1) for a in t.kraus]).T
+    c = k @ k.conj().T
     return (c + c.conj().T) / 2
 
 

@@ -36,8 +36,8 @@ from chanid.serialize import channel_from_json, channel_to_json
 
 from conftest import (
     apply_via_choi_oracle,
-    choi_accumulation_oracle,
     choi_elementwise_oracle,
+    choi_gram_oracle,
     rand_complex,
     rand_density_mat,
     singular_values_oracle,
@@ -141,10 +141,10 @@ class TestChoi:
                 ranks = sorted({r for r in (1, 2, d1, d1 * d2) if d2 * r >= d1 and r <= d1 * d2})
                 for rank in ranks:
                     t = random_channel(d1, d2, rank, seed=100 * d1 + 10 * d2 + rank)
-                    np.testing.assert_array_equal(choi(t).mat, choi_accumulation_oracle(t))
+                    np.testing.assert_array_equal(choi(t).mat, choi_gram_oracle(t))
                 ops = tuple(0.7 * rand_complex(rng, d2, d1) for _ in range(2))
                 for t in (zero_map(d1, d2), KrausChannel(dim_in=d1, dim_out=d2, kraus=ops)):
-                    np.testing.assert_array_equal(choi(t).mat, choi_accumulation_oracle(t))
+                    np.testing.assert_array_equal(choi(t).mat, choi_gram_oracle(t))
 
     def test_construction_runs_one_eigvalsh(self, monkeypatch):
         # the Choi matrix is hermitian_part output, Hermitian by definition:
@@ -254,7 +254,7 @@ class TestOneKrausCut:
         cut = build(t)
         assert shapes == [(9, 3)] and len(cut.kraus) == 3 and cut._factor.shape == (9, 9)
         c = choi(cut).mat
-        assert operator_norm(c - choi_accumulation_oracle(cut)) <= 1e-13 * operator_norm(c)
+        assert operator_norm(c - choi_gram_oracle(cut)) <= 1e-13 * operator_norm(c)
 
 
 class TestTensorWithIdentity:

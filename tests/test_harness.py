@@ -250,6 +250,35 @@ class TestStackedTrialsMatchTheLoop:
         assert peak(200) <= 1.25 * peak(20)
 
 
+class TestStackedProductsKeepTheBitsOfSingleCalls:
+    """The byte equality above rests on this: a stacked ``_lift`` or ``_gram``
+    gives each item the bits of the single call (with single-threaded BLAS),
+    at the harness's chunk sizes and on the non-contiguous transposed view
+    of the Kraus draw that ``_random_factors`` returns."""
+
+    @pytest.mark.parametrize("d, n", [(6, 1), (6, 3), (3, 50), (2, 256)])
+    @pytest.mark.parametrize("full_rank", [False, True], ids=["rank-1", "rank-d2"])
+    def test_each_item_equals_its_single_call(self, d, n, full_rank):
+        rank = d * d if full_rank else 1
+        cfg = ExperimentConfig(d, d, rank, RefSpec("random_min_eig", min_eig=0.05 / d), NoiseSpec(), n, seed=3)
+        seeds = [cfg.seed + (i << 64) for i in range(n)]
+        factor = harness._random_factors(cfg, seeds)
+        _, x, x_inv = harness._random_references(0.05 / d, d, seeds)
+        lifted = identify._lift(x, factor, d)
+        w = linalg._gram(lifted)
+        shared = identify._lift(x, factor[:1], d)  # a sweep's one channel against every reference
+        u = identify._lift(x_inv, np.linalg.eigh(w)[1], d)  # the reconstruction's lift
+        for i in range(n):
+            own = random_channel(d, d, rank, seed=seeds[i])._factor  # the layout a single call reads
+            assert np.array_equal(own, factor[i])
+            for f in (factor[i], own):
+                assert np.array_equal(lifted[i], identify._lift(x[i], f, d))
+            assert np.array_equal(shared[i], identify._lift(x[i], factor[0], d))
+            assert np.array_equal(w[i], linalg._gram(lifted[i]))
+            assert np.array_equal(w[i], linalg._gram(identify._lift(x[i], own, d)))
+            assert np.array_equal(u[i], identify._lift(x_inv[i], np.linalg.eigh(w[i])[1], d))
+
+
 class TestLapackCallsPerTrial:
     """The probe and the noise build states without decomposing them: each
     noisy probe output gets one eigh, by the reconstruction, whether or not
@@ -301,10 +330,10 @@ class TestLapackCallsPerTrial:
 
 
 class TestReconstructionStaysInChoiForm:
-    """The stages keep recovered maps as factors of their Choi matrices: no
-    phase fix and no Kraus-vector accumulation runs on a (d1·d2)-sized
-    stack; only the true channels' Choi matrices are accumulated from Kraus
-    rows."""
+    """The stages keep every map as a factor of its Choi matrix: no phase fix
+    runs on a (d1·d2)-sized stack, no Choi matrix of a true channel is
+    formed, and each chunk takes one (d1·d2)-row Gram product, the probe
+    outputs G G† of the lifted true factors G = (1 ⊗ X) K."""
 
     @pytest.mark.parametrize("run", ["roundtrip", "sweep"])
     def test_no_kraus_form_on_choi_sized_stacks(self, monkeypatch, run):
@@ -312,29 +341,34 @@ class TestReconstructionStaysInChoiForm:
         cfg = ExperimentConfig(
             d, d, d, RefSpec("random_min_eig", min_eig=0.05 / d), NoiseSpec("depolarize", 0.02), trials, seed=5
         )
-        phase_fixed, accumulated = [], []
-        fix, rows_to_choi = linalg._fix_column_phases, channel._choi_of_rows
+        phase_fixed, grams, lifted, drawn = [], [], [], []
+        fix, gram, lift, draw = linalg._fix_column_phases, linalg._gram, identify._lift, harness._random_factors
 
         def fix_spy(vectors):
             phase_fixed.append(np.shape(vectors))
             return fix(vectors)
 
-        def rows_spy(rows):
-            accumulated.append(np.shape(rows))
-            return rows_to_choi(rows)
+        def gram_spy(f):
+            grams.append(f)
+            return gram(f)
 
         for module in (linalg, channel, identify):
             monkeypatch.setattr(module, "_fix_column_phases", fix_spy)
-        for module in (channel, harness):
-            monkeypatch.setattr(module, "_choi_of_rows", rows_spy)
+            monkeypatch.setattr(module, "_gram", gram_spy)
+        monkeypatch.setattr(identify, "_lift", lambda *a: lifted.append(lift(*a)) or lifted[-1])
+        monkeypatch.setattr(harness, "_random_factors", lambda *a: drawn.append(draw(*a)) or drawn[-1])
         if run == "roundtrip":
             run_roundtrip(cfg)
-            expected = [(d, 50, d * d), (d, 10, d * d)]  # (rank, trials, d1·d2) of each chunk
         else:
             run_spectrum_sweep(cfg, [float(x) for x in np.geomspace(1.0 / d, 1e-6, trials)])
-            expected = [(d, 1, d * d)]  # the one true channel
         assert phase_fixed and all(shape[-2:] == (d, d) for shape in phase_fixed)
-        assert accumulated == expected
+        choi_sized = [f for f in grams if f.shape[-2] == d * d]
+        assert [f.shape for f in choi_sized] == [(50, d * d, d), (10, d * d, d)]  # (trials, d1·d2, rank) per chunk
+        assert all(any(f is g for g in lifted) for f in choi_sized)
+        true_factors = [k for stack in drawn for k in stack]  # 60 for the roundtrip, 1 for the sweep
+        assert len(true_factors) == (trials if run == "roundtrip" else 1)
+        gram_items = [g for f in grams for g in f.reshape(-1, *f.shape[-2:])]
+        assert not any(np.array_equal(g, k) for g in gram_items for k in true_factors)
 
 
 class TestCsvOutput:

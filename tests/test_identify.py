@@ -5,6 +5,7 @@ from chanid.channel import (
     ChoiMatrix,
     KrausChannel,
     choi,
+    compose,
     depolarizing_channel,
     from_choi,
     identity_channel,
@@ -41,8 +42,9 @@ from chanid.linalg import (
 from chanid.metrics import channel_fidelity
 
 from conftest import (
-    choi_accumulation_oracle,
+    choi_elementwise_oracle,
     choi_from_w_oracle,
+    choi_gram_oracle,
     noise_clipped_state,
     rand_density_mat,
     rho_inv_sqrt,
@@ -156,6 +158,50 @@ class TestForwardMap:
         # the probe output's unit trace is the one check the probe keeps
         with pytest.raises(ValueError, match="trace"):
             forward_map(zero_map(2, 2), make_reference(maximally_mixed(2)))
+
+
+def _gram_cases():
+    """(id, map, reference) for the Gram-product tests: each (d1, d2) at Kraus
+    rank 1 and d1·d2, a composed map with more Kraus columns than Choi rows,
+    and a from_choi map whose factor has cut (zero) columns."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for d1, d2 in [(1, 3), (2, 3), (3, 2), (3, 3)]:
+        for rank in sorted({r for r in (1, d1 * d2) if d2 * r >= d1}):
+            t = random_channel(d1, d2, rank, seed=40 + 10 * d1 + d2 + rank)
+            cases.append((f"d1={d1}-d2={d2}-rank={rank}", t, rand_reference(rng, d1)))
+    wide = compose(depolarizing_channel(0.05, 3), random_channel(3, 3, 3, seed=9))
+    assert wide._factor.shape == (9, 30)
+    cut = from_choi(choi(random_channel(3, 3, 2, seed=12)))
+    assert cut._factor.shape == (9, 9) and (~cut._factor.any(axis=0)).sum() == 7
+    cases += [("wide-30-of-9", wide, rand_reference(rng, 3)), ("cut-columns", cut, rand_reference(rng, 3))]
+    return cases
+
+
+GRAM_CASES = _gram_cases()
+
+
+class TestGramOfTheLiftedFactor:
+    """forward_map and rn_operator are Gram products of the lifted Choi factor:
+    they equal the Kronecker congruences (1 ⊗ X) C (1 ⊗ X)† and
+    (1 ⊗ X⁻†) C (1 ⊗ X⁻†)† of the elementwise Choi matrix C, to rounding."""
+
+    @staticmethod
+    def _congruence_oracle(t, lift):
+        big = np.kron(np.eye(t.dim_out), lift)
+        return big @ choi_elementwise_oracle(t) @ big.conj().T
+
+    @pytest.mark.parametrize("t, ref", [c[1:] for c in GRAM_CASES], ids=[c[0] for c in GRAM_CASES])
+    def test_forward_map_matches_the_kronecker_congruence(self, t, ref):
+        expected = self._congruence_oracle(t, ref.x)
+        got = forward_map(t, ref).mat
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("t, ref", [c[1:] for c in GRAM_CASES], ids=[c[0] for c in GRAM_CASES])
+    def test_rn_operator_matches_the_kronecker_congruence(self, t, ref):
+        expected = self._congruence_oracle(t, np.linalg.inv(ref.x).conj().T)
+        got = rn_operator(t, ref).mat
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestVIsometry:
@@ -416,7 +462,7 @@ class TestBuiltMapsCacheTheirChoi:
                     maps = [from_choi(choi(t))] + [reconstruct(x, ref, d2).cp_map for x in (w, jittered)]
                     for m in maps:
                         c = choi(m).mat
-                        assert operator_norm(c - choi_accumulation_oracle(m)) <= 1e-13 * operator_norm(c)
+                        assert operator_norm(c - choi_gram_oracle(m)) <= 1e-13 * operator_norm(c)
                         rebuilt = KrausChannel(m.dim_in, m.dim_out, m.kraus)
                         assert abs(m.tp_defect - rebuilt.tp_defect) <= 1e-14
 

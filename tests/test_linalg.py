@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanid import linalg
-from chanid.channel import KrausChannel, choi, random_channel
-from chanid.identify import forward_map, make_reference, reconstruct
+from chanid.channel import ChoiMatrix, KrausChannel, choi, random_channel
+from chanid.identify import RNOperator, forward_map, make_reference, reconstruct, rn_operator
 from chanid.metrics import channel_fidelity
 from chanid.linalg import (
     CB_STARTS_SITE,
@@ -301,22 +302,76 @@ class TestDrawRule:
                 random_channel(2, 2, 2, seed)
 
 
+class TestHermiticityDefect:
+    """||m - m†||_op is the largest |eigenvalue| of the Hermitian i(m - m†):
+    one eigvalsh, never an SVD, for every type that checks its matrix."""
+
+    @staticmethod
+    def _skew(n, size):
+        skew = np.zeros((n, n))
+        skew[0, 1], skew[1, 0] = size, -size  # m - m† = 2 skew
+        return skew
+
+    def test_equals_the_largest_singular_value(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 4, 9):
+            m = rand_complex(rng, n, n)
+            diff = m - m.conj().T
+            assert linalg._hermiticity_defect(m) == pytest.approx(singular_values_oracle(diff)[0], rel=1e-13)
+
+    def test_near_hermitian_inputs_take_no_svd(self, monkeypatch):
+        t = random_channel(2, 2, 2, seed=9)
+        ref = make_reference(DensityOperator(np.diag([0.3, 0.7])))
+        f = rn_operator(t, ref).mat
+        w = hermitian_part(rand_density_mat(np.random.default_rng(5), 4))
+        c = choi(t).mat
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        # each skew is inside its type's tolerance, so the check passes
+        RNOperator(f + self._skew(4, 1e-10))
+        DensityOperator(w + self._skew(4, 1e-13))
+        ChoiMatrix(dim_in=2, dim_out=2, mat=c + self._skew(4, 1e-11))
+        assert calls == []
+        assert linalg._hermiticity_defect(f + self._skew(4, 1e-10)) == pytest.approx(2e-10, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_overflowing_difference_is_refused_without_a_warning(self, n):
+        # finite entries whose m - m† overflows: the defect is inf, not NaN,
+        # and no eigensolver sees the overflowed matrix
+        m = np.eye(n, dtype=complex) / n
+        m[0, 1], m[1, 0] = 1e308, -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg._hermiticity_defect(m) == np.inf
+            with pytest.raises(ValueError, match="density operator not Hermitian: defect inf"):
+                DensityOperator(m)
+            with pytest.raises(ValueError, match="Choi matrix not Hermitian: defect inf"):
+                ChoiMatrix(dim_in=2, dim_out=n // 2, mat=m)
+            with pytest.raises(ValueError, match="operator must be Hermitian"):
+                RNOperator(m)
+
+
 class TestDensityOperator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             DensityOperator(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
     def test_exactly_hermitian_input_needs_no_svd(self, monkeypatch):
+        # an exactly Hermitian matrix has defect 0 without a decomposition; any
+        # other costs one eigvalsh, and neither an SVD
         m = hermitian_part(rand_density_mat(np.random.default_rng(5), 4))
-        svd, calls = np.linalg.svd, []
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        calls = []
+        for routine in ("svd", "eigvalsh"):
+            real = getattr(np.linalg, routine)
+            spy = lambda *a, real=real, routine=routine, **k: calls.append(routine) or real(*a, **k)
+            monkeypatch.setattr(np.linalg, routine, spy)
         DensityOperator(m)
-        assert calls == []
+        assert calls == ["eigvalsh"]  # the PSD check
         skew = np.zeros((4, 4))
         skew[0, 1], skew[1, 0] = 1e-9, -1e-9  # anti-Hermitian: m - m† = 2 skew
         with pytest.raises(ValueError, match=re.escape(f"not Hermitian: defect {2e-9:.3e}")):
             DensityOperator(m + skew)
-        assert calls == [1]
+        assert calls == ["eigvalsh", "eigvalsh"]  # the defect
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
