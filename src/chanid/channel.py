@@ -45,7 +45,7 @@ class NotCompletelyPositiveError(ValueError):
     """Raised when a matrix that must be a CP-map Choi matrix is not PSD."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """CP map given by an ordered list of Kraus operators A_k: H_in -> H_out.
 
@@ -125,7 +125,7 @@ class KrausChannel:
         return (_adjoint(ops) @ x @ ops).sum(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Choi matrix on H_out ⊗ H_in; PSD exactly when the map is CP."""
 

@@ -46,17 +46,12 @@ def _cmd_reconstruct(args) -> int:
     ref = serialize.reference_from_json(_load_json(args.ref))
     if w.dim % ref.dim != 0:
         raise ValueError(f"state dim {w.dim} is not a multiple of reference dim {ref.dim}")
-    result = reconstruct(w, ref, w.dim // ref.dim)
-    report = {
-        "tp_residual": result.tp_residual,
-        "consistency_residual": result.consistency_residual,
-        "clip_magnitude": result.clip_magnitude,
-    }
-    if args.out:
-        _emit(serialize.channel_to_json(result.cp_map), args.out)
+    report = serialize.reconstruction_to_json(reconstruct(w, ref, w.dim // ref.dim))
+    if args.out:  # the channel to --out, the residuals to the sidecar
+        _emit(report.pop("channel"), args.out)
         _emit(report, args.report or args.out + ".report.json")
     else:
-        _emit(serialize.reconstruction_to_json(result), None)
+        _emit(report, None)
     return 0
 
 

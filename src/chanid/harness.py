@@ -244,7 +244,7 @@ def _random_factors(cfg: ExperimentConfig, seeds) -> np.ndarray:
 
 
 def _random_references(floor: float, d1: int, seeds):
-    """``(min_eig, x, x_inv)`` of a reference with spectrum floor + (1 - d1 floor) · Dirichlet
+    """``_reference_arrays`` of a reference with spectrum floor + (1 - d1 floor) · Dirichlet
     and the Haar eigenbasis ``random_unitary(d1, seed)``, for each seed."""
     dirichlet = np.array([g.dirichlet(np.ones(d1)) for g in _generators(seeds, SPECTRUM_SITE)])
     p = floor + (1.0 - d1 * floor) * dirichlet
@@ -253,7 +253,7 @@ def _random_references(floor: float, d1: int, seeds):
 
 
 def _diagonal_references(spectra: np.ndarray):
-    """``(min_eig, x, x_inv)`` of the reference diag(p) for each row p of spectra."""
+    """``_reference_arrays`` of the reference diag(p) for each row p of spectra."""
     n, d1 = spectra.shape
     rho = np.zeros((n, d1, d1), dtype=complex)
     rho[:, np.arange(d1), np.arange(d1)] = spectra
@@ -264,12 +264,12 @@ def _trial_records(cfg: ExperimentConfig, indices: range, factor, refs, noise_se
     """Probe, perturb, reconstruct and score a chunk of trials, one stacked stage at a time.
 
     ``factor`` holds the true channels' Choi factors, as :func:`_random_factors`
-    gives them, and ``refs`` the references' ``(min_eig, x, x_inv)``; either
-    may be a stack of one shared by every trial.  The fidelity is scored from
-    the true and the recovered factors, with one SVD of a (d1·d2) × rank
-    matrix per trial.
+    gives them, and ``refs`` the references' ``(spectrum, min_eig, x, x_inv)``
+    from ``_reference_arrays``; either may be a stack of one shared by every
+    trial.  The fidelity is scored from the true and the recovered factors,
+    with one SVD of a (d1·d2) × rank matrix per trial.
     """
-    min_eig, x, x_inv = refs
+    _, min_eig, x, x_inv = refs
     w = _probe_outputs(factor, x, cfg.d2)
     noisy = _noisy(w, cfg.noise, noise_seeds)
     factor_rec, tp_residual, consistency, _ = _reconstruct_stack(noisy, x_inv, cfg.d2)

@@ -7,7 +7,10 @@ complex-symmetric X = sum_i sqrt(p_i) phi_i phi_iᵀ.  Sending one half of
 (1 ⊗ X) C (1 ⊗ X)† on H_out ⊗ H_in, with C the Choi matrix of T, so
 recovery is the single congruence C = (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)†.  Both act
 on factors: with C = K K†, w is the Gram product G G† of G = (1 ⊗ X) K, and
-the inversion lifts a factor of w by 1 ⊗ X⁻¹.  The
+the inversion lifts a factor of w by 1 ⊗ X⁻¹.  One core, ``_reference_arrays``,
+turns rho into (p, phi) by one phase-fixed ``eigh``, admits min_eig = p_0 above
+the cutoff with 1/min_eig finite, and forms X and X⁻¹: a ``ReferenceState`` is
+it on a stack of one, and the round trip runs it on its stacks.  The
 paper's equivalent dilation form conjugates sigma ⊗ F, with
 F = (1 ⊗ rho^{-1}) w (1 ⊗ rho^{-1}), by the fixed isometry
 V[(a,mu,b),nu] = X[a,b] delta_{mu nu} (``v_isometry``, ``apply_rn``).
@@ -23,7 +26,6 @@ accuracy is governed by ||rho^-1|| = 1/min_eig, and nothing is left to tune.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +42,10 @@ from .linalg import (
     _check_finite_hermitian,
     _check_unit_traces,
     _clip_spectra,
-    _fix_column_phases,
     _gram,
     _hermiticity_defect,
     hermitian_part,
+    spectral_decomposition,
 )
 
 ADMISSIBILITY_CUTOFF = 1e-10
@@ -61,34 +63,34 @@ class NotAdmissibleError(ValueError):
     """Reference state is too close to singular to invert."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceState:
-    """Invertible reference state with cached spectral data.
+    """Invertible reference state rho, admitted under ``cutoff``.
 
-    ``spectrum`` holds eigenvalues ascending with phase-fixed eigenvector
-    columns; ``x`` (Omega = vec x) and ``x_inv`` are the probe matrix and
-    its inverse.  ``cutoff`` is the admissibility cutoff the state was
-    accepted under.
+    Only ``rho`` and ``cutoff`` are given; the rest is derived from them by
+    :func:`_reference_arrays`, the one path that decomposes and admits a
+    reference, here for a stack of one.  ``spectrum`` holds the eigenvalues
+    ascending with phase-fixed eigenvector columns, ``min_eig`` the smallest
+    eigenvalue (above ``cutoff``; ||rho^-1|| = 1/min_eig is finite), and
+    ``x`` (Omega = vec x) and ``x_inv`` the probe matrix and its inverse.
     """
 
-    dim: int
     rho: DensityOperator
-    spectrum: Spectrum
-    min_eig: float
     cutoff: float = ADMISSIBILITY_CUTOFF
+    dim: int = field(init=False)
+    spectrum: Spectrum = field(init=False, repr=False)
+    min_eig: float = field(init=False)
     x: np.ndarray = field(init=False, repr=False)
     x_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.min_eig <= 0:
-            raise NotAdmissibleError(f"min eigenvalue {self.min_eig:.3e} is not positive")
-        if math.isinf(1.0 / self.min_eig):
-            raise NotAdmissibleError(
-                f"min eigenvalue {self.min_eig:.3e}: ||rho^-1|| overflows a double"
-            )
-        x, x_inv = _probe_matrices(self.spectrum.eigenvalues, self.spectrum.eigenvectors)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "x_inv", x_inv)
+        if not (np.isfinite(self.cutoff) and self.cutoff >= 0):
+            raise ValueError(f"cutoff must be finite and non-negative, got {self.cutoff}")
+        spec, min_eig, x, x_inv = _reference_arrays(self.rho.mat[None], self.cutoff)
+        spectrum = Spectrum(spec.eigenvalues[0], spec.eigenvectors[0])
+        derived = (self.rho.dim, spectrum, float(min_eig[0]), x[0], x_inv[0])
+        for name, value in zip(("dim", "spectrum", "min_eig", "x", "x_inv"), derived):
+            object.__setattr__(self, name, value)
 
 
 def _probe_matrices(p: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +100,7 @@ def _probe_matrices(p: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.nda
     return (vecs * root) @ vecs_t, ((vecs / root) @ vecs_t).conj()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RNOperator:
     """Positive operator on H_out ⊗ H_in representing a CP map relative to
     the reference dilation."""
@@ -118,7 +120,7 @@ class RNOperator:
         object.__setattr__(self, "mat", m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionResult:
     """CP map recovered from a bipartite state, with diagnostics.
 
@@ -136,33 +138,34 @@ class ReconstructionResult:
 
 
 def make_reference(rho: DensityOperator, cutoff: float = ADMISSIBILITY_CUTOFF) -> ReferenceState:
-    """Build a reference state, rejecting spectra with min eigenvalue <= cutoff.
-
-    The cutoff must be finite and non-negative: it bounds ||rho^-1||, which
-    scales every reconstruction tolerance.
-    """
-    if not (np.isfinite(cutoff) and cutoff >= 0):
-        raise ValueError(f"cutoff must be finite and non-negative, got {cutoff}")
-    spec = rho.spectrum()
-    min_eig = float(_admit(spec.eigenvalues[None], cutoff)[0])
-    return ReferenceState(dim=rho.dim, rho=rho, spectrum=spec, min_eig=min_eig, cutoff=cutoff)
+    """``ReferenceState(rho, cutoff)``: rho's min eigenvalue must exceed the cutoff, which
+    must be finite and non-negative; it bounds ||rho^-1||, the scale of every tolerance."""
+    return ReferenceState(rho, cutoff)
 
 
 def _admit(p: np.ndarray, cutoff: float) -> np.ndarray:
-    """Smallest eigenvalues of a stack of ascending spectra p, each above cutoff."""
+    """Smallest eigenvalues of a stack of ascending spectra p, each above
+    cutoff and with a reciprocal ||rho^-1|| that a double holds."""
     min_eig = p[:, 0]
     if (min_eig <= cutoff).any():
         raise NotAdmissibleError(
             f"min eigenvalue {min_eig.min():.3e} <= cutoff {cutoff:.3e}: state not invertible"
         )
+    with np.errstate(over="ignore"):
+        overflow = np.isinf(1.0 / min_eig)
+    if overflow.any():
+        raise NotAdmissibleError(
+            f"min eigenvalue {min_eig[overflow].min():.3e}: ||rho^-1|| overflows a double"
+        )
     return min_eig
 
 
-def _reference_arrays(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(min_eig, x, x_inv)`` of each reference state of a stack, decomposed
-    and admitted at the default cutoff as :func:`make_reference` does one."""
-    p, vecs = np.linalg.eigh(hermitian_part(rho))
-    return (_admit(p, ADMISSIBILITY_CUTOFF), *_probe_matrices(p, _fix_column_phases(vecs)))
+def _reference_arrays(rho: np.ndarray, cutoff: float = ADMISSIBILITY_CUTOFF) -> tuple:
+    """``(spectrum, min_eig, x, x_inv)`` of each reference state of a stack: the one
+    path that decomposes (phase-fixed), admits above cutoff and forms the probe
+    matrices of a reference, for the round trip's stacks and a ``ReferenceState``."""
+    spec = spectral_decomposition(rho)
+    return spec, _admit(spec.eigenvalues, cutoff), *_probe_matrices(spec.eigenvalues, spec.eigenvectors)
 
 
 def omega(ref: ReferenceState) -> np.ndarray:

@@ -66,7 +66,7 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -159,7 +159,7 @@ def _check_unit_traces(m: np.ndarray, what: str = "trace") -> None:
         raise ValueError(f"{what} {complex(traces[np.argmax(off)])} is not 1 within {TRACE_TOL}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, PSD, unit-trace matrix, kept as given (as a complex array).
 
@@ -196,9 +196,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def spectrum(self) -> Spectrum:
-        return spectral_decomposition(self.mat)
 
 
 def pure_state(vector: np.ndarray) -> DensityOperator:

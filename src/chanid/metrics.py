@@ -51,7 +51,7 @@ class CertificateError(ArithmeticError):
     """A lower bound exceeds its certified upper bound beyond rounding."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormInterval:
     """Certified enclosure lower <= ||.||_cb <= upper with a witness state."""
 

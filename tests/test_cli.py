@@ -82,6 +82,18 @@ class TestReconstruct:
         assert payload["tp_residual"] <= 1e-8
         assert "channel" in payload
 
+    def test_sidecar_and_channel_split_the_stdout_payload(self, tmp_path, capsys, noiseless_setup):
+        # one serialization is the source of both forms, in the same key order
+        _, w_path, ref_path = noiseless_setup
+        assert cli_main(["reconstruct", "--w", w_path, "--ref", ref_path]) == 0
+        payload = capsys.readouterr().out
+        out = tmp_path / "rec.json"
+        assert cli_main(["reconstruct", "--w", w_path, "--ref", ref_path, "--out", str(out)]) == 0
+        report = json.loads((tmp_path / "rec.json.report.json").read_text())
+        assert list(report) == ["tp_residual", "consistency_residual", "clip_magnitude"]
+        split = {"channel": json.loads(out.read_text()), **report}
+        assert json.dumps(split, indent=2) + "\n" == payload
+
     def test_state_clipped_at_admission_is_accepted(self, tmp_path, capsys):
         w_path = write_json(tmp_path / "w.json", matrix_to_json(noise_clipped_state()))
         ref_path = write_json(tmp_path / "ref.json", reference_to_json(make_reference(maximally_mixed(2))))

@@ -263,7 +263,7 @@ class TestStackedProductsKeepTheBitsOfSingleCalls:
         cfg = ExperimentConfig(d, d, rank, RefSpec("random_min_eig", min_eig=0.05 / d), NoiseSpec(), n, seed=3)
         seeds = [cfg.seed + (i << 64) for i in range(n)]
         factor = harness._random_factors(cfg, seeds)
-        _, x, x_inv = harness._random_references(0.05 / d, d, seeds)
+        _, _, x, x_inv = harness._random_references(0.05 / d, d, seeds)
         lifted = identify._lift(x, factor, d)
         w = linalg._gram(lifted)
         shared = identify._lift(x, factor[:1], d)  # a sweep's one channel against every reference
@@ -352,8 +352,9 @@ class TestReconstructionStaysInChoiForm:
             grams.append(f)
             return gram(f)
 
-        for module in (linalg, channel, identify):
+        for module in (linalg, channel):  # references are phase-fixed in linalg.spectral_decomposition
             monkeypatch.setattr(module, "_fix_column_phases", fix_spy)
+        for module in (linalg, channel, identify):
             monkeypatch.setattr(module, "_gram", gram_spy)
         monkeypatch.setattr(identify, "_lift", lambda *a: lifted.append(lift(*a)) or lifted[-1])
         monkeypatch.setattr(harness, "_random_factors", lambda *a: drawn.append(draw(*a)) or drawn[-1])

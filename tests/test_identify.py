@@ -20,6 +20,10 @@ from chanid.identify import (
     ReferenceState,
     RNOperator,
     _apply_rn_matrix,
+    _probe_matrices,
+    _probe_outputs,
+    _reconstruct_stack,
+    _reference_arrays,
     apply_rn,
     consistency_residual,
     forward_map,
@@ -31,11 +35,11 @@ from chanid.identify import (
 )
 from chanid.linalg import (
     DensityOperator,
-    Spectrum,
     maximally_mixed,
     operator_norm,
     partial_trace,
     random_unitary,
+    spectral_decomposition,
     tensor_product,
     trace_norm,
 )
@@ -89,6 +93,69 @@ class TestMakeReference:
         rng = np.random.default_rng(0)
         ref = rand_reference(rng, 4)
         assert np.sum(ref.spectrum.eigenvalues) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestOneReferencePath:
+    """A ReferenceState is derived from rho and its cutoff by _reference_arrays,
+    the core that decomposes and admits the round trip's stacks of references:
+    item i of a stack has the bits of make_reference of the i-th state."""
+
+    @staticmethod
+    def assert_same_bits(ref, stacked, i):
+        spec, min_eig, x, x_inv = stacked
+        assert ref.dim == x.shape[-1]
+        assert ref.min_eig == min_eig[i]
+        for own, item in [
+            (ref.spectrum.eigenvalues, spec.eigenvalues[i]),
+            (ref.spectrum.eigenvectors, spec.eigenvectors[i]),
+            (ref.x, x[i]),
+            (ref.x_inv, x_inv[i]),
+        ]:
+            assert own.tobytes() == item.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_make_reference_has_the_bits_of_the_stacked_core(self, d):
+        rng = np.random.default_rng(60 + d)
+        rhos = [DensityOperator(rand_density_mat(rng, d, min_eig=0.05 / d)) for _ in range(5)]
+        stacked = _reference_arrays(np.array([rho.mat for rho in rhos]))
+        for i, rho in enumerate(rhos):
+            self.assert_same_bits(make_reference(rho), stacked, i)
+
+    def test_degenerate_reference_has_the_bits_of_the_stacked_core(self):
+        rhos = [maximally_mixed(3), DensityOperator(rand_density_mat(np.random.default_rng(66), 3))]
+        stacked = _reference_arrays(np.array([rho.mat for rho in rhos]))
+        ref = make_reference(rhos[0])
+        self.assert_same_bits(ref, stacked, 0)
+        assert (ref.spectrum.eigenvalues == 1 / 3).all()  # one eigenvalue of multiplicity 3
+
+    def test_subnormal_min_eig_overflows_its_inverse(self):
+        rho = DensityOperator(np.diag([5e-324, 1.0]))
+        with pytest.raises(NotAdmissibleError, match="overflows a double"):
+            make_reference(rho, cutoff=0)
+        with pytest.raises(NotAdmissibleError, match="overflows a double"):
+            _reference_arrays(np.array([np.eye(2) / 2, rho.mat]), 0.0)
+
+    def test_direct_construction_admits_the_min_eig(self):
+        rho = DensityOperator(np.diag([0.999, 0.001]))
+        assert ReferenceState(rho, 1e-4).min_eig == make_reference(rho, 1e-4).min_eig
+        with pytest.raises(NotAdmissibleError, match="<= cutoff"):
+            ReferenceState(rho, 0.01)
+        with pytest.raises(NotAdmissibleError, match="<= cutoff"):
+            ReferenceState(rho, 0.001)
+
+    @pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), -1.0])
+    def test_direct_construction_checks_the_cutoff(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be finite and non-negative"):
+            ReferenceState(maximally_mixed(2), cutoff)
+
+    def test_derived_fields_are_not_arguments(self):
+        # a dim, spectrum or min_eig given by hand could disagree with rho
+        rho = maximally_mixed(2)
+        for name, value in [("dim", 3), ("spectrum", spectral_decomposition(rho.mat)), ("min_eig", 0.9)]:
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+                ReferenceState(rho=rho, cutoff=0.1, **{name: value})
+        ref = ReferenceState(rho, 0.1)
+        assert (ref.dim, ref.min_eig, ref.cutoff) == (2, 0.5, 0.1)
 
 
 class TestOmega:
@@ -583,17 +650,16 @@ class TestIdentificationInvariants:
     def test_degenerate_eigenbasis_does_not_change_reconstruction(self):
         # for a degenerate reference any orthonormal eigenbasis must lead
         # back to the same channel, even though the probe state itself
-        # depends on the basis choice
-        rho = maximally_mixed(2)
-        ref_a = make_reference(rho)
+        # depends on the basis choice; a ReferenceState always takes the
+        # phase-fixed eigh basis, so the rotated one goes through the cores
+        p = np.array([0.5, 0.5])
         rotated = np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2)
-        spec_b = Spectrum(eigenvalues=np.array([0.5, 0.5]), eigenvectors=rotated)
-        ref_b = ReferenceState(dim=2, rho=rho, spectrum=spec_b, min_eig=0.5)
         t = random_channel(2, 2, 3, seed=23)
-        rec_a = reconstruct(forward_map(t, ref_a), ref_a, 2)
-        rec_b = reconstruct(forward_map(t, ref_b), ref_b, 2)
-        assert trace_norm(choi(rec_a.cp_map).mat - choi(t).mat) <= 1e-8
-        assert trace_norm(choi(rec_b.cp_map).mat - choi(t).mat) <= 1e-8
+        for vecs in (make_reference(maximally_mixed(2)).spectrum.eigenvectors, rotated):
+            x, x_inv = _probe_matrices(p, vecs)
+            w = _probe_outputs(t._factor, x, 2)
+            factor = _reconstruct_stack(w[None], x_inv[None], 2)[0][0]
+            assert trace_norm(factor @ factor.conj().T - choi(t).mat) <= 1e-8
 
 
 class TestOneClip:

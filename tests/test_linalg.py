@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from chanid import linalg
 from chanid.channel import ChoiMatrix, KrausChannel, choi, random_channel
 from chanid.identify import RNOperator, forward_map, make_reference, reconstruct, rn_operator
-from chanid.metrics import channel_fidelity
+from chanid.metrics import NormInterval, channel_fidelity
 from chanid.linalg import (
     CB_STARTS_SITE,
     CHANNEL_SITE,
@@ -349,6 +349,38 @@ class TestHermiticityDefect:
                 ChoiMatrix(dim_in=2, dim_out=n // 2, mat=m)
             with pytest.raises(ValueError, match="operator must be Hermitian"):
                 RNOperator(m)
+
+
+class TestValueTypesCompareByIdentity:
+    """The frozen types that hold arrays compare and hash by identity: an
+    array field has no single truth value and no hash, so a field-wise ==
+    or hash() of them would raise."""
+
+    @staticmethod
+    def build(kind):
+        t = random_channel(2, 2, 2, 1)
+        ref = make_reference(maximally_mixed(2))
+        return {
+            "KrausChannel": lambda: t,
+            "DensityOperator": lambda: maximally_mixed(2),
+            "ChoiMatrix": lambda: choi(t),
+            "ReferenceState": lambda: ref,
+            "Spectrum": lambda: spectral_decomposition(np.diag([0.3, 0.7])),
+            "RNOperator": lambda: rn_operator(t, ref),
+            "ReconstructionResult": lambda: reconstruct(forward_map(t, ref), ref, 2),
+            "NormInterval": lambda: NormInterval(0.1, 0.2, np.ones(4) / 2),
+        }[kind]()
+
+    @pytest.mark.parametrize("kind", [
+        "KrausChannel", "DensityOperator", "ChoiMatrix", "ReferenceState",
+        "Spectrum", "RNOperator", "ReconstructionResult", "NormInterval",
+    ])
+    def test_equal_values_built_twice_are_distinct_and_hashable(self, kind):
+        a, b = self.build(kind), self.build(kind)
+        assert type(a) is type(b)
+        assert a == a and not (a == b) and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
 
 
 class TestDensityOperator:
