@@ -67,7 +67,8 @@ class NotAdmissibleError(ValueError):
 class ReferenceState:
     """Invertible reference state rho, admitted under ``cutoff``.
 
-    Only ``rho`` and ``cutoff`` are given; the rest is derived from them by
+    Only ``rho`` and ``cutoff`` are given; a plain array ``rho`` is checked as
+    a ``DensityOperator`` first.  The rest is derived from them by
     :func:`_reference_arrays`, the one path that decomposes and admits a
     reference, here for a stack of one.  ``spectrum`` holds the eigenvalues
     ascending with phase-fixed eigenvector columns, ``min_eig`` the smallest
@@ -75,7 +76,7 @@ class ReferenceState:
     ``x`` (Omega = vec x) and ``x_inv`` the probe matrix and its inverse.
     """
 
-    rho: DensityOperator
+    rho: DensityOperator | np.ndarray
     cutoff: float = ADMISSIBILITY_CUTOFF
     dim: int = field(init=False)
     spectrum: Spectrum = field(init=False, repr=False)
@@ -86,6 +87,8 @@ class ReferenceState:
     def __post_init__(self):
         if not (np.isfinite(self.cutoff) and self.cutoff >= 0):
             raise ValueError(f"cutoff must be finite and non-negative, got {self.cutoff}")
+        if not isinstance(self.rho, DensityOperator):
+            object.__setattr__(self, "rho", DensityOperator(self.rho))
         spec, min_eig, x, x_inv = _reference_arrays(self.rho.mat[None], self.cutoff)
         spectrum = Spectrum(spec.eigenvalues[0], spec.eigenvectors[0])
         derived = (self.rho.dim, spectrum, float(min_eig[0]), x[0], x_inv[0])
@@ -137,9 +140,10 @@ class ReconstructionResult:
     clip_magnitude: float = 0.0
 
 
-def make_reference(rho: DensityOperator, cutoff: float = ADMISSIBILITY_CUTOFF) -> ReferenceState:
-    """``ReferenceState(rho, cutoff)``: rho's min eigenvalue must exceed the cutoff, which
-    must be finite and non-negative; it bounds ||rho^-1||, the scale of every tolerance."""
+def make_reference(rho: DensityOperator | np.ndarray, cutoff: float = ADMISSIBILITY_CUTOFF) -> ReferenceState:
+    """``ReferenceState(rho, cutoff)``: rho (a plain array is checked as a ``DensityOperator``)
+    must have a min eigenvalue above the cutoff, which must be finite and non-negative;
+    it bounds ||rho^-1||, the scale of every tolerance."""
     return ReferenceState(rho, cutoff)
 
 

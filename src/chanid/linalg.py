@@ -262,10 +262,12 @@ def _generators(seeds, site: int):
     ``Generator`` whose whole state is reset to counter (0, 0, 0, site) of
     Philox(key=seed); use each position before the next."""
     gen = np.random.Generator(np.random.Philox(0))
+    state = {"counter": (0, 0, 0, site), "key": None}
+    full = {"bit_generator": "Philox", "state": state, "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for seed in map(_seed, seeds):
-        state = {"counter": (0, 0, 0, site), "key": (seed % 2**64, seed >> 64)}
-        gen.bit_generator.state = {"bit_generator": "Philox", "state": state, "buffer": (0, 0, 0, 0),
-                                   "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        state["key"] = (seed % 2**64, seed >> 64)
+        gen.bit_generator.state = full
         yield gen
 
 

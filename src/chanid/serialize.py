@@ -44,13 +44,14 @@ def _json_float(value, name: str) -> float:
         raise ValueError(f"{name} overflows a double") from exc
 
 
+def _pairs(m: np.ndarray) -> list:
+    """The [re, im] pairs of a complex array's entries, row-major, as Python floats."""
+    return np.ascontiguousarray(m).view(float).reshape(-1, 2).tolist()
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return {
-        "rows": m.shape[0],
-        "cols": m.shape[1],
-        "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
-    }
+    return {"rows": m.shape[0], "cols": m.shape[1], "data": _pairs(m)}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -76,7 +77,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def vector_to_json(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex).reshape(-1)]
+    return _pairs(np.asarray(v, dtype=complex))
 
 
 def vector_from_json(obj: list) -> np.ndarray:

@@ -27,7 +27,7 @@ from chanid.harness import (
 from chanid.identify import forward_map, make_reference
 from chanid.linalg import DensityOperator, maximally_mixed, trace_norm
 
-from conftest import rand_density_mat, roundtrip_loop_oracle, sweep_loop_oracle
+from conftest import draw_rule_generator, rand_density_mat, roundtrip_loop_oracle, sweep_loop_oracle
 
 
 def small_config(**overrides):
@@ -205,6 +205,11 @@ def _rank(d1, d2):
     return min(d1 * d2, max(2, -(-d1 // d2)))
 
 
+def _per_chunk(d):
+    """Trials in one of the harness's chunks at d1 = d2 = d."""
+    return harness.CHUNK_ENTRIES // (d * d) ** 2
+
+
 class TestStackedTrialsMatchTheLoop:
     """Stacked chunks give the bytes of evaluating each trial alone."""
 
@@ -227,12 +232,12 @@ class TestStackedTrialsMatchTheLoop:
 
     @pytest.mark.parametrize("noise", NOISES)
     def test_trials_spanning_several_chunks(self, noise):
-        # 3 trials per chunk at d1 = d2 = 6, 256 at d1 = d2 = 2
-        for d, trials in ((6, 10), (2, 300)):
-            cfg = ExperimentConfig(d, d, d, _refs(d)[2], noise, trials=trials, seed=17)
+        # three chunks, the last of one trial, at d1 = d2 = 6 and at d1 = d2 = 2
+        for d in (6, 2):
+            cfg = ExperimentConfig(d, d, d, _refs(d)[2], noise, trials=2 * _per_chunk(d) + 1, seed=17)
             assert records_to_csv(run_roundtrip(cfg)) == records_to_csv(roundtrip_loop_oracle(cfg))
         cfg = ExperimentConfig(6, 6, 6, _refs(6)[0], noise, trials=1, seed=19)
-        grid = [float(x) for x in np.geomspace(1.0 / 6, 1e-8, 8)]
+        grid = [float(x) for x in np.geomspace(1.0 / 6, 1e-8, 2 * _per_chunk(6) + 1)]
         assert records_to_csv(run_spectrum_sweep(cfg, grid)) == records_to_csv(sweep_loop_oracle(cfg, grid))
 
     def test_memory_does_not_grow_with_trials(self):
@@ -256,7 +261,7 @@ class TestStackedProductsKeepTheBitsOfSingleCalls:
     at the harness's chunk sizes and on the non-contiguous transposed view
     of the Kraus draw that ``_random_factors`` returns."""
 
-    @pytest.mark.parametrize("d, n", [(6, 1), (6, 3), (3, 50), (2, 256)])
+    @pytest.mark.parametrize("d, n", [(6, 1), (6, _per_chunk(6)), (3, _per_chunk(3)), (2, _per_chunk(2))])
     @pytest.mark.parametrize("full_rank", [False, True], ids=["rank-1", "rank-d2"])
     def test_each_item_equals_its_single_call(self, d, n, full_rank):
         rank = d * d if full_rank else 1
@@ -277,6 +282,14 @@ class TestStackedProductsKeepTheBitsOfSingleCalls:
             assert np.array_equal(w[i], linalg._gram(lifted[i]))
             assert np.array_equal(w[i], linalg._gram(identify._lift(x[i], own, d)))
             assert np.array_equal(u[i], identify._lift(x_inv[i], np.linalg.eigh(w[i])[1], d))
+
+
+class TestSpectrumDraw:
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_stacked_draw_equals_generator_dirichlet(self, d):
+        seeds = [s + (i << 64) for i, s in enumerate(range(40 * d, 40 * d + 120))]
+        expected = [draw_rule_generator(s, linalg.SPECTRUM_SITE).dirichlet(np.ones(d)) for s in seeds]
+        assert harness._flat_dirichlet(d, seeds).tobytes() == np.array(expected).tobytes()
 
 
 class TestLapackCallsPerTrial:
@@ -337,7 +350,8 @@ class TestReconstructionStaysInChoiForm:
 
     @pytest.mark.parametrize("run", ["roundtrip", "sweep"])
     def test_no_kraus_form_on_choi_sized_stacks(self, monkeypatch, run):
-        d, trials = 3, 60  # 50 trials per chunk at d = 3: two chunks
+        d = 3
+        trials = _per_chunk(d) + 10  # two chunks
         cfg = ExperimentConfig(
             d, d, d, RefSpec("random_min_eig", min_eig=0.05 / d), NoiseSpec("depolarize", 0.02), trials, seed=5
         )
@@ -364,9 +378,9 @@ class TestReconstructionStaysInChoiForm:
             run_spectrum_sweep(cfg, [float(x) for x in np.geomspace(1.0 / d, 1e-6, trials)])
         assert phase_fixed and all(shape[-2:] == (d, d) for shape in phase_fixed)
         choi_sized = [f for f in grams if f.shape[-2] == d * d]
-        assert [f.shape for f in choi_sized] == [(50, d * d, d), (10, d * d, d)]  # (trials, d1·d2, rank) per chunk
+        assert [f.shape for f in choi_sized] == [(_per_chunk(d), d * d, d), (10, d * d, d)]  # (trials, d1·d2, rank) per chunk
         assert all(any(f is g for g in lifted) for f in choi_sized)
-        true_factors = [k for stack in drawn for k in stack]  # 60 for the roundtrip, 1 for the sweep
+        true_factors = [k for stack in drawn for k in stack]  # one per trial for the roundtrip, 1 for the sweep
         assert len(true_factors) == (trials if run == "roundtrip" else 1)
         gram_items = [g for f in grams for g in f.reshape(-1, *f.shape[-2:])]
         assert not any(np.array_equal(g, k) for g in gram_items for k in true_factors)
@@ -398,6 +412,20 @@ class TestCsvOutput:
         )
         with pytest.raises(SelfCheckError):
             records_to_csv([bad])
+
+    @pytest.mark.parametrize("value", [-0.0, 5e-324, 1e308, float("nan")], ids=["-0", "subnormal", "1e308", "nan"])
+    def test_rows_equal_the_per_value_format(self, value):
+        def per_value(r):
+            return ",".join([str(int(r.trial_index))] + [format(float(getattr(r, c)), ".17g") for c in CSV_COLUMNS[1:]])
+
+        for column in CSV_COLUMNS[1:]:
+            fields = dict(zip(CSV_COLUMNS, (3, 0.25, 0.02, 1e-17, 0.1, -1.5e-300, 0.96, 0.9)), **{column: value})
+            record = TrialRecord(**fields)
+            if not record.fidelity >= record.bound_value - 1e-9:  # a NaN fidelity or bound
+                with pytest.raises(SelfCheckError):
+                    records_to_csv([record])
+                continue
+            assert records_to_csv([record, record]).splitlines()[1:] == [per_value(record)] * 2
 
     @pytest.mark.parametrize("fidelity, bound", [(float("nan"), 0.9), (0.95, float("nan"))], ids=["fidelity", "bound"])
     def test_nan_aborts(self, fidelity, bound):

@@ -148,6 +148,20 @@ class TestOneReferencePath:
         with pytest.raises(ValueError, match="cutoff must be finite and non-negative"):
             ReferenceState(maximally_mixed(2), cutoff)
 
+    def test_plain_array_is_checked_as_a_density_operator(self):
+        rho = np.diag([0.3, 0.7]).astype(complex)
+        for ref in (make_reference(rho), ReferenceState(rho), make_reference([[0.3, 0], [0, 0.7]])):
+            assert isinstance(ref.rho, DensityOperator)
+            self.assert_same_bits(ref, _reference_arrays(rho[None]), 0)
+        for bad, message in [
+            (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+            (np.eye(2), "is not 1 within"),
+            (np.diag([1.5, -0.5]), "not PSD"),
+            (np.ones(2) / 2, "must be square"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                make_reference(bad)
+
     def test_derived_fields_are_not_arguments(self):
         # a dim, spectrum or min_eig given by hand could disagree with rho
         rho = maximally_mixed(2)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,27 @@ def test_matrix_round_trip():
     obj = matrix_to_json(m)
     assert obj["rows"] == 3 and obj["cols"] == 2 and len(obj["data"]) == 6
     np.testing.assert_array_equal(matrix_from_json(obj), m)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[complex(-0.0, 0.5), complex(5e-324, -0.0)], [complex(1e308, 1.0), complex(0.0, -1e-300)]]),
+        rand_complex(np.random.default_rng(2), 4, 3).T,  # non-contiguous
+        rand_complex(np.random.default_rng(3), 5, 6)[::-2, 1::2],  # negative strides
+        np.arange(6.0).reshape(2, 3),  # real
+    ],
+    ids=["edge-values", "transposed", "strided", "real"],
+)
+def test_encoders_emit_the_per_entry_floats(m):
+    def per_entry(a):
+        return [[float(z.real), float(z.imag)] for z in np.asarray(a, dtype=complex).reshape(-1)]
+
+    obj = matrix_to_json(m)
+    assert json.dumps(obj["data"]) == json.dumps(per_entry(m))
+    assert (obj["rows"], obj["cols"]) == m.shape
+    assert json.dumps(vector_to_json(m)) == json.dumps(per_entry(m))
+    assert all(type(x) is float for pair in obj["data"] for x in pair)
 
 
 def test_matrix_rejects_bad_payload():
