@@ -7,23 +7,27 @@ F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1² = ||F1† F2||_1² / d_in² (Jozsa
 r1×r2 matrix, so no product of Choi matrices squares their conditioning.
 
 The completely-bounded (diamond) distance between two channels is
-estimated as a certified interval: the lower end is the best evaluated
-value of the stabilized trace-norm objective over pure probe states
-(a witness state is kept so the value can be re-checked), the upper end
-||tr_out |J| ||_op is read from the d_in × d_in marginal of the factor
-V·sqrt|lam| of |J| from J's one ``eigh``.  No claim of convergence to the
-exact norm is made; every inequality consumed downstream only needs a
-valid interval.  Both ends use only the Choi difference J: the stabilized
-output at a probe vec Ψ is (1 ⊗ Ψᵀ) J (1 ⊗ Ψᵀ)†, its adjoint map back-lifts
-the sign matrix, and all ascent starts run together as one batch.
+estimated as a certified interval.  The lower end is the best evaluated
+value of the stabilized trace-norm objective over pure probe states (a
+witness state is kept so the value can be re-checked).  The upper end is
+Watrous's dual bound ||tr_out Y||_op for a Y with Y ± J >= 0, built from a
+full-rank state σ on H_in (kept as the dual state, so the bound can be
+re-checked too): with S = 1 ⊗ σ^{1/2} and M = S J S, Y = S⁻¹ |M| S⁻¹.
+No claim of convergence to the exact norm is made; every inequality
+consumed downstream only needs a valid interval.  Both ends use only the
+Choi difference J: the stabilized output at a probe vec Ψ is
+(1 ⊗ Ψᵀ) J (1 ⊗ Ψᵀ)†, its adjoint map back-lifts the sign matrix, and all
+ascent starts run together as one batch.
 
-The objective is concave in σ = (Ψᵀ)†Ψᵀ: it equals max tr(JW) over
--1 ⊗ σ <= W <= 1 ⊗ σ (Watrous, "Simpler semidefinite programs for
+The objective is concave in σ = (Ψᵀ)†Ψᵀ: it equals ||S J S||_1 = max tr(JW)
+over -1 ⊗ σ <= W <= 1 ⊗ σ (Watrous, "Simpler semidefinite programs for
 completely bounded norms", 2012).  Every full-rank start therefore climbs
 to the same maximum, and the default start set is small: the maximally
-entangled vector, the d_in² computational-basis vectors and 2 seeded random
-vectors.  The rank-1 basis starts reach rank-deficient optima, where the
-ascent from full-rank starts crawls, in fewer steps.
+entangled vector and 2 seeded random vectors.  Where the optimal σ is
+rank-deficient the ascent crawls, so a witness with small singular values
+ascends once more from its truncation.  The dual is tight at the optimal σ,
+where tr_out |M| is proportional to σ, so the dual's σ starts at the
+witness's and takes a few fixed-point steps σ <- tr_out |M| / tr |M|.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import KrausChannel, _marginal, choi
-from .identify import ReferenceState, reconstruct
-from .linalg import CB_STARTS_SITE, DensityOperator, _channel_fidelities, _eigen_factors, _generators
-from .linalg import _hermitian_norms, hermitian_part
+from .identify import ReferenceState, _lift, reconstruct
+from .linalg import CB_STARTS_SITE, DensityOperator, _adjoint, _channel_fidelities, _eigen_factors, _generators
+from .linalg import _gram, _hermitian_norms, hermitian_part
 
 
 # Defaults of cb_distance_interval (and of the ``cbdist`` command): random
@@ -45,6 +49,14 @@ CB_STARTS = 2
 CB_MAX_ITERS = 1000
 CB_TOL = 1e-10
 CB_SEED = 0
+# The dual upper end's fixed-point steps after its witness candidate, and the
+# floor ε that keeps each candidate state full rank.
+CB_DUAL_STEPS = 5
+CB_DUAL_FLOOR = 1e-8
+# A witness with singular values below CB_FACE_CUT times its largest sits near
+# a rank-deficient optimum, where the ascent crawls: it ascends once more from
+# its truncation to the larger singular values.
+CB_FACE_CUT = 1e-2
 
 
 class CertificateError(ArithmeticError):
@@ -53,11 +65,18 @@ class CertificateError(ArithmeticError):
 
 @dataclass(frozen=True, eq=False)
 class NormInterval:
-    """Certified enclosure lower <= ||.||_cb <= upper with a witness state."""
+    """Certified enclosure lower <= ||.||_cb <= upper.
+
+    The lower end is the objective at the witness ``argmax_state``; the
+    upper end is Watrous's dual bound ||tr_out Y||_op at the full-rank state
+    ``dual_state`` σ on H_in (Y = S⁻¹ |S J S| S⁻¹, S = 1 ⊗ σ^{1/2}), so both
+    ends can be re-checked.
+    """
 
     lower: float
     upper: float
     argmax_state: np.ndarray = field(repr=False)
+    dual_state: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.lower <= self.upper:
@@ -232,24 +251,85 @@ def _ascend(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int, max_iters: i
     return best_val, best_psi
 
 
-def _choi_difference_upper(j: np.ndarray, t1: KrausChannel, t2: KrausChannel) -> float:
-    """Diamond-norm upper bound ||tr_out |J| ||_op for J = C(T1) - C(T2).
+def _full_rank(sigma: np.ndarray) -> np.ndarray:
+    """(σ + ε·1) / tr(σ + ε·1), ε = CB_DUAL_FLOOR: a full-rank state near a PSD σ of unit trace."""
+    sigma = hermitian_part(sigma) + CB_DUAL_FLOOR * np.eye(len(sigma))
+    return sigma / np.trace(sigma).real
 
-    It is read from the d_in × d_in marginal of |J|'s factor V·sqrt|lam|, J = V diag(lam) V†.
-    For pairs of trace-preserving channels the triangle inequality bound 2
-    (each channel has CB-norm exactly 1) is also applied.
+
+def _dual_candidate(j: np.ndarray, sigma: np.ndarray, d_out: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """One candidate of the dual upper end at a full-rank state σ on H_in.
+
+    With S = 1 ⊗ σ^{1/2} and M = S J S = V diag(mu) V†, Y = S⁻¹ |M| S⁻¹
+    satisfies Y ± J = S⁻¹ (|M| ± M) S⁻¹ >= 0.  Returns ||tr_out Y||_op, read
+    from the marginal of Y's factor (1 ⊗ σ^{-1/2}) V·sqrt|mu|, that factor,
+    and tr_out |M|, whose normalization is the next fixed-point σ.  At
+    σ = 1/d_in, Y = |J|.
     """
-    vals, vecs = np.linalg.eigh(j)
-    upper = _hermitian_norms(_marginal(vecs * np.sqrt(np.abs(vals)), t1.dim_in, t1.dim_out))[0]
+    d_in = len(sigma)
+    p, u = np.linalg.eigh(sigma)
+    root, inv_root = (u * np.sqrt(p)) @ _adjoint(u), (u / np.sqrt(p)) @ _adjoint(u)
+    mu, v = np.linalg.eigh(hermitian_part(_lift(root, _adjoint(_lift(root, j, d_out)), d_out)))
+    abs_factor = v * np.sqrt(np.abs(mu))
+    factor = _lift(inv_root, abs_factor, d_out)
+    upper = _hermitian_norms(_marginal(factor, d_in, d_out))[0]
+    return float(upper), factor, _marginal(abs_factor, d_in, d_out)
+
+
+def _face_start(psi: np.ndarray, d_in: int) -> np.ndarray | None:
+    """psi = vec Ψ projected onto the right singular vectors of Ψ whose
+    singular values are >= CB_FACE_CUT times the largest, renormalized, or
+    None if none is smaller: one ``eigh`` of Ψ†Ψ."""
+    big = psi.reshape(d_in, d_in)
+    squares, right = np.linalg.eigh(_adjoint(big) @ big)
+    kept = right[:, squares >= CB_FACE_CUT**2 * squares[-1]]
+    if kept.shape[1] == d_in:
+        return None
+    face = (big @ kept @ _adjoint(kept)).reshape(-1)
+    return face / np.linalg.norm(face)
+
+
+def _dual_upper(j: np.ndarray, witnesses: list, t1: KrausChannel, t2: KrausChannel) -> tuple[float, np.ndarray]:
+    """Certified upper end of ||T1 - T2||_cb and the state σ that gives it.
+
+    Watrous's dual for a Hermiticity-preserving map: any Y with Y ± J >= 0
+    bounds the CB norm by ||tr_out Y||_op.  The candidates σ are, for each
+    witness Ψ, conj(Ψ) Ψᵀ made full rank and CB_DUAL_STEPS fixed-point steps
+    σ <- tr_out |M| / tr |M| from it (for a trace-preserving pair tr_out |M|
+    = 2 tr_out M₊), and last 1/d_in, whose bound is ||tr_out |J| ||_op.  Each
+    candidate's Y = F F† is checked with one ``eigvalsh`` of Y - J and one
+    of Y + J over the stack of candidates: a violation s > 0 adds d_out·s
+    (tr_out of s·1).  The smallest certified value wins, capped at 2 for a
+    pair of trace-preserving channels (each has CB norm exactly 1).
+    """
+    d_in, d_out = t1.dim_in, t1.dim_out
+    chains = [(_full_rank(psi.conj() @ psi.T), CB_DUAL_STEPS) for psi in (w.reshape(d_in, d_in) for w in witnesses)]
+    chains.append((np.eye(d_in, dtype=complex) / d_in, 0))
+    sigmas, uppers, factors = [], [], []
+    for sigma, steps in chains:
+        for step in range(steps + 1):
+            upper, factor, abs_marginal = _dual_candidate(j, sigma, d_out)
+            sigmas.append(sigma)
+            uppers.append(upper)
+            factors.append(factor)
+            total = np.trace(abs_marginal).real
+            if step == steps or not total > 0.0:  # total 0: J = 0, every candidate gives 0
+                break
+            sigma = _full_rank(abs_marginal / total)
+    y = _gram(np.array(factors))
+    least = np.minimum(np.linalg.eigvalsh(y - j)[:, 0], np.linalg.eigvalsh(y + j)[:, 0])
+    certified = np.array(uppers) + d_out * np.maximum(0.0, -least)
+    best = int(np.argmin(certified))
+    upper = float(certified[best])
     if t1.trace_preserving and t2.trace_preserving:
         upper = min(upper, 2.0)
-    return float(upper)
+    return upper, sigmas[best]
 
 
-def _certified(lower: float, upper: float, witness: np.ndarray) -> NormInterval:
+def _certified(lower: float, upper: float, witness: np.ndarray, sigma: np.ndarray) -> NormInterval:
     if lower > upper * (1.0 + 1e-12) + 1e-15:  # beyond rounding
         raise CertificateError(f"lower bound {lower!r} exceeds the certified upper bound {upper!r}")
-    return NormInterval(lower=lower, upper=max(upper, lower), argmax_state=witness)
+    return NormInterval(lower=lower, upper=max(upper, lower), argmax_state=witness, dual_state=sigma)
 
 
 def _maximally_entangled(d: int) -> np.ndarray:
@@ -270,14 +350,18 @@ def cb_distance_interval(
     The maximization runs over unit vectors of H_in ⊗ H_in (stabilization
     by the input dimension suffices for Hermiticity-preserving differences
     of maps, and pure inputs attain the supremum).  Starts are the maximally
-    entangled vector, every computational basis vector, any ``extra_starts``
-    (finite, nonzero, of length d_in², normalized here) and ``starts`` random
-    vectors drawn one after another at the CB-starts site of ``seed``, in that
-    order; all ascend together and the first with the highest value wins.  The
-    objective is concave in σ = (Ψᵀ)†Ψᵀ, so few random starts are needed:
-    full-rank starts climb to the same maximum, and the rank-1 basis starts
-    reach rank-deficient optima faster.  A lower end above the upper end
-    beyond rounding raises :class:`CertificateError`.
+    entangled vector, any ``extra_starts`` (finite, nonzero, of length d_in²,
+    normalized here) and ``starts`` random vectors drawn one after another at
+    the CB-starts site of ``seed``, in that order; all ascend together and
+    the first with the highest value wins.  The objective is concave in
+    σ = (Ψᵀ)†Ψᵀ, so few starts are needed: full-rank starts climb to the
+    same maximum.  Towards a rank-deficient optimum they crawl, so a winner
+    with singular values below CB_FACE_CUT times its largest ascends once
+    more from its truncation (:func:`_face_start`) and gives way to it if
+    that ends higher.  The upper end is the dual bound built from the
+    witnesses (:func:`_dual_upper`), which needs no trace-preservation.  A
+    lower end above the upper end beyond rounding raises
+    :class:`CertificateError`.
     """
     _check_same_dims(t1, t2)
     if starts < 0 or max_iters < 0:
@@ -288,15 +372,24 @@ def cb_distance_interval(
     [g] = _generators([seed], CB_STARTS_SITE)
     extra = [_probe(v, d1, "extra start") for v in extra_starts]
     drawn = [g.standard_normal(d1 * d1) + 1j * g.standard_normal(d1 * d1) for _ in range(starts)]
-    start_vecs = [_maximally_entangled(d1), *np.eye(d1 * d1, dtype=complex)]
-    start_vecs += [v / norm for v, norm in extra] + [v / np.linalg.norm(v) for v in drawn]
+    start_vecs = [_maximally_entangled(d1)] + [v / norm for v, norm in extra]
+    start_vecs += [v / np.linalg.norm(v) for v in drawn]
 
     j = choi(t1).mat - choi(t2).mat
     r = _realign(j, (d2, d1, d2, d1))
     values, psis = _ascend(r, np.array(start_vecs), d1, d2, max_iters, tol)
-    best_psi = psis[np.argmax(values)]
+    witnesses = [psis[np.argmax(values)]]
+    face = _face_start(witnesses[0], d1)
+    if face is not None:
+        face_value, face_psi = _ascend(r, face[None], d1, d2, max_iters, tol)
+        if face_value[0] > values.max():
+            # the batch winner still seeds the dual: from the restart's
+            # rank-deficient witness the σ fixed point crawls
+            witnesses.insert(0, face_psi[0])
+    best_psi = witnesses[0]
     lower = float(_objective_values(r, best_psi[None], d1, d2)[0])
-    return _certified(lower, _choi_difference_upper(j, t1, t2), best_psi)
+    upper, sigma = _dual_upper(j, witnesses, t1, t2)
+    return _certified(lower, upper, best_psi, sigma)
 
 
 def cb_norm_of_channel(t: KrausChannel) -> NormInterval:
@@ -306,10 +399,12 @@ def cb_norm_of_channel(t: KrausChannel) -> NormInterval:
     lower = 1 (channel outputs are states, trace norm one); the upper end
     is ||tr_out C||_op = ||T_dual(1)||_op, which equals the CB-norm for CP
     maps, read from the eigenvalues of the marginal of the map's factor.
+    It is the dual bound with J = C at σ = 1/d_in, where Y = |C| = C, so the
+    dual state is 1/d_in.
     """
     if not t.trace_preserving:
         raise ValueError(f"channel is not trace-preserving (defect {t.tp_defect:.3e})")
     omega_vec = _maximally_entangled(t.dim_in)
     lower = cb_objective(t, None, omega_vec)
     upper = float(_hermitian_norms(_marginal(t._factor, t.dim_in, t.dim_out))[0])
-    return _certified(lower, upper, omega_vec)
+    return _certified(lower, upper, omega_vec, np.eye(t.dim_in, dtype=complex) / t.dim_in)

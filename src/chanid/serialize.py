@@ -9,6 +9,8 @@ entries JSON numbers, and flags JSON bools.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .channel import ChoiMatrix, KrausChannel
@@ -62,18 +64,25 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dims must be positive, got {rows}x{cols}")
-    try:
-        flat = np.array([complex(re, im) for re, im in data])
+    try:  # one np.array of the flattened pairs; each number's float is Python's
+        if set(map(len, data)) - {2}:
+            raise ValueError("every entry must be one [re, im] pair")
+        parts = np.array(list(itertools.chain.from_iterable(data)))
+        if parts.dtype == object and all(isinstance(x, (int, float)) for x in parts):
+            parts = parts.astype(float)  # integers beyond 64 bits
+        if parts.dtype.kind not in "biuf":  # a string gives <U, null an object array
+            raise TypeError(f"entries must be numbers, got dtype {parts.dtype}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"matrix data must be a list of [re, im] number pairs: {exc}") from exc
-    parts = flat.view(float)  # complex() reads a bool as 1 or 0: only such parts can be one
+    parts = parts.astype(float).reshape(-1, 2)
+    # a bool reads as 1 or 0: only such parts can be one
     if any(type(data[i // 2][i % 2]) is bool for i in np.flatnonzero((parts == 0) | (parts == 1)).tolist()):
         raise ValueError("matrix data entries must be JSON numbers, got a bool")
-    if flat.size != rows * cols:
-        raise ValueError(f"matrix data has {flat.size} entries, expected {rows * cols}")
-    if not np.all(np.isfinite(flat)):
+    if len(parts) != rows * cols:
+        raise ValueError(f"matrix data has {len(parts)} entries, expected {rows * cols}")
+    if not np.all(np.isfinite(parts)):
         raise ValueError("matrix entries must be finite")
-    return flat.reshape(rows, cols)
+    return parts.view(complex).reshape(rows, cols)
 
 
 def vector_to_json(v: np.ndarray) -> list:
@@ -163,4 +172,5 @@ def norm_interval_to_json(interval: NormInterval) -> dict:
         "lower": interval.lower,
         "upper": interval.upper,
         "argmax_state": vector_to_json(interval.argmax_state),
+        "dual_state": matrix_to_json(interval.dual_state),
     }

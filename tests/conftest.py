@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from chanid.linalg import CB_STARTS_SITE, SPECTRUM_SITE
-from chanid.metrics import CB_MAX_ITERS, CB_SEED, CB_STARTS, CB_TOL
+from chanid.metrics import CB_FACE_CUT, CB_MAX_ITERS, CB_SEED, CB_STARTS, CB_TOL
 
 
 def rand_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -252,20 +252,42 @@ def cb_objective_kraus_oracle(t1, t2, psi: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2))))
 
 
+def _kraus_ascent(t1, t2, psi, max_iters, tol):
+    """One start of the alternating ascent in Kraus form: (value, probe)."""
+    eye = np.eye(t1.dim_in)
+    lifted = [(1.0, np.kron(a, eye)) for a in t1.kraus] + [(-1.0, np.kron(a, eye)) for a in t2.kraus]
+    value = cb_objective_kraus_oracle(t1, t2, psi)
+    for _ in range(max_iters):
+        m = _kraus_stabilized_output(t1, t2, psi)
+        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+        s = (vecs * np.sign(vals)) @ vecs.conj().T
+        h = sum(sign * op.conj().T @ s @ op for sign, op in lifted)
+        candidate = np.linalg.eigh((h + h.conj().T) / 2)[1][:, -1]
+        cand_value = cb_objective_kraus_oracle(t1, t2, candidate)
+        improvement = cand_value - value
+        if cand_value > value:
+            value, psi = cand_value, candidate
+        if improvement < tol:
+            break
+    return value, psi
+
+
 def cb_lower_sequential_oracle(
     t1, t2, starts=CB_STARTS, max_iters=CB_MAX_ITERS, tol=CB_TOL, seed=CB_SEED, extra_starts=()
 ):
     """Lower end of the CB interval from the alternating ascent in Kraus form,
-    run start by start: same start set and order, per-start accept/stop
-    rule, first-best tie-break and defaults as ``metrics.cb_distance_interval``.
+    run start by start: the maximally entangled vector, the extra starts and
+    the random ones, in that order, with the per-start accept/stop rule,
+    first-best tie-break and defaults of ``metrics.cb_distance_interval``.
+    A winner vec Ψ whose singular values are not all >= CB_FACE_CUT times
+    the largest ascends once more from Ψ's SVD with the smaller ones zeroed,
+    renormalized, and replaces the winner if it ends strictly higher
+    (index -1).
 
     Returns (best value, witness, index of the winning start).
     """
     d = t1.dim_in
-    eye = np.eye(d)
-    lifted = [(1.0, np.kron(a, eye)) for a in t1.kraus] + [(-1.0, np.kron(a, eye)) for a in t2.kraus]
     start_vecs = [np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)]
-    start_vecs.extend(np.eye(d * d, dtype=complex)[:, k] for k in range(d * d))
     for extra in extra_starts:
         v = np.asarray(extra, dtype=complex).reshape(-1)
         start_vecs.append(v / np.linalg.norm(v))
@@ -276,22 +298,38 @@ def cb_lower_sequential_oracle(
 
     best = (-1.0, start_vecs[0], -1)
     for index, psi in enumerate(start_vecs):
-        value = cb_objective_kraus_oracle(t1, t2, psi)
-        for _ in range(max_iters):
-            m = _kraus_stabilized_output(t1, t2, psi)
-            vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-            s = (vecs * np.sign(vals)) @ vecs.conj().T
-            h = sum(sign * op.conj().T @ s @ op for sign, op in lifted)
-            candidate = np.linalg.eigh((h + h.conj().T) / 2)[1][:, -1]
-            cand_value = cb_objective_kraus_oracle(t1, t2, candidate)
-            improvement = cand_value - value
-            if cand_value > value:
-                value, psi = cand_value, candidate
-            if improvement < tol:
-                break
+        value, psi = _kraus_ascent(t1, t2, psi, max_iters, tol)
         if value > best[0]:
             best = (value, psi, index)
+    u, s, vh = np.linalg.svd(best[1].reshape(d, d))
+    if s[-1] < CB_FACE_CUT * s[0]:
+        kept = np.where(s >= CB_FACE_CUT * s[0], s, 0.0)
+        face = ((u * kept) @ vh).reshape(-1)
+        value, psi = _kraus_ascent(t1, t2, face / np.linalg.norm(face), max_iters, tol)
+        if value > best[0]:
+            best = (value, psi, -1)
     return best
+
+
+def cb_dual_kron_oracle(t1, t2, sigma: np.ndarray) -> tuple[float, float, float]:
+    """Watrous's dual at a full-rank state σ on H_in, built with ``np.kron``
+    from the elementwise Choi matrices: S = 1 ⊗ σ^{1/2}, M = S J S,
+    Y = S⁻¹ |M| S⁻¹.
+
+    Returns (||tr_out Y||_op, the least eigenvalue of Y - J and of Y + J,
+    ||Y||_op); the first is a CB-distance upper bound when the second is >= 0.
+    """
+    d1, d2 = t1.dim_in, t1.dim_out
+    j = choi_elementwise_oracle(t1) - choi_elementwise_oracle(t2)
+    p, u = np.linalg.eigh(sigma)
+    s = np.kron(np.eye(d2), (u * np.sqrt(p)) @ u.conj().T)
+    s_inv = np.kron(np.eye(d2), (u / np.sqrt(p)) @ u.conj().T)
+    mu, v = np.linalg.eigh(s @ j @ s)
+    y = s_inv @ (v * np.abs(mu)) @ v.conj().T @ s_inv
+    y = (y + y.conj().T) / 2
+    least = min(np.linalg.eigvalsh(y - j)[0], np.linalg.eigvalsh(y + j)[0])
+    top = singular_values_oracle(partial_trace_oracle(y, d2, d1, "first"))[0]
+    return float(top), float(least), float(singular_values_oracle(y)[0])
 
 
 def _oracle_reference(spec, d1: int, seed: int):

@@ -14,11 +14,12 @@ from chanid.serialize import (
     channel_from_json,
     channel_to_json,
     density_to_json,
+    matrix_from_json,
     matrix_to_json,
     reference_to_json,
 )
 
-from conftest import noise_clipped_state
+from conftest import cb_dual_kron_oracle, noise_clipped_state
 
 
 def write_json(path, obj):
@@ -131,6 +132,19 @@ class TestFidelityAndCbdist:
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 <= payload["lower"] <= payload["upper"] <= 2.0 + 1e-9
 
+    def test_cbdist_upper_end_rechecks_from_its_dual_state(self, tmp_path, capsys):
+        a, b = random_channel(3, 3, 3, seed=9), random_channel(3, 3, 3, seed=10)
+        t1 = write_json(tmp_path / "a.json", channel_to_json(a))
+        t2 = write_json(tmp_path / "b.json", channel_to_json(b))
+        assert cli_main(["cbdist", "--t1", t1, "--t2", t2]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"lower", "upper", "argmax_state", "dual_state"}
+        sigma = matrix_from_json(payload["dual_state"])
+        top, least, y_norm = cb_dual_kron_oracle(a, b, sigma)
+        assert least >= -1e-8 * y_norm
+        assert abs(payload["upper"] - min(top, 2.0)) <= 3e-8 * y_norm
+        assert payload["upper"] - payload["lower"] <= 1e-4 * payload["upper"]
+
     def test_cbdist_bytes_repeat(self, tmp_path):
         t1 = write_json(tmp_path / "a.json", channel_to_json(random_channel(3, 3, 3, seed=7)))
         t2 = write_json(tmp_path / "b.json", channel_to_json(random_channel(3, 3, 2, seed=8)))
@@ -140,7 +154,7 @@ class TestFidelityAndCbdist:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_failed_certificate_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(metrics, "_choi_difference_upper", lambda *args: 1e-3)
+        monkeypatch.setattr(metrics, "_dual_upper", lambda *args: (1e-3, np.eye(2) / 2))
         t1 = write_json(tmp_path / "a.json", channel_to_json(random_channel(2, 2, 2, seed=3)))
         t2 = write_json(tmp_path / "b.json", channel_to_json(random_channel(2, 2, 2, seed=4)))
         assert cli_main(["cbdist", "--t1", t1, "--t2", t2, "--starts", "2"]) == 2

@@ -368,7 +368,7 @@ class TestValueTypesCompareByIdentity:
             "Spectrum": lambda: spectral_decomposition(np.diag([0.3, 0.7])),
             "RNOperator": lambda: rn_operator(t, ref),
             "ReconstructionResult": lambda: reconstruct(forward_map(t, ref), ref, 2),
-            "NormInterval": lambda: NormInterval(0.1, 0.2, np.ones(4) / 2),
+            "NormInterval": lambda: NormInterval(0.1, 0.2, np.ones(4) / 2, np.eye(2) / 2),
         }[kind]()
 
     @pytest.mark.parametrize("kind", [

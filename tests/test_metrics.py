@@ -35,11 +35,13 @@ from chanid.metrics import (
 )
 
 from conftest import (
+    cb_dual_kron_oracle,
     cb_lower_sequential_oracle,
     channel_fidelity_sqrt_oracle,
     cb_objective_kraus_oracle,
     draw_rule_generator,
     partial_trace_oracle,
+    rand_complex,
     rand_density_mat,
     rand_state_vec,
     singular_values_oracle,
@@ -214,6 +216,7 @@ class TestCbDistanceInterval:
             assert interval.lower <= oracle + 1e-9
             assert oracle <= interval.upper + 1e-9
             assert interval.lower >= oracle - 1e-6  # ascent finds the optimum
+            assert interval.upper <= oracle * (1 + 1e-4)  # the dual closes the gap
 
     def test_upper_at_most_two_for_channel_pairs(self):
         for k in range(20):
@@ -259,7 +262,7 @@ class TestCbDistanceInterval:
         t1, t2 = random_channel(2, 2, 2, seed=7), random_channel(2, 2, 2, seed=8)
         cb_distance_interval(t1, t2, starts=2, max_iters=0, seed=5)
         cb_distance_interval(t1, t2, starts=1, max_iters=0, seed=6)
-        (five, six), fixed = seen, 1 + 2 * 2
+        (five, six), fixed = seen, 1  # the maximally entangled start comes first
         assert not np.allclose(five[fixed + 1], six[fixed])
         rng = draw_rule_generator(5, CB_STARTS_SITE)
         for k in range(2):
@@ -353,21 +356,57 @@ def _bench_like_pair(d, kind, seed):
     return t1, compose(depolarizing_channel(0.05, d), t1)
 
 
-class TestCbDefaults:
-    """The default start set (maximally entangled, d_in² basis, few random
-    vectors) and step cap against many more starts and a longer ascent."""
+def _assert_dual_certificate(t1, t2, interval):
+    """The upper end re-checked from its dual state with the ``np.kron`` oracle:
+    Y ± J >= 0 and upper = ||tr_out Y||_op (capped at 2 for a pair of
+    channels), both up to rounding.  σ's eigenvalue floor of 1e-8 amplifies
+    the rounding of Y by up to 1e8, so the check allows violations of 1e-8
+    ||Y||_op, and upper may exceed ||tr_out Y||_op by d_out times that."""
+    sigma = interval.dual_state
+    assert sigma.shape == (t1.dim_in, t1.dim_in)
+    assert np.array_equal(sigma, sigma.conj().T)
+    assert abs(np.trace(sigma) - 1.0) <= 1e-12 and np.linalg.eigvalsh(sigma)[0] > 0.0
+    top, least, y_norm = cb_dual_kron_oracle(t1, t2, sigma)
+    slack = 1e-8 * max(y_norm, 1.0)
+    assert least >= -slack
+    if t1.trace_preserving and t2.trace_preserving:
+        top = min(top, 2.0)
+    assert abs(interval.upper - top) <= t1.dim_out * slack + 1e-12 * top
 
-    # random_channel(3, 3, 3, seed) for these seeds: a far pair whose best
-    # starts crawl towards a rank-deficient optimum
-    CRAWLING_SEEDS = (1419133335871632259, 4469351829404084125)
+
+class TestCbDefaults:
+    """The default start set (maximally entangled, few random vectors) and
+    step cap against many more starts and a longer ascent."""
+
+    # random_channel(3, 3, 3, seed) for these seeds: a far pair whose optimum
+    # is rank-deficient (its witness has a singular value below 1e-2), where
+    # the ascent crawls
+    CRAWLING_SEEDS = (2246855968073182519, 2161267983452563252)
     # its lower end from 32 random starts and max_iters=20000
-    CRAWLING_LONG_RUN = 1.843916982360582
+    CRAWLING_LONG_RUN = 1.7830085526987156
 
     def test_crawling_pair_reaches_long_run_value(self):
         t1, t2 = (random_channel(3, 3, 3, seed=s) for s in self.CRAWLING_SEEDS)
         interval = cb_distance_interval(t1, t2)
+        assert np.linalg.svd(interval.argmax_state.reshape(3, 3), compute_uv=False)[-1] < 1e-2
         assert interval.lower >= self.CRAWLING_LONG_RUN * (1 - 1e-8)
-        assert interval.lower <= interval.upper
+        assert interval.upper >= self.CRAWLING_LONG_RUN
+        assert interval.upper - interval.lower <= 1e-4 * interval.upper
+        _assert_dual_certificate(t1, t2, interval)
+
+    # random_channel(3, 3, 3, seed) pairs whose batch winner crawls: the
+    # ascent from its truncation to the larger singular values ends higher
+    FACE_SEEDS = [(881679701955453742, 1815972297528319056), (1985077510716937771, 2823634919410820676)]
+
+    @pytest.mark.parametrize("seeds", FACE_SEEDS)
+    def test_face_restart_lifts_a_crawling_witness(self, seeds, monkeypatch):
+        t1, t2 = (random_channel(3, 3, 3, seed=s) for s in seeds)
+        interval = cb_distance_interval(t1, t2)
+        monkeypatch.setattr(metrics, "_face_start", lambda *args: None)
+        batch_only = cb_distance_interval(t1, t2)
+        assert interval.lower >= batch_only.lower * (1 + 1e-9)
+        assert interval.upper - interval.lower <= 1e-4 * interval.upper
+        _assert_dual_certificate(t1, t2, interval)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("kind", ["far", "near"])
@@ -377,7 +416,62 @@ class TestCbDefaults:
         many = cb_distance_interval(t1, t2, starts=32, max_iters=500)
         default = cb_distance_interval(t1, t2)
         assert default.lower >= many.lower * (1 - 1e-9)
-        assert default.upper == many.upper
+        # the two runs end at different witnesses, so at different dual states
+        for interval in (default, many):
+            _assert_dual_certificate(t1, t2, interval)
+        assert default.upper >= many.lower and many.upper >= default.lower
+
+
+class TestDualCertificate:
+    """The upper end is Watrous's dual at the stored ``dual_state``,
+    re-checked with the ``np.kron`` oracle on bench-like pairs, maps that are
+    not trace-preserving, d_in != d_out and d_in = 1."""
+
+    @staticmethod
+    def _scaled(t):
+        return KrausChannel(t.dim_in, t.dim_out, tuple(0.7 * a for a in t.kraus))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", ["far", "near"])
+    @pytest.mark.parametrize("seed", [80, 81])
+    def test_bench_like_pairs_certified_within_1e_4(self, d, kind, seed):
+        t1, t2 = _bench_like_pair(d, kind, seed)
+        interval = cb_distance_interval(t1, t2)
+        _assert_dual_certificate(t1, t2, interval)
+        assert interval.upper - interval.lower <= 1e-4 * interval.upper
+
+    @pytest.mark.parametrize("d_in, d_out", [(2, 2), (3, 3), (2, 3), (3, 2)])
+    def test_maps_that_are_not_trace_preserving(self, d_in, d_out):
+        t1 = random_channel(d_in, d_out, d_in, seed=82 + d_in + 7 * d_out)
+        t2 = random_channel(d_in, d_out, d_in + 1, seed=83 + d_in + 7 * d_out)
+        for a, b in ((t1, self._scaled(t2)), (self._scaled(t2), t1), (t1, t2)):
+            interval = cb_distance_interval(a, b)
+            _assert_dual_certificate(a, b, interval)
+            assert interval.upper - interval.lower <= 1e-4 * interval.upper
+
+    def test_one_dimensional_input(self):
+        rng = np.random.default_rng(84)
+        t1, t2 = (KrausChannel(1, 3, tuple(rand_complex(rng, 3, 1) for _ in range(2))) for _ in range(2))
+        interval = cb_distance_interval(t1, t2)
+        assert np.array_equal(interval.dual_state, np.ones((1, 1)))
+        _assert_dual_certificate(t1, t2, interval)
+        assert interval.upper == pytest.approx(interval.lower, rel=1e-12)
+
+    def test_witness_state_gives_the_lower_end(self):
+        # tr|S J S| at σ = conj(Ψ) Ψᵀ is the objective at the witness: the
+        # dual reads the witness in the objective's convention
+        t1, t2 = _bench_like_pair(3, "far", 85)
+        interval = cb_distance_interval(t1, t2)
+        psi = interval.argmax_state.reshape(3, 3)
+        p, u = np.linalg.eigh(psi.conj() @ psi.T)
+        s = np.kron(np.eye(3), (u * np.sqrt(np.clip(p, 0.0, None))) @ u.conj().T)
+        j = choi(t1).mat - choi(t2).mat
+        assert np.sum(np.abs(np.linalg.eigvalsh(s @ j @ s))) == pytest.approx(interval.lower, rel=1e-12)
+
+    def test_equal_maps_have_zero_upper_end(self):
+        t = random_channel(3, 2, 2, seed=86)
+        interval = cb_distance_interval(t, t)
+        assert interval.upper == 0.0 and interval.lower == 0.0
 
 
 def _spy_on_decompositions(monkeypatch) -> list:
@@ -390,10 +484,10 @@ def _spy_on_decompositions(monkeypatch) -> list:
 
 
 class TestUpperEndsFromMarginals:
-    """Both upper ends are ||tr_out Z||_op read from the d_in × d_in marginal of
-    a factor of Z: V·sqrt|lam| from J's one eigh for a pair, the map's own
-    factor for one channel; checked against the explicit partial trace and
-    the singular values of the rebuilt Z."""
+    """Both upper ends are ||tr_out Y||_op read from the d_in × d_in marginal of
+    a factor of Y: (1 ⊗ σ^{-1/2}) V·sqrt|mu| from M = S J S's one eigh for a
+    pair, the map's own factor for one channel; checked against the explicit
+    partial trace and the singular values of the rebuilt Y."""
 
     @staticmethod
     def _pairs():
@@ -405,15 +499,17 @@ class TestUpperEndsFromMarginals:
             pairs += [(t1, t2), (t1, scaled), (scaled, t1)]
         return pairs
 
-    def test_difference_upper_matches_partial_trace_of_abs_j(self):
+    def test_uniform_dual_candidate_is_partial_trace_of_abs_j(self):
+        # at σ = 1/d_in, Y = |J|: the Jordan bound is one candidate of the dual
         for t1, t2 in self._pairs():
             j = choi(t1).mat - choi(t2).mat
             vals, vecs = np.linalg.eigh(j)
             abs_j = (vecs * np.abs(vals)) @ vecs.conj().T
             expected = singular_values_oracle(partial_trace_oracle(abs_j, t1.dim_out, t1.dim_in, "first"))[0]
-            if t1.trace_preserving and t2.trace_preserving:
-                expected = min(expected, 2.0)
-            assert abs(metrics._choi_difference_upper(j, t1, t2) - expected) <= 1e-14 * expected
+            sigma = np.eye(t1.dim_in, dtype=complex) / t1.dim_in
+            upper, factor, _ = metrics._dual_candidate(j, sigma, t1.dim_out)
+            assert abs(upper - expected) <= 1e-14 * expected
+            assert np.allclose(factor @ factor.conj().T, abs_j, rtol=0, atol=1e-14)
 
     def test_channel_upper_matches_partial_trace_of_choi(self):
         t = random_channel(3, 3, 3, seed=86)
@@ -425,13 +521,18 @@ class TestUpperEndsFromMarginals:
             expected = singular_values_oracle(partial_trace_oracle(choi(t).mat, t.dim_out, t.dim_in, "first"))[0]
             assert abs(cb_norm_of_channel(t).upper - expected) <= 1e-14 * expected
 
-    def test_one_eigh_of_j_one_small_eigvalsh_and_no_svd(self, monkeypatch):
+    def test_dual_decompositions_and_no_svd(self, monkeypatch):
         t1 = random_channel(3, 2, 3, seed=89)
         t2 = KrausChannel(3, 2, tuple(0.9 * a for a in random_channel(3, 2, 2, seed=90).kraus))
         j = choi(t1).mat - choi(t2).mat
+        witness = rand_state_vec(np.random.default_rng(89), 9)
         calls = _spy_on_decompositions(monkeypatch)
-        metrics._choi_difference_upper(j, t1, t2)
-        assert calls == [("eigh", (6, 6)), ("eigvalsh", (3, 3))]
+        metrics._dual_upper(j, [witness], t1, t2)
+        # per candidate: σ's eigh, M's one eigh, the marginal's eigvalsh; then
+        # the two checks over the stack of the 1 + CB_DUAL_STEPS + 1 candidates
+        count = metrics.CB_DUAL_STEPS + 2
+        per_candidate = [("eigh", (3, 3)), ("eigh", (6, 6)), ("eigvalsh", (3, 3))]
+        assert calls == per_candidate * count + [("eigvalsh", (count, 6, 6))] * 2
         calls.clear()
         cb_norm_of_channel(t1)  # the lower end is one objective value at the maximally entangled probe
         assert calls == [("eigvalsh", (1, 6, 6)), ("eigvalsh", (3, 3))]
@@ -495,14 +596,14 @@ class TestCertificate:
         return random_channel(2, 2, 2, seed=60), random_channel(2, 2, 2, seed=61)
 
     def test_lower_above_upper_raises(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_choi_difference_upper", lambda *args: 1e-3)
+        monkeypatch.setattr(metrics, "_dual_upper", lambda *args: (1e-3, np.eye(2) / 2))
         with pytest.raises(CertificateError, match="exceeds"):
             cb_distance_interval(*self._pair(), starts=2)
 
     def test_rounding_slack_is_tolerated(self, monkeypatch):
         t1, t2 = self._pair()
         lower = cb_distance_interval(t1, t2, starts=2).lower
-        monkeypatch.setattr(metrics, "_choi_difference_upper", lambda *args: lower * (1 - 1e-13))
+        monkeypatch.setattr(metrics, "_dual_upper", lambda *args: (lower * (1 - 1e-13), np.eye(2) / 2))
         interval = cb_distance_interval(t1, t2, starts=2)
         assert interval.lower == lower and interval.upper == lower
 

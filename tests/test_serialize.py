@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,56 @@ def test_matrix_rejects_bad_payload():
         matrix_from_json({"rows": 0, "cols": 1, "data": []})
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]})
+
+
+def _per_entry_decode(data) -> np.ndarray:
+    """The decode before it was vectorized: one complex(re, im) per entry."""
+    return np.array([complex(re, im) for re, im in data])
+
+
+def test_matrix_decode_keeps_the_bits_of_the_per_entry_decode():
+    rng = np.random.default_rng(4)
+    ref = make_reference(DensityOperator(rand_density_mat(rng, 3, 0.05)))
+    payloads = [
+        matrix_to_json(rand_complex(rng, 3, 2)),
+        matrix_to_json(np.array([[complex(-0.0, 0.5), complex(5e-324, -0.0)], [complex(1e308, 1.0), 0.0]])),
+        *channel_to_json(random_channel(2, 3, 2, seed=5))["kraus"],
+        density_to_json(forward_map(random_channel(3, 3, 1, seed=2), ref)),
+        reference_to_json(ref)["rho"],
+        {"rows": 2, "cols": 2, "data": [[1, 0], [2**70, -3], [0, 1.5], [-(2**53) - 1, 2**63]]},  # JSON integers
+    ]
+    for obj in payloads:
+        got = matrix_from_json(obj)
+        assert got.dtype == complex and got.shape == (obj["rows"], obj["cols"])
+        assert got.tobytes() == _per_entry_decode(obj["data"]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([[True, False]], "got a bool"),
+        ([[0.5, True]], "got a bool"),
+        ([[1, "a"]], "must be a list of [re, im] number pairs"),
+        ([["1.5", 2**70]], "must be a list of [re, im] number pairs"),
+        ([[1, None]], "must be a list of [re, im] number pairs"),
+        ([[1, [2]]], "must be a list of [re, im] number pairs"),
+        ([[1, 2], [3]], "must be a list of [re, im] number pairs"),
+        ([[1, 2, 3], [4]], "must be a list of [re, im] number pairs"),
+        (5, "must be a list of [re, im] number pairs"),
+        ("ab", "must be a list of [re, im] number pairs"),
+        ([[1, 10**400]], "must be a list of [re, im] number pairs"),
+        ([[float("nan"), 0.0], [1, 2]], "matrix entries must be finite"),
+        ([[1, 2], [0.0, float("-inf")]], "matrix entries must be finite"),
+        ([[1, 2]] * 3, "matrix data has 3 entries, expected 2"),
+        ([], "matrix data has 0 entries, expected 2"),
+    ],
+    ids=["bool-pair", "bool-imaginary-part", "string", "numeric-string", "null", "nested", "ragged",
+         "ragged-same-count", "not-a-list", "string-data", "huge-int", "nan", "inf", "count", "empty"],
+)
+def test_matrix_decode_refusals(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        matrix_from_json({"rows": 2, "cols": 1, "data": data})
+    assert "\n" not in str(info.value)
 
 
 def test_vector_round_trip():
