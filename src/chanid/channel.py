@@ -26,10 +26,12 @@ from .linalg import (
     DensityOperator,
     _adjoint,
     _check_finite_hermitian,
+    _draw,
     _fix_column_phases,
     _gram,
+    _haar,
     _hermitian_norms,
-    _random_unitaries,
+    _seed,
     hermitian_part,
     tensor_product,
 )
@@ -151,7 +153,7 @@ def _marginal(f: np.ndarray, d1: int, d2: int) -> np.ndarray:
     """tr_out(F F†) on H_in of a factor F on H_out ⊗ H_in, or of each of a
     stack: sum_mu F_mu F_mu† over the d1-row blocks F_mu of F, one d1 × d1
     Gram product (for Kraus vectors it is the transpose of sum_k A_k† A_k)."""
-    rows = np.moveaxis(f.reshape(*f.shape[:-2], d2, d1, -1), -3, -2).reshape(*f.shape[:-2], d1, -1)
+    rows = f.reshape(*f.shape[:-2], d2, d1, -1).swapaxes(-3, -2).reshape(*f.shape[:-2], d1, -1)
     return _gram(rows)
 
 
@@ -260,18 +262,17 @@ def random_channel(d1: int, d2: int, kraus_rank: int, seed: int) -> KrausChannel
         raise ValueError(f"kraus_rank must be in [1, {d1 * d2}], got {kraus_rank}")
     if d2 * kraus_rank < d1:
         raise ValueError(f"no isometry H_in -> H_out ⊗ E exists for d1={d1}, d2={d2}, rank={kraus_rank}")
-    kraus = _random_kraus(d1, d2, kraus_rank, [seed])
-    return KrausChannel(dim_in=d1, dim_out=d2, kraus=tuple(kraus[:, 0]))
+    [factor] = _random_factors(d1, d2, kraus_rank, [_seed(seed)])
+    return KrausChannel(dim_in=d1, dim_out=d2, kraus=tuple(factor[0].T.reshape(kraus_rank, d2, d1)))
 
 
-def _random_kraus(d1: int, d2: int, kraus_rank: int, seeds) -> np.ndarray:
-    """Kraus operators of :func:`random_channel` for each seed, with one stacked QR.
-
-    Entry ``[j, s]`` is the operator A_j of seed s.
-    """
-    w = _random_unitaries(d2 * kraus_rank, seeds, cols=d1, site=CHANNEL_SITE)
+def _random_factors(d1: int, d2: int, kraus_rank: int, seeds, *then) -> list[np.ndarray]:
+    """The Choi factors K = [vec(A_1) ... vec(A_r)] of :func:`random_channel` for
+    each seed, with one stacked QR, then the ``_draw`` fills ``then`` continuing its stream."""
+    z, *more = _draw(seeds, CHANNEL_SITE, ("standard_normal", (d1, 2, d2 * kraus_rank)), *then)
     # row (mu, j) of W is the mu-th output row of A_j
-    return np.moveaxis(w.reshape(-1, d2, kraus_rank, d1), 2, 0)
+    kraus = np.moveaxis(_haar(z).reshape(-1, d2, kraus_rank, d1), 2, 0)
+    return [kraus.reshape(kraus_rank, len(seeds), d2 * d1).transpose(1, 2, 0), *more]
 
 
 def identity_channel(d: int) -> KrausChannel:

@@ -1,26 +1,29 @@
 """Batch experiment drivers: noise-robustness round-trips and spectrum sweeps.
 
 Every run is deterministic in (config, seed) by the package's one draw
-rule, ``linalg._generators``: trial i of a run with seed s draws at every
-site with seed s + i·2^64, and a sweep with seed s.  Emitted rows are
-self-checked against the analytic fidelity bound; a violation is treated
-as a numerical failure, never silently written.
+rule, ``linalg._draw``.  Trial i of a run with seed s resets Philox(key =
+s + i·2^64) once, at the channel site, and draws from that stream, in order,
+its channel's normals (the channel is ``random_channel(d1, d2, kraus_rank,
+s + i·2^64)``), then, for a ``random_min_eig`` reference, the eigenbasis
+normals and the d1 exponentials of its Dirichlet spectrum.  Jitter noise
+resets once more, at the noise site: it is ``apply_noise(w, noise, s +
+i·2^64)``.  A sweep draws its channel and noise with seed s.  Emitted rows
+are self-checked against the analytic fidelity bound; a violation is
+treated as a numerical failure, never silently written.
 
 Trials run as stacked arrays, in chunks of at most ``CHUNK_ENTRIES``
 complex entries per stacked matrix stage (1024 trials at d1 = d2 = 2, 12 at
 d1 = d2 = 6), so memory stays bounded whatever the trial count.  Each
-stage (channel draw, probe, noise, reconstruction, fidelity) runs once per
-chunk through the same private cores that ``random_channel``,
-``forward_map``, ``apply_noise``, ``reconstruct`` and ``channel_fidelity``
-run for one trial.  Stacked LAPACK calls, stacked matrix products and
-elementwise array arithmetic give the bits of single calls, so the CSV
-bytes equal those of evaluating the trials one at a time with the public
-functions.  No Choi matrix is formed: the probe output is the Gram product
-w = G G† of G = (1 ⊗ X) K, K the drawn Kraus vectors; one ``eigh`` of each
-w, w = U diag(lam) U†, is the trial's one decomposition and gives the factor
-F_rec = (1 ⊗ X⁻¹) U diag(sqrt(lam·keep)) the reconstruction returns; the
-fidelity is (||F_rec† K||_1 / d1)²; and each norm of a Hermitian matrix is
-read from its eigenvalues (``trace_dist_w``, the residuals).
+stage (draw, probe, noise, reconstruction, fidelity) runs once per chunk
+through the same private cores that ``random_channel``, ``forward_map``,
+``apply_noise``, ``reconstruct`` and ``channel_fidelity`` run for one trial.
+Stacked LAPACK calls, stacked matrix products and elementwise array
+arithmetic give the bits of single calls, so the CSV bytes equal those of
+evaluating the trials one at a time with the public functions, and do not
+depend on the chunking.  No Choi matrix is formed: the probe output is
+w = G G† with G = (1 ⊗ X) K, K the drawn Kraus vectors; one ``eigh`` of each
+w gives the recovered factor F_rec; the fidelity is (||F_rec† K||_1 / d1)²;
+and each norm of a Hermitian matrix is read from its eigenvalues.
 
 Values are checked where they enter: :class:`RefSpec`, :class:`NoiseSpec`,
 :class:`ExperimentConfig` and the sweep grid.  The states the stages build
@@ -33,18 +36,17 @@ tolerance of w from its eigenvalues and clips what rounding left below 0.
 
 from __future__ import annotations
 
-import io
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import _random_kraus
+from .channel import _random_factors
 from .identify import _probe_outputs, _reconstruct_stack, _reference_arrays
-from .linalg import NOISE_SITE, SPECTRUM_SITE, TRACE_TOL, DensityOperator, _adjoint, _clip_spectra, _generators
-from .linalg import _hermitian_norms, _random_unitaries, _seed, hermitian_part
-from .metrics import _channel_fidelities, fidelity_lower_bound
+from .linalg import NOISE_SITE, TRACE_TOL, DensityOperator, _adjoint, _clip_spectra, _draw, _haar
+from .linalg import _hermitian_norms, _seed, hermitian_part
+from .metrics import _channel_fidelities
 from .serialize import _json_float, _json_int
 
 # Complex entries per stacked matrix stage: a chunk holds
@@ -52,20 +54,6 @@ from .serialize import _json_float, _json_int
 # fixed amount of Python and each entry memory; at 16384 entries (256 KiB a
 # stage) the per-chunk cost is small up to d1 = d2 = 6.
 CHUNK_ENTRIES = 16384
-CSV_COLUMNS = (
-    "trial_index",
-    "min_eig_rho",
-    "noise_eps",
-    "trace_dist_w",
-    "consistency_residual",
-    "tp_residual",
-    "fidelity",
-    "bound_value",
-)
-
-# One CSV row: the trial index, then each float as format(value, ".17g") writes it.
-_CSV_ROW = "%d" + ",%.17g" * (len(CSV_COLUMNS) - 1) + "\n"
-_csv_fields = operator.attrgetter(*CSV_COLUMNS)
 
 
 class SelfCheckError(RuntimeError):
@@ -128,6 +116,7 @@ class ExperimentConfig:
             raise ValueError(f"kraus_rank must be in [1, {self.d1 * self.d2}]")
         if self.d2 * self.kraus_rank < self.d1:
             raise ValueError(f"need d2 * kraus_rank >= d1 = {self.d1} for a channel")
+        object.__setattr__(self, "seed", operator.index(self.seed))  # the trials' draws take it unchecked
         if not 0 <= self.seed < 2**64:  # trial i draws with seed + i·2^64
             raise ValueError(f"seed must be non-negative and below 2**64, got {self.seed}")
         if self.ref_spec.kind == "spectrum" and len(self.ref_spec.spectrum) != self.d1:
@@ -146,6 +135,12 @@ class TrialRecord:
     tp_residual: float
     fidelity: float
     bound_value: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+# One CSV row: the trial index, then each float as format(value, ".17g") writes it.
+_CSV_ROW = "%d" + ",%.17g" * (len(CSV_COLUMNS) - 1) + "\n"
+_csv_fields = operator.attrgetter(*CSV_COLUMNS)
 
 
 def ref_spec_to_json(spec: RefSpec):
@@ -228,8 +223,8 @@ def _noisy(w: np.ndarray, model: NoiseSpec, seeds) -> np.ndarray:
         return (1.0 - model.eps) * w + model.eps * np.eye(d) / d
     if d == 1:  # the only traceless Hermitian matrix is 0
         return w
-    gens = _generators(seeds, NOISE_SITE)
-    h = hermitian_part(np.array([g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)) for g in gens]))
+    [z] = _draw(seeds, NOISE_SITE, ("standard_normal", (2, d, d)))
+    h = hermitian_part(z[:, 0] + 1j * z[:, 1])
     h -= (np.trace(h, axis1=-2, axis2=-1).real / d)[:, None, None] * np.eye(d)
     disturbed = hermitian_part(w + model.eps * h / _hermitian_norms(h)[0][:, None, None])
     vals, vecs = np.linalg.eigh(disturbed)
@@ -243,30 +238,18 @@ def _chunks(cfg: ExperimentConfig, total: int) -> list[range]:
     return [range(start, min(start + size, total)) for start in range(0, total, size)]
 
 
-def _random_factors(cfg: ExperimentConfig, seeds) -> np.ndarray:
-    """The Choi factors K = [vec(A_1) ... vec(A_r)] of
-    ``random_channel(d1, d2, kraus_rank, seed)`` for each seed, the maps' ``_factor``."""
-    kraus = _random_kraus(cfg.d1, cfg.d2, cfg.kraus_rank, seeds)
-    return kraus.reshape(cfg.kraus_rank, len(seeds), cfg.d2 * cfg.d1).transpose(1, 2, 0)
-
-
-def _flat_dirichlet(d1: int, seeds) -> np.ndarray:
-    """``Generator.dirichlet(np.ones(d1))`` drawn at ``SPECTRUM_SITE`` for each seed.
-
-    At unit weights numpy draws d1 standard exponentials and scales them by
-    1 / (their sequential sum); here the draws are stacked and scaled at once,
-    with the sequential sum that ``cumsum`` gives (``np.sum`` adds pairwise).
-    """
-    e = np.array([g.standard_exponential(d1) for g in _generators(seeds, SPECTRUM_SITE)])
+def _flat_dirichlet(e: np.ndarray) -> np.ndarray:
+    """``Generator.dirichlet(np.ones(d1))`` from the d1 standard exponentials it draws, one row of
+    e each, scaled by 1 / (their sequential sum), the sum ``cumsum`` gives (``np.sum`` adds pairwise)."""
     return e * (1.0 / np.cumsum(e, axis=1)[:, -1:])
 
 
-def _random_references(floor: float, d1: int, seeds):
+def _random_references(floor: float, z: np.ndarray, e: np.ndarray):
     """``_reference_arrays`` of a reference with spectrum floor + (1 - d1 floor) · Dirichlet
-    and the Haar eigenbasis ``random_unitary(d1, seed)``, for each seed."""
-    p = floor + (1.0 - d1 * floor) * _flat_dirichlet(d1, seeds)
-    u = _random_unitaries(d1, seeds)
-    return _reference_arrays((u * p[:, None, :]) @ u.conj().swapaxes(-1, -2))
+    and a Haar eigenbasis, for each trial's eigenbasis normals z and exponentials e."""
+    p = floor + (1.0 - e.shape[1] * floor) * _flat_dirichlet(e)
+    u = _haar(z)
+    return _reference_arrays((u * p[:, None, :]) @ _adjoint(u))
 
 
 def _diagonal_references(spectra: np.ndarray):
@@ -296,15 +279,22 @@ def _trial_records(cfg: ExperimentConfig, indices: range, factor, refs, noise_se
     columns = zip(
         indices,
         np.broadcast_to(min_eig, trace_dist.shape).tolist(),
+        [eps] * len(trace_dist),
         trace_dist.tolist(),
         consistency.tolist(),
         tp_residual.tolist(),
         fidelity.tolist(),
+        _bounds(trace_dist, min_eig, cfg.d1),
     )
-    return [
-        TrialRecord(i, m, eps, t, cons, tp, f, fidelity_lower_bound(t, 1.0 / m, cfg.d1))
-        for i, m, t, cons, tp, f in columns
-    ]
+    return [TrialRecord(*row) for row in columns]
+
+
+def _bounds(trace_dist: np.ndarray, min_eig: np.ndarray, d1: int) -> list[float]:
+    """``fidelity_lower_bound(t, 1 / m, d1)`` of each row: the linear part
+    stacked, then ``max(0.0, v) ** 2`` in Python, whose pow can differ from
+    numpy's x·x in the last bit, and whose max sends NaN to 0.0."""
+    linear = 1.0 - (1.0 / min_eig) * trace_dist / (2.0 * d1)
+    return [max(0.0, v) ** 2 for v in linear.tolist()]
 
 
 def run_roundtrip(cfg: ExperimentConfig) -> list[TrialRecord]:
@@ -312,11 +302,13 @@ def run_roundtrip(cfg: ExperimentConfig) -> list[TrialRecord]:
     spec = cfg.ref_spec
     spectrum = {"maximally_mixed": (1.0 / cfg.d1,) * cfg.d1, "spectrum": spec.spectrum}.get(spec.kind)
     fixed = None if spectrum is None else _diagonal_references(np.array([spectrum]))
+    then = () if fixed else (("standard_normal", (cfg.d1, 2, cfg.d1)), ("standard_exponential", (cfg.d1,)))
     records = []
     for chunk in _chunks(cfg, cfg.trials):
         seeds = [cfg.seed + (i << 64) for i in chunk]
-        refs = _random_references(spec.min_eig, cfg.d1, seeds) if fixed is None else fixed
-        records += _trial_records(cfg, chunk, _random_factors(cfg, seeds), refs, seeds)
+        factor, *ref_draws = _random_factors(cfg.d1, cfg.d2, cfg.kraus_rank, seeds, *then)
+        refs = fixed or _random_references(spec.min_eig, *ref_draws)
+        records += _trial_records(cfg, chunk, factor, refs, seeds)
     return records
 
 
@@ -333,7 +325,7 @@ def run_spectrum_sweep(cfg: ExperimentConfig, min_eig_grid: list[float]) -> list
     for m in min_eig_grid:
         if not 0.0 < m <= 1.0 / cfg.d1:
             raise ValueError(f"grid value {m} outside (0, 1/{cfg.d1}]")
-    factor = _random_factors(cfg, [cfg.seed])
+    [factor] = _random_factors(cfg.d1, cfg.d2, cfg.kraus_rank, [cfg.seed])
     m = np.array(min_eig_grid, dtype=float)[:, None]
     spectra = np.ones_like(m) if cfg.d1 == 1 else np.hstack([m] + [(1.0 - m) / (cfg.d1 - 1)] * (cfg.d1 - 1))
     records = []
@@ -355,15 +347,14 @@ def records_to_csv(records: list[TrialRecord]) -> str:
 
     Every row is checked against the analytic bound before being emitted.
     """
-    buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
+    values = []
     for r in records:
         if not r.fidelity >= r.bound_value - 1e-9:
             raise SelfCheckError(
                 f"trial {r.trial_index}: fidelity {r.fidelity} below bound {r.bound_value}"
             )
-        buf.write(_CSV_ROW % _csv_fields(r))
-    return buf.getvalue()
+        values += _csv_fields(r)
+    return ",".join(CSV_COLUMNS) + "\n" + _CSV_ROW * len(records) % tuple(values)
 
 
 def write_records_csv(records: list[TrialRecord], path) -> None:

@@ -246,7 +246,7 @@ def state_fidelity(r1: DensityOperator, r2: DensityOperator) -> float:
     return float(_channel_fidelities(f[:1], f[1:], 1)[0])
 
 
-UNITARY_SITE, CHANNEL_SITE, SPECTRUM_SITE, NOISE_SITE, CB_STARTS_SITE = range(5)
+UNITARY_SITE, CHANNEL_SITE, NOISE_SITE, CB_STARTS_SITE = 0, 1, 3, 4  # renumbering would move the draws
 
 
 def _seed(seed) -> int:
@@ -257,18 +257,22 @@ def _seed(seed) -> int:
     return seed
 
 
-def _generators(seeds, site: int):
-    """The package's one draw rule: for each :func:`_seed`, yield one reused
-    ``Generator`` whose whole state is reset to counter (0, 0, 0, site) of
-    Philox(key=seed); use each position before the next."""
+def _draw(seeds, site: int, *fills: tuple[str, tuple[int, ...]]) -> list[np.ndarray]:
+    """The package's one draw rule: per seed (a :func:`_seed` value, checked where it
+    entered), reset one ``Generator`` once, to counter (0, 0, 0, site) of Philox(key=seed),
+    then fill the seed's row of one array per (method, shape) of ``fills``, in order, by
+    that ``Generator`` method with ``out=``."""
     gen = np.random.Generator(np.random.Philox(0))
+    calls = [(getattr(gen, method), np.empty((len(seeds), *shape))) for method, shape in fills]
     state = {"counter": (0, 0, 0, site), "key": None}
     full = {"bit_generator": "Philox", "state": state, "buffer": (0, 0, 0, 0),
             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for seed in map(_seed, seeds):
+    for n, seed in enumerate(seeds):
         state["key"] = (seed % 2**64, seed >> 64)
         gen.bit_generator.state = full
-        yield gen
+        for fill, out in calls:
+            fill(out=out[n])
+    return [out for _, out in calls]
 
 
 def random_unitary(d: int, seed: int) -> np.ndarray:
@@ -279,18 +283,14 @@ def random_unitary(d: int, seed: int) -> np.ndarray:
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    return _random_unitaries(d, [seed])[0]
+    [z] = _draw([_seed(seed)], UNITARY_SITE, ("standard_normal", (d, 2, d)))
+    return _haar(z)[0]
 
 
-def _random_unitaries(d: int, seeds, cols: int | None = None, site: int = UNITARY_SITE) -> np.ndarray:
-    """:func:`random_unitary` for each seed, drawn at ``site``, with one stacked QR.
-
-    With ``cols`` only the first ``cols`` columns are drawn, column by column,
-    so they are the leading columns of the full draw.  Householder QR of a
-    matrix's leading columns gives the leading columns of its Q and R, so
-    these are the unitary's first columns, an isometry.
-    """
-    z = np.array([g.standard_normal((cols or d, 2, d)) for g in _generators(seeds, site)])
+def _haar(z: np.ndarray) -> np.ndarray:
+    """Haar unitary columns from each item's normals, column j = z[n, j, 0] + 1j z[n, j, 1],
+    with one stacked QR.  Householder QR of a matrix's leading columns gives the
+    leading columns of its Q and R: fewer columns are the full unitary's first ones."""
     q, r = np.linalg.qr((z[:, :, 0] + 1j * z[:, :, 1]).swapaxes(-1, -2))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]

@@ -38,7 +38,7 @@ import numpy as np
 
 from .channel import KrausChannel, _marginal, choi
 from .identify import ReferenceState, _lift, reconstruct
-from .linalg import CB_STARTS_SITE, DensityOperator, _adjoint, _channel_fidelities, _eigen_factors, _generators
+from .linalg import CB_STARTS_SITE, DensityOperator, _adjoint, _channel_fidelities, _draw, _eigen_factors, _seed
 from .linalg import _gram, _hermitian_norms, hermitian_part
 
 
@@ -232,13 +232,14 @@ def _ascend(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int, max_iters: i
     best_psi = psis.copy()
     best_val = np.sum(np.abs(vals), axis=-1)
     active = np.arange(len(psis))
+    r_adj = r.conj().T
     for _ in range(max_iters):
         if active.size == 0:
             break
         v = vecs[active]
         signs = (v * np.sign(vals[active])[:, None, :]) @ v.conj().swapaxes(-1, -2)
         # back-lift: the adjoint of the stabilized-output map, J ⊗ id's dual
-        dual = _realign(r.conj().T @ _realign(signs, (d_out, d_in, d_out, d_in)), (d_in,) * 4)
+        dual = _realign(r_adj @ _realign(signs, (d_out, d_in, d_out, d_in)), (d_in,) * 4)
         candidates = np.linalg.eigh(hermitian_part(dual))[1][:, :, -1]
         cand_vals, cand_vecs = np.linalg.eigh(_stabilized_outputs(r, candidates, d_in, d_out))
         values = np.sum(np.abs(cand_vals), axis=-1)
@@ -369,11 +370,10 @@ def cb_distance_interval(
     if not tol >= 0:  # NaN too: it would stop every start after one step
         raise ValueError(f"tol must be >= 0, got {tol}")
     d1, d2 = t1.dim_in, t1.dim_out
-    [g] = _generators([seed], CB_STARTS_SITE)
+    [z] = _draw([_seed(seed)], CB_STARTS_SITE, ("standard_normal", (starts, 2, d1 * d1)))
     extra = [_probe(v, d1, "extra start") for v in extra_starts]
-    drawn = [g.standard_normal(d1 * d1) + 1j * g.standard_normal(d1 * d1) for _ in range(starts)]
     start_vecs = [_maximally_entangled(d1)] + [v / norm for v, norm in extra]
-    start_vecs += [v / np.linalg.norm(v) for v in drawn]
+    start_vecs += [v / np.linalg.norm(v) for v in z[0, :, 0] + 1j * z[0, :, 1]]
 
     j = choi(t1).mat - choi(t2).mat
     r = _realign(j, (d2, d1, d2, d1))

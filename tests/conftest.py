@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from chanid.linalg import CB_STARTS_SITE, SPECTRUM_SITE
+from chanid.linalg import CB_STARTS_SITE, CHANNEL_SITE
 from chanid.metrics import CB_FACE_CUT, CB_MAX_ITERS, CB_SEED, CB_STARTS, CB_TOL
 
 
@@ -332,16 +332,25 @@ def cb_dual_kron_oracle(t1, t2, sigma: np.ndarray) -> tuple[float, float, float]
     return float(top), float(least), float(singular_values_oracle(y)[0])
 
 
-def _oracle_reference(spec, d1: int, seed: int):
-    from chanid import DensityOperator, make_reference, random_unitary
+def _oracle_reference(spec, d1: int, seed: int = 0, channel_normals: tuple[int, ...] = ()):
+    """The reference of a trial with this spec.  A ``random_min_eig`` reference
+    continues the trial's channel stream, Philox(key=seed) at the channel site,
+    after the channel's ``channel_normals``: its eigenbasis is the Haar unitary
+    of the next d1 × d1 complex normals (column by column, real then imaginary
+    parts), its spectrum the floor plus a flat Dirichlet draw."""
+    from chanid import DensityOperator, make_reference
 
     if spec.kind == "maximally_mixed":
         return make_reference(DensityOperator(np.eye(d1) / d1))
     if spec.kind == "spectrum":
         return make_reference(DensityOperator(np.diag(np.array(spec.spectrum, dtype=complex))))
     floor = spec.min_eig
-    p = floor + (1.0 - d1 * floor) * draw_rule_generator(seed, SPECTRUM_SITE).dirichlet(np.ones(d1))
-    u = random_unitary(d1, seed)
+    rng = draw_rule_generator(seed, CHANNEL_SITE)
+    rng.standard_normal(channel_normals)
+    z = rng.standard_normal((d1, 2, d1))
+    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]).T)
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    p = floor + (1.0 - d1 * floor) * rng.dirichlet(np.ones(d1))
     return make_reference(DensityOperator((u * p) @ u.conj().T))
 
 
@@ -369,14 +378,14 @@ def _oracle_trial(cfg, trial_index: int, t, ref, noise_seed: int):
 def roundtrip_loop_oracle(cfg):
     """``run_roundtrip`` as a loop over trials, each evaluated alone through the
     public single-trial functions: trial i draws everything with seed
-    ``cfg.seed + (i << 64)``."""
+    ``cfg.seed + (i << 64)``, its reference after its channel."""
     from chanid import random_channel
 
     records = []
     for i in range(cfg.trials):
         seed = cfg.seed + (i << 64)
         t = random_channel(cfg.d1, cfg.d2, cfg.kraus_rank, seed)
-        ref = _oracle_reference(cfg.ref_spec, cfg.d1, seed)
+        ref = _oracle_reference(cfg.ref_spec, cfg.d1, seed, (cfg.d1, 2, cfg.d2 * cfg.kraus_rank))
         records.append(_oracle_trial(cfg, i, t, ref, seed))
     return records
 
@@ -389,6 +398,6 @@ def sweep_loop_oracle(cfg, min_eig_grid):
     records = []
     for i, m in enumerate(min_eig_grid):
         spectrum = (1.0,) if cfg.d1 == 1 else (m,) + ((1.0 - m) / (cfg.d1 - 1),) * (cfg.d1 - 1)
-        ref = _oracle_reference(RefSpec(kind="spectrum", spectrum=spectrum), cfg.d1, 0)
+        ref = _oracle_reference(RefSpec(kind="spectrum", spectrum=spectrum), cfg.d1)
         records.append(_oracle_trial(cfg, i, t, ref, cfg.seed))
     return records

@@ -26,6 +26,7 @@ from chanid.harness import (
 )
 from chanid.identify import forward_map, make_reference
 from chanid.linalg import DensityOperator, maximally_mixed, trace_norm
+from chanid.metrics import fidelity_lower_bound
 
 from conftest import draw_rule_generator, rand_density_mat, roundtrip_loop_oracle, sweep_loop_oracle
 
@@ -240,6 +241,17 @@ class TestStackedTrialsMatchTheLoop:
         grid = [float(x) for x in np.geomspace(1.0 / 6, 1e-8, 2 * _per_chunk(6) + 1)]
         assert records_to_csv(run_spectrum_sweep(cfg, grid)) == records_to_csv(sweep_loop_oracle(cfg, grid))
 
+    @pytest.mark.parametrize(
+        "noise", [NoiseSpec("depolarize", 0.02), NoiseSpec("hermitian_jitter", 0.02)], ids=["depolarize", "jitter"]
+    )
+    @pytest.mark.parametrize("d", [2, 6])
+    def test_draws_do_not_depend_on_chunking(self, monkeypatch, d, noise):
+        cfg = ExperimentConfig(d, d, d, _refs(d)[2], noise, trials=_per_chunk(d) + 3, seed=29)
+        default = records_to_csv(run_roundtrip(cfg)).splitlines()  # lines: pytest reports a mismatch quickly
+        monkeypatch.setattr(harness, "CHUNK_ENTRIES", (d * d) ** 2)  # one trial a chunk
+        assert len(harness._chunks(cfg, cfg.trials)) == cfg.trials
+        assert records_to_csv(run_roundtrip(cfg)).splitlines() == default
+
     def test_memory_does_not_grow_with_trials(self):
         def peak(trials):
             ref_spec, noise = RefSpec("random_min_eig", min_eig=0.01), NoiseSpec("depolarize", 0.02)
@@ -267,8 +279,9 @@ class TestStackedProductsKeepTheBitsOfSingleCalls:
         rank = d * d if full_rank else 1
         cfg = ExperimentConfig(d, d, rank, RefSpec("random_min_eig", min_eig=0.05 / d), NoiseSpec(), n, seed=3)
         seeds = [cfg.seed + (i << 64) for i in range(n)]
-        factor = harness._random_factors(cfg, seeds)
-        _, _, x, x_inv = harness._random_references(0.05 / d, d, seeds)
+        then = ("standard_normal", (d, 2, d)), ("standard_exponential", (d,))
+        factor, *ref_draws = harness._random_factors(d, d, rank, seeds, *then)
+        _, _, x, x_inv = harness._random_references(0.05 / d, *ref_draws)
         lifted = identify._lift(x, factor, d)
         w = linalg._gram(lifted)
         shared = identify._lift(x, factor[:1], d)  # a sweep's one channel against every reference
@@ -288,8 +301,30 @@ class TestSpectrumDraw:
     @pytest.mark.parametrize("d", range(1, 13))
     def test_stacked_draw_equals_generator_dirichlet(self, d):
         seeds = [s + (i << 64) for i, s in enumerate(range(40 * d, 40 * d + 120))]
-        expected = [draw_rule_generator(s, linalg.SPECTRUM_SITE).dirichlet(np.ones(d)) for s in seeds]
-        assert harness._flat_dirichlet(d, seeds).tobytes() == np.array(expected).tobytes()
+        expected = [draw_rule_generator(s, linalg.CHANNEL_SITE).dirichlet(np.ones(d)) for s in seeds]
+        [e] = linalg._draw(seeds, linalg.CHANNEL_SITE, ("standard_exponential", (d,)))
+        assert harness._flat_dirichlet(e).tobytes() == np.array(expected).tobytes()
+
+
+class TestBoundColumn:
+    """The stacked bound column gives each row the bits of ``fidelity_lower_bound``."""
+
+    # linear parts x whose x·x (numpy's ** 2) and x ** 2 (Python's, libm pow) differ in the last bit
+    POW_TRAPS = (0.9763909917309034, 0.9721546425376258, 0.9819365275268099)
+
+    def test_rows_equal_fidelity_lower_bound(self):
+        linear = np.array(self.POW_TRAPS)
+        assert all(a != b for a, b in zip((linear**2).tolist(), [x**2 for x in self.POW_TRAPS]))
+        # at rho_inv_norm = 1 and d1 = 1 the linear part is 1 - t / 2, exactly x for t = 2(1 - x)
+        trace_dist = np.array([2.0 * (1.0 - x) for x in self.POW_TRAPS] + [3.0, float("nan"), 0.0, 1e-3])
+        assert (1.0 - trace_dist[:3] / 2.0).tolist() == list(self.POW_TRAPS)
+        per_row = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.25, 0.01])
+        for d1, min_eig in [(1, per_row), (1, np.array([1.0])), (3, np.array([0.2]))]:  # a fixed reference: one m
+            rows = zip(trace_dist.tolist(), np.broadcast_to(min_eig, trace_dist.shape).tolist())
+            expected = [fidelity_lower_bound(t, 1.0 / m, d1) for t, m in rows]
+            got = harness._bounds(trace_dist, min_eig, d1)
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
+            assert got[3:5] == [0.0, 0.0]  # vacuous (negative) linear part, NaN trace distance
 
 
 class TestLapackCallsPerTrial:
@@ -380,7 +415,7 @@ class TestReconstructionStaysInChoiForm:
         choi_sized = [f for f in grams if f.shape[-2] == d * d]
         assert [f.shape for f in choi_sized] == [(_per_chunk(d), d * d, d), (10, d * d, d)]  # (trials, d1·d2, rank) per chunk
         assert all(any(f is g for g in lifted) for f in choi_sized)
-        true_factors = [k for stack in drawn for k in stack]  # one per trial for the roundtrip, 1 for the sweep
+        true_factors = [k for stack, *_ in drawn for k in stack]  # one per trial for the roundtrip, 1 for the sweep
         assert len(true_factors) == (trials if run == "roundtrip" else 1)
         gram_items = [g for f in grams for g in f.reshape(-1, *f.shape[-2:])]
         assert not any(np.array_equal(g, k) for g in gram_items for k in true_factors)

@@ -14,13 +14,12 @@ from chanid.linalg import (
     CB_STARTS_SITE,
     CHANNEL_SITE,
     NOISE_SITE,
-    SPECTRUM_SITE,
     TRACE_TOL,
     UNITARY_SITE,
     DensityOperator,
+    _draw,
     _fix_column_phases,
-    _generators,
-    _random_unitaries,
+    _haar,
     hermitian_part,
     maximally_mixed,
     operator_norm,
@@ -251,8 +250,8 @@ class TestRandomUnitary:
     @pytest.mark.parametrize("d, cols", [(1, 1), (4, 1), (4, 3), (6, 2), (9, 3), (36, 6)])
     def test_leading_columns_match_the_full_unitary(self, d, cols):
         seeds = [3, 11, 2**61 + 5]
-        full = _random_unitaries(d, seeds)
-        part = _random_unitaries(d, seeds, cols)
+        full = _haar(_draw(seeds, UNITARY_SITE, ("standard_normal", (d, 2, d)))[0])
+        part = _haar(_draw(seeds, UNITARY_SITE, ("standard_normal", (cols, 2, d)))[0])
         assert part.shape == (len(seeds), d, cols)
         assert np.max(np.abs(part - full[:, :, :cols])) <= 1e-14
         gram = part.conj().swapaxes(-1, -2) @ part
@@ -260,32 +259,32 @@ class TestRandomUnitary:
 
 
 class TestDrawRule:
-    """Every draw starts at counter (0, 0, 0, site) of Philox(key=seed)."""
+    """Every seed's draws start at counter (0, 0, 0, site) of Philox(key=seed)
+    and fill their arrays in order from that one stream."""
 
-    SITES = (UNITARY_SITE, CHANNEL_SITE, SPECTRUM_SITE, NOISE_SITE, CB_STARTS_SITE)
+    SITES = (UNITARY_SITE, CHANNEL_SITE, NOISE_SITE, CB_STARTS_SITE)
     SEED = 7 + (3 << 64)
+    # three doubles leave a part-used four-word Philox block behind
+    FILLS = (("random", (3,)), ("standard_normal", (2, 3)), ("standard_exponential", (3,)))
 
     @staticmethod
     def _draws(g):
-        return g.random(3), g.integers(0, 2**31, size=3, dtype=np.uint32), g.standard_normal(3)
+        return g.random(3), g.standard_normal((2, 3)), g.standard_exponential(3)
 
     def test_each_site_is_numpys_positioned_philox(self):
         for site in self.SITES:
-            [g] = _generators([self.SEED], site)
+            drawn = [rows[0] for rows in _draw([self.SEED], site, *self.FILLS)]
             expected = self._draws(draw_rule_generator(self.SEED, site))
-            assert all(map(np.array_equal, self._draws(g), expected))
+            assert all(map(np.array_equal, drawn, expected))
 
     def test_sites_of_one_seed_draw_differently(self):
-        draws = [next(_generators([self.SEED], site)).standard_normal(4).tobytes() for site in self.SITES]
+        draws = [_draw([self.SEED], site, ("standard_normal", (4,)))[0].tobytes() for site in self.SITES]
         assert len(set(draws)) == len(self.SITES)
 
     def test_repositioning_leaves_no_stale_state(self):
         first, second = 11, self.SEED
-        gens = _generators([first, second], NOISE_SITE)
-        g = next(gens)
-        g.random(), g.integers(0, 2**31, dtype=np.uint32)  # leaves a part-used block and a cached half word
-        after = self._draws(next(gens))
-        alone = self._draws(next(_generators([second], NOISE_SITE)))
+        after = [rows[1] for rows in _draw([first, second], NOISE_SITE, *self.FILLS)]
+        alone = self._draws(draw_rule_generator(second, NOISE_SITE))
         assert all(map(np.array_equal, after, alone))
 
     def test_random_unitary_is_haar_on_average(self):
