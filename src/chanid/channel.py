@@ -263,16 +263,22 @@ def random_channel(d1: int, d2: int, kraus_rank: int, seed: int) -> KrausChannel
     if d2 * kraus_rank < d1:
         raise ValueError(f"no isometry H_in -> H_out ⊗ E exists for d1={d1}, d2={d2}, rank={kraus_rank}")
     [factor] = _random_factors(d1, d2, kraus_rank, [_seed(seed)])
-    return KrausChannel(dim_in=d1, dim_out=d2, kraus=tuple(factor[0].T.reshape(kraus_rank, d2, d1)))
+    return KrausChannel(dim_in=d1, dim_out=d2, kraus=tuple(factor.T.reshape(kraus_rank, d2, d1)))
 
 
-def _random_factors(d1: int, d2: int, kraus_rank: int, seeds, *then) -> list[np.ndarray]:
-    """The Choi factors K = [vec(A_1) ... vec(A_r)] of :func:`random_channel` for
-    each seed, with one stacked QR, then the ``_draw`` fills ``then`` continuing its stream."""
-    z, *more = _draw(seeds, CHANNEL_SITE, ("standard_normal", (d1, 2, d2 * kraus_rank)), *then)
+def _random_factors(d1: int, d2: int, kraus_rank: int, seeds) -> np.ndarray:
+    """The Choi factors K = [vec(A_1) ... vec(A_r)] of :func:`random_channel` for each seed."""
+    [z] = _draw(seeds, CHANNEL_SITE, ("standard_normal", (d1, 2, d2 * kraus_rank)))
+    return _kraus_factors(z, d2, kraus_rank)
+
+
+def _kraus_factors(z: np.ndarray, d2: int, kraus_rank: int) -> np.ndarray:
+    """The Choi factors of :func:`random_channel` from each seed's first draw at
+    ``CHANNEL_SITE``, its normals z[n] of shape (d1, 2, d2 · kraus_rank), with one stacked QR."""
+    n, d1 = z.shape[:2]
     # row (mu, j) of W is the mu-th output row of A_j
-    kraus = np.moveaxis(_haar(z).reshape(-1, d2, kraus_rank, d1), 2, 0)
-    return [kraus.reshape(kraus_rank, len(seeds), d2 * d1).transpose(1, 2, 0), *more]
+    kraus = np.moveaxis(_haar(z).reshape(n, d2, kraus_rank, d1), 2, 0)
+    return kraus.reshape(kraus_rank, n, d2 * d1).transpose(1, 2, 0)
 
 
 def identity_channel(d: int) -> KrausChannel:

@@ -42,11 +42,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import _random_factors
+from .channel import _kraus_factors, _random_factors
 from .identify import _probe_outputs, _reconstruct_stack, _reference_arrays
-from .linalg import NOISE_SITE, TRACE_TOL, DensityOperator, _adjoint, _clip_spectra, _draw, _haar
+from .linalg import CHANNEL_SITE, NOISE_SITE, TRACE_TOL, DensityOperator, _adjoint, _clip_spectra, _draw, _haar
 from .linalg import _hermitian_norms, _seed, hermitian_part
-from .metrics import _channel_fidelities
+from .metrics import _channel_fidelities, _fidelity_lower_bounds
 from .serialize import _json_float, _json_int
 
 # Complex entries per stacked matrix stage: a chunk holds
@@ -263,7 +263,7 @@ def _diagonal_references(spectra: np.ndarray):
 def _trial_records(cfg: ExperimentConfig, indices: range, factor, refs, noise_seeds) -> list[TrialRecord]:
     """Probe, perturb, reconstruct and score a chunk of trials, one stacked stage at a time.
 
-    ``factor`` holds the true channels' Choi factors, as :func:`_random_factors`
+    ``factor`` holds the true channels' Choi factors, as :func:`_kraus_factors`
     gives them, and ``refs`` the references' ``(spectrum, min_eig, x, x_inv)``
     from ``_reference_arrays``; either may be a stack of one shared by every
     trial.  The fidelity is scored from the true and the recovered factors,
@@ -284,17 +284,9 @@ def _trial_records(cfg: ExperimentConfig, indices: range, factor, refs, noise_se
         consistency.tolist(),
         tp_residual.tolist(),
         fidelity.tolist(),
-        _bounds(trace_dist, min_eig, cfg.d1),
+        _fidelity_lower_bounds(trace_dist, 1.0 / min_eig, cfg.d1),
     )
     return [TrialRecord(*row) for row in columns]
-
-
-def _bounds(trace_dist: np.ndarray, min_eig: np.ndarray, d1: int) -> list[float]:
-    """``fidelity_lower_bound(t, 1 / m, d1)`` of each row: the linear part
-    stacked, then ``max(0.0, v) ** 2`` in Python, whose pow can differ from
-    numpy's x·x in the last bit, and whose max sends NaN to 0.0."""
-    linear = 1.0 - (1.0 / min_eig) * trace_dist / (2.0 * d1)
-    return [max(0.0, v) ** 2 for v in linear.tolist()]
 
 
 def run_roundtrip(cfg: ExperimentConfig) -> list[TrialRecord]:
@@ -302,13 +294,14 @@ def run_roundtrip(cfg: ExperimentConfig) -> list[TrialRecord]:
     spec = cfg.ref_spec
     spectrum = {"maximally_mixed": (1.0 / cfg.d1,) * cfg.d1, "spectrum": spec.spectrum}.get(spec.kind)
     fixed = None if spectrum is None else _diagonal_references(np.array([spectrum]))
-    then = () if fixed else (("standard_normal", (cfg.d1, 2, cfg.d1)), ("standard_exponential", (cfg.d1,)))
+    channel_fill = ("standard_normal", (cfg.d1, 2, cfg.d2 * cfg.kraus_rank))  # random_channel's first draw
+    ref_fills = () if fixed else (("standard_normal", (cfg.d1, 2, cfg.d1)), ("standard_exponential", (cfg.d1,)))
     records = []
     for chunk in _chunks(cfg, cfg.trials):
         seeds = [cfg.seed + (i << 64) for i in chunk]
-        factor, *ref_draws = _random_factors(cfg.d1, cfg.d2, cfg.kraus_rank, seeds, *then)
+        z, *ref_draws = _draw(seeds, CHANNEL_SITE, channel_fill, *ref_fills)
         refs = fixed or _random_references(spec.min_eig, *ref_draws)
-        records += _trial_records(cfg, chunk, factor, refs, seeds)
+        records += _trial_records(cfg, chunk, _kraus_factors(z, cfg.d2, cfg.kraus_rank), refs, seeds)
     return records
 
 
@@ -325,7 +318,7 @@ def run_spectrum_sweep(cfg: ExperimentConfig, min_eig_grid: list[float]) -> list
     for m in min_eig_grid:
         if not 0.0 < m <= 1.0 / cfg.d1:
             raise ValueError(f"grid value {m} outside (0, 1/{cfg.d1}]")
-    [factor] = _random_factors(cfg.d1, cfg.d2, cfg.kraus_rank, [cfg.seed])
+    factor = _random_factors(cfg.d1, cfg.d2, cfg.kraus_rank, [cfg.seed])
     m = np.array(min_eig_grid, dtype=float)[:, None]
     spectra = np.ones_like(m) if cfg.d1 == 1 else np.hstack([m] + [(1.0 - m) / (cfg.d1 - 1)] * (cfg.d1 - 1))
     records = []

@@ -141,7 +141,15 @@ def fidelity_lower_bound(trace_dist_w: float, rho_inv_norm: float, d1: int) -> f
     Clamping at zero before squaring keeps the bound valid where the
     linear estimate goes vacuous (parenthesis negative).
     """
-    return float(max(0.0, 1.0 - rho_inv_norm * trace_dist_w / (2.0 * d1)) ** 2)
+    return _fidelity_lower_bounds(np.array([trace_dist_w], dtype=float), rho_inv_norm, d1)[0]
+
+
+def _fidelity_lower_bounds(trace_dist: np.ndarray, rho_inv_norm, d1: int) -> list[float]:
+    """:func:`fidelity_lower_bound` of each row: the linear part stacked, then
+    ``max(0.0, v) ** 2`` in Python, whose pow can differ from numpy's x·x in the
+    last bit, and whose max sends NaN to 0.0."""
+    linear = 1.0 - rho_inv_norm * trace_dist / (2.0 * d1)
+    return [max(0.0, v) ** 2 for v in linear.tolist()]
 
 
 def worst_case_bound(

@@ -332,18 +332,20 @@ def cb_dual_kron_oracle(t1, t2, sigma: np.ndarray) -> tuple[float, float, float]
     return float(top), float(least), float(singular_values_oracle(y)[0])
 
 
-def _oracle_reference(spec, d1: int, seed: int = 0, channel_normals: tuple[int, ...] = ()):
+def _oracle_reference(spec, d1: int, seed: int | None = None, channel_normals: tuple[int, ...] | None = None):
     """The reference of a trial with this spec.  A ``random_min_eig`` reference
     continues the trial's channel stream, Philox(key=seed) at the channel site,
-    after the channel's ``channel_normals``: its eigenbasis is the Haar unitary
-    of the next d1 × d1 complex normals (column by column, real then imaginary
-    parts), its spectrum the floor plus a flat Dirichlet draw."""
+    after the channel's normals, of shape ``channel_normals``: its eigenbasis is
+    the Haar unitary of the next d1 × d1 complex normals (column by column, real
+    then imaginary parts), its spectrum the floor plus a flat Dirichlet draw."""
     from chanid import DensityOperator, make_reference
 
     if spec.kind == "maximally_mixed":
         return make_reference(DensityOperator(np.eye(d1) / d1))
     if spec.kind == "spectrum":
         return make_reference(DensityOperator(np.diag(np.array(spec.spectrum, dtype=complex))))
+    if seed is None or channel_normals is None:  # standard_normal(()) would still draw one normal
+        raise ValueError("a random_min_eig reference needs its trial's seed and channel_normals")
     floor = spec.min_eig
     rng = draw_rule_generator(seed, CHANNEL_SITE)
     rng.standard_normal(channel_normals)

@@ -26,7 +26,6 @@ from chanid.harness import (
 )
 from chanid.identify import forward_map, make_reference
 from chanid.linalg import DensityOperator, maximally_mixed, trace_norm
-from chanid.metrics import fidelity_lower_bound
 
 from conftest import draw_rule_generator, rand_density_mat, roundtrip_loop_oracle, sweep_loop_oracle
 
@@ -271,7 +270,7 @@ class TestStackedProductsKeepTheBitsOfSingleCalls:
     """The byte equality above rests on this: a stacked ``_lift`` or ``_gram``
     gives each item the bits of the single call (with single-threaded BLAS),
     at the harness's chunk sizes and on the non-contiguous transposed view
-    of the Kraus draw that ``_random_factors`` returns."""
+    of the Kraus draw that ``_kraus_factors`` returns."""
 
     @pytest.mark.parametrize("d, n", [(6, 1), (6, _per_chunk(6)), (3, _per_chunk(3)), (2, _per_chunk(2))])
     @pytest.mark.parametrize("full_rank", [False, True], ids=["rank-1", "rank-d2"])
@@ -279,8 +278,9 @@ class TestStackedProductsKeepTheBitsOfSingleCalls:
         rank = d * d if full_rank else 1
         cfg = ExperimentConfig(d, d, rank, RefSpec("random_min_eig", min_eig=0.05 / d), NoiseSpec(), n, seed=3)
         seeds = [cfg.seed + (i << 64) for i in range(n)]
-        then = ("standard_normal", (d, 2, d)), ("standard_exponential", (d,))
-        factor, *ref_draws = harness._random_factors(d, d, rank, seeds, *then)
+        fills = ("standard_normal", (d, 2, d * rank)), ("standard_normal", (d, 2, d)), ("standard_exponential", (d,))
+        z, *ref_draws = linalg._draw(seeds, linalg.CHANNEL_SITE, *fills)  # the trials' one stream, as run_roundtrip
+        factor = channel._kraus_factors(z, d, rank)
         _, _, x, x_inv = harness._random_references(0.05 / d, *ref_draws)
         lifted = identify._lift(x, factor, d)
         w = linalg._gram(lifted)
@@ -304,27 +304,6 @@ class TestSpectrumDraw:
         expected = [draw_rule_generator(s, linalg.CHANNEL_SITE).dirichlet(np.ones(d)) for s in seeds]
         [e] = linalg._draw(seeds, linalg.CHANNEL_SITE, ("standard_exponential", (d,)))
         assert harness._flat_dirichlet(e).tobytes() == np.array(expected).tobytes()
-
-
-class TestBoundColumn:
-    """The stacked bound column gives each row the bits of ``fidelity_lower_bound``."""
-
-    # linear parts x whose x·x (numpy's ** 2) and x ** 2 (Python's, libm pow) differ in the last bit
-    POW_TRAPS = (0.9763909917309034, 0.9721546425376258, 0.9819365275268099)
-
-    def test_rows_equal_fidelity_lower_bound(self):
-        linear = np.array(self.POW_TRAPS)
-        assert all(a != b for a, b in zip((linear**2).tolist(), [x**2 for x in self.POW_TRAPS]))
-        # at rho_inv_norm = 1 and d1 = 1 the linear part is 1 - t / 2, exactly x for t = 2(1 - x)
-        trace_dist = np.array([2.0 * (1.0 - x) for x in self.POW_TRAPS] + [3.0, float("nan"), 0.0, 1e-3])
-        assert (1.0 - trace_dist[:3] / 2.0).tolist() == list(self.POW_TRAPS)
-        per_row = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.25, 0.01])
-        for d1, min_eig in [(1, per_row), (1, np.array([1.0])), (3, np.array([0.2]))]:  # a fixed reference: one m
-            rows = zip(trace_dist.tolist(), np.broadcast_to(min_eig, trace_dist.shape).tolist())
-            expected = [fidelity_lower_bound(t, 1.0 / m, d1) for t, m in rows]
-            got = harness._bounds(trace_dist, min_eig, d1)
-            assert [x.hex() for x in got] == [x.hex() for x in expected]
-            assert got[3:5] == [0.0, 0.0]  # vacuous (negative) linear part, NaN trace distance
 
 
 class TestLapackCallsPerTrial:
@@ -391,7 +370,7 @@ class TestReconstructionStaysInChoiForm:
             d, d, d, RefSpec("random_min_eig", min_eig=0.05 / d), NoiseSpec("depolarize", 0.02), trials, seed=5
         )
         phase_fixed, grams, lifted, drawn = [], [], [], []
-        fix, gram, lift, draw = linalg._fix_column_phases, linalg._gram, identify._lift, harness._random_factors
+        fix, gram, lift, draw = linalg._fix_column_phases, linalg._gram, identify._lift, channel._kraus_factors
 
         def fix_spy(vectors):
             phase_fixed.append(np.shape(vectors))
@@ -406,7 +385,8 @@ class TestReconstructionStaysInChoiForm:
         for module in (linalg, channel, identify):
             monkeypatch.setattr(module, "_gram", gram_spy)
         monkeypatch.setattr(identify, "_lift", lambda *a: lifted.append(lift(*a)) or lifted[-1])
-        monkeypatch.setattr(harness, "_random_factors", lambda *a: drawn.append(draw(*a)) or drawn[-1])
+        for module in (channel, harness):  # the sweep's factor comes through channel._random_factors
+            monkeypatch.setattr(module, "_kraus_factors", lambda *a: drawn.append(draw(*a)) or drawn[-1])
         if run == "roundtrip":
             run_roundtrip(cfg)
         else:
@@ -415,7 +395,7 @@ class TestReconstructionStaysInChoiForm:
         choi_sized = [f for f in grams if f.shape[-2] == d * d]
         assert [f.shape for f in choi_sized] == [(_per_chunk(d), d * d, d), (10, d * d, d)]  # (trials, d1·d2, rank) per chunk
         assert all(any(f is g for g in lifted) for f in choi_sized)
-        true_factors = [k for stack, *_ in drawn for k in stack]  # one per trial for the roundtrip, 1 for the sweep
+        true_factors = [k for stack in drawn for k in stack]  # one per trial for the roundtrip, 1 for the sweep
         assert len(true_factors) == (trials if run == "roundtrip" else 1)
         gram_items = [g for f in grams for g in f.reshape(-1, *f.shape[-2:])]
         assert not any(np.array_equal(g, k) for g in gram_items for k in true_factors)

@@ -190,6 +190,28 @@ class TestWorstCaseBound:
         assert fidelity_lower_bound(2.0, 100.0, 2) == 0.0
 
 
+class TestBoundColumn:
+    """The stacked bound core gives each row the bits of ``fidelity_lower_bound``,
+    its one-row case, and of the bound's formula in Python floats."""
+
+    # linear parts x whose x·x (numpy's ** 2) and x ** 2 (Python's, libm pow) differ in the last bit
+    POW_TRAPS = (0.9763909917309034, 0.9721546425376258, 0.9819365275268099)
+
+    def test_rows_equal_fidelity_lower_bound(self):
+        linear = np.array(self.POW_TRAPS)
+        assert all(a != b for a, b in zip((linear**2).tolist(), [x**2 for x in self.POW_TRAPS]))
+        # at rho_inv_norm = 1 and d1 = 1 the linear part is 1 - t / 2, exactly x for t = 2(1 - x)
+        trace_dist = np.array([2.0 * (1.0 - x) for x in self.POW_TRAPS] + [3.0, float("nan"), 0.0, 1e-3])
+        assert (1.0 - trace_dist[:3] / 2.0).tolist() == list(self.POW_TRAPS)
+        per_row = 1.0 / np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.25, 0.01])
+        for d1, rho_inv_norm in [(1, per_row), (1, 1.0), (3, 5.0)]:  # a reference per row, then a fixed one
+            rows = list(zip(trace_dist.tolist(), np.broadcast_to(rho_inv_norm, trace_dist.shape).tolist()))
+            got = [x.hex() for x in metrics._fidelity_lower_bounds(trace_dist, rho_inv_norm, d1)]
+            assert got == [fidelity_lower_bound(t, r, d1).hex() for t, r in rows]
+            assert got == [(max(0.0, 1.0 - r * t / (2.0 * d1)) ** 2).hex() for t, r in rows]
+            assert got[3:5] == [(0.0).hex()] * 2  # vacuous (negative) linear part, NaN trace distance
+
+
 class TestCbDistanceInterval:
     def test_equal_channels_collapse_to_zero(self):
         t = random_channel(2, 2, 2, seed=6)
