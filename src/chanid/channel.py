@@ -72,13 +72,14 @@ class KrausChannel:
     def __post_init__(self):
         if self.dim_in < 1 or self.dim_out < 1:
             raise ValueError("dimensions must be positive")
-        ops = [np.asarray(a, dtype=complex) for a in self.kraus]
-        if not ops:
+        one_array = isinstance(self.kraus, np.ndarray)  # an (r, dim_out, dim_in) array is checked at once
+        ops = self.kraus if one_array else [np.asarray(a, dtype=complex) for a in self.kraus]
+        if not len(ops):
             raise ValueError("at least one Kraus operator is required")
-        for a in ops:
-            if a.shape != (self.dim_out, self.dim_in):
-                raise ValueError(f"Kraus operator shape {a.shape} != ({self.dim_out}, {self.dim_in})")
-        ops = np.array(ops)
+        for shape in [ops.shape[1:]] if one_array else [a.shape for a in ops]:
+            if shape != (self.dim_out, self.dim_in):
+                raise ValueError(f"Kraus operator shape {shape} != ({self.dim_out}, {self.dim_in})")
+        ops = np.array(ops, dtype=complex)
         if not np.isfinite(ops).all():
             raise ValueError("Kraus entries must be finite")
         # the row-major flatten maps A[mu, i] to the Choi index mu * dim_in + i

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -26,8 +27,27 @@ def _load_json(path: str):
         raise ValueError(f"{path}: malformed JSON: {exc}") from exc
 
 
+def _dumps(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` nested at ``indent``, each list of finite
+    float [re, im] pairs written by one %-format (``%r`` is JSON's float repr)."""
+    inner = indent + "  "
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        items = (json.dumps(key) + ": " + _dumps(value, inner) for key, value in obj.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if type(obj) in (list, tuple) and obj:
+        if set(map(type, obj)) == {list} and set(map(len, obj)) == {2}:
+            flat = tuple(itertools.chain.from_iterable(obj))
+            if set(map(type, flat)) == {float}:
+                pair = f"[{inner}  %r,{inner}  %r{inner}]"
+                text = ("[" + inner + ("," + inner).join([pair] * len(obj)) + indent + "]") % flat
+                if "n" not in text:  # %r writes nan and inf where JSON writes NaN and Infinity
+                    return text
+        return "[" + inner + ("," + inner).join(_dumps(value, inner) for value in obj) + indent + "]"
+    return json.dumps(obj, indent=2).replace("\n", indent)
+
+
 def _emit(obj, out: str | None):
-    text = json.dumps(obj, indent=2)
+    text = _dumps(obj)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

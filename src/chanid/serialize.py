@@ -56,33 +56,44 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": m.shape[0], "cols": m.shape[1], "data": _pairs(m)}
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
+def _matrices_from_json(objs: list) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The entries of matrix objects, row-major one after another, and their (rows, cols): each
+    object's fields are read, then the pair checks run once over the pairs of all the objects."""
     try:
-        rows, cols = (_json_int(obj[key], key) for key in ("rows", "cols"))
-        data = obj["data"]
+        shapes = [(_json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols")) for obj in objs]
+        datas = [obj["data"] for obj in objs]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix dims must be positive, got {rows}x{cols}")
-    try:  # one np.array of the flattened pairs; each number's float is Python's
-        if set(map(len, data)) - {2}:
+    for rows, cols in shapes:
+        if rows < 1 or cols < 1:
+            raise ValueError(f"matrix dims must be positive, got {rows}x{cols}")
+    try:  # each number's float is Python's
+        pairs = list(itertools.chain.from_iterable(datas))
+        if set(map(len, pairs)) - {2}:
             raise ValueError("every entry must be one [re, im] pair")
-        parts = np.array(list(itertools.chain.from_iterable(data)))
+        flat = list(itertools.chain.from_iterable(pairs))
+        parts = np.array(flat)
         if parts.dtype == object and all(isinstance(x, (int, float)) for x in parts):
             parts = parts.astype(float)  # integers beyond 64 bits
         if parts.dtype.kind not in "biuf":  # a string gives <U, null an object array
             raise TypeError(f"entries must be numbers, got dtype {parts.dtype}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"matrix data must be a list of [re, im] number pairs: {exc}") from exc
-    parts = parts.astype(float).reshape(-1, 2)
+    parts = parts.astype(float)
     # a bool reads as 1 or 0: only such parts can be one
-    if any(type(data[i // 2][i % 2]) is bool for i in np.flatnonzero((parts == 0) | (parts == 1)).tolist()):
+    if any(type(flat[i]) is bool for i in np.flatnonzero((parts == 0) | (parts == 1)).tolist()):
         raise ValueError("matrix data entries must be JSON numbers, got a bool")
-    if len(parts) != rows * cols:
-        raise ValueError(f"matrix data has {len(parts)} entries, expected {rows * cols}")
+    for data, (rows, cols) in zip(datas, shapes):
+        if len(data) != rows * cols:
+            raise ValueError(f"matrix data has {len(data)} entries, expected {rows * cols}")
     if not np.all(np.isfinite(parts)):
         raise ValueError("matrix entries must be finite")
-    return parts.view(complex).reshape(rows, cols)
+    return parts.view(complex), shapes
+
+
+def matrix_from_json(obj: dict) -> np.ndarray:
+    entries, [shape] = _matrices_from_json([obj])
+    return entries.reshape(shape)
 
 
 def vector_to_json(v: np.ndarray) -> list:
@@ -107,9 +118,17 @@ def channel_to_json(t: KrausChannel) -> dict:
 def channel_from_json(obj: dict) -> KrausChannel:
     try:
         d1, d2 = _json_int(obj["dim_in"], "dim_in"), _json_int(obj["dim_out"], "dim_out")
-        kraus = tuple(matrix_from_json(a) for a in obj["kraus"])
+        objs = list(obj["kraus"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed channel object: {exc}") from exc
+    try:
+        entries, shapes = _matrices_from_json(objs)
+    except ValueError:
+        shapes = []
+    if len(set(shapes)) == 1:  # one (r, d_out, d_in) array
+        kraus = entries.reshape(len(shapes), *shapes[0])
+    else:  # one by one: a faulty matrix raises as alone, KrausChannel refuses none or mixed shapes
+        kraus = [matrix_from_json(a) for a in objs]
     return KrausChannel(dim_in=d1, dim_out=d2, kraus=kraus)
 
 

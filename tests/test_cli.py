@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chanid import metrics
+from chanid import metrics, serialize
 from chanid.channel import choi, random_channel
-from chanid.cli import cli_main
+from chanid.cli import _emit, cli_main
 from chanid.harness import CSV_COLUMNS
 from chanid.identify import forward_map, make_reference
 from chanid.linalg import DensityOperator, maximally_mixed, trace_norm
@@ -114,6 +118,42 @@ class TestReconstruct:
         bad.write_text("{not json")
         assert cli_main(["reconstruct", "--w", str(bad), "--ref", str(bad)]) == 1
         assert "malformed JSON" in capsys.readouterr().err
+
+
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, float("nan"), float("inf"), float("-inf")])
+_PART = _FLOATS | st.integers(-(2**70), 2**70) | st.booleans()
+_KEYS = st.text() | st.sampled_from(['"', "\\", "\n", "\t", "\x7f", "é", "\u2028", "\U0001f4a5", ""])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**200) | _FLOATS | st.text()
+    | st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2), max_size=5)
+    | st.lists(st.lists(_PART, min_size=2, max_size=2) | st.tuples(_PART, _PART), max_size=5),
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, children, max_size=4)
+    | st.dictionaries(st.integers() | st.floats() | st.booleans() | st.none(), children, max_size=3),
+    max_leaves=24,
+)
+
+
+class TestEmit:
+    """Every JSON file the CLI writes is ``json.dumps(obj, indent=2)`` and a newline."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_JSON_VALUES)
+    @example(obj={"data": [[0.5, -0.0], [5e-324, 1e308]], "nested": {"pairs": ([1.0, 2.0], [3.0, 4.0])}})
+    @example(obj=[[float("nan"), 1.0], [float("inf"), float("-inf")]])
+    @example(obj=[[1.0, 2], [True, 0.5], [None, 1.0]])
+    @example(obj={"é\n\"": [], "": {}, "k": [[]], "t": (), "big": 2**100})
+    def test_text_is_the_stdlib_indent_2_text(self, obj):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            _emit(obj, None)
+        assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+    def test_file_is_the_stdlib_indent_2_text(self, tmp_path):
+        obj = serialize.norm_interval_to_json(
+            metrics.cb_distance_interval(random_channel(2, 2, 2, seed=3), random_channel(2, 2, 2, seed=4), starts=2)
+        )
+        _emit(obj, str(tmp_path / "cb.json"))
+        assert (tmp_path / "cb.json").read_text() == json.dumps(obj, indent=2) + "\n"
 
 
 class TestFidelityAndCbdist:

@@ -205,6 +205,13 @@ def _rank(d1, d2):
     return min(d1 * d2, max(2, -(-d1 // d2)))
 
 
+def _csv_lines(records):
+    """The CSV's lines with their newlines: they join back to the text, and
+    pytest reports a mismatch in a list of lines at once where its diff of two
+    long strings can run for minutes."""
+    return records_to_csv(records).splitlines(keepends=True)
+
+
 def _per_chunk(d):
     """Trials in one of the harness's chunks at d1 = d2 = d."""
     return harness.CHUNK_ENTRIES // (d * d) ** 2
@@ -219,7 +226,7 @@ class TestStackedTrialsMatchTheLoop:
         for noise in NOISES:
             for ref_spec in _refs(d1):
                 cfg = ExperimentConfig(d1, d2, _rank(d1, d2), ref_spec, noise, trials=4, seed=d1 + 7 * d2)
-                assert records_to_csv(run_roundtrip(cfg)) == records_to_csv(roundtrip_loop_oracle(cfg))
+                assert _csv_lines(run_roundtrip(cfg)) == _csv_lines(roundtrip_loop_oracle(cfg))
 
     @pytest.mark.parametrize("d1", DIMS)
     @pytest.mark.parametrize("d2", DIMS)
@@ -227,18 +234,17 @@ class TestStackedTrialsMatchTheLoop:
         grid = [float(x) for x in np.geomspace(1.0 / d1, 1e-7, 5)]
         for noise in NOISES:
             cfg = ExperimentConfig(d1, d2, _rank(d1, d2), _refs(d1)[0], noise, trials=1, seed=3 * d1 + d2)
-            expected = records_to_csv(sweep_loop_oracle(cfg, grid))
-            assert records_to_csv(run_spectrum_sweep(cfg, grid)) == expected
+            assert _csv_lines(run_spectrum_sweep(cfg, grid)) == _csv_lines(sweep_loop_oracle(cfg, grid))
 
     @pytest.mark.parametrize("noise", NOISES)
     def test_trials_spanning_several_chunks(self, noise):
         # three chunks, the last of one trial, at d1 = d2 = 6 and at d1 = d2 = 2
         for d in (6, 2):
             cfg = ExperimentConfig(d, d, d, _refs(d)[2], noise, trials=2 * _per_chunk(d) + 1, seed=17)
-            assert records_to_csv(run_roundtrip(cfg)) == records_to_csv(roundtrip_loop_oracle(cfg))
+            assert _csv_lines(run_roundtrip(cfg)) == _csv_lines(roundtrip_loop_oracle(cfg))
         cfg = ExperimentConfig(6, 6, 6, _refs(6)[0], noise, trials=1, seed=19)
         grid = [float(x) for x in np.geomspace(1.0 / 6, 1e-8, 2 * _per_chunk(6) + 1)]
-        assert records_to_csv(run_spectrum_sweep(cfg, grid)) == records_to_csv(sweep_loop_oracle(cfg, grid))
+        assert _csv_lines(run_spectrum_sweep(cfg, grid)) == _csv_lines(sweep_loop_oracle(cfg, grid))
 
     @pytest.mark.parametrize(
         "noise", [NoiseSpec("depolarize", 0.02), NoiseSpec("hermitian_jitter", 0.02)], ids=["depolarize", "jitter"]
@@ -246,10 +252,10 @@ class TestStackedTrialsMatchTheLoop:
     @pytest.mark.parametrize("d", [2, 6])
     def test_draws_do_not_depend_on_chunking(self, monkeypatch, d, noise):
         cfg = ExperimentConfig(d, d, d, _refs(d)[2], noise, trials=_per_chunk(d) + 3, seed=29)
-        default = records_to_csv(run_roundtrip(cfg)).splitlines()  # lines: pytest reports a mismatch quickly
+        default = _csv_lines(run_roundtrip(cfg))
         monkeypatch.setattr(harness, "CHUNK_ENTRIES", (d * d) ** 2)  # one trial a chunk
         assert len(harness._chunks(cfg, cfg.trials)) == cfg.trials
-        assert records_to_csv(run_roundtrip(cfg)).splitlines() == default
+        assert _csv_lines(run_roundtrip(cfg)) == default
 
     def test_memory_does_not_grow_with_trials(self):
         def peak(trials):

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from chanid.channel import choi, random_channel
+from chanid.channel import choi, compose, depolarizing_channel, random_channel
+from chanid.cli import cli_main
 from chanid.identify import forward_map, make_reference
 from chanid.linalg import DensityOperator
 from chanid.serialize import (
@@ -87,32 +88,104 @@ def test_matrix_decode_keeps_the_bits_of_the_per_entry_decode():
         assert got.tobytes() == _per_entry_decode(obj["data"]).tobytes()
 
 
+MATRIX_DATA_DEFECTS = [  # (id, data of a 2x1 matrix with one defect, the message it gives)
+    ("bool-pair", [[True, False]], "got a bool"),
+    ("bool-imaginary-part", [[0.5, True]], "got a bool"),
+    ("string", [[1, "a"]], "must be a list of [re, im] number pairs"),
+    ("numeric-string", [["1.5", 2**70]], "must be a list of [re, im] number pairs"),
+    ("null", [[1, None]], "must be a list of [re, im] number pairs"),
+    ("nested", [[1, [2]]], "must be a list of [re, im] number pairs"),
+    ("ragged", [[1, 2], [3]], "must be a list of [re, im] number pairs"),
+    ("ragged-same-count", [[1, 2, 3], [4]], "must be a list of [re, im] number pairs"),
+    ("not-a-list", 5, "must be a list of [re, im] number pairs"),
+    ("string-data", "ab", "must be a list of [re, im] number pairs"),
+    ("huge-int", [[1, 10**400]], "must be a list of [re, im] number pairs"),
+    ("nan", [[float("nan"), 0.0], [1, 2]], "matrix entries must be finite"),
+    ("inf", [[1, 2], [0.0, float("-inf")]], "matrix entries must be finite"),
+    ("count", [[1, 2]] * 3, "matrix data has 3 entries, expected 2"),
+    ("empty", [], "matrix data has 0 entries, expected 2"),
+]
+
+
 @pytest.mark.parametrize(
-    "data, message",
-    [
-        ([[True, False]], "got a bool"),
-        ([[0.5, True]], "got a bool"),
-        ([[1, "a"]], "must be a list of [re, im] number pairs"),
-        ([["1.5", 2**70]], "must be a list of [re, im] number pairs"),
-        ([[1, None]], "must be a list of [re, im] number pairs"),
-        ([[1, [2]]], "must be a list of [re, im] number pairs"),
-        ([[1, 2], [3]], "must be a list of [re, im] number pairs"),
-        ([[1, 2, 3], [4]], "must be a list of [re, im] number pairs"),
-        (5, "must be a list of [re, im] number pairs"),
-        ("ab", "must be a list of [re, im] number pairs"),
-        ([[1, 10**400]], "must be a list of [re, im] number pairs"),
-        ([[float("nan"), 0.0], [1, 2]], "matrix entries must be finite"),
-        ([[1, 2], [0.0, float("-inf")]], "matrix entries must be finite"),
-        ([[1, 2]] * 3, "matrix data has 3 entries, expected 2"),
-        ([], "matrix data has 0 entries, expected 2"),
-    ],
-    ids=["bool-pair", "bool-imaginary-part", "string", "numeric-string", "null", "nested", "ragged",
-         "ragged-same-count", "not-a-list", "string-data", "huge-int", "nan", "inf", "count", "empty"],
+    "data, message", [d[1:] for d in MATRIX_DATA_DEFECTS], ids=[d[0] for d in MATRIX_DATA_DEFECTS]
 )
 def test_matrix_decode_refusals(data, message):
     with pytest.raises(ValueError, match=re.escape(message)) as info:
         matrix_from_json({"rows": 2, "cols": 1, "data": data})
     assert "\n" not in str(info.value)
+
+
+class TestKrausListDecode:
+    """A channel's Kraus operators are decoded as one list: a defect in any one
+    of them gives the message of decoding that matrix alone."""
+
+    GOOD = matrix_to_json(np.array([[0.6], [0.8j]]))
+    MATRIX_DEFECTS = [(d[0], {"rows": 2, "cols": 1, "data": d[1]}) for d in MATRIX_DATA_DEFECTS] + [
+        ("float-rows", {**GOOD, "rows": 2.5}),
+        ("zero-cols", {**GOOD, "cols": 0}),
+        ("no-data", {"rows": 2, "cols": 1}),
+        ("not-an-object", [[0.6, 0.0], [0.0, 0.8]]),
+    ]
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [d[1] for d in MATRIX_DEFECTS], ids=[d[0] for d in MATRIX_DEFECTS])
+    def test_a_defect_in_any_operator_gives_the_matrix_message(self, tmp_path, capsys, bad, position):
+        with pytest.raises(ValueError) as alone:
+            matrix_from_json(bad)
+        kraus = [self.GOOD] * 3
+        kraus[position] = bad
+        channel = {"dim_in": 1, "dim_out": 2, "kraus": kraus}
+        with pytest.raises(ValueError) as in_list:
+            channel_from_json(channel)
+        assert str(in_list.value) == str(alone.value) and "\n" not in str(alone.value)
+        t1, t2 = tmp_path / "t1.json", tmp_path / "t2.json"
+        t1.write_text(json.dumps(channel))
+        t2.write_text(json.dumps({**channel, "kraus": [self.GOOD]}))
+        assert cli_main(["cbdist", "--t1", str(t1), "--t2", str(t2)]) == 1
+        assert capsys.readouterr().err == f"chanid: error: {alone.value}\n"
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(2, 2), (2, 1), (2, 2)], [(2, 2), (2, 2), (1, 2)], [(2, 1)] * 3],
+        ids=["mixed-middle", "mixed-last", "same-wrong-shape"],
+    )
+    def test_operators_of_another_shape_give_the_kraus_channel_message(self, shapes):
+        rng = np.random.default_rng(11)
+        kraus = [matrix_to_json(rand_complex(rng, *shape)) for shape in shapes]
+        wrong = next(shape for shape in shapes if shape != (2, 2))
+        with pytest.raises(ValueError, match=re.escape(f"Kraus operator shape {wrong} != (2, 2)")):
+            channel_from_json({"dim_in": 2, "dim_out": 2, "kraus": kraus})
+
+    @pytest.mark.parametrize(
+        "kraus, message",
+        [
+            ([], "at least one Kraus operator is required"),
+            (5, "malformed channel object"),
+            (None, "malformed channel object"),
+            ("ab", "malformed matrix object"),
+            (GOOD, "malformed matrix object"),
+        ],
+        ids=["empty", "number", "null", "string", "one-matrix-object"],
+    )
+    def test_empty_or_non_list_kraus_is_refused(self, kraus, message):
+        with pytest.raises(ValueError, match=message):
+            channel_from_json({"dim_in": 1, "dim_out": 2, "kraus": kraus})
+
+    def test_operators_keep_the_bits_of_the_per_matrix_decode(self):
+        t = random_channel(3, 3, 3, seed=9)
+        near = channel_to_json(compose(depolarizing_channel(0.05, 3), t))
+        integers = {"dim_in": 2, "dim_out": 2, "kraus": [
+            {"rows": 2, "cols": 2, "data": [[1, 0], [2**70, -3], [0, 1.5], [-(2**53) - 1, 2**63]]},
+            {"rows": 2, "cols": 2, "data": [[2**53 + 1, 0], [-1, 2**63 - 1], [0.25, 7], [3, -(2**62) - 1]]},
+            matrix_to_json(np.eye(2) / 3),
+        ]}
+        for obj in (json.loads(json.dumps(near)), integers):
+            back = channel_from_json(obj)
+            assert len(back.kraus) == len(obj["kraus"])
+            for a, m in zip(back.kraus, obj["kraus"]):
+                assert a.tobytes() == matrix_from_json(m).tobytes() == _per_entry_decode(m["data"]).tobytes()
+        assert len(near["kraus"]) == 30
 
 
 def test_vector_round_trip():
