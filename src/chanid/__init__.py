@@ -5,14 +5,10 @@ from .linalg import (
     Spectrum,
     hermitian_part,
     maximally_mixed,
-    operator_norm,
-    partial_trace,
     pure_state,
     random_unitary,
     spectral_decomposition,
     state_fidelity,
-    tensor_product,
-    trace_norm,
 )
 from .channel import (
     ChoiMatrix,
@@ -38,10 +34,8 @@ from .identify import (
     ReferenceState,
     RNOperator,
     apply_rn,
-    consistency_residual,
     forward_map,
     make_reference,
-    omega,
     reconstruct,
     rn_operator,
     v_isometry,

@@ -33,7 +33,6 @@ from .linalg import (
     _hermitian_norms,
     _seed,
     hermitian_part,
-    tensor_product,
 )
 
 TP_FLAG_TOL = 1e-9
@@ -203,7 +202,7 @@ def tensor_with_identity(t: KrausChannel, d_anc: int) -> KrausChannel:
     """T ⊗ id on an ancilla of dimension d_anc (Kraus set {A_k ⊗ 1})."""
     if d_anc < 1:
         raise ValueError("ancilla dimension must be >= 1")
-    kraus = tuple(tensor_product(a, np.eye(d_anc)) for a in t.kraus)
+    kraus = tuple(np.kron(a, np.eye(d_anc)) for a in t.kraus)
     return KrausChannel(dim_in=t.dim_in * d_anc, dim_out=t.dim_out * d_anc, kraus=kraus)
 
 
@@ -212,7 +211,7 @@ def tensor_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     return KrausChannel(
         dim_in=a.dim_in * b.dim_in,
         dim_out=a.dim_out * b.dim_out,
-        kraus=tuple(tensor_product(x, y) for x in a.kraus for y in b.kraus),
+        kraus=tuple(np.kron(x, y) for x in a.kraus for y in b.kraus),
     )
 
 

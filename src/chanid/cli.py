@@ -62,6 +62,8 @@ def _cmd_randchannel(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    if args.report is not None and not args.out:
+        raise ValueError("--report needs --out: without --out the channel and its residuals go to stdout")
     w = serialize.density_from_json(_load_json(args.w))
     ref = serialize.reference_from_json(_load_json(args.ref))
     if w.dim % ref.dim != 0:
@@ -136,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", required=True, help="bipartite state JSON (complex matrix)")
     p.add_argument("--ref", required=True, help="reference state JSON")
     p.add_argument("--out", help="channel JSON destination (report goes to a sidecar)")
-    p.add_argument("--report", help="sidecar report destination")
+    p.add_argument("--report", help="sidecar report destination (needs --out)")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("fidelity", help="channel fidelity between two channel JSONs")

@@ -129,9 +129,11 @@ class ReconstructionResult:
 
     ``tp_residual`` is ||tr_out C - 1||_op of the recovered map's Choi
     matrix C (= ||sum A† A - 1||_op of its Kraus set, up to rounding);
-    ``consistency_residual`` measures how far the input state is from the
-    image of a trace-preserving map; ``clip_magnitude`` is the total
-    negative eigenvalue weight removed from the input before inversion.
+    ``consistency_residual`` is ||tr_out C - 1||_1 of C = (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)†
+    before the rank cut, which measures how far the input state is from the
+    image of a trace-preserving map (zero for a noiseless probe output);
+    ``clip_magnitude`` is the total negative eigenvalue weight removed from
+    the input before inversion.
     """
 
     cp_map: KrausChannel
@@ -170,11 +172,6 @@ def _reference_arrays(rho: np.ndarray, cutoff: float = ADMISSIBILITY_CUTOFF) -> 
     matrices of a reference, for the round trip's stacks and a ``ReferenceState``."""
     spec = spectral_decomposition(rho)
     return spec, _admit(spec.eigenvalues, cutoff), *_probe_matrices(spec.eigenvalues, spec.eigenvectors)
-
-
-def omega(ref: ReferenceState) -> np.ndarray:
-    """Unit probe vector sum_i sqrt(p_i) phi_i ⊗ phi_i on H_in ⊗ H_in."""
-    return ref.x.reshape(-1)
 
 
 def _lift(x: np.ndarray, f: np.ndarray, d2: int) -> np.ndarray:
@@ -252,16 +249,6 @@ def apply_rn(v: np.ndarray, f: RNOperator, sigma: DensityOperator) -> np.ndarray
     if f.mat.shape != (d2 * d1, d2 * d1):
         raise ValueError(f"operator shape {f.mat.shape} is not ({d2 * d1}, {d2 * d1})")
     return _apply_rn_matrix(v, f.mat, sigma.mat)
-
-
-def consistency_residual(w: DensityOperator | np.ndarray, ref: ReferenceState, d2: int) -> float:
-    """Trace-norm defect ||tr_out C - 1||_1 of C = (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)†.
-
-    Zero exactly when the recovered map is trace-preserving, which holds
-    automatically for noiseless probe outputs.  It is the residual
-    :func:`reconstruct` reports for w, which is checked and clipped there.
-    """
-    return reconstruct(w, ref, d2).consistency_residual
 
 
 def reconstruct(w: DensityOperator | np.ndarray, ref: ReferenceState, d2: int) -> ReconstructionResult:

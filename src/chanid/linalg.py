@@ -3,8 +3,9 @@
 Everything in this package is built on plain ``numpy`` arrays with one
 global index convention for composite systems: the joint index of a
 tensor factor pair (a, b) is ``a * dim_b + b``, i.e. the first factor
-varies slowly.  ``np.kron`` and row-major ``reshape`` both follow this
-convention, so tensor products, partial traces and vectorization stay
+varies slowly.  Tensor products are ``np.kron``, vectorization is a
+row-major ``reshape``, and the partial trace over the output factor is
+``channel._marginal``; all three follow this convention, so they stay
 mutually consistent.
 """
 
@@ -18,46 +19,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 PSD_ADMISSION_TOL = 1e-10
 TRACE_TOL = 1e-10
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor varying slowly."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-def partial_trace(m: np.ndarray, dims: tuple[int, int], which: str) -> np.ndarray:
-    """Trace out one factor of a bipartite operator, or of each operator of a stack.
-
-    ``m`` must be square of size ``dims[0] * dims[1]``; ``which`` selects
-    the factor to trace over (``"first"`` or ``"second"``).
-    """
-    d_a, d_b = dims
-    m = np.asarray(m)
-    n = d_a * d_b
-    if m.ndim < 2 or m.shape[-2:] != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix for dims {dims}, got {m.shape}")
-    t = m.reshape(*m.shape[:-2], d_a, d_b, d_a, d_b)
-    if which == "first":
-        return np.einsum("...abad->...bd", t)
-    if which == "second":
-        return np.einsum("...abcb->...ac", t)
-    raise ValueError(f"which must be 'first' or 'second', got {which!r}")
-
-
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values of a square matrix."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"trace norm requires a square matrix, got shape {m.shape}")
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
-
-
-def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value."""
-    m = np.atleast_2d(np.asarray(m))
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:

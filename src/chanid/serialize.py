@@ -118,9 +118,11 @@ def channel_to_json(t: KrausChannel) -> dict:
 def channel_from_json(obj: dict) -> KrausChannel:
     try:
         d1, d2 = _json_int(obj["dim_in"], "dim_in"), _json_int(obj["dim_out"], "dim_out")
-        objs = list(obj["kraus"])
+        objs = obj["kraus"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed channel object: {exc}") from exc
+    if not isinstance(objs, list):
+        raise ValueError(f"kraus must be a JSON list of matrix objects, got {type(objs).__name__}")
     try:
         entries, shapes = _matrices_from_json(objs)
     except ValueError:

@@ -17,20 +17,13 @@ from chanid.channel import (
     is_completely_dominated,
     random_channel,
     stinespring,
+    tensor_channels,
     tensor_with_identity,
     unitary_channel,
     zero_map,
 )
 from chanid.identify import forward_map, make_reference, reconstruct
-from chanid.linalg import (
-    DensityOperator,
-    maximally_mixed,
-    operator_norm,
-    partial_trace,
-    random_unitary,
-    tensor_product,
-    trace_norm,
-)
+from chanid.linalg import DensityOperator, maximally_mixed, random_unitary
 
 from chanid.serialize import channel_from_json, channel_to_json
 
@@ -38,6 +31,8 @@ from conftest import (
     apply_via_choi_oracle,
     choi_elementwise_oracle,
     choi_gram_oracle,
+    kron_oracle,
+    partial_trace_oracle,
     rand_complex,
     rand_density_mat,
     singular_values_oracle,
@@ -107,7 +102,7 @@ class TestDuality:
 
     def test_dual_is_unital_for_channels(self):
         for t in rand_channels(8, d1=3, d2=2, rank=3, base_seed=40):
-            assert operator_norm(t.dual_apply(np.eye(2)) - np.eye(3)) <= 1e-9
+            assert np.linalg.norm(t.dual_apply(np.eye(2)) - np.eye(3), 2) <= 1e-9
 
 
 class TestChoi:
@@ -131,8 +126,8 @@ class TestChoi:
 
     def test_trace_preserving_marginal_is_identity(self):
         for t in rand_channels(5, d1=3, d2=2, rank=3, base_seed=80):
-            marg = partial_trace(choi(t).mat, (2, 3), "first")
-            assert operator_norm(marg - np.eye(3)) <= 1e-9
+            marg = partial_trace_oracle(choi(t).mat, 2, 3, "first")
+            assert np.linalg.norm(marg - np.eye(3), 2) <= 1e-9
 
     def test_cached_matrix_equals_per_call_build(self):
         rng = np.random.default_rng(61)
@@ -180,7 +175,7 @@ class TestChoi:
         )
         loose = KrausChannel(dim_in=2, dim_out=4, kraus=(rand_complex(rng, 4, 2),))
         for t in (*rand_channels(5, d1=3, d2=2, rank=3, base_seed=63), scaled, loose, zero_map(2, 3)):
-            dual = operator_norm(t.dual_apply(np.eye(t.dim_out)) - np.eye(t.dim_in))
+            dual = np.linalg.norm(t.dual_apply(np.eye(t.dim_out)) - np.eye(t.dim_in), 2)
             assert abs(t.tp_defect - dual) <= 1e-14 * max(1.0, dual)
         assert not scaled.trace_preserving
 
@@ -190,7 +185,7 @@ class TestChoi:
         a3 = np.diag(np.sqrt([0.5, 1.2, 1.3])) @ random_unitary(3, 7).conj().T
         for a in (np.diag(np.sqrt([0.5, 1.2])), a3):
             t = KrausChannel(dim_in=len(a), dim_out=len(a), kraus=(a,))
-            deviation = partial_trace(choi(t).mat, (t.dim_out, t.dim_in), "first") - np.eye(t.dim_in)
+            deviation = partial_trace_oracle(choi(t).mat, t.dim_out, t.dim_in, "first") - np.eye(t.dim_in)
             assert t.tp_defect == pytest.approx(singular_values_oracle(deviation)[0], abs=1e-14)
             assert t.tp_defect == pytest.approx(0.5, abs=1e-14)
 
@@ -215,7 +210,7 @@ class TestFromChoi:
             np.testing.assert_allclose(
                 back.apply_matrix(rho), t.apply_matrix(rho), atol=1e-9
             )
-            assert trace_norm(choi(back).mat - choi(t).mat) <= 1e-8
+            assert np.linalg.norm(choi(back).mat - choi(t).mat, "nuc") <= 1e-8
 
     def test_kraus_set_is_minimal(self):
         t = random_channel(2, 2, 3, seed=11)
@@ -254,7 +249,7 @@ class TestOneKrausCut:
         cut = build(t)
         assert shapes == [(9, 3)] and len(cut.kraus) == 3 and cut._factor.shape == (9, 9)
         c = choi(cut).mat
-        assert operator_norm(c - choi_gram_oracle(cut)) <= 1e-13 * operator_norm(c)
+        assert np.linalg.norm(c - choi_gram_oracle(cut), 2) <= 1e-13 * np.linalg.norm(c, 2)
 
 
 class TestTensorWithIdentity:
@@ -268,8 +263,8 @@ class TestTensorWithIdentity:
         rng = np.random.default_rng(9)
         t = random_channel(2, 2, 2, seed=12)
         a, b = rand_density_mat(rng, 2), rand_density_mat(rng, 3)
-        lhs = tensor_with_identity(t, 3).apply_matrix(tensor_product(a, b))
-        np.testing.assert_allclose(lhs, tensor_product(t.apply_matrix(a), b), atol=1e-12)
+        lhs = tensor_with_identity(t, 3).apply_matrix(np.kron(a, b))
+        np.testing.assert_allclose(lhs, np.kron(t.apply_matrix(a), b), atol=1e-12)
 
     def test_entangled_input_matches_direct_kraus_sum(self):
         rng = np.random.default_rng(10)
@@ -282,6 +277,30 @@ class TestTensorWithIdentity:
         np.testing.assert_allclose(
             tensor_with_identity(t, 2).apply_matrix(x), direct, atol=1e-12
         )
+
+
+class TestTensorKrausOrder:
+    """The tensor maps list their Kraus operators in a fixed order, each the
+    four-index tensor product of its factors (first factor slow).  A product
+    with the identity is exact; a product of two complex entries may round
+    differently in a vectorized multiply."""
+
+    @pytest.mark.parametrize("d_anc", [1, 2, 3])
+    def test_tensor_with_identity_lifts_each_operator_in_place(self, d_anc):
+        t = random_channel(2, 3, 3, seed=21)
+        lifted = tensor_with_identity(t, d_anc)
+        assert len(lifted.kraus) == len(t.kraus)
+        for k, a in enumerate(t.kraus):
+            np.testing.assert_array_equal(lifted.kraus[k], kron_oracle(a, np.eye(d_anc)))
+
+    def test_tensor_channels_runs_the_second_factor_fast(self):
+        a = random_channel(2, 3, 2, seed=22)
+        b = random_channel(3, 2, 3, seed=23)
+        pair = tensor_channels(a, b)
+        assert (pair.dim_in, pair.dim_out, len(pair.kraus)) == (6, 6, 6)
+        for i, x in enumerate(a.kraus):
+            for j, y in enumerate(b.kraus):
+                np.testing.assert_allclose(pair.kraus[i * len(b.kraus) + j], kron_oracle(x, y), rtol=0, atol=1e-14)
 
 
 class TestStinespring:
@@ -305,7 +324,7 @@ class TestStinespring:
         for _ in range(20):
             rho = rand_density_mat(rng, 3)
             out = v.conj().T @ np.kron(rho, np.eye(v.shape[0] // 3)) @ v
-            assert operator_norm(out - t.apply_matrix(rho)) <= 1e-9
+            assert np.linalg.norm(out - t.apply_matrix(rho), 2) <= 1e-9
 
     def test_environment_dimension_is_choi_rank(self):
         t = random_channel(2, 2, 3, seed=16)
@@ -362,7 +381,7 @@ class TestRandomChannel:
         t = random_channel(3, 3, 1, seed=18)
         assert len(t.kraus) == 1
         u = t.kraus[0]
-        assert operator_norm(u.conj().T @ u - np.eye(3)) <= 1e-10
+        assert np.linalg.norm(u.conj().T @ u - np.eye(3), 2) <= 1e-10
 
     def test_exactly_trace_preserving(self):
         for k in range(10):

@@ -13,7 +13,7 @@ from chanid.channel import choi, random_channel
 from chanid.cli import _emit, cli_main
 from chanid.harness import CSV_COLUMNS
 from chanid.identify import forward_map, make_reference
-from chanid.linalg import DensityOperator, maximally_mixed, trace_norm
+from chanid.linalg import DensityOperator, maximally_mixed
 from chanid.serialize import (
     channel_from_json,
     channel_to_json,
@@ -75,7 +75,7 @@ class TestReconstruct:
         out = tmp_path / "rec.json"
         assert cli_main(["reconstruct", "--w", w_path, "--ref", ref_path, "--out", str(out)]) == 0
         rec = channel_from_json(json.loads(out.read_text()))
-        assert trace_norm(choi(rec).mat - choi(t).mat) <= 1e-8
+        assert np.linalg.norm(choi(rec).mat - choi(t).mat, "nuc") <= 1e-8
         report = json.loads((tmp_path / "rec.json.report.json").read_text())
         assert report["tp_residual"] <= 1e-8
         assert report["consistency_residual"] <= 1e-8
@@ -98,6 +98,23 @@ class TestReconstruct:
         assert list(report) == ["tp_residual", "consistency_residual", "clip_magnitude"]
         split = {"channel": json.loads(out.read_text()), **report}
         assert json.dumps(split, indent=2) + "\n" == payload
+
+    def test_report_path_replaces_the_sidecar(self, tmp_path, noiseless_setup):
+        _, w_path, ref_path = noiseless_setup
+        out, report = tmp_path / "rec.json", tmp_path / "residuals.json"
+        argv = ["reconstruct", "--w", w_path, "--ref", ref_path, "--out", str(out), "--report", str(report)]
+        assert cli_main(argv) == 0
+        assert list(json.loads(report.read_text())) == ["tp_residual", "consistency_residual", "clip_magnitude"]
+        assert not (tmp_path / "rec.json.report.json").exists()
+
+    def test_report_without_out_is_one_line_validation_error(self, tmp_path, capsys, noiseless_setup):
+        _, w_path, ref_path = noiseless_setup
+        report = tmp_path / "residuals.json"
+        assert cli_main(["reconstruct", "--w", w_path, "--ref", ref_path, "--report", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("chanid: error: --report needs --out") and captured.err.count("\n") == 1
+        assert not report.exists()
 
     def test_state_clipped_at_admission_is_accepted(self, tmp_path, capsys):
         w_path = write_json(tmp_path / "w.json", matrix_to_json(noise_clipped_state()))

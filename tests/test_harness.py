@@ -25,7 +25,7 @@ from chanid.harness import (
     write_records_csv,
 )
 from chanid.identify import forward_map, make_reference
-from chanid.linalg import DensityOperator, maximally_mixed, trace_norm
+from chanid.linalg import DensityOperator, maximally_mixed
 
 from conftest import draw_rule_generator, rand_density_mat, roundtrip_loop_oracle, sweep_loop_oracle
 
@@ -62,7 +62,7 @@ class TestApplyNoise:
         rng = np.random.default_rng(2)
         w = DensityOperator(rand_density_mat(rng, 6))
         out = apply_noise(w, NoiseSpec(kind="depolarize", eps=eps), seed=2)
-        assert trace_norm(out.mat - w.mat) <= 2 * eps + 1e-9
+        assert np.linalg.norm(out.mat - w.mat, "nuc") <= 2 * eps + 1e-9
 
     def test_jitter_output_is_state_and_deterministic(self):
         ref = make_reference(maximally_mixed(2))
@@ -73,7 +73,7 @@ class TestApplyNoise:
         assert np.array_equal(a.mat, b.mat)
         assert np.linalg.eigvalsh(a.mat)[0] >= -1e-12
         assert np.trace(a.mat).real == pytest.approx(1.0, abs=1e-10)
-        assert trace_norm(a.mat - w.mat) > 0
+        assert np.linalg.norm(a.mat - w.mat, "nuc") > 0
 
     def test_jitter_on_one_dimensional_state_is_identity(self):
         # the only traceless Hermitian matrix on a 1-dimensional space is 0

@@ -22,126 +22,22 @@ from chanid.linalg import (
     _haar,
     hermitian_part,
     maximally_mixed,
-    operator_norm,
-    partial_trace,
     pure_state,
     random_unitary,
     spectral_decomposition,
     state_fidelity,
-    tensor_product,
-    trace_norm,
 )
 
 from conftest import (
     draw_rule_generator,
     fidelity_sandwich_oracle,
-    kron_oracle,
     noise_clipped_state,
-    partial_trace_oracle,
     rand_complex,
     rand_density_mat,
     singular_values_oracle,
 )
 
 seeds = st.integers(min_value=0, max_value=10**6)
-
-
-class TestTensorProduct:
-    def test_identity_factors(self):
-        np.testing.assert_allclose(
-            tensor_product(np.eye(2), np.eye(3)), np.eye(6), atol=0
-        )
-
-    def test_diagonal_with_identity(self):
-        out = tensor_product(np.diag([2.0, 5.0]), np.eye(2))
-        np.testing.assert_allclose(out, np.diag([2.0, 2.0, 5.0, 5.0]), atol=0)
-
-    def test_matches_four_index_oracle(self):
-        rng = np.random.default_rng(11)
-        a, b = rand_complex(rng, 2, 2), rand_complex(rng, 2, 2)
-        np.testing.assert_allclose(tensor_product(a, b), kron_oracle(a, b), atol=1e-14)
-
-
-class TestPartialTrace:
-    def test_factorized_second(self):
-        rng = np.random.default_rng(1)
-        a, b = rand_complex(rng, 3, 3), rand_complex(rng, 2, 2)
-        out = partial_trace(tensor_product(a, b), (3, 2), "second")
-        np.testing.assert_allclose(out, np.trace(b) * a, atol=1e-12)
-
-    def test_maximally_entangled_marginal(self):
-        omega = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-        proj = np.outer(omega, omega)
-        np.testing.assert_allclose(
-            partial_trace(proj, (2, 2), "first"), np.eye(2) / 2, atol=1e-15
-        )
-
-    @pytest.mark.parametrize("which", ["first", "second"])
-    def test_matches_index_sum_oracle(self, which):
-        rng = np.random.default_rng(7)
-        m = rand_complex(rng, 4, 4)
-        np.testing.assert_allclose(
-            partial_trace(m, (2, 2), which), partial_trace_oracle(m, 2, 2, which), atol=1e-14
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(5), (2, 2), "first")
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(4), (2, 2), "both")
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=seeds)
-    def test_kron_then_trace_recovers_factor(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = rand_complex(rng, 2, 2), rand_complex(rng, 3, 3)
-        out = partial_trace(tensor_product(a, b), (2, 3), "second")
-        assert np.max(np.abs(out - np.trace(b) * a)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
-
-
-class TestNorms:
-    def test_trace_norm_identity(self):
-        assert trace_norm(np.eye(2)) == pytest.approx(2.0, abs=1e-14)
-
-    def test_trace_norm_of_density_operator_is_one(self):
-        rng = np.random.default_rng(5)
-        for d in (2, 3, 4):
-            assert trace_norm(rand_density_mat(rng, d)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_trace_norm_matches_svd_oracle(self):
-        rng = np.random.default_rng(9)
-        m = rand_complex(rng, 3, 3)
-        assert trace_norm(m) == pytest.approx(np.sum(singular_values_oracle(m)), abs=1e-12)
-
-    def test_trace_norm_requires_square(self):
-        with pytest.raises(ValueError):
-            trace_norm(np.ones((3, 2)))
-
-    def test_operator_norm_identity(self):
-        assert operator_norm(np.eye(4)) == pytest.approx(1.0, abs=1e-15)
-
-    def test_operator_norm_diagonal(self):
-        assert operator_norm(np.diag([3.0, -5.0])) == pytest.approx(5.0, abs=1e-14)
-
-    def test_operator_norm_rectangular_matches_oracle(self):
-        rng = np.random.default_rng(13)
-        m = rand_complex(rng, 3, 2)
-        assert operator_norm(m) == pytest.approx(singular_values_oracle(m)[0], abs=1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=seeds)
-    def test_norm_inequalities(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rand_complex(rng, 3, 3)
-        assert trace_norm(m) >= operator_norm(m) - 1e-12
-        assert trace_norm(m) >= abs(np.trace(m)) - 1e-12
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=seeds)
-    def test_trace_norm_submultiplicative_against_operator_norm(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = rand_complex(rng, 3, 3), rand_complex(rng, 3, 3)
-        assert trace_norm(a @ b) <= operator_norm(a) * trace_norm(b) + 1e-10
 
 
 class TestStateFidelity:
@@ -183,7 +79,7 @@ class TestStateFidelity:
         r1 = DensityOperator(rand_density_mat(rng, 3))
         r2 = DensityOperator(rand_density_mat(rng, 3))
         assert state_fidelity(r1, DensityOperator(r1.mat.copy())) > 1.0 - 1e-10
-        if trace_norm(r1.mat - r2.mat) > 1e-8:
+        if np.linalg.norm(r1.mat - r2.mat, "nuc") > 1e-8:
             assert state_fidelity(r1, r2) < 1.0 - 1e-10
 
     def test_dimension_mismatch(self):
@@ -228,7 +124,7 @@ class TestRandomUnitary:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_unitarity(self, d):
         u = random_unitary(d, seed=d)
-        assert operator_norm(u.conj().T @ u - np.eye(d)) <= 1e-10
+        assert np.linalg.norm(u.conj().T @ u - np.eye(d), 2) <= 1e-10
 
     def test_deterministic_per_seed(self):
         a, b = random_unitary(4, seed=99), random_unitary(4, seed=99)
@@ -457,10 +353,8 @@ class TestDensityOperator:
         m = rand_density_mat(rng, 4)
         spec = spectral_decomposition(m)
         recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-        assert operator_norm(recon - m) <= 1e-9 * operator_norm(m)
-        assert operator_norm(
-            spec.eigenvectors.conj().T @ spec.eigenvectors - np.eye(4)
-        ) <= 1e-10
+        assert np.linalg.norm(recon - m, 2) <= 1e-9 * np.linalg.norm(m, 2)
+        assert np.linalg.norm(spec.eigenvectors.conj().T @ spec.eigenvectors - np.eye(4), 2) <= 1e-10
         assert np.all(np.diff(spec.eigenvalues) >= -1e-15)
 
     def test_spectrum_phase_fix_is_deterministic(self):

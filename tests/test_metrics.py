@@ -13,13 +13,12 @@ from chanid.channel import (
     unitary_channel,
     zero_map,
 )
-from chanid.identify import forward_map, make_reference, omega
+from chanid.identify import forward_map, make_reference
 from chanid.linalg import (
     CB_STARTS_SITE,
     DensityOperator,
     maximally_mixed,
     random_unitary,
-    trace_norm,
 )
 from chanid import metrics
 from chanid.channel import KrausChannel
@@ -253,8 +252,8 @@ class TestCbDistanceInterval:
         t2 = random_channel(2, 2, 2, seed=8)
         for _ in range(5):
             ref = make_reference(DensityOperator(rand_density_mat(rng, 2, 0.05)))
-            dist = trace_norm(forward_map(t1, ref).mat - forward_map(t2, ref).mat)
-            probe = omega(ref)
+            dist = np.linalg.norm(forward_map(t1, ref).mat - forward_map(t2, ref).mat, "nuc")
+            probe = ref.x.reshape(-1)
             interval = cb_distance_interval(
                 t1, t2, starts=4, extra_starts=(probe,)
             )
@@ -357,7 +356,7 @@ class TestCbChoiForm:
             for r in (rho1, rho2)
         )
         interval = cb_distance_interval(t1, t2, starts=2)
-        expected = trace_norm(rho1 - rho2)
+        expected = np.linalg.norm(rho1 - rho2, "nuc")
         assert interval.lower == pytest.approx(expected, rel=1e-9)
         assert interval.upper == pytest.approx(expected, rel=1e-9)
         assert interval.argmax_state.shape == (1,)

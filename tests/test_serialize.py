@@ -161,10 +161,10 @@ class TestKrausListDecode:
         "kraus, message",
         [
             ([], "at least one Kraus operator is required"),
-            (5, "malformed channel object"),
-            (None, "malformed channel object"),
-            ("ab", "malformed matrix object"),
-            (GOOD, "malformed matrix object"),
+            (5, "kraus must be a JSON list of matrix objects, got int"),
+            (None, "kraus must be a JSON list of matrix objects, got NoneType"),
+            ("ab", "kraus must be a JSON list of matrix objects, got str"),
+            (GOOD, "kraus must be a JSON list of matrix objects, got dict"),
         ],
         ids=["empty", "number", "null", "string", "one-matrix-object"],
     )
