@@ -567,6 +567,20 @@ class TestConsistencyResidual:
         for a, b in zip(residuals, residuals[1:]):
             assert b > a
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_equals_the_residual_reconstruct_reports(self, d):
+        # ||tr_out C - 1||_1 of the block-extraction Choi matrix of a noisy
+        # (already PSD) w is the residual reconstruct reports for it
+        rng = np.random.default_rng(40 + d)
+        noises = (NoiseSpec("depolarize", 0.02), NoiseSpec("hermitian_jitter", 0.05))
+        for k in range(12):
+            ref = rand_reference(rng, d, min_eig=0.05 / d)
+            t = random_channel(d, d, (1, d, d * d)[k % 3], seed=100 * d + k)
+            w = apply_noise(forward_map(t, ref), noises[k % 2], seed=k)
+            c = choi_from_w_oracle(w.mat, ref.spectrum.eigenvalues, ref.spectrum.eigenvectors, d)
+            oracle = np.linalg.norm(partial_trace_oracle(c, d, d, "first") - np.eye(d), "nuc")
+            assert abs(reconstruct(w, ref, d).consistency_residual - oracle) <= 1e-12 * max(1.0, oracle)
+
 
 class TestMixedSignMarginal:
     """Maps whose tr_out C - 1 has its largest |eigenvalue| negative, next to

@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanid import linalg
-from chanid.channel import ChoiMatrix, KrausChannel, choi, random_channel
+from chanid.channel import (
+    ChoiMatrix,
+    KrausChannel,
+    _marginal,
+    choi,
+    identity_channel,
+    random_channel,
+    tensor_channels,
+    tensor_with_identity,
+)
 from chanid.identify import RNOperator, forward_map, make_reference, reconstruct, rn_operator
 from chanid.metrics import NormInterval, channel_fidelity
 from chanid.linalg import (
@@ -20,6 +29,7 @@ from chanid.linalg import (
     _draw,
     _fix_column_phases,
     _haar,
+    _hermitian_norms,
     hermitian_part,
     maximally_mixed,
     pure_state,
@@ -31,13 +41,136 @@ from chanid.linalg import (
 from conftest import (
     draw_rule_generator,
     fidelity_sandwich_oracle,
+    kron_oracle,
     noise_clipped_state,
+    partial_trace_oracle,
     rand_complex,
     rand_density_mat,
     singular_values_oracle,
 )
 
 seeds = st.integers(min_value=0, max_value=10**6)
+
+
+class TestTensorProduct:
+    """Tensor products of channels are ``np.kron`` of their Kraus operators,
+    first factor slow, as the module docstring's index convention states."""
+
+    def test_identity_factors(self):
+        pair = tensor_channels(identity_channel(2), identity_channel(3))
+        assert len(pair.kraus) == 1
+        np.testing.assert_allclose(pair.kraus[0], np.eye(6), atol=0)
+
+    def test_diagonal_with_identity(self):
+        lifted = tensor_with_identity(KrausChannel(2, 2, (np.diag([2.0, 5.0]),)), 2)
+        np.testing.assert_allclose(lifted.kraus[0], np.diag([2.0, 2.0, 5.0, 5.0]), atol=0)
+
+    def test_matches_four_index_oracle(self):
+        rng = np.random.default_rng(11)
+        a, b = rand_complex(rng, 2, 2), rand_complex(rng, 2, 2)
+        pair = tensor_channels(KrausChannel(2, 2, (a,)), KrausChannel(2, 2, (b,)))
+        np.testing.assert_allclose(pair.kraus[0], kron_oracle(a, b), atol=1e-14)
+
+
+class TestPartialTrace:
+    """``channel._marginal(F, d1, d2)`` is tr_out(F F†) for a factor F on
+    H_out ⊗ H_in: the partial trace over the first, output factor, from
+    which the TP defect and the consistency residual are read."""
+
+    def test_factorized_factor(self):
+        rng = np.random.default_rng(1)
+        a, b = rand_complex(rng, 3, 2), rand_complex(rng, 2, 2)
+        out = _marginal(np.kron(a, b), 2, 3)
+        np.testing.assert_allclose(out, np.trace(a @ a.conj().T) * (b @ b.conj().T), atol=1e-12)
+
+    def test_maximally_entangled_marginal(self):
+        omega = np.array([[1.0], [0.0], [0.0], [1.0]]) / np.sqrt(2)
+        np.testing.assert_allclose(_marginal(omega, 2, 2), np.eye(2) / 2, atol=1e-15)
+
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 2), (2, 3)])
+    def test_matches_index_sum_oracle(self, d1, d2):
+        rng = np.random.default_rng(7)
+        f = rand_complex(rng, d2 * d1, 4)
+        np.testing.assert_allclose(
+            _marginal(f, d1, d2), partial_trace_oracle(f @ f.conj().T, d2, d1, "first"), atol=1e-13
+        )
+
+    def test_kraus_vectors_give_the_transposed_tp_sum(self):
+        rng = np.random.default_rng(8)
+        ops = tuple(rand_complex(rng, 3, 2) for _ in range(2))
+        t = KrausChannel(2, 3, ops)
+        np.testing.assert_allclose(_marginal(t._factor, 2, 3), sum(a.conj().T @ a for a in ops).T, atol=1e-13)
+        np.testing.assert_allclose(_marginal(random_channel(2, 3, 2, seed=3)._factor, 2, 3), np.eye(2), atol=1e-14)
+
+    def test_stack_matches_each_factor(self):
+        rng = np.random.default_rng(9)
+        stack = np.stack([rand_complex(rng, 6, 3) for _ in range(4)])
+        out = _marginal(stack, 3, 2)
+        assert out.shape == (4, 3, 3)
+        for f, m in zip(stack, out):
+            np.testing.assert_allclose(m, _marginal(f, 3, 2), atol=1e-14)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=seeds)
+    def test_kron_then_trace_recovers_factor(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rand_complex(rng, 2, 3), rand_complex(rng, 3, 2)
+        out = _marginal(np.kron(a, b), 3, 2)
+        expected = np.trace(a @ a.conj().T) * (b @ b.conj().T)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+
+class TestNorms:
+    """``linalg._hermitian_norms(h)`` is (||h||_op, ||h||_1) of a Hermitian
+    matrix, or of each of a stack, from one ``eigvalsh``."""
+
+    def test_trace_norm_identity(self):
+        assert _hermitian_norms(np.eye(2))[1] == pytest.approx(2.0, abs=1e-14)
+
+    def test_trace_norm_of_density_operator_is_one(self):
+        rng = np.random.default_rng(5)
+        for d in (2, 3, 4):
+            assert _hermitian_norms(rand_density_mat(rng, d))[1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_trace_norm_matches_svd_oracle(self):
+        rng = np.random.default_rng(9)
+        m = hermitian_part(rand_complex(rng, 3, 3))
+        assert _hermitian_norms(m)[1] == pytest.approx(np.sum(singular_values_oracle(m)), abs=1e-12)
+
+    def test_operator_norm_identity(self):
+        assert _hermitian_norms(np.eye(4))[0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_operator_norm_diagonal(self):
+        assert _hermitian_norms(np.diag([3.0, -5.0]))[0] == pytest.approx(5.0, abs=1e-14)
+
+    def test_operator_norm_matches_svd_oracle(self):
+        rng = np.random.default_rng(13)
+        m = hermitian_part(rand_complex(rng, 3, 3))
+        assert _hermitian_norms(m)[0] == pytest.approx(singular_values_oracle(m)[0], abs=1e-12)
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(14)
+        stack = hermitian_part(np.stack([rand_complex(rng, 3, 3) for _ in range(4)]))
+        op, tr = _hermitian_norms(stack)
+        assert op.shape == tr.shape == (4,)
+        for m, a, b in zip(stack, op, tr):
+            assert (a, b) == pytest.approx(_hermitian_norms(m), abs=1e-14)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=seeds)
+    def test_norm_inequalities(self, seed):
+        rng = np.random.default_rng(seed)
+        m = hermitian_part(rand_complex(rng, 3, 3))
+        op, tr = _hermitian_norms(m)
+        assert tr >= op - 1e-12
+        assert tr >= abs(np.trace(m)) - 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=seeds)
+    def test_trace_norm_submultiplicative_against_operator_norm(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = hermitian_part(rand_complex(rng, 3, 3)), hermitian_part(rand_complex(rng, 3, 3))
+        assert _hermitian_norms(a @ b @ a)[1] <= _hermitian_norms(a)[0] ** 2 * _hermitian_norms(b)[1] + 1e-10
 
 
 class TestStateFidelity:
