@@ -86,7 +86,7 @@ class KrausChannel:
         # finite entries can still overflow in products; ChoiMatrix refuses the result
         with np.errstate(over="ignore", invalid="ignore"):
             c = ChoiMatrix(dim_in=self.dim_in, dim_out=self.dim_out, mat=_gram(factor))
-        self._set_forms(ops, c, factor, float(_marginal_defects(factor, self.dim_in, self.dim_out)[0]))
+        self._set_forms(ops, c, factor, float(_marginal_defects(factor, self.dim_in)[0]))
 
     def _set_forms(self, ops: np.ndarray, c: ChoiMatrix, factor: np.ndarray, tp_defect: float) -> None:
         ops.flags.writeable = False  # the views ops[k] are the map's only copy of its operators
@@ -149,17 +149,17 @@ def choi(t: KrausChannel) -> ChoiMatrix:
     return t._choi
 
 
-def _marginal(f: np.ndarray, d1: int, d2: int) -> np.ndarray:
+def _marginal(f: np.ndarray, d1: int) -> np.ndarray:
     """tr_out(F F†) on H_in of a factor F on H_out ⊗ H_in, or of each of a
     stack: sum_mu F_mu F_mu† over the d1-row blocks F_mu of F, one d1 × d1
     Gram product (for Kraus vectors it is the transpose of sum_k A_k† A_k)."""
-    rows = f.reshape(*f.shape[:-2], d2, d1, -1).swapaxes(-3, -2).reshape(*f.shape[:-2], d1, -1)
+    rows = f.reshape(*f.shape[:-2], -1, d1, f.shape[-1]).swapaxes(-3, -2).reshape(*f.shape[:-2], d1, -1)
     return _gram(rows)
 
 
-def _marginal_defects(f: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
+def _marginal_defects(f: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndarray]:
     """(||tr_out C - 1||_op, ||tr_out C - 1||_1), C = F F†: the TP defect and the consistency residual."""
-    return _hermitian_norms(_marginal(f, d1, d2) - np.eye(d1))
+    return _hermitian_norms(_marginal(f, d1) - np.eye(d1))
 
 
 def from_choi(c: ChoiMatrix) -> KrausChannel:
@@ -175,27 +175,29 @@ def from_choi(c: ChoiMatrix) -> KrausChannel:
     if lam[0] < -FROM_CHOI_PSD_TOL:
         raise NotCompletelyPositiveError(f"Choi matrix has eigenvalue {lam[0]:.3e} < -{FROM_CHOI_PSD_TOL:.1e}")
     factor = vecs * np.sqrt(np.where(lam > FROM_CHOI_RANK_CUTOFF, lam, 0.0))
-    return _channel_of(factor, float(_marginal_defects(factor, c.dim_in, c.dim_out)[0]), c.dim_in, c.dim_out)
+    return _channel_of(factor, c.dim_in)
 
 
-def _channel_of(factor: np.ndarray, tp_defect: float, d1: int, d2: int) -> KrausChannel:
-    """The ``KrausChannel`` with Choi matrix C = F F† of one (d1·d2)-row factor F
-    and TP defect ``tp_defect``: the only place Kraus operators are cut.
+def _channel_of(factor: np.ndarray, d1: int) -> KrausChannel:
+    """The ``KrausChannel`` on H_in = C^d1 with Choi matrix C = F F† of one
+    (d2·d1)-row factor F: the only place Kraus operators are cut.  d2 and
+    the TP defect ||tr_out C - 1||_op are read from F.
 
-    A thin SVD of F's nonzero columns gives them: the left singular vectors,
-    which are C's eigenvectors, phase-fixed, scaled by the singular values,
-    put in ascending order as ``eigh`` orders C's eigenpairs and unvectorized,
-    all into one array.  The map keeps F itself as its factor, so its
+    A thin SVD of F's nonzero columns gives the operators: the left singular
+    vectors, which are C's eigenvectors, phase-fixed, scaled by the singular
+    values, put in ascending order as ``eigh`` orders C's eigenpairs and
+    unvectorized, all into one array.  The map keeps F itself as its factor, so its
     fidelities read the bits a stacked run reads, and caches the Gram
     product F F† as its Choi matrix.
     """
+    d2 = len(factor) // d1
     kept = factor[:, factor.any(axis=0)]
     if kept.size:
         u, s, _ = np.linalg.svd(kept, full_matrices=False)
         ops = (_fix_column_phases(u[:, ::-1]) * s[::-1]).T.reshape(-1, d2, d1)
     else:
         ops = np.zeros((1, d2, d1), dtype=complex)
-    return KrausChannel._built(d1, d2, ops, _gram(factor), factor, tp_defect)
+    return KrausChannel._built(d1, d2, ops, _gram(factor), factor, float(_marginal_defects(factor, d1)[0]))
 
 
 def tensor_with_identity(t: KrausChannel, d_anc: int) -> KrausChannel:

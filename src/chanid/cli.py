@@ -66,9 +66,7 @@ def _cmd_reconstruct(args) -> int:
         raise ValueError("--report needs --out: without --out the channel and its residuals go to stdout")
     w = serialize.density_from_json(_load_json(args.w))
     ref = serialize.reference_from_json(_load_json(args.ref))
-    if w.dim % ref.dim != 0:
-        raise ValueError(f"state dim {w.dim} is not a multiple of reference dim {ref.dim}")
-    report = serialize.reconstruction_to_json(reconstruct(w, ref, w.dim // ref.dim))
+    report = serialize.reconstruction_to_json(reconstruct(w, ref))
     if args.out:  # the channel to --out, the residuals to the sidecar
         _emit(report.pop("channel"), args.out)
         _emit(report, args.report or args.out + ".report.json")
@@ -109,10 +107,7 @@ def _cmd_sweep(args) -> int:
     if args.grid:
         grid = [float(x) for x in args.grid.split(",")]
     elif "min_eig_grid" in raw:
-        try:
-            grid = [serialize._json_float(x, "min_eig_grid entry") for x in raw["min_eig_grid"]]
-        except TypeError as exc:
-            raise ValueError(f"min_eig_grid must be a list of numbers: {exc}") from exc
+        grid = serialize._json_floats(raw["min_eig_grid"], "min_eig_grid")
     else:
         raise ValueError("sweep needs --grid or a min_eig_grid entry in the config")
     records = harness.run_spectrum_sweep(cfg, grid)

@@ -47,7 +47,7 @@ from .identify import _probe_outputs, _reconstruct_stack, _reference_arrays
 from .linalg import CHANNEL_SITE, NOISE_SITE, TRACE_TOL, DensityOperator, _adjoint, _clip_spectra, _draw, _haar
 from .linalg import _hermitian_norms, _seed, hermitian_part
 from .metrics import _channel_fidelities, _fidelity_lower_bounds
-from .serialize import _json_float, _json_int
+from .serialize import _json_float, _json_floats, _json_int
 
 # Complex entries per stacked matrix stage: a chunk holds
 # CHUNK_ENTRIES // (d1 * d2)**2 trials (at least one).  Each chunk costs a
@@ -155,8 +155,7 @@ def ref_spec_from_json(obj) -> RefSpec:
     if obj == "maximally_mixed":
         return RefSpec(kind="maximally_mixed")
     if isinstance(obj, dict) and "spectrum" in obj:
-        spectrum = tuple(_json_float(x, "spectrum entry") for x in obj["spectrum"])
-        return RefSpec(kind="spectrum", spectrum=spectrum)
+        return RefSpec(kind="spectrum", spectrum=tuple(_json_floats(obj["spectrum"], "spectrum")))
     if isinstance(obj, dict) and "random_min_eig" in obj:
         return RefSpec(kind="random_min_eig", min_eig=_json_float(obj["random_min_eig"], "random_min_eig"))
     raise ValueError(f"malformed ref_spec {obj!r}")
@@ -270,9 +269,9 @@ def _trial_records(cfg: ExperimentConfig, indices: range, factor, refs, noise_se
     with one SVD of a (d1·d2) × rank matrix per trial.
     """
     _, min_eig, x, x_inv = refs
-    w = _probe_outputs(factor, x, cfg.d2)
+    w = _probe_outputs(factor, x)
     noisy = _noisy(w, cfg.noise, noise_seeds)
-    factor_rec, tp_residual, consistency, _ = _reconstruct_stack(noisy, x_inv, cfg.d2)
+    factor_rec, tp_residual, consistency, _ = _reconstruct_stack(noisy, x_inv)
     trace_dist = _hermitian_norms(noisy - w)[1]
     fidelity = _channel_fidelities(factor_rec, factor, cfg.d1)
     eps = cfg.noise.eps if cfg.noise.kind != "none" else 0.0

@@ -7,7 +7,9 @@ complex-symmetric X = sum_i sqrt(p_i) phi_i phi_iᵀ.  Sending one half of
 (1 ⊗ X) C (1 ⊗ X)† on H_out ⊗ H_in, with C the Choi matrix of T, so
 recovery is the single congruence C = (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)†.  Both act
 on factors: with C = K K†, w is the Gram product G G† of G = (1 ⊗ X) K, and
-the inversion lifts a factor of w by 1 ⊗ X⁻¹.  One core, ``_reference_arrays``,
+the inversion lifts a factor of w by 1 ⊗ X⁻¹.  Both take only the data and
+rho: the output dimension d2 is the row count of a factor, or of w, over
+d1 = dim rho.  One core, ``_reference_arrays``,
 turns rho into (p, phi) by one phase-fixed ``eigh``, admits min_eig = p_0 above
 the cutoff with 1/min_eig finite, and forms X and X⁻¹: a ``ReferenceState`` is
 it on a stack of one, and the round trip runs it on its stacks.  The
@@ -174,24 +176,25 @@ def _reference_arrays(rho: np.ndarray, cutoff: float = ADMISSIBILITY_CUTOFF) -> 
     return spec, _admit(spec.eigenvalues, cutoff), *_probe_matrices(spec.eigenvalues, spec.eigenvectors)
 
 
-def _lift(x: np.ndarray, f: np.ndarray, d2: int) -> np.ndarray:
-    """(1 ⊗ x) f for a factor f on H_out ⊗ H_in: x acts on each d1-row block.
+def _lift(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(1 ⊗ x) f for a factor f on H_out ⊗ H_in: x acts on each d1-row block,
+    d1 = x's size, so f's row count fixes the output dimension d2.
 
     Stacks of x and of f broadcast against each other.
     """
     d1 = x.shape[-1]
-    out = x[..., None, :, :] @ f.reshape(*f.shape[:-2], d2, d1, f.shape[-1])
-    return out.reshape(*out.shape[:-3], d2 * d1, -1)
+    out = x[..., None, :, :] @ f.reshape(*f.shape[:-2], -1, d1, f.shape[-1])
+    return out.reshape(*out.shape[:-3], -1, f.shape[-1])
 
 
 def forward_map(t: KrausChannel, ref: ReferenceState) -> DensityOperator:
     """Probe output w = (T ⊗ id)(|Omega><Omega|) = (1 ⊗ X) C (1 ⊗ X)† on H_out ⊗ H_in."""
     if t.dim_in != ref.dim:
         raise ValueError(f"channel input dim {t.dim_in} != reference dim {ref.dim}")
-    return DensityOperator._checked(_probe_outputs(t._factor, ref.x, t.dim_out))
+    return DensityOperator._checked(_probe_outputs(t._factor, ref.x))
 
 
-def _probe_outputs(factor: np.ndarray, x: np.ndarray, d2: int) -> np.ndarray:
+def _probe_outputs(factor: np.ndarray, x: np.ndarray) -> np.ndarray:
     """:func:`forward_map` from a Choi factor K, C = K K†, and a probe matrix,
     or from stacks of them: w = G G† with G = (1 ⊗ X) K.
 
@@ -199,7 +202,7 @@ def _probe_outputs(factor: np.ndarray, x: np.ndarray, d2: int) -> np.ndarray:
     trace-preserving; the outputs are Hermitian by construction and PSD up
     to rounding.
     """
-    w = _gram(_lift(x, factor, d2))
+    w = _gram(_lift(x, factor))
     _check_unit_traces(w, "probe output trace")
     return w
 
@@ -227,7 +230,7 @@ def rn_operator(t: KrausChannel, ref: ReferenceState) -> RNOperator:
     """
     if t.dim_in != ref.dim:
         raise ValueError(f"channel input dim {t.dim_in} != reference dim {ref.dim}")
-    return RNOperator(mat=_gram(_lift(ref.x_inv.conj().T, t._factor, t.dim_out)))
+    return RNOperator(mat=_gram(_lift(ref.x_inv.conj().T, t._factor)))
 
 
 def _apply_rn_matrix(v: np.ndarray, f_mat: np.ndarray, sigma_mat: np.ndarray) -> np.ndarray:
@@ -251,40 +254,42 @@ def apply_rn(v: np.ndarray, f: RNOperator, sigma: DensityOperator) -> np.ndarray
     return _apply_rn_matrix(v, f.mat, sigma.mat)
 
 
-def reconstruct(w: DensityOperator | np.ndarray, ref: ReferenceState, d2: int) -> ReconstructionResult:
+def reconstruct(w: DensityOperator | np.ndarray, ref: ReferenceState) -> ReconstructionResult:
     """Invert the probe map: the CP map with Choi matrix (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)†.
 
     For w produced by a noiseless probe this returns the true channel; for
     perturbed w it returns the (generally non-trace-preserving) CP map that
-    the inversion formula defines, with residual diagnostics.  w must have
-    unit trace within ``linalg.TRACE_TOL``; a plain array w is checked here, as
-    a ``DensityOperator`` is at construction, for finite entries and a
-    Hermiticity defect within ``linalg.HERMITICITY_TOL``.  One ``eigh`` of w
-    does the rest.  This is the one clip of w, array or ``DensityOperator``:
-    eigenvalues in [-W_PSD_TOL, 0) are zeroed, the trace restored and their
-    whole weight reported as ``clip_magnitude``; anything more negative raises
-    :class:`NotCompletelyPositiveError`.  Eigenvalues up to
-    CHOI_REL_TOL·||w||_op are dropped, and the map's Kraus operators are cut
-    from the factor of C the kept ones give.
+    the inversion formula defines, with residual diagnostics.  The output
+    dimension is w's over ref.dim, which must divide it (checked here alone).
+    w must have unit trace within ``linalg.TRACE_TOL``; a plain array w is
+    checked here, as a ``DensityOperator`` is at construction, for finite
+    entries and a Hermiticity defect within ``linalg.HERMITICITY_TOL``.  One
+    ``eigh`` of w does the rest.  This is the one clip of w, array or
+    ``DensityOperator``: eigenvalues in [-W_PSD_TOL, 0) are zeroed, the trace
+    restored and their whole weight reported as ``clip_magnitude``; anything
+    more negative raises :class:`NotCompletelyPositiveError`.  Eigenvalues up
+    to CHOI_REL_TOL·||w||_op are dropped, and the map's Kraus operators are
+    cut from the factor of C the kept ones give.
     """
     w_mat = w.mat if isinstance(w, DensityOperator) else np.asarray(w, dtype=complex)
-    d1 = ref.dim
-    n = d2 * d1
-    if w_mat.shape != (n, n):
-        raise ValueError(f"state shape {w_mat.shape} is not ({n}, {n})")
+    if w_mat.ndim != 2 or w_mat.shape[0] != w_mat.shape[1]:
+        raise ValueError(f"state must be square, got shape {w_mat.shape}")
+    if len(w_mat) % ref.dim != 0:
+        raise ValueError(f"state dim {len(w_mat)} is not a multiple of reference dim {ref.dim}")
     if not isinstance(w, DensityOperator):
         _check_finite_hermitian(w_mat, "state")
-    factor, tp, consistency, clipped = _reconstruct_stack(w_mat[None], ref.x_inv[None], d2)
+    factor, tp, consistency, clipped = _reconstruct_stack(w_mat[None], ref.x_inv[None])
     return ReconstructionResult(
-        cp_map=_channel_of(factor[0], float(tp[0]), d1, d2),
+        cp_map=_channel_of(factor[0], ref.dim),
         tp_residual=float(tp[0]),
         consistency_residual=float(consistency[0]),
         clip_magnitude=float(clipped[0]),
     )
 
 
-def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, d2: int) -> tuple:
-    """:func:`reconstruct` for a stack of states w and of inverse probe matrices x_inv.
+def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray) -> tuple:
+    """:func:`reconstruct` for a stack of states w and of inverse probe matrices x_inv,
+    the output dimension read from w's rows as :func:`_lift` reads it.
 
     Returns ``(factor, tp_residual, consistency_residual, clip_magnitude)``.
     One ``eigh`` of each w, w = U diag(lam) U†, gives the PSD check, the
@@ -302,6 +307,6 @@ def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, d2: int) -> tuple:
             f"input state has eigenvalue {lam[:, 0].min():.3e} < -{W_PSD_TOL:.1e}"
         )
     lam, clipped = _clip_spectra(lam)
-    full = _lift(x_inv, u * np.sqrt(lam)[:, None, :], d2)
+    full = _lift(x_inv, u * np.sqrt(lam)[:, None, :])
     factor = np.where((lam > CHOI_REL_TOL * lam[:, -1:])[:, None, :], full, 0.0)
-    return factor, _marginal_defects(factor, d1, d2)[0], _marginal_defects(full, d1, d2)[1], clipped
+    return factor, _marginal_defects(factor, d1)[0], _marginal_defects(full, d1)[1], clipped

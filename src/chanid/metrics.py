@@ -162,21 +162,17 @@ def worst_case_bound(
     """
     if w1.dim != w2.dim:
         raise ValueError(f"dimension mismatch: {w1.dim} vs {w2.dim}")
-    if w1.dim % ref.dim != 0:
-        raise ValueError(f"state dim {w1.dim} is not a multiple of reference dim {ref.dim}")
-    d1 = ref.dim
-    d2 = w1.dim // d1
-    rec1 = reconstruct(w1, ref, d2)
-    rec2 = reconstruct(w2, ref, d2)
+    rec1 = reconstruct(w1, ref)
+    rec2 = reconstruct(w2, ref)
     fid = channel_fidelity(rec1.cp_map, rec2.cp_map)
     tdist = float(_hermitian_norms(hermitian_part(w1.mat - w2.mat))[1])
     rho_inv_norm = 1.0 / ref.min_eig
     return BoundReport(
         fidelity=fid,
-        bound=fidelity_lower_bound(tdist, rho_inv_norm, d1),
+        bound=fidelity_lower_bound(tdist, rho_inv_norm, ref.dim),
         trace_dist_w=tdist,
         rho_inv_norm=rho_inv_norm,
-        dim=d1,
+        dim=ref.dim,
     )
 
 
@@ -266,7 +262,7 @@ def _full_rank(sigma: np.ndarray) -> np.ndarray:
     return sigma / np.trace(sigma).real
 
 
-def _dual_candidate(j: np.ndarray, sigma: np.ndarray, d_out: int) -> tuple[float, np.ndarray, np.ndarray]:
+def _dual_candidate(j: np.ndarray, sigma: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """One candidate of the dual upper end at a full-rank state σ on H_in.
 
     With S = 1 ⊗ σ^{1/2} and M = S J S = V diag(mu) V†, Y = S⁻¹ |M| S⁻¹
@@ -278,11 +274,11 @@ def _dual_candidate(j: np.ndarray, sigma: np.ndarray, d_out: int) -> tuple[float
     d_in = len(sigma)
     p, u = np.linalg.eigh(sigma)
     root, inv_root = (u * np.sqrt(p)) @ _adjoint(u), (u / np.sqrt(p)) @ _adjoint(u)
-    mu, v = np.linalg.eigh(hermitian_part(_lift(root, _adjoint(_lift(root, j, d_out)), d_out)))
+    mu, v = np.linalg.eigh(hermitian_part(_lift(root, _adjoint(_lift(root, j)))))
     abs_factor = v * np.sqrt(np.abs(mu))
-    factor = _lift(inv_root, abs_factor, d_out)
-    upper = _hermitian_norms(_marginal(factor, d_in, d_out))[0]
-    return float(upper), factor, _marginal(abs_factor, d_in, d_out)
+    factor = _lift(inv_root, abs_factor)
+    upper = _hermitian_norms(_marginal(factor, d_in))[0]
+    return float(upper), factor, _marginal(abs_factor, d_in)
 
 
 def _face_start(psi: np.ndarray, d_in: int) -> np.ndarray | None:
@@ -317,7 +313,7 @@ def _dual_upper(j: np.ndarray, witnesses: list, t1: KrausChannel, t2: KrausChann
     sigmas, uppers, factors = [], [], []
     for sigma, steps in chains:
         for step in range(steps + 1):
-            upper, factor, abs_marginal = _dual_candidate(j, sigma, d_out)
+            upper, factor, abs_marginal = _dual_candidate(j, sigma)
             sigmas.append(sigma)
             uppers.append(upper)
             factors.append(factor)
@@ -414,5 +410,5 @@ def cb_norm_of_channel(t: KrausChannel) -> NormInterval:
         raise ValueError(f"channel is not trace-preserving (defect {t.tp_defect:.3e})")
     omega_vec = _maximally_entangled(t.dim_in)
     lower = cb_objective(t, None, omega_vec)
-    upper = float(_hermitian_norms(_marginal(t._factor, t.dim_in, t.dim_out))[0])
+    upper = float(_hermitian_norms(_marginal(t._factor, t.dim_in))[0])
     return _certified(lower, upper, omega_vec, np.eye(t.dim_in, dtype=complex) / t.dim_in)

@@ -46,6 +46,14 @@ def _json_float(value, name: str) -> float:
         raise ValueError(f"{name} overflows a double") from exc
 
 
+def _json_floats(value, name: str) -> list[float]:
+    """A JSON list of real numbers, each entry read by :func:`_json_float`; anything
+    else (a string, an object, a number) raises ``ValueError`` naming the field."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON list of numbers, got {type(value).__name__}")
+    return [_json_float(x, f"{name} entry") for x in value]
+
+
 def _pairs(m: np.ndarray) -> list:
     """The [re, im] pairs of a complex array's entries, row-major, as Python floats."""
     return np.ascontiguousarray(m).view(float).reshape(-1, 2).tolist()

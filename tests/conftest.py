@@ -362,7 +362,7 @@ def _oracle_trial(cfg, trial_index: int, t, ref, noise_seed: int):
 
     w = forward_map(t, ref)
     w_noisy = apply_noise(w, cfg.noise, noise_seed)
-    rec = reconstruct(w_noisy, ref, cfg.d2)
+    rec = reconstruct(w_noisy, ref)
     # the trace norm of a Hermitian difference, as the sum of its |eigenvalues|
     tdist = float(np.sum(np.abs(np.linalg.eigvalsh(w_noisy.mat - w.mat))))
     return TrialRecord(

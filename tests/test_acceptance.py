@@ -75,7 +75,7 @@ def test_criterion_01_roundtrip_identity():
         d1, d2, rank = _instance(k)
         t = random_channel(d1, d2, rank, seed=10_000 + k)
         ref = _reference(rng, d1)
-        rec = reconstruct(forward_map(t, ref), ref, d2)
+        rec = reconstruct(forward_map(t, ref), ref)
         worst = max(worst, np.linalg.norm(choi(rec.cp_map).mat - choi(t).mat, "nuc"))
     elapsed = time.time() - start
     _report(
@@ -121,7 +121,7 @@ def test_criterion_03_maximally_mixed_special_case():
         t = random_channel(d1, d2, rank, seed=30_000 + k)
         ref = make_reference(maximally_mixed(d1))
         w = forward_map(t, ref)
-        rec = reconstruct(w, ref, d2)
+        rec = reconstruct(w, ref)
         direct = from_choi(ChoiMatrix(dim_in=d1, dim_out=d2, mat=d1 * w.mat))
         worst = max(worst, np.linalg.norm(choi(rec.cp_map).mat - choi(direct).mat, "nuc"))
     _report(3, "maximally mixed reference = Choi inversion", worst <= 1e-9, f"worst {worst:.2e}")
@@ -273,13 +273,13 @@ def test_criterion_09_consistency_condition():
         d1, d2, rank = _instance(k)
         t = random_channel(d1, d2, rank, seed=90_000 + k)
         ref = _reference(rng, d1, min_eig=0.02)
-        worst = max(worst, reconstruct(forward_map(t, ref), ref, d2).consistency_residual)
+        worst = max(worst, reconstruct(forward_map(t, ref), ref).consistency_residual)
     ref = make_reference(DensityOperator(np.diag([0.3, 0.7])))
     w = forward_map(random_channel(2, 2, 2, seed=91_000), ref)
     residuals = []
     for eps in (0.0, 0.01, 0.05, 0.1):
         mixed = DensityOperator((1 - eps) * w.mat + eps * np.eye(4) / 4)
-        residuals.append(reconstruct(mixed, ref, 2).consistency_residual)
+        residuals.append(reconstruct(mixed, ref).consistency_residual)
     increasing = all(b > a for a, b in zip(residuals, residuals[1:]))
     _report(
         9,

@@ -238,7 +238,7 @@ class TestOneKrausCut:
     @staticmethod
     def reconstructed(t):
         ref = make_reference(maximally_mixed(t.dim_in))
-        return reconstruct(forward_map(t, ref), ref, t.dim_out).cp_map
+        return reconstruct(forward_map(t, ref), ref).cp_map
 
     @pytest.mark.parametrize("cut_from", ["from_choi", "reconstruct"])
     def test_one_svd_of_the_kept_columns(self, monkeypatch, cut_from):
@@ -500,7 +500,7 @@ def _wide_composite():
 def _rank_one_reconstruction():
     t = random_channel(3, 3, 1, seed=30)
     ref = make_reference(maximally_mixed(3))
-    return reconstruct(forward_map(t, ref), ref, 3).cp_map
+    return reconstruct(forward_map(t, ref), ref).cp_map
 
 
 class TestOneKrausArray:

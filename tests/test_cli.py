@@ -87,6 +87,14 @@ class TestReconstruct:
         assert payload["tp_residual"] <= 1e-8
         assert "channel" in payload
 
+    def test_state_dim_not_a_multiple_of_the_reference_dim(self, tmp_path, capsys):
+        w_path = write_json(tmp_path / "w.json", density_to_json(DensityOperator(np.eye(4) / 4)))
+        ref_path = write_json(tmp_path / "ref.json", reference_to_json(make_reference(maximally_mixed(3))))
+        assert cli_main(["reconstruct", "--w", w_path, "--ref", ref_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "chanid: error: state dim 4 is not a multiple of reference dim 3\n"
+        assert captured.out == ""
+
     def test_sidecar_and_channel_split_the_stdout_payload(self, tmp_path, capsys, noiseless_setup):
         # one serialization is the source of both forms, in the same key order
         _, w_path, ref_path = noiseless_setup
@@ -506,6 +514,34 @@ class TestMalformedInput:
         w_path = write_json(tmp_path / "w.json", density_to_json(DensityOperator(np.eye(4) / 4)))
         code = cli_main(["reconstruct", "--w", w_path, "--ref", ref_path])
         self.assert_one_line_error(code, capsys)
+
+
+class TestNonListNumberFields:
+    """min_eig_grid and a reference spectrum must be JSON lists: a string or an
+    object is not walked entry by entry, and the one-line error names the field."""
+
+    CONFIG = {"d1": 2, "d2": 2, "kraus_rank": 2, "trials": 1, "seed": 3}
+    FORMS = pytest.mark.parametrize(
+        "value, kind", [("0.1", "str"), ({"0.5": 1}, "dict"), (0.5, "float")], ids=["string", "object", "number"]
+    )
+
+    @FORMS
+    def test_sweep_grid(self, tmp_path, capsys, value, kind):
+        cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "min_eig_grid": value})
+        out = tmp_path / "s.csv"
+        assert cli_main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"chanid: error: min_eig_grid must be a JSON list of numbers, got {kind}\n"
+        assert not out.exists()
+
+    @FORMS
+    @pytest.mark.parametrize("command", ["roundtrip", "sweep"])
+    def test_spectrum(self, tmp_path, capsys, value, kind, command):
+        config = {**self.CONFIG, "ref_spec": {"spectrum": value}, "min_eig_grid": [0.1]}
+        cfg = write_json(tmp_path / "cfg.json", config)
+        out = tmp_path / "o.csv"
+        assert cli_main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"chanid: error: spectrum must be a JSON list of numbers, got {kind}\n"
+        assert not out.exists()
 
 
 class TestBoolMatrixEntries:

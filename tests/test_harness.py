@@ -288,19 +288,19 @@ class TestStackedProductsKeepTheBitsOfSingleCalls:
         z, *ref_draws = linalg._draw(seeds, linalg.CHANNEL_SITE, *fills)  # the trials' one stream, as run_roundtrip
         factor = channel._kraus_factors(z, d, rank)
         _, _, x, x_inv = harness._random_references(0.05 / d, *ref_draws)
-        lifted = identify._lift(x, factor, d)
+        lifted = identify._lift(x, factor)
         w = linalg._gram(lifted)
-        shared = identify._lift(x, factor[:1], d)  # a sweep's one channel against every reference
-        u = identify._lift(x_inv, np.linalg.eigh(w)[1], d)  # the reconstruction's lift
+        shared = identify._lift(x, factor[:1])  # a sweep's one channel against every reference
+        u = identify._lift(x_inv, np.linalg.eigh(w)[1])  # the reconstruction's lift
         for i in range(n):
             own = random_channel(d, d, rank, seed=seeds[i])._factor  # the layout a single call reads
             assert np.array_equal(own, factor[i])
             for f in (factor[i], own):
-                assert np.array_equal(lifted[i], identify._lift(x[i], f, d))
-            assert np.array_equal(shared[i], identify._lift(x[i], factor[0], d))
+                assert np.array_equal(lifted[i], identify._lift(x[i], f))
+            assert np.array_equal(shared[i], identify._lift(x[i], factor[0]))
             assert np.array_equal(w[i], linalg._gram(lifted[i]))
-            assert np.array_equal(w[i], linalg._gram(identify._lift(x[i], own, d)))
-            assert np.array_equal(u[i], identify._lift(x_inv[i], np.linalg.eigh(w[i])[1], d))
+            assert np.array_equal(w[i], linalg._gram(identify._lift(x[i], own)))
+            assert np.array_equal(u[i], identify._lift(x_inv[i], np.linalg.eigh(w[i])[1]))
 
 
 class TestSpectrumDraw:

@@ -37,7 +37,7 @@ from chanid.linalg import (
     random_unitary,
     spectral_decomposition,
 )
-from chanid.metrics import channel_fidelity
+from chanid.metrics import channel_fidelity, worst_case_bound
 
 from conftest import (
     choi_elementwise_oracle,
@@ -426,7 +426,7 @@ class TestReconstruct:
     def test_identity_round_trip(self):
         rng = np.random.default_rng(13)
         ref = rand_reference(rng, 2)
-        result = reconstruct(forward_map(identity_channel(2), ref), ref, 2)
+        result = reconstruct(forward_map(identity_channel(2), ref), ref)
         assert result.tp_residual <= 1e-9
         assert np.linalg.norm(choi(result.cp_map).mat - choi(identity_channel(2)).mat, "nuc") <= 1e-9
 
@@ -437,7 +437,7 @@ class TestReconstruct:
             t = random_channel(d1, d2, min(d1 * d2, 2 + k % 3), seed=600 + k)
             ref = rand_reference(rng, d1)
             w = forward_map(t, ref)
-            rec = reconstruct(w, ref, d2)
+            rec = reconstruct(w, ref)
             oracle = choi_from_w_oracle(
                 w.mat, ref.spectrum.eigenvalues, ref.spectrum.eigenvectors, d2
             )
@@ -449,7 +449,7 @@ class TestReconstruct:
             t = random_channel(2, 2, 2 + k % 3, seed=700 + k)
             ref = make_reference(maximally_mixed(2))
             w = forward_map(t, ref)
-            rec = reconstruct(w, ref, 2)
+            rec = reconstruct(w, ref)
             direct = from_choi(ChoiMatrix(dim_in=2, dim_out=2, mat=2 * w.mat))
             assert np.linalg.norm(choi(rec.cp_map).mat - choi(direct).mat, "nuc") <= 1e-9
 
@@ -460,7 +460,7 @@ class TestReconstruct:
         noise = rand_density_mat(rng, 4) - np.eye(4) / 4
         perturbed = w.mat + 5e-9 * noise  # probe outputs are rank deficient
         assert np.linalg.eigvalsh(perturbed)[0] < 0
-        rec = reconstruct(perturbed, ref, 2)
+        rec = reconstruct(perturbed, ref)
         assert rec.clip_magnitude > 0.0
 
     def test_strongly_non_psd_input_rejected(self):
@@ -471,21 +471,21 @@ class TestReconstruct:
         from chanid.channel import NotCompletelyPositiveError
 
         with pytest.raises(NotCompletelyPositiveError):
-            reconstruct(w.mat + 0.05 * noise, ref, 2)
+            reconstruct(w.mat + 0.05 * noise, ref)
 
     def test_result_map_is_cp(self):
         rng = np.random.default_rng(16)
         ref = rand_reference(rng, 2, min_eig=0.15)
         w = forward_map(random_channel(2, 2, 3, seed=17), ref)
         noisy = DensityOperator(0.9 * w.mat + 0.1 * np.eye(4) / 4)
-        rec = reconstruct(noisy, ref, 2)
+        rec = reconstruct(noisy, ref)
         assert np.linalg.eigvalsh(choi(rec.cp_map).mat)[0] >= -1e-8
 
     def test_raw_array_with_wrong_trace_rejected(self):
         ref = make_reference(maximally_mixed(2))
         w = forward_map(random_channel(2, 2, 2, seed=24), ref)
         with pytest.raises(ValueError, match="trace"):
-            reconstruct(1.01 * w.mat, ref, 2)
+            reconstruct(1.01 * w.mat, ref)
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     @pytest.mark.parametrize("min_eig", [1e-6, 1e-8, 1e-9, 3e-10, 1.5e-10])
@@ -498,7 +498,7 @@ class TestReconstruct:
         p = np.array([min_eig] + [(1.0 - min_eig) / (d - 1)] * (d - 1))
         rho = (u * p) @ u.conj().T
         ref = make_reference(DensityOperator((rho + rho.conj().T) / 2))
-        rec = reconstruct(forward_map(t, ref), ref, d)
+        rec = reconstruct(forward_map(t, ref), ref)
         assert np.max(np.abs(choi(rec.cp_map).mat - choi(t).mat)) <= 1e-12 / min_eig
         assert len(rec.cp_map.kraus) == d
 
@@ -516,7 +516,7 @@ class TestReconstruct:
             p = np.concatenate([[m], (1.0 - m) * rng.dirichlet(np.ones(d - 1))])
             rho = (u * p) @ u.conj().T
             ref = make_reference(DensityOperator((rho + rho.conj().T) / 2))
-            rec = reconstruct(forward_map(t, ref), ref, d)
+            rec = reconstruct(forward_map(t, ref), ref)
             assert len(rec.cp_map.kraus) == rank
             assert abs(1.0 - channel_fidelity(rec.cp_map, t)) * ref.min_eig <= 2e-15
 
@@ -535,7 +535,7 @@ class TestBuiltMapsCacheTheirChoi:
                     t = random_channel(d1, d2, rank, seed=1000 * d1 + 10 * d2 + rank)
                     w = forward_map(t, ref).mat
                     jittered = apply_noise(DensityOperator(w), NoiseSpec("hermitian_jitter", 0.05), seed=rank)
-                    maps = [from_choi(choi(t))] + [reconstruct(x, ref, d2).cp_map for x in (w, jittered)]
+                    maps = [from_choi(choi(t))] + [reconstruct(x, ref).cp_map for x in (w, jittered)]
                     for m in maps:
                         c = choi(m).mat
                         assert np.linalg.norm(c - choi_gram_oracle(m), 2) <= 1e-13 * np.linalg.norm(c, 2)
@@ -549,12 +549,12 @@ class TestConsistencyResidual:
         for k in range(5):
             t = random_channel(2, 3, 2, seed=800 + k)
             ref = rand_reference(rng, 2)
-            assert reconstruct(forward_map(t, ref), ref, 3).consistency_residual <= 1e-9
+            assert reconstruct(forward_map(t, ref), ref).consistency_residual <= 1e-9
 
     def test_uniform_state_with_maximally_mixed_reference(self):
         ref = make_reference(maximally_mixed(2))
         w = DensityOperator(np.eye(6) / 6)
-        assert reconstruct(w, ref, 3).consistency_residual <= 1e-12
+        assert reconstruct(w, ref).consistency_residual <= 1e-12
 
     def test_increasing_in_depolarizing_strength(self):
         ref = make_reference(DensityOperator(np.diag([0.3, 0.7])))
@@ -562,7 +562,7 @@ class TestConsistencyResidual:
         residuals = []
         for eps in (0.0, 0.01, 0.05, 0.1):
             mixed = DensityOperator((1 - eps) * w.mat + eps * np.eye(4) / 4)
-            residuals.append(reconstruct(mixed, ref, 2).consistency_residual)
+            residuals.append(reconstruct(mixed, ref).consistency_residual)
         assert residuals[0] <= 1e-9
         for a, b in zip(residuals, residuals[1:]):
             assert b > a
@@ -579,7 +579,7 @@ class TestConsistencyResidual:
             w = apply_noise(forward_map(t, ref), noises[k % 2], seed=k)
             c = choi_from_w_oracle(w.mat, ref.spectrum.eigenvalues, ref.spectrum.eigenvectors, d)
             oracle = np.linalg.norm(partial_trace_oracle(c, d, d, "first") - np.eye(d), "nuc")
-            assert abs(reconstruct(w, ref, d).consistency_residual - oracle) <= 1e-12 * max(1.0, oracle)
+            assert abs(reconstruct(w, ref).consistency_residual - oracle) <= 1e-12 * max(1.0, oracle)
 
 
 class TestMixedSignMarginal:
@@ -598,7 +598,7 @@ class TestMixedSignMarginal:
         ref = make_reference(DensityOperator(np.diag(np.array(p, dtype=complex))))
         t = KrausChannel(dim_in=d, dim_out=d, kraus=(np.diag(np.sqrt(m)) @ u,))
         w = forward_map(t, ref)
-        rec = reconstruct(w, ref, d)
+        rec = reconstruct(w, ref)
         deviation = partial_trace_oracle(choi(rec.cp_map).mat, d, d, "first") - np.eye(d)
         assert rec.tp_residual == pytest.approx(singular_values_oracle(deviation)[0], abs=1e-13)
         assert rec.tp_residual == pytest.approx(0.5, abs=1e-12)
@@ -614,7 +614,7 @@ class TestIdentificationInvariants:
             rank = max(1 + k % (d1 * d2), -(-d1 // d2))
             t = random_channel(d1, d2, rank, seed=900 + k)
             ref = rand_reference(rng, d1, min_eig=0.02)
-            rec = reconstruct(forward_map(t, ref), ref, d2)
+            rec = reconstruct(forward_map(t, ref), ref)
             assert np.linalg.norm(choi(rec.cp_map).mat - choi(t).mat, "nuc") <= 1e-8
             assert rec.tp_residual <= 1e-8
 
@@ -627,8 +627,8 @@ class TestIdentificationInvariants:
         assert choi_dist > 1e-6
         w_dist = np.linalg.norm(forward_map(t1, ref).mat - forward_map(t2, ref).mat, "nuc")
         assert w_dist > 1e-9
-        rec1 = reconstruct(forward_map(t1, ref), ref, 2)
-        rec2 = reconstruct(forward_map(t2, ref), ref, 2)
+        rec1 = reconstruct(forward_map(t1, ref), ref)
+        rec2 = reconstruct(forward_map(t2, ref), ref)
         recovered = np.linalg.norm(choi(rec1.cp_map).mat - choi(rec2.cp_map).mat, "nuc")
         assert recovered == pytest.approx(choi_dist, abs=1e-7)
 
@@ -655,7 +655,7 @@ class TestIdentificationInvariants:
         cases.append(0.8 * w_clean.mat + 0.2 * rand_density_mat(rng, 4))
         for mat in cases:
             w = DensityOperator(mat)
-            rec = reconstruct(w, ref, 2)
+            rec = reconstruct(w, ref)
             cons_zero = rec.consistency_residual <= 1e-9
             tp_zero = rec.tp_residual <= 1e-8
             assert cons_zero == tp_zero
@@ -670,8 +670,8 @@ class TestIdentificationInvariants:
         t = random_channel(2, 2, 3, seed=23)
         for vecs in (make_reference(maximally_mixed(2)).spectrum.eigenvectors, rotated):
             x, x_inv = _probe_matrices(p, vecs)
-            w = _probe_outputs(t._factor, x, 2)
-            factor = _reconstruct_stack(w[None], x_inv[None], 2)[0][0]
+            w = _probe_outputs(t._factor, x)
+            factor = _reconstruct_stack(w[None], x_inv[None])[0][0]
             assert np.linalg.norm(factor @ factor.conj().T - choi(t).mat, "nuc") <= 1e-8
 
 
@@ -680,8 +680,8 @@ class TestOneClip:
     its matrix as given, so wrapping w first changes no bit of the result."""
 
     @staticmethod
-    def assert_same_result(w, ref, d2):
-        a, b = reconstruct(DensityOperator(w), ref, d2), reconstruct(w, ref, d2)
+    def assert_same_result(w, ref):
+        a, b = reconstruct(DensityOperator(w), ref), reconstruct(w, ref)
         assert np.array(a.cp_map.kraus).tobytes() == np.array(b.cp_map.kraus).tobytes()
         assert (a.tp_residual, a.consistency_residual, a.clip_magnitude) == (
             b.tp_residual, b.consistency_residual, b.clip_magnitude
@@ -691,7 +691,7 @@ class TestOneClip:
     def test_noise_clipped_state(self):
         w = noise_clipped_state()
         vals = np.linalg.eigvalsh(w)
-        rec = self.assert_same_result(w, make_reference(maximally_mixed(2)), 2)
+        rec = self.assert_same_result(w, make_reference(maximally_mixed(2)))
         assert rec.clip_magnitude == pytest.approx(-vals[vals < 0].sum(), rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -700,7 +700,7 @@ class TestOneClip:
         t = random_channel(d, d, 1, seed=d)
         w = forward_map(t, ref).mat
         assert np.linalg.eigvalsh(w)[0] < 0.0  # rounding puts some eigenvalues below 0: the clip runs
-        rec = self.assert_same_result(w, ref, d)
+        rec = self.assert_same_result(w, ref)
         assert 0.0 < rec.clip_magnitude <= 1e-14
         assert len(rec.cp_map.kraus) == 1
 
@@ -717,15 +717,53 @@ class TestPlainArrayInput:
         w, ref = self.probe_output()
         w[0, 1] += 0.05j
         with pytest.raises(ValueError, match="state not Hermitian: defect"):
-            reconstruct(w, ref, 2)
+            reconstruct(w, ref)
 
     def test_nan_entry_is_rejected_before_any_decomposition(self):
         w, ref = self.probe_output()
         w[0, 1] = np.nan
         with pytest.raises(ValueError, match="state entries must be finite") as info:
-            reconstruct(w, ref, 2)
+            reconstruct(w, ref)
         assert not isinstance(info.value, np.linalg.LinAlgError)
 
     def test_the_exact_probe_output_is_accepted(self):
         w, ref = self.probe_output()
-        assert reconstruct(w, ref, 2).tp_residual <= 1e-12
+        assert reconstruct(w, ref).tp_residual <= 1e-12
+
+
+class TestStateDimension:
+    """reconstruct reads the output dimension from w, whose dimension must be a
+    multiple of the reference's; every caller refuses one that is not with one text."""
+
+    MESSAGE = "state dim 4 is not a multiple of reference dim 3"
+
+    @pytest.mark.parametrize("wrap", [np.asarray, DensityOperator], ids=["array", "density-operator"])
+    def test_reconstruct(self, wrap):
+        with pytest.raises(ValueError) as info:
+            reconstruct(wrap(np.eye(4, dtype=complex) / 4), make_reference(maximally_mixed(3)))
+        assert str(info.value) == self.MESSAGE
+
+    def test_worst_case_bound(self):
+        w = DensityOperator(np.eye(4) / 4)
+        with pytest.raises(ValueError) as info:
+            worst_case_bound(w, w, make_reference(maximally_mixed(3)))
+        assert str(info.value) == self.MESSAGE
+
+
+class TestTpResidualIsTheMapsTpDefect:
+    """``tp_residual`` is read from the stacked marginal of the recovered factor,
+    the map's ``tp_defect`` from the marginal of its own factor: the same float."""
+
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseSpec(), NoiseSpec("depolarize", 0.02), NoiseSpec("hermitian_jitter", 0.02)],
+        ids=["none", "depolarize", "hermitian_jitter"],
+    )
+    def test_bit_for_bit(self, noise):
+        rng = np.random.default_rng(51)
+        for d1 in range(1, 7):
+            for d2 in range(1, 7):
+                t = random_channel(d1, d2, d1, seed=100 * d1 + d2)
+                ref = rand_reference(rng, d1, min_eig=0.05 / d1)
+                rec = reconstruct(apply_noise(forward_map(t, ref), noise, seed=d1 + 10 * d2), ref)
+                assert rec.tp_residual == rec.cp_map.tp_defect, (d1, d2)

@@ -528,7 +528,7 @@ class TestUpperEndsFromMarginals:
             abs_j = (vecs * np.abs(vals)) @ vecs.conj().T
             expected = singular_values_oracle(partial_trace_oracle(abs_j, t1.dim_out, t1.dim_in, "first"))[0]
             sigma = np.eye(t1.dim_in, dtype=complex) / t1.dim_in
-            upper, factor, _ = metrics._dual_candidate(j, sigma, t1.dim_out)
+            upper, factor, _ = metrics._dual_candidate(j, sigma)
             assert abs(upper - expected) <= 1e-14 * expected
             assert np.allclose(factor @ factor.conj().T, abs_j, rtol=0, atol=1e-14)
 
