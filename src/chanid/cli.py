@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 validation error (bad arguments, malformed
 JSON), 2 numerical failure (inadmissible reference, non-CP input,
 self-check violation, CB interval whose lower end exceeds its upper end).
+
+cbdist's only tuning flags are --starts and --max-iters.  sweep reads its
+grid from --grid alone; a config's min_eig_grid key is ignored.
 """
 
 from __future__ import annotations
@@ -86,9 +89,7 @@ def _cmd_fidelity(args) -> int:
 def _cmd_cbdist(args) -> int:
     t1 = serialize.channel_from_json(_load_json(args.t1))
     t2 = serialize.channel_from_json(_load_json(args.t2))
-    interval = metrics.cb_distance_interval(
-        t1, t2, starts=args.starts, max_iters=args.max_iters, tol=args.tol, seed=args.seed
-    )
+    interval = metrics.cb_distance_interval(t1, t2, starts=args.starts, max_iters=args.max_iters)
     _emit(serialize.norm_interval_to_json(interval), args.out)
     return 0
 
@@ -102,14 +103,13 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    raw = _load_json(args.config)
-    cfg = harness.config_from_json(raw)
-    if args.grid:
-        grid = [float(x) for x in args.grid.split(",")]
-    elif "min_eig_grid" in raw:
-        grid = serialize._json_floats(raw["min_eig_grid"], "min_eig_grid")
-    else:
-        raise ValueError("sweep needs --grid or a min_eig_grid entry in the config")
+    grid = []
+    for entry in args.grid.split(","):
+        try:
+            grid.append(float(entry))
+        except ValueError:
+            raise ValueError(f"--grid entry {entry!r} is not a number") from None
+    cfg = harness.config_from_json(_load_json(args.config))
     records = harness.run_spectrum_sweep(cfg, grid)
     harness.write_records_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
@@ -147,8 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", required=True)
     p.add_argument("--starts", type=int, default=metrics.CB_STARTS)
     p.add_argument("--max-iters", type=int, default=metrics.CB_MAX_ITERS)
-    p.add_argument("--tol", type=float, default=metrics.CB_TOL)
-    p.add_argument("--seed", type=int, default=metrics.CB_SEED)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_cbdist)
 
@@ -160,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="reconstruction quality versus reference spectrum")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid", help="comma-separated min-eigenvalue grid (overrides config)")
+    p.add_argument("--grid", required=True, help="comma-separated min-eigenvalue grid")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

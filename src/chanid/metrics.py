@@ -23,11 +23,13 @@ The objective is concave in σ = (Ψᵀ)†Ψᵀ: it equals ||S J S||_1 = max tr
 over -1 ⊗ σ <= W <= 1 ⊗ σ (Watrous, "Simpler semidefinite programs for
 completely bounded norms", 2012).  Every full-rank start therefore climbs
 to the same maximum, and the default start set is small: the maximally
-entangled vector and 2 seeded random vectors.  Where the optimal σ is
-rank-deficient the ascent crawls, so a witness with small singular values
-ascends once more from its truncation.  The dual is tight at the optimal σ,
-where tr_out |M| is proportional to σ, so the dual's σ starts at the
-witness's and takes a few fixed-point steps σ <- tr_out |M| / tr |M|.
+entangled vector and 2 random vectors drawn at the fixed seed CB_SEED,
+each ascending until a step improves it by less than CB_TOL.  Where the
+optimal σ is rank-deficient the ascent crawls, so a witness with small
+singular values ascends once more from its truncation.  The dual is tight
+at the optimal σ, where tr_out |M| is proportional to σ, so the dual's σ
+starts at the witness's and takes a few fixed-point steps
+σ <- tr_out |M| / tr |M|.
 """
 
 from __future__ import annotations
@@ -38,13 +40,14 @@ import numpy as np
 
 from .channel import KrausChannel, _marginal, choi
 from .identify import ReferenceState, _lift, reconstruct
-from .linalg import CB_STARTS_SITE, DensityOperator, _adjoint, _channel_fidelities, _draw, _eigen_factors, _seed
+from .linalg import CB_STARTS_SITE, DensityOperator, _adjoint, _channel_fidelities, _draw, _eigen_factors
 from .linalg import _gram, _hermitian_norms, hermitian_part
 
 
 # Defaults of cb_distance_interval (and of the ``cbdist`` command): random
-# starts on top of the fixed ones, the step cap per start, the improvement
-# below which a start stops, and the seed the random starts are drawn from.
+# starts on top of the fixed one and the step cap per start.  Fixed: the
+# improvement below which a start stops, and the seed the random starts are
+# drawn from.
 CB_STARTS = 2
 CB_MAX_ITERS = 1000
 CB_TOL = 1e-10
@@ -193,42 +196,34 @@ def _objective_values(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int) ->
     return np.sum(np.abs(np.linalg.eigvalsh(_stabilized_outputs(r, psis, d_in, d_out))), axis=-1)
 
 
-def _probe(psi, d_in: int, what: str) -> tuple[np.ndarray, float]:
-    """psi as a flat complex vector of length d_in², finite and nonzero, and its norm."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != d_in * d_in:
-        raise ValueError(f"{what} has length {psi.size}, expected {d_in * d_in}")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(psi))
-    if not 0.0 < norm < np.inf:  # NaN too
-        raise ValueError(f"{what} must be finite and nonzero, with a finite norm")
-    return psi, norm
-
-
-def cb_objective(t1: KrausChannel, t2: KrausChannel | None, psi: np.ndarray) -> float:
+def cb_objective(t1: KrausChannel, t2: KrausChannel, psi: np.ndarray) -> float:
     """||((T1 - T2) ⊗ id)(|psi><psi|)||_1 for a finite psi with | ||psi|| - 1 | <= 1e-9.
 
     This is the exact function the interval optimizer maximizes, exposed so
     reported lower bounds can be re-checked at their witness states.
     """
-    if t2 is not None:
-        _check_same_dims(t1, t2)
+    _check_same_dims(t1, t2)
     d_in, d_out = t1.dim_in, t1.dim_out
-    psi, norm = _probe(psi, d_in, "probe vector")
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if psi.size != d_in * d_in:
+        raise ValueError(f"probe vector has length {psi.size}, expected {d_in * d_in}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(psi))
+    if not 0.0 < norm < np.inf:  # NaN too
+        raise ValueError("probe vector must be finite and nonzero, with a finite norm")
     if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"probe vector has norm {norm!r}, expected 1 within 1e-9")
-    j = choi(t1).mat if t2 is None else choi(t1).mat - choi(t2).mat
-    r = _realign(j, (d_out, d_in, d_out, d_in))
+    r = _realign(choi(t1).mat - choi(t2).mat, (d_out, d_in, d_out, d_in))
     return float(_objective_values(r, psi[None], d_in, d_out)[0])
 
 
-def _ascend(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int, max_iters: int, tol: float):
+def _ascend(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int, max_iters: int):
     """Alternating ascent from every row of psis at once; no value decreases.
 
     Each start alternates between the optimal Hermitian sign contraction
     for its current probe and the top eigenvector of the back-lifted sign
     matrix.  It accepts a candidate only if the value rises, and leaves the
-    batch after the first iteration that improves it by less than ``tol``.
+    batch after the first iteration that improves it by less than CB_TOL.
     One ``eigh`` of the candidates' stabilized outputs per step gives both
     their values and, for the accepted ones, the next step's sign matrices.
     """
@@ -252,7 +247,7 @@ def _ascend(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int, max_iters: i
         risen = active[rises]
         best_val[risen], best_psi[risen] = values[rises], candidates[rises]
         vals[risen], vecs[risen] = cand_vals[rises], cand_vecs[rises]
-        active = active[improvement >= tol]
+        active = active[improvement >= CB_TOL]
     return best_val, best_psi
 
 
@@ -342,22 +337,15 @@ def _maximally_entangled(d: int) -> np.ndarray:
 
 
 def cb_distance_interval(
-    t1: KrausChannel,
-    t2: KrausChannel,
-    starts: int = CB_STARTS,
-    max_iters: int = CB_MAX_ITERS,
-    tol: float = CB_TOL,
-    seed: int = CB_SEED,
-    extra_starts: tuple[np.ndarray, ...] = (),
+    t1: KrausChannel, t2: KrausChannel, starts: int = CB_STARTS, max_iters: int = CB_MAX_ITERS
 ) -> NormInterval:
     """Certified interval around the CB-norm distance ||T1 - T2||_cb.
 
     The maximization runs over unit vectors of H_in ⊗ H_in (stabilization
     by the input dimension suffices for Hermiticity-preserving differences
     of maps, and pure inputs attain the supremum).  Starts are the maximally
-    entangled vector, any ``extra_starts`` (finite, nonzero, of length d_in²,
-    normalized here) and ``starts`` random vectors drawn one after another at
-    the CB-starts site of ``seed``, in that order; all ascend together and
+    entangled vector and ``starts`` random vectors drawn one after another
+    at the CB-starts site of CB_SEED, in that order; all ascend together and
     the first with the highest value wins.  The objective is concave in
     σ = (Ψᵀ)†Ψᵀ, so few starts are needed: full-rank starts climb to the
     same maximum.  Towards a rank-deficient optimum they crawl, so a winner
@@ -371,21 +359,17 @@ def cb_distance_interval(
     _check_same_dims(t1, t2)
     if starts < 0 or max_iters < 0:
         raise ValueError(f"starts and max_iters must be >= 0, got {starts} and {max_iters}")
-    if not tol >= 0:  # NaN too: it would stop every start after one step
-        raise ValueError(f"tol must be >= 0, got {tol}")
     d1, d2 = t1.dim_in, t1.dim_out
-    [z] = _draw([_seed(seed)], CB_STARTS_SITE, ("standard_normal", (starts, 2, d1 * d1)))
-    extra = [_probe(v, d1, "extra start") for v in extra_starts]
-    start_vecs = [_maximally_entangled(d1)] + [v / norm for v, norm in extra]
-    start_vecs += [v / np.linalg.norm(v) for v in z[0, :, 0] + 1j * z[0, :, 1]]
+    [z] = _draw([CB_SEED], CB_STARTS_SITE, ("standard_normal", (starts, 2, d1 * d1)))
+    start_vecs = [_maximally_entangled(d1)] + [v / np.linalg.norm(v) for v in z[0, :, 0] + 1j * z[0, :, 1]]
 
     j = choi(t1).mat - choi(t2).mat
     r = _realign(j, (d2, d1, d2, d1))
-    values, psis = _ascend(r, np.array(start_vecs), d1, d2, max_iters, tol)
+    values, psis = _ascend(r, np.array(start_vecs), d1, d2, max_iters)
     witnesses = [psis[np.argmax(values)]]
     face = _face_start(witnesses[0], d1)
     if face is not None:
-        face_value, face_psi = _ascend(r, face[None], d1, d2, max_iters, tol)
+        face_value, face_psi = _ascend(r, face[None], d1, d2, max_iters)
         if face_value[0] > values.max():
             # the batch winner still seeds the dual: from the restart's
             # rank-deficient witness the σ fixed point crawls
@@ -408,7 +392,9 @@ def cb_norm_of_channel(t: KrausChannel) -> NormInterval:
     """
     if not t.trace_preserving:
         raise ValueError(f"channel is not trace-preserving (defect {t.tp_defect:.3e})")
-    omega_vec = _maximally_entangled(t.dim_in)
-    lower = cb_objective(t, None, omega_vec)
-    upper = float(_hermitian_norms(_marginal(t._factor, t.dim_in))[0])
-    return _certified(lower, upper, omega_vec, np.eye(t.dim_in, dtype=complex) / t.dim_in)
+    d_in, d_out = t.dim_in, t.dim_out
+    omega_vec = _maximally_entangled(d_in)
+    r = _realign(choi(t).mat, (d_out, d_in, d_out, d_in))
+    lower = float(_objective_values(r, omega_vec[None], d_in, d_out)[0])
+    upper = float(_hermitian_norms(_marginal(t._factor, d_in))[0])
+    return _certified(lower, upper, omega_vec, np.eye(d_in, dtype=complex) / d_in)

@@ -240,19 +240,19 @@ def _kraus_stabilized_output(t1, t2, psi: np.ndarray) -> np.ndarray:
     eye = np.eye(t1.dim_in)
     m = np.zeros((t1.dim_out * t1.dim_in,) * 2, dtype=complex)
     for sign, t in ((1.0, t1), (-1.0, t2)):
-        for a in () if t is None else t.kraus:
+        for a in t.kraus:
             v = np.kron(a, eye) @ psi
             m += sign * np.outer(v, v.conj())
     return m
 
 
 def cb_objective_kraus_oracle(t1, t2, psi: np.ndarray) -> float:
-    """||((T1 - T2) ⊗ id)(|psi><psi|)||_1 in Kraus form (t2 may be None)."""
+    """||((T1 - T2) ⊗ id)(|psi><psi|)||_1 in Kraus form."""
     m = _kraus_stabilized_output(t1, t2, np.asarray(psi, dtype=complex).reshape(-1))
     return float(np.sum(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2))))
 
 
-def _kraus_ascent(t1, t2, psi, max_iters, tol):
+def _kraus_ascent(t1, t2, psi, max_iters):
     """One start of the alternating ascent in Kraus form: (value, probe)."""
     eye = np.eye(t1.dim_in)
     lifted = [(1.0, np.kron(a, eye)) for a in t1.kraus] + [(-1.0, np.kron(a, eye)) for a in t2.kraus]
@@ -267,18 +267,16 @@ def _kraus_ascent(t1, t2, psi, max_iters, tol):
         improvement = cand_value - value
         if cand_value > value:
             value, psi = cand_value, candidate
-        if improvement < tol:
+        if improvement < CB_TOL:
             break
     return value, psi
 
 
-def cb_lower_sequential_oracle(
-    t1, t2, starts=CB_STARTS, max_iters=CB_MAX_ITERS, tol=CB_TOL, seed=CB_SEED, extra_starts=()
-):
+def cb_lower_sequential_oracle(t1, t2, starts=CB_STARTS, max_iters=CB_MAX_ITERS):
     """Lower end of the CB interval from the alternating ascent in Kraus form,
-    run start by start: the maximally entangled vector, the extra starts and
-    the random ones, in that order, with the per-start accept/stop rule,
-    first-best tie-break and defaults of ``metrics.cb_distance_interval``.
+    run start by start: the maximally entangled vector, then the random ones
+    drawn at CB_SEED, with the per-start accept/stop rule at CB_TOL, the
+    first-best tie-break and the defaults of ``metrics.cb_distance_interval``.
     A winner vec Ψ whose singular values are not all >= CB_FACE_CUT times
     the largest ascends once more from Ψ's SVD with the smaller ones zeroed,
     renormalized, and replaces the winner if it ends strictly higher
@@ -288,24 +286,21 @@ def cb_lower_sequential_oracle(
     """
     d = t1.dim_in
     start_vecs = [np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)]
-    for extra in extra_starts:
-        v = np.asarray(extra, dtype=complex).reshape(-1)
-        start_vecs.append(v / np.linalg.norm(v))
-    rng = draw_rule_generator(seed, CB_STARTS_SITE)
+    rng = draw_rule_generator(CB_SEED, CB_STARTS_SITE)
     for _ in range(starts):
         v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
         start_vecs.append(v / np.linalg.norm(v))
 
     best = (-1.0, start_vecs[0], -1)
     for index, psi in enumerate(start_vecs):
-        value, psi = _kraus_ascent(t1, t2, psi, max_iters, tol)
+        value, psi = _kraus_ascent(t1, t2, psi, max_iters)
         if value > best[0]:
             best = (value, psi, index)
     u, s, vh = np.linalg.svd(best[1].reshape(d, d))
     if s[-1] < CB_FACE_CUT * s[0]:
         kept = np.where(s >= CB_FACE_CUT * s[0], s, 0.0)
         face = ((u * kept) @ vh).reshape(-1)
-        value, psi = _kraus_ascent(t1, t2, face / np.linalg.norm(face), max_iters, tol)
+        value, psi = _kraus_ascent(t1, t2, face / np.linalg.norm(face), max_iters)
         if value > best[0]:
             best = (value, psi, -1)
     return best

@@ -206,7 +206,7 @@ def test_criterion_06_probe_continuity():
         d1, d2, rank = _instance(k)
         t1 = random_channel(d1, d2, rank, seed=60_000 + k)
         t2 = random_channel(d1, d2, rank, seed=65_000 + k)
-        interval = cb_distance_interval(t1, t2, starts=4, max_iters=60, seed=k)
+        interval = cb_distance_interval(t1, t2, starts=4, max_iters=60)
         for _ in range(5):
             ref = _reference(rng, d1, min_eig=0.02)
             dist = np.linalg.norm(forward_map(t1, ref).mat - forward_map(t2, ref).mat, "nuc")

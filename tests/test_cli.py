@@ -233,14 +233,18 @@ class TestFidelityAndCbdist:
         assert cli_main(["cbdist", "--t1", t, "--t2", t, "--starts", "-3"]) == 1
         assert "starts" in capsys.readouterr().err
 
-    def test_nan_tol_is_validation_error(self, tmp_path, capsys):
-        # a NaN tol stopped every start after one step, with exit 0
-        t1 = write_json(tmp_path / "a.json", channel_to_json(random_channel(2, 2, 2, seed=1)))
-        t2 = write_json(tmp_path / "b.json", channel_to_json(random_channel(2, 2, 2, seed=2)))
-        assert cli_main(["cbdist", "--t1", t1, "--t2", t2, "--tol", "nan"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("chanid: error:") and "tol" in err
-        assert err.count("\n") == 1
+    @pytest.mark.parametrize("flag, value", [("--tol", "1e-10"), ("--seed", "3")])
+    def test_retired_flag_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        # the ascent stops at CB_TOL and its random starts are drawn at CB_SEED
+        t = write_json(tmp_path / "a.json", channel_to_json(random_channel(2, 2, 2, seed=1)))
+        out = tmp_path / "cb.json"
+        assert cli_main(["cbdist", "--t1", t, "--t2", t, flag, value, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: chanid")
+        [error] = [line for line in captured.err.splitlines() if "error:" in line]
+        assert error == f"chanid: error: unrecognized arguments: {flag} {value}"
+        assert captured.err.endswith(error + "\n")
+        assert not out.exists()
 
     def test_fidelity_is_evaluated_once(self, tmp_path, capsys, monkeypatch):
         calls, fidelities = [], metrics._channel_fidelities
@@ -303,18 +307,44 @@ class TestBatchCommands:
         bounds = [float(r.split(",")[7]) for r in rows]
         assert all(b <= a + 1e-9 for a, b in zip(bounds, bounds[1:]))
 
-    def test_sweep_grid_from_config(self, tmp_path):
-        cfg = write_json(
-            tmp_path / "cfg.json", {**self.CONFIG, "trials": 1, "min_eig_grid": [0.5, 0.25]}
-        )
-        out = tmp_path / "sweep.csv"
-        assert cli_main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 3
+    @pytest.mark.parametrize(
+        "stale",
+        [[0.5, 0.25], ["0.1", "0.01"], [0.1, True], [[0.1]], [None], 5, "0.1", {"0.5": 1}],
+        ids=["list", "strings", "bool", "nested", "null", "number", "string", "object"],
+    )
+    def test_stale_min_eig_grid_is_ignored(self, tmp_path, capsys, stale):
+        # the grid comes from --grid alone; a config that still carries the key loads
+        plain = write_json(tmp_path / "plain.json", {**self.CONFIG, "trials": 2})
+        carrying = write_json(tmp_path / "stale.json", {**self.CONFIG, "trials": 2, "min_eig_grid": stale})
+        for argv in (["roundtrip"], ["sweep", "--grid", "0.5,0.1,0.01"]):
+            outs = [tmp_path / "plain.csv", tmp_path / "stale.csv"]
+            for cfg, out in zip((plain, carrying), outs):
+                assert cli_main(argv + ["--config", cfg, "--out", str(out)]) == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+        capsys.readouterr()
 
     def test_sweep_without_grid_fails_validation(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "trials": 1, "min_eig_grid": [0.5, 0.25]})
+        out = tmp_path / "s.csv"
+        assert cli_main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: chanid sweep")
+        [error] = [line for line in captured.err.splitlines() if "error:" in line]
+        assert error == "chanid sweep: error: the following arguments are required: --grid"
+        assert captured.err.endswith(error + "\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid, entry", [("", ""), ("0.1,,0.2", ""), ("0.1,abc", "abc")], ids=["empty", "empty-entry", "word"]
+    )
+    def test_bad_grid_entry_is_one_line_validation_error(self, tmp_path, capsys, grid, entry):
         cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "trials": 1})
-        assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 1
-        assert "grid" in capsys.readouterr().err
+        out = tmp_path / "s.csv"
+        assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"chanid: error: --grid entry {entry!r} is not a number\n"
+        assert not out.exists()
 
     def test_bad_config_is_validation_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {"d1": 2})
@@ -354,10 +384,9 @@ class TestSeedRange:
         "argv",
         [
             ["randchannel", "--d1", "2", "--d2", "2", "--rank", "2", "--seed", str(2**128)],
-            ["cbdist", "--t1", "T", "--t2", "T", "--seed", str(2**128)],
             ["roundtrip", "--config", "CFG", "--out", "OUT"],
         ],
-        ids=["randchannel-2^128", "cbdist-2^128", "config-2^64"],
+        ids=["randchannel-2^128", "config-2^64"],
     )
     def test_exit_1_with_one_line(self, tmp_path, capsys, argv):
         paths = {
@@ -442,14 +471,6 @@ class TestNonNumberFloatFields:
         assert err.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("grid", [["0.1", "0.01"], [0.1, True]], ids=["strings", "bool"])
-    def test_sweep_grid(self, tmp_path, capsys, grid):
-        cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "min_eig_grid": grid})
-        assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("chanid: error:") and "min_eig_grid entry must be a JSON number" in err
-        assert err.count("\n") == 1
-
     @pytest.mark.parametrize("cutoff", ["1e-10", True], ids=["string", "bool"])
     def test_reference_cutoff(self, tmp_path, capsys, cutoff):
         ref = {"rho": matrix_to_json(np.eye(2) / 2), "cutoff": cutoff}
@@ -478,12 +499,6 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("chanid: error:")
         assert err.count("\n") == 1
-
-    @pytest.mark.parametrize("grid", [5, [[0.1]], [None]], ids=["number", "nested", "null"])
-    def test_sweep_grid_not_a_list_of_numbers(self, tmp_path, capsys, grid):
-        cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "min_eig_grid": grid})
-        code = cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")])
-        self.assert_one_line_error(code, capsys)
 
     @pytest.mark.parametrize("bad", ["w", "ref"])
     def test_non_number_matrix_entry(self, tmp_path, capsys, noiseless_setup, bad):
@@ -517,8 +532,8 @@ class TestMalformedInput:
 
 
 class TestNonListNumberFields:
-    """min_eig_grid and a reference spectrum must be JSON lists: a string or an
-    object is not walked entry by entry, and the one-line error names the field."""
+    """A reference spectrum must be a JSON list: a string or an object is not
+    walked entry by entry, and the one-line error names the field."""
 
     CONFIG = {"d1": 2, "d2": 2, "kraus_rank": 2, "trials": 1, "seed": 3}
     FORMS = pytest.mark.parametrize(
@@ -526,20 +541,11 @@ class TestNonListNumberFields:
     )
 
     @FORMS
-    def test_sweep_grid(self, tmp_path, capsys, value, kind):
-        cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "min_eig_grid": value})
-        out = tmp_path / "s.csv"
-        assert cli_main(["sweep", "--config", cfg, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"chanid: error: min_eig_grid must be a JSON list of numbers, got {kind}\n"
-        assert not out.exists()
-
-    @FORMS
-    @pytest.mark.parametrize("command", ["roundtrip", "sweep"])
+    @pytest.mark.parametrize("command", [["roundtrip"], ["sweep", "--grid", "0.1"]], ids=["roundtrip", "sweep"])
     def test_spectrum(self, tmp_path, capsys, value, kind, command):
-        config = {**self.CONFIG, "ref_spec": {"spectrum": value}, "min_eig_grid": [0.1]}
-        cfg = write_json(tmp_path / "cfg.json", config)
+        cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "ref_spec": {"spectrum": value}})
         out = tmp_path / "o.csv"
-        assert cli_main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert cli_main(command + ["--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"chanid: error: spectrum must be a JSON list of numbers, got {kind}\n"
         assert not out.exists()
 

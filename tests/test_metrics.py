@@ -23,6 +23,7 @@ from chanid.linalg import (
 from chanid import metrics
 from chanid.channel import KrausChannel
 from chanid.metrics import (
+    CB_SEED,
     CertificateError,
     cb_distance_interval,
     cb_norm_of_channel,
@@ -230,9 +231,7 @@ class TestCbDistanceInterval:
         for k in range(8):
             d = 2 + k % 2
             u, v = random_unitary(d, seed=100 + k), random_unitary(d, seed=300 + k)
-            interval = cb_distance_interval(
-                unitary_channel(u), unitary_channel(v), starts=12, seed=k
-            )
+            interval = cb_distance_interval(unitary_channel(u), unitary_channel(v), starts=12)
             oracle = unitary_pair_cb_distance_oracle(u, v)
             assert interval.lower <= oracle + 1e-9
             assert oracle <= interval.upper + 1e-9
@@ -253,22 +252,16 @@ class TestCbDistanceInterval:
         for _ in range(5):
             ref = make_reference(DensityOperator(rand_density_mat(rng, 2, 0.05)))
             dist = np.linalg.norm(forward_map(t1, ref).mat - forward_map(t2, ref).mat, "nuc")
-            probe = ref.x.reshape(-1)
-            interval = cb_distance_interval(
-                t1, t2, starts=4, extra_starts=(probe,)
-            )
-            assert dist <= interval.upper + 1e-9
-            assert interval.lower >= dist - 1e-9  # the probe is a feasible point
+            # the probe output w = (1 ⊗ X) C (1 ⊗ X)† is the stabilized output at vec X
+            assert cb_objective(t1, t2, ref.x.reshape(-1)) == pytest.approx(dist, rel=0, abs=1e-14)
+            interval = cb_distance_interval(t1, t2, starts=4)
+            assert dist <= interval.lower <= interval.upper  # the probe is a feasible point
 
     @pytest.mark.parametrize(
         "kwargs, message",
         [
             ({"starts": -3}, "starts"),
             ({"max_iters": -1}, "max_iters"),
-            ({"seed": -1}, "seed"),
-            ({"tol": float("nan")}, "tol"),
-            ({"tol": -1.0}, "tol"),
-            ({"starts": 0, "seed": -1}, "seed"),
         ],
     )
     def test_negative_arguments_rejected(self, kwargs, message):
@@ -276,19 +269,26 @@ class TestCbDistanceInterval:
         with pytest.raises(ValueError, match=message):
             cb_distance_interval(t, t, **kwargs)
 
-    def test_random_starts_of_neighbouring_seeds_differ(self, monkeypatch):
-        # with a generator per start at seed + k, start 1 of seed 5 was start 0 of seed 6
+    @pytest.mark.parametrize("name, value", [("tol", 1e-10), ("seed", 0), ("extra_starts", ())])
+    def test_retired_settings_are_refused(self, name, value):
+        # the ascent stops at CB_TOL and its random starts are drawn at CB_SEED
+        t = random_channel(2, 2, 2, seed=11)
+        with pytest.raises(TypeError, match=name):
+            cb_distance_interval(t, t, **{name: value})
+
+    @pytest.mark.parametrize("starts", [1, 2, 5])
+    def test_random_starts_are_the_first_draws_at_the_cb_seed(self, starts, monkeypatch):
+        # so a run with fewer starts ascends the first of a default run's starts
         seen, ascend = [], metrics._ascend
         monkeypatch.setattr(metrics, "_ascend", lambda r, psis, *args: seen.append(psis) or ascend(r, psis, *args))
         t1, t2 = random_channel(2, 2, 2, seed=7), random_channel(2, 2, 2, seed=8)
-        cb_distance_interval(t1, t2, starts=2, max_iters=0, seed=5)
-        cb_distance_interval(t1, t2, starts=1, max_iters=0, seed=6)
-        (five, six), fixed = seen, 1  # the maximally entangled start comes first
-        assert not np.allclose(five[fixed + 1], six[fixed])
-        rng = draw_rule_generator(5, CB_STARTS_SITE)
-        for k in range(2):
+        cb_distance_interval(t1, t2, starts=starts, max_iters=0)
+        [psis] = seen
+        assert len(psis) == 1 + starts  # the maximally entangled start comes first
+        rng = draw_rule_generator(CB_SEED, CB_STARTS_SITE)
+        for k in range(starts):
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            assert np.array_equal(five[fixed + k], v / np.linalg.norm(v))
+            assert np.array_equal(psis[1 + k], v / np.linalg.norm(v))
 
     def test_lower_reproducible_at_witness(self):
         t1 = random_channel(3, 2, 2, seed=9)
@@ -310,7 +310,7 @@ class TestCbChoiForm:
         t2 = random_channel(d_in, d_out, d_in, seed=d_in + 7 * d_out + 1)
         scaled = KrausChannel(d_in, d_out, tuple(0.7 * a for a in t2.kraus))
         assert not scaled.trace_preserving
-        for other in (t2, None, scaled):
+        for other in (t2, zero_map(d_in, d_out), scaled):
             for _ in range(5):
                 psi = rand_state_vec(rng, d_in * d_in)
                 expected = cb_objective_kraus_oracle(t1, other, psi)
@@ -323,8 +323,8 @@ class TestCbChoiForm:
             random_channel(d_in, d_out, d_in, seed=41 + d_in + 7 * d_out),
             compose(depolarizing_channel(0.05, d_out), t1),
         ):
-            interval = cb_distance_interval(t1, t2, starts=4, seed=3)
-            expected, _, _ = cb_lower_sequential_oracle(t1, t2, starts=4, seed=3)
+            interval = cb_distance_interval(t1, t2, starts=4)
+            expected, _, _ = cb_lower_sequential_oracle(t1, t2, starts=4)
             assert interval.lower == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -342,8 +342,8 @@ class TestCbChoiForm:
 
     def test_no_iterations_is_best_start_value(self):
         t1, t2 = random_channel(3, 2, 2, seed=52), random_channel(3, 2, 3, seed=53)
-        interval = cb_distance_interval(t1, t2, starts=5, max_iters=0, seed=2)
-        expected, witness, _ = cb_lower_sequential_oracle(t1, t2, starts=5, max_iters=0, seed=2)
+        interval = cb_distance_interval(t1, t2, starts=5, max_iters=0)
+        expected, witness, _ = cb_lower_sequential_oracle(t1, t2, starts=5, max_iters=0)
         assert interval.lower == pytest.approx(expected, rel=1e-12)
         np.testing.assert_array_equal(interval.argmax_state, witness)
 
@@ -360,14 +360,6 @@ class TestCbChoiForm:
         assert interval.lower == pytest.approx(expected, rel=1e-9)
         assert interval.upper == pytest.approx(expected, rel=1e-9)
         assert interval.argmax_state.shape == (1,)
-
-    def test_extra_start_keeps_its_place_in_the_order(self):
-        t1, t2 = random_channel(2, 3, 2, seed=55), random_channel(2, 3, 2, seed=56)
-        probe = rand_state_vec(np.random.default_rng(57), 4) * 3.0  # normalized inside
-        interval = cb_distance_interval(t1, t2, starts=3, extra_starts=(probe,))
-        expected, _, _ = cb_lower_sequential_oracle(t1, t2, starts=3, extra_starts=(probe,))
-        assert interval.lower == pytest.approx(expected, rel=1e-9)
-        assert interval.lower >= cb_objective(t1, t2, probe / 3.0) - 1e-12
 
 
 def _bench_like_pair(d, kind, seed):
@@ -561,34 +553,16 @@ class TestUpperEndsFromMarginals:
 
 class TestProbeVectorsAreCheckedWhereTheyEnter:
     @pytest.mark.parametrize(
-        "start, message",
-        [
-            (np.zeros(4), "extra start must be finite and nonzero"),
-            (np.array([np.nan, 1.0, 0.0, 0.0]), "extra start must be finite and nonzero"),
-            (np.array([np.inf, 1.0, 0.0, 0.0]), "extra start must be finite and nonzero"),
-            (np.full(4, 1e200), "extra start must be finite and nonzero, with a finite norm"),
-            (np.ones(3), "extra start has length 3, expected 4"),
-        ],
-        ids=["zero", "nan", "inf", "norm-overflow", "length"],
-    )
-    def test_bad_extra_start_is_refused_before_any_decomposition(self, start, message, monkeypatch):
-        t1, t2 = random_channel(2, 2, 2, seed=91), random_channel(2, 2, 2, seed=92)
-        calls = _spy_on_decompositions(monkeypatch)
-        with pytest.raises(ValueError, match=re.escape(message)) as info:
-            cb_distance_interval(t1, t2, extra_starts=(start,))
-        assert not isinstance(info.value, np.linalg.LinAlgError)
-        assert "\n" not in str(info.value)
-        assert calls == []
-
-    @pytest.mark.parametrize(
         "scale, message",
         [
             (2.0, "expected 1 within 1e-9"),
             (1.0 + 2e-9, "expected 1 within 1e-9"),
+            (0.0, "probe vector must be finite and nonzero"),
             (np.nan, "probe vector must be finite and nonzero"),
             (np.inf, "probe vector must be finite and nonzero"),
+            (1e200, "probe vector must be finite and nonzero, with a finite norm"),
         ],
-        ids=["norm-2", "just-outside", "nan", "inf"],
+        ids=["norm-2", "just-outside", "zero", "nan", "inf", "norm-overflow"],
     )
     def test_cb_objective_refuses_a_probe_that_is_not_a_finite_unit_vector(self, scale, message, monkeypatch):
         t1, t2 = random_channel(2, 2, 2, seed=93), random_channel(2, 2, 2, seed=94)
@@ -603,7 +577,7 @@ class TestProbeVectorsAreCheckedWhereTheyEnter:
     def test_cb_objective_refuses_a_probe_of_the_wrong_length(self):
         t = random_channel(2, 2, 2, seed=93)
         with pytest.raises(ValueError, match="probe vector has length 3, expected 4"):
-            cb_objective(t, None, np.ones(3) / np.sqrt(3))
+            cb_objective(t, t, np.ones(3) / np.sqrt(3))
 
     def test_cb_objective_accepts_a_unit_norm_within_rounding(self):
         t1, t2 = random_channel(2, 2, 2, seed=93), random_channel(2, 2, 2, seed=94)
