@@ -57,7 +57,7 @@ from .harness import (
     NoiseSpec,
     RefSpec,
     SelfCheckError,
-    TrialRecord,
+    TrialTable,
     apply_noise,
     run_roundtrip,
     run_spectrum_sweep,

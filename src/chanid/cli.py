@@ -65,14 +65,12 @@ def _cmd_randchannel(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    if args.report is not None and not args.out:
-        raise ValueError("--report needs --out: without --out the channel and its residuals go to stdout")
     w = serialize.density_from_json(_load_json(args.w))
     ref = serialize.reference_from_json(_load_json(args.ref))
     report = serialize.reconstruction_to_json(reconstruct(w, ref))
     if args.out:  # the channel to --out, the residuals to the sidecar
         _emit(report.pop("channel"), args.out)
-        _emit(report, args.report or args.out + ".report.json")
+        _emit(report, args.out + ".report.json")
     else:
         _emit(report, None)
     return 0
@@ -96,9 +94,9 @@ def _cmd_cbdist(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     cfg = harness.config_from_json(_load_json(args.config))
-    records = harness.run_roundtrip(cfg)
-    harness.write_records_csv(records, args.out)
-    print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
+    table = harness.run_roundtrip(cfg)
+    harness.write_records_csv(table, args.out)
+    print(f"wrote {table.trial_index.size} records to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -110,9 +108,9 @@ def _cmd_sweep(args) -> int:
         except ValueError:
             raise ValueError(f"--grid entry {entry!r} is not a number") from None
     cfg = harness.config_from_json(_load_json(args.config))
-    records = harness.run_spectrum_sweep(cfg, grid)
-    harness.write_records_csv(records, args.out)
-    print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
+    table = harness.run_spectrum_sweep(cfg, grid)
+    harness.write_records_csv(table, args.out)
+    print(f"wrote {table.trial_index.size} records to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -133,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", required=True, help="bipartite state JSON (complex matrix)")
     p.add_argument("--ref", required=True, help="reference state JSON")
     p.add_argument("--out", help="channel JSON destination (report goes to a sidecar)")
-    p.add_argument("--report", help="sidecar report destination (needs --out)")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("fidelity", help="channel fidelity between two channel JSONs")

@@ -23,7 +23,9 @@ evaluating the trials one at a time with the public functions, and do not
 depend on the chunking.  No Choi matrix is formed: the probe output is
 w = G G† with G = (1 ⊗ X) K, K the drawn Kraus vectors; one ``eigh`` of each
 w gives the recovered factor F_rec; the fidelity is (||F_rec† K||_1 / d1)²;
-and each norm of a Hermitian matrix is read from its eigenvalues.
+and each norm of a Hermitian matrix is read from its eigenvalues.  The
+chunks' outputs are the columns of a :class:`TrialTable`, and no stage
+after them builds a Python object or runs a loop per row.
 
 Values are checked where they enter: :class:`RefSpec`, :class:`NoiseSpec`,
 :class:`ExperimentConfig` and the sweep grid.  The states the stages build
@@ -125,22 +127,29 @@ class ExperimentConfig:
             raise ValueError(f"min_eig floor {self.ref_spec.min_eig} exceeds 1/d1")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    trial_index: int
-    min_eig_rho: float
-    noise_eps: float
-    trace_dist_w: float
-    consistency_residual: float
-    tp_residual: float
-    fidelity: float
-    bound_value: float
+@dataclass(frozen=True, eq=False)
+class TrialTable:
+    """A run's trials: one read-only 1-D array per CSV column, in CSV order, copied once."""
+
+    trial_index: np.ndarray
+    min_eig_rho: np.ndarray
+    noise_eps: np.ndarray
+    trace_dist_w: np.ndarray
+    consistency_residual: np.ndarray
+    tp_residual: np.ndarray
+    fidelity: np.ndarray
+    bound_value: np.ndarray
+
+    def __post_init__(self):
+        for name in CSV_COLUMNS:
+            column = np.array(getattr(self, name))
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+CSV_COLUMNS = tuple(f.name for f in fields(TrialTable))
 # One CSV row: the trial index, then each float as format(value, ".17g") writes it.
 _CSV_ROW = "%d" + ",%.17g" * (len(CSV_COLUMNS) - 1) + "\n"
-_csv_fields = operator.attrgetter(*CSV_COLUMNS)
 
 
 def ref_spec_to_json(spec: RefSpec):
@@ -259,14 +268,14 @@ def _diagonal_references(spectra: np.ndarray):
     return _reference_arrays(rho)
 
 
-def _trial_records(cfg: ExperimentConfig, indices: range, factor, refs, noise_seeds) -> list[TrialRecord]:
+def _trial_columns(cfg: ExperimentConfig, indices: range, factor, refs, noise_seeds) -> tuple:
     """Probe, perturb, reconstruct and score a chunk of trials, one stacked stage at a time.
 
     ``factor`` holds the true channels' Choi factors, as :func:`_kraus_factors`
     gives them, and ``refs`` the references' ``(spectrum, min_eig, x, x_inv)``
     from ``_reference_arrays``; either may be a stack of one shared by every
     trial.  The fidelity is scored from the true and the recovered factors,
-    with one SVD of a (d1·d2) × rank matrix per trial.
+    with one SVD of a (d1·d2) × rank matrix per trial.  Returns the CSV columns.
     """
     _, min_eig, x, x_inv = refs
     w = _probe_outputs(factor, x)
@@ -275,42 +284,41 @@ def _trial_records(cfg: ExperimentConfig, indices: range, factor, refs, noise_se
     trace_dist = _hermitian_norms(noisy - w)[1]
     fidelity = _channel_fidelities(factor_rec, factor, cfg.d1)
     eps = cfg.noise.eps if cfg.noise.kind != "none" else 0.0
-    columns = zip(
-        indices,
-        np.broadcast_to(min_eig, trace_dist.shape).tolist(),
-        [eps] * len(trace_dist),
-        trace_dist.tolist(),
-        consistency.tolist(),
-        tp_residual.tolist(),
-        fidelity.tolist(),
+    return (
+        np.arange(indices.start, indices.stop),
+        np.broadcast_to(min_eig, trace_dist.shape),
+        np.full(trace_dist.shape, eps),
+        trace_dist,
+        consistency,
+        tp_residual,
+        fidelity,
         _fidelity_lower_bounds(trace_dist, 1.0 / min_eig, cfg.d1),
     )
-    return [TrialRecord(*row) for row in columns]
 
 
-def run_roundtrip(cfg: ExperimentConfig) -> list[TrialRecord]:
+def run_roundtrip(cfg: ExperimentConfig) -> TrialTable:
     """Per trial: draw a channel and reference, probe, perturb, reconstruct."""
     spec = cfg.ref_spec
     spectrum = {"maximally_mixed": (1.0 / cfg.d1,) * cfg.d1, "spectrum": spec.spectrum}.get(spec.kind)
     fixed = None if spectrum is None else _diagonal_references(np.array([spectrum]))
     channel_fill = ("standard_normal", (cfg.d1, 2, cfg.d2 * cfg.kraus_rank))  # random_channel's first draw
     ref_fills = () if fixed else (("standard_normal", (cfg.d1, 2, cfg.d1)), ("standard_exponential", (cfg.d1,)))
-    records = []
+    chunks = []
     for chunk in _chunks(cfg, cfg.trials):
         seeds = [cfg.seed + (i << 64) for i in chunk]
         z, *ref_draws = _draw(seeds, CHANNEL_SITE, channel_fill, *ref_fills)
         refs = fixed or _random_references(spec.min_eig, *ref_draws)
-        records += _trial_records(cfg, chunk, _kraus_factors(z, cfg.d2, cfg.kraus_rank), refs, seeds)
-    return records
+        chunks.append(_trial_columns(cfg, chunk, _kraus_factors(z, cfg.d2, cfg.kraus_rank), refs, seeds))
+    return TrialTable(*map(np.concatenate, zip(*chunks)))
 
 
-def run_spectrum_sweep(cfg: ExperimentConfig, min_eig_grid: list[float]) -> list[TrialRecord]:
+def run_spectrum_sweep(cfg: ExperimentConfig, min_eig_grid: list[float]) -> TrialTable:
     """Reconstruction quality versus the smallest reference eigenvalue.
 
     One fixed channel and one fixed noise draw are reused across the grid;
     grid value m gives the reference spectrum {m, (1-m)/(d1-1), ...}.  The
-    emitted bound values must be non-increasing as m decreases (sorted
-    check), otherwise a :class:`SelfCheckError` is raised.
+    emitted bound values must be non-increasing as m decreases (stable
+    sorted check), otherwise a :class:`SelfCheckError` is raised.
     """
     if not min_eig_grid:
         raise ValueError("min_eig_grid must be nonempty")
@@ -320,36 +328,46 @@ def run_spectrum_sweep(cfg: ExperimentConfig, min_eig_grid: list[float]) -> list
     factor = _random_factors(cfg.d1, cfg.d2, cfg.kraus_rank, [cfg.seed])
     m = np.array(min_eig_grid, dtype=float)[:, None]
     spectra = np.ones_like(m) if cfg.d1 == 1 else np.hstack([m] + [(1.0 - m) / (cfg.d1 - 1)] * (cfg.d1 - 1))
-    records = []
+    chunks = []
     for chunk in _chunks(cfg, len(spectra)):
         refs = _diagonal_references(spectra[chunk.start : chunk.stop])
-        records += _trial_records(cfg, chunk, factor, refs, [cfg.seed] * len(chunk))
-    ordered = sorted(records, key=lambda r: -r.min_eig_rho)
-    for prev, nxt in zip(ordered, ordered[1:]):
-        if nxt.bound_value > prev.bound_value + 1e-9:
-            raise SelfCheckError(
-                f"bound increased from {prev.bound_value} to {nxt.bound_value} "
-                f"as min eigenvalue decreased {prev.min_eig_rho} -> {nxt.min_eig_rho}"
-            )
-    return records
+        chunks.append(_trial_columns(cfg, chunk, factor, refs, [cfg.seed] * len(chunk)))
+    table = TrialTable(*map(np.concatenate, zip(*chunks)))
+    order = np.argsort(-table.min_eig_rho, kind="stable")
+    bound, min_eig = table.bound_value[order], table.min_eig_rho[order]
+    rises = np.flatnonzero(bound[1:] > bound[:-1] + 1e-9)
+    if rises.size:
+        i = rises[0]
+        raise SelfCheckError(
+            f"bound increased from {bound[i]} to {bound[i + 1]} "
+            f"as min eigenvalue decreased {min_eig[i]} -> {min_eig[i + 1]}"
+        )
+    return table
 
 
-def records_to_csv(records: list[TrialRecord]) -> str:
+def records_to_csv(table: TrialTable) -> str:
     """Fixed-header CSV with floats at 17 significant digits.
 
-    Every row is checked against the analytic bound before being emitted.
+    Every row is checked against the analytic bound before any is emitted.
     """
-    values = []
-    for r in records:
-        if not r.fidelity >= r.bound_value - 1e-9:
-            raise SelfCheckError(
-                f"trial {r.trial_index}: fidelity {r.fidelity} below bound {r.bound_value}"
-            )
-        values += _csv_fields(r)
-    return ",".join(CSV_COLUMNS) + "\n" + _CSV_ROW * len(records) % tuple(values)
+    # fidelity >= bound - (1e-9 + c·u/min_eig), u = 2^-53, times min_eig so that no row
+    # divides.  The reconstruction's eigh of w is backward stable: it decomposes w + E,
+    # ||E||_op a few u (tr w = 1).  The congruence by X⁻¹ scales E by ||X⁻¹||² = 1/min_eig,
+    # and the fidelity of unnormalized Choi matrices loses the trace weight it removes,
+    # over d1: noiseless full-rank sweeps (d <= 6, min eig to 1.2e-10) lost tp_residual/d1,
+    # at most 1.67·u/min_eig, so c = 4.  Rounding not scaled by 1/min_eig is under 1e-9.
+    excess = (table.bound_value - table.fidelity - 1e-9) * table.min_eig_rho
+    bad = np.flatnonzero(~(excess <= 4 * 2.0**-53))
+    if bad.size:
+        i = bad[0]
+        raise SelfCheckError(
+            f"trial {table.trial_index[i]}: fidelity {table.fidelity[i]} below bound {table.bound_value[i]}"
+        )
+    rows = np.column_stack([getattr(table, name) for name in CSV_COLUMNS])
+    return ",".join(CSV_COLUMNS) + "\n" + _CSV_ROW * len(rows) % tuple(rows.ravel().tolist())
 
 
-def write_records_csv(records: list[TrialRecord], path) -> None:
-    text = records_to_csv(records)
+def write_records_csv(table: TrialTable, path) -> None:
+    text = records_to_csv(table)
     with open(path, "w", newline="") as fh:
         fh.write(text)

@@ -351,50 +351,51 @@ def _oracle_reference(spec, d1: int, seed: int | None = None, channel_normals: t
     return make_reference(DensityOperator((u * p) @ u.conj().T))
 
 
-def _oracle_trial(cfg, trial_index: int, t, ref, noise_seed: int):
+def _oracle_row(cfg, trial_index: int, t, ref, noise_seed: int) -> tuple:
+    """One trial's CSV row, in column order, from the public single-trial functions."""
     from chanid import apply_noise, channel_fidelity, fidelity_lower_bound, forward_map, reconstruct
-    from chanid.harness import TrialRecord
 
     w = forward_map(t, ref)
     w_noisy = apply_noise(w, cfg.noise, noise_seed)
     rec = reconstruct(w_noisy, ref)
     # the trace norm of a Hermitian difference, as the sum of its |eigenvalues|
     tdist = float(np.sum(np.abs(np.linalg.eigvalsh(w_noisy.mat - w.mat))))
-    return TrialRecord(
-        trial_index=trial_index,
-        min_eig_rho=ref.min_eig,
-        noise_eps=cfg.noise.eps if cfg.noise.kind != "none" else 0.0,
-        trace_dist_w=tdist,
-        consistency_residual=rec.consistency_residual,
-        tp_residual=rec.tp_residual,
-        fidelity=channel_fidelity(rec.cp_map, t),
-        bound_value=fidelity_lower_bound(tdist, 1.0 / ref.min_eig, cfg.d1),
+    return (
+        trial_index,
+        ref.min_eig,
+        cfg.noise.eps if cfg.noise.kind != "none" else 0.0,
+        tdist,
+        rec.consistency_residual,
+        rec.tp_residual,
+        channel_fidelity(rec.cp_map, t),
+        fidelity_lower_bound(tdist, 1.0 / ref.min_eig, cfg.d1),
     )
 
 
 def roundtrip_loop_oracle(cfg):
     """``run_roundtrip`` as a loop over trials, each evaluated alone through the
     public single-trial functions: trial i draws everything with seed
-    ``cfg.seed + (i << 64)``, its reference after its channel."""
-    from chanid import random_channel
+    ``cfg.seed + (i << 64)``, its reference after its channel.  The rows
+    become a table only at the end."""
+    from chanid import TrialTable, random_channel
 
-    records = []
+    rows = []
     for i in range(cfg.trials):
         seed = cfg.seed + (i << 64)
         t = random_channel(cfg.d1, cfg.d2, cfg.kraus_rank, seed)
         ref = _oracle_reference(cfg.ref_spec, cfg.d1, seed, (cfg.d1, 2, cfg.d2 * cfg.kraus_rank))
-        records.append(_oracle_trial(cfg, i, t, ref, seed))
-    return records
+        rows.append(_oracle_row(cfg, i, t, ref, seed))
+    return TrialTable(*zip(*rows))
 
 
 def sweep_loop_oracle(cfg, min_eig_grid):
     """``run_spectrum_sweep`` as a loop over the grid through the public functions."""
-    from chanid import RefSpec, random_channel
+    from chanid import RefSpec, TrialTable, random_channel
 
     t = random_channel(cfg.d1, cfg.d2, cfg.kraus_rank, cfg.seed)
-    records = []
+    rows = []
     for i, m in enumerate(min_eig_grid):
         spectrum = (1.0,) if cfg.d1 == 1 else (m,) + ((1.0 - m) / (cfg.d1 - 1),) * (cfg.d1 - 1)
         ref = _oracle_reference(RefSpec(kind="spectrum", spectrum=spectrum), cfg.d1)
-        records.append(_oracle_trial(cfg, i, t, ref, cfg.seed))
-    return records
+        rows.append(_oracle_row(cfg, i, t, ref, cfg.seed))
+    return TrialTable(*zip(*rows))

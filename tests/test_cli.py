@@ -107,22 +107,18 @@ class TestReconstruct:
         split = {"channel": json.loads(out.read_text()), **report}
         assert json.dumps(split, indent=2) + "\n" == payload
 
-    def test_report_path_replaces_the_sidecar(self, tmp_path, noiseless_setup):
+    def test_retired_report_flag_is_a_usage_error(self, tmp_path, capsys, noiseless_setup):
+        # the residuals go to the sidecar OUT.report.json, or with the channel to stdout
         _, w_path, ref_path = noiseless_setup
         out, report = tmp_path / "rec.json", tmp_path / "residuals.json"
         argv = ["reconstruct", "--w", w_path, "--ref", ref_path, "--out", str(out), "--report", str(report)]
-        assert cli_main(argv) == 0
-        assert list(json.loads(report.read_text())) == ["tp_residual", "consistency_residual", "clip_magnitude"]
-        assert not (tmp_path / "rec.json.report.json").exists()
-
-    def test_report_without_out_is_one_line_validation_error(self, tmp_path, capsys, noiseless_setup):
-        _, w_path, ref_path = noiseless_setup
-        report = tmp_path / "residuals.json"
-        assert cli_main(["reconstruct", "--w", w_path, "--ref", ref_path, "--report", str(report)]) == 1
+        assert cli_main(argv) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("chanid: error: --report needs --out") and captured.err.count("\n") == 1
-        assert not report.exists()
+        assert captured.out == "" and captured.err.startswith("usage: chanid")
+        [error] = [line for line in captured.err.splitlines() if "error:" in line]
+        assert error == f"chanid: error: unrecognized arguments: --report {report}"
+        assert captured.err.endswith(error + "\n")
+        assert not out.exists() and not report.exists()
 
     def test_state_clipped_at_admission_is_accepted(self, tmp_path, capsys):
         w_path = write_json(tmp_path / "w.json", matrix_to_json(noise_clipped_state()))
@@ -274,10 +270,11 @@ class TestBatchCommands:
         "seed": 9,
     }
 
-    def test_roundtrip_deterministic_bytes(self, tmp_path):
+    def test_roundtrip_deterministic_bytes(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", self.CONFIG)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli_main(["roundtrip", "--config", cfg, "--out", str(out1)]) == 0
+        assert capsys.readouterr() == ("", f"wrote 4 records to {out1}\n")
         assert cli_main(["roundtrip", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[0]
@@ -297,15 +294,29 @@ class TestBatchCommands:
         col = CSV_COLUMNS.index("trace_dist_w")
         assert all(float(row.split(",")[col]) == 0.0 for row in rows)
 
-    def test_sweep_with_grid_flag(self, tmp_path):
+    def test_sweep_with_grid_flag(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "trials": 1})
         out = tmp_path / "sweep.csv"
         assert cli_main(
             ["sweep", "--config", cfg, "--out", str(out), "--grid", "0.5,0.25,0.1,0.05,0.01"]
         ) == 0
+        assert capsys.readouterr() == ("", f"wrote 5 records to {out}\n")
         rows = out.read_text().splitlines()[1:]
         bounds = [float(r.split(",")[7]) for r in rows]
         assert all(b <= a + 1e-9 for a, b in zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_noiseless_full_rank_sweep_down_to_the_cutoff(self, tmp_path, capsys, d):
+        # bound_value is exactly 1 on these rows, and the fidelity misses it by
+        # tp_residual / d1, rounding that grows as 1/min_eig (up to ~1.7·2^-53/min_eig)
+        out = tmp_path / "sweep.csv"
+        for seed in range(1, 11):
+            config = {"d1": d, "d2": d, "kraus_rank": d * d, "ref_spec": "maximally_mixed", "noise": "none"}
+            cfg = write_json(tmp_path / "cfg.json", {**config, "trials": 1, "seed": seed})
+            argv = ["sweep", "--config", cfg, "--out", str(out), "--grid", "1e-6,1e-7,1e-8,1e-9,3e-10,1.2e-10"]
+            assert cli_main(argv) == 0, capsys.readouterr().err
+            assert capsys.readouterr().err == f"wrote 6 records to {out}\n"
+            assert len(out.read_text().splitlines()) == 7
 
     @pytest.mark.parametrize(
         "stale",

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -15,7 +16,7 @@ from chanid.harness import (
     NoiseSpec,
     RefSpec,
     SelfCheckError,
-    TrialRecord,
+    TrialTable,
     apply_noise,
     config_from_json,
     config_to_json,
@@ -99,14 +100,13 @@ class TestApplyNoise:
 
 class TestRunRoundtrip:
     def test_noiseless_records_are_clean(self):
-        records = run_roundtrip(small_config(trials=6))
-        assert len(records) == 6
-        for r in records:
-            assert r.fidelity >= 1.0 - 1e-8
-            assert r.consistency_residual <= 1e-8
-            assert r.tp_residual <= 1e-8
-            assert r.trace_dist_w <= 1e-12
-            assert r.bound_value == pytest.approx(1.0, abs=1e-9)
+        table = run_roundtrip(small_config(trials=6))
+        assert table.trial_index.tolist() == list(range(6))
+        assert np.all(table.fidelity >= 1.0 - 1e-8)
+        assert np.all(table.consistency_residual <= 1e-8)
+        assert np.all(table.tp_residual <= 1e-8)
+        assert np.all(table.trace_dist_w <= 1e-12)
+        assert table.bound_value.tolist() == pytest.approx([1.0] * 6, abs=1e-9)
 
     def test_deterministic_csv_bytes(self):
         cfg = small_config(
@@ -126,19 +126,17 @@ class TestRunRoundtrip:
 
     def test_maximally_mixed_bound_uses_half_coefficient(self):
         cfg = small_config(noise=NoiseSpec(kind="depolarize", eps=0.01), trials=5)
-        for r in run_roundtrip(cfg):
-            assert r.bound_value == max(0.0, 1.0 - r.trace_dist_w / 2) ** 2
-            assert r.fidelity >= r.bound_value - 1e-9
+        table = run_roundtrip(cfg)
+        assert table.bound_value.tolist() == [max(0.0, 1.0 - t / 2) ** 2 for t in table.trace_dist_w.tolist()]
+        assert np.all(table.fidelity >= table.bound_value - 1e-9)
 
     def test_spectrum_ref_spec(self):
         cfg = small_config(ref_spec=RefSpec(kind="spectrum", spectrum=(0.2, 0.8)))
-        for r in run_roundtrip(cfg):
-            assert r.min_eig_rho == pytest.approx(0.2, abs=1e-12)
+        assert run_roundtrip(cfg).min_eig_rho.tolist() == pytest.approx([0.2] * cfg.trials, abs=1e-12)
 
     def test_random_min_eig_respects_floor(self):
         cfg = small_config(ref_spec=RefSpec(kind="random_min_eig", min_eig=0.15), trials=8)
-        for r in run_roundtrip(cfg):
-            assert r.min_eig_rho >= 0.15 - 1e-9
+        assert np.all(run_roundtrip(cfg).min_eig_rho >= 0.15 - 1e-9)
 
     def test_near_singular_reference_propagates(self):
         from chanid.identify import NotAdmissibleError
@@ -158,20 +156,18 @@ class TestFidelityPrecision:
     @pytest.mark.parametrize("ref", ["maximally_mixed", "random_min_eig"])
     def test_noiseless_full_rank_fidelity(self, d, ref):
         spec = RefSpec(ref) if ref == "maximally_mixed" else RefSpec(ref, min_eig=0.05 / d)
-        records = run_roundtrip(ExperimentConfig(d, d, d * d, spec, NoiseSpec("none"), 20, seed=5025))
-        assert max(abs(1.0 - r.fidelity) * r.min_eig_rho for r in records) <= 2e-15
+        table = run_roundtrip(ExperimentConfig(d, d, d * d, spec, NoiseSpec("none"), 20, seed=5025))
+        assert np.max(np.abs(1.0 - table.fidelity) * table.min_eig_rho) <= 2e-15
 
 
 class TestRunSpectrumSweep:
     def test_grid_ordering_and_monotonicity(self):
         cfg = small_config(noise=NoiseSpec(kind="depolarize", eps=0.05), trials=1, seed=3)
         grid = [0.5, 0.25, 0.1, 0.05, 0.01]
-        records = run_spectrum_sweep(cfg, grid)
-        assert len(records) == 5
-        inv_norms = [1.0 / r.min_eig_rho for r in records]
-        assert all(b > a for a, b in zip(inv_norms, inv_norms[1:]))
-        bounds = [r.bound_value for r in records]
-        assert all(b <= a + 1e-9 for a, b in zip(bounds, bounds[1:]))
+        table = run_spectrum_sweep(cfg, grid)
+        assert table.trial_index.tolist() == list(range(5))
+        assert np.all(np.diff(1.0 / table.min_eig_rho) > 0)
+        assert np.all(np.diff(table.bound_value) <= 1e-9)
 
     def test_grid_validation(self):
         cfg = small_config()
@@ -184,8 +180,18 @@ class TestRunSpectrumSweep:
 
     def test_fixed_channel_across_grid(self):
         cfg = small_config(noise=NoiseSpec(kind="hermitian_jitter", eps=0.02), trials=1)
-        records = run_spectrum_sweep(cfg, [0.5, 0.4])
-        assert records[0].noise_eps == records[1].noise_eps == 0.02
+        assert run_spectrum_sweep(cfg, [0.5, 0.4]).noise_eps.tolist() == [0.02, 0.02]
+
+    def test_rising_bound_names_the_first_pair_in_stable_descending_order(self, monkeypatch):
+        # rows by min eig, stable: 0.5 (row 2), 0.25 (row 1), 0.25 (row 3), 0.1 (row 0);
+        # the one rise is row 1 -> row 3, between equal min eigs in their row order
+        cfg, grid = small_config(trials=1), [0.1, 0.25, 0.5, 0.25]
+        monkeypatch.setattr(harness, "_fidelity_lower_bounds", lambda *a: [0.1, 0.3, 0.9, 0.4])
+        message = "bound increased from 0.3 to 0.4 as min eigenvalue decreased 0.25 -> 0.25"
+        with pytest.raises(SelfCheckError, match=f"^{re.escape(message)}$"):
+            run_spectrum_sweep(cfg, grid)
+        monkeypatch.setattr(harness, "_fidelity_lower_bounds", lambda *a: [0.1, 0.4, 0.9, 0.3])
+        assert run_spectrum_sweep(cfg, grid).bound_value.tolist() == [0.1, 0.4, 0.9, 0.3]
 
 
 NOISES = (NoiseSpec("none"), NoiseSpec("depolarize", 0.02), NoiseSpec("hermitian_jitter", 0.05))
@@ -205,11 +211,11 @@ def _rank(d1, d2):
     return min(d1 * d2, max(2, -(-d1 // d2)))
 
 
-def _csv_lines(records):
+def _csv_lines(table):
     """The CSV's lines with their newlines: they join back to the text, and
     pytest reports a mismatch in a list of lines at once where its diff of two
     long strings can run for minutes."""
-    return records_to_csv(records).splitlines(keepends=True)
+    return records_to_csv(table).splitlines(keepends=True)
 
 
 def _per_chunk(d):
@@ -407,51 +413,85 @@ class TestReconstructionStaysInChoiForm:
         assert not any(np.array_equal(g, k) for g in gram_items for k in true_factors)
 
 
+def _rows(count=1, **columns):
+    """A table of ``count`` equal rows: a noisy row 0.06 above its bound, with the
+    given columns replaced."""
+    row = dict(zip(CSV_COLUMNS, (3, 0.25, 0.02, 1e-17, 0.1, -1.5e-300, 0.96, 0.9)), **columns)
+    return TrialTable(**{name: [value] * count for name, value in row.items()})
+
+
 class TestCsvOutput:
     def test_header_and_formatting(self, tmp_path):
-        records = run_roundtrip(small_config(trials=2))
+        table = run_roundtrip(small_config(trials=2))
         path = tmp_path / "out.csv"
-        write_records_csv(records, path)
+        write_records_csv(table, path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "0"
         # floats carry 17 significant digits
-        assert float(first[7]) == records[0].bound_value
+        assert float(first[7]) == table.bound_value[0]
 
     def test_bound_violation_aborts(self):
-        bad = TrialRecord(
-            trial_index=0,
-            min_eig_rho=0.5,
-            noise_eps=0.0,
-            trace_dist_w=0.0,
-            consistency_residual=0.0,
-            tp_residual=0.0,
-            fidelity=0.5,
-            bound_value=0.9,
-        )
         with pytest.raises(SelfCheckError):
-            records_to_csv([bad])
+            records_to_csv(_rows(min_eig_rho=0.5, fidelity=0.5, bound_value=0.9))
+
+    def test_first_violating_row_is_named(self):
+        table = TrialTable(
+            trial_index=[5, 7, 9],
+            min_eig_rho=[0.5] * 3,
+            noise_eps=[0.0] * 3,
+            trace_dist_w=[0.0] * 3,
+            consistency_residual=[0.0] * 3,
+            tp_residual=[0.0] * 3,
+            fidelity=[0.95, 0.5, 0.25],
+            bound_value=[0.9] * 3,
+        )
+        with pytest.raises(SelfCheckError, match=r"^trial 7: fidelity 0\.5 below bound 0\.9$"):
+            records_to_csv(table)
+
+    @pytest.mark.parametrize("min_eig", [1 / 2, 1 / 3, 1 / 4, 1 / 6, 1e-6])
+    def test_tolerance_grows_with_conditioning_by_rounding_only(self, min_eig):
+        # 1e-9 plus 4·u/min_eig: a loss of 2·u/min_eig more than 1e-9 passes, 1e-6 does not
+        u = 2.0**-53
+        records_to_csv(_rows(min_eig_rho=min_eig, fidelity=1.0 - (1e-9 + 2 * u / min_eig), bound_value=1.0))
+        with pytest.raises(SelfCheckError, match="fidelity 0.999999 below bound 1.0"):
+            records_to_csv(_rows(min_eig_rho=min_eig, fidelity=1.0 - 1e-6, bound_value=1.0))
+
+    def test_columns_are_read_only_copies(self):
+        columns = [np.array([x]) for x in (3, 0.25, 0.02, 1e-17, 0.1, -1.5e-300, 0.96, 0.9)]
+        table = TrialTable(*columns)
+        for column in columns:  # the caller's arrays stay writable, and the table keeps its copies
+            column[0] = 0
+        assert records_to_csv(table) == records_to_csv(_rows())
+        for name in CSV_COLUMNS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            run_roundtrip(small_config(trials=2)).fidelity[:] = 0.0
 
     @pytest.mark.parametrize("value", [-0.0, 5e-324, 1e308, float("nan")], ids=["-0", "subnormal", "1e308", "nan"])
     def test_rows_equal_the_per_value_format(self, value):
-        def per_value(r):
-            return ",".join([str(int(r.trial_index))] + [format(float(getattr(r, c)), ".17g") for c in CSV_COLUMNS[1:]])
+        def per_value(table):
+            return ",".join(
+                [str(int(table.trial_index[0]))] + [format(float(getattr(table, c)[0]), ".17g") for c in CSV_COLUMNS[1:]]
+            )
 
         for column in CSV_COLUMNS[1:]:
-            fields = dict(zip(CSV_COLUMNS, (3, 0.25, 0.02, 1e-17, 0.1, -1.5e-300, 0.96, 0.9)), **{column: value})
-            record = TrialRecord(**fields)
-            if not record.fidelity >= record.bound_value - 1e-9:  # a NaN fidelity or bound
+            table = _rows(2, **{column: value})
+            # far outside the tolerance, a row fails where its fidelity drops below
+            # its bound, or where a NaN makes the comparison false
+            if not (table.fidelity[0] >= table.bound_value[0] and not np.isnan(table.min_eig_rho[0])):
                 with pytest.raises(SelfCheckError):
-                    records_to_csv([record])
+                    records_to_csv(table)
                 continue
-            assert records_to_csv([record, record]).splitlines()[1:] == [per_value(record)] * 2
+            assert records_to_csv(table).splitlines()[1:] == [per_value(table)] * 2
 
     @pytest.mark.parametrize("fidelity, bound", [(float("nan"), 0.9), (0.95, float("nan"))], ids=["fidelity", "bound"])
     def test_nan_aborts(self, fidelity, bound):
         with pytest.raises(SelfCheckError):
-            records_to_csv([TrialRecord(0, 0.5, 0.0, 0.0, 0.0, 0.0, fidelity, bound)])
+            records_to_csv(_rows(min_eig_rho=0.5, fidelity=fidelity, bound_value=bound))
 
 
 class TestConfig:

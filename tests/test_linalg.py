@@ -17,6 +17,7 @@ from chanid.channel import (
     tensor_channels,
     tensor_with_identity,
 )
+from chanid.harness import ExperimentConfig, NoiseSpec, RefSpec, run_roundtrip
 from chanid.identify import RNOperator, forward_map, make_reference, reconstruct, rn_operator
 from chanid.metrics import NormInterval, channel_fidelity
 from chanid.linalg import (
@@ -397,11 +398,12 @@ class TestValueTypesCompareByIdentity:
             "RNOperator": lambda: rn_operator(t, ref),
             "ReconstructionResult": lambda: reconstruct(forward_map(t, ref), ref),
             "NormInterval": lambda: NormInterval(0.1, 0.2, np.ones(4) / 2, np.eye(2) / 2),
+            "TrialTable": lambda: run_roundtrip(ExperimentConfig(2, 2, 2, RefSpec(), NoiseSpec(), 3, seed=1)),
         }[kind]()
 
     @pytest.mark.parametrize("kind", [
         "KrausChannel", "DensityOperator", "ChoiMatrix", "ReferenceState",
-        "Spectrum", "RNOperator", "ReconstructionResult", "NormInterval",
+        "Spectrum", "RNOperator", "ReconstructionResult", "NormInterval", "TrialTable",
     ])
     def test_equal_values_built_twice_are_distinct_and_hashable(self, kind):
         a, b = self.build(kind), self.build(kind)
