@@ -21,11 +21,14 @@ Stacked LAPACK calls, stacked matrix products and elementwise array
 arithmetic give the bits of single calls, so the CSV bytes equal those of
 evaluating the trials one at a time with the public functions, and do not
 depend on the chunking.  No Choi matrix is formed: the probe output is
-w = G G† with G = (1 ⊗ X) K, K the drawn Kraus vectors; one ``eigh`` of each
-w gives the recovered factor F_rec; the fidelity is (||F_rec† K||_1 / d1)²;
-and each norm of a Hermitian matrix is read from its eigenvalues.  The
-chunks' outputs are the columns of a :class:`TrialTable`, and no stage
-after them builds a Python object or runs a loop per row.
+w = G G† with G = (1 ⊗ X) K, K the drawn Kraus vectors; one ``eigh`` of
+each noisy w gives the recovered factor F_rec; the fidelity is
+(||F_rec† K||_1 / d1)².  The noise model gives the trace distance
+||w_noisy − w||_1: 0 under none, from the r × r Gram G†G under
+depolarization, and from the eigenvalues of w_noisy − w under jitter.  So
+a trial without jitter decomposes one state-sized matrix; jitter also
+decomposes each disturbed state to clip it.  The chunks' outputs are the
+columns of a :class:`TrialTable`; no later stage loops per row.
 
 Values are checked where they enter: :class:`RefSpec`, :class:`NoiseSpec`,
 :class:`ExperimentConfig` and the sweep grid.  The states the stages build
@@ -46,8 +49,8 @@ import numpy as np
 
 from .channel import _kraus_factors, _random_factors
 from .identify import _probe_outputs, _reconstruct_stack, _reference_arrays
-from .linalg import CHANNEL_SITE, NOISE_SITE, TRACE_TOL, DensityOperator, _adjoint, _clip_spectra, _draw, _haar
-from .linalg import _hermitian_norms, _seed, hermitian_part
+from .linalg import CHANNEL_SITE, NOISE_SITE, TRACE_TOL, DensityOperator, _adjoint, _clip_spectra, _draw, _gram
+from .linalg import _haar, _hermitian_norms, _seed, hermitian_part
 from .metrics import _channel_fidelities, _fidelity_lower_bounds
 from .serialize import _json_float, _json_floats, _json_int
 
@@ -143,6 +146,8 @@ class TrialTable:
     def __post_init__(self):
         for name in CSV_COLUMNS:
             column = np.array(getattr(self, name))
+            if column.ndim != 1 or len(column) != len(self.trial_index):
+                raise ValueError(f"column {name} has shape {column.shape}; each column must be 1-D, all of one length")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
@@ -150,14 +155,6 @@ class TrialTable:
 CSV_COLUMNS = tuple(f.name for f in fields(TrialTable))
 # One CSV row: the trial index, then each float as format(value, ".17g") writes it.
 _CSV_ROW = "%d" + ",%.17g" * (len(CSV_COLUMNS) - 1) + "\n"
-
-
-def ref_spec_to_json(spec: RefSpec):
-    if spec.kind == "maximally_mixed":
-        return "maximally_mixed"
-    if spec.kind == "spectrum":
-        return {"spectrum": list(spec.spectrum)}
-    return {"random_min_eig": spec.min_eig}
 
 
 def ref_spec_from_json(obj) -> RefSpec:
@@ -170,12 +167,6 @@ def ref_spec_from_json(obj) -> RefSpec:
     raise ValueError(f"malformed ref_spec {obj!r}")
 
 
-def noise_to_json(spec: NoiseSpec):
-    if spec.kind == "none":
-        return "none"
-    return {spec.kind: spec.eps}
-
-
 def noise_from_json(obj) -> NoiseSpec:
     if obj == "none" or obj is None:
         return NoiseSpec(kind="none")
@@ -183,18 +174,6 @@ def noise_from_json(obj) -> NoiseSpec:
         kind, eps = next(iter(obj.items()))
         return NoiseSpec(kind=kind, eps=_json_float(eps, "noise strength"))
     raise ValueError(f"malformed noise spec {obj!r}")
-
-
-def config_to_json(cfg: ExperimentConfig) -> dict:
-    return {
-        "d1": cfg.d1,
-        "d2": cfg.d2,
-        "kraus_rank": cfg.kraus_rank,
-        "ref_spec": ref_spec_to_json(cfg.ref_spec),
-        "noise": noise_to_json(cfg.noise),
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-    }
 
 
 def config_from_json(obj: dict) -> ExperimentConfig:
@@ -241,6 +220,19 @@ def _noisy(w: np.ndarray, model: NoiseSpec, seeds) -> np.ndarray:
     return disturbed
 
 
+def _trace_distances(model: NoiseSpec, lifted: np.ndarray, w: np.ndarray, noisy: np.ndarray) -> np.ndarray:
+    """||w_noisy − w||_1 of each trial, from its noise model.  Depolarizing w = G G† (G = ``lifted``, D × r,
+    r <= D) by eps moves it by eps·(1/D − w), and w's spectrum is the r eigenvalues mu of G†G and D − r zeros:
+    eps·(sum |mu − 1/D| + (D − r)/D), one r × r ``eigvalsh``.  Jitter: one ``eigvalsh`` of w_noisy − w."""
+    if model.kind == "none" or model.eps == 0.0:
+        return np.zeros(len(w))
+    if model.kind == "hermitian_jitter":
+        return _hermitian_norms(noisy - w)[1]
+    dim, rank = lifted.shape[-2:]
+    mu = np.linalg.eigvalsh(_gram(_adjoint(lifted)))
+    return model.eps * (np.abs(mu - 1.0 / dim).sum(axis=-1) + (dim - rank) / dim)
+
+
 def _chunks(cfg: ExperimentConfig, total: int) -> list[range]:
     size = max(1, CHUNK_ENTRIES // (cfg.d1 * cfg.d2) ** 2)
     return [range(start, min(start + size, total)) for start in range(0, total, size)]
@@ -278,10 +270,10 @@ def _trial_columns(cfg: ExperimentConfig, indices: range, factor, refs, noise_se
     with one SVD of a (d1·d2) × rank matrix per trial.  Returns the CSV columns.
     """
     _, min_eig, x, x_inv = refs
-    w = _probe_outputs(factor, x)
+    lifted, w = _probe_outputs(factor, x)
     noisy = _noisy(w, cfg.noise, noise_seeds)
     factor_rec, tp_residual, consistency, _ = _reconstruct_stack(noisy, x_inv)
-    trace_dist = _hermitian_norms(noisy - w)[1]
+    trace_dist = _trace_distances(cfg.noise, lifted, w, noisy)
     fidelity = _channel_fidelities(factor_rec, factor, cfg.d1)
     eps = cfg.noise.eps if cfg.noise.kind != "none" else 0.0
     return (

@@ -191,20 +191,21 @@ def forward_map(t: KrausChannel, ref: ReferenceState) -> DensityOperator:
     """Probe output w = (T ⊗ id)(|Omega><Omega|) = (1 ⊗ X) C (1 ⊗ X)† on H_out ⊗ H_in."""
     if t.dim_in != ref.dim:
         raise ValueError(f"channel input dim {t.dim_in} != reference dim {ref.dim}")
-    return DensityOperator._checked(_probe_outputs(t._factor, ref.x))
+    return DensityOperator._checked(_probe_outputs(t._factor, ref.x)[1])
 
 
-def _probe_outputs(factor: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _probe_outputs(factor: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`forward_map` from a Choi factor K, C = K K†, and a probe matrix,
-    or from stacks of them: w = G G† with G = (1 ⊗ X) K.
+    or from stacks of them: ``(G, w)`` with G = (1 ⊗ X) K and w = G G†.
 
     Only the unit trace is checked, which fails for a map that is not
     trace-preserving; the outputs are Hermitian by construction and PSD up
     to rounding.
     """
-    w = _gram(_lift(x, factor))
+    lifted = _lift(x, factor)
+    w = _gram(lifted)
     _check_unit_traces(w, "probe output trace")
-    return w
+    return lifted, w
 
 
 def v_isometry(ref: ReferenceState, d2: int) -> np.ndarray:

@@ -358,12 +358,26 @@ def _oracle_row(cfg, trial_index: int, t, ref, noise_seed: int) -> tuple:
     w = forward_map(t, ref)
     w_noisy = apply_noise(w, cfg.noise, noise_seed)
     rec = reconstruct(w_noisy, ref)
-    # the trace norm of a Hermitian difference, as the sum of its |eigenvalues|
-    tdist = float(np.sum(np.abs(np.linalg.eigvalsh(w_noisy.mat - w.mat))))
+    eps = cfg.noise.eps if cfg.noise.kind != "none" else 0.0
+    if eps == 0.0:
+        tdist = 0.0
+    elif cfg.noise.kind == "depolarize":
+        # w_noisy − w = eps (1/D − G G†), G = (1 ⊗ X) K from the Kraus vectors; G G† has
+        # the r eigenvalues of G†G and D − r zeros
+        d2, r = t.dim_out, len(t.kraus)
+        k = np.array([np.asarray(a).reshape(-1) for a in t.kraus]).T
+        g = (ref.x @ k.reshape(d2, cfg.d1, r)).reshape(-1, r)
+        gram = g.conj().T @ g
+        mu = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+        dim = len(g)
+        tdist = float(eps * (np.sum(np.abs(mu - 1.0 / dim)) + (dim - r) / dim))
+    else:
+        # the trace norm of a Hermitian difference, as the sum of its |eigenvalues|
+        tdist = float(np.sum(np.abs(np.linalg.eigvalsh(w_noisy.mat - w.mat))))
     return (
         trial_index,
         ref.min_eig,
-        cfg.noise.eps if cfg.noise.kind != "none" else 0.0,
+        eps,
         tdist,
         rec.consistency_residual,
         rec.tp_residual,

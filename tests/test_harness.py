@@ -19,7 +19,6 @@ from chanid.harness import (
     TrialTable,
     apply_noise,
     config_from_json,
-    config_to_json,
     records_to_csv,
     run_roundtrip,
     run_spectrum_sweep,
@@ -27,8 +26,9 @@ from chanid.harness import (
 )
 from chanid.identify import forward_map, make_reference
 from chanid.linalg import DensityOperator, maximally_mixed
+from chanid.metrics import fidelity_lower_bound
 
-from conftest import draw_rule_generator, rand_density_mat, roundtrip_loop_oracle, sweep_loop_oracle
+from conftest import _oracle_reference, draw_rule_generator, rand_density_mat, roundtrip_loop_oracle, sweep_loop_oracle
 
 
 def small_config(**overrides):
@@ -158,6 +158,33 @@ class TestFidelityPrecision:
         spec = RefSpec(ref) if ref == "maximally_mixed" else RefSpec(ref, min_eig=0.05 / d)
         table = run_roundtrip(ExperimentConfig(d, d, d * d, spec, NoiseSpec("none"), 20, seed=5025))
         assert np.max(np.abs(1.0 - table.fidelity) * table.min_eig_rho) <= 2e-15
+
+
+class TestDepolarizedTraceDistance:
+    """A depolarized trial's ``trace_dist_w`` is read from the r × r Gram of the
+    lifted factor, not from w_noisy − w; it agrees with the sum of the
+    |eigenvalues| of w_noisy − w, built by the public single-trial functions,
+    to 16·D·u (u = 2⁻⁵³), and its bound to the bound's slope times that."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_agrees_with_the_eigenvalues_of_the_disturbance(self, d):
+        u, dim, trials = 2.0**-53, d * d, 10
+        for rank in sorted({1, d, d * d}):
+            for eps in (0.02, 0.5, 1.0):
+                for ref_spec in (RefSpec("random_min_eig", min_eig=0.05 / d), RefSpec("maximally_mixed")):
+                    noise = NoiseSpec("depolarize", eps)
+                    cfg = ExperimentConfig(d, d, rank, ref_spec, noise, trials, seed=97 * d + rank)
+                    table = run_roundtrip(cfg)
+                    for i in range(trials):
+                        seed = cfg.seed + (i << 64)
+                        t = random_channel(d, d, rank, seed)
+                        ref = _oracle_reference(ref_spec, d, seed, (d, 2, d * rank))
+                        w = forward_map(t, ref)
+                        exact = np.sum(np.abs(np.linalg.eigvalsh(apply_noise(w, noise, seed).mat - w.mat)))
+                        assert abs(table.trace_dist_w[i] - exact) <= 16 * dim * u, (rank, eps, ref_spec.kind, i)
+                        slope = 1.0 / (ref.min_eig * d)  # |d bound / d t| <= ||rho^-1|| / d1
+                        bound = fidelity_lower_bound(exact, 1.0 / ref.min_eig, d)
+                        assert abs(table.bound_value[i] - bound) <= slope * 16 * dim * u + 4 * u
 
 
 class TestRunSpectrumSweep:
@@ -319,26 +346,38 @@ class TestSpectrumDraw:
 
 
 class TestLapackCallsPerTrial:
-    """The probe and the noise build states without decomposing them: each
-    noisy probe output gets one eigh, by the reconstruction, whether or not
-    it has an eigenvalue below 0 to clip, and no eigvalsh; its trace
-    distance to the noiseless output is one eigvalsh.  No other state-sized
-    matrix, in particular no congruence output C, is decomposed, and none
-    gets an SVD.  The fidelity stage makes one SVD of a (d1·d2) × rank
-    matrix per trial and no eigendecomposition."""
+    """The reconstruction takes one state-sized eigh of each noisy output,
+    whether or not it has an eigenvalue below 0 to clip.  The probe and
+    depolarization build states without decomposing them, so under
+    depolarize and none that eigh is the trial's one state-sized
+    decomposition: a depolarized output's trace distance is read from one
+    r × r eigvalsh of the lifted factor's Gram matrix G†G, and none needs
+    none.  Jitter also takes one eigh of each disturbed state to clip it, one
+    eigvalsh of its random traceless direction (its operator norm, part of
+    the model) and one of w_noisy − w (the trace distance).  No other
+    state-sized matrix, in particular no congruence output C, is decomposed,
+    and none gets an SVD.  The fidelity stage makes one SVD of a (d1·d2) ×
+    rank matrix per trial and no eigendecomposition."""
 
-    # depolarized outputs never clip; noiseless rank-3 outputs at d1 = d2 = 3
-    # have six rounding-level eigenvalues, some below 0 in every trial
+    # rank 2 at d1 = d2 = 3: the r × r Grams are the only 2 × 2 matrices decomposed.
+    # Depolarized outputs never clip; noiseless ones have seven rounding-level
+    # eigenvalues, some below 0 in every trial; every jittered state is clipped
     @pytest.mark.parametrize(
-        "noise, clips", [(NoiseSpec("depolarize", 0.02), False), (NoiseSpec("none"), True)], ids=["depolarize", "none"]
+        "noise, clips",
+        [
+            (NoiseSpec("depolarize", 0.02), False),
+            (NoiseSpec("none"), True),
+            (NoiseSpec("hermitian_jitter", 0.02), True),
+        ],
+        ids=["depolarize", "none", "jitter"],
     )
-    def test_eigh_of_w_and_eigvalsh_of_disturbance(self, monkeypatch, noise, clips):
-        d, trials = 3, 5
-        cfg = ExperimentConfig(d, d, d, RefSpec("random_min_eig", min_eig=0.05 / d), noise, trials, seed=5)
-        states, calls = [], []
+    def test_state_sized_decompositions_per_trial(self, monkeypatch, noise, clips):
+        d, rank, trials = 3, 2, 5
+        cfg = ExperimentConfig(d, d, rank, RefSpec("random_min_eig", min_eig=0.05 / d), noise, trials, seed=5)
+        outputs, calls = {}, []
         for name in ("_probe_outputs", "_noisy"):
             stage = getattr(harness, name)
-            monkeypatch.setattr(harness, name, lambda *a, stage=stage: states.append(stage(*a)) or states[-1])
+            monkeypatch.setattr(harness, name, lambda *a, stage=stage, name=name: outputs.setdefault(name, stage(*a)))
         scoring = []
         score = harness._channel_fidelities
         monkeypatch.setattr(harness, "_channel_fidelities", lambda *a: scoring.append(len(calls)) or score(*a))
@@ -348,21 +387,30 @@ class TestLapackCallsPerTrial:
             monkeypatch.setattr(np.linalg, routine, spy)
         run_roundtrip(cfg)
         monkeypatch.undo()
-        probe, noisy = states  # one chunk holds every trial
-        n = d * d
+        (lifted, probe), noisy = outputs["_probe_outputs"], outputs["_noisy"]  # one chunk holds every trial
+        n, jitter = d * d, noise.kind == "hermitian_jitter"
 
-        def square(routine):
-            stacks = [m for r, m in calls if r == routine and m.shape[-2:] == (n, n)]
-            return [m for stack in stacks for m in stack.reshape(-1, n, n)]
+        def square(routine, size):
+            stacks = [m for r, m in calls if r == routine and m.shape[-2:] == (size, size)]
+            return [m for stack in stacks for m in stack.reshape(-1, size, size)]
 
-        for w, w_noisy in zip(probe, noisy):
-            assert sum(np.array_equal(m, w_noisy) for m in square("eigh")) == 1
-            assert not any(np.array_equal(m, w_noisy) for m in square("eigvalsh"))
-            assert (np.linalg.eigvalsh(w_noisy)[0] < 0.0) == clips
-            assert any(np.array_equal(m, w_noisy - w) for m in square("eigvalsh"))
+        eigh, eigvalsh, grams = square("eigh", n), square("eigvalsh", n), square("eigvalsh", rank)
+        assert len(eigh) == (2 * trials if jitter else trials) and not square("svd", n)
+        assert len(eigvalsh) == (2 * trials if jitter else 0)
+        assert len(grams) == (trials if noise.kind == "depolarize" else 0)
+        for i, (w, w_noisy) in enumerate(zip(probe, noisy)):
+            if jitter:  # the disturbed state before its clip, then the rebuilt one, by the reconstruction
+                assert (np.linalg.eigvalsh(eigh[i])[0] < 0.0) == clips
+                assert np.array_equal(eigh[trials + i], w_noisy)
+                direction, distance = eigvalsh[i], eigvalsh[trials + i]
+                assert abs(np.trace(direction)) <= 1e-12 and np.array_equal(distance, w_noisy - w)
+            else:
+                assert (np.linalg.eigvalsh(w_noisy)[0] < 0.0) == clips
+                assert np.array_equal(eigh[i], w_noisy)
+            if grams:
+                assert np.array_equal(grams[i], linalg.hermitian_part(lifted[i].conj().T @ lifted[i]))
             if noise.kind != "none":
-                assert not any(np.array_equal(m, w) for m in square("eigh") + square("eigvalsh"))
-        assert len(square("eigh")) == len(square("eigvalsh")) == trials and not square("svd")
+                assert not any(np.array_equal(m, w) for m in eigh + eigvalsh)
         (start,) = scoring
         ((routine, cross),) = calls[start:]
         assert routine == "svd" and cross.shape == (trials, n, cfg.kraus_rank)
@@ -471,6 +519,19 @@ class TestCsvOutput:
         with pytest.raises(ValueError, match="read-only"):
             run_roundtrip(small_config(trials=2)).fidelity[:] = 0.0
 
+    @pytest.mark.parametrize(
+        "columns, name, shape",
+        [
+            (([0, 1], [0.5]) + ([0.0, 0.0],) * 6, "min_eig_rho", "(1,)"),
+            ((0, 0.5) + (0.0,) * 6, "trial_index", "()"),
+            (([0, 1], [0.5, 0.5]) + ([0.0, 0.0],) * 5 + ([[0.0], [0.0]],), "bound_value", "(2, 1)"),
+        ],
+        ids=["ragged", "0-d", "2-d"],
+    )
+    def test_columns_must_be_1d_and_of_one_length(self, columns, name, shape):
+        with pytest.raises(ValueError, match=rf"^column {name} has shape {re.escape(shape)}; each column must be 1-D"):
+            TrialTable(*columns)
+
     @pytest.mark.parametrize("value", [-0.0, 5e-324, 1e308, float("nan")], ids=["-0", "subnormal", "1e308", "nan"])
     def test_rows_equal_the_per_value_format(self, value):
         def per_value(table):
@@ -495,12 +556,20 @@ class TestCsvOutput:
 
 
 class TestConfig:
-    def test_json_round_trip(self):
-        cfg = small_config(
-            ref_spec=RefSpec(kind="spectrum", spectrum=(0.3, 0.7)),
-            noise=NoiseSpec(kind="hermitian_jitter", eps=0.02),
-        )
-        assert config_from_json(config_to_json(cfg)) == cfg
+    @pytest.mark.parametrize(
+        "ref_json, noise_json, ref_spec, noise",
+        [
+            ({"spectrum": [0.3, 0.7]}, {"hermitian_jitter": 0.02}, RefSpec("spectrum", (0.3, 0.7)),
+             NoiseSpec("hermitian_jitter", 0.02)),
+            ({"random_min_eig": 0.1}, {"depolarize": 0.5}, RefSpec("random_min_eig", min_eig=0.1),
+             NoiseSpec("depolarize", 0.5)),
+            ("maximally_mixed", "none", RefSpec("maximally_mixed"), NoiseSpec("none")),
+        ],
+        ids=["spectrum-jitter", "random-depolarize", "mixed-none"],
+    )
+    def test_json_literals_load_as_the_configs_they_name(self, ref_json, noise_json, ref_spec, noise):
+        obj = {"d1": 2, "d2": 2, "kraus_rank": 2, "ref_spec": ref_json, "noise": noise_json, "trials": 4, "seed": 11}
+        assert config_from_json(obj) == small_config(ref_spec=ref_spec, noise=noise)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):

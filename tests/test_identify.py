@@ -670,7 +670,7 @@ class TestIdentificationInvariants:
         t = random_channel(2, 2, 3, seed=23)
         for vecs in (make_reference(maximally_mixed(2)).spectrum.eigenvectors, rotated):
             x, x_inv = _probe_matrices(p, vecs)
-            w = _probe_outputs(t._factor, x)
+            w = _probe_outputs(t._factor, x)[1]
             factor = _reconstruct_stack(w[None], x_inv[None])[0][0]
             assert np.linalg.norm(factor @ factor.conj().T - choi(t).mat, "nuc") <= 1e-8
 
