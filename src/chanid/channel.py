@@ -25,7 +25,7 @@ from .linalg import (
     CHANNEL_SITE,
     DensityOperator,
     _adjoint,
-    _check_finite_hermitian,
+    _admitted,
     _draw,
     _fix_column_phases,
     _gram,
@@ -82,13 +82,14 @@ class KrausChannel:
         if not np.isfinite(ops).all():
             raise ValueError("Kraus entries must be finite")
         # the row-major flatten maps A[mu, i] to the Choi index mu * dim_in + i
-        factor = ops.reshape(len(ops), -1).T
+        self._set_forms(ops, ops.reshape(len(ops), -1).T)
+
+    def _set_forms(self, ops: np.ndarray, factor: np.ndarray) -> None:
+        """Keep ops and the factor F; the Choi matrix F F† and the TP defect are derived here alone."""
         # finite entries can still overflow in products; ChoiMatrix refuses the result
         with np.errstate(over="ignore", invalid="ignore"):
             c = ChoiMatrix(dim_in=self.dim_in, dim_out=self.dim_out, mat=_gram(factor))
-        self._set_forms(ops, c, factor, float(_marginal_defects(factor, self.dim_in)[0]))
-
-    def _set_forms(self, ops: np.ndarray, c: ChoiMatrix, factor: np.ndarray, tp_defect: float) -> None:
+        tp_defect = float(_marginal_defects(factor, self.dim_in)[0])
         ops.flags.writeable = False  # the views ops[k] are the map's only copy of its operators
         object.__setattr__(self, "kraus", tuple(ops))
         object.__setattr__(self, "_choi", c)
@@ -97,13 +98,13 @@ class KrausChannel:
         object.__setattr__(self, "trace_preserving", tp_defect <= TP_FLAG_TOL)
 
     @classmethod
-    def _built(cls, dim_in: int, dim_out: int, ops: np.ndarray, c, factor, tp_defect: float) -> KrausChannel:
-        """A map whose Kraus operators ops[k], Choi matrix, factor and TP defect
-        come from one factor in :func:`_channel_of`: nothing to check or build again."""
+    def _built(cls, dim_in: int, dim_out: int, ops: np.ndarray, factor: np.ndarray) -> KrausChannel:
+        """A map whose Kraus operators ops[k] :func:`_channel_of` cut from the
+        factor it keeps: nothing to check again."""
         t = object.__new__(cls)
         object.__setattr__(t, "dim_in", dim_in)
         object.__setattr__(t, "dim_out", dim_out)
-        t._set_forms(ops, ChoiMatrix(dim_in=dim_in, dim_out=dim_out, mat=c), factor, tp_defect)
+        t._set_forms(ops, factor)
         return t
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
@@ -140,8 +141,7 @@ class ChoiMatrix:
         n = self.dim_out * self.dim_in
         if m.shape != (n, n):
             raise ValueError(f"Choi matrix must be {n}x{n}, got {m.shape}")
-        _check_finite_hermitian(m, "Choi matrix", CHOI_HERM_TOL)
-        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "mat", _admitted(m, "Choi matrix", CHOI_HERM_TOL))
 
 
 def choi(t: KrausChannel) -> ChoiMatrix:
@@ -180,15 +180,15 @@ def from_choi(c: ChoiMatrix) -> KrausChannel:
 
 def _channel_of(factor: np.ndarray, d1: int) -> KrausChannel:
     """The ``KrausChannel`` on H_in = C^d1 with Choi matrix C = F F† of one
-    (d2·d1)-row factor F: the only place Kraus operators are cut.  d2 and
-    the TP defect ||tr_out C - 1||_op are read from F.
+    (d2·d1)-row factor F: the only place Kraus operators are cut.  d2 is
+    read from F.
 
     A thin SVD of F's nonzero columns gives the operators: the left singular
     vectors, which are C's eigenvectors, phase-fixed, scaled by the singular
     values, put in ascending order as ``eigh`` orders C's eigenpairs and
     unvectorized, all into one array.  The map keeps F itself as its factor, so its
-    fidelities read the bits a stacked run reads, and caches the Gram
-    product F F† as its Choi matrix.
+    fidelities read the bits a stacked run reads, and derives its Choi
+    matrix and TP defect from F as every ``KrausChannel`` does.
     """
     d2 = len(factor) // d1
     kept = factor[:, factor.any(axis=0)]
@@ -197,7 +197,7 @@ def _channel_of(factor: np.ndarray, d1: int) -> KrausChannel:
         ops = (_fix_column_phases(u[:, ::-1]) * s[::-1]).T.reshape(-1, d2, d1)
     else:
         ops = np.zeros((1, d2, d1), dtype=complex)
-    return KrausChannel._built(d1, d2, ops, _gram(factor), factor, float(_marginal_defects(factor, d1)[0]))
+    return KrausChannel._built(d1, d2, ops, factor)
 
 
 def tensor_with_identity(t: KrausChannel, d_anc: int) -> KrausChannel:

@@ -41,11 +41,10 @@ from .channel import (
 from .linalg import (
     DensityOperator,
     Spectrum,
-    _check_finite_hermitian,
+    _admitted,
     _check_unit_traces,
     _clip_spectra,
     _gram,
-    _hermiticity_defect,
     hermitian_part,
     spectral_decomposition,
 )
@@ -113,16 +112,7 @@ class RNOperator:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator must be square")
-        if not np.isfinite(m).all():
-            raise ValueError("operator entries must be finite")
-        if _hermiticity_defect(m) > 1e-9:
-            raise ValueError("operator must be Hermitian")
-        if float(np.linalg.eigvalsh(hermitian_part(m))[0]) < -RN_PSD_TOL:
-            raise ValueError("operator must be positive semidefinite")
-        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "mat", _admitted(self.mat, "RN operator", herm_tol=1e-9, psd_tol=RN_PSD_TOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,22 +253,19 @@ def reconstruct(w: DensityOperator | np.ndarray, ref: ReferenceState) -> Reconst
     the inversion formula defines, with residual diagnostics.  The output
     dimension is w's over ref.dim, which must divide it (checked here alone).
     w must have unit trace within ``linalg.TRACE_TOL``; a plain array w is
-    checked here, as a ``DensityOperator`` is at construction, for finite
-    entries and a Hermiticity defect within ``linalg.HERMITICITY_TOL``.  One
-    ``eigh`` of w does the rest.  This is the one clip of w, array or
-    ``DensityOperator``: eigenvalues in [-W_PSD_TOL, 0) are zeroed, the trace
-    restored and their whole weight reported as ``clip_magnitude``; anything
-    more negative raises :class:`NotCompletelyPositiveError`.  Eigenvalues up
-    to CHOI_REL_TOL·||w||_op are dropped, and the map's Kraus operators are
+    admitted here, as a ``DensityOperator`` is at construction, as a square
+    matrix with finite entries and a Hermiticity defect within
+    ``linalg.HERMITICITY_TOL``.  One ``eigh`` of w does the rest.  This is
+    the one clip of w, array or ``DensityOperator``: eigenvalues in
+    [-W_PSD_TOL, 0) are zeroed, the trace restored and their whole weight
+    reported as ``clip_magnitude``; anything more negative raises
+    :class:`NotCompletelyPositiveError`.  Eigenvalues up to
+    CHOI_REL_TOL·||w||_op are dropped, and the map's Kraus operators are
     cut from the factor of C the kept ones give.
     """
-    w_mat = w.mat if isinstance(w, DensityOperator) else np.asarray(w, dtype=complex)
-    if w_mat.ndim != 2 or w_mat.shape[0] != w_mat.shape[1]:
-        raise ValueError(f"state must be square, got shape {w_mat.shape}")
+    w_mat = w.mat if isinstance(w, DensityOperator) else _admitted(w, "state")
     if len(w_mat) % ref.dim != 0:
         raise ValueError(f"state dim {len(w_mat)} is not a multiple of reference dim {ref.dim}")
-    if not isinstance(w, DensityOperator):
-        _check_finite_hermitian(w_mat, "state")
     factor, tp, consistency, clipped = _reconstruct_stack(w_mat[None], ref.x_inv[None])
     return ReconstructionResult(
         cp_map=_channel_of(factor[0], ref.dim),

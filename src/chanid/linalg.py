@@ -7,6 +7,11 @@ varies slowly.  Tensor products are ``np.kron``, vectorization is a
 row-major ``reshape``, and the partial trace over the output factor is
 ``channel._marginal``; all three follow this convention, so they stay
 mutually consistent.
+
+Every operator entering the package (a ``DensityOperator``, ``ChoiMatrix``
+or ``RNOperator``, an array given to ``reconstruct``) is admitted by
+:func:`_admitted`, in this order: square, finite, Hermitian within its
+type's tolerance, then PSD where the type requires it; a state's unit trace last.
 """
 
 from __future__ import annotations
@@ -56,13 +61,23 @@ def spectral_decomposition(m: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=_fix_column_phases(vecs))
 
 
-def _check_finite_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL) -> None:
-    """Raise ``ValueError`` unless m's entries are finite and ||m - m†||_op <= tol."""
+def _admitted(m, what: str, herm_tol: float = HERMITICITY_TOL, psd_tol: float | None = None) -> np.ndarray:
+    """m as a complex square matrix, or one ``ValueError`` line naming ``what``.  In order: square,
+    finite, ||m - m†||_op <= herm_tol by :func:`_hermiticity_defect`, then, if psd_tol is given,
+    no eigenvalue of (m + m†)/2 below -psd_tol, from one ``eigvalsh`` (an empty m has none)."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{what} entries must be finite")
     defect = _hermiticity_defect(m)
-    if defect > tol:
+    if defect > herm_tol:
         raise ValueError(f"{what} not Hermitian: defect {defect:.3e}")
+    if psd_tol is not None and m.size:
+        min_eig = np.linalg.eigvalsh(m if defect == 0 else hermitian_part(m))[0]
+        if min_eig < -psd_tol:
+            raise ValueError(f"{what} not PSD: min eigenvalue {min_eig:.3e}")
+    return m
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -108,7 +123,8 @@ def _channel_fidelities(f1: np.ndarray, f2: np.ndarray, d_in: int) -> np.ndarray
     """Channel fidelities from stacks of Choi factors f1 and f2, either a
     stack of one: (sum svd(F1† F2) / d_in)², clipped to [0, 1]."""
     s = np.linalg.svd(_adjoint(f1) @ f2, compute_uv=False).sum(axis=-1) / d_in
-    return np.clip(s * s, 0.0, 1.0)
+    s = np.clip(s, 0.0, 1.0)  # before squaring: for maps with huge Kraus entries s * s overflows
+    return s * s
 
 
 def _check_unit_traces(m: np.ndarray, what: str = "trace") -> None:
@@ -124,25 +140,19 @@ def _check_unit_traces(m: np.ndarray, what: str = "trace") -> None:
 class DensityOperator:
     """Hermitian, PSD, unit-trace matrix, kept as given (as a complex array).
 
-    Construction checks, in this order: finite entries, Hermiticity, unit
-    trace, then a smallest eigenvalue of at least ``-PSD_ADMISSION_TOL``,
-    from one ``eigvalsh``.  Eigenvalues in that tolerance below 0 stay in
-    the matrix; ``reconstruct`` clips them and reports their weight.  This
-    is where states from JSON and user code are checked; the states the
-    package builds itself are wrapped by :meth:`_checked` instead.
+    Construction checks, in this order: a square matrix, finite entries,
+    Hermiticity, a smallest eigenvalue of at least ``-PSD_ADMISSION_TOL``
+    (all by :func:`_admitted`), then unit trace.  Eigenvalues in that
+    tolerance below 0 stay in the matrix; ``reconstruct`` clips them and
+    reports their weight.  This is where states from JSON and user code are
+    checked; the states the package builds itself are wrapped by :meth:`_checked`.
     """
 
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density operator must be square, got shape {m.shape}")
-        _check_finite_hermitian(m, "density operator")
+        m = _admitted(self.mat, "density operator", psd_tol=PSD_ADMISSION_TOL)
         _check_unit_traces(m)
-        min_eig = np.linalg.eigvalsh(hermitian_part(m))[0]
-        if min_eig < -PSD_ADMISSION_TOL:
-            raise ValueError(f"not PSD: min eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "mat", m)
 
     @classmethod

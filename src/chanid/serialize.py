@@ -2,9 +2,10 @@
 
 Complex matrices are encoded as ``{"rows": R, "cols": C, "data": [[re, im],
 ...]}`` with the data row-major; every other object composes this format.
+Three objects are read: a matrix (a state), a channel and a reference.
 Decoding validates shapes and raises ``ValueError`` on malformed input;
-integer fields must be JSON integers, real-number fields and matrix
-entries JSON numbers, and flags JSON bools.
+integer fields must be JSON integers, and real-number fields and matrix
+entries JSON numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .channel import ChoiMatrix, KrausChannel
+from .channel import KrausChannel
 from .identify import ADMISSIBILITY_CUTOFF, ReconstructionResult, ReferenceState, make_reference
 from .linalg import DensityOperator
 from .metrics import NormInterval
@@ -108,13 +109,6 @@ def vector_to_json(v: np.ndarray) -> list:
     return _pairs(np.asarray(v, dtype=complex))
 
 
-def vector_from_json(obj: list) -> np.ndarray:
-    """Decode a list of [re, im] pairs, checked as :func:`matrix_from_json` checks a matrix's data."""
-    if not isinstance(obj, list):
-        raise ValueError(f"vector must be a JSON list of [re, im] pairs, got {type(obj).__name__}")
-    return matrix_from_json({"rows": len(obj), "cols": 1, "data": obj}).reshape(-1)
-
-
 def channel_to_json(t: KrausChannel) -> dict:
     return {
         "dim_in": t.dim_in,
@@ -142,27 +136,6 @@ def channel_from_json(obj: dict) -> KrausChannel:
     return KrausChannel(dim_in=d1, dim_out=d2, kraus=kraus)
 
 
-def choi_to_json(c: ChoiMatrix) -> dict:
-    return {
-        "dim_in": c.dim_in,
-        "dim_out": c.dim_out,
-        "mat": matrix_to_json(c.mat),
-    }
-
-
-def choi_from_json(obj: dict) -> ChoiMatrix:
-    """Decode a Choi matrix; a legacy ``"normalized": true`` matrix is C / d_in and is rescaled."""
-    try:
-        d1, d2 = _json_int(obj["dim_in"], "dim_in"), _json_int(obj["dim_out"], "dim_out")
-        mat = matrix_from_json(obj["mat"])
-        legacy_scaled = obj.get("normalized", False)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed Choi object: {exc}") from exc
-    if not isinstance(legacy_scaled, bool):
-        raise ValueError(f"normalized must be a JSON bool, got {legacy_scaled!r}")
-    return ChoiMatrix(dim_in=d1, dim_out=d2, mat=mat * d1 if legacy_scaled else mat)
-
-
 def density_to_json(rho: DensityOperator) -> dict:
     return matrix_to_json(rho.mat)
 
@@ -180,7 +153,7 @@ def reference_to_json(ref: ReferenceState) -> dict:
 
 def reference_from_json(obj: dict) -> ReferenceState:
     try:
-        rho = DensityOperator(matrix_from_json(obj["rho"]))
+        rho = matrix_from_json(obj["rho"])  # ReferenceState checks it as a DensityOperator
         cutoff = _json_float(obj.get("cutoff", ADMISSIBILITY_CUTOFF), "cutoff")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed reference object: {exc}") from exc

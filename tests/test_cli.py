@@ -134,11 +134,21 @@ class TestReconstruct:
         assert cli_main(["reconstruct", "--w", w_path, "--ref", ref_path]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_malformed_json_is_validation_error(self, tmp_path, capsys):
+    def test_malformed_json_is_validation_error(self, tmp_path, capsys, noiseless_setup):
+        _, w_path, ref_path = noiseless_setup
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli_main(["reconstruct", "--w", str(bad), "--ref", str(bad)]) == 1
         assert "malformed JSON" in capsys.readouterr().err
+        # nesting too deep for the decoder's recursion is malformed too, through every reader
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        for argv in (["roundtrip", "--config", str(deep), "--out", str(tmp_path / "o.csv")],
+                     ["fidelity", "--t1", str(deep), "--t2", str(deep)],
+                     ["reconstruct", "--w", str(deep), "--ref", ref_path]):
+            assert cli_main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"chanid: error: {deep}: malformed JSON:") and err.count("\n") == 1
 
 
 _FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, float("nan"), float("inf"), float("-inf")])
@@ -595,6 +605,20 @@ class TestOverflowingKrausEntries:
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err == "chanid: error: Choi matrix entries must be finite\n"
+
+    def test_fidelity_of_a_pair_whose_choi_matrices_are_finite_exits_0(self, tmp_path, capsys):
+        # Kraus entries near 1e150 give finite Choi matrices, but sum svd(F1† F2)
+        # squares past a double; the fidelity is clipped to 1 before it is squared
+        paths = []
+        for seed in (1, 2):
+            obj = channel_to_json(random_channel(2, 2, 2, seed=seed))
+            for a in obj["kraus"]:
+                a["data"] = [[1e150 * re, 1e150 * im] for re, im in a["data"]]
+            paths.append(write_json(tmp_path / f"t{seed}.json", obj))
+        assert cli_main(["fidelity", "--t1", paths[0], "--t2", paths[1]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["fidelity"] == 1.0
 
 
 class TestSubnormalReference:

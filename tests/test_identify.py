@@ -345,7 +345,7 @@ class TestRNOperator:
         skew = np.zeros((4, 4))
         skew[0, 1], skew[1, 0] = 1e-9, -1e-9  # defect 2e-9 > 1e-9
         RNOperator(f)
-        with pytest.raises(ValueError, match="operator must be Hermitian"):
+        with pytest.raises(ValueError, match="not Hermitian: defect"):
             RNOperator(f + skew)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

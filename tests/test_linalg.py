@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from chanid import linalg
 from chanid.channel import (
+    CHOI_HERM_TOL,
     ChoiMatrix,
     KrausChannel,
     _marginal,
@@ -18,12 +19,14 @@ from chanid.channel import (
     tensor_with_identity,
 )
 from chanid.harness import ExperimentConfig, NoiseSpec, RefSpec, run_roundtrip
-from chanid.identify import RNOperator, forward_map, make_reference, reconstruct, rn_operator
+from chanid.identify import RN_PSD_TOL, RNOperator, forward_map, make_reference, reconstruct, rn_operator
 from chanid.metrics import NormInterval, channel_fidelity
 from chanid.linalg import (
     CB_STARTS_SITE,
     CHANNEL_SITE,
+    HERMITICITY_TOL,
     NOISE_SITE,
+    PSD_ADMISSION_TOL,
     TRACE_TOL,
     UNITARY_SITE,
     DensityOperator,
@@ -363,21 +366,50 @@ class TestHermiticityDefect:
         assert calls == []
         assert linalg._hermiticity_defect(f + self._skew(4, 1e-10)) == pytest.approx(2e-10, rel=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 4])
-    def test_overflowing_difference_is_refused_without_a_warning(self, n):
-        # finite entries whose m - m† overflows: the defect is inf, not NaN,
-        # and no eigensolver sees the overflowed matrix
-        m = np.eye(n, dtype=complex) / n
-        m[0, 1], m[1, 0] = 1e308, -1e308
+    ENTRIES = {  # name in the message, how the value enters, Hermiticity tolerance, PSD tolerance or None
+        "DensityOperator": ("density operator", DensityOperator, HERMITICITY_TOL, PSD_ADMISSION_TOL),
+        "ChoiMatrix": ("Choi matrix", lambda m: ChoiMatrix(dim_in=2, dim_out=2, mat=m), CHOI_HERM_TOL, None),
+        "RNOperator": ("RN operator", RNOperator, 1e-9, RN_PSD_TOL),
+        "reconstruct": ("state", lambda m: reconstruct(m, make_reference(maximally_mixed(2))), HERMITICITY_TOL, None),
+    }
+
+    @pytest.mark.parametrize("entry, case", [
+        (entry, case) for entry, (*_, psd_tol) in ENTRIES.items()
+        for case in ["not-square", "nan", "hermitian-past", "hermitian-within", "overflow"]
+        + ["psd-past", "psd-within", "psd-huge"] * (psd_tol is not None)
+    ])
+    def test_every_entry_point_admits_by_one_check(self, entry, case):
+        # every operator entering the package is checked in one order, square, finite,
+        # Hermitian, then PSD where its type requires it, each at its type's tolerance;
+        # a refusal is one ValueError line naming the type, and no check warns
+        name, enter, herm_tol, psd_tol = self.ENTRIES[entry]
+        m = np.eye(4, dtype=complex) / 4
+        if case == "not-square":
+            m = m[:, :3]
+        elif case == "nan":
+            m[0, 1] = np.nan
+        elif case.startswith("hermitian"):
+            m = m + self._skew(4, (1.01 if case == "hermitian-past" else 0.99) * herm_tol / 2)
+        elif case == "overflow":  # finite entries whose m - m† overflows: the defect is inf, not NaN
+            m[0, 1], m[1, 0] = 1e308, -1e308
+        elif case == "psd-huge":  # Hermitian, eigenvalues ±1e308: m + m† would overflow
+            m[0, 1] = m[1, 0] = 1e308
+        else:
+            shift = (1.01 if case == "psd-past" else 0.99) * psd_tol
+            m = np.diag([-shift, 0.25, 0.25, 0.5 + shift]).astype(complex)
+        message = {"not-square": "must be", "nan": "entries must be finite", "hermitian-past": "not Hermitian: defect",
+                   "overflow": "not Hermitian: defect inf", "psd-past": "not PSD: min eigenvalue",
+                   "psd-huge": "not PSD: min eigenvalue -1.000e\\+308"}.get(case)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert linalg._hermiticity_defect(m) == np.inf
-            with pytest.raises(ValueError, match="density operator not Hermitian: defect inf"):
-                DensityOperator(m)
-            with pytest.raises(ValueError, match="Choi matrix not Hermitian: defect inf"):
-                ChoiMatrix(dim_in=2, dim_out=n // 2, mat=m)
-            with pytest.raises(ValueError, match="operator must be Hermitian"):
-                RNOperator(m)
+            if case == "overflow":  # and no eigensolver sees the overflowed matrix
+                assert linalg._hermiticity_defect(m) == np.inf
+            if message is None:
+                enter(m)
+                return
+            with pytest.raises(ValueError, match=f"^{name} {message}") as info:
+                enter(m)
+        assert info.type is ValueError and "\n" not in str(info.value)
 
 
 class TestValueTypesCompareByIdentity:

@@ -4,22 +4,19 @@ import re
 import numpy as np
 import pytest
 
-from chanid.channel import choi, compose, depolarizing_channel, random_channel
+from chanid.channel import compose, depolarizing_channel, random_channel
 from chanid.cli import cli_main
 from chanid.identify import forward_map, make_reference
 from chanid.linalg import DensityOperator
 from chanid.serialize import (
     channel_from_json,
     channel_to_json,
-    choi_from_json,
-    choi_to_json,
     density_from_json,
     density_to_json,
     matrix_from_json,
     matrix_to_json,
     reference_from_json,
     reference_to_json,
-    vector_from_json,
     vector_to_json,
 )
 
@@ -188,24 +185,6 @@ class TestKrausListDecode:
         assert len(near["kraus"]) == 30
 
 
-def test_vector_round_trip():
-    rng = np.random.default_rng(1)
-    v = rand_complex(rng, 4, 1).reshape(-1)
-    np.testing.assert_array_equal(vector_from_json(vector_to_json(v)), v)
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [[[True, False]], [[0.5, True]], [[1, "a"]], [[1, None]], [[1]], [[1, 2, 3]], [[float("nan"), 0.0]],
-     [[0.0, float("inf")]], [[1, 10**400]], [], 5, "ab"],
-    ids=["bool-pair", "bool-imaginary-part", "string", "null", "short-pair", "long-pair", "nan", "inf",
-         "huge-int", "empty", "not-a-list", "string-vector"],
-)
-def test_vector_from_json_checks_as_matrix_data(obj):
-    with pytest.raises(ValueError):
-        vector_from_json(obj)
-
-
 def test_channel_round_trip():
     t = random_channel(2, 3, 2, seed=5)
     back = channel_from_json(channel_to_json(t))
@@ -218,29 +197,6 @@ def test_channel_round_trip():
 def test_channel_rejects_bad_payload():
     with pytest.raises(ValueError):
         channel_from_json({"dim_in": 2, "kraus": []})
-
-
-def test_choi_round_trip():
-    c = choi(random_channel(2, 2, 2, seed=6))
-    obj = choi_to_json(c)
-    assert set(obj) == {"dim_in", "dim_out", "mat"}
-    np.testing.assert_array_equal(choi_from_json(obj).mat, c.mat)
-
-
-def test_choi_without_scale_key_loads_as_is():
-    c = choi(random_channel(3, 2, 2, seed=7))
-    obj = {"dim_in": 3, "dim_out": 2, "mat": matrix_to_json(c.mat)}
-    np.testing.assert_array_equal(choi_from_json(obj).mat, c.mat)
-    np.testing.assert_array_equal(choi_from_json({**obj, "normalized": False}).mat, c.mat)
-
-
-def test_legacy_normalized_choi_is_rescaled():
-    # older files could store C / d_in under "normalized": true
-    c = choi(random_channel(3, 2, 2, seed=8))
-    legacy = {"dim_in": 3, "dim_out": 2, "normalized": True, "mat": matrix_to_json(c.mat / 3)}
-    back = choi_from_json(legacy)
-    np.testing.assert_allclose(back.mat, c.mat, rtol=0, atol=1e-15)
-    assert np.trace(back.mat).real == pytest.approx(3.0, abs=1e-14)
 
 
 def test_density_round_trip():
@@ -290,11 +246,3 @@ def test_reference_with_null_out_basis_loads():
 def test_non_number_matrix_data_is_value_error(data):
     with pytest.raises(ValueError, match="matrix data"):
         matrix_from_json({"rows": 1, "cols": 1, "data": data})
-
-
-@pytest.mark.parametrize("flag", ["false", 0, 1, None], ids=["string", "zero", "one", "null"])
-def test_choi_normalized_flag_must_be_a_json_bool(flag):
-    c = choi(random_channel(2, 2, 2, seed=9))
-    obj = {"dim_in": 2, "dim_out": 2, "normalized": flag, "mat": matrix_to_json(c.mat)}
-    with pytest.raises(ValueError, match="normalized must be a JSON bool"):
-        choi_from_json(obj)
