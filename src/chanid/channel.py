@@ -13,6 +13,11 @@ only there.  The Choi matrix C = F F†, the Gram product ``linalg._gram``
 of F, is formed once at construction and returned by :func:`choi`.
 Stinespring dilations have the shape V: H_out -> H_in ⊗ E, so that
 T(rho) = V† (rho ⊗ 1_E) V.
+
+Four rules have their one owner here: which (d1, d2, kraus_rank) a channel
+has (:func:`_check_map_shape`), whether two maps share one shape
+(:func:`_check_same_shape`), the refusal of a non-CP operator after its
+``eigh`` (:func:`_cp_eigh`) and ``random_channel``'s draw (:func:`_channel_fill`).
 """
 
 from __future__ import annotations
@@ -71,13 +76,12 @@ class KrausChannel:
     def __post_init__(self):
         if self.dim_in < 1 or self.dim_out < 1:
             raise ValueError("dimensions must be positive")
-        one_array = isinstance(self.kraus, np.ndarray)  # an (r, dim_out, dim_in) array is checked at once
-        ops = self.kraus if one_array else [np.asarray(a, dtype=complex) for a in self.kraus]
-        if not len(ops):
+        ops = [np.asarray(a, dtype=complex) for a in self.kraus]
+        if not ops:
             raise ValueError("at least one Kraus operator is required")
-        for shape in [ops.shape[1:]] if one_array else [a.shape for a in ops]:
-            if shape != (self.dim_out, self.dim_in):
-                raise ValueError(f"Kraus operator shape {shape} != ({self.dim_out}, {self.dim_in})")
+        for a in ops:
+            if a.shape != (self.dim_out, self.dim_in):
+                raise ValueError(f"Kraus operator shape {a.shape} != ({self.dim_out}, {self.dim_in})")
         ops = np.array(ops, dtype=complex)
         if not np.isfinite(ops).all():
             raise ValueError("Kraus entries must be finite")
@@ -171,11 +175,18 @@ def from_choi(c: ChoiMatrix) -> KrausChannel:
     matrix is not a CP-map Choi matrix and raises
     :class:`NotCompletelyPositiveError`.
     """
-    lam, vecs = np.linalg.eigh(hermitian_part(c.mat))
-    if lam[0] < -FROM_CHOI_PSD_TOL:
-        raise NotCompletelyPositiveError(f"Choi matrix has eigenvalue {lam[0]:.3e} < -{FROM_CHOI_PSD_TOL:.1e}")
+    lam, vecs = _cp_eigh(c.mat, FROM_CHOI_PSD_TOL, "Choi matrix")
     factor = vecs * np.sqrt(np.where(lam > FROM_CHOI_RANK_CUTOFF, lam, 0.0))
     return _channel_of(factor, c.dim_in)
+
+
+def _cp_eigh(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """One ``eigh`` of (m + m†)/2, for one matrix or each of a stack, whose eigenvalues must all be
+    at least -tol, or :class:`NotCompletelyPositiveError`: the one refusal of a non-CP operator."""
+    lam, vecs = np.linalg.eigh(hermitian_part(m))
+    if lam[..., 0].min() < -tol:
+        raise NotCompletelyPositiveError(f"{what} has eigenvalue {lam[..., 0].min():.3e} < -{tol:.1e}")
+    return lam, vecs
 
 
 def _channel_of(factor: np.ndarray, d1: int) -> KrausChannel:
@@ -240,10 +251,25 @@ def stinespring(t: KrausChannel) -> np.ndarray:
     return ops.transpose(2, 0, 1).reshape(t.dim_in * len(ops), t.dim_out)
 
 
+def _check_same_shape(t1: KrausChannel, t2: KrausChannel) -> None:
+    """The one check that two maps act between the same spaces, for every function of a pair."""
+    if (t1.dim_in, t1.dim_out) != (t2.dim_in, t2.dim_out):
+        raise ValueError(f"dimension mismatch: ({t1.dim_in},{t1.dim_out}) vs ({t2.dim_in},{t2.dim_out})")
+
+
+def _check_map_shape(d1: int, d2: int, kraus_rank: int) -> None:
+    """Positive dimensions, a rank in [1, d1·d2] and d2·kraus_rank >= d1 (an isometry H_in -> H_out ⊗ E)."""
+    if d1 < 1 or d2 < 1:
+        raise ValueError("dimensions must be positive")
+    if not 1 <= kraus_rank <= d1 * d2:
+        raise ValueError(f"kraus_rank must be in [1, {d1 * d2}], got {kraus_rank}")
+    if d2 * kraus_rank < d1:
+        raise ValueError(f"need d2 * kraus_rank >= d1 for a channel, got d1={d1}, d2={d2}, kraus_rank={kraus_rank}")
+
+
 def is_completely_dominated(s: KrausChannel, t: KrausChannel, lam: float) -> bool:
     """Whether lam * T - S is completely positive (Choi PSD to -1e-9)."""
-    if (s.dim_in, s.dim_out) != (t.dim_in, t.dim_out):
-        raise ValueError("dimension pairs must match")
+    _check_same_shape(s, t)
     if not 0 <= lam < np.inf:
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     diff = lam * choi(t).mat - choi(s).mat
@@ -255,28 +281,27 @@ def random_channel(d1: int, d2: int, kraus_rank: int, seed: int) -> KrausChannel
 
     Kraus operators are the environment blocks of a Haar-random isometry:
     A_j = (1 ⊗ <e_j|) W with W the first d1 columns of a Haar unitary on
-    H_out ⊗ C^rank.  Requires d2 * kraus_rank >= d1 or no trace-preserving
-    channel of that rank exists.
+    H_out ⊗ C^rank, which exists where :func:`_check_map_shape` admits the shape.
     """
-    if d1 < 1 or d2 < 1:
-        raise ValueError("dimensions must be positive")
-    if not 1 <= kraus_rank <= d1 * d2:
-        raise ValueError(f"kraus_rank must be in [1, {d1 * d2}], got {kraus_rank}")
-    if d2 * kraus_rank < d1:
-        raise ValueError(f"no isometry H_in -> H_out ⊗ E exists for d1={d1}, d2={d2}, rank={kraus_rank}")
+    _check_map_shape(d1, d2, kraus_rank)
     [factor] = _random_factors(d1, d2, kraus_rank, [_seed(seed)])
     return KrausChannel(dim_in=d1, dim_out=d2, kraus=tuple(factor.T.reshape(kraus_rank, d2, d1)))
 
 
 def _random_factors(d1: int, d2: int, kraus_rank: int, seeds) -> np.ndarray:
     """The Choi factors K = [vec(A_1) ... vec(A_r)] of :func:`random_channel` for each seed."""
-    [z] = _draw(seeds, CHANNEL_SITE, ("standard_normal", (d1, 2, d2 * kraus_rank)))
+    [z] = _draw(seeds, CHANNEL_SITE, _channel_fill(d1, d2, kraus_rank))
     return _kraus_factors(z, d2, kraus_rank)
 
 
+def _channel_fill(d1: int, d2: int, kraus_rank: int) -> tuple[str, tuple[int, ...]]:
+    """The ``_draw`` fill of :func:`random_channel`, its first at ``CHANNEL_SITE``: its normals."""
+    return "standard_normal", (d1, 2, d2 * kraus_rank)
+
+
 def _kraus_factors(z: np.ndarray, d2: int, kraus_rank: int) -> np.ndarray:
-    """The Choi factors of :func:`random_channel` from each seed's first draw at
-    ``CHANNEL_SITE``, its normals z[n] of shape (d1, 2, d2 · kraus_rank), with one stacked QR."""
+    """The Choi factors of :func:`random_channel` from each seed's :func:`_channel_fill`
+    normals z[n], with one stacked QR."""
     n, d1 = z.shape[:2]
     # row (mu, j) of W is the mu-th output row of A_j
     kraus = np.moveaxis(_haar(z).reshape(n, d2, kraus_rank, d1), 2, 0)

@@ -30,10 +30,12 @@ a trial without jitter decomposes one state-sized matrix; jitter also
 decomposes each disturbed state to clip it.  The chunks' outputs are the
 columns of a :class:`TrialTable`; no later stage loops per row.
 
-Values are checked where they enter: :class:`RefSpec`, :class:`NoiseSpec`,
-:class:`ExperimentConfig` and the sweep grid.  The states the stages build
-from them (references, probe outputs, disturbed outputs) are Hermitian and
-of unit trace by construction and PSD up to rounding, and are not checked
+Values are checked where they enter: :class:`RefSpec`, :class:`NoiseSpec`
+(the one owner of the no-noise case: kind "none" takes no strength, so the
+stages read ``eps`` alone), :class:`ExperimentConfig` (whose map shape is
+``channel._check_map_shape``'s) and the sweep grid.  The states built from
+them (references, probe outputs, disturbed outputs) are Hermitian and of
+unit trace by construction and PSD up to rounding, and are not checked
 again as density operators: the probe checks only its outputs' traces,
 and the reconstruction, as for any input, checks the trace and the PSD
 tolerance of w from its eigenvalues and clips what rounding left below 0.
@@ -47,7 +49,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import _kraus_factors, _random_factors
+from .channel import _channel_fill, _check_map_shape, _kraus_factors, _random_factors
 from .identify import _probe_outputs, _reconstruct_stack, _reference_arrays
 from .linalg import CHANNEL_SITE, NOISE_SITE, TRACE_TOL, DensityOperator, _adjoint, _clip_spectra, _draw, _gram
 from .linalg import _haar, _hermitian_norms, _seed, hermitian_part
@@ -77,6 +79,8 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"noise strength must be in [0, 1], got {self.eps}")
+        if self.kind == "none" and self.eps != 0.0:
+            raise ValueError(f"noise kind 'none' takes no strength, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -115,12 +119,9 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        if min(self.d1, self.d2, self.trials) < 1:
-            raise ValueError("d1, d2 and trials must be positive")
-        if not 1 <= self.kraus_rank <= self.d1 * self.d2:
-            raise ValueError(f"kraus_rank must be in [1, {self.d1 * self.d2}]")
-        if self.d2 * self.kraus_rank < self.d1:
-            raise ValueError(f"need d2 * kraus_rank >= d1 = {self.d1} for a channel")
+        _check_map_shape(self.d1, self.d2, self.kraus_rank)
+        if self.trials < 1:
+            raise ValueError("trials must be positive")
         object.__setattr__(self, "seed", operator.index(self.seed))  # the trials' draws take it unchecked
         if not 0 <= self.seed < 2**64:  # trial i draws with seed + i·2^64
             raise ValueError(f"seed must be non-negative and below 2**64, got {self.seed}")
@@ -203,7 +204,7 @@ def apply_noise(w: DensityOperator, model: NoiseSpec, seed: int) -> DensityOpera
 
 def _noisy(w: np.ndarray, model: NoiseSpec, seeds) -> np.ndarray:
     """:func:`apply_noise` for a stack of states, one noise seed each."""
-    if model.kind == "none" or model.eps == 0.0:
+    if model.eps == 0.0:
         return w
     d = w.shape[-1]
     if model.kind == "depolarize":
@@ -224,7 +225,7 @@ def _trace_distances(model: NoiseSpec, lifted: np.ndarray, w: np.ndarray, noisy:
     """||w_noisy − w||_1 of each trial, from its noise model.  Depolarizing w = G G† (G = ``lifted``, D × r,
     r <= D) by eps moves it by eps·(1/D − w), and w's spectrum is the r eigenvalues mu of G†G and D − r zeros:
     eps·(sum |mu − 1/D| + (D − r)/D), one r × r ``eigvalsh``.  Jitter: one ``eigvalsh`` of w_noisy − w."""
-    if model.kind == "none" or model.eps == 0.0:
+    if model.eps == 0.0:
         return np.zeros(len(w))
     if model.kind == "hermitian_jitter":
         return _hermitian_norms(noisy - w)[1]
@@ -275,11 +276,10 @@ def _trial_columns(cfg: ExperimentConfig, indices: range, factor, refs, noise_se
     factor_rec, tp_residual, consistency, _ = _reconstruct_stack(noisy, x_inv)
     trace_dist = _trace_distances(cfg.noise, lifted, w, noisy)
     fidelity = _channel_fidelities(factor_rec, factor, cfg.d1)
-    eps = cfg.noise.eps if cfg.noise.kind != "none" else 0.0
     return (
         np.arange(indices.start, indices.stop),
         np.broadcast_to(min_eig, trace_dist.shape),
-        np.full(trace_dist.shape, eps),
+        np.full(trace_dist.shape, cfg.noise.eps),
         trace_dist,
         consistency,
         tp_residual,
@@ -293,7 +293,7 @@ def run_roundtrip(cfg: ExperimentConfig) -> TrialTable:
     spec = cfg.ref_spec
     spectrum = {"maximally_mixed": (1.0 / cfg.d1,) * cfg.d1, "spectrum": spec.spectrum}.get(spec.kind)
     fixed = None if spectrum is None else _diagonal_references(np.array([spectrum]))
-    channel_fill = ("standard_normal", (cfg.d1, 2, cfg.d2 * cfg.kraus_rank))  # random_channel's first draw
+    channel_fill = _channel_fill(cfg.d1, cfg.d2, cfg.kraus_rank)
     ref_fills = () if fixed else (("standard_normal", (cfg.d1, 2, cfg.d1)), ("standard_exponential", (cfg.d1,)))
     chunks = []
     for chunk in _chunks(cfg, cfg.trials):

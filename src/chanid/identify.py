@@ -32,22 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (
-    KrausChannel,
-    NotCompletelyPositiveError,
-    _channel_of,
-    _marginal_defects,
-)
-from .linalg import (
-    DensityOperator,
-    Spectrum,
-    _admitted,
-    _check_unit_traces,
-    _clip_spectra,
-    _gram,
-    hermitian_part,
-    spectral_decomposition,
-)
+from .channel import KrausChannel, _channel_of, _cp_eigh, _marginal_defects
+from .linalg import DensityOperator, Spectrum, _admitted, _check_unit_traces, _clip_spectra, _gram, spectral_decomposition
 
 ADMISSIBILITY_CUTOFF = 1e-10
 RN_PSD_TOL = 1e-9
@@ -179,9 +165,14 @@ def _lift(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def forward_map(t: KrausChannel, ref: ReferenceState) -> DensityOperator:
     """Probe output w = (T ⊗ id)(|Omega><Omega|) = (1 ⊗ X) C (1 ⊗ X)† on H_out ⊗ H_in."""
+    return DensityOperator._checked(_probe_outputs(_probed_factor(t, ref), ref.x)[1])
+
+
+def _probed_factor(t: KrausChannel, ref: ReferenceState) -> np.ndarray:
+    """t's Choi factor, once t's input is checked to be the reference's: the one probe-dimension check."""
     if t.dim_in != ref.dim:
         raise ValueError(f"channel input dim {t.dim_in} != reference dim {ref.dim}")
-    return DensityOperator._checked(_probe_outputs(t._factor, ref.x)[1])
+    return t._factor
 
 
 def _probe_outputs(factor: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,9 +210,7 @@ def rn_operator(t: KrausChannel, ref: ReferenceState) -> RNOperator:
     With w = (1 ⊗ X) C (1 ⊗ X)† and rho = X X†, rho^{-1} X = X⁻†, so F is
     (1 ⊗ X⁻†) C (1 ⊗ X⁻†)†: the Gram product of the lifted factor (1 ⊗ X⁻†) K.
     """
-    if t.dim_in != ref.dim:
-        raise ValueError(f"channel input dim {t.dim_in} != reference dim {ref.dim}")
-    return RNOperator(mat=_gram(_lift(ref.x_inv.conj().T, t._factor)))
+    return RNOperator(mat=_gram(_lift(ref.x_inv.conj().T, _probed_factor(t, ref))))
 
 
 def _apply_rn_matrix(v: np.ndarray, f_mat: np.ndarray, sigma_mat: np.ndarray) -> np.ndarray:
@@ -289,11 +278,7 @@ def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray) -> tuple:
     """
     d1 = x_inv.shape[-1]
     _check_unit_traces(w, "state trace")
-    lam, u = np.linalg.eigh(hermitian_part(w))
-    if lam[:, 0].min() < -W_PSD_TOL:
-        raise NotCompletelyPositiveError(
-            f"input state has eigenvalue {lam[:, 0].min():.3e} < -{W_PSD_TOL:.1e}"
-        )
+    lam, u = _cp_eigh(w, W_PSD_TOL, "input state")
     lam, clipped = _clip_spectra(lam)
     full = _lift(x_inv, u * np.sqrt(lam)[:, None, :])
     factor = np.where((lam > CHOI_REL_TOL * lam[:, -1:])[:, None, :], full, 0.0)

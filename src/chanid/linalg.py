@@ -10,8 +10,9 @@ mutually consistent.
 
 Every operator entering the package (a ``DensityOperator``, ``ChoiMatrix``
 or ``RNOperator``, an array given to ``reconstruct``) is admitted by
-:func:`_admitted`, in this order: square, finite, Hermitian within its
-type's tolerance, then PSD where the type requires it; a state's unit trace last.
+:func:`_admitted`, in this order: square and nonempty, finite, Hermitian
+within its type's tolerance, then PSD where the type requires it; a state's
+unit trace last.
 """
 
 from __future__ import annotations
@@ -62,19 +63,19 @@ def spectral_decomposition(m: np.ndarray) -> Spectrum:
 
 
 def _admitted(m, what: str, herm_tol: float = HERMITICITY_TOL, psd_tol: float | None = None) -> np.ndarray:
-    """m as a complex square matrix, or one ``ValueError`` line naming ``what``.  In order: square,
-    finite, ||m - m†||_op <= herm_tol by :func:`_hermiticity_defect`, then, if psd_tol is given,
-    no eigenvalue of (m + m†)/2 below -psd_tol, from one ``eigvalsh`` (an empty m has none)."""
+    """m as a complex square matrix, or one ``ValueError`` line naming ``what``.  In order: square
+    and nonempty, finite, ||m - m†||_op <= herm_tol by :func:`_hermiticity_defect`, then, if psd_tol
+    is given, no eigenvalue of (m + m†)/2 below -psd_tol, from one ``eigvalsh``."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not len(m):
+        raise ValueError(f"{what} must be square and nonempty, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{what} entries must be finite")
     defect = _hermiticity_defect(m)
     if defect > herm_tol:
         raise ValueError(f"{what} not Hermitian: defect {defect:.3e}")
-    if psd_tol is not None and m.size:
-        min_eig = np.linalg.eigvalsh(m if defect == 0 else hermitian_part(m))[0]
+    if psd_tol is not None:  # halved first: m + m† overflows where entries near the largest double add
+        min_eig = np.linalg.eigvalsh(m if defect == 0 else m / 2 + _adjoint(m) / 2)[0]
         if min_eig < -psd_tol:
             raise ValueError(f"{what} not PSD: min eigenvalue {min_eig:.3e}")
     return m
@@ -130,7 +131,8 @@ def _channel_fidelities(f1: np.ndarray, f2: np.ndarray, d_in: int) -> np.ndarray
 def _check_unit_traces(m: np.ndarray, what: str = "trace") -> None:
     """Raise ``ValueError`` unless the trace of m, or of each matrix of a
     stack m, is 1 within ``TRACE_TOL``; a NaN trace fails too."""
-    traces = np.atleast_1d(np.trace(m, axis1=-2, axis2=-1))
+    with np.errstate(over="ignore"):  # an overflowing trace is inf, and fails
+        traces = np.atleast_1d(np.trace(m, axis1=-2, axis2=-1))
     off = np.abs(traces - 1.0)
     if not off.max() <= TRACE_TOL:
         raise ValueError(f"{what} {complex(traces[np.argmax(off)])} is not 1 within {TRACE_TOL}")
@@ -140,7 +142,7 @@ def _check_unit_traces(m: np.ndarray, what: str = "trace") -> None:
 class DensityOperator:
     """Hermitian, PSD, unit-trace matrix, kept as given (as a complex array).
 
-    Construction checks, in this order: a square matrix, finite entries,
+    Construction checks, in this order: a nonempty square matrix, finite entries,
     Hermiticity, a smallest eigenvalue of at least ``-PSD_ADMISSION_TOL``
     (all by :func:`_admitted`), then unit trace.  Eigenvalues in that
     tolerance below 0 stay in the matrix; ``reconstruct`` clips them and
@@ -186,22 +188,18 @@ def _clip_spectra(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project each ascending spectrum of a stack onto the probability simplex
     the way a state is clipped: zero the negative eigenvalues, renormalize.
 
-    Returns the clipped spectra and the negative weight removed from each;
-    spectra with no negative eigenvalue come back as they are.  The one clip
-    of a probe output is ``reconstruct``'s; the jitter noise model clips its
-    disturbed states too, as part of their definition, and rebuilds them.
+    Returns the clipped spectra and the negative weight removed from each; spectra
+    with no negative eigenvalue come back as they are.  Each spectrum has unit trace,
+    so the weight it keeps is positive.  The one clip of a probe output is
+    ``reconstruct``'s; the jitter noise model clips its disturbed states too, as
+    part of their definition, and rebuilds them.
     """
     moved = vals[:, 0] < 0.0  # eigenvalues ascend
     negative = np.zeros(len(vals))
-    if not moved.any():
-        return vals, negative
     negative[moved] = -np.sum(np.clip(vals[moved], None, 0.0), axis=-1)
     kept = np.clip(vals[moved], 0.0, None)
-    total = np.sum(kept, axis=-1)
-    if (total <= 0.0).any():
-        raise ValueError("matrix has no positive spectral weight")
     vals = vals.copy()
-    vals[moved] = kept / total[:, None]
+    vals[moved] = kept / np.sum(kept, axis=-1)[:, None]
     return vals, negative
 
 

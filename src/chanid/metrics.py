@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausChannel, _marginal, choi
+from .channel import KrausChannel, _check_same_shape, _marginal, choi
 from .identify import ReferenceState, _lift, reconstruct
 from .linalg import CB_STARTS_SITE, DensityOperator, _adjoint, _channel_fidelities, _draw, _eigen_factors
 from .linalg import _gram, _hermitian_norms, hermitian_part
@@ -97,13 +97,6 @@ class BoundReport:
     dim: int
 
 
-def _check_same_dims(t1: KrausChannel, t2: KrausChannel):
-    if (t1.dim_in, t1.dim_out) != (t2.dim_in, t2.dim_out):
-        raise ValueError(
-            f"dimension mismatch: ({t1.dim_in},{t1.dim_out}) vs ({t2.dim_in},{t2.dim_out})"
-        )
-
-
 def channel_fidelity(t1: KrausChannel, t2: KrausChannel) -> float:
     """Mixed-state fidelity between the Choi states C / d_in of two maps, in [0, 1].
 
@@ -114,7 +107,7 @@ def channel_fidelity(t1: KrausChannel, t2: KrausChannel) -> float:
     multiply Kraus counts) is replaced by C's eigenvectors scaled by
     sqrt(eigenvalue), so no factor has more than d_in·d_out columns.
     """
-    _check_same_dims(t1, t2)
+    _check_same_shape(t1, t2)
     return float(_channel_fidelities(_narrow_factor(t1)[None], _narrow_factor(t2)[None], t1.dim_in)[0])
 
 
@@ -160,11 +153,10 @@ def worst_case_bound(
 ) -> BoundReport:
     """Fidelity between the two reconstructed maps and its certified bound.
 
-    The bound depends on the probe outputs only through their trace
-    distance and on the reference only through 1 / (min eigenvalue).
+    The bound depends on the probe outputs only through their trace distance and
+    on the reference only through 1 / (min eigenvalue).  :func:`channel_fidelity`
+    refuses states of two dimensions, whose maps have two shapes.
     """
-    if w1.dim != w2.dim:
-        raise ValueError(f"dimension mismatch: {w1.dim} vs {w2.dim}")
     rec1 = reconstruct(w1, ref)
     rec2 = reconstruct(w2, ref)
     fid = channel_fidelity(rec1.cp_map, rec2.cp_map)
@@ -202,7 +194,7 @@ def cb_objective(t1: KrausChannel, t2: KrausChannel, psi: np.ndarray) -> float:
     This is the exact function the interval optimizer maximizes, exposed so
     reported lower bounds can be re-checked at their witness states.
     """
-    _check_same_dims(t1, t2)
+    _check_same_shape(t1, t2)
     d_in, d_out = t1.dim_in, t1.dim_out
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != d_in * d_in:
@@ -356,7 +348,7 @@ def cb_distance_interval(
     lower end above the upper end beyond rounding raises
     :class:`CertificateError`.
     """
-    _check_same_dims(t1, t2)
+    _check_same_shape(t1, t2)
     if starts < 0 or max_iters < 0:
         raise ValueError(f"starts and max_iters must be >= 0, got {starts} and {max_iters}")
     d1, d2 = t1.dim_in, t1.dim_out

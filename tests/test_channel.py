@@ -560,3 +560,29 @@ class TestOneKrausArray:
         want_dual = sum(a.conj().T @ y @ a for a in t.kraus)
         assert np.linalg.norm(t.apply_matrix(x) - want) <= 1e-14 * np.linalg.norm(want)
         assert np.linalg.norm(t.dual_apply(y) - want_dual) <= 1e-14 * np.linalg.norm(want_dual)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: KrausChannel(dim_in=0, dim_out=2, kraus=(np.zeros((2, 0)),)), ValueError,
+         "dimensions must be positive"),
+        (lambda: identity_channel(2).dual_apply(np.eye(3)), ValueError, "expected 2x2 input, got (3, 3)"),
+        (lambda: tensor_with_identity(identity_channel(2), 0), ValueError, "ancilla dimension must be >= 1"),
+        (lambda: unitary_channel(np.ones(3)), ValueError, "unitary must be square"),
+        (lambda: is_completely_dominated(identity_channel(2), identity_channel(3), 1.0), ValueError,
+         "dimension mismatch: (2,2) vs (3,3)"),
+        (lambda: random_channel(2, 2, 5, seed=0), ValueError, "kraus_rank must be in [1, 4], got 5"),
+        (lambda: random_channel(3, 2, 1, seed=0), ValueError,
+         "need d2 * kraus_rank >= d1 for a channel, got d1=3, d2=2, kraus_rank=1"),
+        (lambda: from_choi(ChoiMatrix(dim_in=1, dim_out=2, mat=np.diag([1.0, -1.0]))), NotCompletelyPositiveError,
+         "Choi matrix has eigenvalue -1.000e+00 < -1.0e-08"),
+    ],
+    ids=["kraus-dims", "dual-apply-shape", "ancilla", "unitary-shape", "pair-shape", "rank-range", "rank-isometry",
+         "not-cp"],
+)
+def test_refusals_are_one_line_of_their_type(call, error, message):
+    # the pair and map shapes, and the non-CP refusal, are each checked by one function of this module
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error and str(info.value) == message

@@ -542,6 +542,13 @@ class TestMalformedInput:
         code = cli_main(["roundtrip", "--config", cfg, "--out", str(tmp_path / "o.csv")])
         self.assert_one_line_error(code, capsys)
 
+    def test_noise_none_with_a_strength_rejected(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "noise": {"none": 0.3}})
+        code = cli_main(["roundtrip", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "chanid: error: noise kind 'none' takes no strength, got 0.3\n"
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("cutoff", [float("nan"), -1.0], ids=["nan", "negative"])
     def test_reference_cutoff_rejected(self, tmp_path, capsys, cutoff):
         # either cutoff would admit this reference, min eig 1e-300
@@ -619,6 +626,18 @@ class TestOverflowingKrausEntries:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert json.loads(captured.out)["fidelity"] == 1.0
+
+
+class TestOverflowingStateEntries:
+    def test_reconstruct_of_a_state_whose_trace_overflows(self, tmp_path, capsys):
+        # diag(1e308, 1e308) is finite, Hermitian and PSD; its trace is not a double
+        w_path = write_json(tmp_path / "w.json", matrix_to_json(np.diag([1e308, 1e308])))
+        ref_path = write_json(tmp_path / "ref.json", reference_to_json(make_reference(maximally_mixed(2))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["reconstruct", "--w", w_path, "--ref", ref_path])
+        assert code == 1
+        assert capsys.readouterr().err == "chanid: error: trace (inf+0j) is not 1 within 1e-10\n"
 
 
 class TestSubnormalReference:

@@ -611,3 +611,31 @@ class TestConfig:
     def test_ref_spec_length_checked(self):
         with pytest.raises(ValueError):
             small_config(ref_spec=RefSpec(kind="spectrum", spectrum=(0.2, 0.3, 0.5)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: RefSpec(kind="spectrum", spectrum=()), "spectrum ref_spec requires eigenvalues"),
+        (lambda: RefSpec(kind="uniform"), "unknown ref_spec kind 'uniform'"),
+        (lambda: small_config(d1=0), "dimensions must be positive"),
+        (lambda: small_config(kraus_rank=5), "kraus_rank must be in [1, 4], got 5"),
+        (lambda: small_config(d1=3, d2=1, kraus_rank=1),
+         "need d2 * kraus_rank >= d1 for a channel, got d1=3, d2=1, kraus_rank=1"),
+        (lambda: small_config(trials=0), "trials must be positive"),
+        (lambda: NoiseSpec(kind="none", eps=0.3), "noise kind 'none' takes no strength, got 0.3"),
+        (lambda: harness.ref_spec_from_json(42), "malformed ref_spec 42"),
+        (lambda: harness.noise_from_json([0.1]), "malformed noise spec [0.1]"),
+    ],
+    ids=["empty-spectrum", "ref-kind", "dims", "rank-range", "rank-isometry", "trials", "none-strength",
+         "ref-json", "noise-json"],
+)
+def test_config_refusals_are_one_value_error_line(call, message):
+    # the config's map shape is channel's rule, the one random_channel applies
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError and str(info.value) == message
+
+
+def test_noise_none_at_strength_zero_is_no_noise():
+    assert config_from_json({"d1": 2, "d2": 2, "kraus_rank": 2, "trials": 1, "noise": {"none": 0}}).noise == NoiseSpec()

@@ -4,6 +4,7 @@ import pytest
 from chanid.channel import (
     ChoiMatrix,
     KrausChannel,
+    NotCompletelyPositiveError,
     choi,
     compose,
     depolarizing_channel,
@@ -767,3 +768,27 @@ class TestTpResidualIsTheMapsTpDefect:
                 ref = rand_reference(rng, d1, min_eig=0.05 / d1)
                 rec = reconstruct(apply_noise(forward_map(t, ref), noise, seed=d1 + 10 * d2), ref)
                 assert rec.tp_residual == rec.cp_map.tp_defect, (d1, d2)
+
+
+REF2 = make_reference(maximally_mixed(2))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: v_isometry(REF2, 0), ValueError, "output dimension must be >= 1"),
+        (lambda: forward_map(identity_channel(3), REF2), ValueError, "channel input dim 3 != reference dim 2"),
+        (lambda: rn_operator(identity_channel(3), REF2), ValueError, "channel input dim 3 != reference dim 2"),
+        (lambda: apply_rn(np.zeros((5, 2)), rn_operator(identity_channel(2), REF2), maximally_mixed(2)), ValueError,
+         "isometry shape (5, 2) inconsistent with input dim 2"),
+        (lambda: apply_rn(np.zeros((8, 3)), rn_operator(identity_channel(2), REF2), maximally_mixed(2)), ValueError,
+         "isometry shape (8, 3) is not (2*3*2, 3)"),
+        (lambda: reconstruct(np.diag([1.5, -0.5, 0.0, 0.0]), REF2), NotCompletelyPositiveError,
+         "input state has eigenvalue -5.000e-01 < -1.0e-08"),
+    ],
+    ids=["isometry-output-dim", "probe-dim", "rn-dim", "isometry-rows", "isometry-shape", "not-cp"],
+)
+def test_refusals_are_one_line_of_their_type(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error and str(info.value) == message

@@ -412,6 +412,23 @@ class TestHermiticityDefect:
         assert info.type is ValueError and "\n" not in str(info.value)
 
 
+    @pytest.mark.parametrize("name, enter", [
+        ("density operator", DensityOperator),
+        ("Choi matrix", lambda m: ChoiMatrix(dim_in=0, dim_out=0, mat=m)),
+        ("RN operator", RNOperator),
+    ], ids=["DensityOperator", "ChoiMatrix", "RNOperator"])
+    def test_empty_operator_is_refused_at_entry(self, name, enter):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be square and nonempty, got shape (0, 0)")):
+            enter(np.zeros((0, 0)))
+
+    def test_entries_whose_sums_overflow_are_refused_without_a_warning(self):
+        # finite, Hermitian within 1e-12 and PSD, but m + m† and the trace overflow a double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("trace (inf+0j) is not 1 within 1e-10")):
+                DensityOperator([[1e308, 1e-13], [0, 1e308]])
+
+
 class TestValueTypesCompareByIdentity:
     """The frozen types that hold arrays compare and hash by identity: an
     array field has no single truth value and no hash, so a field-wise ==

@@ -626,3 +626,20 @@ class TestCbNormOfChannel:
         bad = type(half)(dim_in=2, dim_out=2, kraus=(0.5 * np.eye(2),))
         with pytest.raises(ValueError):
             cb_norm_of_channel(bad)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: metrics.NormInterval(2.0, 1.0, np.ones(4) / 2, np.eye(2) / 2), "invalid interval [2.0, 1.0]"),
+        (lambda: channel_fidelity(identity_channel(2), identity_channel(3)), "dimension mismatch: (2,2) vs (3,3)"),
+        (lambda: worst_case_bound(maximally_mixed(4), maximally_mixed(6), make_reference(maximally_mixed(2))),
+         "dimension mismatch: (2,2) vs (2,3)"),
+    ],
+    ids=["interval", "pair-shape", "bound-state-dims"],
+)
+def test_refusals_are_one_value_error_line(call, message):
+    # states of two dimensions reconstruct to maps of two shapes, which channel's one pair check refuses
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError and str(info.value) == message

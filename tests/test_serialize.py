@@ -246,3 +246,17 @@ def test_reference_with_null_out_basis_loads():
 def test_non_number_matrix_data_is_value_error(data):
     with pytest.raises(ValueError, match="matrix data"):
         matrix_from_json({"rows": 1, "cols": 1, "data": data})
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"cutoff": 0.1}, "malformed reference object: 'rho'"),
+        ([0.1], "malformed reference object: list indices must be integers or slices, not str"),
+    ],
+    ids=["no-rho", "not-an-object"],
+)
+def test_malformed_reference_object_is_one_value_error_line(obj, message):
+    with pytest.raises(ValueError) as info:
+        reference_from_json(obj)
+    assert info.type is ValueError and str(info.value) == message
