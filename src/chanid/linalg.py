@@ -194,13 +194,9 @@ def _clip_spectra(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``reconstruct``'s; the jitter noise model clips its disturbed states too, as
     part of their definition, and rebuilds them.
     """
-    moved = vals[:, 0] < 0.0  # eigenvalues ascend
-    negative = np.zeros(len(vals))
-    negative[moved] = -np.sum(np.clip(vals[moved], None, 0.0), axis=-1)
-    kept = np.clip(vals[moved], 0.0, None)
-    vals = vals.copy()
-    vals[moved] = kept / np.sum(kept, axis=-1)[:, None]
-    return vals, negative
+    negative = 0.0 - np.sum(np.minimum(vals, 0.0), axis=-1)  # 0.0 - keeps an unclipped row's +0.0
+    kept = np.maximum(vals, 0.0)
+    return np.where(vals[:, :1] < 0.0, kept / np.sum(kept, axis=-1)[:, None], vals), negative  # eigenvalues ascend
 
 
 def state_fidelity(r1: DensityOperator, r2: DensityOperator) -> float:

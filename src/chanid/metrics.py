@@ -29,11 +29,13 @@ optimal σ is rank-deficient the ascent crawls, so a witness with small
 singular values ascends once more from its truncation.  The dual is tight
 at the optimal σ, where tr_out |M| is proportional to σ, so the dual's σ
 starts at the witness's and takes a few fixed-point steps
-σ <- tr_out |M| / tr |M|.
+σ <- tr_out |M| / tr |M|, all chains in lockstep; Y ± J >= 0 is checked only
+for the candidates that can still win.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,9 +181,11 @@ def _realign(m: np.ndarray, dims: tuple[int, int, int, int]) -> np.ndarray:
 
 
 def _stabilized_outputs(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    """(1 ⊗ Ψᵀ) J (1 ⊗ Ψᵀ)† for every row psi = vec Ψ of psis; r is J realigned."""
-    proj = psis[:, :, None] * psis[:, None, :].conj()
-    return hermitian_part(_realign(r @ _realign(proj, (d_in,) * 4), (d_out, d_out, d_in, d_in)))
+    """(1 ⊗ Ψᵀ) J (1 ⊗ Ψᵀ)† for every row psi = vec Ψ of psis; r is J realigned,
+    and so is each projector |psi><psi|, built as kron(Ψ, conj Ψ)."""
+    big = psis.reshape(-1, d_in, d_in)
+    proj = (big[:, :, None, :, None] * big[:, None, :, None, :].conj()).reshape(len(big), d_in**2, d_in**2)
+    return hermitian_part(_realign(r @ proj, (d_out, d_out, d_in, d_in)))
 
 
 def _objective_values(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
@@ -244,28 +248,25 @@ def _ascend(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int, max_iters: i
 
 
 def _full_rank(sigma: np.ndarray) -> np.ndarray:
-    """(σ + ε·1) / tr(σ + ε·1), ε = CB_DUAL_FLOOR: a full-rank state near a PSD σ of unit trace."""
-    sigma = hermitian_part(sigma) + CB_DUAL_FLOOR * np.eye(len(sigma))
-    return sigma / np.trace(sigma).real
+    """(σ + ε·1) / tr(σ + ε·1), ε = CB_DUAL_FLOOR: full-rank states near a stack of PSD σ of unit trace."""
+    sigma = hermitian_part(sigma) + CB_DUAL_FLOOR * np.eye(sigma.shape[-1])
+    return sigma / np.trace(sigma, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def _dual_candidate(j: np.ndarray, sigma: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """One candidate of the dual upper end at a full-rank state σ on H_in.
+def _dual_candidates(j: np.ndarray, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates of the dual upper end at each full-rank state σ on H_in of a stack.
 
     With S = 1 ⊗ σ^{1/2} and M = S J S = V diag(mu) V†, Y = S⁻¹ |M| S⁻¹
-    satisfies Y ± J = S⁻¹ (|M| ± M) S⁻¹ >= 0.  Returns ||tr_out Y||_op, read
-    from the marginal of Y's factor (1 ⊗ σ^{-1/2}) V·sqrt|mu|, that factor,
-    and tr_out |M|, whose normalization is the next fixed-point σ.  At
-    σ = 1/d_in, Y = |J|.
+    satisfies Y ± J = S⁻¹ (|M| ± M) S⁻¹ >= 0.  Returns Y's factors
+    (1 ⊗ σ^{-1/2}) V·sqrt|mu|, whose marginals give ||tr_out Y||_op, and
+    tr_out |M|, whose normalization is the next fixed-point σ, from one
+    stacked ``eigh`` of the σ's and one of the M's.  At σ = 1/d_in, Y = |J|.
     """
-    d_in = len(sigma)
-    p, u = np.linalg.eigh(sigma)
-    root, inv_root = (u * np.sqrt(p)) @ _adjoint(u), (u / np.sqrt(p)) @ _adjoint(u)
+    p, u = np.linalg.eigh(sigmas)
+    root, inv_root = (u * np.sqrt(p)[:, None, :]) @ _adjoint(u), (u / np.sqrt(p)[:, None, :]) @ _adjoint(u)
     mu, v = np.linalg.eigh(hermitian_part(_lift(root, _adjoint(_lift(root, j)))))
-    abs_factor = v * np.sqrt(np.abs(mu))
-    factor = _lift(inv_root, abs_factor)
-    upper = _hermitian_norms(_marginal(factor, d_in))[0]
-    return float(upper), factor, _marginal(abs_factor, d_in)
+    abs_factors = v * np.sqrt(np.abs(mu))[:, None, :]
+    return _lift(inv_root, abs_factors), _marginal(abs_factors, sigmas.shape[-1])
 
 
 def _face_start(psi: np.ndarray, d_in: int) -> np.ndarray | None:
@@ -288,34 +289,53 @@ def _dual_upper(j: np.ndarray, witnesses: list, t1: KrausChannel, t2: KrausChann
     bounds the CB norm by ||tr_out Y||_op.  The candidates σ are, for each
     witness Ψ, conj(Ψ) Ψᵀ made full rank and CB_DUAL_STEPS fixed-point steps
     σ <- tr_out |M| / tr |M| from it (for a trace-preserving pair tr_out |M|
-    = 2 tr_out M₊), and last 1/d_in, whose bound is ||tr_out |J| ||_op.  Each
-    candidate's Y = F F† is checked with one ``eigvalsh`` of Y - J and one
-    of Y + J over the stack of candidates: a violation s > 0 adds d_out·s
-    (tr_out of s·1).  The smallest certified value wins, capped at 2 for a
-    pair of trace-preserving channels (each has CB norm exactly 1).
+    = 2 tr_out M₊), and last 1/d_in, whose bound is ||tr_out |J| ||_op; the
+    chains step in lockstep, and one ``eigvalsh`` of the candidates' marginals
+    gives their uppers.  Y = F F† is checked by one ``eigvalsh`` of Y - J and
+    one of Y + J: a violation s > 0 adds d_out·s (tr_out of s·1).  The least
+    upper is checked first, then, as one stack, every other upper not above its
+    certified value: no check lowers a value, so no other can win or tie (all
+    are checked if an upper is not finite).  The least certified value wins,
+    the first on a tie, capped at 2 for a pair of trace-preserving channels
+    (each has CB norm exactly 1).
     """
     d_in, d_out = t1.dim_in, t1.dim_out
-    chains = [(_full_rank(psi.conj() @ psi.T), CB_DUAL_STEPS) for psi in (w.reshape(d_in, d_in) for w in witnesses)]
-    chains.append((np.eye(d_in, dtype=complex) / d_in, 0))
-    sigmas, uppers, factors = [], [], []
-    for sigma, steps in chains:
-        for step in range(steps + 1):
-            upper, factor, abs_marginal = _dual_candidate(j, sigma)
-            sigmas.append(sigma)
-            uppers.append(upper)
-            factors.append(factor)
-            total = np.trace(abs_marginal).real
-            if step == steps or not total > 0.0:  # total 0: J = 0, every candidate gives 0
-                break
-            sigma = _full_rank(abs_marginal / total)
-    y = _gram(np.array(factors))
-    least = np.minimum(np.linalg.eigvalsh(y - j)[:, 0], np.linalg.eigvalsh(y + j)[:, 0])
-    certified = np.array(uppers) + d_out * np.maximum(0.0, -least)
+    psis = np.array([w.reshape(d_in, d_in) for w in witnesses])
+    sigmas = np.concatenate([_full_rank(psis.conj() @ psis.swapaxes(-1, -2)), np.eye(d_in, dtype=complex)[None] / d_in])
+    steps = np.array([CB_DUAL_STEPS] * len(witnesses) + [0])
+    live, order, states, factors = np.arange(len(sigmas)), [], [], []
+    for step in range(CB_DUAL_STEPS + 1):
+        batch, abs_marginals = _dual_candidates(j, sigmas)
+        order += [(chain, step) for chain in live]
+        states.append(sigmas)
+        factors.append(batch)
+        totals = np.trace(abs_marginals, axis1=-2, axis2=-1).real
+        going = (step < steps[live]) & (totals > 0.0)  # total 0: J = 0, every candidate gives 0
+        if not going.any():
+            break
+        live = live[going]
+        sigmas = _full_rank(abs_marginals[going] / totals[going, None, None])
+    chain_major = sorted(range(len(order)), key=order.__getitem__)
+    states, factors = np.concatenate(states)[chain_major], np.concatenate(factors)[chain_major]
+    uppers = _hermitian_norms(_marginal(factors, d_in))[0]
+    certified = np.full(len(uppers), np.inf)
+
+    def check(picks: np.ndarray) -> None:
+        y = _gram(factors[picks])
+        least = np.minimum(np.linalg.eigvalsh(y - j)[:, 0], np.linalg.eigvalsh(y + j)[:, 0])
+        certified[picks] = uppers[picks] + d_out * np.maximum(0.0, -least)
+
+    first = int(np.argmin(uppers))
+    check(np.array([first]))
+    rest = ~(uppers > certified[first]) if np.isfinite(uppers).all() else np.full(len(uppers), True)
+    rest[first] = False
+    if rest.any():
+        check(np.flatnonzero(rest))
     best = int(np.argmin(certified))
     upper = float(certified[best])
     if t1.trace_preserving and t2.trace_preserving:
         upper = min(upper, 2.0)
-    return upper, sigmas[best]
+    return upper, states[best]
 
 
 def _certified(lower: float, upper: float, witness: np.ndarray, sigma: np.ndarray) -> NormInterval:
@@ -326,6 +346,16 @@ def _certified(lower: float, upper: float, witness: np.ndarray, sigma: np.ndarra
 
 def _maximally_entangled(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
+
+
+@functools.lru_cache
+def _start_vectors(starts: int, d_in: int) -> np.ndarray:
+    """The maximally entangled vector, then ``starts`` random unit vectors drawn one after
+    another at the CB-starts site of CB_SEED: drawn once per (starts, d_in), read-only."""
+    [z] = _draw([CB_SEED], CB_STARTS_SITE, ("standard_normal", (starts, 2, d_in * d_in)))
+    vecs = np.array([_maximally_entangled(d_in)] + [v / np.linalg.norm(v) for v in z[0, :, 0] + 1j * z[0, :, 1]])
+    vecs.flags.writeable = False
+    return vecs
 
 
 def cb_distance_interval(
@@ -352,12 +382,9 @@ def cb_distance_interval(
     if starts < 0 or max_iters < 0:
         raise ValueError(f"starts and max_iters must be >= 0, got {starts} and {max_iters}")
     d1, d2 = t1.dim_in, t1.dim_out
-    [z] = _draw([CB_SEED], CB_STARTS_SITE, ("standard_normal", (starts, 2, d1 * d1)))
-    start_vecs = [_maximally_entangled(d1)] + [v / np.linalg.norm(v) for v in z[0, :, 0] + 1j * z[0, :, 1]]
-
     j = choi(t1).mat - choi(t2).mat
     r = _realign(j, (d2, d1, d2, d1))
-    values, psis = _ascend(r, np.array(start_vecs), d1, d2, max_iters)
+    values, psis = _ascend(r, _start_vectors(starts, d1), d1, d2, max_iters)
     witnesses = [psis[np.argmax(values)]]
     face = _face_start(witnesses[0], d1)
     if face is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from chanid.linalg import CB_STARTS_SITE, CHANNEL_SITE
-from chanid.metrics import CB_FACE_CUT, CB_MAX_ITERS, CB_SEED, CB_STARTS, CB_TOL
+from chanid.metrics import CB_DUAL_FLOOR, CB_DUAL_STEPS, CB_FACE_CUT, CB_MAX_ITERS, CB_SEED, CB_STARTS, CB_TOL
 
 
 def rand_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -325,6 +325,57 @@ def cb_dual_kron_oracle(t1, t2, sigma: np.ndarray) -> tuple[float, float, float]
     least = min(np.linalg.eigvalsh(y - j)[0], np.linalg.eigvalsh(y + j)[0])
     top = singular_values_oracle(partial_trace_oracle(y, d2, d1, "first"))[0]
     return float(top), float(least), float(singular_values_oracle(y)[0])
+
+
+def _dual_candidate_oracle(j: np.ndarray, sigma: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """One dual candidate at one full-rank σ, alone: (||tr_out Y||_op, Y's factor
+    (1 ⊗ σ^{-1/2}) V·sqrt|mu| with M = S J S = V diag(mu) V†, tr_out |M|)."""
+    from chanid.channel import _marginal
+    from chanid.identify import _lift
+    from chanid.linalg import _adjoint, _hermitian_norms, hermitian_part
+
+    p, u = np.linalg.eigh(sigma)
+    root, inv_root = (u * np.sqrt(p)) @ _adjoint(u), (u / np.sqrt(p)) @ _adjoint(u)
+    mu, v = np.linalg.eigh(hermitian_part(_lift(root, _adjoint(_lift(root, j)))))
+    abs_factor = v * np.sqrt(np.abs(mu))
+    factor = _lift(inv_root, abs_factor)
+    return float(_hermitian_norms(_marginal(factor, len(sigma)))[0]), factor, _marginal(abs_factor, len(sigma))
+
+
+def cb_dual_upper_stack_all_oracle(j: np.ndarray, witnesses: list, t1, t2) -> tuple[float, np.ndarray]:
+    """The dual upper end chain by chain, candidate by candidate, with every
+    candidate's Y ∓ J checked in one stack: for each witness Ψ, conj(Ψ) Ψᵀ
+    made full rank and CB_DUAL_STEPS fixed-point steps σ <- tr_out |M| / tr |M|,
+    then 1/d_in; the first least certified value wins, capped at 2 for two
+    channels.  Returns (upper, its σ)."""
+    from chanid.linalg import _gram, hermitian_part
+
+    def full_rank(sigma):
+        sigma = hermitian_part(sigma) + CB_DUAL_FLOOR * np.eye(len(sigma))
+        return sigma / np.trace(sigma).real
+
+    d_in, d_out = t1.dim_in, t1.dim_out
+    chains = [(full_rank(psi.conj() @ psi.T), CB_DUAL_STEPS) for psi in (w.reshape(d_in, d_in) for w in witnesses)]
+    chains.append((np.eye(d_in, dtype=complex) / d_in, 0))
+    sigmas, uppers, factors = [], [], []
+    for sigma, steps in chains:
+        for step in range(steps + 1):
+            upper, factor, abs_marginal = _dual_candidate_oracle(j, sigma)
+            sigmas.append(sigma)
+            uppers.append(upper)
+            factors.append(factor)
+            total = np.trace(abs_marginal).real
+            if step == steps or not total > 0.0:
+                break
+            sigma = full_rank(abs_marginal / total)
+    y = _gram(np.array(factors))
+    least = np.minimum(np.linalg.eigvalsh(y - j)[:, 0], np.linalg.eigvalsh(y + j)[:, 0])
+    certified = np.array(uppers) + d_out * np.maximum(0.0, -least)
+    best = int(np.argmin(certified))
+    upper = float(certified[best])
+    if t1.trace_preserving and t2.trace_preserving:
+        upper = min(upper, 2.0)
+    return upper, sigmas[best]
 
 
 def _oracle_reference(spec, d1: int, seed: int | None = None, channel_normals: tuple[int, ...] | None = None):

@@ -540,6 +540,32 @@ class TestOneKrausArray:
         with pytest.raises(ValueError, match="read-only"):
             t.kraus[0][0, 0] = 1.0
 
+    def test_an_array_and_a_list_give_the_same_bits(self):
+        # channel_from_json hands over one (r, d_out, d_in) array; user code often a list
+        t = compose(depolarizing_channel(0.05, 3), random_channel(3, 3, 3, seed=9))
+        ops = np.array(t.kraus)
+        from_array, from_list = KrausChannel(3, 3, ops), KrausChannel(3, 3, list(ops))
+        assert from_array._factor.tobytes() == from_list._factor.tobytes() == t._factor.tobytes()
+        assert choi(from_array).mat.tobytes() == choi(from_list).mat.tobytes()
+        assert not np.shares_memory(from_array._factor, ops) and ops.flags.writeable
+
+    @pytest.mark.parametrize(
+        "ops, message",
+        [
+            (np.zeros((0, 2, 2)), "at least one Kraus operator is required"),
+            (np.zeros((3, 2, 1)), "Kraus operator shape (2, 1) != (2, 2)"),
+            (np.eye(2), "Kraus operator shape (2,) != (2, 2)"),
+            (np.full((2, 2, 2), np.nan), "Kraus entries must be finite"),
+            (np.array([np.eye(2), [[np.inf, 0], [0, 1]]]), "Kraus entries must be finite"),
+        ],
+        ids=["none", "wrong-shape", "one-matrix", "nan", "inf"],
+    )
+    def test_an_array_and_a_list_are_refused_alike(self, ops, message):
+        for kraus in (ops, list(ops)):
+            with pytest.raises(ValueError) as info:
+                KrausChannel(dim_in=2, dim_out=2, kraus=kraus)
+            assert str(info.value) == message
+
     def test_construction_copies_the_callers_operators(self):
         ops = [np.eye(2, dtype=complex)]
         t = KrausChannel(dim_in=2, dim_out=2, kraus=ops)

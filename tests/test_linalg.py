@@ -592,3 +592,16 @@ class TestFixColumnPhases:
         assert np.array_equal(got[:, 0], np.zeros(3))
         # ties go to the first largest entry, which becomes real positive
         assert np.array_equal(got[0, 1:], np.array([1.0, 2.0, 3.0]))
+
+
+class TestClipSpectra:
+    def test_rows_with_no_negative_eigenvalue_come_back_as_they_are(self):
+        vals = np.array([[0.0, 0.25, 0.75], [-1e-12, 0.5, 0.5 + 1e-12], [0.1, 0.2, 0.7], [-0.2, 0.4, 0.8]])
+        clipped, negative = linalg._clip_spectra(vals)
+        for row in (0, 2):
+            assert clipped[row].tobytes() == vals[row].tobytes()
+            assert negative[row] == 0.0 and not np.signbit(negative[row])  # +0.0, not -0.0
+        for row in (1, 3):
+            kept = np.clip(vals[row], 0.0, None)
+            assert clipped[row].tobytes() == (kept / np.sum(kept)).tobytes()
+            assert negative[row] == -vals[row, 0]

@@ -21,7 +21,8 @@ from chanid.linalg import (
     random_unitary,
 )
 from chanid import metrics
-from chanid.channel import KrausChannel
+from chanid.channel import KrausChannel, _marginal
+from chanid.linalg import _hermitian_norms
 from chanid.metrics import (
     CB_SEED,
     CertificateError,
@@ -36,6 +37,7 @@ from chanid.metrics import (
 
 from conftest import (
     cb_dual_kron_oracle,
+    cb_dual_upper_stack_all_oracle,
     cb_lower_sequential_oracle,
     channel_fidelity_sqrt_oracle,
     cb_objective_kraus_oracle,
@@ -520,7 +522,8 @@ class TestUpperEndsFromMarginals:
             abs_j = (vecs * np.abs(vals)) @ vecs.conj().T
             expected = singular_values_oracle(partial_trace_oracle(abs_j, t1.dim_out, t1.dim_in, "first"))[0]
             sigma = np.eye(t1.dim_in, dtype=complex) / t1.dim_in
-            upper, factor, _ = metrics._dual_candidate(j, sigma)
+            [factor], _ = metrics._dual_candidates(j, sigma[None])
+            upper = _hermitian_norms(_marginal(factor, t1.dim_in))[0]
             assert abs(upper - expected) <= 1e-14 * expected
             assert np.allclose(factor @ factor.conj().T, abs_j, rtol=0, atol=1e-14)
 
@@ -541,14 +544,89 @@ class TestUpperEndsFromMarginals:
         witness = rand_state_vec(np.random.default_rng(89), 9)
         calls = _spy_on_decompositions(monkeypatch)
         metrics._dual_upper(j, [witness], t1, t2)
-        # per candidate: σ's eigh, M's one eigh, the marginal's eigvalsh; then
-        # the two checks over the stack of the 1 + CB_DUAL_STEPS + 1 candidates
+        # per chain step, one eigh of the live chains' σ's and one of their M's:
+        # the witness's chain and 1/d_in first, then the witness's chain alone;
+        # one eigvalsh of the 1 + CB_DUAL_STEPS + 1 candidates' marginals; then
+        # Y ∓ J of the least uncorrected upper, the only candidate that can win here
+        steps = [("eigh", (2, 3, 3)), ("eigh", (2, 6, 6))]
+        steps += [("eigh", (1, 3, 3)), ("eigh", (1, 6, 6))] * metrics.CB_DUAL_STEPS
         count = metrics.CB_DUAL_STEPS + 2
-        per_candidate = [("eigh", (3, 3)), ("eigh", (6, 6)), ("eigvalsh", (3, 3))]
-        assert calls == per_candidate * count + [("eigvalsh", (count, 6, 6))] * 2
+        assert calls == steps + [("eigvalsh", (count, 3, 3))] + [("eigvalsh", (1, 6, 6))] * 2
+        calls.clear()
+        metrics._dual_upper(np.zeros_like(j), [witness], t1, t1)
+        # J = 0: every upper is 0 and no chain steps on; the first candidate's
+        # check certifies 0, so the other one is checked too, as a second stack
+        assert calls == steps[:2] + [("eigvalsh", (2, 3, 3))] + [("eigvalsh", (1, 6, 6))] * 4
         calls.clear()
         cb_norm_of_channel(t1)  # the lower end is one objective value at the maximally entangled probe
         assert calls == [("eigvalsh", (1, 6, 6)), ("eigvalsh", (3, 3))]
+
+
+class TestLockstepDualKeepsTheBits:
+    """``_dual_upper`` steps its chains in lockstep and checks Y ∓ J only where a
+    candidate can still win; it must give the upper end and the bits of the σ
+    that checking every candidate, chain by chain, gives."""
+
+    @staticmethod
+    def _dual_call(t1, t2, monkeypatch):
+        seen, real = [], metrics._dual_upper
+        monkeypatch.setattr(metrics, "_dual_upper", lambda *args: seen.append((args, real(*args))) or seen[-1][1])
+        cb_distance_interval(t1, t2)
+        [(args, result)] = seen
+        return args, result
+
+    def _assert_same(self, t1, t2, monkeypatch, witnesses=None):
+        args, (upper, sigma) = self._dual_call(t1, t2, monkeypatch)
+        assert witnesses is None or len(args[1]) == witnesses
+        want_upper, want_sigma = cb_dual_upper_stack_all_oracle(*args)
+        assert upper == want_upper
+        assert sigma.shape == want_sigma.shape and sigma.tobytes() == want_sigma.tobytes()
+        return args, upper, sigma
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [70, 72, 80, 81])
+    def test_bench_like_near_pairs_with_one_witness(self, d, seed, monkeypatch):
+        self._assert_same(*_bench_like_pair(d, "near", seed), monkeypatch, witnesses=1)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [70, 72, 80, 81])
+    def test_bench_like_far_pairs(self, d, seed, monkeypatch):
+        # most of these restart from a face, so the dual gets one or two witnesses
+        self._assert_same(*_bench_like_pair(d, "far", seed), monkeypatch)
+
+    @pytest.mark.parametrize("seeds", TestCbDefaults.FACE_SEEDS)
+    def test_two_witnesses(self, seeds, monkeypatch):
+        t1, t2 = (random_channel(3, 3, 3, seed=s) for s in seeds)
+        self._assert_same(t1, t2, monkeypatch, witnesses=2)
+
+    @pytest.mark.parametrize("d_in, d_out", [(2, 2), (3, 3), (2, 3), (3, 2)])
+    def test_maps_that_are_not_trace_preserving(self, d_in, d_out, monkeypatch):
+        t1 = random_channel(d_in, d_out, d_in, seed=82 + d_in + 7 * d_out)
+        t2 = random_channel(d_in, d_out, d_in + 1, seed=83 + d_in + 7 * d_out)
+        scaled = TestDualCertificate._scaled(t2)
+        for a, b in ((t1, scaled), (scaled, t1)):
+            self._assert_same(a, b, monkeypatch)
+            monkeypatch.undo()
+
+    def test_one_dimensional_input(self, monkeypatch):
+        rng = np.random.default_rng(84)
+        t1, t2 = (KrausChannel(1, 3, tuple(rand_complex(rng, 3, 1) for _ in range(2))) for _ in range(2))
+        self._assert_same(t1, t2, monkeypatch, witnesses=1)
+
+    def test_equal_maps_give_the_first_candidate(self, monkeypatch):
+        t = random_channel(3, 2, 2, seed=86)
+        (j, [witness], _, _), upper, sigma = self._assert_same(t, t, monkeypatch, witnesses=1)
+        psi = witness.reshape(3, 3)
+        assert upper == 0.0
+        assert sigma.tobytes() == metrics._full_rank((psi.conj() @ psi.T)[None])[0].tobytes()
+
+    def test_start_vectors_are_drawn_once_and_read_only(self, monkeypatch):
+        seen, ascend = [], metrics._ascend
+        monkeypatch.setattr(metrics, "_ascend", lambda r, psis, *args: seen.append(psis) or ascend(r, psis, *args))
+        t1, t2 = random_channel(2, 2, 2, seed=7), random_channel(2, 2, 2, seed=8)
+        for pair in ((t1, t2), (t2, t1)):
+            cb_distance_interval(*pair, max_iters=0)
+        assert seen[0] is seen[1] and not seen[0].flags.writeable
 
 
 class TestProbeVectorsAreCheckedWhereTheyEnter:
