@@ -76,18 +76,12 @@ class KrausChannel:
     def __post_init__(self):
         if self.dim_in < 1 or self.dim_out < 1:
             raise ValueError("dimensions must be positive")
-        ops = self.kraus
-        if isinstance(ops, np.ndarray):  # one (r, d_out, d_in) array, as channel_from_json hands it
-            shapes = [ops.shape[1:]] * len(ops)
-        else:
-            ops = [np.asarray(a, dtype=complex) for a in ops]
-            shapes = [a.shape for a in ops]
-        if not shapes:
+        if len(self.kraus) == 0:
             raise ValueError("at least one Kraus operator is required")
-        for shape in shapes:
-            if shape != (self.dim_out, self.dim_in):
-                raise ValueError(f"Kraus operator shape {shape} != ({self.dim_out}, {self.dim_in})")
-        ops = np.array(ops, dtype=complex)
+        for a in self.kraus:
+            if np.shape(a) != (self.dim_out, self.dim_in):
+                raise ValueError(f"Kraus operator shape {np.shape(a)} != ({self.dim_out}, {self.dim_in})")
+        ops = np.array(self.kraus, dtype=complex)
         if not np.isfinite(ops).all():
             raise ValueError("Kraus entries must be finite")
         # the row-major flatten maps A[mu, i] to the Choi index mu * dim_in + i

@@ -29,13 +29,11 @@ optimal σ is rank-deficient the ascent crawls, so a witness with small
 singular values ascends once more from its truncation.  The dual is tight
 at the optimal σ, where tr_out |M| is proportional to σ, so the dual's σ
 starts at the witness's and takes a few fixed-point steps
-σ <- tr_out |M| / tr |M|, all chains in lockstep; Y ± J >= 0 is checked only
-for the candidates that can still win.
+σ <- tr_out |M| / tr |M|, all chains in lockstep.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,11 +179,9 @@ def _realign(m: np.ndarray, dims: tuple[int, int, int, int]) -> np.ndarray:
 
 
 def _stabilized_outputs(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    """(1 ⊗ Ψᵀ) J (1 ⊗ Ψᵀ)† for every row psi = vec Ψ of psis; r is J realigned,
-    and so is each projector |psi><psi|, built as kron(Ψ, conj Ψ)."""
-    big = psis.reshape(-1, d_in, d_in)
-    proj = (big[:, :, None, :, None] * big[:, None, :, None, :].conj()).reshape(len(big), d_in**2, d_in**2)
-    return hermitian_part(_realign(r @ proj, (d_out, d_out, d_in, d_in)))
+    """(1 ⊗ Ψᵀ) J (1 ⊗ Ψᵀ)† for every row psi = vec Ψ of psis; r is J realigned."""
+    proj = psis[:, :, None] * psis[:, None, :].conj()
+    return hermitian_part(_realign(r @ _realign(proj, (d_in,) * 4), (d_out, d_out, d_in, d_in)))
 
 
 def _objective_values(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
@@ -222,28 +218,34 @@ def _ascend(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int, max_iters: i
     batch after the first iteration that improves it by less than CB_TOL.
     One ``eigh`` of the candidates' stabilized outputs per step gives both
     their values and, for the accepted ones, the next step's sign matrices.
+    The active rows' state is held apart from the batch and written back as a
+    row leaves, so a step indexes nothing while every row rises and stays.
     """
     vals, vecs = np.linalg.eigh(_stabilized_outputs(r, psis, d_in, d_out))
-    best_psi = psis.copy()
-    best_val = np.sum(np.abs(vals), axis=-1)
-    active = np.arange(len(psis))
+    best_val, best_psi = np.sum(np.abs(vals), axis=-1), psis.copy()
+    rows, value, psi = np.arange(len(psis)), best_val, best_psi  # the active rows, held apart
     r_adj = r.conj().T
     for _ in range(max_iters):
-        if active.size == 0:
+        if rows.size == 0:
             break
-        v = vecs[active]
-        signs = (v * np.sign(vals[active])[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        signs = (vecs * np.sign(vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
         # back-lift: the adjoint of the stabilized-output map, J ⊗ id's dual
         dual = _realign(r_adj @ _realign(signs, (d_out, d_in, d_out, d_in)), (d_in,) * 4)
         candidates = np.linalg.eigh(hermitian_part(dual))[1][:, :, -1]
         cand_vals, cand_vecs = np.linalg.eigh(_stabilized_outputs(r, candidates, d_in, d_out))
         values = np.sum(np.abs(cand_vals), axis=-1)
-        improvement = values - best_val[active]
+        improvement = values - value
         rises = improvement > 0
-        risen = active[rises]
-        best_val[risen], best_psi[risen] = values[rises], candidates[rises]
-        vals[risen], vecs[risen] = cand_vals[rises], cand_vecs[rises]
-        active = active[improvement >= CB_TOL]
+        if rises.all():
+            value, psi, vals, vecs = values, candidates, cand_vals, cand_vecs
+        else:
+            value, psi = np.where(rises, values, value), np.where(rises[:, None], candidates, psi)
+            vals, vecs = np.where(rises[:, None], cand_vals, vals), np.where(rises[:, None, None], cand_vecs, vecs)
+        keep = improvement >= CB_TOL
+        if not keep.all():
+            best_val[rows], best_psi[rows] = value, psi
+            rows, value, psi, vals, vecs = rows[keep], value[keep], psi[keep], vals[keep], vecs[keep]
+    best_val[rows], best_psi[rows] = value, psi
     return best_val, best_psi
 
 
@@ -291,13 +293,11 @@ def _dual_upper(j: np.ndarray, witnesses: list, t1: KrausChannel, t2: KrausChann
     σ <- tr_out |M| / tr |M| from it (for a trace-preserving pair tr_out |M|
     = 2 tr_out M₊), and last 1/d_in, whose bound is ||tr_out |J| ||_op; the
     chains step in lockstep, and one ``eigvalsh`` of the candidates' marginals
-    gives their uppers.  Y = F F† is checked by one ``eigvalsh`` of Y - J and
-    one of Y + J: a violation s > 0 adds d_out·s (tr_out of s·1).  The least
-    upper is checked first, then, as one stack, every other upper not above its
-    certified value: no check lowers a value, so no other can win or tie (all
-    are checked if an upper is not finite).  The least certified value wins,
-    the first on a tie, capped at 2 for a pair of trace-preserving channels
-    (each has CB norm exactly 1).
+    gives their uppers.  Each candidate's Y = F F† is checked with one
+    ``eigvalsh`` of Y - J and one of Y + J over the stack of candidates: a
+    violation s > 0 adds d_out·s (tr_out of s·1).  The smallest certified
+    value wins, the first on a tie, capped at 2 for a pair of trace-preserving
+    channels (each has CB norm exactly 1).
     """
     d_in, d_out = t1.dim_in, t1.dim_out
     psis = np.array([w.reshape(d_in, d_in) for w in witnesses])
@@ -318,19 +318,9 @@ def _dual_upper(j: np.ndarray, witnesses: list, t1: KrausChannel, t2: KrausChann
     chain_major = sorted(range(len(order)), key=order.__getitem__)
     states, factors = np.concatenate(states)[chain_major], np.concatenate(factors)[chain_major]
     uppers = _hermitian_norms(_marginal(factors, d_in))[0]
-    certified = np.full(len(uppers), np.inf)
-
-    def check(picks: np.ndarray) -> None:
-        y = _gram(factors[picks])
-        least = np.minimum(np.linalg.eigvalsh(y - j)[:, 0], np.linalg.eigvalsh(y + j)[:, 0])
-        certified[picks] = uppers[picks] + d_out * np.maximum(0.0, -least)
-
-    first = int(np.argmin(uppers))
-    check(np.array([first]))
-    rest = ~(uppers > certified[first]) if np.isfinite(uppers).all() else np.full(len(uppers), True)
-    rest[first] = False
-    if rest.any():
-        check(np.flatnonzero(rest))
+    y = _gram(factors)
+    least = np.minimum(np.linalg.eigvalsh(y - j)[:, 0], np.linalg.eigvalsh(y + j)[:, 0])
+    certified = uppers + d_out * np.maximum(0.0, -least)
     best = int(np.argmin(certified))
     upper = float(certified[best])
     if t1.trace_preserving and t2.trace_preserving:
@@ -346,16 +336,6 @@ def _certified(lower: float, upper: float, witness: np.ndarray, sigma: np.ndarra
 
 def _maximally_entangled(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
-
-
-@functools.lru_cache
-def _start_vectors(starts: int, d_in: int) -> np.ndarray:
-    """The maximally entangled vector, then ``starts`` random unit vectors drawn one after
-    another at the CB-starts site of CB_SEED: drawn once per (starts, d_in), read-only."""
-    [z] = _draw([CB_SEED], CB_STARTS_SITE, ("standard_normal", (starts, 2, d_in * d_in)))
-    vecs = np.array([_maximally_entangled(d_in)] + [v / np.linalg.norm(v) for v in z[0, :, 0] + 1j * z[0, :, 1]])
-    vecs.flags.writeable = False
-    return vecs
 
 
 def cb_distance_interval(
@@ -382,9 +362,12 @@ def cb_distance_interval(
     if starts < 0 or max_iters < 0:
         raise ValueError(f"starts and max_iters must be >= 0, got {starts} and {max_iters}")
     d1, d2 = t1.dim_in, t1.dim_out
+    [z] = _draw([CB_SEED], CB_STARTS_SITE, ("standard_normal", (starts, 2, d1 * d1)))
+    start_vecs = [_maximally_entangled(d1)] + [v / np.linalg.norm(v) for v in z[0, :, 0] + 1j * z[0, :, 1]]
+
     j = choi(t1).mat - choi(t2).mat
     r = _realign(j, (d2, d1, d2, d1))
-    values, psis = _ascend(r, _start_vectors(starts, d1), d1, d2, max_iters)
+    values, psis = _ascend(r, np.array(start_vecs), d1, d2, max_iters)
     witnesses = [psis[np.argmax(values)]]
     face = _face_start(witnesses[0], d1)
     if face is not None:

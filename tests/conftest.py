@@ -306,6 +306,35 @@ def cb_lower_sequential_oracle(t1, t2, starts=CB_STARTS, max_iters=CB_MAX_ITERS)
     return best
 
 
+def cb_ascend_all_rows_oracle(r: np.ndarray, psis: np.ndarray, d_in: int, d_out: int, max_iters: int):
+    """The batched alternating ascent with every start's state kept in full-batch
+    arrays, indexed by the active rows at each step: (values, probes)."""
+    from chanid.linalg import hermitian_part
+    from chanid.metrics import _realign, _stabilized_outputs
+
+    vals, vecs = np.linalg.eigh(_stabilized_outputs(r, psis, d_in, d_out))
+    best_psi = psis.copy()
+    best_val = np.sum(np.abs(vals), axis=-1)
+    active = np.arange(len(psis))
+    r_adj = r.conj().T
+    for _ in range(max_iters):
+        if active.size == 0:
+            break
+        v = vecs[active]
+        signs = (v * np.sign(vals[active])[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        dual = _realign(r_adj @ _realign(signs, (d_out, d_in, d_out, d_in)), (d_in,) * 4)
+        candidates = np.linalg.eigh(hermitian_part(dual))[1][:, :, -1]
+        cand_vals, cand_vecs = np.linalg.eigh(_stabilized_outputs(r, candidates, d_in, d_out))
+        values = np.sum(np.abs(cand_vals), axis=-1)
+        improvement = values - best_val[active]
+        rises = improvement > 0
+        risen = active[rises]
+        best_val[risen], best_psi[risen] = values[rises], candidates[rises]
+        vals[risen], vecs[risen] = cand_vals[rises], cand_vecs[rises]
+        active = active[improvement >= CB_TOL]
+    return best_val, best_psi
+
+
 def cb_dual_kron_oracle(t1, t2, sigma: np.ndarray) -> tuple[float, float, float]:
     """Watrous's dual at a full-rank state σ on H_in, built with ``np.kron``
     from the elementwise Choi matrices: S = 1 ⊗ σ^{1/2}, M = S J S,

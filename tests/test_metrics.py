@@ -36,6 +36,7 @@ from chanid.metrics import (
 )
 
 from conftest import (
+    cb_ascend_all_rows_oracle,
     cb_dual_kron_oracle,
     cb_dual_upper_stack_all_oracle,
     cb_lower_sequential_oracle,
@@ -546,26 +547,25 @@ class TestUpperEndsFromMarginals:
         metrics._dual_upper(j, [witness], t1, t2)
         # per chain step, one eigh of the live chains' σ's and one of their M's:
         # the witness's chain and 1/d_in first, then the witness's chain alone;
-        # one eigvalsh of the 1 + CB_DUAL_STEPS + 1 candidates' marginals; then
-        # Y ∓ J of the least uncorrected upper, the only candidate that can win here
+        # one eigvalsh of the 1 + CB_DUAL_STEPS + 1 candidates' marginals, then
+        # one of their Y - J and one of their Y + J
         steps = [("eigh", (2, 3, 3)), ("eigh", (2, 6, 6))]
         steps += [("eigh", (1, 3, 3)), ("eigh", (1, 6, 6))] * metrics.CB_DUAL_STEPS
         count = metrics.CB_DUAL_STEPS + 2
-        assert calls == steps + [("eigvalsh", (count, 3, 3))] + [("eigvalsh", (1, 6, 6))] * 2
+        assert calls == steps + [("eigvalsh", (count, 3, 3))] + [("eigvalsh", (count, 6, 6))] * 2
         calls.clear()
         metrics._dual_upper(np.zeros_like(j), [witness], t1, t1)
-        # J = 0: every upper is 0 and no chain steps on; the first candidate's
-        # check certifies 0, so the other one is checked too, as a second stack
-        assert calls == steps[:2] + [("eigvalsh", (2, 3, 3))] + [("eigvalsh", (1, 6, 6))] * 4
+        # J = 0: every upper is 0 and no chain steps on, so there are two candidates
+        assert calls == steps[:2] + [("eigvalsh", (2, 3, 3))] + [("eigvalsh", (2, 6, 6))] * 2
         calls.clear()
         cb_norm_of_channel(t1)  # the lower end is one objective value at the maximally entangled probe
         assert calls == [("eigvalsh", (1, 6, 6)), ("eigvalsh", (3, 3))]
 
 
 class TestLockstepDualKeepsTheBits:
-    """``_dual_upper`` steps its chains in lockstep and checks Y ∓ J only where a
-    candidate can still win; it must give the upper end and the bits of the σ
-    that checking every candidate, chain by chain, gives."""
+    """``_dual_upper`` steps its chains in lockstep; it must give the upper end
+    and the bits of the σ that stepping chain by chain, candidate by candidate,
+    gives."""
 
     @staticmethod
     def _dual_call(t1, t2, monkeypatch):
@@ -620,13 +620,42 @@ class TestLockstepDualKeepsTheBits:
         assert upper == 0.0
         assert sigma.tobytes() == metrics._full_rank((psi.conj() @ psi.T)[None])[0].tobytes()
 
-    def test_start_vectors_are_drawn_once_and_read_only(self, monkeypatch):
-        seen, ascend = [], metrics._ascend
-        monkeypatch.setattr(metrics, "_ascend", lambda r, psis, *args: seen.append(psis) or ascend(r, psis, *args))
-        t1, t2 = random_channel(2, 2, 2, seed=7), random_channel(2, 2, 2, seed=8)
-        for pair in ((t1, t2), (t2, t1)):
-            cb_distance_interval(*pair, max_iters=0)
-        assert seen[0] is seen[1] and not seen[0].flags.writeable
+
+class TestAscentKeepsTheBits:
+    """``_ascend`` holds its active rows apart and writes a row back when it
+    leaves; it must give the values and the bits of the probes that indexing
+    every row of the full batch at each step gives."""
+
+    @staticmethod
+    def _assert_same(t1, t2, starts, max_iters=metrics.CB_MAX_ITERS):
+        d_in, d_out = t1.dim_in, t1.dim_out
+        r = metrics._realign(choi(t1).mat - choi(t2).mat, (d_out, d_in, d_out, d_in))
+        psis = np.array([rand_state_vec(np.random.default_rng(91 + k), d_in * d_in) for k in range(starts)])
+        values, probes = metrics._ascend(r, psis.copy(), d_in, d_out, max_iters)
+        want_values, want_probes = cb_ascend_all_rows_oracle(r, psis, d_in, d_out, max_iters)
+        assert values.tobytes() == want_values.tobytes()
+        assert probes.tobytes() == want_probes.tobytes()
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [70, 72, 80])
+    def test_bench_like_pairs(self, d, kind, seed):
+        # eight starts leave the batch at different steps, and some do not rise
+        self._assert_same(*_bench_like_pair(d, kind, seed), starts=8)
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 3])
+    def test_few_steps(self, max_iters):
+        self._assert_same(*_bench_like_pair(3, "far", 72), starts=3, max_iters=max_iters)
+
+    @pytest.mark.parametrize("d_in, d_out", [(1, 3), (2, 3), (3, 2)])
+    def test_maps_that_are_not_trace_preserving(self, d_in, d_out):
+        t1 = random_channel(d_in, d_out, d_in, seed=82 + d_in + 7 * d_out)
+        t2 = TestDualCertificate._scaled(random_channel(d_in, d_out, d_in + 1, seed=83 + d_in + 7 * d_out))
+        self._assert_same(t1, t2, starts=4)
+
+    def test_equal_maps(self):
+        t = random_channel(3, 2, 2, seed=86)
+        self._assert_same(t, t, starts=3)
 
 
 class TestProbeVectorsAreCheckedWhereTheyEnter:
