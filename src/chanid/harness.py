@@ -23,12 +23,16 @@ evaluating the trials one at a time with the public functions, and do not
 depend on the chunking.  No Choi matrix is formed: the probe output is
 w = G G† with G = (1 ⊗ X) K, K the drawn Kraus vectors; one ``eigh`` of
 each noisy w gives the recovered factor F_rec; the fidelity is
-(||F_rec† K||_1 / d1)².  The noise model gives the trace distance
-||w_noisy − w||_1: 0 under none, from the r × r Gram G†G under
-depolarization, and from the eigenvalues of w_noisy − w under jitter.  So
-a trial without jitter decomposes one state-sized matrix; jitter also
-decomposes each disturbed state to clip it.  The chunks' outputs are the
-columns of a :class:`TrialTable`; no later stage loops per row.
+(||F_rec† K||_1 / d1)².  Both residuals are norms of tr_out C − 1: one
+d1 × d1 marginal and its ``eigvalsh`` give both when the rank cut keeps
+every column, as it does for every depolarized w, and a cut that drops a
+column adds a second marginal, of the cut F_rec.  The noise model gives
+the trace distance ||w_noisy − w||_1: 0 under none, from the r × r Gram
+G†G under depolarization, and from the eigenvalues of w_noisy − w under
+jitter.  So a trial without jitter decomposes one state-sized matrix;
+jitter also decomposes each disturbed state to clip it.  The chunks'
+outputs are the columns of a :class:`TrialTable`; no later stage loops
+per row.
 
 Values are checked where they enter: :class:`RefSpec`, :class:`NoiseSpec`
 (the one owner of the no-noise case: kind "none" takes no strength, so the

@@ -275,11 +275,18 @@ def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray) -> tuple:
     zero columns where lam is cut, and no C-sized matrix is formed.  The
     residuals are read from d1 × d1 marginals: tr_out C from F, and
     X⁻¹ tr_out(w) X⁻† of the clipped w from the same factor before the cut.
+    When the cut keeps every column of the stack, the two are one marginal
+    and one ``eigvalsh`` gives both norms; only a cut that drops a column
+    zeroes it and takes the second marginal of F.
     """
     d1 = x_inv.shape[-1]
     _check_unit_traces(w, "state trace")
     lam, u = _cp_eigh(w, W_PSD_TOL, "input state")
     lam, clipped = _clip_spectra(lam)
     full = _lift(x_inv, u * np.sqrt(lam)[:, None, :])
-    factor = np.where((lam > CHOI_REL_TOL * lam[:, -1:])[:, None, :], full, 0.0)
-    return factor, _marginal_defects(factor, d1)[0], _marginal_defects(full, d1)[1], clipped
+    tp, consistency = _marginal_defects(full, d1)
+    keep = lam > CHOI_REL_TOL * lam[:, -1:]
+    if keep.all():
+        return full, tp, consistency, clipped
+    factor = np.where(keep[:, None, :], full, 0.0)
+    return factor, _marginal_defects(factor, d1)[0], consistency, clipped

@@ -407,6 +407,25 @@ def cb_dual_upper_stack_all_oracle(j: np.ndarray, witnesses: list, t1, t2) -> tu
     return upper, sigmas[best]
 
 
+def reconstruct_stack_two_marginals_oracle(w: np.ndarray, x_inv: np.ndarray) -> tuple:
+    """The stacked reconstruction with both residuals read from their own
+    marginal every time, whether or not the rank cut drops a column:
+    tp_residual from tr_out C of the cut factor, consistency_residual from
+    the factor before the cut, each norm pair from its own ``eigvalsh``.
+    Returns ``(factor, tp_residual, consistency_residual, clip_magnitude)``."""
+    from chanid.channel import _cp_eigh, _marginal_defects
+    from chanid.identify import CHOI_REL_TOL, W_PSD_TOL, _lift
+    from chanid.linalg import _check_unit_traces, _clip_spectra
+
+    d1 = x_inv.shape[-1]
+    _check_unit_traces(w, "state trace")
+    lam, u = _cp_eigh(w, W_PSD_TOL, "input state")
+    lam, clipped = _clip_spectra(lam)
+    full = _lift(x_inv, u * np.sqrt(lam)[:, None, :])
+    factor = np.where((lam > CHOI_REL_TOL * lam[:, -1:])[:, None, :], full, 0.0)
+    return factor, _marginal_defects(factor, d1)[0], _marginal_defects(full, d1)[1], clipped
+
+
 def _oracle_reference(spec, d1: int, seed: int | None = None, channel_normals: tuple[int, ...] | None = None):
     """The reference of a trial with this spec.  A ``random_min_eig`` reference
     continues the trial's channel stream, Philox(key=seed) at the channel site,

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from chanid import metrics, serialize
 from chanid.channel import choi, random_channel
-from chanid.cli import _emit, cli_main
+from chanid.cli import _emit, cli_main, main
 from chanid.harness import CSV_COLUMNS
 from chanid.identify import forward_map, make_reference
 from chanid.linalg import DensityOperator, maximally_mixed
@@ -682,4 +683,32 @@ class TestArgumentHandling:
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
+        capsys.readouterr()
+
+
+def singular_reconstruct_argv(tmp_path):
+    ref_path = write_json(tmp_path / "ref.json", {"rho": matrix_to_json(np.diag([1.0, 0.0])), "cutoff": 1e-10})
+    w_path = write_json(tmp_path / "w.json", density_to_json(DensityOperator(np.eye(4) / 4)))
+    return ["reconstruct", "--w", w_path, "--ref", ref_path]
+
+
+class TestMain:
+    """``main``, the console entry point and ``python -m chanid``, runs ``cli_main``
+    on ``sys.argv[1:]`` and exits with its code."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (lambda _: ["randchannel", "--d1", "2", "--d2", "2", "--rank", "1"], 0),
+            (lambda _: ["randchannel", "--d1", "2", "--d2", "2", "--rank", "9"], 1),
+            (singular_reconstruct_argv, 2),
+        ],
+        ids=["success", "validation-error", "numerical-failure"],
+    )
+    def test_exits_with_the_code_of_cli_main(self, tmp_path, capsys, monkeypatch, argv, code):
+        args = argv(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["chanid", *args])
+        with pytest.raises(SystemExit) as info:
+            main()
+        assert info.value.code == code == cli_main(args)
         capsys.readouterr()

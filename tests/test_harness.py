@@ -356,12 +356,17 @@ class TestLapackCallsPerTrial:
     eigvalsh of its random traceless direction (its operator norm, part of
     the model) and one of w_noisy − w (the trace distance).  No other
     state-sized matrix, in particular no congruence output C, is decomposed,
-    and none gets an SVD.  The fidelity stage makes one SVD of a (d1·d2) ×
-    rank matrix per trial and no eigendecomposition."""
+    and none gets an SVD.  Both residuals are norms of the d1 × d1 marginal
+    tr_out C − 1: when the rank cut on w keeps every column, as for every
+    depolarized output, one eigvalsh of it gives both; when the cut drops
+    columns, as for noiseless and jittered rank-deficient outputs, the cut
+    factor's marginal takes a second one.  The fidelity stage makes one SVD
+    of a (d1·d2) × rank matrix per trial and no eigendecomposition."""
 
-    # rank 2 at d1 = d2 = 3: the r × r Grams are the only 2 × 2 matrices decomposed.
-    # Depolarized outputs never clip; noiseless ones have seven rounding-level
-    # eigenvalues, some below 0 in every trial; every jittered state is clipped
+    # rank 2 at d1 = d2 = 3: the r × r Grams are the only 2 × 2 matrices decomposed,
+    # the marginals the only 3 × 3 ones given to eigvalsh.  Depolarized outputs never
+    # clip and are full rank; noiseless ones have seven rounding-level eigenvalues,
+    # some below 0 in every trial, all cut; every jittered state is clipped and cut
     @pytest.mark.parametrize(
         "noise, clips",
         [
@@ -395,9 +400,11 @@ class TestLapackCallsPerTrial:
             return [m for stack in stacks for m in stack.reshape(-1, size, size)]
 
         eigh, eigvalsh, grams = square("eigh", n), square("eigvalsh", n), square("eigvalsh", rank)
+        marginals = square("eigvalsh", d)
         assert len(eigh) == (2 * trials if jitter else trials) and not square("svd", n)
         assert len(eigvalsh) == (2 * trials if jitter else 0)
         assert len(grams) == (trials if noise.kind == "depolarize" else 0)
+        assert len(marginals) == (trials if noise.kind == "depolarize" else 2 * trials)
         for i, (w, w_noisy) in enumerate(zip(probe, noisy)):
             if jitter:  # the disturbed state before its clip, then the rebuilt one, by the reconstruction
                 assert (np.linalg.eigvalsh(eigh[i])[0] < 0.0) == clips

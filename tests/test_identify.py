@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from chanid import identify
 from chanid.channel import (
     ChoiMatrix,
     KrausChannel,
     NotCompletelyPositiveError,
+    _channel_of,
     choi,
     compose,
     depolarizing_channel,
@@ -47,6 +49,7 @@ from conftest import (
     noise_clipped_state,
     partial_trace_oracle,
     rand_density_mat,
+    reconstruct_stack_two_marginals_oracle,
     rho_inv_sqrt,
     singular_values_oracle,
     v_isometry_oracle,
@@ -768,6 +771,78 @@ class TestTpResidualIsTheMapsTpDefect:
                 ref = rand_reference(rng, d1, min_eig=0.05 / d1)
                 rec = reconstruct(apply_noise(forward_map(t, ref), noise, seed=d1 + 10 * d2), ref)
                 assert rec.tp_residual == rec.cp_map.tp_defect, (d1, d2)
+
+
+class TestOneMarginalKeepsTheBits:
+    """``_reconstruct_stack`` reads both residuals from one marginal when the
+    rank cut keeps every column, and takes a second marginal only when it
+    drops one; either way it must give the factor and the residual bits that
+    reading each residual from its own marginal gives."""
+
+    DEPOLARIZE, NONE, JITTER = NoiseSpec("depolarize", 0.02), NoiseSpec(), NoiseSpec("hermitian_jitter", 0.02)
+
+    @staticmethod
+    def chunk(d1, d2, rank, noise, trials, seed):
+        """Probe outputs of fresh channels under random references, disturbed by noise,
+        and the references' inverse probe matrices: the stacks a round-trip chunk holds."""
+        rng = np.random.default_rng(seed)
+        refs = [rand_reference(rng, d1, min_eig=0.05 / d1) for _ in range(trials)]
+        ws = [
+            apply_noise(forward_map(random_channel(d1, d2, rank, seed=seed + k), ref), noise, seed=seed + k).mat
+            for k, ref in enumerate(refs)
+        ]
+        return np.array(ws), np.array([ref.x_inv for ref in refs])
+
+    @staticmethod
+    def counted(monkeypatch, call, *args):
+        """call(*args), and the number of marginals it took."""
+        seen, real = [], identify._marginal_defects
+        monkeypatch.setattr(identify, "_marginal_defects", lambda *a: seen.append(a) or real(*a))
+        result = call(*args)
+        monkeypatch.undo()
+        return result, len(seen)
+
+    def assert_same(self, w, x_inv, monkeypatch, marginals):
+        got, taken = self.counted(monkeypatch, _reconstruct_stack, w, x_inv)
+        want = reconstruct_stack_two_marginals_oracle(w, x_inv)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert taken == marginals
+        return got
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_depolarized_chunk_cuts_nothing(self, d, monkeypatch):
+        factor, *_ = self.assert_same(*self.chunk(d, d, d, self.DEPOLARIZE, 8, 60 + d), monkeypatch, marginals=1)
+        assert np.all(np.abs(factor).sum(axis=-2) > 0.0)
+
+    @pytest.mark.parametrize("noise", [NONE, JITTER], ids=["none", "jitter"])
+    def test_rank_deficient_chunk_is_cut_in_every_trial(self, noise, monkeypatch):
+        # noiseless rank-2 outputs at D = 9 lose their seven rounding-level columns;
+        # jitter lifts some of them above the cut and clips the rest to 0
+        factor, _, _, clipped = self.assert_same(*self.chunk(3, 3, 2, noise, 8, 70), monkeypatch, marginals=2)
+        cut = (np.abs(factor).sum(axis=-2) == 0.0).sum(axis=-1)
+        assert np.all(cut == 7) if noise.kind == "none" else np.all((cut > 0) & (clipped > 0.0))
+
+    def test_stack_that_mixes_cut_and_uncut_states(self, monkeypatch):
+        stacks = [self.chunk(3, 3, 3, noise, 4, 80 + k) for k, noise in enumerate((self.DEPOLARIZE, self.NONE))]
+        w, x_inv = (np.concatenate(parts)[[0, 4, 1, 5, 2, 6, 3, 7]] for parts in zip(*stacks))
+        factor, *_ = self.assert_same(w, x_inv, monkeypatch, marginals=2)
+        assert np.array_equal(np.abs(factor).sum(axis=-2).min(axis=-1) == 0.0, [False, True] * 4)
+
+    @pytest.mark.parametrize("noise", [DEPOLARIZE, NONE], ids=["depolarize", "none"])
+    def test_one_dimensional_input(self, noise, monkeypatch):
+        marginals = 1 if noise.kind == "depolarize" else 2
+        self.assert_same(*self.chunk(1, 3, 1, noise, 5, 90), monkeypatch, marginals=marginals)
+
+    @pytest.mark.parametrize("noise", [DEPOLARIZE, NONE, JITTER], ids=["depolarize", "none", "jitter"])
+    def test_stack_of_one_through_reconstruct(self, noise, monkeypatch):
+        ref = rand_reference(np.random.default_rng(95), 3, min_eig=0.05 / 3)
+        w = apply_noise(forward_map(random_channel(3, 2, 2, seed=95), ref), noise, seed=95).mat
+        rec, taken = self.counted(monkeypatch, reconstruct, w, ref)
+        factor, tp, consistency, clipped = reconstruct_stack_two_marginals_oracle(w[None], ref.x_inv[None])
+        assert np.array(rec.cp_map.kraus).tobytes() == np.array(_channel_of(factor[0], 3).kraus).tobytes()
+        assert (rec.tp_residual, rec.consistency_residual, rec.clip_magnitude) == (tp[0], consistency[0], clipped[0])
+        assert taken == (1 if noise.kind == "depolarize" else 2)
 
 
 REF2 = make_reference(maximally_mixed(2))
