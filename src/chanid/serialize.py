@@ -5,7 +5,9 @@ Complex matrices are encoded as ``{"rows": R, "cols": C, "data": [[re, im],
 Three objects are read: a matrix (a state), a channel and a reference.
 Decoding validates shapes and raises ``ValueError`` on malformed input;
 integer fields must be JSON integers, and real-number fields and matrix
-entries JSON numbers.
+entries JSON numbers (an int or a float).  A bool entry has its own message,
+any other type (a string, null, a list, a complex) the fixed text "entries must
+be numbers"; of several faulty matrices, the first check failed gives the message.
 """
 
 from __future__ import annotations
@@ -66,8 +68,9 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def _matrices_from_json(objs: list) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """The entries of matrix objects, row-major one after another, and their (rows, cols): each
-    object's fields are read, then the pair checks run once over the pairs of all the objects."""
+    """The entries of matrix objects, row-major one after another, and their (rows, cols). Each
+    check runs once over all the objects, in the order fields, dims, [re, im] pairs, entry types,
+    bools, counts, finiteness; each float is Python's, so an integer beyond a double is refused."""
     try:
         shapes = [(_json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols")) for obj in objs]
         datas = [obj["data"] for obj in objs]
@@ -76,21 +79,17 @@ def _matrices_from_json(objs: list) -> tuple[np.ndarray, list[tuple[int, int]]]:
     for rows, cols in shapes:
         if rows < 1 or cols < 1:
             raise ValueError(f"matrix dims must be positive, got {rows}x{cols}")
-    try:  # each number's float is Python's
+    try:
         pairs = list(itertools.chain.from_iterable(datas))
         if set(map(len, pairs)) - {2}:
             raise ValueError("every entry must be one [re, im] pair")
         flat = list(itertools.chain.from_iterable(pairs))
-        parts = np.array(flat)
-        if parts.dtype == object and all(isinstance(x, (int, float)) for x in parts):
-            parts = parts.astype(float)  # integers beyond 64 bits
-        if parts.dtype.kind not in "biuf":  # a string gives <U, null an object array
-            raise TypeError(f"entries must be numbers, got dtype {parts.dtype}")
+        if (types := set(map(type, flat))) - {int, float, bool}:
+            raise TypeError("entries must be numbers")
+        parts = np.array(flat, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"matrix data must be a list of [re, im] number pairs: {exc}") from exc
-    parts = parts.astype(float)
-    # a bool reads as 1 or 0: only such parts can be one
-    if any(type(flat[i]) is bool for i in np.flatnonzero((parts == 0) | (parts == 1)).tolist()):
+    if bool in types:
         raise ValueError("matrix data entries must be JSON numbers, got a bool")
     for data, (rows, cols) in zip(datas, shapes):
         if len(data) != rows * cols:
@@ -125,14 +124,12 @@ def channel_from_json(obj: dict) -> KrausChannel:
         raise ValueError(f"malformed channel object: {exc}") from exc
     if not isinstance(objs, list):
         raise ValueError(f"kraus must be a JSON list of matrix objects, got {type(objs).__name__}")
-    try:
-        entries, shapes = _matrices_from_json(objs)
-    except ValueError:
-        shapes = []
+    entries, shapes = _matrices_from_json(objs)
     if len(set(shapes)) == 1:  # one (r, d_out, d_in) array
         kraus = entries.reshape(len(shapes), *shapes[0])
-    else:  # one by one: a faulty matrix raises as alone, KrausChannel refuses none or mixed shapes
-        kraus = [matrix_from_json(a) for a in objs]
+    else:  # KrausChannel refuses none or mixed shapes, naming the first wrong one
+        ends = np.cumsum([rows * cols for rows, cols in shapes])[:-1]
+        kraus = [a.reshape(shape) for a, shape in zip(np.split(entries, ends), shapes)]
     return KrausChannel(dim_in=d1, dim_out=d2, kraus=kraus)
 
 

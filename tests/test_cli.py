@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import warnings
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chanid
 from chanid import metrics, serialize
 from chanid.channel import choi, random_channel
 from chanid.cli import _emit, cli_main, main
@@ -692,6 +695,13 @@ def singular_reconstruct_argv(tmp_path):
     return ["reconstruct", "--w", w_path, "--ref", ref_path]
 
 
+def run_module(module: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -m <module> args`` in a fresh process that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(chanid.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", module, *args], env=env, capture_output=True, text=True)
+
+
 class TestMain:
     """``main``, the console entry point and ``python -m chanid``, runs ``cli_main``
     on ``sys.argv[1:]`` and exits with its code."""
@@ -712,3 +722,18 @@ class TestMain:
             main()
         assert info.value.code == code == cli_main(args)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("module", ["chanid", "chanid.cli"])
+    def test_python_dash_m_on_a_missing_file_is_one_error_line(self, tmp_path, module):
+        missing = str(tmp_path / "missing.json")
+        proc = run_module(module, "cbdist", "--t1", missing, "--t2", missing)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("chanid: error: ")
+        assert missing in proc.stderr
+
+    def test_python_dash_m_writes_the_bytes_of_cli_main(self, tmp_path):
+        args = ["randchannel", "--d1", "2", "--d2", "3", "--rank", "2", "--seed", "4", "--out"]
+        proc = run_module("chanid", *args, str(tmp_path / "sub.json"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert cli_main(args + [str(tmp_path / "in.json")]) == 0
+        assert (tmp_path / "sub.json").read_bytes() == (tmp_path / "in.json").read_bytes()

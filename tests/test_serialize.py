@@ -85,18 +85,19 @@ def test_matrix_decode_keeps_the_bits_of_the_per_entry_decode():
         assert got.tobytes() == _per_entry_decode(obj["data"]).tobytes()
 
 
+NOT_NUMBERS = "matrix data must be a list of [re, im] number pairs: entries must be numbers"
 MATRIX_DATA_DEFECTS = [  # (id, data of a 2x1 matrix with one defect, the message it gives)
     ("bool-pair", [[True, False]], "got a bool"),
     ("bool-imaginary-part", [[0.5, True]], "got a bool"),
-    ("string", [[1, "a"]], "must be a list of [re, im] number pairs"),
-    ("numeric-string", [["1.5", 2**70]], "must be a list of [re, im] number pairs"),
-    ("null", [[1, None]], "must be a list of [re, im] number pairs"),
-    ("nested", [[1, [2]]], "must be a list of [re, im] number pairs"),
+    ("string", [[1, "a"]], NOT_NUMBERS),
+    ("numeric-string", [["1.5", 2**70]], NOT_NUMBERS),
+    ("null", [[1, None]], NOT_NUMBERS),
+    ("nested", [[1, [2]]], NOT_NUMBERS),
     ("ragged", [[1, 2], [3]], "must be a list of [re, im] number pairs"),
     ("ragged-same-count", [[1, 2, 3], [4]], "must be a list of [re, im] number pairs"),
     ("not-a-list", 5, "must be a list of [re, im] number pairs"),
     ("string-data", "ab", "must be a list of [re, im] number pairs"),
-    ("huge-int", [[1, 10**400]], "must be a list of [re, im] number pairs"),
+    ("huge-int", [[1, 10**400]], "must be a list of [re, im] number pairs: int too large to convert to float"),
     ("nan", [[float("nan"), 0.0], [1, 2]], "matrix entries must be finite"),
     ("inf", [[1, 2], [0.0, float("-inf")]], "matrix entries must be finite"),
     ("count", [[1, 2]] * 3, "matrix data has 3 entries, expected 2"),
@@ -110,7 +111,18 @@ MATRIX_DATA_DEFECTS = [  # (id, data of a 2x1 matrix with one defect, the messag
 def test_matrix_decode_refusals(data, message):
     with pytest.raises(ValueError, match=re.escape(message)) as info:
         matrix_from_json({"rows": 2, "cols": 1, "data": data})
-    assert "\n" not in str(info.value)
+    assert "\n" not in str(info.value) and "dtype" not in str(info.value) and "shape" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "entry", [complex(1, 2), np.float64(0.5), np.int64(1), np.bool_(True)], ids=["complex", "f8", "i8", "numpy-bool"]
+)
+def test_non_json_entry_types_are_refused(entry):
+    """Only the int and float of a JSON number are entries: a hand-built dict's complex or
+    numpy scalar is refused, though complex() or numpy would read it."""
+    with pytest.raises(ValueError) as info:
+        matrix_from_json({"rows": 1, "cols": 1, "data": [[entry, 0.0]]})
+    assert str(info.value) == NOT_NUMBERS
 
 
 class TestKrausListDecode:
@@ -125,13 +137,18 @@ class TestKrausListDecode:
         ("not-an-object", [[0.6, 0.0], [0.0, 0.8]]),
     ]
 
-    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    # 30 operators of another size: a message that carried the combined array's dtype width
+    # or shape would depend on them
+    WIDE = [matrix_to_json(rand_complex(np.random.default_rng(k), 6, 6)) for k in range(30)]
+
+    @pytest.mark.parametrize("neighbours", [[GOOD] * 2, WIDE], ids=["two-2x1", "thirty-6x6"])
+    @pytest.mark.parametrize("position", [0, 0.5, 1], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("bad", [d[1] for d in MATRIX_DEFECTS], ids=[d[0] for d in MATRIX_DEFECTS])
-    def test_a_defect_in_any_operator_gives_the_matrix_message(self, tmp_path, capsys, bad, position):
+    def test_a_defect_in_any_operator_gives_the_matrix_message(self, tmp_path, capsys, bad, position, neighbours):
         with pytest.raises(ValueError) as alone:
             matrix_from_json(bad)
-        kraus = [self.GOOD] * 3
-        kraus[position] = bad
+        kraus = list(neighbours)
+        kraus.insert(round(position * len(kraus)), bad)
         channel = {"dim_in": 1, "dim_out": 2, "kraus": kraus}
         with pytest.raises(ValueError) as in_list:
             channel_from_json(channel)
@@ -141,6 +158,31 @@ class TestKrausListDecode:
         t2.write_text(json.dumps({**channel, "kraus": [self.GOOD]}))
         assert cli_main(["cbdist", "--t1", str(t1), "--t2", str(t2)]) == 1
         assert capsys.readouterr().err == f"chanid: error: {alone.value}\n"
+
+    @pytest.mark.parametrize(
+        "defects, speaks",
+        [
+            (["count", "nan", "zero-cols", "float-rows"], "float-rows"),
+            (["count", "nan", "string", "zero-cols"], "zero-cols"),
+            (["nan", "count", "bool-pair", "string", "ragged"], "ragged"),
+            (["inf", "count", "bool-pair", "null"], "null"),
+            (["bool-imaginary-part", "huge-int"], "huge-int"),
+            (["inf", "count", "bool-imaginary-part"], "bool-imaginary-part"),
+            (["nan", "inf", "count"], "count"),
+        ],
+        ids=["fields", "dims", "pair-shape", "entry-types", "overflow", "bools", "counts"],
+    )
+    def test_several_faulty_operators_give_the_first_check_any_fails(self, defects, speaks):
+        """The checks run in the order fields, dims, [re, im] pairs, entry types, bools,
+        counts, finiteness, each over every operator."""
+        matrices = dict(self.MATRIX_DEFECTS)
+        with pytest.raises(ValueError) as alone:
+            matrix_from_json(matrices[speaks])
+        kraus = [matrices[d] for d in defects]
+        for order in (kraus, kraus[::-1]):
+            with pytest.raises(ValueError) as in_list:
+                channel_from_json({"dim_in": 1, "dim_out": 2, "kraus": [self.GOOD, *order]})
+            assert str(in_list.value) == str(alone.value)
 
     @pytest.mark.parametrize(
         "shapes",
