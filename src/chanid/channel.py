@@ -6,8 +6,9 @@ d_in: C = (T ⊗ id)(d_in · |Omega><Omega|), so tr C = d_in for a channel.  A
 ``KrausChannel`` holds one factor F of its Choi matrix, which the probe
 map, the RN operator, every channel fidelity and the TP flag read: the
 Kraus vectors vec(A_k) for a map built from Kraus operators, or, for a map
-built by :func:`from_choi` or ``reconstruct``, the factor its input's one
-eigendecomposition gives, with zero columns where an eigenvalue is cut.
+built by :func:`from_choi` or ``reconstruct``, the factor its input's
+Cholesky or eigendecomposition gives, with zero columns where an eigenvalue
+is cut.
 Those maps get their Kraus operators from a thin SVD of that factor, and
 only there.  The Choi matrix C = F F†, the Gram product ``linalg._gram``
 of F, is formed once at construction and returned by :func:`choi`.
@@ -16,8 +17,8 @@ T(rho) = V† (rho ⊗ 1_E) V.
 
 Four rules have their one owner here: which (d1, d2, kraus_rank) a channel
 has (:func:`_check_map_shape`), whether two maps share one shape
-(:func:`_check_same_shape`), the refusal of a non-CP operator after its
-``eigh`` (:func:`_cp_eigh`) and ``random_channel``'s draw (:func:`_channel_fill`).
+(:func:`_check_same_shape`), the refusal of a non-CP operator from its
+eigenvalues (:func:`_cp_checked`) and ``random_channel``'s draw (:func:`_channel_fill`).
 """
 
 from __future__ import annotations
@@ -179,13 +180,18 @@ def from_choi(c: ChoiMatrix) -> KrausChannel:
     return _channel_of(factor, c.dim_in)
 
 
-def _cp_eigh(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """One ``eigh`` of (m + m†)/2, for one matrix or each of a stack, whose eigenvalues must all be
-    at least -tol, or :class:`NotCompletelyPositiveError`: the one refusal of a non-CP operator."""
-    lam, vecs = np.linalg.eigh(hermitian_part(m))
+def _cp_checked(lam: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """Ascending eigenvalues lam of an operator, or of each of a stack, returned as they are when all
+    are at least -tol, else :class:`NotCompletelyPositiveError`: the one refusal of a non-CP operator."""
     if lam[..., 0].min() < -tol:
         raise NotCompletelyPositiveError(f"{what} has eigenvalue {lam[..., 0].min():.3e} < -{tol:.1e}")
-    return lam, vecs
+    return lam
+
+
+def _cp_eigh(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """One ``eigh`` of (m + m†)/2, for one matrix or each of a stack, refused by :func:`_cp_checked`."""
+    lam, vecs = np.linalg.eigh(hermitian_part(m))
+    return _cp_checked(lam, tol, what), vecs
 
 
 def _channel_of(factor: np.ndarray, d1: int) -> KrausChannel:

@@ -21,15 +21,18 @@ Stacked LAPACK calls, stacked matrix products and elementwise array
 arithmetic give the bits of single calls, so the CSV bytes equal those of
 evaluating the trials one at a time with the public functions, and do not
 depend on the chunking.  No Choi matrix is formed: the probe output is
-w = G G† with G = (1 ⊗ X) K, K the drawn Kraus vectors; one ``eigh`` of
-each noisy w gives the recovered factor F_rec; the fidelity is
-(||F_rec† K||_1 / d1)².  Both residuals are norms of tr_out C − 1: one
-d1 × d1 marginal and its ``eigvalsh`` give both when the rank cut keeps
-every column, as it does for every depolarized w, and a cut that drops a
-column adds a second marginal, of the cut F_rec.  The noise model gives
-the trace distance ||w_noisy − w||_1: 0 under none, from the r × r Gram
-G†G under depolarization, and from the eigenvalues of w_noisy − w under
-jitter.  So a trial without jitter decomposes one state-sized matrix;
+w = G G† with G = (1 ⊗ X) K, K the drawn Kraus vectors; one ``eigvalsh``
+of each noisy w picks its factor, trial by trial: the Cholesky factor
+where nothing is clipped or cut, as for every depolarized w, and
+``eigh``'s otherwise; lifted by 1 ⊗ X⁻¹ it is the recovered factor F_rec.
+The fidelity is (||F_rec† K||_1 / d1)².  Both residuals are norms of
+tr_out C − 1: one d1 × d1 marginal and its ``eigvalsh`` give both where
+the rank cut keeps every column, and the trials whose cut drops a column
+add a second marginal, of the cut F_rec.  The noise model gives the trace
+distance ||w_noisy − w||_1: 0 under none, from the r × r Gram G†G under
+depolarization, and from the eigenvalues of w_noisy − w under jitter.  So
+a depolarized trial takes one state-sized ``eigvalsh`` and one Cholesky
+factor and no eigenvectors; a clipped or cut w adds its ``eigh``, and
 jitter also decomposes each disturbed state to clip it.  The chunks'
 outputs are the columns of a :class:`TrialTable`; no later stage loops
 per row.
@@ -347,11 +350,12 @@ def records_to_csv(table: TrialTable) -> str:
     Every row is checked against the analytic bound before any is emitted.
     """
     # fidelity >= bound - (1e-9 + c·u/min_eig), u = 2^-53, times min_eig so that no row
-    # divides.  The reconstruction's eigh of w is backward stable: it decomposes w + E,
-    # ||E||_op a few u (tr w = 1).  The congruence by X⁻¹ scales E by ||X⁻¹||² = 1/min_eig,
-    # and the fidelity of unnormalized Choi matrices loses the trace weight it removes,
-    # over d1: noiseless full-rank sweeps (d <= 6, min eig to 1.2e-10) lost tp_residual/d1,
-    # at most 1.67·u/min_eig, so c = 4.  Rounding not scaled by 1/min_eig is under 1e-9.
+    # divides.  The reconstruction's factor of w (Cholesky or eigh) is backward stable: it
+    # factors w + E, ||E||_op a few u (tr w = 1).  The congruence by X⁻¹ scales E by
+    # ||X⁻¹||² = 1/min_eig, and the fidelity of unnormalized Choi matrices loses the trace
+    # weight it removes, over d1: noiseless full-rank sweeps (d <= 6, min eig to 1.2e-10)
+    # lost tp_residual/d1, at most 1.67·u/min_eig with eigh factors, so c = 4.  Rounding
+    # not scaled by 1/min_eig is under 1e-9.
     excess = (table.bound_value - table.fidelity - 1e-9) * table.min_eig_rho
     bad = np.flatnonzero(~(excess <= 4 * 2.0**-53))
     if bad.size:

@@ -19,11 +19,17 @@ V[(a,mu,b),nu] = X[a,b] delta_{mu nu} (``v_isometry``, ``apply_rn``).
 Applied to any bipartite state the inversion yields a CP map, a channel
 exactly when the state satisfies a trace-preservation consistency
 condition.  By Sylvester's law of inertia the congruence keeps w's rank
-and the signs of its eigenvalues, so ``reconstruct`` decomposes w alone:
-its PSD check, its clip and its rank cutoff read w's eigenvalues, and the
-kept eigenvectors, scaled and pushed through 1 ⊗ X⁻¹, are a factor of C.
-The cutoff is relative to ||w||_op and the PSD tolerance to ||w||_1 = 1;
-accuracy is governed by ||rho^-1|| = 1/min_eig, and nothing is left to tune.
+and the signs of its eigenvalues, so ``reconstruct`` decomposes w alone,
+and any factor of w, pushed through 1 ⊗ X⁻¹, is a factor of C.  One
+``eigvalsh`` of w decides: its eigenvalues give the PSD check, and where
+nothing is clipped or cut the factor is w's Cholesky factor; otherwise one
+``eigh`` gives the clip, the rank cutoff and the kept eigenvectors, scaled.
+Cholesky is cheaper than eigenvectors and more accurate: on a w graded by a
+diagonal scaling, as a noiseless output is under a diagonal reference, its
+error follows the scaled matrix's condition instead of 1/min_eig.  The
+cutoff is relative to ||w||_op and the PSD tolerance to ||w||_1 = 1; the
+worst-case accuracy is governed by ||rho^-1|| = 1/min_eig, and nothing is
+left to tune.
 """
 
 from __future__ import annotations
@@ -32,8 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausChannel, _channel_of, _cp_eigh, _marginal_defects
-from .linalg import DensityOperator, Spectrum, _admitted, _check_unit_traces, _clip_spectra, _gram, spectral_decomposition
+from .channel import KrausChannel, _channel_of, _cp_checked, _marginal_defects
+from .linalg import DensityOperator, Spectrum, _admitted, _check_unit_traces, _clip_spectra, _gram, hermitian_part
+from .linalg import spectral_decomposition
 
 ADMISSIBILITY_CUTOFF = 1e-10
 RN_PSD_TOL = 1e-9
@@ -244,13 +251,15 @@ def reconstruct(w: DensityOperator | np.ndarray, ref: ReferenceState) -> Reconst
     w must have unit trace within ``linalg.TRACE_TOL``; a plain array w is
     admitted here, as a ``DensityOperator`` is at construction, as a square
     matrix with finite entries and a Hermiticity defect within
-    ``linalg.HERMITICITY_TOL``.  One ``eigh`` of w does the rest.  This is
-    the one clip of w, array or ``DensityOperator``: eigenvalues in
-    [-W_PSD_TOL, 0) are zeroed, the trace restored and their whole weight
-    reported as ``clip_magnitude``; anything more negative raises
-    :class:`NotCompletelyPositiveError`.  Eigenvalues up to
-    CHOI_REL_TOL·||w||_op are dropped, and the map's Kraus operators are
-    cut from the factor of C the kept ones give.
+    ``linalg.HERMITICITY_TOL``.  One ``eigvalsh`` of w decides the rest:
+    an eigenvalue below -W_PSD_TOL raises :class:`NotCompletelyPositiveError`;
+    a w whose smallest eigenvalue is above tau(D)·||w||_op
+    (:func:`_cholesky_threshold`) is factored by Cholesky; any other w takes
+    one ``eigh``.  That is the one clip of w, array or ``DensityOperator``:
+    eigenvalues in [-W_PSD_TOL, 0) are zeroed, the trace restored and their
+    whole weight reported as ``clip_magnitude``, and eigenvalues up to
+    CHOI_REL_TOL·||w||_op are dropped.  The map's Kraus operators are cut
+    from the factor of C that the factor of w gives.
     """
     w_mat = w.mat if isinstance(w, DensityOperator) else _admitted(w, "state")
     if len(w_mat) % ref.dim != 0:
@@ -264,29 +273,69 @@ def reconstruct(w: DensityOperator | np.ndarray, ref: ReferenceState) -> Reconst
     )
 
 
+def _cholesky_threshold(dim: int) -> float:
+    """tau(D): ``reconstruct`` factors a D × D state w by Cholesky when eigvalsh's smallest
+    eigenvalue of w is above tau(D) times its largest.
+
+    Cholesky runs to completion on a positive-definite A = Δ H Δ, Δ² = diag(A),
+    when lambda_min(H) > b = Dγ/(1 − Dγ) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.7, after Demmel), with γ = γ_{D+2} =
+    (D+2)u/(1 − (D+2)u), u = 2⁻⁵³, the complex inner product's constant.  As
+    diag(A) <= lambda_max(A), lambda_min(H) >= lambda_min(A)/lambda_max(A).
+    eigvalsh is backward stable: each computed eigenvalue is within e·||w||_op
+    of the true one, e = D·u in the model taken here (Golub and Van Loan,
+    Matrix Computations, 4th ed., §8.3).  A computed ratio above
+    (b + e)/(1 − e) therefore leaves a true ratio above b, and
+    ``np.linalg.cholesky`` cannot fail on a state sent to it.  tau is never
+    below CHOI_REL_TOL, so no state whose rank cut would drop a column goes to
+    Cholesky.
+    """
+    u = 2.0**-53
+    gamma = (dim + 2) * u / (1.0 - (dim + 2) * u)
+    b, e = dim * gamma / (1.0 - dim * gamma), dim * u
+    return max(CHOI_REL_TOL, (b + e) / (1.0 - e))
+
+
 def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray) -> tuple:
     """:func:`reconstruct` for a stack of states w and of inverse probe matrices x_inv,
     the output dimension read from w's rows as :func:`_lift` reads it.
 
     Returns ``(factor, tp_residual, consistency_residual, clip_magnitude)``.
-    One ``eigh`` of each w, w = U diag(lam) U†, gives the PSD check, the
-    clip and the rank cutoff; the recovered map stays the factor
-    F = (1 ⊗ X⁻¹) U diag(sqrt(lam·keep)) of its Choi matrix C = F F†, with
-    zero columns where lam is cut, and no C-sized matrix is formed.  The
-    residuals are read from d1 × d1 marginals: tr_out C from F, and
-    X⁻¹ tr_out(w) X⁻† of the clipped w from the same factor before the cut.
-    When the cut keeps every column of the stack, the two are one marginal
-    and one ``eigvalsh`` gives both norms; only a cut that drops a column
-    zeroes it and takes the second marginal of F.
+    One eigvalsh decides: the eigenvalues of each w give the PSD check, and
+    a trial whose smallest eigenvalue is above tau(D) times its largest
+    (:func:`_cholesky_threshold`) has nothing to clip or cut, so its factor
+    is the Cholesky factor L, w = L L†.  Every other trial takes an ``eigh``,
+    w = U diag(lam) U†, for the clip and the rank cutoff, and its factor is
+    U diag(sqrt(lam·keep)), with zero columns where lam is cut.  Either factor
+    of w, pushed through 1 ⊗ X⁻¹, is a factor F of the recovered Choi matrix
+    C = F F†, and no C-sized matrix is formed.  Cholesky is also the more
+    accurate factor: on a graded w = Δ H Δ, such as a noiseless output under
+    a diagonal reference, its error follows the condition of H rather than
+    1/min_eig (Demmel, LAWN 14; Higham ch. 10).  The residuals are read from
+    d1 × d1 marginals: tr_out C from F, and X⁻¹ tr_out(w) X⁻† of the clipped w
+    from the same factor before the cut.  Where the cut keeps every column,
+    the two are one marginal and one ``eigvalsh`` gives both norms; only the
+    trials whose cut drops a column zero it and take a second marginal of F.
+    Each trial's path is its own, so a stack gives the bits of single calls.
     """
     d1 = x_inv.shape[-1]
     _check_unit_traces(w, "state trace")
-    lam, u = _cp_eigh(w, W_PSD_TOL, "input state")
-    lam, clipped = _clip_spectra(lam)
-    full = _lift(x_inv, u * np.sqrt(lam)[:, None, :])
-    tp, consistency = _marginal_defects(full, d1)
-    keep = lam > CHOI_REL_TOL * lam[:, -1:]
-    if keep.all():
-        return full, tp, consistency, clipped
-    factor = np.where(keep[:, None, :], full, 0.0)
-    return factor, _marginal_defects(factor, d1)[0], consistency, clipped
+    h = hermitian_part(w)
+    lam = _cp_checked(np.linalg.eigvalsh(h), W_PSD_TOL, "input state")
+    plain = lam[:, 0] > _cholesky_threshold(h.shape[-1]) * lam[:, -1]
+    x_inv = np.broadcast_to(x_inv, (len(h), d1, d1))
+    factor, clipped, keep = np.empty_like(h), np.zeros(len(h)), np.ones(h.shape[:-1], dtype=bool)
+    if plain.any():
+        factor[plain] = _lift(x_inv[plain], np.linalg.cholesky(h[plain]))
+    if not plain.all():
+        rest = ~plain
+        lam, u = np.linalg.eigh(h[rest])
+        lam, clipped[rest] = _clip_spectra(lam)
+        factor[rest] = _lift(x_inv[rest], u * np.sqrt(lam)[:, None, :])
+        keep[rest] = lam > CHOI_REL_TOL * lam[:, -1:]
+    tp, consistency = _marginal_defects(factor, d1)
+    cut = ~keep.all(axis=-1)
+    if cut.any():
+        factor[cut] = np.where(keep[cut][:, None, :], factor[cut], 0.0)
+        tp[cut] = _marginal_defects(factor[cut], d1)[0]
+    return factor, tp, consistency, clipped

@@ -408,22 +408,31 @@ def cb_dual_upper_stack_all_oracle(j: np.ndarray, witnesses: list, t1, t2) -> tu
 
 
 def reconstruct_stack_two_marginals_oracle(w: np.ndarray, x_inv: np.ndarray) -> tuple:
-    """The stacked reconstruction with both residuals read from their own
-    marginal every time, whether or not the rank cut drops a column:
-    tp_residual from tr_out C of the cut factor, consistency_residual from
-    the factor before the cut, each norm pair from its own ``eigvalsh``.
+    """The stacked reconstruction one trial at a time, with both residuals read
+    from their own marginal every time, whether or not the rank cut drops a
+    column: tp_residual from tr_out C of the cut factor, consistency_residual
+    from the factor before the cut, each norm pair from its own ``eigvalsh``.
+    Each trial's factor of w is chosen by its own ``eigvalsh``: the Cholesky
+    factor above tau(D) times the largest eigenvalue, else ``eigh``'s, clipped.
     Returns ``(factor, tp_residual, consistency_residual, clip_magnitude)``."""
-    from chanid.channel import _cp_eigh, _marginal_defects
-    from chanid.identify import CHOI_REL_TOL, W_PSD_TOL, _lift
-    from chanid.linalg import _check_unit_traces, _clip_spectra
+    from chanid.channel import _marginal_defects
+    from chanid.identify import CHOI_REL_TOL, _cholesky_threshold, _lift
+    from chanid.linalg import _clip_spectra, hermitian_part
 
     d1 = x_inv.shape[-1]
-    _check_unit_traces(w, "state trace")
-    lam, u = _cp_eigh(w, W_PSD_TOL, "input state")
-    lam, clipped = _clip_spectra(lam)
-    full = _lift(x_inv, u * np.sqrt(lam)[:, None, :])
-    factor = np.where((lam > CHOI_REL_TOL * lam[:, -1:])[:, None, :], full, 0.0)
-    return factor, _marginal_defects(factor, d1)[0], _marginal_defects(full, d1)[1], clipped
+    x_inv = np.broadcast_to(x_inv, (len(w), d1, d1))
+    trials = []
+    for h, x in zip(hermitian_part(w), x_inv):
+        lam = np.linalg.eigvalsh(h)
+        if lam[0] > _cholesky_threshold(len(h)) * lam[-1]:
+            full, keep, clipped = _lift(x, np.linalg.cholesky(h)), np.ones(len(h), dtype=bool), np.zeros(1)
+        else:
+            lam, u = np.linalg.eigh(h)
+            lam, clipped = _clip_spectra(lam[None])
+            full, keep = _lift(x, u * np.sqrt(lam[0])), lam[0] > CHOI_REL_TOL * lam[0, -1]
+        factor = np.where(keep, full, 0.0)
+        trials.append((factor, _marginal_defects(factor, d1)[0], _marginal_defects(full, d1)[1], clipped[0]))
+    return tuple(np.array(column) for column in zip(*trials))
 
 
 def _oracle_reference(spec, d1: int, seed: int | None = None, channel_normals: tuple[int, ...] | None = None):

@@ -321,16 +321,24 @@ class TestBatchCommands:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_noiseless_full_rank_sweep_down_to_the_cutoff(self, tmp_path, capsys, d):
-        # bound_value is exactly 1 on these rows, and the fidelity misses it by
-        # tp_residual / d1, rounding that grows as 1/min_eig (up to ~1.7·2^-53/min_eig)
-        out = tmp_path / "sweep.csv"
+        # bound_value is exactly 1 on these rows.  The sweep's references are diagonal,
+        # so w = (1 ⊗ X) C (1 ⊗ X)† is C graded by a diagonal scaling; full rank, it is
+        # factored by Cholesky, whose error follows C's condition, not 1/min_eig.  So
+        # tp_residual and the fidelity's miss stay at a few u = 2^-53 at every grid
+        # point (at most 9.1·u and 12·u over these 240 rows; the eigh factor reached
+        # 1.9e10·u and 9.6e9·u, growing as 1/min_eig)
+        out, u = tmp_path / "sweep.csv", 2.0**-53
+        tp_col, fid_col = CSV_COLUMNS.index("tp_residual"), CSV_COLUMNS.index("fidelity")
         for seed in range(1, 11):
             config = {"d1": d, "d2": d, "kraus_rank": d * d, "ref_spec": "maximally_mixed", "noise": "none"}
             cfg = write_json(tmp_path / "cfg.json", {**config, "trials": 1, "seed": seed})
             argv = ["sweep", "--config", cfg, "--out", str(out), "--grid", "1e-6,1e-7,1e-8,1e-9,3e-10,1.2e-10"]
             assert cli_main(argv) == 0, capsys.readouterr().err
             assert capsys.readouterr().err == f"wrote 6 records to {out}\n"
-            assert len(out.read_text().splitlines()) == 7
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            assert len(rows) == 6
+            for row in rows:
+                assert float(row[tp_col]) <= 16 * u and abs(1.0 - float(row[fid_col])) <= 16 * u, (seed, row)
 
     @pytest.mark.parametrize(
         "stale",

@@ -306,8 +306,8 @@ class TestStackedTrialsMatchTheLoop:
 
 
 class TestStackedProductsKeepTheBitsOfSingleCalls:
-    """The byte equality above rests on this: a stacked ``_lift`` or ``_gram``
-    gives each item the bits of the single call (with single-threaded BLAS),
+    """The byte equality above rests on this: a stacked ``_lift``, ``_gram`` or
+    Cholesky factor gives each item the bits of the single call (with single-threaded BLAS),
     at the harness's chunk sizes and on the non-contiguous transposed view
     of the Kraus draw that ``_kraus_factors`` returns."""
 
@@ -324,7 +324,8 @@ class TestStackedProductsKeepTheBitsOfSingleCalls:
         lifted = identify._lift(x, factor)
         w = linalg._gram(lifted)
         shared = identify._lift(x, factor[:1])  # a sweep's one channel against every reference
-        u = identify._lift(x_inv, np.linalg.eigh(w)[1])  # the reconstruction's lift
+        u = identify._lift(x_inv, np.linalg.eigh(w)[1])  # the reconstruction's lifts: eigh's factor,
+        chol = identify._lift(x_inv, np.linalg.cholesky(w)) if full_rank else None  # and Cholesky's
         for i in range(n):
             own = random_channel(d, d, rank, seed=seeds[i])._factor  # the layout a single call reads
             assert np.array_equal(own, factor[i])
@@ -334,6 +335,8 @@ class TestStackedProductsKeepTheBitsOfSingleCalls:
             assert np.array_equal(w[i], linalg._gram(lifted[i]))
             assert np.array_equal(w[i], linalg._gram(identify._lift(x[i], own)))
             assert np.array_equal(u[i], identify._lift(x_inv[i], np.linalg.eigh(w[i])[1]))
+            if full_rank:
+                assert np.array_equal(chol[i], identify._lift(x_inv[i], np.linalg.cholesky(w[i])))
 
 
 class TestSpectrumDraw:
@@ -346,22 +349,25 @@ class TestSpectrumDraw:
 
 
 class TestLapackCallsPerTrial:
-    """The reconstruction takes one state-sized eigh of each noisy output,
-    whether or not it has an eigenvalue below 0 to clip.  The probe and
-    depolarization build states without decomposing them, so under
-    depolarize and none that eigh is the trial's one state-sized
-    decomposition: a depolarized output's trace distance is read from one
-    r × r eigvalsh of the lifted factor's Gram matrix G†G, and none needs
-    none.  Jitter also takes one eigh of each disturbed state to clip it, one
-    eigvalsh of its random traceless direction (its operator norm, part of
-    the model) and one of w_noisy − w (the trace distance).  No other
-    state-sized matrix, in particular no congruence output C, is decomposed,
-    and none gets an SVD.  Both residuals are norms of the d1 × d1 marginal
-    tr_out C − 1: when the rank cut on w keeps every column, as for every
-    depolarized output, one eigvalsh of it gives both; when the cut drops
-    columns, as for noiseless and jittered rank-deficient outputs, the cut
-    factor's marginal takes a second one.  The fidelity stage makes one SVD
-    of a (d1·d2) × rank matrix per trial and no eigendecomposition."""
+    """The reconstruction takes one state-sized eigvalsh of each noisy output,
+    which decides its factor: a Cholesky factor where nothing is clipped or
+    cut, as for every depolarized output, and an eigh otherwise.  The probe
+    and depolarization build states without decomposing them, so under
+    depolarize the eigvalsh and the Cholesky factor are the trial's only
+    state-sized decompositions and no eigh runs: a depolarized output's trace
+    distance is read from one r × r eigvalsh of the lifted factor's Gram matrix
+    G†G.  A noiseless rank-deficient output adds the eigh that its clip and
+    cut read, and none needs no trace distance.  Jitter also takes one eigh of
+    each disturbed state to clip it, one eigvalsh of its random traceless
+    direction (its operator norm, part of the model) and one of w_noisy − w
+    (the trace distance), and its clipped outputs take the eigh path.  No
+    other state-sized matrix, in particular no congruence output C, is
+    decomposed, and none gets an SVD.  Both residuals are norms of the
+    d1 × d1 marginal tr_out C − 1: when the rank cut on w keeps every column,
+    as for every depolarized output, one eigvalsh of it gives both; when the
+    cut drops columns, as for noiseless and jittered rank-deficient outputs,
+    the cut factor's marginal takes a second one.  The fidelity stage makes
+    one SVD of a (d1·d2) × rank matrix per trial and no eigendecomposition."""
 
     # rank 2 at d1 = d2 = 3: the r × r Grams are the only 2 × 2 matrices decomposed,
     # the marginals the only 3 × 3 ones given to eigvalsh.  Depolarized outputs never
@@ -386,38 +392,41 @@ class TestLapackCallsPerTrial:
         scoring = []
         score = harness._channel_fidelities
         monkeypatch.setattr(harness, "_channel_fidelities", lambda *a: scoring.append(len(calls)) or score(*a))
-        for routine in ("eigh", "eigvalsh", "svd"):
+        for routine in ("eigh", "eigvalsh", "svd", "cholesky"):
             real = getattr(np.linalg, routine)
             spy = lambda m, *a, real=real, routine=routine, **k: calls.append((routine, np.copy(m))) or real(m, *a, **k)
             monkeypatch.setattr(np.linalg, routine, spy)
         run_roundtrip(cfg)
         monkeypatch.undo()
         (lifted, probe), noisy = outputs["_probe_outputs"], outputs["_noisy"]  # one chunk holds every trial
-        n, jitter = d * d, noise.kind == "hermitian_jitter"
+        n, jitter, plain = d * d, noise.kind == "hermitian_jitter", noise.kind == "depolarize"
 
         def square(routine, size):
             stacks = [m for r, m in calls if r == routine and m.shape[-2:] == (size, size)]
             return [m for stack in stacks for m in stack.reshape(-1, size, size)]
 
         eigh, eigvalsh, grams = square("eigh", n), square("eigvalsh", n), square("eigvalsh", rank)
-        marginals = square("eigvalsh", d)
-        assert len(eigh) == (2 * trials if jitter else trials) and not square("svd", n)
-        assert len(eigvalsh) == (2 * trials if jitter else 0)
-        assert len(grams) == (trials if noise.kind == "depolarize" else 0)
-        assert len(marginals) == (trials if noise.kind == "depolarize" else 2 * trials)
+        cholesky, marginals = square("cholesky", n), square("eigvalsh", d)
+        assert len(eigh) == (2 * trials if jitter else 0 if plain else trials) and not square("svd", n)
+        assert len(eigvalsh) == (3 * trials if jitter else trials)
+        assert len(cholesky) == (trials if plain else 0)
+        assert len(grams) == (trials if plain else 0)
+        assert len(marginals) == (trials if plain else 2 * trials)
         for i, (w, w_noisy) in enumerate(zip(probe, noisy)):
             if jitter:  # the disturbed state before its clip, then the rebuilt one, by the reconstruction
                 assert (np.linalg.eigvalsh(eigh[i])[0] < 0.0) == clips
                 assert np.array_equal(eigh[trials + i], w_noisy)
-                direction, distance = eigvalsh[i], eigvalsh[trials + i]
+                direction, decided, distance = eigvalsh[i], eigvalsh[trials + i], eigvalsh[2 * trials + i]
                 assert abs(np.trace(direction)) <= 1e-12 and np.array_equal(distance, w_noisy - w)
             else:
                 assert (np.linalg.eigvalsh(w_noisy)[0] < 0.0) == clips
-                assert np.array_equal(eigh[i], w_noisy)
+                decided = eigvalsh[i]
+                assert np.array_equal((cholesky if plain else eigh)[i], w_noisy)
+            assert np.array_equal(decided, w_noisy)
             if grams:
                 assert np.array_equal(grams[i], linalg.hermitian_part(lifted[i].conj().T @ lifted[i]))
             if noise.kind != "none":
-                assert not any(np.array_equal(m, w) for m in eigh + eigvalsh)
+                assert not any(np.array_equal(m, w) for m in eigh + eigvalsh + cholesky)
         (start,) = scoring
         ((routine, cross),) = calls[start:]
         assert routine == "svd" and cross.shape == (trials, n, cfg.kraus_rank)

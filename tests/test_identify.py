@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -34,13 +36,16 @@ from chanid.identify import (
     rn_operator,
     v_isometry,
 )
+from chanid.cli import cli_main
 from chanid.linalg import (
     DensityOperator,
+    hermitian_part,
     maximally_mixed,
     random_unitary,
     spectral_decomposition,
 )
 from chanid.metrics import channel_fidelity, worst_case_bound
+from chanid.serialize import density_to_json, reference_to_json
 
 from conftest import (
     choi_elementwise_oracle,
@@ -775,9 +780,10 @@ class TestTpResidualIsTheMapsTpDefect:
 
 class TestOneMarginalKeepsTheBits:
     """``_reconstruct_stack`` reads both residuals from one marginal when the
-    rank cut keeps every column, and takes a second marginal only when it
-    drops one; either way it must give the factor and the residual bits that
-    reading each residual from its own marginal gives."""
+    rank cut keeps every column, and takes a second marginal only for the
+    trials whose cut drops one; either way it must give the factor and the
+    residual bits that reading each residual from its own marginal gives, one
+    trial at a time, with the factor each trial's eigvalsh chooses."""
 
     DEPOLARIZE, NONE, JITTER = NoiseSpec("depolarize", 0.02), NoiseSpec(), NoiseSpec("hermitian_jitter", 0.02)
 
@@ -843,6 +849,86 @@ class TestOneMarginalKeepsTheBits:
         assert np.array(rec.cp_map.kraus).tobytes() == np.array(_channel_of(factor[0], 3).kraus).tobytes()
         assert (rec.tp_residual, rec.consistency_residual, rec.clip_magnitude) == (tp[0], consistency[0], clipped[0])
         assert taken == (1 if noise.kind == "depolarize" else 2)
+
+
+class TestFactorChoice:
+    """One eigvalsh of w decides the factor: Cholesky when its smallest eigenvalue
+    is above tau(D)·lambda_max, where nothing can be clipped or cut, and eigh
+    otherwise.  tau(D) is Cholesky's run-to-completion condition with eigvalsh's
+    error added, never below the rank cut CHOI_REL_TOL; at D = 36 it is ~1.56e-13,
+    so a state whose smallest eigenvalue lies between the two takes eigh and keeps
+    every column."""
+
+    D1 = D2 = 6
+
+    @staticmethod
+    def graded_state(ratio, seed):
+        """A D × D state with a random eigenbasis whose smallest eigenvalue is ratio·lambda_max."""
+        dim = TestFactorChoice.D1 * TestFactorChoice.D2
+        p = np.concatenate([[ratio], np.linspace(0.2, 1.0, dim - 1)])
+        u = random_unitary(dim, seed=seed)
+        return hermitian_part((u * (p / p.sum())) @ u.conj().T)
+
+    @staticmethod
+    def paths(monkeypatch, call, *args):
+        """call(*args), and the number of matrices it gave to cholesky and to eigh."""
+        counts = {"cholesky": 0, "eigh": 0}
+        for routine in counts:
+            real = getattr(np.linalg, routine)
+
+            def spy(m, *a, real=real, routine=routine, **k):
+                counts[routine] += len(np.reshape(m, (-1, *np.shape(m)[-2:])))
+                return real(m, *a, **k)
+
+            monkeypatch.setattr(np.linalg, routine, spy)
+        result = call(*args)
+        monkeypatch.undo()
+        return result, counts
+
+    def test_threshold_sits_between_the_cut_and_a_wide_margin(self):
+        assert identify._cholesky_threshold(1) == identify._cholesky_threshold(4) == identify.CHOI_REL_TOL
+        taus = [identify._cholesky_threshold(dim) for dim in range(1, 50)]
+        assert taus == sorted(taus) and 1.5e-13 < identify._cholesky_threshold(36) < 1.6e-13
+
+    @pytest.mark.parametrize("scale, path", [(0.5, "eigh"), (1.25, "cholesky")], ids=["below-tau", "above-tau"])
+    def test_state_at_the_threshold_edge(self, monkeypatch, tmp_path, capsys, scale, path):
+        dim, tau = self.D1 * self.D2, identify._cholesky_threshold(self.D1 * self.D2)
+        w = self.graded_state(scale * tau, seed=36)
+        lam = np.linalg.eigvalsh(w)
+        assert (lam[0] > tau * lam[-1]) == (path == "cholesky") and lam[0] > 2 * identify.CHOI_REL_TOL * lam[-1]
+        ref = rand_reference(np.random.default_rng(36), self.D1, min_eig=0.05 / self.D1)
+        rec, counts = self.paths(monkeypatch, reconstruct, w, ref)
+        assert counts == {"cholesky": int(path == "cholesky"), "eigh": int(path == "eigh")}
+        assert len(rec.cp_map.kraus) == dim and rec.clip_magnitude == 0.0
+        # the same state through the CLI: exit 0, the true rank, no traceback
+        w_path, ref_path, out = tmp_path / "w.json", tmp_path / "ref.json", tmp_path / "rec.json"
+        w_path.write_text(json.dumps(density_to_json(DensityOperator(w))))
+        ref_path.write_text(json.dumps(reference_to_json(ref)))
+        assert cli_main(["reconstruct", "--w", str(w_path), "--ref", str(ref_path), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert len(json.loads(out.read_text())["kraus"]) == dim
+
+    def test_mixed_stack_gives_each_trial_its_single_call_bits(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        refs = [rand_reference(rng, self.D1, min_eig=0.05 / self.D1) for _ in range(5)]
+        noises = [NoiseSpec("depolarize", 0.02), NoiseSpec(), NoiseSpec("hermitian_jitter", 0.02), NoiseSpec()]
+        ranks = [self.D1, 2, 2, self.D1 * self.D2]
+        w = [apply_noise(forward_map(random_channel(self.D1, self.D2, r, seed=37 + k), ref), noise, seed=37 + k).mat
+             for k, (r, noise, ref) in enumerate(zip(ranks, noises, refs))]
+        w.append(self.graded_state(0.5 * identify._cholesky_threshold(self.D1 * self.D2), seed=37))
+        # plain, cut, clipped and cut, plain (noiseless full rank), eigh with nothing clipped or cut
+        w, x_inv = np.array(w), np.array([ref.x_inv for ref in refs])
+        (factor, tp, consistency, clipped), counts = self.paths(monkeypatch, _reconstruct_stack, w, x_inv)
+        assert counts == {"cholesky": 2, "eigh": 3}
+        cut = (np.abs(factor).sum(axis=-2) == 0.0).any(axis=-1)
+        assert cut.tolist() == [False, True, True, False, False] and (clipped[[0, 2, 3, 4]] > 0.0).tolist() == [
+            False, True, False, False]
+        for i in range(len(w)):
+            single = _reconstruct_stack(w[i : i + 1], x_inv[i : i + 1])
+            for got, want in zip((factor, tp, consistency, clipped), single):
+                assert got[i : i + 1].tobytes() == want.tobytes()
+        for got, want in zip((factor, tp, consistency, clipped), reconstruct_stack_two_marginals_oracle(w, x_inv)):
+            assert got.tobytes() == want.tobytes()
 
 
 REF2 = make_reference(maximally_mixed(2))
