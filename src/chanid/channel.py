@@ -169,13 +169,14 @@ def _marginal_defects(f: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndarray]:
 def from_choi(c: ChoiMatrix) -> KrausChannel:
     """Extract a minimal Kraus set from a PSD Choi matrix.
 
-    One ``eigh`` of C gives the factor V diag(sqrt(lam·keep)), keep =
+    One ``eigh`` of (C + C†)/2 gives the factor V diag(sqrt(lam·keep)), keep =
     lam > ``FROM_CHOI_RANK_CUTOFF``, from which :func:`_channel_of` cuts the
     Kraus operators; an eigenvalue below ``-FROM_CHOI_PSD_TOL`` means the
     matrix is not a CP-map Choi matrix and raises
     :class:`NotCompletelyPositiveError`.
     """
-    lam, vecs = _cp_eigh(c.mat, FROM_CHOI_PSD_TOL, "Choi matrix")
+    lam, vecs = np.linalg.eigh(hermitian_part(c.mat))
+    lam = _cp_checked(lam, FROM_CHOI_PSD_TOL, "Choi matrix")
     factor = vecs * np.sqrt(np.where(lam > FROM_CHOI_RANK_CUTOFF, lam, 0.0))
     return _channel_of(factor, c.dim_in)
 
@@ -186,12 +187,6 @@ def _cp_checked(lam: np.ndarray, tol: float, what: str) -> np.ndarray:
     if lam[..., 0].min() < -tol:
         raise NotCompletelyPositiveError(f"{what} has eigenvalue {lam[..., 0].min():.3e} < -{tol:.1e}")
     return lam
-
-
-def _cp_eigh(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """One ``eigh`` of (m + m†)/2, for one matrix or each of a stack, refused by :func:`_cp_checked`."""
-    lam, vecs = np.linalg.eigh(hermitian_part(m))
-    return _cp_checked(lam, tol, what), vecs
 
 
 def _channel_of(factor: np.ndarray, d1: int) -> KrausChannel:

@@ -9,10 +9,11 @@ recovery is the single congruence C = (1 ⊗ X⁻¹) w (1 ⊗ X⁻¹)†.  Both 
 on factors: with C = K K†, w is the Gram product G G† of G = (1 ⊗ X) K, and
 the inversion lifts a factor of w by 1 ⊗ X⁻¹.  Both take only the data and
 rho: the output dimension d2 is the row count of a factor, or of w, over
-d1 = dim rho.  One core, ``_reference_arrays``,
-turns rho into (p, phi) by one phase-fixed ``eigh``, admits min_eig = p_0 above
-the cutoff with 1/min_eig finite, and forms X and X⁻¹: a ``ReferenceState`` is
-it on a stack of one, and the round trip runs it on its stacks.  The
+d1 = dim rho.  A reference is given by rho alone.  One core,
+``_reference_arrays``, turns rho into (p, phi) by one phase-fixed ``eigh``,
+admits min_eig = p_0 above the fixed ``ADMISSIBILITY_CUTOFF`` (so
+1/min_eig < 1e10), and forms X and X⁻¹: a ``ReferenceState`` is it on a
+stack of one, and the round trip runs it on its stacks.  The
 paper's equivalent dilation form conjugates sigma ⊗ F, with
 F = (1 ⊗ rho^{-1}) w (1 ⊗ rho^{-1}), by the fixed isometry
 V[(a,mu,b),nu] = X[a,b] delta_{mu nu} (``v_isometry``, ``apply_rn``).
@@ -27,9 +28,9 @@ nothing is clipped or cut the factor is w's Cholesky factor; otherwise one
 Cholesky is cheaper than eigenvectors and more accurate: on a w graded by a
 diagonal scaling, as a noiseless output is under a diagonal reference, its
 error follows the scaled matrix's condition instead of 1/min_eig.  The
-cutoff is relative to ||w||_op and the PSD tolerance to ||w||_1 = 1; the
-worst-case accuracy is governed by ||rho^-1|| = 1/min_eig, and nothing is
-left to tune.
+rank cutoff is relative to ||w||_op and the PSD tolerance to ||w||_1 = 1;
+the worst-case accuracy is governed by ||rho^-1|| = 1/min_eig, bounded by
+the admissibility cutoff, and nothing is left to tune.
 """
 
 from __future__ import annotations
@@ -59,19 +60,19 @@ class NotAdmissibleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ReferenceState:
-    """Invertible reference state rho, admitted under ``cutoff``.
+    """Invertible reference state rho, admitted when its smallest eigenvalue is
+    above ``ADMISSIBILITY_CUTOFF``.
 
-    Only ``rho`` and ``cutoff`` are given; a plain array ``rho`` is checked as
-    a ``DensityOperator`` first.  The rest is derived from them by
+    Only ``rho`` is given; a plain array ``rho`` is checked as a
+    ``DensityOperator`` first.  The rest is derived from it by
     :func:`_reference_arrays`, the one path that decomposes and admits a
     reference, here for a stack of one.  ``spectrum`` holds the eigenvalues
     ascending with phase-fixed eigenvector columns, ``min_eig`` the smallest
-    eigenvalue (above ``cutoff``; ||rho^-1|| = 1/min_eig is finite), and
+    eigenvalue (above the cutoff, so ||rho^-1|| = 1/min_eig < 1e10), and
     ``x`` (Omega = vec x) and ``x_inv`` the probe matrix and its inverse.
     """
 
     rho: DensityOperator | np.ndarray
-    cutoff: float = ADMISSIBILITY_CUTOFF
     dim: int = field(init=False)
     spectrum: Spectrum = field(init=False, repr=False)
     min_eig: float = field(init=False)
@@ -79,11 +80,9 @@ class ReferenceState:
     x_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.cutoff) and self.cutoff >= 0):
-            raise ValueError(f"cutoff must be finite and non-negative, got {self.cutoff}")
         if not isinstance(self.rho, DensityOperator):
             object.__setattr__(self, "rho", DensityOperator(self.rho))
-        spec, min_eig, x, x_inv = _reference_arrays(self.rho.mat[None], self.cutoff)
+        spec, min_eig, x, x_inv = _reference_arrays(self.rho.mat[None])
         spectrum = Spectrum(spec.eigenvalues[0], spec.eigenvectors[0])
         derived = (self.rho.dim, spectrum, float(min_eig[0]), x[0], x_inv[0])
         for name, value in zip(("dim", "spectrum", "min_eig", "x", "x_inv"), derived):
@@ -127,36 +126,25 @@ class ReconstructionResult:
     clip_magnitude: float = 0.0
 
 
-def make_reference(rho: DensityOperator | np.ndarray, cutoff: float = ADMISSIBILITY_CUTOFF) -> ReferenceState:
-    """``ReferenceState(rho, cutoff)``: rho (a plain array is checked as a ``DensityOperator``)
-    must have a min eigenvalue above the cutoff, which must be finite and non-negative;
-    it bounds ||rho^-1||, the scale of every tolerance."""
-    return ReferenceState(rho, cutoff)
+def make_reference(rho: DensityOperator | np.ndarray) -> ReferenceState:
+    """``ReferenceState(rho)``: rho (a plain array is checked as a ``DensityOperator``)
+    must have a min eigenvalue above ``ADMISSIBILITY_CUTOFF``; it bounds ||rho^-1||,
+    the scale of every tolerance."""
+    return ReferenceState(rho)
 
 
-def _admit(p: np.ndarray, cutoff: float) -> np.ndarray:
-    """Smallest eigenvalues of a stack of ascending spectra p, each above
-    cutoff and with a reciprocal ||rho^-1|| that a double holds."""
-    min_eig = p[:, 0]
-    if (min_eig <= cutoff).any():
-        raise NotAdmissibleError(
-            f"min eigenvalue {min_eig.min():.3e} <= cutoff {cutoff:.3e}: state not invertible"
-        )
-    with np.errstate(over="ignore"):
-        overflow = np.isinf(1.0 / min_eig)
-    if overflow.any():
-        raise NotAdmissibleError(
-            f"min eigenvalue {min_eig[overflow].min():.3e}: ||rho^-1|| overflows a double"
-        )
-    return min_eig
-
-
-def _reference_arrays(rho: np.ndarray, cutoff: float = ADMISSIBILITY_CUTOFF) -> tuple:
+def _reference_arrays(rho: np.ndarray) -> tuple:
     """``(spectrum, min_eig, x, x_inv)`` of each reference state of a stack: the one
-    path that decomposes (phase-fixed), admits above cutoff and forms the probe
-    matrices of a reference, for the round trip's stacks and a ``ReferenceState``."""
+    path that decomposes (phase-fixed), admits above ``ADMISSIBILITY_CUTOFF`` and
+    forms the probe matrices of a reference, for the round trip's stacks and a
+    ``ReferenceState``.  The cutoff keeps 1/min_eig below 1e10."""
     spec = spectral_decomposition(rho)
-    return spec, _admit(spec.eigenvalues, cutoff), *_probe_matrices(spec.eigenvalues, spec.eigenvectors)
+    min_eig = spec.eigenvalues[:, 0]
+    if (min_eig <= ADMISSIBILITY_CUTOFF).any():
+        raise NotAdmissibleError(
+            f"min eigenvalue {min_eig.min():.3e} <= cutoff {ADMISSIBILITY_CUTOFF:.3e}: state not invertible"
+        )
+    return spec, min_eig, *_probe_matrices(spec.eigenvalues, spec.eigenvectors)
 
 
 def _lift(x: np.ndarray, f: np.ndarray) -> np.ndarray:

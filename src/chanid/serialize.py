@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 
 from .channel import KrausChannel
-from .identify import ADMISSIBILITY_CUTOFF, ReconstructionResult, ReferenceState, make_reference
+from .identify import ReconstructionResult, ReferenceState, make_reference
 from .linalg import DensityOperator
 from .metrics import NormInterval
 
@@ -142,19 +142,16 @@ def density_from_json(obj: dict) -> DensityOperator:
 
 
 def reference_to_json(ref: ReferenceState) -> dict:
-    return {
-        "rho": matrix_to_json(ref.rho.mat),
-        "cutoff": ref.cutoff,
-    }
+    return {"rho": matrix_to_json(ref.rho.mat)}
 
 
 def reference_from_json(obj: dict) -> ReferenceState:
+    """A reference from its ``rho``; the retired ``cutoff`` and ``out_basis`` keys are ignored."""
     try:
         rho = matrix_from_json(obj["rho"])  # ReferenceState checks it as a DensityOperator
-        cutoff = _json_float(obj.get("cutoff", ADMISSIBILITY_CUTOFF), "cutoff")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed reference object: {exc}") from exc
-    return make_reference(rho, cutoff=cutoff)
+    return make_reference(rho)
 
 
 def reconstruction_to_json(result: ReconstructionResult) -> dict:

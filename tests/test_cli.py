@@ -16,7 +16,7 @@ from chanid import metrics, serialize
 from chanid.channel import choi, random_channel
 from chanid.cli import _emit, cli_main, main
 from chanid.harness import CSV_COLUMNS
-from chanid.identify import forward_map, make_reference
+from chanid.identify import _probe_outputs, forward_map, make_reference
 from chanid.linalg import DensityOperator, maximally_mixed
 from chanid.serialize import (
     channel_from_json,
@@ -504,22 +504,9 @@ class TestNonNumberFloatFields:
         assert err.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("cutoff", ["1e-10", True], ids=["string", "bool"])
-    def test_reference_cutoff(self, tmp_path, capsys, cutoff):
-        ref = {"rho": matrix_to_json(np.eye(2) / 2), "cutoff": cutoff}
-        ref_path = write_json(tmp_path / "ref.json", ref)
-        w_path = write_json(tmp_path / "w.json", density_to_json(DensityOperator(np.eye(4) / 4)))
-        assert cli_main(["reconstruct", "--w", w_path, "--ref", ref_path]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("chanid: error:") and "cutoff must be a JSON number" in err
-        assert err.count("\n") == 1
-
-    def test_integers_are_numbers(self, tmp_path, capsys, noiseless_setup):
+    def test_integers_are_numbers(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "noise": {"depolarize": 1}})
         assert cli_main(["roundtrip", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
-        _, w_path, _ = noiseless_setup
-        ref_path = write_json(tmp_path / "ref0.json", {"rho": matrix_to_json(np.eye(2) / 2), "cutoff": 0})
-        assert cli_main(["reconstruct", "--w", w_path, "--ref", ref_path]) == 0
         capsys.readouterr()
 
 
@@ -560,15 +547,6 @@ class TestMalformedInput:
         assert code == 1
         assert capsys.readouterr().err == "chanid: error: noise kind 'none' takes no strength, got 0.3\n"
         assert not (tmp_path / "o.csv").exists()
-
-    @pytest.mark.parametrize("cutoff", [float("nan"), -1.0], ids=["nan", "negative"])
-    def test_reference_cutoff_rejected(self, tmp_path, capsys, cutoff):
-        # either cutoff would admit this reference, min eig 1e-300
-        rho = np.diag([1.0 - 1e-300, 1e-300])
-        ref_path = write_json(tmp_path / "ref.json", {"rho": matrix_to_json(rho), "cutoff": cutoff})
-        w_path = write_json(tmp_path / "w.json", density_to_json(DensityOperator(np.eye(4) / 4)))
-        code = cli_main(["reconstruct", "--w", w_path, "--ref", ref_path])
-        self.assert_one_line_error(code, capsys)
 
 
 class TestNonListNumberFields:
@@ -653,18 +631,26 @@ class TestOverflowingStateEntries:
 
 
 class TestSubnormalReference:
-    def test_overflowing_inverse_is_one_line_numerical_failure(self, tmp_path, capsys):
-        # cutoff 0 admits min eig 5e-324, whose inverse is not a finite double
-        rho = np.diag([1.0, 5e-324])
-        ref_path = write_json(tmp_path / "ref.json", {"rho": matrix_to_json(rho), "cutoff": 0.0})
-        w_path = write_json(tmp_path / "w.json", density_to_json(DensityOperator(np.eye(4) / 4)))
+    @pytest.mark.parametrize("cutoff", [0.0, float("nan"), -1.0], ids=["zero", "nan", "negative"])
+    @pytest.mark.parametrize("min_eig", [5e-324, 1e-300, 1e-100])
+    def test_overflowing_inverse_is_one_line_numerical_failure(self, tmp_path, capsys, min_eig, cutoff):
+        # the admissible range is fixed: a reference file's retired "cutoff" key is
+        # ignored, so no value of it admits a min eig at or below 1e-10, where the
+        # noiseless round trip's error 1/min_eig would pass a double or swamp C
+        p = np.array([min_eig, 1.0 - min_eig])
+        t = random_channel(2, 2, 2, seed=3)
+        w = _probe_outputs(t._factor, np.diag(np.sqrt(p)).astype(complex))[1]
+        ref_path = write_json(tmp_path / "ref.json", {"rho": matrix_to_json(np.diag(p)), "cutoff": cutoff})
+        w_path = write_json(tmp_path / "w.json", density_to_json(DensityOperator(w)))
+        out = tmp_path / "rec.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = cli_main(["reconstruct", "--w", w_path, "--ref", ref_path])
+            code = cli_main(["reconstruct", "--w", w_path, "--ref", ref_path, "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("chanid: numerical failure:")
+        assert err.startswith("chanid: numerical failure: min eigenvalue") and "<= cutoff 1.000e-10" in err
         assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestArgumentHandling:

@@ -21,6 +21,7 @@ from chanid.channel import (
 )
 from chanid.harness import NoiseSpec, apply_noise
 from chanid.identify import (
+    ADMISSIBILITY_CUTOFF,
     NotAdmissibleError,
     ReferenceState,
     RNOperator,
@@ -80,19 +81,6 @@ class TestMakeReference:
         with pytest.raises(NotAdmissibleError):
             make_reference(DensityOperator(np.diag([1.0, 0.0])))
 
-    def test_cutoff_is_configurable(self):
-        rho = DensityOperator(np.diag([0.999, 0.001]))
-        make_reference(rho, cutoff=1e-4)
-        with pytest.raises(NotAdmissibleError):
-            make_reference(rho, cutoff=0.01)
-
-    @pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), -1.0, -1e-300])
-    def test_cutoff_must_be_finite_and_non_negative(self, cutoff):
-        # NaN admits every state and a negative cutoff admits min eig 1e-300
-        rho = DensityOperator(np.diag([1.0 - 1e-300, 1e-300]))
-        with pytest.raises(ValueError, match="cutoff"):
-            make_reference(rho, cutoff=cutoff)
-
     def test_eigenvalues_sum_to_one(self):
         rng = np.random.default_rng(0)
         ref = rand_reference(rng, 4)
@@ -100,7 +88,7 @@ class TestMakeReference:
 
 
 class TestOneReferencePath:
-    """A ReferenceState is derived from rho and its cutoff by _reference_arrays,
+    """A ReferenceState is derived from rho alone by _reference_arrays,
     the core that decomposes and admits the round trip's stacks of references:
     item i of a stack has the bits of make_reference of the i-th state."""
 
@@ -132,25 +120,21 @@ class TestOneReferencePath:
         self.assert_same_bits(ref, stacked, 0)
         assert (ref.spectrum.eigenvalues == 1 / 3).all()  # one eigenvalue of multiplicity 3
 
-    def test_subnormal_min_eig_overflows_its_inverse(self):
+    def test_subnormal_min_eig_is_below_the_cutoff(self):
+        # 1/5e-324 is not a finite double, and the fixed cutoff refuses it
         rho = DensityOperator(np.diag([5e-324, 1.0]))
-        with pytest.raises(NotAdmissibleError, match="overflows a double"):
-            make_reference(rho, cutoff=0)
-        with pytest.raises(NotAdmissibleError, match="overflows a double"):
-            _reference_arrays(np.array([np.eye(2) / 2, rho.mat]), 0.0)
+        with pytest.raises(NotAdmissibleError, match="<= cutoff 1.000e-10"):
+            make_reference(rho)
+        with pytest.raises(NotAdmissibleError, match="<= cutoff 1.000e-10"):
+            _reference_arrays(np.array([np.eye(2) / 2, rho.mat]))
 
     def test_direct_construction_admits_the_min_eig(self):
-        rho = DensityOperator(np.diag([0.999, 0.001]))
-        assert ReferenceState(rho, 1e-4).min_eig == make_reference(rho, 1e-4).min_eig
-        with pytest.raises(NotAdmissibleError, match="<= cutoff"):
-            ReferenceState(rho, 0.01)
-        with pytest.raises(NotAdmissibleError, match="<= cutoff"):
-            ReferenceState(rho, 0.001)
-
-    @pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), -1.0])
-    def test_direct_construction_checks_the_cutoff(self, cutoff):
-        with pytest.raises(ValueError, match="cutoff must be finite and non-negative"):
-            ReferenceState(maximally_mixed(2), cutoff)
+        # the admissible range is min_eig > ADMISSIBILITY_CUTOFF = 1e-10, on both sides of the edge
+        assert ADMISSIBILITY_CUTOFF == 1e-10
+        rho = DensityOperator(np.diag([1.01e-10, 1 - 1.01e-10]))
+        assert ReferenceState(rho).min_eig == make_reference(rho).min_eig == 1.01e-10
+        with pytest.raises(NotAdmissibleError, match="<= cutoff 1.000e-10"):
+            ReferenceState(DensityOperator(np.diag([1e-10, 1 - 1e-10])))
 
     def test_plain_array_is_checked_as_a_density_operator(self):
         rho = np.diag([0.3, 0.7]).astype(complex)
@@ -167,13 +151,21 @@ class TestOneReferencePath:
                 make_reference(bad)
 
     def test_derived_fields_are_not_arguments(self):
-        # a dim, spectrum or min_eig given by hand could disagree with rho
+        # a dim, spectrum or min_eig given by hand could disagree with rho, and the
+        # admissible range is the package's, not a reference's
         rho = maximally_mixed(2)
-        for name, value in [("dim", 3), ("spectrum", spectral_decomposition(rho.mat)), ("min_eig", 0.9)]:
+        for name, value in [
+            ("dim", 3), ("spectrum", spectral_decomposition(rho.mat)), ("min_eig", 0.9), ("cutoff", 0.1),
+        ]:
             with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
-                ReferenceState(rho=rho, cutoff=0.1, **{name: value})
-        ref = ReferenceState(rho, 0.1)
-        assert (ref.dim, ref.min_eig, ref.cutoff) == (2, 0.5, 0.1)
+                ReferenceState(rho=rho, **{name: value})
+        with pytest.raises(TypeError, match="unexpected keyword argument 'cutoff'"):
+            make_reference(rho, cutoff=0.1)
+        for call in (ReferenceState, make_reference):
+            with pytest.raises(TypeError, match="positional argument"):
+                call(rho, 0.1)
+        ref = ReferenceState(rho)
+        assert (ref.dim, ref.min_eig) == (2, 0.5)
 
 
 class TestOmega:
@@ -497,7 +489,7 @@ class TestReconstruct:
             reconstruct(1.01 * w.mat, ref)
 
     @pytest.mark.parametrize("d", [2, 3, 6])
-    @pytest.mark.parametrize("min_eig", [1e-6, 1e-8, 1e-9, 3e-10, 1.5e-10])
+    @pytest.mark.parametrize("min_eig", [1e-6, 1e-8, 1e-9, 3e-10, 1.5e-10, 1.01e-10])
     def test_noiseless_round_trip_at_conditioning_edge(self, d, min_eig):
         # double-precision error amplified by ||rho^-1|| = 1/min_eig, and
         # every min_eig above the admissibility cutoff must round-trip with

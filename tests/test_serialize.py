@@ -263,22 +263,17 @@ def test_reference_round_trip():
     assert back.min_eig == pytest.approx(ref.min_eig, abs=1e-15)
 
 
-def test_reference_cutoff_round_trip():
-    rho = DensityOperator(np.diag([0.6, 0.3, 0.1]).astype(complex))
-    ref = make_reference(rho, cutoff=0.05)
-    obj = reference_to_json(ref)
-    assert obj["cutoff"] == 0.05
-    back = reference_from_json(obj)
-    assert back.cutoff == 0.05
-    assert reference_to_json(back) == obj
-
-
-def test_reference_with_null_out_basis_loads():
-    # files written before the output-basis option was removed carry the key
+@pytest.mark.parametrize("cutoff", [0.05, 0, "1e-10", True, None])
+def test_reference_with_null_out_basis_loads(cutoff):
+    # files written before the output-basis option and the settable cutoff were
+    # retired carry both keys; neither moves a bit of the reference
     rho = np.diag([0.6, 0.4]).astype(complex)
-    back = reference_from_json({"rho": matrix_to_json(rho), "cutoff": 1e-10, "out_basis": None})
+    plain = reference_from_json({"rho": matrix_to_json(rho)})
+    back = reference_from_json({"rho": matrix_to_json(rho), "cutoff": cutoff, "out_basis": None})
     np.testing.assert_array_equal(back.rho.mat, rho)
-    assert back.cutoff == 1e-10
+    assert np.float64(back.min_eig).tobytes() == np.float64(plain.min_eig).tobytes()
+    assert back.x.tobytes() == plain.x.tobytes() and back.x_inv.tobytes() == plain.x_inv.tobytes()
+    assert reference_to_json(back) == {"rho": matrix_to_json(rho)}
 
 
 @pytest.mark.parametrize(
