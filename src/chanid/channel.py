@@ -88,12 +88,14 @@ class KrausChannel:
         # the row-major flatten maps A[mu, i] to the Choi index mu * dim_in + i
         self._set_forms(ops, ops.reshape(len(ops), -1).T)
 
-    def _set_forms(self, ops: np.ndarray, factor: np.ndarray) -> None:
-        """Keep ops and the factor F; the Choi matrix F F† and the TP defect are derived here alone."""
+    def _set_forms(self, ops: np.ndarray, factor: np.ndarray, tp_defect: float | None = None) -> None:
+        """Keep ops and the factor F; the Choi matrix F F† is derived here alone, and the TP defect
+        too unless the caller already read it from F by :func:`_marginal_defects`."""
         # finite entries can still overflow in products; ChoiMatrix refuses the result
         with np.errstate(over="ignore", invalid="ignore"):
             c = ChoiMatrix(dim_in=self.dim_in, dim_out=self.dim_out, mat=_gram(factor))
-        tp_defect = float(_marginal_defects(factor, self.dim_in)[0])
+        if tp_defect is None:
+            tp_defect = float(_marginal_defects(factor, self.dim_in)[0])
         ops.flags.writeable = False  # the views ops[k] are the map's only copy of its operators
         object.__setattr__(self, "kraus", tuple(ops))
         object.__setattr__(self, "_choi", c)
@@ -102,13 +104,15 @@ class KrausChannel:
         object.__setattr__(self, "trace_preserving", tp_defect <= TP_FLAG_TOL)
 
     @classmethod
-    def _built(cls, dim_in: int, dim_out: int, ops: np.ndarray, factor: np.ndarray) -> KrausChannel:
+    def _built(
+        cls, dim_in: int, dim_out: int, ops: np.ndarray, factor: np.ndarray, tp_defect: float | None = None
+    ) -> KrausChannel:
         """A map whose Kraus operators ops[k] :func:`_channel_of` cut from the
         factor it keeps: nothing to check again."""
         t = object.__new__(cls)
         object.__setattr__(t, "dim_in", dim_in)
         object.__setattr__(t, "dim_out", dim_out)
-        t._set_forms(ops, factor)
+        t._set_forms(ops, factor, tp_defect)
         return t
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
@@ -189,7 +193,7 @@ def _cp_checked(lam: np.ndarray, tol: float, what: str) -> np.ndarray:
     return lam
 
 
-def _channel_of(factor: np.ndarray, d1: int) -> KrausChannel:
+def _channel_of(factor: np.ndarray, d1: int, tp_defect: float | None = None) -> KrausChannel:
     """The ``KrausChannel`` on H_in = C^d1 with Choi matrix C = F F† of one
     (d2·d1)-row factor F: the only place Kraus operators are cut.  d2 is
     read from F.
@@ -199,7 +203,8 @@ def _channel_of(factor: np.ndarray, d1: int) -> KrausChannel:
     values, put in ascending order as ``eigh`` orders C's eigenpairs and
     unvectorized, all into one array.  The map keeps F itself as its factor, so its
     fidelities read the bits a stacked run reads, and derives its Choi
-    matrix and TP defect from F as every ``KrausChannel`` does.
+    matrix from F as every ``KrausChannel`` does; its TP defect too, unless
+    ``tp_defect`` gives the value ``reconstruct`` already read from F.
     """
     d2 = len(factor) // d1
     kept = factor[:, factor.any(axis=0)]
@@ -208,7 +213,7 @@ def _channel_of(factor: np.ndarray, d1: int) -> KrausChannel:
         ops = (_fix_column_phases(u[:, ::-1]) * s[::-1]).T.reshape(-1, d2, d1)
     else:
         ops = np.zeros((1, d2, d1), dtype=complex)
-    return KrausChannel._built(d1, d2, ops, factor)
+    return KrausChannel._built(d1, d2, ops, factor, tp_defect)
 
 
 def tensor_with_identity(t: KrausChannel, d_anc: int) -> KrausChannel:

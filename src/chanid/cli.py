@@ -5,7 +5,8 @@ JSON), 2 numerical failure (inadmissible reference, non-CP input,
 self-check violation, CB interval whose lower end exceeds its upper end).
 
 cbdist's only tuning flags are --starts and --max-iters.  sweep reads its
-grid from --grid alone; a config's min_eig_grid key is ignored.
+grid from --grid alone; a config's min_eig_grid key is ignored, and so are
+its ref_spec and trials, which the grid replaces.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def _cmd_sweep(args) -> int:
             grid.append(float(entry))
         except ValueError:
             raise ValueError(f"--grid entry {entry!r} is not a number") from None
-    cfg = harness.config_from_json(_load_json(args.config))
+    cfg = harness._sweep_config_from_json(_load_json(args.config))
     table = harness.run_spectrum_sweep(cfg, grid)
     harness.write_records_csv(table, args.out)
     print(f"wrote {table.trial_index.size} records to {args.out}", file=sys.stderr)

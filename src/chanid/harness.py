@@ -21,18 +21,23 @@ Stacked LAPACK calls, stacked matrix products and elementwise array
 arithmetic give the bits of single calls, so the CSV bytes equal those of
 evaluating the trials one at a time with the public functions, and do not
 depend on the chunking.  No Choi matrix is formed: the probe output is
-w = G G† with G = (1 ⊗ X) K, K the drawn Kraus vectors; one ``eigvalsh``
-of each noisy w picks its factor, trial by trial: the Cholesky factor
-where nothing is clipped or cut, as for every depolarized w, and
-``eigh``'s otherwise; lifted by 1 ⊗ X⁻¹ it is the recovered factor F_rec.
+w = G G† with G = (1 ⊗ X) K, K the drawn Kraus vectors.  Each noisy w is
+factored by Cholesky where nothing is clipped or cut and by ``eigh``
+otherwise; lifted by 1 ⊗ X⁻¹ the factor is the recovered F_rec.  One
+``eigvalsh`` of each w picks its factor, trial by trial, except where the
+noise model proves the answer: depolarizing by eps leaves no eigenvalue
+below eps/D (:meth:`NoiseSpec._eigenvalue_floor`), and above
+``identify._floor_margin`` that floor proves a chunk's outputs plain, so
+they go to Cholesky without it, as the ``eigvalsh`` would send them.
 The fidelity is (||F_rec† K||_1 / d1)².  Both residuals are norms of
 tr_out C − 1: one d1 × d1 marginal and its ``eigvalsh`` give both where
 the rank cut keeps every column, and the trials whose cut drops a column
 add a second marginal, of the cut F_rec.  The noise model gives the trace
 distance ||w_noisy − w||_1: 0 under none, from the r × r Gram G†G under
 depolarization, and from the eigenvalues of w_noisy − w under jitter.  So
-a depolarized trial takes one state-sized ``eigvalsh`` and one Cholesky
-factor and no eigenvectors; a clipped or cut w adds its ``eigh``, and
+a trial depolarized above the margin takes one state-sized Cholesky factor
+and no other state-sized decomposition; one below it, or without noise,
+adds the deciding ``eigvalsh``, a clipped or cut w its ``eigh``, and
 jitter also decomposes each disturbed state to clip it.  The chunks'
 outputs are the columns of a :class:`TrialTable`; no later stage loops
 per row.
@@ -88,6 +93,11 @@ class NoiseSpec:
             raise ValueError(f"noise strength must be in [0, 1], got {self.eps}")
         if self.kind == "none" and self.eps != 0.0:
             raise ValueError(f"noise kind 'none' takes no strength, got {self.eps}")
+
+    def _eigenvalue_floor(self, dim: int) -> float:
+        """A floor on every eigenvalue of a dim × dim probe output this model disturbs: eps/dim
+        under depolarize, which mixes eps of the maximally mixed state in, and 0, no floor, otherwise."""
+        return self.eps / dim if self.kind == "depolarize" else 0.0
 
 
 @dataclass(frozen=True)
@@ -199,6 +209,18 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         raise ValueError(f"malformed experiment config: {exc}") from exc
 
 
+def _sweep_config_from_json(obj) -> ExperimentConfig:
+    """:func:`config_from_json` of the keys a sweep reads: d1, d2, kraus_rank, noise and seed.
+
+    The grid gives a sweep its references and its number of rows, so a config's
+    ``ref_spec`` and ``trials`` are not read, and do not refuse it.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed experiment config: a JSON object is needed, got {type(obj).__name__}")
+    used = {key: obj[key] for key in ("d1", "d2", "kraus_rank", "noise", "seed") if key in obj}
+    return config_from_json({**used, "trials": 1})
+
+
 def apply_noise(w: DensityOperator, model: NoiseSpec, seed: int) -> DensityOperator:
     """Disturb a probe output; every model checks ``seed`` as the draw rule does.
 
@@ -280,7 +302,8 @@ def _trial_columns(cfg: ExperimentConfig, indices: range, factor, refs, noise_se
     _, min_eig, x, x_inv = refs
     lifted, w = _probe_outputs(factor, x)
     noisy = _noisy(w, cfg.noise, noise_seeds)
-    factor_rec, tp_residual, consistency, _ = _reconstruct_stack(noisy, x_inv)
+    floor = cfg.noise._eigenvalue_floor(w.shape[-1])
+    factor_rec, tp_residual, consistency, _ = _reconstruct_stack(noisy, x_inv, floor)
     trace_dist = _trace_distances(cfg.noise, lifted, w, noisy)
     fidelity = _channel_fidelities(factor_rec, factor, cfg.d1)
     return (

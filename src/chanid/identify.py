@@ -27,7 +27,11 @@ nothing is clipped or cut the factor is w's Cholesky factor; otherwise one
 ``eigh`` gives the clip, the rank cutoff and the kept eigenvectors, scaled.
 Cholesky is cheaper than eigenvectors and more accurate: on a w graded by a
 diagonal scaling, as a noiseless output is under a diagonal reference, its
-error follows the scaled matrix's condition instead of 1/min_eig.  The
+error follows the scaled matrix's condition instead of 1/min_eig.
+The round trip skips the deciding ``eigvalsh`` where its answer is proven:
+a probe output depolarized by eps has no eigenvalue below eps/D, and above
+:func:`_floor_margin` that floor proves the ``eigvalsh`` would choose
+Cholesky, so those trials are factored by Cholesky at once.  The
 rank cutoff is relative to ||w||_op and the PSD tolerance to ||w||_1 = 1;
 the worst-case accuracy is governed by ||rho^-1|| = 1/min_eig, bounded by
 the admissibility cutoff, and nothing is left to tune.
@@ -254,7 +258,7 @@ def reconstruct(w: DensityOperator | np.ndarray, ref: ReferenceState) -> Reconst
         raise ValueError(f"state dim {len(w_mat)} is not a multiple of reference dim {ref.dim}")
     factor, tp, consistency, clipped = _reconstruct_stack(w_mat[None], ref.x_inv[None])
     return ReconstructionResult(
-        cp_map=_channel_of(factor[0], ref.dim),
+        cp_map=_channel_of(factor[0], ref.dim, float(tp[0])),
         tp_residual=float(tp[0]),
         consistency_residual=float(consistency[0]),
         clip_magnitude=float(clipped[0]),
@@ -284,7 +288,29 @@ def _cholesky_threshold(dim: int) -> float:
     return max(CHOI_REL_TOL, (b + e) / (1.0 - e))
 
 
-def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray) -> tuple:
+def _floor_margin(dim: int) -> float:
+    """2·tau(D) + 16·D·u: a floor on the eigenvalues of a depolarized D × D probe output above
+    which the ``eigvalsh`` that :func:`_reconstruct_stack` decides by is proven to choose Cholesky.
+
+    The round trip gives the floor eps/D for a chunk of outputs w = fl((1 − eps)·w0 + (eps·1)/D),
+    each w0 = fl((P + P†)/2), P = fl(G G†), of a D × r factor G, r <= D, checked to unit trace
+    within 1e-10, so that t = ||G||_F² = tr G G† < 1 + 1e-9.  In the model of
+    :func:`_cholesky_threshold`, with γ = γ_{D+2} and u = 2⁻⁵³: |P − G G†| <= γ·|G||G|† entrywise,
+    and |G||G|† <= a aᵀ, a_i the row norms of G, so that error has operator norm at most γ·t; the
+    Hermitian part, fl(1 − eps), the product, fl(eps/D) and the diagonal sum each round by at most
+    u·(1 + γ)·t.  So w is (1 − eps)·G G† + (eps/D)·1 moved by δ <= (γ + 6u)·t, and by Weyl's
+    inequality each eigenvalue of w is at least eps/D − δ and at most t + δ < 1.01.  eigvalsh moves
+    each by at most D·u·||w||_op <= 1.01·D·u.  Its smallest computed eigenvalue then exceeds
+    eps/D − δ − 1.01·D·u, and tau(D) times its largest is below 1.01·(1 + D·u)·tau(D).  With
+    eps/D > 2·tau(D) + 16·D·u the first is the larger: 0.98·tau(D) >= 1.01·γ (tau >= D·γ for
+    D >= 2, tau >= 1e-14 at D = 1) and 14.99·D·u >= 6.06·u.  So the skipped ``eigvalsh`` would have
+    chosen Cholesky, its positive smallest eigenvalue passes the PSD check, and Cholesky cannot fail
+    (tau's own proof): the trial gets the bits that ``reconstruct`` gives it alone.
+    """
+    return 2.0 * _cholesky_threshold(dim) + 16.0 * dim * 2.0**-53
+
+
+def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, floor: float = 0.0) -> tuple:
     """:func:`reconstruct` for a stack of states w and of inverse probe matrices x_inv,
     the output dimension read from w's rows as :func:`_lift` reads it.
 
@@ -292,7 +318,10 @@ def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray) -> tuple:
     One eigvalsh decides: the eigenvalues of each w give the PSD check, and
     a trial whose smallest eigenvalue is above tau(D) times its largest
     (:func:`_cholesky_threshold`) has nothing to clip or cut, so its factor
-    is the Cholesky factor L, w = L L†.  Every other trial takes an ``eigh``,
+    is the Cholesky factor L, w = L L†.  ``floor`` is a proven lower bound
+    on every w's eigenvalues, eps/D for the round trip's depolarized outputs
+    and 0 for any other stack; above :func:`_floor_margin` it proves every
+    trial plain, and the deciding ``eigvalsh`` is skipped.  Every other trial takes an ``eigh``,
     w = U diag(lam) U†, for the clip and the rank cutoff, and its factor is
     U diag(sqrt(lam·keep)), with zero columns where lam is cut.  Either factor
     of w, pushed through 1 ⊗ X⁻¹, is a factor F of the recovered Choi matrix
@@ -309,8 +338,11 @@ def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray) -> tuple:
     d1 = x_inv.shape[-1]
     _check_unit_traces(w, "state trace")
     h = hermitian_part(w)
-    lam = _cp_checked(np.linalg.eigvalsh(h), W_PSD_TOL, "input state")
-    plain = lam[:, 0] > _cholesky_threshold(h.shape[-1]) * lam[:, -1]
+    if floor > _floor_margin(h.shape[-1]):
+        plain = np.ones(len(h), dtype=bool)
+    else:
+        lam = _cp_checked(np.linalg.eigvalsh(h), W_PSD_TOL, "input state")
+        plain = lam[:, 0] > _cholesky_threshold(h.shape[-1]) * lam[:, -1]
     x_inv = np.broadcast_to(x_inv, (len(h), d1, d1))
     factor, clipped, keep = np.empty_like(h), np.zeros(len(h)), np.ones(h.shape[:-1], dtype=bool)
     if plain.any():

@@ -28,9 +28,20 @@ TRACE_TOL = 1e-10
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m†) / 2, for one matrix or for each matrix of a stack."""
+    """(m + m†) / 2, for one matrix or for each matrix of a stack, as a new C-ordered array.
+
+    The adjoint is copied once and m added and the sum halved in place, which gives the
+    bits of the formula without its temporaries.  The halving divides by 2, as the formula
+    does: a complex product by 0.5 keeps the sign of a -0.0 real part that the complex
+    division by 2 turns to +0.0.
+    """
     m = np.asarray(m)
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    if m.dtype.kind not in "fc":  # an integer m: the formula's true division gives floats
+        m = m.astype(float)
+    out = np.conjugate(m.swapaxes(-1, -2), order="C")
+    out += m
+    out /= 2
+    return out
 
 
 @dataclass(frozen=True, eq=False)

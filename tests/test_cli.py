@@ -356,6 +356,45 @@ class TestBatchCommands:
             assert outs[0].read_bytes() == outs[1].read_bytes()
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "changes",
+        [{"trials": 0}, {"trials": "3"}, {"trials": None}, {"ref_spec": "bogus"}, {"ref_spec": {"spectrum": [1.0]}},
+         {"ref_spec": {"random_min_eig": 0.9}}],
+        ids=["zero-trials", "string-trials", "null-trials", "unknown-ref", "short-spectrum", "floor-above-1/d1"],
+    )
+    def test_sweep_reads_only_the_fields_it_uses(self, tmp_path, capsys, changes):
+        # roundtrip reads trials and ref_spec and refuses these; a sweep's grid replaces both
+        plain = write_json(tmp_path / "plain.json", self.CONFIG)
+        cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, **changes})
+        outs = [tmp_path / "plain.csv", tmp_path / "cfg.csv"]
+        for path, out in zip((plain, cfg), outs):
+            assert cli_main(["sweep", "--config", path, "--out", str(out), "--grid", "0.5,0.1,0.01"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        capsys.readouterr()
+        assert cli_main(["roundtrip", "--config", cfg, "--out", str(tmp_path / "rt.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chanid: error:") and err.count("\n") == 1
+        assert not (tmp_path / "rt.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"d1": 2, "d2": 2, "kraus_rank": 9, "trials": 0}, "kraus_rank must be in [1, 4], got 9"),
+            ({"d1": 2, "d2": 2, "kraus_rank": 2, "noise": {"depolarize": 2}}, "noise strength must be in [0, 1], got 2.0"),
+            ({"d1": 2, "d2": 2, "kraus_rank": 2, "seed": -1}, "seed must be non-negative and below 2**64, got -1"),
+            ({"d2": 2, "kraus_rank": 2, "trials": 1}, "malformed experiment config: 'd1'"),
+            ([2, 2, 2], "malformed experiment config: a JSON object is needed, got list"),
+            ("cfg", "malformed experiment config: a JSON object is needed, got str"),
+        ],
+        ids=["rank", "noise", "seed", "missing-d1", "list", "string"],
+    )
+    def test_sweep_still_checks_the_fields_it_uses(self, tmp_path, capsys, config, message):
+        cfg = write_json(tmp_path / "cfg.json", config)
+        out = tmp_path / "s.csv"
+        assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--grid", "0.1"]) == 1
+        assert capsys.readouterr().err == f"chanid: error: {message}\n"
+        assert not out.exists()
+
     def test_sweep_without_grid_fails_validation(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "trials": 1, "min_eig_grid": [0.5, 0.25]})
         out = tmp_path / "s.csv"
@@ -551,7 +590,8 @@ class TestMalformedInput:
 
 class TestNonListNumberFields:
     """A reference spectrum must be a JSON list: a string or an object is not
-    walked entry by entry, and the one-line error names the field."""
+    walked entry by entry, and the one-line error names the field.  sweep does
+    not read ref_spec, so it writes the rows of a config without one."""
 
     CONFIG = {"d1": 2, "d2": 2, "kraus_rank": 2, "trials": 1, "seed": 3}
     FORMS = pytest.mark.parametrize(
@@ -563,6 +603,13 @@ class TestNonListNumberFields:
     def test_spectrum(self, tmp_path, capsys, value, kind, command):
         cfg = write_json(tmp_path / "cfg.json", {**self.CONFIG, "ref_spec": {"spectrum": value}})
         out = tmp_path / "o.csv"
+        if command[0] == "sweep":
+            plain = write_json(tmp_path / "plain.json", self.CONFIG)
+            assert cli_main(command + ["--config", plain, "--out", str(tmp_path / "plain.csv")]) == 0
+            assert cli_main(command + ["--config", cfg, "--out", str(out)]) == 0
+            assert out.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+            capsys.readouterr()
+            return
         assert cli_main(command + ["--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"chanid: error: spectrum must be a JSON list of numbers, got {kind}\n"
         assert not out.exists()

@@ -250,6 +250,13 @@ def _per_chunk(d):
     return harness.CHUNK_ENTRIES // (d * d) ** 2
 
 
+def _eps_across_the_margin(dim):
+    """Depolarizing strengths from 1 down past the floor margin of a dim-sized output: the
+    strengths whose floor eps/dim is a factor 10 above and below the margin among them."""
+    edge = dim * identify._floor_margin(dim)
+    return [1.0, 0.5, 0.02, 1e-6, 1e-9, 1e-11, 1e-13, 10.0 * edge, edge / 10.0]
+
+
 class TestStackedTrialsMatchTheLoop:
     """Stacked chunks give the bytes of evaluating each trial alone."""
 
@@ -267,6 +274,17 @@ class TestStackedTrialsMatchTheLoop:
         grid = [float(x) for x in np.geomspace(1.0 / d1, 1e-7, 5)]
         for noise in NOISES:
             cfg = ExperimentConfig(d1, d2, _rank(d1, d2), _refs(d1)[0], noise, trials=1, seed=3 * d1 + d2)
+            assert _csv_lines(run_spectrum_sweep(cfg, grid)) == _csv_lines(sweep_loop_oracle(cfg, grid))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_csv_bytes_across_the_floor_margin(self, d):
+        for eps in _eps_across_the_margin(d * d):
+            noise = NoiseSpec("depolarize", eps)
+            for rank in (1, d * d):
+                cfg = ExperimentConfig(d, d, rank, _refs(d)[2], noise, trials=3, seed=5 * d + rank)
+                assert _csv_lines(run_roundtrip(cfg)) == _csv_lines(roundtrip_loop_oracle(cfg))
+            cfg = ExperimentConfig(d, d, d * d, _refs(d)[0], noise, trials=1, seed=d)
+            grid = [1.0 / d, 1e-4, 1.2e-10]
             assert _csv_lines(run_spectrum_sweep(cfg, grid)) == _csv_lines(sweep_loop_oracle(cfg, grid))
 
     @pytest.mark.parametrize("noise", NOISES)
@@ -303,6 +321,57 @@ class TestStackedTrialsMatchTheLoop:
 
         peak(3)  # warm-up: first-call allocations of numpy and LAPACK
         assert peak(200) <= 1.25 * peak(20)
+
+
+class TestCertifiedFloor:
+    """A depolarized output's floor eps/D, above ``identify._floor_margin(D)``,
+    sends its chunk to Cholesky without the deciding eigvalsh.  Every trial
+    it certifies is plain by that eigvalsh too (the bytes on both sides of
+    the margin are compared in TestStackedTrialsMatchTheLoop)."""
+
+    def test_floor_is_eps_over_dim_under_depolarize_alone(self):
+        assert NoiseSpec("depolarize", 0.02)._eigenvalue_floor(9) == 0.02 / 9
+        assert NoiseSpec("hermitian_jitter", 0.02)._eigenvalue_floor(9) == 0.0
+        assert NoiseSpec()._eigenvalue_floor(9) == 0.0
+
+    def test_margin_is_derived_from_tau(self):
+        for dim in range(1, 50):
+            tau = identify._cholesky_threshold(dim)
+            assert identify._floor_margin(dim) == 2.0 * tau + 16.0 * dim * 2.0**-53
+        assert 1.35e-11 < 36 * identify._floor_margin(36) < 1.36e-11
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_every_certified_trial_is_plain_by_eigvalsh(self, monkeypatch, d):
+        stacks = []
+        stage = harness._reconstruct_stack
+        monkeypatch.setattr(harness, "_reconstruct_stack", lambda w, *a: stacks.append((w, *a)) or stage(w, *a))
+        dim = d * d
+        for eps in _eps_across_the_margin(dim):
+            for ref_spec in _refs(d):
+                for rank in (1, d, d * d):
+                    noise = NoiseSpec("depolarize", eps)
+                    run_roundtrip(ExperimentConfig(d, d, rank, ref_spec, noise, trials=_per_chunk(d) + 2, seed=rank))
+        monkeypatch.undo()
+        tau, certified = identify._cholesky_threshold(dim), 0
+        for w, _, floor in stacks:
+            assert isinstance(floor, float)  # one scalar per chunk
+            if floor > identify._floor_margin(dim):
+                lam = np.linalg.eigvalsh(linalg.hermitian_part(w))
+                assert (lam[:, 0] > tau * lam[:, -1]).all() and lam[:, 0].min() >= -identify.W_PSD_TOL
+                certified += len(w)
+        floors = {floor for _, _, floor in stacks}
+        assert certified and min(floors) < identify._floor_margin(dim) < max(floors)
+
+    @pytest.mark.parametrize("side, decided", [(10.0, 0), (0.1, 3)], ids=["above", "below"])
+    def test_the_deciding_eigvalsh_runs_below_the_margin_alone(self, monkeypatch, side, decided):
+        d = 6
+        eps = side * d * d * identify._floor_margin(d * d)
+        cfg = ExperimentConfig(d, d, d, _refs(d)[2], NoiseSpec("depolarize", eps), trials=3, seed=1)
+        sizes = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m, *a: sizes.extend([m.shape[-1]] * len(m)) or real(m, *a))
+        run_roundtrip(cfg)
+        assert sizes.count(d * d) == decided
 
 
 class TestStackedProductsKeepTheBitsOfSingleCalls:
@@ -351,10 +420,11 @@ class TestSpectrumDraw:
 class TestLapackCallsPerTrial:
     """The reconstruction takes one state-sized eigvalsh of each noisy output,
     which decides its factor: a Cholesky factor where nothing is clipped or
-    cut, as for every depolarized output, and an eigh otherwise.  The probe
+    cut and an eigh otherwise.  A depolarized output above the certified
+    floor margin skips it: its floor eps/D proves the Cholesky choice.  The probe
     and depolarization build states without decomposing them, so under
-    depolarize the eigvalsh and the Cholesky factor are the trial's only
-    state-sized decompositions and no eigh runs: a depolarized output's trace
+    depolarize the Cholesky factor is the trial's only state-sized
+    decomposition, and no eigvalsh or eigh of w runs: a depolarized output's trace
     distance is read from one r × r eigvalsh of the lifted factor's Gram matrix
     G†G.  A noiseless rank-deficient output adds the eigh that its clip and
     cut read, and none needs no trace distance.  Jitter also takes one eigh of
@@ -408,7 +478,7 @@ class TestLapackCallsPerTrial:
         eigh, eigvalsh, grams = square("eigh", n), square("eigvalsh", n), square("eigvalsh", rank)
         cholesky, marginals = square("cholesky", n), square("eigvalsh", d)
         assert len(eigh) == (2 * trials if jitter else 0 if plain else trials) and not square("svd", n)
-        assert len(eigvalsh) == (3 * trials if jitter else trials)
+        assert len(eigvalsh) == (3 * trials if jitter else 0 if plain else trials)
         assert len(cholesky) == (trials if plain else 0)
         assert len(grams) == (trials if plain else 0)
         assert len(marginals) == (trials if plain else 2 * trials)
@@ -420,7 +490,7 @@ class TestLapackCallsPerTrial:
                 assert abs(np.trace(direction)) <= 1e-12 and np.array_equal(distance, w_noisy - w)
             else:
                 assert (np.linalg.eigvalsh(w_noisy)[0] < 0.0) == clips
-                decided = eigvalsh[i]
+                decided = w_noisy if plain else eigvalsh[i]  # the floor decides a depolarized output
                 assert np.array_equal((cholesky if plain else eigh)[i], w_noisy)
             assert np.array_equal(decided, w_noisy)
             if grams:

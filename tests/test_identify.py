@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from chanid import identify
+from chanid import channel, identify
 from chanid.channel import (
     ChoiMatrix,
     KrausChannel,
@@ -753,7 +753,8 @@ class TestStateDimension:
 
 class TestTpResidualIsTheMapsTpDefect:
     """``tp_residual`` is read from the stacked marginal of the recovered factor,
-    the map's ``tp_defect`` from the marginal of its own factor: the same float."""
+    and the map takes it as its ``tp_defect`` without a second marginal: the
+    float that the marginal of its own factor gives."""
 
     @pytest.mark.parametrize(
         "noise",
@@ -768,6 +769,28 @@ class TestTpResidualIsTheMapsTpDefect:
                 ref = rand_reference(rng, d1, min_eig=0.05 / d1)
                 rec = reconstruct(apply_noise(forward_map(t, ref), noise, seed=d1 + 10 * d2), ref)
                 assert rec.tp_residual == rec.cp_map.tp_defect, (d1, d2)
+
+    def test_the_map_takes_the_cores_value(self, monkeypatch):
+        # the marginal of the map's own factor gives the same float, and reconstruct does not take it
+        rng = np.random.default_rng(52)
+        cases = 0
+        for noise in (NoiseSpec(), NoiseSpec("depolarize", 0.02), NoiseSpec("hermitian_jitter", 0.02)):
+            for d1 in (1, 2, 3):
+                for d2 in (1, 2, 3):
+                    for rank in sorted({max(1, -(-d1 // d2)), d1, d1 * d2}):
+                        t = random_channel(d1, d2, rank, seed=cases)
+                        ref = rand_reference(rng, d1, min_eig=0.05 / d1)
+                        w = apply_noise(forward_map(t, ref), noise, seed=cases)
+                        taken = []
+                        real = channel._marginal_defects
+                        monkeypatch.setattr(channel, "_marginal_defects", lambda *a: taken.append(a) or real(*a))
+                        rec = reconstruct(w, ref)
+                        monkeypatch.undo()
+                        assert not taken
+                        own = float(channel._marginal_defects(rec.cp_map._factor, d1)[0])
+                        assert rec.cp_map.tp_defect == own == rec.tp_residual
+                        assert rec.cp_map.trace_preserving == (own <= channel.TP_FLAG_TOL)
+                        cases += 1
 
 
 class TestOneMarginalKeepsTheBits:

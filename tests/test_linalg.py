@@ -124,6 +124,36 @@ class TestPartialTrace:
         assert np.max(np.abs(out - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
+class TestHermitianPart:
+    """``hermitian_part`` adds m to a copy of its adjoint and halves the sum in place:
+    the bits and dtype of (m + m†)/2, in a new C-ordered array."""
+
+    @staticmethod
+    def views(m):
+        return [m, m.swapaxes(-1, -2), m[..., ::2, ::2], m[::-1], np.asfortranarray(m), m[0], m[0].T, m[1, 1:, 1:]]
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.complex64, np.float32])
+    def test_bits_of_the_formula(self, dtype):
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((2, 4, 6, 6)) * 10.0 ** rng.integers(-30, 30, (2, 4, 6, 6))
+        m = (z[0] + 1j * z[1]) if np.issubdtype(dtype, np.complexfloating) else z[0]
+        for view in self.views(m.astype(dtype)):
+            got, want = hermitian_part(view), (view + view.conj().swapaxes(-1, -2)) / 2
+            assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes() and not np.shares_memory(got, view)
+
+    def test_signed_zeros_as_the_formula_gives_them(self):
+        # the complex division by 2 turns a -0.0 real part to +0.0 where the imaginary part is +0.0
+        m = np.array([[-0.0 + 1j, -0.0 - 0.0j], [-0.0 + 0.0j, complex(-0.0, -0.0)]])
+        want = (m + m.conj().T) / 2
+        assert hermitian_part(m).tobytes() == want.tobytes()
+        assert hermitian_part(m.real).tobytes() == ((m.real + m.real.T) / 2).tobytes()
+
+    def test_integer_matrix_as_the_formula_gives_it(self):
+        m = np.arange(9).reshape(3, 3)
+        assert hermitian_part(m).tobytes() == ((m + m.T) / 2).tobytes() and hermitian_part(m).dtype == np.float64
+
+
 class TestNorms:
     """``linalg._hermitian_norms(h)`` is (||h||_op, ||h||_1) of a Hermitian
     matrix, or of each of a stack, from one ``eigvalsh``."""
