@@ -149,7 +149,7 @@ class ChoiMatrix:
         n = self.dim_out * self.dim_in
         if m.shape != (n, n):
             raise ValueError(f"Choi matrix must be {n}x{n}, got {m.shape}")
-        object.__setattr__(self, "mat", _admitted(m, "Choi matrix", CHOI_HERM_TOL))
+        object.__setattr__(self, "mat", _admitted(m, "Choi matrix", CHOI_HERM_TOL)[0])
 
 
 def choi(t: KrausChannel) -> ChoiMatrix:

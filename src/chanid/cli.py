@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation error (bad arguments, malformed
-JSON), 2 numerical failure (inadmissible reference, non-CP input,
-self-check violation, CB interval whose lower end exceeds its upper end).
+JSON, a state with an eigenvalue below -1e-10), 2 numerical failure
+(inadmissible reference, self-check violation, CB interval whose lower
+end exceeds its upper end).  reconstruct --w refuses such a state when it
+reads it, so the library's non-CP refusal (below -1e-8) is not reached.
 
 cbdist's only tuning flags are --starts and --max-iters.  sweep reads its
 grid from --grid alone; a config's min_eig_grid key is ignored, and so are
@@ -15,6 +17,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 
 from . import harness, metrics, serialize
@@ -33,7 +36,10 @@ def _load_json(path: str):
 
 def _dumps(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` nested at ``indent``, each list of finite
-    float [re, im] pairs written by one %-format (``%r`` is JSON's float repr)."""
+    float [re, im] pairs written by one %-format (``%r`` is JSON's float repr),
+    and each int and finite float leaf by its repr, as ``json`` writes them."""
+    if type(obj) is int or type(obj) is float and math.isfinite(obj):
+        return repr(obj)
     inner = indent + "  "
     if type(obj) is dict and obj and all(type(key) is str for key in obj):
         items = (json.dumps(key) + ": " + _dumps(value, inner) for key, value in obj.items())

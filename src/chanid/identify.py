@@ -22,7 +22,8 @@ exactly when the state satisfies a trace-preservation consistency
 condition.  By Sylvester's law of inertia the congruence keeps w's rank
 and the signs of its eigenvalues, so ``reconstruct`` decomposes w alone,
 and any factor of w, pushed through 1 ⊗ X⁻¹, is a factor of C.  One
-``eigvalsh`` of w decides: its eigenvalues give the PSD check, and where
+``eigvalsh`` of w decides (for a w decoded from JSON, the one that admitted
+it): its eigenvalues give the PSD check, and where
 nothing is clipped or cut the factor is w's Cholesky factor; otherwise one
 ``eigh`` gives the clip, the rank cutoff and the kept eigenvectors, scaled.
 Cholesky is cheaper than eigenvectors and more accurate: on a w graded by a
@@ -108,7 +109,7 @@ class RNOperator:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _admitted(self.mat, "RN operator", herm_tol=1e-9, psd_tol=RN_PSD_TOL))
+        object.__setattr__(self, "mat", _admitted(self.mat, "RN operator", herm_tol=1e-9, psd_tol=RN_PSD_TOL)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,20 +244,21 @@ def reconstruct(w: DensityOperator | np.ndarray, ref: ReferenceState) -> Reconst
     w must have unit trace within ``linalg.TRACE_TOL``; a plain array w is
     admitted here, as a ``DensityOperator`` is at construction, as a square
     matrix with finite entries and a Hermiticity defect within
-    ``linalg.HERMITICITY_TOL``.  One ``eigvalsh`` of w decides the rest:
-    an eigenvalue below -W_PSD_TOL raises :class:`NotCompletelyPositiveError`;
-    a w whose smallest eigenvalue is above tau(D)·||w||_op
-    (:func:`_cholesky_threshold`) is factored by Cholesky; any other w takes
-    one ``eigh``.  That is the one clip of w, array or ``DensityOperator``:
+    ``linalg.HERMITICITY_TOL``.  One ``eigvalsh`` of w decides the rest (the
+    one that admitted w, where a read-only ``DensityOperator`` kept it; see
+    :func:`_reconstruct_stack`): an eigenvalue below -W_PSD_TOL raises
+    :class:`NotCompletelyPositiveError`; a w whose smallest eigenvalue is
+    above tau(D)·||w||_op (:func:`_cholesky_threshold`) is factored by
+    Cholesky; any other w takes one ``eigh``.  That is the one clip of w, array or ``DensityOperator``:
     eigenvalues in [-W_PSD_TOL, 0) are zeroed, the trace restored and their
     whole weight reported as ``clip_magnitude``, and eigenvalues up to
     CHOI_REL_TOL·||w||_op are dropped.  The map's Kraus operators are cut
     from the factor of C that the factor of w gives.
     """
-    w_mat = w.mat if isinstance(w, DensityOperator) else _admitted(w, "state")
+    w_mat, lam = (w.mat, w._eigenvalues) if isinstance(w, DensityOperator) else _admitted(w, "state")
     if len(w_mat) % ref.dim != 0:
         raise ValueError(f"state dim {len(w_mat)} is not a multiple of reference dim {ref.dim}")
-    factor, tp, consistency, clipped = _reconstruct_stack(w_mat[None], ref.x_inv[None])
+    factor, tp, consistency, clipped = _reconstruct_stack(w_mat[None], ref.x_inv[None], lam=lam)
     return ReconstructionResult(
         cp_map=_channel_of(factor[0], ref.dim, float(tp[0])),
         tp_residual=float(tp[0]),
@@ -310,7 +312,7 @@ def _floor_margin(dim: int) -> float:
     return 2.0 * _cholesky_threshold(dim) + 16.0 * dim * 2.0**-53
 
 
-def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, floor: float = 0.0) -> tuple:
+def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, floor: float = 0.0, lam: np.ndarray | None = None) -> tuple:
     """:func:`reconstruct` for a stack of states w and of inverse probe matrices x_inv,
     the output dimension read from w's rows as :func:`_lift` reads it.
 
@@ -321,7 +323,10 @@ def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, floor: float = 0.0) -> 
     is the Cholesky factor L, w = L L†.  ``floor`` is a proven lower bound
     on every w's eigenvalues, eps/D for the round trip's depolarized outputs
     and 0 for any other stack; above :func:`_floor_margin` it proves every
-    trial plain, and the deciding ``eigvalsh`` is skipped.  Every other trial takes an ``eigh``,
+    trial plain, and the deciding ``eigvalsh`` is skipped.  ``lam``, the admission eigenvalues
+    of the one w of a stack of one, stands in for that ``eigvalsh`` only where (w + w†)/2 has
+    w's very bytes: LAPACK reads the sign of a zero, which the Hermitian part can flip, so
+    only identical bytes give identical eigenvalues.  Every other trial takes an ``eigh``,
     w = U diag(lam) U†, for the clip and the rank cutoff, and its factor is
     U diag(sqrt(lam·keep)), with zero columns where lam is cut.  Either factor
     of w, pushed through 1 ⊗ X⁻¹, is a factor F of the recovered Choi matrix
@@ -341,7 +346,8 @@ def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, floor: float = 0.0) -> 
     if floor > _floor_margin(h.shape[-1]):
         plain = np.ones(len(h), dtype=bool)
     else:
-        lam = _cp_checked(np.linalg.eigvalsh(h), W_PSD_TOL, "input state")
+        lam = lam[None] if lam is not None and h.tobytes() == w.tobytes() else np.linalg.eigvalsh(h)
+        lam = _cp_checked(lam, W_PSD_TOL, "input state")
         plain = lam[:, 0] > _cholesky_threshold(h.shape[-1]) * lam[:, -1]
     x_inv = np.broadcast_to(x_inv, (len(h), d1, d1))
     factor, clipped, keep = np.empty_like(h), np.zeros(len(h)), np.ones(h.shape[:-1], dtype=bool)

@@ -12,7 +12,8 @@ Every operator entering the package (a ``DensityOperator``, ``ChoiMatrix``
 or ``RNOperator``, an array given to ``reconstruct``) is admitted by
 :func:`_admitted`, in this order: square and nonempty, finite, Hermitian
 within its type's tolerance, then PSD where the type requires it; a state's
-unit trace last.
+unit trace last.  A state on a read-only matrix keeps its PSD check's
+eigenvalues, which ``reconstruct`` then decides by instead of its own.
 """
 
 from __future__ import annotations
@@ -73,10 +74,11 @@ def spectral_decomposition(m: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=_fix_column_phases(vecs))
 
 
-def _admitted(m, what: str, herm_tol: float = HERMITICITY_TOL, psd_tol: float | None = None) -> np.ndarray:
-    """m as a complex square matrix, or one ``ValueError`` line naming ``what``.  In order: square
-    and nonempty, finite, ||m - m†||_op <= herm_tol by :func:`_hermiticity_defect`, then, if psd_tol
-    is given, no eigenvalue of (m + m†)/2 below -psd_tol, from one ``eigvalsh``."""
+def _admitted(m, what: str, herm_tol: float = HERMITICITY_TOL, psd_tol: float | None = None) -> tuple:
+    """``(m, lam)``: m as a complex square matrix, or one ``ValueError`` line naming ``what``.  In
+    order: square and nonempty, finite, ||m - m†||_op <= herm_tol by :func:`_hermiticity_defect`,
+    then, if psd_tol is given, no eigenvalue of (m + m†)/2 below -psd_tol, from one ``eigvalsh``.
+    lam is that ``eigvalsh`` where it was taken of m itself (a defect of 0), else None."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not len(m):
         raise ValueError(f"{what} must be square and nonempty, got shape {m.shape}")
@@ -85,11 +87,12 @@ def _admitted(m, what: str, herm_tol: float = HERMITICITY_TOL, psd_tol: float | 
     defect = _hermiticity_defect(m)
     if defect > herm_tol:
         raise ValueError(f"{what} not Hermitian: defect {defect:.3e}")
+    lam = None
     if psd_tol is not None:  # halved first: m + m† overflows where entries near the largest double add
-        min_eig = np.linalg.eigvalsh(m if defect == 0 else m / 2 + _adjoint(m) / 2)[0]
-        if min_eig < -psd_tol:
-            raise ValueError(f"{what} not PSD: min eigenvalue {min_eig:.3e}")
-    return m
+        lam = np.linalg.eigvalsh(m if defect == 0 else m / 2 + _adjoint(m) / 2)
+        if lam[0] < -psd_tol:
+            raise ValueError(f"{what} not PSD: min eigenvalue {lam[0]:.3e}")
+    return m, lam if defect == 0 else None
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -159,14 +162,20 @@ class DensityOperator:
     tolerance below 0 stay in the matrix; ``reconstruct`` clips them and
     reports their weight.  This is where states from JSON and user code are
     checked; the states the package builds itself are wrapped by :meth:`_checked`.
+    A read-only matrix, such as one ``serialize.density_from_json`` decoded, keeps
+    the admission's ``eigvalsh`` of itself in ``_eigenvalues`` for ``reconstruct``;
+    a writable one keeps none, as its entries may change after admission.
     """
 
     mat: np.ndarray = field(repr=False)
+    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _admitted(self.mat, "density operator", psd_tol=PSD_ADMISSION_TOL)
+        m, lam = _admitted(self.mat, "density operator", psd_tol=PSD_ADMISSION_TOL)
         _check_unit_traces(m)
         object.__setattr__(self, "mat", m)
+        if not m.flags.writeable:
+            object.__setattr__(self, "_eigenvalues", lam)
 
     @classmethod
     def _checked(cls, mat: np.ndarray) -> DensityOperator:

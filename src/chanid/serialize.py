@@ -138,7 +138,10 @@ def density_to_json(rho: DensityOperator) -> dict:
 
 
 def density_from_json(obj: dict) -> DensityOperator:
-    return DensityOperator(matrix_from_json(obj))
+    """A state from its matrix, decoded read-only so the state keeps its admission eigenvalues."""
+    m = matrix_from_json(obj)
+    m.flags.writeable = False
+    return DensityOperator(m)
 
 
 def reference_to_json(ref: ReferenceState) -> dict:

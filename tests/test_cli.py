@@ -16,7 +16,7 @@ from chanid import metrics, serialize
 from chanid.channel import choi, random_channel
 from chanid.cli import _emit, cli_main, main
 from chanid.harness import CSV_COLUMNS
-from chanid.identify import _probe_outputs, forward_map, make_reference
+from chanid.identify import _probe_outputs, forward_map, make_reference, reconstruct
 from chanid.linalg import DensityOperator, maximally_mixed
 from chanid.serialize import (
     channel_from_json,
@@ -124,6 +124,22 @@ class TestReconstruct:
         assert captured.err.endswith(error + "\n")
         assert not out.exists() and not report.exists()
 
+    @pytest.mark.parametrize("rank, factor", [(2, "eigh"), (6, "cholesky")], ids=["rank-deficient", "full-rank"])
+    def test_one_eigvalsh_of_w(self, tmp_path, monkeypatch, rank, factor):
+        # w's admission eigvalsh decides its factor; the reference keeps its admission
+        # eigvalsh and its eigh, and the residuals their d1 × d1 eigvalsh (two after a cut)
+        ref = make_reference(DensityOperator(np.diag([0.2, 0.3, 0.5])))
+        w_path = write_json(tmp_path / "w.json", density_to_json(forward_map(random_channel(3, 2, rank, seed=3), ref)))
+        ref_path = write_json(tmp_path / "ref.json", reference_to_json(ref))
+        calls = []
+        for routine in ("eigvalsh", "eigh", "cholesky"):
+            real = getattr(np.linalg, routine)
+            spy = lambda m, *a, real=real, routine=routine, **k: calls.append((routine, np.shape(m))) or real(m, *a, **k)
+            monkeypatch.setattr(np.linalg, routine, spy)
+        assert cli_main(["reconstruct", "--w", w_path, "--ref", ref_path, "--out", str(tmp_path / "rec.json")]) == 0
+        marginals = [("eigvalsh", (1, 3, 3))] * (2 if factor == "eigh" else 1)
+        assert calls == [("eigvalsh", (6, 6)), ("eigvalsh", (3, 3)), ("eigh", (1, 3, 3)), (factor, (1, 6, 6)), *marginals]
+
     def test_state_clipped_at_admission_is_accepted(self, tmp_path, capsys):
         w_path = write_json(tmp_path / "w.json", matrix_to_json(noise_clipped_state()))
         ref_path = write_json(tmp_path / "ref.json", reference_to_json(make_reference(maximally_mixed(2))))
@@ -182,6 +198,23 @@ class TestEmit:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             _emit(obj, None)
         assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+    SCALARS = [-0.0, 5e-324, 1e308, float("nan"), float("inf"), float("-inf"), 2**100, True, False, None]
+
+    @pytest.mark.parametrize("scalar", SCALARS, ids=repr)
+    @pytest.mark.parametrize("place", ["top", "list", "dict"])
+    def test_scalar_leaf(self, scalar, place):
+        obj = {"top": scalar, "list": [1, scalar, "s"], "dict": {"a": {"b": scalar}, "c": 0.5}}[place]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            _emit(obj, None)
+        assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+    def test_reconstruct_sidecar_file(self, tmp_path):
+        ref = make_reference(DensityOperator(np.diag([0.2, 0.8])))
+        report = serialize.reconstruction_to_json(reconstruct(forward_map(random_channel(2, 2, 2, seed=5), ref), ref))
+        del report["channel"]
+        _emit(report, str(tmp_path / "rec.json.report.json"))
+        assert (tmp_path / "rec.json.report.json").read_text() == json.dumps(report, indent=2) + "\n"
 
     def test_file_is_the_stdlib_indent_2_text(self, tmp_path):
         obj = serialize.norm_interval_to_json(

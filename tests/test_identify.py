@@ -46,7 +46,7 @@ from chanid.linalg import (
     spectral_decomposition,
 )
 from chanid.metrics import channel_fidelity, worst_case_bound
-from chanid.serialize import density_to_json, reference_to_json
+from chanid.serialize import density_from_json, density_to_json, matrix_to_json, reference_to_json
 
 from conftest import (
     choi_elementwise_oracle,
@@ -944,6 +944,72 @@ class TestFactorChoice:
                 assert got[i : i + 1].tobytes() == want.tobytes()
         for got, want in zip((factor, tp, consistency, clipped), reconstruct_stack_two_marginals_oracle(w, x_inv)):
             assert got.tobytes() == want.tobytes()
+
+
+class TestAdmissionEigenvalues:
+    """A state decoded from JSON is read-only and keeps its admission ``eigvalsh``;
+    ``reconstruct`` decides by it where ``hermitian_part(w)`` has w's very bytes,
+    and every other state takes its own ``eigvalsh``.  Either way the deciding
+    eigenvalues are ``eigvalsh``'s of the bytes the core factors, and the result
+    has the bits of the core called without them."""
+
+    REF = make_reference(DensityOperator(np.diag([0.2, 0.3, 0.5])))
+
+    @staticmethod
+    def decoded(m):
+        return density_from_json(json.loads(json.dumps(matrix_to_json(m))))
+
+    def reconstructed(self, monkeypatch, w):
+        """The eigenvalues reconstruct(w, REF)'s PSD check read and its count of stacked 6 × 6
+        eigvalsh calls, once they and _reconstruct_stack's tuple match the no-hand-off oracle's."""
+        checked, calls, returned = [], [], []
+        cp_checked, eigvalsh, stack = identify._cp_checked, np.linalg.eigvalsh, identify._reconstruct_stack
+        monkeypatch.setattr(identify, "_cp_checked", lambda lam, *a: checked.append(lam) or cp_checked(lam, *a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m, *a: calls.append(np.shape(m)) or eigvalsh(m, *a))
+        monkeypatch.setattr(identify, "_reconstruct_stack", lambda *a, **k: returned.append(stack(*a, **k)) or returned[0])
+        reconstruct(w, self.REF)
+        monkeypatch.undo()
+        [lam], [got] = checked, returned
+        h = hermitian_part(w.mat[None])
+        assert lam.tobytes() == np.linalg.eigvalsh(h).tobytes()
+        for got_part, want_part in zip(got, _reconstruct_stack(w.mat[None], self.REF.x_inv[None])):
+            assert got_part.tobytes() == want_part.tobytes()
+        return lam, calls.count((1, 6, 6))
+
+    @pytest.mark.parametrize("rank", [2, 6], ids=["rank-deficient", "full-rank"])
+    def test_a_decoded_state_hands_its_eigenvalues_on(self, monkeypatch, rank):
+        w = self.decoded(forward_map(random_channel(3, 2, rank, seed=3), self.REF).mat)
+        assert not w.mat.flags.writeable and w._eigenvalues is not None
+        assert self.reconstructed(monkeypatch, w)[1] == 0
+
+    def test_a_hermiticity_defect_takes_its_own_eigvalsh(self, monkeypatch):
+        m = forward_map(random_channel(3, 2, 6, seed=3), self.REF).mat.copy()
+        m[0, 1] += 5e-14j
+        m[1, 0] += 5e-14j  # m - m† = 1e-13 i at both places: a defect of 1e-13
+        w = self.decoded(m)
+        assert 0.0 < np.linalg.norm(w.mat - w.mat.conj().T, 2) <= 1e-12 and w._eigenvalues is None
+        assert self.reconstructed(monkeypatch, w)[1] == 1
+
+    def test_a_zero_whose_sign_hermitian_part_flips_takes_its_own_eigvalsh(self, monkeypatch):
+        m = hermitian_part(rand_density_mat(np.random.default_rng(3), 6, min_eig=0.01))
+        m[0, 1], m[1, 0] = 0.0, complex(-0.0, 0.0)  # Hermitian in value, so a defect of 0
+        w = self.decoded(m)
+        assert w._eigenvalues is not None and hermitian_part(w.mat).tobytes() != w.mat.tobytes()
+        lam, calls = self.reconstructed(monkeypatch, w)
+        assert calls == 1 and lam[0].tobytes() != w._eigenvalues.tobytes()  # the sign reaches the bits
+
+    def test_a_writable_array_keeps_no_eigenvalues(self, monkeypatch):
+        # the caller writes another state into its array after admission
+        m = forward_map(random_channel(3, 2, 6, seed=3), self.REF).mat.copy()
+        w = DensityOperator(m)
+        assert w.mat is m and w._eigenvalues is None
+        m[:] = forward_map(random_channel(3, 2, 2, seed=4), self.REF).mat
+        assert self.reconstructed(monkeypatch, w)[1] == 1
+
+    def test_a_state_the_package_built_keeps_no_eigenvalues(self, monkeypatch):
+        w = forward_map(random_channel(3, 2, 6, seed=3), self.REF)
+        assert w._eigenvalues is None
+        assert self.reconstructed(monkeypatch, w)[1] == 1
 
 
 REF2 = make_reference(maximally_mixed(2))
