@@ -91,11 +91,13 @@ class KrausChannel:
     def _set_forms(self, ops: np.ndarray, factor: np.ndarray, tp_defect: float | None = None) -> None:
         """Keep ops and the factor F; the Choi matrix F F† is derived here alone, and the TP defect
         too unless the caller already read it from F by :func:`_marginal_defects`."""
-        # finite entries can still overflow in products; ChoiMatrix refuses the result
+        # finite entries can still overflow in products; ChoiMatrix and the defect check refuse the result
         with np.errstate(over="ignore", invalid="ignore"):
             c = ChoiMatrix(dim_in=self.dim_in, dim_out=self.dim_out, mat=_gram(factor))
-        if tp_defect is None:
-            tp_defect = float(_marginal_defects(factor, self.dim_in)[0])
+            if tp_defect is None:
+                tp_defect = float(_marginal_defects(factor, self.dim_in)[0])
+        if not tp_defect < np.inf:  # NaN too
+            raise ValueError("TP defect ||sum_k A_k† A_k - 1||_op must be finite")
         ops.flags.writeable = False  # the views ops[k] are the map's only copy of its operators
         object.__setattr__(self, "kraus", tuple(ops))
         object.__setattr__(self, "_choi", c)

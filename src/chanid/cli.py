@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation error (bad arguments, malformed
-JSON, a state with an eigenvalue below -1e-10), 2 numerical failure
-(inadmissible reference, self-check violation, CB interval whose lower
-end exceeds its upper end).  reconstruct --w refuses such a state when it
-reads it, so the library's non-CP refusal (below -1e-8) is not reached.
+JSON, a state with an eigenvalue below -1e-10, a map whose TP defect
+||sum_k A_k† A_k - 1||_op overflows a double), 2 numerical failure
+(inadmissible reference, self-check violation, CB interval whose lower end
+exceeds its upper end).  reconstruct --w refuses such a state when it reads
+it, so the library's non-CP refusal (below -1e-8) is not reached.
 
 cbdist's only tuning flags are --starts and --max-iters.  sweep reads its
 grid from --grid alone; a config's min_eig_grid key is ignored, and so are

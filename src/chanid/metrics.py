@@ -14,10 +14,10 @@ Watrous's dual bound ||tr_out Y||_op for a Y with Y ± J >= 0, built from a
 full-rank state σ on H_in (kept as the dual state, so the bound can be
 re-checked too): with S = 1 ⊗ σ^{1/2} and M = S J S, Y = S⁻¹ |M| S⁻¹.
 No claim of convergence to the exact norm is made; every inequality
-consumed downstream only needs a valid interval.  Both ends use only the
-Choi difference J: the stabilized output at a probe vec Ψ is
-(1 ⊗ Ψᵀ) J (1 ⊗ Ψᵀ)†, its adjoint map back-lifts the sign matrix, and all
-ascent starts run together as one batch.
+consumed downstream only needs a valid interval.  Both ends read only
+(J, d_in, cap): the Choi difference, the input dimension, and 2 for two
+trace-preserving maps, else inf.  The stabilized output at a probe vec Ψ
+is (1 ⊗ Ψᵀ) J (1 ⊗ Ψᵀ)†, and its adjoint map back-lifts the sign matrix.
 
 The objective is concave in σ = (Ψᵀ)†Ψᵀ: it equals ||S J S||_1 = max tr(JW)
 over -1 ⊗ σ <= W <= 1 ⊗ σ (Watrous, "Simpler semidefinite programs for
@@ -284,8 +284,8 @@ def _face_start(psi: np.ndarray, d_in: int) -> np.ndarray | None:
     return face / np.linalg.norm(face)
 
 
-def _dual_upper(j: np.ndarray, witnesses: list, t1: KrausChannel, t2: KrausChannel) -> tuple[float, np.ndarray]:
-    """Certified upper end of ||T1 - T2||_cb and the state σ that gives it.
+def _dual_upper(j: np.ndarray, witnesses: list, d_in: int, cap: float) -> tuple[float, np.ndarray]:
+    """Certified upper end of the CB norm of the map with Choi matrix J, and the state σ that gives it.
 
     Watrous's dual for a Hermiticity-preserving map: any Y with Y ± J >= 0
     bounds the CB norm by ||tr_out Y||_op.  The candidates σ are, for each
@@ -296,10 +296,10 @@ def _dual_upper(j: np.ndarray, witnesses: list, t1: KrausChannel, t2: KrausChann
     gives their uppers.  Each candidate's Y = F F† is checked with one
     ``eigvalsh`` of Y - J and one of Y + J over the stack of candidates: a
     violation s > 0 adds d_out·s (tr_out of s·1).  The smallest certified
-    value wins, the first on a tie, capped at 2 for a pair of trace-preserving
-    channels (each has CB norm exactly 1).
+    value wins, the first on a tie, capped at ``cap`` (2 for a pair of
+    trace-preserving channels, each of CB norm exactly 1; else inf).
     """
-    d_in, d_out = t1.dim_in, t1.dim_out
+    d_out = len(j) // d_in
     psis = np.array([w.reshape(d_in, d_in) for w in witnesses])
     sigmas = np.concatenate([_full_rank(psis.conj() @ psis.swapaxes(-1, -2)), np.eye(d_in, dtype=complex)[None] / d_in])
     steps = np.array([CB_DUAL_STEPS] * len(witnesses) + [0])
@@ -322,10 +322,7 @@ def _dual_upper(j: np.ndarray, witnesses: list, t1: KrausChannel, t2: KrausChann
     least = np.minimum(np.linalg.eigvalsh(y - j)[:, 0], np.linalg.eigvalsh(y + j)[:, 0])
     certified = uppers + d_out * np.maximum(0.0, -least)
     best = int(np.argmin(certified))
-    upper = float(certified[best])
-    if t1.trace_preserving and t2.trace_preserving:
-        upper = min(upper, 2.0)
-    return upper, states[best]
+    return min(float(certified[best]), cap), states[best]
 
 
 def _certified(lower: float, upper: float, witness: np.ndarray, sigma: np.ndarray) -> NormInterval:
@@ -348,24 +345,27 @@ def cb_distance_interval(
     of maps, and pure inputs attain the supremum).  Starts are the maximally
     entangled vector and ``starts`` random vectors drawn one after another
     at the CB-starts site of CB_SEED, in that order; all ascend together and
-    the first with the highest value wins.  The objective is concave in
-    σ = (Ψᵀ)†Ψᵀ, so few starts are needed: full-rank starts climb to the
-    same maximum.  Towards a rank-deficient optimum they crawl, so a winner
-    with singular values below CB_FACE_CUT times its largest ascends once
-    more from its truncation (:func:`_face_start`) and gives way to it if
-    that ends higher.  The upper end is the dual bound built from the
-    witnesses (:func:`_dual_upper`), which needs no trace-preservation.  A
-    lower end above the upper end beyond rounding raises
-    :class:`CertificateError`.
+    the first with the highest value wins (few are needed: the objective is
+    concave in σ = (Ψᵀ)†Ψᵀ).  Towards a rank-deficient optimum the ascent
+    crawls, so a winner with singular values below CB_FACE_CUT times its
+    largest ascends once more from its truncation (:func:`_face_start`) and
+    gives way to it if that ends higher.  The upper end is the dual bound
+    built from the witnesses (:func:`_dual_upper`), which needs no
+    trace-preservation.  A lower end above the upper end beyond rounding
+    raises :class:`CertificateError`.
     """
     _check_same_shape(t1, t2)
     if starts < 0 or max_iters < 0:
         raise ValueError(f"starts and max_iters must be >= 0, got {starts} and {max_iters}")
-    d1, d2 = t1.dim_in, t1.dim_out
+    cap = 2.0 if t1.trace_preserving and t2.trace_preserving else np.inf
+    return _cb_interval(choi(t1).mat - choi(t2).mat, t1.dim_in, cap, starts, max_iters)
+
+
+def _cb_interval(j: np.ndarray, d1: int, cap: float, starts: int, max_iters: int) -> NormInterval:
+    """The CB interval of the Hermiticity-preserving map with Choi matrix J, d_in = d1 and CB norm <= cap."""
+    d2 = len(j) // d1
     [z] = _draw([CB_SEED], CB_STARTS_SITE, ("standard_normal", (starts, 2, d1 * d1)))
     start_vecs = [_maximally_entangled(d1)] + [v / np.linalg.norm(v) for v in z[0, :, 0] + 1j * z[0, :, 1]]
-
-    j = choi(t1).mat - choi(t2).mat
     r = _realign(j, (d2, d1, d2, d1))
     values, psis = _ascend(r, np.array(start_vecs), d1, d2, max_iters)
     witnesses = [psis[np.argmax(values)]]
@@ -378,7 +378,7 @@ def cb_distance_interval(
             witnesses.insert(0, face_psi[0])
     best_psi = witnesses[0]
     lower = float(_objective_values(r, best_psi[None], d1, d2)[0])
-    upper, sigma = _dual_upper(j, witnesses, t1, t2)
+    upper, sigma = _dual_upper(j, witnesses, d1, cap)
     return _certified(lower, upper, best_psi, sigma)
 
 

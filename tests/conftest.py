@@ -371,19 +371,19 @@ def _dual_candidate_oracle(j: np.ndarray, sigma: np.ndarray) -> tuple[float, np.
     return float(_hermitian_norms(_marginal(factor, len(sigma)))[0]), factor, _marginal(abs_factor, len(sigma))
 
 
-def cb_dual_upper_stack_all_oracle(j: np.ndarray, witnesses: list, t1, t2) -> tuple[float, np.ndarray]:
+def cb_dual_upper_stack_all_oracle(j: np.ndarray, witnesses: list, d_in: int, cap: float) -> tuple[float, np.ndarray]:
     """The dual upper end chain by chain, candidate by candidate, with every
     candidate's Y ∓ J checked in one stack: for each witness Ψ, conj(Ψ) Ψᵀ
     made full rank and CB_DUAL_STEPS fixed-point steps σ <- tr_out |M| / tr |M|,
-    then 1/d_in; the first least certified value wins, capped at 2 for two
-    channels.  Returns (upper, its σ)."""
+    then 1/d_in; the first least certified value wins, capped at ``cap``.
+    Returns (upper, its σ)."""
     from chanid.linalg import _gram, hermitian_part
 
     def full_rank(sigma):
         sigma = hermitian_part(sigma) + CB_DUAL_FLOOR * np.eye(len(sigma))
         return sigma / np.trace(sigma).real
 
-    d_in, d_out = t1.dim_in, t1.dim_out
+    d_out = len(j) // d_in
     chains = [(full_rank(psi.conj() @ psi.T), CB_DUAL_STEPS) for psi in (w.reshape(d_in, d_in) for w in witnesses)]
     chains.append((np.eye(d_in, dtype=complex) / d_in, 0))
     sigmas, uppers, factors = [], [], []
@@ -401,10 +401,7 @@ def cb_dual_upper_stack_all_oracle(j: np.ndarray, witnesses: list, t1, t2) -> tu
     least = np.minimum(np.linalg.eigvalsh(y - j)[:, 0], np.linalg.eigvalsh(y + j)[:, 0])
     certified = np.array(uppers) + d_out * np.maximum(0.0, -least)
     best = int(np.argmin(certified))
-    upper = float(certified[best])
-    if t1.trace_preserving and t2.trace_preserving:
-        upper = min(upper, 2.0)
-    return upper, sigmas[best]
+    return min(float(certified[best]), cap), sigmas[best]
 
 
 def reconstruct_stack_two_marginals_oracle(w: np.ndarray, x_inv: np.ndarray) -> tuple:

@@ -456,16 +456,25 @@ class TestNamedChannels:
         assert not isinstance(info.value, np.linalg.LinAlgError)
 
     @pytest.mark.parametrize(
-        "build",
-        [lambda: KrausChannel(1, 1, (np.array([[1e200]]),)), lambda: unitary_channel(1e200 * np.eye(2))],
-        ids=["kraus", "unitary"],
+        "build, message",
+        [
+            (lambda: KrausChannel(1, 1, (np.array([[1e200]]),)), "Choi matrix entries must be finite"),
+            (lambda: unitary_channel(1e200 * np.eye(2)), "Choi matrix entries must be finite"),
+            # a finite Choi matrix (largest entry 8.3e307) whose sum_k A_k† A_k + its adjoint is not
+            (
+                lambda: KrausChannel(2, 2, tuple(1e154 * a for a in random_channel(2, 2, 2, seed=1).kraus)),
+                "TP defect ||sum_k A_k† A_k - 1||_op must be finite",
+            ),
+        ],
+        ids=["kraus", "unitary", "kraus-marginal"],
     )
-    def test_overflowing_products_are_refused_without_a_warning(self, build):
+    def test_overflowing_products_are_refused_without_a_warning(self, build, message):
         # the entries are finite, their products are not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="Choi matrix entries must be finite"):
+            with pytest.raises(ValueError, match=re.escape(message)) as info:
                 build()
+        assert "\n" not in str(info.value)
 
     def test_unitary_channel_checks_unitarity_by_its_tp_defect(self):
         u = random_unitary(3, 6)

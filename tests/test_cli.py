@@ -697,6 +697,24 @@ class TestOverflowingKrausEntries:
         assert captured.err == ""
         assert json.loads(captured.out)["fidelity"] == 1.0
 
+    @pytest.mark.parametrize("command", ["cbdist", "fidelity"])
+    def test_a_map_whose_tp_defect_overflows_is_one_line_validation_error(self, tmp_path, capsys, command):
+        # Kraus entries near 1e154 give a finite Choi matrix, but sum_k A_k† A_k plus its
+        # adjoint passes a double; the 1e153 map beside it is admitted
+        paths = []
+        for scale in (1e154, 1e153):
+            obj = channel_to_json(random_channel(2, 2, 2, seed=1))
+            for a in obj["kraus"]:
+                a["data"] = [[scale * re, scale * im] for re, im in a["data"]]
+            paths.append(write_json(tmp_path / f"t{scale:.0e}.json", obj))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main([command, "--t1", paths[0], "--t2", paths[1]]) == 1
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "chanid: error: TP defect ||sum_k A_k† A_k - 1||_op must be finite\n"
+
 
 class TestOverflowingStateEntries:
     def test_reconstruct_of_a_state_whose_trace_overflows(self, tmp_path, capsys):

@@ -460,7 +460,13 @@ class TestDualCertificate:
     def test_maps_that_are_not_trace_preserving(self, d_in, d_out):
         t1 = random_channel(d_in, d_out, d_in, seed=82 + d_in + 7 * d_out)
         t2 = random_channel(d_in, d_out, d_in + 1, seed=83 + d_in + 7 * d_out)
-        for a, b in ((t1, self._scaled(t2)), (self._scaled(t2), t1), (t1, t2)):
+        pairs = [(t1, self._scaled(t2)), (self._scaled(t2), t1), (t1, t2)]
+        if (d_in, d_out) == (3, 3):
+            # a CB distance near 3.07: a cap of 2 on a pair that is not
+            # trace-preserving would raise CertificateError here
+            t = random_channel(3, 3, 3, seed=9)
+            pairs.append((KrausChannel(3, 3, tuple(2 * a for a in t.kraus)), compose(depolarizing_channel(0.05, 3), t)))
+        for a, b in pairs:
             interval = cb_distance_interval(a, b)
             _assert_dual_certificate(a, b, interval)
             assert interval.upper - interval.lower <= 1e-4 * interval.upper
@@ -544,7 +550,7 @@ class TestUpperEndsFromMarginals:
         j = choi(t1).mat - choi(t2).mat
         witness = rand_state_vec(np.random.default_rng(89), 9)
         calls = _spy_on_decompositions(monkeypatch)
-        metrics._dual_upper(j, [witness], t1, t2)
+        metrics._dual_upper(j, [witness], 3, np.inf)
         # per chain step, one eigh of the live chains' σ's and one of their M's:
         # the witness's chain and 1/d_in first, then the witness's chain alone;
         # one eigvalsh of the 1 + CB_DUAL_STEPS + 1 candidates' marginals, then
@@ -554,7 +560,7 @@ class TestUpperEndsFromMarginals:
         count = metrics.CB_DUAL_STEPS + 2
         assert calls == steps + [("eigvalsh", (count, 3, 3))] + [("eigvalsh", (count, 6, 6))] * 2
         calls.clear()
-        metrics._dual_upper(np.zeros_like(j), [witness], t1, t1)
+        metrics._dual_upper(np.zeros_like(j), [witness], 3, 2.0)
         # J = 0: every upper is 0 and no chain steps on, so there are two candidates
         assert calls == steps[:2] + [("eigvalsh", (2, 3, 3))] + [("eigvalsh", (2, 6, 6))] * 2
         calls.clear()
