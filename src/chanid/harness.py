@@ -237,7 +237,9 @@ def _noisy(w: np.ndarray, model: NoiseSpec, seeds) -> np.ndarray:
         return w
     d = w.shape[-1]
     if model.kind == "depolarize":
-        return (1.0 - model.eps) * w + model.eps * np.eye(d) / d
+        mixed = (1.0 - model.eps) * w
+        mixed += model.eps * np.eye(d) / d
+        return mixed
     if d == 1:  # the only traceless Hermitian matrix is 0
         return w
     [z] = _draw(seeds, NOISE_SITE, ("standard_normal", (2, d, d)))

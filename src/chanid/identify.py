@@ -323,7 +323,9 @@ def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, floor: float = 0.0, lam
     is the Cholesky factor L, w = L L†.  ``floor`` is a proven lower bound
     on every w's eigenvalues, eps/D for the round trip's depolarized outputs
     and 0 for any other stack; above :func:`_floor_margin` it proves every
-    trial plain, and the deciding ``eigvalsh`` is skipped.  ``lam``, the admission eigenvalues
+    trial plain, and the deciding ``eigvalsh`` is skipped.  A stack whose trials are all plain
+    is factored whole, by one Cholesky of the stack and one lift; a mixed stack gathers its plain
+    trials and its others by mask and puts their factors into one array.  ``lam``, the admission eigenvalues
     of the one w of a stack of one, stands in for that ``eigvalsh`` only where (w + w†)/2 has
     w's very bytes: LAPACK reads the sign of a zero, which the Hermitian part can flip, so
     only identical bytes give identical eigenvalues.  Every other trial takes an ``eigh``,
@@ -349,6 +351,9 @@ def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, floor: float = 0.0, lam
         lam = lam[None] if lam is not None and h.tobytes() == w.tobytes() else np.linalg.eigvalsh(h)
         lam = _cp_checked(lam, W_PSD_TOL, "input state")
         plain = lam[:, 0] > _cholesky_threshold(h.shape[-1]) * lam[:, -1]
+    if plain.all():  # the whole stack at once: no gather of h and x_inv, no scatter of the factor
+        factor = _lift(x_inv, np.linalg.cholesky(h))
+        return factor, *_marginal_defects(factor, d1), np.zeros(len(h))
     x_inv = np.broadcast_to(x_inv, (len(h), d1, d1))
     factor, clipped, keep = np.empty_like(h), np.zeros(len(h)), np.ones(h.shape[:-1], dtype=bool)
     if plain.any():

@@ -18,6 +18,8 @@ eigenvalues, which ``reconstruct`` then decides by instead of its own.
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -246,18 +248,30 @@ def _draw(seeds, site: int, *fills: tuple[str, tuple[int, ...]]) -> list[np.ndar
     """The package's one draw rule: per seed (a :func:`_seed` value, checked where it
     entered), reset one ``Generator`` once, to counter (0, 0, 0, site) of Philox(key=seed),
     then fill the seed's row of one array per (method, shape) of ``fills``, in order, by
-    that ``Generator`` method with ``out=``."""
+    that ``Generator`` method with ``out=``.
+
+    Consecutive fills of one method are made by one call per seed into one row buffer, and
+    their arrays are views of it: a method draws its values one after another from the
+    stream, so the one call reads the same stream, and gives the same values, as the calls
+    in turn.
+    """
     gen = np.random.Generator(np.random.Philox(0))
-    calls = [(getattr(gen, method), np.empty((len(seeds), *shape))) for method, shape in fills]
+    calls, arrays = [], []  # one call per run of one method, into rows its fills' arrays are views of
+    for method, run in itertools.groupby(fills, key=operator.itemgetter(0)):
+        shapes = [shape for _, shape in run]
+        ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+        rows = np.empty((len(seeds), ends[-1]))
+        calls.append((getattr(gen, method), rows))
+        arrays += [rows[:, start:end].reshape(len(seeds), *shape) for shape, start, end in zip(shapes, ends, ends[1:])]
     state = {"counter": (0, 0, 0, site), "key": None}
     full = {"bit_generator": "Philox", "state": state, "buffer": (0, 0, 0, 0),
             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for n, seed in enumerate(seeds):
         state["key"] = (seed % 2**64, seed >> 64)
         gen.bit_generator.state = full
-        for fill, out in calls:
-            fill(out=out[n])
-    return [out for _, out in calls]
+        for fill, rows in calls:
+            fill(out=rows[n])
+    return arrays
 
 
 def random_unitary(d: int, seed: int) -> np.ndarray:

@@ -946,6 +946,66 @@ class TestFactorChoice:
             assert got.tobytes() == want.tobytes()
 
 
+class TestAllPlainStackIsFactoredWhole:
+    """A stack whose every trial is plain, proven by its floor or decided by eigvalsh, is
+    factored by one Cholesky of the whole stack of (w + w†)/2, with no gathered copy; a
+    stack with one clipped or cut trial gathers its plain trials.  Either way each trial
+    gets the bits of its own one-trial call."""
+
+    chunk = staticmethod(TestOneMarginalKeepsTheBits.chunk)
+    DEPOLARIZE, NONE = TestOneMarginalKeepsTheBits.DEPOLARIZE, TestOneMarginalKeepsTheBits.NONE
+
+    @staticmethod
+    def factored(monkeypatch, w, x_inv, floor):
+        """_reconstruct_stack(w, x_inv, floor), and whether each matrix stack given to
+        cholesky shares memory with the Hermitian part of w that it formed."""
+        formed, shared = [], []
+        herm, cholesky = identify.hermitian_part, np.linalg.cholesky
+        monkeypatch.setattr(identify, "hermitian_part", lambda m: formed.append(herm(m)) or formed[-1])
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda m: shared.append(np.shares_memory(m, formed[0])) or cholesky(m)
+        )
+        result = _reconstruct_stack(w, x_inv, floor)
+        monkeypatch.undo()
+        return result, shared
+
+    def assert_single_call_bits(self, result, w, x_inv, floor):
+        x_inv = np.broadcast_to(x_inv, (len(w), *x_inv.shape[-2:]))
+        singles = [_reconstruct_stack(w[i : i + 1], x_inv[i : i + 1], floor) for i in range(len(w))]
+        for got, want in zip(result, zip(*singles)):
+            want = np.concatenate(want)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shared_ref", [False, True], ids=["own-refs", "one-ref"])
+    @pytest.mark.parametrize("d", [2, 6])
+    def test_depolarized_chunk_above_the_floor_margin(self, d, shared_ref, monkeypatch):
+        w, x_inv = self.chunk(d, d, d, self.DEPOLARIZE, 12, 110 + d)
+        x_inv = x_inv[:1] if shared_ref else x_inv  # a fixed reference's stack of one, as run_roundtrip gives it
+        floor = self.DEPOLARIZE.eps / (d * d)
+        assert floor > identify._floor_margin(d * d)
+        result, shared = self.factored(monkeypatch, w, x_inv, floor)
+        assert shared == [True]
+        self.assert_single_call_bits(result, w, x_inv, floor)
+
+    def test_noiseless_full_rank_stack_decided_by_eigvalsh(self, monkeypatch):
+        w, x_inv = self.chunk(3, 3, 9, self.NONE, 8, 120)
+        result, shared = self.factored(monkeypatch, w, x_inv, 0.0)
+        assert shared == [True] and not result[3].any()
+        self.assert_single_call_bits(result, w, x_inv, 0.0)
+        for got, want in zip(result, reconstruct_stack_two_marginals_oracle(w, x_inv)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_cut_trial_among_plain_ones_takes_the_masked_path(self, monkeypatch):
+        plain, plain_inv = self.chunk(3, 3, 3, self.DEPOLARIZE, 5, 130)
+        cut, cut_inv = self.chunk(3, 3, 2, self.NONE, 1, 131)
+        w, x_inv = np.concatenate([plain[:2], cut, plain[2:]]), np.concatenate([plain_inv[:2], cut_inv, plain_inv[2:]])
+        result, shared = self.factored(monkeypatch, w, x_inv, 0.0)
+        assert shared == [False]  # the gathered plain trials
+        cut = (np.abs(result[0]).sum(axis=-2) == 0.0).any(axis=-1)
+        assert cut.tolist() == [False, False, True, False, False, False]
+        self.assert_single_call_bits(result, w, x_inv, 0.0)
+
+
 class TestAdmissionEigenvalues:
     """A state decoded from JSON is read-only and keeps its admission ``eigvalsh``;
     ``reconstruct`` decides by it where ``hermitian_part(w)`` has w's very bytes,

@@ -350,6 +350,42 @@ class TestDrawRule:
         alone = self._draws(draw_rule_generator(second, NOISE_SITE))
         assert all(map(np.array_equal, after, alone))
 
+    # runs of one method back to back, a zero-size fill inside a run (cbdist --starts 0
+    # draws one), and a method that comes back after another
+    RUN_FILLS = (
+        ("standard_normal", (2, 3)), ("standard_normal", (0, 2, 9)), ("standard_normal", (3,)),
+        ("standard_exponential", (2,)), ("standard_exponential", (1, 2)),
+        ("random", (3,)), ("standard_normal", (2, 2)), ("standard_exponential", (0,)),
+    )
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_runs_of_one_method_give_the_sequential_calls(self, site):
+        seeds = [5, self.SEED]
+        drawn = _draw(seeds, site, *self.RUN_FILLS)
+        for n, seed in enumerate(seeds):
+            g = draw_rule_generator(seed, site)
+            for (method, shape), rows in zip(self.RUN_FILLS, drawn):
+                assert rows.shape == (len(seeds), *shape)
+                assert rows[n].tobytes() == getattr(g, method)(shape).tobytes()
+
+    def test_a_random_min_eig_trial_makes_one_call_per_method(self, monkeypatch):
+        calls = []
+
+        class Counted(np.random.Generator):
+            def standard_normal(self, *a, **k):
+                calls.append("standard_normal")
+                return super().standard_normal(*a, **k)
+
+            def standard_exponential(self, *a, **k):
+                calls.append("standard_exponential")
+                return super().standard_exponential(*a, **k)
+
+        monkeypatch.setattr(np.random, "Generator", Counted)
+        cfg = ExperimentConfig(3, 2, 2, RefSpec("random_min_eig", min_eig=0.05), NoiseSpec(), 5, seed=9)
+        run_roundtrip(cfg)
+        monkeypatch.undo()
+        assert calls == ["standard_normal", "standard_exponential"] * cfg.trials
+
     def test_random_unitary_is_haar_on_average(self):
         # |U_00|^2 of a Haar unitary on C^3 is Beta(1, 2): mean 1/3, variance 1/18
         n = 2000
