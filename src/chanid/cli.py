@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation error (bad arguments, malformed
 JSON, a state with an eigenvalue below -1e-10, a map whose TP defect
-||sum_k A_k† A_k - 1||_op overflows a double), 2 numerical failure
+||sum_k A_k† A_k - 1||_op overflows a double, an input too large for
+memory), 2 numerical failure
 (inadmissible reference, self-check violation, CB interval whose lower end
 exceeds its upper end).  reconstruct --w refuses such a state when it reads
 it, so the library's non-CP refusal (below -1e-8) is not reached.
@@ -185,8 +186,8 @@ def cli_main(argv: list[str]) -> int:
     ) as exc:
         print(f"chanid: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"chanid: error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
+        print(f"chanid: error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # a bare MemoryError has no text
         return 1
 
 

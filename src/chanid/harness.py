@@ -136,10 +136,11 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("d1", "d2", "kraus_rank", "trials", "seed"):  # the draws and the chunks take them unchecked
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         _check_map_shape(self.d1, self.d2, self.kraus_rank)
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        object.__setattr__(self, "seed", operator.index(self.seed))  # the trials' draws take it unchecked
         if not 0 <= self.seed < 2**64:  # trial i draws with seed + i·2^64
             raise ValueError(f"seed must be non-negative and below 2**64, got {self.seed}")
         if self.ref_spec.kind == "spectrum" and len(self.ref_spec.spectrum) != self.d1:

@@ -323,50 +323,50 @@ def _reconstruct_stack(w: np.ndarray, x_inv: np.ndarray, floor: float = 0.0, lam
     is the Cholesky factor L, w = L L†.  ``floor`` is a proven lower bound
     on every w's eigenvalues, eps/D for the round trip's depolarized outputs
     and 0 for any other stack; above :func:`_floor_margin` it proves every
-    trial plain, and the deciding ``eigvalsh`` is skipped.  A stack whose trials are all plain
-    is factored whole, by one Cholesky of the stack and one lift; a mixed stack gathers its plain
-    trials and its others by mask and puts their factors into one array.  ``lam``, the admission eigenvalues
+    trial plain, and the deciding ``eigvalsh`` is skipped.  ``lam``, the admission eigenvalues
     of the one w of a stack of one, stands in for that ``eigvalsh`` only where (w + w†)/2 has
     w's very bytes: LAPACK reads the sign of a zero, which the Hermitian part can flip, so
     only identical bytes give identical eigenvalues.  Every other trial takes an ``eigh``,
     w = U diag(lam) U†, for the clip and the rank cutoff, and its factor is
-    U diag(sqrt(lam·keep)), with zero columns where lam is cut.  Either factor
-    of w, pushed through 1 ⊗ X⁻¹, is a factor F of the recovered Choi matrix
-    C = F F†, and no C-sized matrix is formed.  Cholesky is also the more
-    accurate factor: on a graded w = Δ H Δ, such as a noiseless output under
-    a diagonal reference, its error follows the condition of H rather than
-    1/min_eig (Demmel, LAWN 14; Higham ch. 10).  The residuals are read from
-    d1 × d1 marginals: tr_out C from F, and X⁻¹ tr_out(w) X⁻† of the clipped w
-    from the same factor before the cut.  Where the cut keeps every column,
-    the two are one marginal and one ``eigvalsh`` gives both norms; only the
-    trials whose cut drops a column zero it and take a second marginal of F.
-    Each trial's path is its own, so a stack gives the bits of single calls.
+    U diag(sqrt(lam·keep)), with zero columns where lam is cut.  Cholesky is also the more
+    accurate factor: on a graded w = Δ H Δ, such as a noiseless output under a diagonal
+    reference, its error follows the condition of H rather than 1/min_eig (Demmel, LAWN 14;
+    Higham ch. 10).
+
+    The factors of w are built first, into one array: one Cholesky of the whole stack where
+    every trial is plain, else Cholesky of the plain trials and ``eigh`` of the others, each
+    gathered by mask.  That array is then lifted once, by the one congruence 1 ⊗ X⁻¹ with X⁻¹
+    broadcast over the stack: either factor of w, so lifted, is a factor F of the recovered
+    Choi matrix C = F F†, and no C-sized matrix is formed.  The residuals are read from
+    d1 × d1 marginals: tr_out C from F, and X⁻¹ tr_out(w) X⁻† of the clipped w from the same
+    factor before the cut.  Where the cut keeps every column, the two are one marginal and one
+    ``eigvalsh`` gives both norms; only the trials whose cut drops a column zero it and take a
+    second marginal of F.  Each trial's path is its own, so a stack gives the bits of single calls.
     """
     d1 = x_inv.shape[-1]
     _check_unit_traces(w, "state trace")
     h = hermitian_part(w)
-    if floor > _floor_margin(h.shape[-1]):
-        plain = np.ones(len(h), dtype=bool)
-    else:
+    clipped, cut = np.zeros(len(h)), ()
+    plain = floor > _floor_margin(h.shape[-1])  # the floor proves every trial plain
+    if not plain:
         lam = lam[None] if lam is not None and h.tobytes() == w.tobytes() else np.linalg.eigvalsh(h)
         lam = _cp_checked(lam, W_PSD_TOL, "input state")
         plain = lam[:, 0] > _cholesky_threshold(h.shape[-1]) * lam[:, -1]
-    if plain.all():  # the whole stack at once: no gather of h and x_inv, no scatter of the factor
-        factor = _lift(x_inv, np.linalg.cholesky(h))
-        return factor, *_marginal_defects(factor, d1), np.zeros(len(h))
-    x_inv = np.broadcast_to(x_inv, (len(h), d1, d1))
-    factor, clipped, keep = np.empty_like(h), np.zeros(len(h)), np.ones(h.shape[:-1], dtype=bool)
-    if plain.any():
-        factor[plain] = _lift(x_inv[plain], np.linalg.cholesky(h[plain]))
-    if not plain.all():
-        rest = ~plain
+    if plain is True or plain.all():  # the whole stack at once: no gather of h, no scatter of the factor
+        factor = np.linalg.cholesky(h)
+    else:
+        rest, factor = np.flatnonzero(~plain), np.empty_like(h)
+        if plain.any():
+            factor[plain] = np.linalg.cholesky(h[plain])
         lam, u = np.linalg.eigh(h[rest])
         lam, clipped[rest] = _clip_spectra(lam)
-        factor[rest] = _lift(x_inv[rest], u * np.sqrt(lam)[:, None, :])
-        keep[rest] = lam > CHOI_REL_TOL * lam[:, -1:]
+        factor[rest] = u * np.sqrt(lam)[:, None, :]
+        keep = lam > CHOI_REL_TOL * lam[:, -1:]
+        dropped = ~keep.all(axis=-1)
+        cut, keep = rest[dropped], keep[dropped]
+    factor = _lift(x_inv, factor)  # rebound: w's factor is freed before the marginal copies the lifted one
     tp, consistency = _marginal_defects(factor, d1)
-    cut = ~keep.all(axis=-1)
-    if cut.any():
-        factor[cut] = np.where(keep[cut][:, None, :], factor[cut], 0.0)
+    if len(cut):
+        factor[cut] = np.where(keep[:, None, :], factor[cut], 0.0)
         tp[cut] = _marginal_defects(factor[cut], d1)[0]
     return factor, tp, consistency, clipped

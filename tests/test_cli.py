@@ -776,6 +776,25 @@ class TestArgumentHandling:
         assert err.startswith("usage: chanid")
         assert err.endswith("\n") and message in err.splitlines()[-1] and ": error: " in err.splitlines()[-1]
 
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 14.6 TiB for an array"), "Unable to allocate 14.6 TiB for an array"),
+            (MemoryError(), "MemoryError"),
+        ],
+        ids=["numpy-allocation", "bare"],
+    )
+    def test_an_input_too_large_for_memory_is_one_error_line(self, capsys, monkeypatch, exc, message):
+        # a stage that raises as numpy does when it cannot allocate; a real oversize request
+        # could touch its pages on a host that overcommits memory
+        def out_of_memory(*args):
+            raise exc
+
+        monkeypatch.setattr(chanid.cli, "random_channel", out_of_memory)
+        assert cli_main(["randchannel", "--d1", "1000000", "--d2", "1000000", "--rank", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"chanid: error: {message}\n"
+
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
         capsys.readouterr()

@@ -289,9 +289,11 @@ class TestStackedTrialsMatchTheLoop:
 
     @pytest.mark.parametrize("noise", NOISES)
     def test_trials_spanning_several_chunks(self, noise):
-        # three chunks, the last of one trial, at d1 = d2 = 6 and at d1 = d2 = 2
-        for d in (6, 2):
-            cfg = ExperimentConfig(d, d, d, _refs(d)[2], noise, trials=2 * _per_chunk(d) + 1, seed=17)
+        # three chunks, the last of one trial, at d1 = d2 = 6 and at d1 = d2 = 2; at d = 2 also under
+        # the maximally mixed reference, whose one X⁻¹ lifts every chunk, each of Cholesky, clipped
+        # and cut trials under jitter
+        for d, ref_spec in ((6, _refs(6)[2]), (2, _refs(2)[2]), (2, _refs(2)[0])):
+            cfg = ExperimentConfig(d, d, d, ref_spec, noise, trials=2 * _per_chunk(d) + 1, seed=17)
             assert _csv_lines(run_roundtrip(cfg)) == _csv_lines(roundtrip_loop_oracle(cfg))
         cfg = ExperimentConfig(6, 6, 6, _refs(6)[0], noise, trials=1, seed=19)
         grid = [float(x) for x in np.geomspace(1.0 / 6, 1e-8, 2 * _per_chunk(6) + 1)]
@@ -683,6 +685,24 @@ class TestConfig:
         assert records_to_csv(run_roundtrip(cfg)) == records_to_csv(roundtrip_loop_oracle(cfg))
         with pytest.raises(ValueError, match="seed must be non-negative"):
             small_config(seed=2**64)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"d1": 2.0}, {"d2": 2.0}, {"kraus_rank": 2.0}, {"trials": 2.5}, {"seed": 11.0}],
+        ids=["d1", "d2", "kraus-rank", "trials", "seed"],
+    )
+    def test_float_sizes_are_refused_at_construction(self, changes):
+        # run_roundtrip would multiply and range over them: refused here, not inside a stage
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            small_config(**changes)
+
+    def test_numpy_integers_give_the_bytes_of_python_ints(self):
+        cfg = small_config(
+            d1=np.int64(2), d2=np.int32(2), kraus_rank=np.uint8(2), trials=np.int16(4), seed=np.int64(11)
+        )
+        assert all(type(getattr(cfg, name)) is int for name in ("d1", "d2", "kraus_rank", "trials", "seed"))
+        assert cfg == small_config()
+        assert records_to_csv(run_roundtrip(cfg)) == records_to_csv(run_roundtrip(small_config()))
 
     @pytest.mark.parametrize(
         "ref_spec",

@@ -933,8 +933,10 @@ class TestFactorChoice:
         w.append(self.graded_state(0.5 * identify._cholesky_threshold(self.D1 * self.D2), seed=37))
         # plain, cut, clipped and cut, plain (noiseless full rank), eigh with nothing clipped or cut
         w, x_inv = np.array(w), np.array([ref.x_inv for ref in refs])
+        lifts, lift = [], identify._lift
+        monkeypatch.setattr(identify, "_lift", lambda *a: lifts.append(1) or lift(*a))  # undone by paths
         (factor, tp, consistency, clipped), counts = self.paths(monkeypatch, _reconstruct_stack, w, x_inv)
-        assert counts == {"cholesky": 2, "eigh": 3}
+        assert counts == {"cholesky": 2, "eigh": 3} and len(lifts) == 1  # both kinds of factor of w, lifted at once
         cut = (np.abs(factor).sum(axis=-2) == 0.0).any(axis=-1)
         assert cut.tolist() == [False, True, True, False, False] and (clipped[[0, 2, 3, 4]] > 0.0).tolist() == [
             False, True, False, False]
@@ -957,16 +959,18 @@ class TestAllPlainStackIsFactoredWhole:
 
     @staticmethod
     def factored(monkeypatch, w, x_inv, floor):
-        """_reconstruct_stack(w, x_inv, floor), and whether each matrix stack given to
-        cholesky shares memory with the Hermitian part of w that it formed."""
-        formed, shared = [], []
-        herm, cholesky = identify.hermitian_part, np.linalg.cholesky
+        """_reconstruct_stack(w, x_inv, floor), checked to lift once, and whether each matrix
+        stack given to cholesky shares memory with the Hermitian part of w that it formed."""
+        formed, shared, lifts = [], [], []
+        herm, cholesky, lift = identify.hermitian_part, np.linalg.cholesky, identify._lift
         monkeypatch.setattr(identify, "hermitian_part", lambda m: formed.append(herm(m)) or formed[-1])
         monkeypatch.setattr(
             np.linalg, "cholesky", lambda m: shared.append(np.shares_memory(m, formed[0])) or cholesky(m)
         )
+        monkeypatch.setattr(identify, "_lift", lambda *a: lifts.append(1) or lift(*a))
         result = _reconstruct_stack(w, x_inv, floor)
         monkeypatch.undo()
+        assert len(lifts) == 1
         return result, shared
 
     def assert_single_call_bits(self, result, w, x_inv, floor):
